@@ -138,7 +138,7 @@ def coverage_sinr_all(
 
     Interference sums the RSRP of every other sector's beams that share the
     serving beam's sweep index; the serving sector never interferes with
-    itself.
+    itself. Zero serving RSRP gives -inf dB.
     """
     n = table.shape[0]
     rows = np.arange(n)
@@ -148,7 +148,13 @@ def coverage_sinr_all(
     interference = np.sum(table * match, axis=(1, 2))
     own = np.sum(table[rows, serving_sector, :] * match[rows, serving_sector, :], axis=1)
     interference -= own
-    return 10.0 * np.log10(numerator / (interference + noise_mw))
+    return sinr_db(numerator, interference + noise_mw)
+
+
+def sinr_db(signal_mw: np.ndarray, interference_plus_noise_mw: np.ndarray) -> np.ndarray:
+    """10 log10(signal / (interference + noise)); zero signal gives -inf dB."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(signal_mw / interference_plus_noise_mw)
 
 
 def coverage_sinr(

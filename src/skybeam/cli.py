@@ -32,7 +32,7 @@ from .association import (
 )
 from .channel import build_channels, stack_highway_channels
 from .codebook import build_dl_codebook, build_ssb_codebook, export_codebook_csv
-from .config import ConfigError, codebook_params_from_config, load_config
+from .config import ConfigError, codebook_params_from_config, load_config, validate_config
 from .evaluation import evaluate_snapshot, snapshot_stats, traffic_sweep
 from .genetic import (
     FitnessEvaluator,
@@ -53,12 +53,17 @@ ENV_PREFIX = "SKYBEAM_"
 
 
 def _apply_env_overrides(cfg: dict) -> dict:
+    """Overlay SKYBEAM_<BLOCK>_<KEY> JSON values, then validate the result."""
     for block, entries in cfg.items():
         for key in entries:
-            env = os.environ.get(f"{ENV_PREFIX}{block.upper()}_{key.upper()}")
+            name = f"{ENV_PREFIX}{block.upper()}_{key.upper()}"
+            env = os.environ.get(name)
             if env is not None:
-                entries[key] = json.loads(env)
-    return cfg
+                try:
+                    entries[key] = json.loads(env)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"{name} is not valid JSON: {exc}")
+    return validate_config(cfg)
 
 
 def _fmt(x: float) -> str:
@@ -77,7 +82,11 @@ def _prepare(cfg: dict, seed: int | None):
 
 
 def _optimize(cfg: dict, scenario, ssb_cb, out: Path | None):
-    """Designate cells, freeze slots, run the beam search; returns both plans."""
+    """Designate cells, freeze slots, run the beam search.
+
+    Returns both plans, the segment assignment and the search's manifest
+    record (iterations, evals, stop reason, feasibility, violations).
+    """
     radio = scenario.radio
     highway_channels = [
         stack_highway_channels(scenario.highway, s, radio, scenario.channel_params)
@@ -109,11 +118,25 @@ def _optimize(cfg: dict, scenario, ssb_cb, out: Path | None):
     )
     params = ega_params_from_config(cfg)
     best, trace = run_ega(params, evaluator, radio.max_ssb_power_dbm)
+    if not best.feasible:
+        print(
+            f"warning: beam search ended infeasible after {len(trace.iterations)} iterations: "
+            f"{best.violations} corridor point(s) associate outside their designated cell, "
+            "so the optimized plan breaks the corridor designation",
+            file=sys.stderr,
+        )
     optimized = evaluator.plan_for(best.genome)
     if out is not None:
         trace.to_csv(out / "ega_trace.csv")
         export_plan_json(optimized, assignment.designated_cells, frozen, out / "optimized_plan.json")
-    return base, optimized, assignment, trace
+    ega = {
+        "iterations": len(trace.iterations),
+        "evals": evaluator.evals,
+        "stop_reason": trace.stop_reason,
+        "feasible": best.feasible,
+        "violations": best.violations,
+    }
+    return base, optimized, assignment, ega
 
 
 def _evaluate_plans(scenario, plans, ssb_cb, dl_cb, n_snapshots: int, threads: int):
@@ -180,7 +203,7 @@ def cmd_run(args) -> int:
     t0 = time.time()
     scenario, ssb_cb, dl_cb = _prepare(cfg, args.seed)
     export_codebook_csv(ssb_cb, out / "ssb_codebook.csv")
-    base, optimized, assignment, trace = _optimize(cfg, scenario, ssb_cb, out)
+    base, optimized, assignment, ega = _optimize(cfg, scenario, ssb_cb, out)
     plans = {"baseline": base, "optimized": optimized}
 
     outcomes = _evaluate_plans(scenario, plans, ssb_cb, dl_cb, args.snapshots, args.threads)
@@ -205,7 +228,7 @@ def cmd_run(args) -> int:
         "seed": cfg["seeds"]["master"],
         "snapshots": args.snapshots,
         "designated_cells": list(assignment.designated_cells),
-        "ega_iterations": len(trace.iterations),
+        "ega": ega,
         "elapsed_s": round(time.time() - t0, 3),
         "outputs": sorted(p.name for p in out.iterdir()),
     }

@@ -111,6 +111,8 @@ class OptimizerParams:
     def __post_init__(self):
         if not (0 < self.n_elites <= self.n_parents <= self.n_pop):
             raise ConfigError("optimizer requires 0 < n_elites <= n_parents <= n_pop")
+        if self.max_iters < 1:
+            raise ConfigError("optimizer.max_iters must be at least 1")
         for name in ("p_cross", "p_mut"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -201,7 +203,8 @@ def _merge_block(name: str, block: dict | None) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    """Merge a raw config dict with defaults, rejecting unknown keys."""
+    """Merge a raw config dict with defaults, rejecting unknown keys and the
+    values the radio and optimizer parameter classes refuse."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for block in _REQUIRED_BLOCKS:
@@ -210,7 +213,13 @@ def validate_config(raw: dict) -> dict:
     for block in raw:
         if block not in _DEFAULTS:
             raise ConfigError(f"unknown config block '{block}'")
-    return {name: _merge_block(name, raw.get(name)) for name in _DEFAULTS}
+    cfg = {name: _merge_block(name, raw.get(name)) for name in _DEFAULTS}
+    master = cfg["seeds"]["master"]
+    if not isinstance(master, int) or isinstance(master, bool):
+        raise ConfigError("seeds.master must be an integer")
+    radio_from_config(cfg)
+    optimizer_params_from_config(cfg)
+    return cfg
 
 
 def load_config(path: str | Path) -> dict:

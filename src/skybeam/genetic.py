@@ -8,9 +8,12 @@ leaves every other cell untouched.
 
 Fitness is the minimum coverage SINR over all highway points, with a hard
 -inf penalty whenever any point would associate to a cell other than the one
-designated for its segment. The search loop is a plain elite GA: rank,
-crossover of uniformly drawn parent pairs, per-gene mutation, elites
-overwrite the worst.
+designated for its segment. `FitnessEvaluator.evaluate_population` scores a
+whole population in one batched call; it is the only fitness code path. The
+search loop is a plain elite GA: rank, crossover of uniformly drawn parent
+pairs, per-gene mutation, elites overwrite the worst. Each iteration scores
+only the offspring, because the elites carry their scores forward, so
+nothing is cached and memory stays flat over any number of iterations.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import BeamPlan, coverage_sinr_all, rsrp_table, select_serving_all
+from .association import BeamPlan, rsrp_table, sinr_db
 from .channel import ChannelSet
 from .codebook import Codebook
 from .config import ConfigError
@@ -41,6 +44,8 @@ class EgaParams:
     def __post_init__(self):
         if not (0 < self.n_elites <= self.n_parents <= self.n_pop):
             raise ConfigError("optimizer requires 0 < n_elites <= n_parents <= n_pop")
+        if self.max_iters < 1:
+            raise ConfigError("optimizer.max_iters must be at least 1")
         for name in ("p_cross", "p_mut"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"optimizer.{name} must lie in [0, 1]")
@@ -64,6 +69,11 @@ def ega_params_from_config(cfg: dict, seed: int | None = None) -> EgaParams:
 class Individual:
     genome: np.ndarray  # 2n floats; first half integer-valued codeword indices
     fitness: float = -math.inf
+    violations: int = 0  # corridor points associated outside their designated cell
+
+    @property
+    def feasible(self) -> bool:
+        return self.violations == 0
 
 
 @dataclass
@@ -71,6 +81,7 @@ class FitnessTrace:
     iterations: list[int] = field(default_factory=list)
     best_fitness: list[float] = field(default_factory=list)
     evaluations: list[int] = field(default_factory=list)
+    stop_reason: str = "max_iters"  # or "stagnation": no improvement for stop_iters
 
     def record(self, iteration: int, best: float, evals: int) -> None:
         self.iterations.append(iteration)
@@ -137,12 +148,21 @@ def apply_individual(
 
 
 class FitnessEvaluator:
-    """Minimum highway coverage SINR of a genome, with association constraint.
+    """Minimum corridor coverage SINR of genomes, with association constraint.
 
-    Precomputes the baseline RSRP table over all highway points and, for each
-    designated cell, the beam gain of every codeword, so one evaluation is a
-    handful of vectorized table updates. Results are cached by genome bytes
-    because the search re-evaluates whole populations each iteration.
+    A genome changes one (cell, frozen slot) entry of the baseline RSRP table
+    per designated cell and nothing else. Construction therefore splits the
+    table, once, into what no genome can change and what each genome sets:
+
+    - per corridor point, the best RSRP over every entry except the
+      designated ones, with its flat (sector, slot) index;
+    - per point, sweep group and sector, that sector's summed RSRP in the
+      group, with the designated entries zeroed;
+    - per designated cell, the beam gain of every codeword at every point.
+
+    `evaluate_population` then scores a whole population from each genome's
+    n replaced entries alone, without building any genome's table. Nothing is
+    cached; `evals` counts every genome scored.
     """
 
     def __init__(
@@ -163,61 +183,98 @@ class FitnessEvaluator:
         self.noise_mw = float(noise_mw)
         self.n_codewords = len(ssb_codebook)
         self.evals = 0
-        self._cache: dict[bytes, tuple[float, int]] = {}
+        if len(set(self.designated_cells)) != len(self.designated_cells):
+            raise ValueError("designated cells must be distinct")
 
-        self._base_table = rsrp_table(point_channels, baseline, ssb_codebook)
-        n_points = self._base_table.shape[0]
+        table = rsrp_table(point_channels, baseline, ssb_codebook)
+        n_points, n_sectors, n_slots = table.shape
         if self.required_cell.shape[0] != n_points:
             raise ValueError("required_cell must give one sector per highway point")
-        # per designated cell: beta * |h^T w|^2 for every codeword -> (N_r, N_CB)
-        self._gain: list[np.ndarray] = []
-        for cell in self.designated_cells:
-            proj = np.abs(point_channels.h[:, cell, :] @ ssb_codebook.weights.T) ** 2
-            self._gain.append(point_channels.beta[:, cell, None] * proj)
-        # the vectorized interference path assumes sweep index == slot index,
-        # which both the baseline and any applied genome preserve
-        sweep = baseline.sweep
-        self._slot_sweep = bool(np.all(sweep == np.arange(baseline.n_slots)[None, :]))
+        cells = np.array(self.designated_cells, dtype=int)
+        slots = np.array([self.frozen_slots[c] for c in self.designated_cells], dtype=int)
+        n = cells.size
+        self._n_slots = n_slots
+        # per designated cell: beta * |h^T w|^2 for every codeword -> (n, N_r, N_CB)
+        self._gain = np.array(
+            [
+                point_channels.beta[:, cell, None]
+                * np.abs(point_channels.h[:, cell, :] @ ssb_codebook.weights.T) ** 2
+                for cell in self.designated_cells
+            ]
+        ).reshape(n, n_points, self.n_codewords)
+
+        # serving candidates per point: the best entry no genome touches, then
+        # the n replaced entries; (n + 1, N_r) flat (sector, slot) indices
+        replaced_flat = cells * n_slots + slots
+        others = table.reshape(n_points, n_sectors * n_slots).copy()
+        others[:, replaced_flat] = -np.inf
+        base_flat = np.argmax(others, axis=1)  # first occurrence, as select_serving_all
+        self._base_best = others[np.arange(n_points), base_flat]
+        self._candidate_flat = np.concatenate(
+            [base_flat[None, :], np.broadcast_to(replaced_flat[:, None], (n, n_points))]
+        )
+        self._no_candidate = n_sectors * n_slots
+
+        # beams interfere within a sweep group; per (point, group, sector) sums
+        _, group = np.unique(baseline.sweep, return_inverse=True)
+        group = group.reshape(n_sectors, n_slots)
+        kept = table.copy()
+        kept[:, cells, slots] = 0.0
+        self._group_of_flat = group.reshape(-1)
+        self._replaced_group = group[cells, slots]
+        self._group_sums = np.stack(
+            [np.sum(kept * (group == g), axis=2) for g in range(int(group.max()) + 1)], axis=1
+        )  # (N_r, n_groups, B)
+        self._cells = cells
+        self._cell_index = np.arange(n)
+        self._point_index = np.arange(n_points)
+
+    def evaluate_population(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(fitness in dB, association violation count) of every row of a
+        (P, 2n) population. Fitness is the min coverage SINR over the corridor
+        points, -inf for a genome with any violation; the count only orders
+        equally infeasible genomes during the search."""
+        pop = np.asarray(pop, dtype=float)
+        n = self._cells.size
+        if pop.ndim != 2 or pop.shape[1] != 2 * n:
+            raise ValueError("population rows must be genomes of twice the designated-cell count")
+        self.evals += pop.shape[0]
+        codeword = np.rint(pop[:, :n]).astype(int)
+        # serving candidates of each genome at each point: the baseline best,
+        # then the RSRP of the genome's n replaced entries -> (P, n + 1, N_r)
+        candidates = np.empty((pop.shape[0], n + 1, self._point_index.size))
+        candidates[:, 0] = self._base_best
+        replaced = candidates[:, 1:]
+        np.multiply(self._gain[self._cell_index, :, codeword], pop[:, n:, None], out=replaced)
+
+        # serving beam: argmax over the candidates, ties to the lowest flat
+        # index, which is the first-occurrence rule of select_serving_all
+        best = candidates.max(axis=1)  # (P, N_r)
+        serving = np.where(
+            candidates == best[:, None, :], self._candidate_flat, self._no_candidate
+        ).min(axis=1)
+        sector = serving // self._n_slots
+        violations = np.count_nonzero(sector != self.required_cell, axis=1)
+        scores = np.full(pop.shape[0], -math.inf)
+        ok = violations == 0
+
+        # interference: the serving sweep group's per-sector row, with the
+        # genome's replaced entries added in, minus the serving sector itself
+        group = self._group_of_flat[serving[ok]]  # (F, N_r)
+        rows = self._group_sums[self._point_index, group]  # (F, N_r, B)
+        rows[:, :, self._cells] += np.where(
+            self._replaced_group[:, None] == group[:, None, :], replaced[ok], 0.0
+        ).transpose(0, 2, 1)
+        own = rows[np.arange(group.shape[0])[:, None], self._point_index, sector[ok]]
+        interference = rows.sum(axis=2) - own
+        scores[ok] = sinr_db(best[ok], interference + self.noise_mw).min(axis=1)
+        return scores, violations
 
     def evaluate(self, genome: np.ndarray) -> float:
-        """Fitness of a genome: min coverage SINR in dB, -inf if any point
+        """Fitness of one genome: min coverage SINR in dB, -inf if any point
         associates outside its designated cell."""
-        return self.evaluate_detailed(genome)[0]
-
-    def evaluate_detailed(self, genome: np.ndarray) -> tuple[float, int]:
-        """(fitness, association violation count); the count only orders
-        equally infeasible genomes during the search."""
-        key = np.asarray(genome, dtype=float).tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        value = self._evaluate_uncached(np.asarray(genome, dtype=float))
-        self._cache[key] = value
-        return value
-
-    def _evaluate_uncached(self, genome: np.ndarray) -> tuple[float, int]:
-        self.evals += 1
-        n = len(self.designated_cells)
-        table = self._base_table.copy()
-        for j, cell in enumerate(self.designated_cells):
-            slot = self.frozen_slots[cell]
-            ci = int(round(genome[j]))
-            table[:, cell, slot] = self._gain[j][:, ci] * genome[n + j]
-        serving_b, serving_s = select_serving_all(table)
-        violations = int(np.sum(serving_b != self.required_cell))
-        if violations:
-            return -math.inf, violations
-        rows = np.arange(table.shape[0])
-        numerator = table[rows, serving_b, serving_s]
-        if self._slot_sweep:
-            same_slot = np.take_along_axis(
-                table, serving_s[:, None, None], axis=2
-            )[:, :, 0]
-            interference = same_slot.sum(axis=1) - numerator
-            sinr = numerator / (interference + self.noise_mw)
-            return float(np.min(10.0 * np.log10(sinr))), 0
-        sinr_db = coverage_sinr_all(table, serving_b, serving_s, self.baseline, self.noise_mw)
-        return float(np.min(sinr_db)), 0
+        scores, _ = self.evaluate_population(np.asarray(genome, dtype=float)[None, :])
+        return float(scores[0])
 
     def plan_for(self, genome: np.ndarray) -> BeamPlan:
         return apply_individual(genome, self.baseline, self.designated_cells, self.frozen_slots)
@@ -243,12 +300,14 @@ def run(
 ) -> tuple[Individual, FitnessTrace]:
     """Elite GA search; returns the best-ever genome and the fitness trace.
 
-    Per iteration: evaluate and rank everyone, keep the top n_elites aside,
-    breed n_pop offspring from uniformly drawn parent pairs (gene-wise swap
-    with p_cross), mutate every gene with p_mut (indices resampled uniformly,
-    powers redrawn on (0, p_max]), then overwrite the worst n_elites with the
-    elites. Stops early when the best has not improved for stop_iters
-    iterations. Fully deterministic given params.seed.
+    Per iteration: score the offspring in one batched call, rank everyone,
+    keep the top n_elites aside, breed n_pop offspring from uniformly drawn
+    parent pairs (gene-wise swap with p_cross), mutate every gene with p_mut
+    (indices resampled uniformly, powers redrawn on (0, p_max]), then
+    overwrite the worst n_elites with the elites, which keep their scores.
+    Stops early when the best has not improved for stop_iters iterations
+    (trace.stop_reason "stagnation", else "max_iters"). Fully deterministic
+    given params.seed.
 
     Ranking is by fitness; genomes tied at -inf are ordered by how many
     points violate the designated association, which lets recombination
@@ -265,13 +324,17 @@ def run(
     trace = FitnessTrace()
     best_genome = pop[0].copy()
     best_fitness = -math.inf
-    best_violations = np.inf
+    best_violations = math.inf
     last_improvement = 0
+    n_offspring = params.n_pop - params.n_elites
+    scores = np.empty(params.n_pop)
+    violations = np.empty(params.n_pop, dtype=int)
+    n_unscored = params.n_pop  # leading rows of pop; the elites behind them keep their scores
 
     for iteration in range(params.max_iters):
-        detailed = [evaluator.evaluate_detailed(g) for g in pop]
-        scores = np.array([d[0] for d in detailed])
-        violations = np.array([d[1] for d in detailed], dtype=float)
+        scores[:n_unscored], violations[:n_unscored] = evaluator.evaluate_population(
+            pop[:n_unscored]
+        )
         # primary: fitness descending; tie-break among -inf: fewer violations
         order = np.lexsort((violations, np.negative(scores)))
         pop = pop[order]
@@ -282,15 +345,18 @@ def run(
         )
         if improved:
             best_fitness = float(scores[0])
-            best_violations = float(violations[0])
+            best_violations = int(violations[0])
             best_genome = pop[0].copy()
             last_improvement = iteration
         trace.record(iteration, best_fitness, evaluator.evals)
 
         if iteration - last_improvement >= params.stop_iters:
+            trace.stop_reason = "stagnation"
             break
 
         elites = pop[: params.n_elites].copy()
+        elite_scores = scores[: params.n_elites].copy()
+        elite_violations = violations[: params.n_elites].copy()
         parents = pop[: params.n_parents]
 
         n_pairs = (params.n_pop + 1) // 2
@@ -312,9 +378,12 @@ def run(
         new_pw = p_max_mw * (1.0 - rng.random(size=(params.n_pop, n_cells)))
         pop[:, n_cells:] = np.where(mut_pw, new_pw, pop[:, n_cells:])
 
-        pop[params.n_pop - params.n_elites :] = elites
+        pop[n_offspring:] = elites
+        scores[n_offspring:] = elite_scores
+        violations[n_offspring:] = elite_violations
+        n_unscored = n_offspring
 
-    return Individual(genome=best_genome, fitness=best_fitness), trace
+    return Individual(best_genome, best_fitness, best_violations), trace
 
 
 def export_plan_json(

@@ -211,6 +211,16 @@ class TestCoverageSinr:
         expected = 10 * math.log10(table[0, 0, 0] / (table[0, 1, 0] + RADIO.ssb_noise_mw))
         assert got[0] == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_serving_rsrp_is_minus_inf_without_warning(self):
+        channels = make_channels(np.array([[[1.0]], [[0.0]]]), np.ones((2, 1)))
+        plan = simple_plan(1)
+        table = rsrp_table(channels, plan, make_codebook([[1.0]]))
+        sb, ss = select_serving_all(table)
+        got = coverage_sinr_all(table, sb, ss, plan, RADIO.ssb_noise_mw)
+        assert math.isfinite(got[0])
+        assert got[1] == -math.inf
+
     def test_sinr_bounded_by_snr(self):
         gen = np.random.default_rng(3)
         h = gen.standard_normal((3, 4, 2)) + 1j * gen.standard_normal((3, 4, 2))

@@ -48,6 +48,8 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 1
         assert manifest["designated_cells"]
+        assert set(manifest["ega"]) == {"iterations", "evals", "stop_reason", "feasible", "violations"}
+        assert manifest["ega"]["stop_reason"] in ("stagnation", "max_iters")
 
     def test_missing_radio_block_exits_1(self, tmp_path, capsys):
         cfg = default_config()
@@ -88,6 +90,61 @@ class TestRun:
         assert main(["run", "--config", str(small_config_path), "--out", str(out), "--snapshots", "1"]) == 0
         trace = (out / "ega_trace.csv").read_text().splitlines()
         assert len(trace) - 1 <= 5
+
+    def test_env_override_not_json_exits_1(self, small_config_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SKYBEAM_SEEDS_MASTER", "abc")
+        code = main(["run", "--config", str(small_config_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "SKYBEAM_SEEDS_MASTER" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "variable, value, key",
+        [
+            ("SKYBEAM_OPTIMIZER_P_MUT", "1.5", "optimizer.p_mut"),
+            ("SKYBEAM_OPTIMIZER_N_ELITES", "0", "optimizer"),
+            ("SKYBEAM_SEEDS_MASTER", '"abc"', "seeds.master"),
+        ],
+    )
+    def test_env_override_out_of_range_exits_1(
+        self, small_config_path, tmp_path, monkeypatch, capsys, variable, value, key
+    ):
+        monkeypatch.setenv(variable, value)
+        code = main(["run", "--config", str(small_config_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # rejected before any work starts
+
+
+class TestInfeasibleSearch:
+    """Seed 1 of the default scenario is first feasible at GA iteration 545,
+    so a one-iteration search ends infeasible."""
+
+    @pytest.fixture()
+    def one_iteration_config(self, tmp_path):
+        cfg = default_config()
+        cfg["optimizer"]["max_iters"] = 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_run_flags_manifest_and_warns(self, one_iteration_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(one_iteration_config), "--out", str(out), "--snapshots", "1"])
+        assert code == 0
+        ega = json.loads((out / "manifest.json").read_text())["ega"]
+        assert ega["feasible"] is False and ega["violations"] > 0
+        assert ega["iterations"] == 1 and ega["evals"] == 100
+        assert ega["stop_reason"] == "max_iters"
+        assert "infeasible" in capsys.readouterr().err
+
+    def test_sweep_warns(self, one_iteration_config, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--config", str(one_iteration_config), "--out", str(out), "--n-max", "1",
+             "--snapshots", "1"]
+        )
+        assert code == 0
+        assert "infeasible" in capsys.readouterr().err
 
 
 class TestSweep:

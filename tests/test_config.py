@@ -44,6 +44,18 @@ def test_unknown_block_rejected():
         validate_config(raw)
 
 
+@pytest.mark.parametrize(
+    "block, key, value",
+    [("seeds", "master", "1"), ("seeds", "master", True), ("optimizer", "p_cross", -0.1),
+     ("optimizer", "max_iters", 0), ("radio", "carrier_freq_hz", 0.0)],
+)
+def test_out_of_range_value_rejected(block, key, value):
+    raw = default_config()
+    raw[block][key] = value
+    with pytest.raises(ConfigError, match=f"{block}.{key}"):
+        validate_config(raw)
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/skybeam.json")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,8 +163,8 @@ class TestFitness:
             checked += 1
 
     def test_general_sweep_map_path(self):
-        # a plan whose sweep indices differ from slot ids exercises the
-        # non-vectorized interference path
+        # a plan whose sweep indices differ from slot ids puts several slots
+        # of a sector in one interfering sweep group
         gen = np.random.default_rng(6)
         channels, book, baseline, designated, frozen, required = random_instance(gen)
         baseline.sweep = np.tile(np.array([0, 0, 1, 1]), (channels.n_sectors, 1))
@@ -178,6 +179,95 @@ class TestFitness:
             assert got == oracle
         else:
             assert got == pytest.approx(oracle, rel=1e-9)
+
+
+def serving_oracle(genome, ev, channels, book):
+    """Serving (sectors, slots) of a genome from its full RSRP table: the
+    replaced entries written into the baseline table, then select_serving_all."""
+    n = len(ev.designated_cells)
+    table = rsrp_table(channels, ev.baseline, book)
+    for j, cell in enumerate(ev.designated_cells):
+        gain = channels.beta[:, cell] * np.abs(
+            channels.h[:, cell, :] @ book.weights[int(round(genome[j]))]
+        ) ** 2
+        table[:, cell, ev.frozen_slots[cell]] = gain * genome[n + j]
+    return select_serving_all(table)
+
+
+class TestEvaluatePopulation:
+    @pytest.mark.parametrize("sweep_map", [None, [0, 0, 1, 1]])
+    def test_matches_bruteforce_on_random_populations(self, sweep_map):
+        gen = np.random.default_rng(12)
+        feasible = 0
+        for _ in range(30):
+            channels, book, baseline, designated, frozen, required = random_instance(gen)
+            if sweep_map is not None:
+                baseline.sweep = np.tile(np.array(sweep_map), (channels.n_sectors, 1))
+            ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
+            n = len(designated)
+            pop = np.concatenate(
+                [gen.integers(0, 10, (8, n)), gen.uniform(0.05, 4.0, (8, n))], axis=1
+            )
+            scores, violations = ev.evaluate_population(pop)
+            assert scores.shape == violations.shape == (8,)
+            for genome, got, count in zip(pop, scores, violations):
+                oracle = brute_force_fitness(
+                    genome, channels, book, baseline, designated, frozen, required, NOISE_MW
+                )
+                serving_b, _ = serving_oracle(genome, ev, channels, book)
+                assert count == np.count_nonzero(serving_b != required)
+                if oracle == -math.inf:
+                    assert got == oracle and count > 0
+                else:
+                    assert got == pytest.approx(oracle, rel=1e-9)
+                    feasible += 1
+        assert feasible > 0
+
+    @pytest.mark.parametrize(
+        "cell, slot, winner",
+        [
+            (2, 1, (1, 0)),  # replaced entry after the baseline best: baseline wins
+            (0, 0, (0, 0)),  # replaced entry before it: the replaced beam wins
+        ],
+    )
+    def test_exact_tie_goes_to_lower_sector_slot(self, cell, slot, winner):
+        # every beam has unit gain, so RSRP equals transmit power in mW and a
+        # power gene equal to the baseline best ties it exactly
+        channels = make_channels(np.tile([1.0, 0.0], (1, 3, 1)), np.ones((1, 3)))
+        book = make_codebook([[1.0, 0.0], [0.0, 1.0]])
+        baseline = simple_plan(3, 2)
+        baseline.power_dbm = np.array([[0.0, 1.0], [3.0, 2.0], [1.0, 0.0]])
+        best = rsrp_table(channels, baseline, book)[0, 1, 0]
+        genome = np.array([0.0, best])
+        for required in range(3):
+            ev = FitnessEvaluator(
+                channels, book, baseline, (cell,), {cell: slot}, np.array([required]), NOISE_MW
+            )
+            serving_b, serving_s = serving_oracle(genome, ev, channels, book)
+            assert (serving_b[0], serving_s[0]) == winner  # select_serving_all's choice
+            _, violations = ev.evaluate_population(genome[None, :])
+            assert violations[0] == int(required != winner[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_serving_rsrp_is_minus_inf_without_warning(self):
+        channels = make_channels(np.zeros((2, 3, 2)), np.ones((2, 3)))
+        book = make_codebook([[1.0, 0.0], [0.0, 1.0]])
+        ev = FitnessEvaluator(
+            channels, book, simple_plan(3, 4), (1,), {1: 2}, np.zeros(2, dtype=int), NOISE_MW
+        )
+        scores, violations = ev.evaluate_population(np.array([[1.0, 2.0], [0.0, 0.5]]))
+        assert np.all(scores == -math.inf)
+        assert np.all(violations == 0)
+
+    def test_empty_population(self):
+        ev = feasible_toy()
+        scores, violations = ev.evaluate_population(np.empty((0, 2)))
+        assert scores.shape == violations.shape == (0,)
+        assert ev.evals == 0
+
+    def test_rejects_wrong_genome_length(self):
+        with pytest.raises(ValueError, match="twice"):
+            feasible_toy().evaluate_population(np.ones((3, 4)))
 
 
 def feasible_toy(seed=0):
@@ -276,6 +366,43 @@ class TestRun:
         _, trace = run(params, ev, p_max_dbm=10.0)
         increments = np.diff([0] + trace.evaluations)
         assert np.all(increments <= params.n_pop)
+
+    def test_elites_are_not_rescored(self):
+        ev = feasible_toy(4)
+        params = EgaParams(
+            n_pop=9, n_parents=5, n_elites=2, p_cross=0.3, p_mut=0.5, max_iters=25,
+            stop_iters=100, seed=8,
+        )
+        _, trace = run(params, ev, p_max_dbm=10.0)
+        assert trace.evaluations[0] == params.n_pop
+        assert np.all(np.diff(trace.evaluations) == params.n_pop - params.n_elites)
+        assert ev.evals == trace.evaluations[-1]
+
+    def test_population_of_elites_only(self):
+        # n_pop == n_elites: every iteration breeds zero offspring to score
+        ev = feasible_toy(5)
+        params = EgaParams(
+            n_pop=4, n_parents=4, n_elites=4, p_cross=0.2, p_mut=0.75, max_iters=10,
+            stop_iters=100, seed=1,
+        )
+        best, trace = run(params, ev, p_max_dbm=10.0)
+        assert trace.evaluations == [4] * 10
+        assert len(set(trace.best_fitness)) == 1
+        assert best.fitness == trace.best_fitness[-1]
+
+    def test_stop_reason_and_violations(self):
+        ev = feasible_toy(6)
+        stalled = EgaParams(
+            n_pop=1, n_parents=1, n_elites=1, p_cross=0.0, p_mut=0.0, max_iters=20,
+            stop_iters=3, seed=0,
+        )
+        best, trace = run(stalled, ev, p_max_dbm=10.0)
+        assert trace.stop_reason == "stagnation"
+        assert len(trace.iterations) == 4
+        assert best.feasible == (best.fitness > -math.inf)
+        _, trace = run(replace(stalled, stop_iters=50), ev, p_max_dbm=10.0)
+        assert trace.stop_reason == "max_iters"
+        assert len(trace.iterations) == 20
 
 
 class TestFrozenSlots:
