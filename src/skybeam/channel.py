@@ -8,7 +8,7 @@ probability that saturates at 1, aerial path-loss exponents). Small scale is
 a Rician mix of a plane-wave steering vector and an i.i.d. Rayleigh part.
 
 Everything is generated from seeded streams keyed by (snapshot, sector), so a
-ChannelSet is bit-reproducible regardless of evaluation order or threading.
+ChannelSet is bit-reproducible regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -310,14 +310,6 @@ class ChannelSet:
             p_los=float(self.p_los[entity, sector]),
         )
 
-    def vector(self, entity: int, sector: int) -> ChannelVector:
-        return ChannelVector(
-            h_dl=self.h[entity, sector], rician_k_linear=float(self.k_linear[entity, sector])
-        )
-
-    def kind_indices(self, kind: str) -> np.ndarray:
-        return np.array([i for i, k in enumerate(self.kinds) if k == kind], dtype=int)
-
 
 def build_channels(
     scenario: Scenario,
@@ -328,8 +320,7 @@ def build_channels(
     """Generate the full ChannelSet for `entities` against every sector.
 
     Seed keys combine (stream_tag, snapshot, sector id), which makes the
-    result independent of sector evaluation order and of how work is split
-    across threads.
+    result independent of sector evaluation order.
     """
     radio = scenario.radio
     params = scenario.channel_params

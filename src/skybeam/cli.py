@@ -18,31 +18,24 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .association import (
-    baseline_plan,
-    dump_association_csv,
-    rsrp_table,
-    select_serving_all,
-)
-from .channel import build_channels, stack_highway_channels
+from .association import dump_association_csv, rsrp_table
 from .codebook import build_dl_codebook, build_ssb_codebook, export_codebook_csv
-from .config import ConfigError, codebook_params_from_config, load_config, validate_config
-from .evaluation import evaluate_snapshot, snapshot_stats, traffic_sweep
-from .genetic import (
-    FitnessEvaluator,
+from .config import (
+    ConfigError,
+    codebook_params_from_config,
     ega_params_from_config,
-    export_plan_json,
-    run as run_ega,
-    select_frozen_slots,
+    load_config,
+    validate_config,
 )
-from .scenario import User, scenario_from_config
-from .segment_metric import assign_segments, dump_metric_csv, metric_noise_mw
+from .evaluation import evaluate_snapshot, snapshot_stats, traffic_sweep
+from .genetic import corridor_problem, export_plan_json, run as run_ega
+from .scenario import scenario_from_config
+from .segment_metric import dump_metric_csv
 
 
 class FormatError(Exception):
@@ -81,43 +74,15 @@ def _prepare(cfg: dict, seed: int | None):
     return scenario, ssb_cb, dl_cb
 
 
-def _optimize(cfg: dict, scenario, ssb_cb, out: Path | None):
+def _optimize(cfg: dict, scenario, ssb_cb, out: Path):
     """Designate cells, freeze slots, run the beam search.
 
     Returns both plans, the segment assignment and the search's manifest
     record (iterations, evals, stop reason, feasibility, violations).
     """
-    radio = scenario.radio
-    highway_channels = [
-        stack_highway_channels(scenario.highway, s, radio, scenario.channel_params)
-        for s in scenario.sectors
-    ]
-    assignment = assign_segments(highway_channels, metric_noise_mw(radio))
-    if out is not None:
-        dump_metric_csv(assignment, out / "segment_metric.csv")
-
-    base = baseline_plan(scenario, ssb_cb)
-
-    gues = scenario.ground_users(snapshot=0)
-    gue_channels = build_channels(scenario, gues, snapshot=0)
-    gue_table = rsrp_table(gue_channels, base, ssb_cb)
-    gue_b, gue_s = select_serving_all(gue_table)
-    frozen = select_frozen_slots(base, assignment.designated_cells, gue_b, gue_s)
-
-    points = [
-        User(id=i, kind="aerial", position_3d_m=tuple(p))
-        for i, p in enumerate(scenario.highway.points)
-    ]
-    point_channels = build_channels(scenario, points, snapshot="static", stream_tag="highway-point")
-    required = assignment.required_cell_per_point(
-        scenario.highway.segments, scenario.highway.n_points
-    )
-    evaluator = FitnessEvaluator(
-        point_channels, ssb_cb, base, assignment.designated_cells, frozen, required,
-        radio.ssb_noise_mw,
-    )
-    params = ega_params_from_config(cfg)
-    best, trace = run_ega(params, evaluator, radio.max_ssb_power_dbm)
+    assignment, evaluator = corridor_problem(scenario, ssb_cb)
+    dump_metric_csv(assignment, out / "segment_metric.csv")
+    best, trace = run_ega(ega_params_from_config(cfg), evaluator, scenario.radio.max_ssb_power_dbm)
     if not best.feasible:
         print(
             f"warning: beam search ended infeasible after {len(trace.iterations)} iterations: "
@@ -126,9 +91,10 @@ def _optimize(cfg: dict, scenario, ssb_cb, out: Path | None):
             file=sys.stderr,
         )
     optimized = evaluator.plan_for(best.genome)
-    if out is not None:
-        trace.to_csv(out / "ega_trace.csv")
-        export_plan_json(optimized, assignment.designated_cells, frozen, out / "optimized_plan.json")
+    trace.to_csv(out / "ega_trace.csv")
+    export_plan_json(
+        optimized, assignment.designated_cells, evaluator.frozen_slots, out / "optimized_plan.json"
+    )
     ega = {
         "iterations": len(trace.iterations),
         "evals": evaluator.evals,
@@ -136,23 +102,7 @@ def _optimize(cfg: dict, scenario, ssb_cb, out: Path | None):
         "feasible": best.feasible,
         "violations": best.violations,
     }
-    return base, optimized, assignment, ega
-
-
-def _evaluate_plans(scenario, plans, ssb_cb, dl_cb, n_snapshots: int, threads: int):
-    """Pool per-UE coverage/data results for every plan over all snapshots."""
-    def one(snapshot: int):
-        return snapshot, evaluate_snapshot(
-            scenario, plans, ssb_cb, dl_cb, snapshot, n_snapshots
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, range(n_snapshots)))
-    else:
-        outcomes = [one(s) for s in range(n_snapshots)]
-    outcomes.sort(key=lambda item: item[0])
-    return outcomes
+    return evaluator.baseline, optimized, assignment, ega
 
 
 def _summaries(outcomes, plans) -> dict:
@@ -162,7 +112,7 @@ def _summaries(outcomes, plans) -> dict:
             "aerial": {"cov": [], "rate": []},
             "ground": {"cov": [], "rate": []},
         }
-        for _, (_, results) in outcomes:
+        for _, results in outcomes:
             res = results[name]
             for kind in ("aerial", "ground"):
                 mask = np.array([k == kind for k in res.kinds])
@@ -179,21 +129,17 @@ def _summaries(outcomes, plans) -> dict:
     return summary
 
 
-def _write_reports(outcomes, plans, out: Path) -> list[str]:
-    paths = []
+def _write_reports(outcomes, plans, out: Path) -> None:
     for name in plans:
         lines = ["snapshot,ue_id,kind,serving_sector,coverage_sinr_db,data_sinr_db,rate_bps"]
-        for snapshot, (channels, results) in outcomes:
+        for snapshot, (channels, results) in enumerate(outcomes):
             res = results[name]
             for i in range(len(res.kinds)):
                 lines.append(
                     f"{snapshot},{channels.entity_ids[i]},{res.kinds[i]},{res.serving_sector[i]},"
                     f"{_fmt(res.coverage_sinr_db[i])},{_fmt(res.data.sinr_db[i])},{_fmt(res.data.rate_bps[i])}"
                 )
-        path = out / f"report_{name}.csv"
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(str(path))
-    return paths
+        (out / f"report_{name}.csv").write_text("\n".join(lines) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -206,12 +152,15 @@ def cmd_run(args) -> int:
     base, optimized, assignment, ega = _optimize(cfg, scenario, ssb_cb, out)
     plans = {"baseline": base, "optimized": optimized}
 
-    outcomes = _evaluate_plans(scenario, plans, ssb_cb, dl_cb, args.snapshots, args.threads)
-    report_paths = _write_reports(outcomes, plans, out)
+    outcomes = [
+        evaluate_snapshot(scenario, plans, ssb_cb, dl_cb, snapshot, args.snapshots)
+        for snapshot in range(args.snapshots)
+    ]
+    _write_reports(outcomes, plans, out)
 
     # snapshot-0 association dump per plan
+    channels, results = outcomes[0]
     for name, plan in plans.items():
-        channels, results = outcomes[0][1]
         res = results[name]
         table = rsrp_table(channels, plan, ssb_cb)
         dump_association_csv(
@@ -256,9 +205,7 @@ def cmd_sweep(args) -> int:
     base, optimized, _, _ = _optimize(cfg, scenario, ssb_cb, out)
     plans = {"baseline": base, "optimized": optimized}
 
-    result = traffic_sweep(
-        scenario, plans, ssb_cb, dl_cb, args.n_max, n_snapshots=args.snapshots, threads=args.threads
-    )
+    result = traffic_sweep(scenario, plans, ssb_cb, dl_cb, args.n_max, n_snapshots=args.snapshots)
     lines = ["n_uavs,d_iud_m,p5_uav_rate_baseline_bps,p5_uav_rate_optimized_bps,"
              "p5_gue_rate_baseline_bps,p5_gue_rate_optimized_bps"]
     for i, n in enumerate(result.n_uavs):
@@ -323,7 +270,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--snapshots", type=int, default=20)
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="traffic-density sweep over UAV counts")
@@ -332,7 +278,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--n-max", type=int, default=30, dest="n_max")
     p_sweep.add_argument("--snapshots", type=int, default=20)
-    p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_inspect = sub.add_parser("inspect", help="summarize a produced artifact")

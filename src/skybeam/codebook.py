@@ -47,14 +47,6 @@ class Codebook:
     def __len__(self) -> int:
         return self.weights.shape[0]
 
-    def codeword(self, index: int) -> Codeword:
-        return Codeword(
-            weights=self.weights[index],
-            active_columns=int(self.active_columns[index]),
-            beam_index_h=int(self.beam_index_h[index]),
-            beam_index_v=int(self.beam_index_v[index]),
-        )
-
     def direction_cosines(self, index: int) -> tuple[float, float]:
         """(u, w) boresight direction cosines of the indexed beam."""
         n_act = int(self.active_columns[index])

@@ -1,16 +1,24 @@
-"""Run configuration: radio constants plus the JSON config file schema.
+"""Run configuration: parameter classes plus the JSON config file schema.
 
 The config file is plain JSON with five mandatory blocks (``radio``,
 ``layout``, ``highway``, ``users``, ``seeds``) and three optional ones
 (``channel``, ``codebook``, ``optimizer``). Every key has a default; unknown
 keys are rejected so typos fail fast. Units: meters, Hz, dBm throughout.
+
+The ``radio``, ``channel``, ``codebook`` and ``optimizer`` blocks are the
+fields of `RadioConfig`, `ChannelParams`, `CodebookParams` and `EgaParams`,
+with the dataclass defaults; the optimizer block leaves out ``seed``, which
+is ``seeds.master``. `validate_config` builds the radio and optimizer
+classes, so their checks apply to every config, and checks the numeric
+``layout``, ``highway``, ``users`` and ``codebook`` values itself. A
+rejected value raises `ConfigError` naming ``block.key``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -32,7 +40,7 @@ class RadioConfig:
     noise_psd_dbm_per_hz: float = -174.0
     ue_noise_figure_db: float = 9.0
     # SSB measurement noise: thermal over 240 subcarriers x 30 kHz + NF.
-    ssb_noise_power_dbm: float = field(default=None)  # type: ignore[assignment]
+    ssb_noise_power_dbm: float | None = None
     max_ssb_power_dbm: float = 43.0
     sector_tx_power_dbm: float = 46.0
 
@@ -70,7 +78,7 @@ class ChannelParams:
     """Statistical channel model knobs (standard urban-macro defaults)."""
 
     rician_k_los_db: float = 9.0
-    rician_k_nlos_db: float = -math.inf  # pure Rayleigh when not in line of sight
+    rician_k_nlos_db: float | None = None  # None: pure Rayleigh when not in line of sight
     shadow_sigma_los_ground_db: float = 4.0
     shadow_sigma_nlos_ground_db: float = 6.0
     shadow_corr_dist_ground_m: float = 50.0
@@ -81,7 +89,7 @@ class ChannelParams:
 
     def rician_k_linear(self, los: bool) -> float:
         k_db = self.rician_k_los_db if los else self.rician_k_nlos_db
-        if k_db == -math.inf:
+        if k_db is None:
             return 0.0
         return 10.0 ** (k_db / 10.0)
 
@@ -97,7 +105,7 @@ class CodebookParams:
 
 
 @dataclass(frozen=True)
-class OptimizerParams:
+class EgaParams:
     """Beam-search hyperparameters (population sizes follow common practice)."""
 
     n_pop: int = 100
@@ -107,6 +115,7 @@ class OptimizerParams:
     p_mut: float = 0.75
     max_iters: int = 15000
     stop_iters: int = 1000
+    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.n_elites <= self.n_parents <= self.n_pop):
@@ -114,23 +123,16 @@ class OptimizerParams:
         if self.max_iters < 1:
             raise ConfigError("optimizer.max_iters must be at least 1")
         for name in ("p_cross", "p_mut"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"optimizer.{name} must lie in [0, 1]")
 
 
+def _field_defaults(cls, skip: tuple[str, ...] = ()) -> dict[str, Any]:
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
+
 _DEFAULTS: dict[str, dict[str, Any]] = {
-    "radio": {
-        "carrier_freq_hz": 3.5e9,
-        "bandwidth_hz": 30e6,
-        "n_prb_total": 75,
-        "prb_bandwidth_hz": 360e3,
-        "noise_psd_dbm_per_hz": -174.0,
-        "ue_noise_figure_db": 9.0,
-        "ssb_noise_power_dbm": None,
-        "max_ssb_power_dbm": 43.0,
-        "sector_tx_power_dbm": 46.0,
-    },
+    "radio": _field_defaults(RadioConfig),
     "layout": {
         "tiers": 2,
         "isd_m": 500.0,
@@ -155,31 +157,29 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     "seeds": {
         "master": 1,
     },
-    "channel": {
-        "rician_k_los_db": 9.0,
-        "rician_k_nlos_db": None,  # null means pure Rayleigh
-        "shadow_sigma_los_ground_db": 4.0,
-        "shadow_sigma_nlos_ground_db": 6.0,
-        "shadow_corr_dist_ground_m": 50.0,
-        "shadow_corr_dist_aerial_m": 30.0,
-        "shadow_sigma_nlos_aerial_db": 6.0,
-    },
-    "codebook": {
-        "ssb_oversampling_h": 4,
-        "ssb_oversampling_v": 1,
-        "dl_oversampling_h": 1,
-        "dl_oversampling_v": 1,
-    },
-    "optimizer": {
-        "n_pop": 100,
-        "n_parents": 75,
-        "n_elites": 20,
-        "p_cross": 0.2,
-        "p_mut": 0.75,
-        "max_iters": 15000,
-        "stop_iters": 1000,
-    },
+    "channel": _field_defaults(ChannelParams),
+    "codebook": _field_defaults(CodebookParams),
+    "optimizer": _field_defaults(EgaParams, skip=("seed",)),  # the seed is seeds.master
 }
+
+# Numeric keys of the geometry blocks: integers with their least value, then
+# reals that must be positive, then reals that only need to be finite.
+_MIN_INT = {
+    "layout.tiers": 0,
+    "layout.panel_columns": 1,
+    "layout.panel_rows": 1,
+    "highway.points_per_segment": 1,
+    "users.gues_per_cell": 0,
+    **{f"codebook.{name}": 1 for name in _DEFAULTS["codebook"]},
+}
+_POSITIVE = (
+    "layout.isd_m",
+    "layout.element_spacing_h_wavelengths",
+    "layout.element_spacing_v_wavelengths",
+    "highway.point_spacing_m",
+    "highway.uav_spacing_m",
+)
+_FINITE = ("layout.bs_height_m", "layout.downtilt_deg", "highway.altitude_m", "users.ground_height_m")
 
 _REQUIRED_BLOCKS = ("radio", "layout", "highway", "users", "seeds")
 
@@ -202,9 +202,19 @@ def _merge_block(name: str, block: dict | None) -> dict:
     return merged
 
 
+def _number(cfg: dict, key: str) -> int | float:
+    """The value at 'block.key', which must be a finite int or float."""
+    block, name = key.split(".")
+    value = cfg[block][name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number")
+    return value
+
+
 def validate_config(raw: dict) -> dict:
-    """Merge a raw config dict with defaults, rejecting unknown keys and the
-    values the radio and optimizer parameter classes refuse."""
+    """Merge a raw config dict with defaults, rejecting unknown keys, bad
+    numeric geometry values and the values the radio and optimizer parameter
+    classes refuse."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for block in _REQUIRED_BLOCKS:
@@ -217,8 +227,17 @@ def validate_config(raw: dict) -> dict:
     master = cfg["seeds"]["master"]
     if not isinstance(master, int) or isinstance(master, bool):
         raise ConfigError("seeds.master must be an integer")
+    for key, least in _MIN_INT.items():
+        value = _number(cfg, key)
+        if value != int(value) or value < least:
+            raise ConfigError(f"{key} must be an integer >= {least}")
+    for key in _POSITIVE:
+        if _number(cfg, key) <= 0:
+            raise ConfigError(f"{key} must be positive")
+    for key in _FINITE:
+        _number(cfg, key)
     radio_from_config(cfg)
-    optimizer_params_from_config(cfg)
+    ega_params_from_config(cfg)
     return cfg
 
 
@@ -235,13 +254,8 @@ def load_config(path: str | Path) -> dict:
 
 
 def _build_dataclass(cls, block: dict, prefix: str):
-    kwargs = {}
-    names = {f.name for f in fields(cls)}
-    for key, value in block.items():
-        if key in names:
-            kwargs[key] = value
     try:
-        return cls(**kwargs)
+        return cls(**block)
     except TypeError as exc:
         raise ConfigError(f"bad value in '{prefix}': {exc}")
 
@@ -251,15 +265,19 @@ def radio_from_config(cfg: dict) -> RadioConfig:
 
 
 def channel_params_from_config(cfg: dict) -> ChannelParams:
-    block = dict(cfg["channel"])
-    if block.get("rician_k_nlos_db") is None:
-        block["rician_k_nlos_db"] = -math.inf
-    return _build_dataclass(ChannelParams, block, "channel")
+    return _build_dataclass(ChannelParams, cfg["channel"], "channel")
 
 
 def codebook_params_from_config(cfg: dict) -> CodebookParams:
     return _build_dataclass(CodebookParams, cfg["codebook"], "codebook")
 
 
-def optimizer_params_from_config(cfg: dict) -> OptimizerParams:
-    return _build_dataclass(OptimizerParams, cfg["optimizer"], "optimizer")
+def ega_params_from_config(cfg: dict) -> EgaParams:
+    """The optimizer block, each value cast to its field's int or float, with
+    seeds.master as the seed."""
+    values = {
+        f.name: (int if f.type == "int" else float)(_number(cfg, f"optimizer.{f.name}"))
+        for f in fields(EgaParams)
+        if f.name != "seed"
+    }
+    return EgaParams(**values, seed=int(cfg["seeds"]["master"]))

@@ -11,7 +11,6 @@ statistic 5 percent tile, pooled over snapshots.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -230,7 +229,8 @@ def evaluate_snapshot(
     d_iud: float | None = None,
 ) -> tuple[ChannelSet, dict[str, SnapshotResult]]:
     """Evaluate every plan on one snapshot's shared channel realization."""
-    d_iud = d_iud or scenario.uav_spacing_m
+    if d_iud is None:
+        d_iud = scenario.uav_spacing_m
     users = snapshot_users(scenario, snapshot, n_snapshots, d_iud)
     channels = build_channels(scenario, users, snapshot=snapshot)
     results = {}
@@ -270,7 +270,6 @@ def traffic_sweep(
     dl_codebook: Codebook,
     n_max: int,
     n_snapshots: int = 20,
-    threads: int = 1,
 ) -> SweepResult:
     """Evaluate both plans for N = 1..n_max UAVs at d_IUD = L / N.
 
@@ -281,40 +280,25 @@ def traffic_sweep(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     length = scenario.highway.total_length_m
-    names = list(plans)
     n_values = np.arange(1, n_max + 1)
-
-    def one(task) -> tuple[int, dict[str, float], dict[str, float]]:
-        n_uav, snapshot = task
-        d_iud = length / n_uav
-        _, results = evaluate_snapshot(
-            scenario, plans, ssb_codebook, dl_codebook, snapshot, n_snapshots, d_iud=d_iud
-        )
-        uav_p5 = {}
-        gue_p5 = {}
-        for name in names:
-            res = results[name]
-            aerial = np.array([k == "aerial" for k in res.kinds])
-            uav_p5[name] = snapshot_stats(res.data.rate_bps, aerial).percentile(5)
-            gue_p5[name] = snapshot_stats(res.data.rate_bps, ~aerial).percentile(5)
-        return n_uav, uav_p5, gue_p5
-
-    tasks = [(int(n), s) for n in n_values for s in range(n_snapshots)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, tasks))
-    else:
-        outcomes = [one(t) for t in tasks]
-
-    acc_uav = {name: {int(n): [] for n in n_values} for name in names}
-    acc_gue = {name: {int(n): [] for n in n_values} for name in names}
-    for n_uav, uav_p5, gue_p5 in outcomes:
-        for name in names:
-            acc_uav[name][n_uav].append(uav_p5[name])
-            acc_gue[name][n_uav].append(gue_p5[name])
+    p5_rate = {name: np.empty(n_max) for name in plans}
+    p5_gue_rate = {name: np.empty(n_max) for name in plans}
+    for i, n_uav in enumerate(n_values.tolist()):
+        uav_p5 = {name: [] for name in plans}
+        gue_p5 = {name: [] for name in plans}
+        for snapshot in range(n_snapshots):
+            # index the result so the snapshot's channels are freed before the next one
+            results = evaluate_snapshot(
+                scenario, plans, ssb_codebook, dl_codebook, snapshot, n_snapshots,
+                d_iud=length / n_uav,
+            )[1]
+            for name, res in results.items():
+                aerial = np.array([k == "aerial" for k in res.kinds])
+                uav_p5[name].append(snapshot_stats(res.data.rate_bps, aerial).percentile(5))
+                gue_p5[name].append(snapshot_stats(res.data.rate_bps, ~aerial).percentile(5))
+        for name in plans:
+            p5_rate[name][i] = np.mean(uav_p5[name])
+            p5_gue_rate[name][i] = np.mean(gue_p5[name])
     return SweepResult(
-        n_uavs=n_values,
-        d_iud_m=length / n_values,
-        p5_rate={name: np.array([np.mean(acc_uav[name][int(n)]) for n in n_values]) for name in names},
-        p5_gue_rate={name: np.array([np.mean(acc_gue[name][int(n)]) for n in n_values]) for name in names},
+        n_uavs=n_values, d_iud_m=length / n_values, p5_rate=p5_rate, p5_gue_rate=p5_gue_rate
     )

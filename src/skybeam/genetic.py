@@ -1,5 +1,8 @@
 """Elite genetic search over one replacement beam per designated cell.
 
+`corridor_problem` builds the search's inputs from a scenario: the segment
+designation, one frozen slot per designated cell and the evaluator.
+
 A genome concatenates one codeword index and one transmit power per
 designated cell: [idx_0 .. idx_{n-1} | p_0 .. p_{n-1}], indices in
 [0, N_CB), powers in (0, p_max] mW on a linear scale. Applying a genome to
@@ -24,45 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import BeamPlan, rsrp_table, sinr_db
-from .channel import ChannelSet
+from .association import BeamPlan, baseline_plan, rsrp_table, select_serving_all, sinr_db
+from .channel import ChannelSet, build_channels, stack_highway_channels
 from .codebook import Codebook
-from .config import ConfigError
-
-
-@dataclass(frozen=True)
-class EgaParams:
-    n_pop: int = 100
-    n_parents: int = 75
-    n_elites: int = 20
-    p_cross: float = 0.2
-    p_mut: float = 0.75
-    max_iters: int = 15000
-    stop_iters: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0 < self.n_elites <= self.n_parents <= self.n_pop):
-            raise ConfigError("optimizer requires 0 < n_elites <= n_parents <= n_pop")
-        if self.max_iters < 1:
-            raise ConfigError("optimizer.max_iters must be at least 1")
-        for name in ("p_cross", "p_mut"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"optimizer.{name} must lie in [0, 1]")
-
-
-def ega_params_from_config(cfg: dict, seed: int | None = None) -> EgaParams:
-    block = cfg["optimizer"]
-    return EgaParams(
-        n_pop=int(block["n_pop"]),
-        n_parents=int(block["n_parents"]),
-        n_elites=int(block["n_elites"]),
-        p_cross=float(block["p_cross"]),
-        p_mut=float(block["p_mut"]),
-        max_iters=int(block["max_iters"]),
-        stop_iters=int(block["stop_iters"]),
-        seed=int(cfg["seeds"]["master"]) if seed is None else int(seed),
-    )
+from .config import EgaParams
+from .scenario import Scenario, User
+from .segment_metric import SegmentAssignment, assign_segments, metric_noise_mw
 
 
 @dataclass
@@ -278,6 +248,43 @@ class FitnessEvaluator:
 
     def plan_for(self, genome: np.ndarray) -> BeamPlan:
         return apply_individual(genome, self.baseline, self.designated_cells, self.frozen_slots)
+
+
+def corridor_problem(
+    scenario: Scenario, ssb_codebook: Codebook
+) -> tuple[SegmentAssignment, FitnessEvaluator]:
+    """The beam-search problem of a scenario's corridor.
+
+    Scores every (segment, sector) pair and designates a serving cell per
+    segment, freezes in each designated cell the baseline slot that serves the
+    fewest snapshot-0 ground users, and builds the evaluator on the static
+    corridor-point channels against the baseline plan.
+    """
+    radio = scenario.radio
+    stacks = [
+        stack_highway_channels(scenario.highway, s, radio, scenario.channel_params)
+        for s in scenario.sectors
+    ]
+    assignment = assign_segments(stacks, metric_noise_mw(radio))
+    base = baseline_plan(scenario, ssb_codebook)
+
+    gue_channels = build_channels(scenario, scenario.ground_users(snapshot=0), snapshot=0)
+    gue_sector, gue_slot = select_serving_all(rsrp_table(gue_channels, base, ssb_codebook))
+    frozen = select_frozen_slots(base, assignment.designated_cells, gue_sector, gue_slot)
+
+    points = [
+        User(id=i, kind="aerial", position_3d_m=tuple(p))
+        for i, p in enumerate(scenario.highway.points)
+    ]
+    point_channels = build_channels(scenario, points, snapshot="static", stream_tag="highway-point")
+    required = assignment.required_cell_per_point(
+        scenario.highway.segments, scenario.highway.n_points
+    )
+    evaluator = FitnessEvaluator(
+        point_channels, ssb_codebook, base, assignment.designated_cells, frozen, required,
+        radio.ssb_noise_mw,
+    )
+    return assignment, evaluator
 
 
 def fitness(genome: np.ndarray, evaluator: FitnessEvaluator) -> float:

@@ -3,7 +3,7 @@
 Every stochastic quantity in the simulator (user drops, LoS states, shadowing
 fields, fast fading, optimizer moves) is drawn from a stream derived from the
 master seed plus a structured key. The same (seed, key) always yields the same
-generator, no matter in which order or on how many threads streams are opened.
+generator, no matter in which order streams are opened.
 """
 
 from __future__ import annotations

@@ -111,13 +111,6 @@ class AerialHighway:
     def n_segments(self) -> int:
         return len(self.segments)
 
-    def segment_of_point(self) -> np.ndarray:
-        """Segment index for every highway point."""
-        owner = np.empty(self.n_points, dtype=int)
-        for z, (a, b) in enumerate(self.segments):
-            owner[a:b] = z
-        return owner
-
     def point_at_arc_length(self, s: float | np.ndarray) -> np.ndarray:
         return _interp_polyline(self.polyline_3d, np.atleast_1d(np.asarray(s, dtype=float)))
 
@@ -317,10 +310,6 @@ class Scenario:
     def n_sectors(self) -> int:
         return len(self.sectors)
 
-    @property
-    def n_sites(self) -> int:
-        return len({s.site_id for s in self.sectors})
-
     def ground_users(self, snapshot: int = 0) -> list[User]:
         return place_ground_users(
             self.sectors,
@@ -332,7 +321,9 @@ class Scenario:
         )
 
     def uavs(self, offset_m: float = 0.0, d_iud: float | None = None) -> list[User]:
-        return place_uavs(self.highway, d_iud or self.uav_spacing_m, offset_m)
+        if d_iud is None:
+            d_iud = self.uav_spacing_m
+        return place_uavs(self.highway, d_iud, offset_m)
 
 
 def scenario_from_config(cfg: dict) -> Scenario:

@@ -12,15 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from skybeam.association import baseline_plan, rsrp_table, select_serving_all
-from skybeam.channel import (
-    build_channels,
-    link_geometry,
-    los_component,
-    rician_channel,
-    shadow_field,
-    stack_highway_channels,
-)
+from skybeam.association import rsrp_table, select_serving_all
+from skybeam.channel import link_geometry, los_component, rician_channel, shadow_field
 from skybeam.cli import main as cli_main
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import default_config, validate_config
@@ -31,15 +24,9 @@ from skybeam.evaluation import (
     snapshot_stats,
     traffic_sweep,
 )
-from skybeam.genetic import EgaParams, FitnessEvaluator, run, select_frozen_slots
-from skybeam.scenario import User, scenario_from_config
-from skybeam.segment_metric import (
-    assign_segments,
-    avg_channel_gain,
-    cross_corr_frobenius,
-    inv_condition_number,
-    metric_noise_mw,
-)
+from skybeam.genetic import EgaParams, FitnessEvaluator, corridor_problem, run
+from skybeam.scenario import scenario_from_config
+from skybeam.segment_metric import avg_channel_gain, cross_corr_frobenius, inv_condition_number
 from test_association import make_channels, make_codebook
 from test_genetic import brute_force_fitness, random_instance
 
@@ -61,30 +48,8 @@ def pipeline():
     ssb = build_ssb_codebook(panel, 4, 1)
     dl = build_dl_codebook(panel, 1, 1)
 
-    stacks = [
-        stack_highway_channels(scenario.highway, s, scenario.radio, scenario.channel_params)
-        for s in scenario.sectors
-    ]
-    assignment = assign_segments(stacks, metric_noise_mw(scenario.radio))
-    base = baseline_plan(scenario, ssb)
-
-    gues = scenario.ground_users(0)
-    gch = build_channels(scenario, gues, snapshot=0)
-    gb, gs = select_serving_all(rsrp_table(gch, base, ssb))
-    frozen = select_frozen_slots(base, assignment.designated_cells, gb, gs)
-
-    points = [
-        User(id=i, kind="aerial", position_3d_m=tuple(p))
-        for i, p in enumerate(scenario.highway.points)
-    ]
-    point_channels = build_channels(scenario, points, snapshot="static", stream_tag="highway-point")
-    required = assignment.required_cell_per_point(
-        scenario.highway.segments, scenario.highway.n_points
-    )
-    evaluator = FitnessEvaluator(
-        point_channels, ssb, base, assignment.designated_cells, frozen, required,
-        scenario.radio.ssb_noise_mw,
-    )
+    assignment, evaluator = corridor_problem(scenario, ssb)
+    base = evaluator.baseline
     params = EgaParams(max_iters=REDUCED_MAX_ITERS, stop_iters=1000, seed=scenario.master_seed)
     best, trace = run(params, evaluator, scenario.radio.max_ssb_power_dbm)
     optimized = evaluator.plan_for(best.genome)
@@ -113,7 +78,7 @@ def pipeline():
         "evaluator": evaluator,
         "best_genome": best.genome,
         "trace": trace,
-        "frozen": frozen,
+        "frozen": evaluator.frozen_slots,
         "per_snapshot": per_snapshot,
     }
 
@@ -282,28 +247,7 @@ def toy():
     scenario = scenario_from_config(cfg)
     ssb = build_ssb_codebook(scenario.sectors[0].panel, 1, 1)
     assert len(ssb) == 10
-    stacks = [
-        stack_highway_channels(scenario.highway, s, scenario.radio, scenario.channel_params)
-        for s in scenario.sectors
-    ]
-    assignment = assign_segments(stacks, metric_noise_mw(scenario.radio))
-    base = baseline_plan(scenario, ssb)
-    gues = scenario.ground_users(0)
-    gch = build_channels(scenario, gues, snapshot=0)
-    gb, gs = select_serving_all(rsrp_table(gch, base, ssb))
-    frozen = select_frozen_slots(base, assignment.designated_cells, gb, gs)
-    points = [
-        User(id=i, kind="aerial", position_3d_m=tuple(p))
-        for i, p in enumerate(scenario.highway.points)
-    ]
-    pc = build_channels(scenario, points, snapshot="static", stream_tag="highway-point")
-    required = assignment.required_cell_per_point(
-        scenario.highway.segments, scenario.highway.n_points
-    )
-    evaluator = FitnessEvaluator(
-        pc, ssb, base, assignment.designated_cells, frozen, required,
-        scenario.radio.ssb_noise_mw,
-    )
+    assignment, evaluator = corridor_problem(scenario, ssb)
     assert len(assignment.designated_cells) == 1
     assert scenario.highway.n_points == 5
     p_max = scenario.radio.max_ssb_power_dbm
@@ -429,12 +373,9 @@ def test_criterion_8_determinism(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(cfg))
     outs = []
-    for name, threads in (("r1", "1"), ("r2", "4")):
+    for name in ("r1", "r2"):
         out = tmp_path / name
-        code = cli_main(
-            ["run", "--config", str(config_path), "--out", str(out), "--snapshots", "2",
-             "--threads", threads]
-        )
+        code = cli_main(["run", "--config", str(config_path), "--out", str(out), "--snapshots", "2"])
         assert code == 0
         outs.append(out)
     identical = True
@@ -443,7 +384,7 @@ def test_criterion_8_determinism(tmp_path):
             if f.read_bytes() != (outs[1] / f.name).read_bytes():
                 identical = False
     report(
-        "criterion 8 (byte-identical CSVs across runs and --threads)",
+        "criterion 8 (byte-identical CSVs across runs)",
         identical,
         "all CSV artifacts compared",
     )

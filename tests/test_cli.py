@@ -64,13 +64,7 @@ class TestRun:
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
         assert main(["run", "--config", str(small_config_path), "--out", str(out1), "--snapshots", "2"]) == 0
-        assert (
-            main(
-                ["run", "--config", str(small_config_path), "--out", str(out2), "--snapshots", "2",
-                 "--threads", "4"]
-            )
-            == 0
-        )
+        assert main(["run", "--config", str(small_config_path), "--out", str(out2), "--snapshots", "2"]) == 0
         for name in RUN_OUTPUTS:
             if name == "manifest.json":  # carries wall-clock timing
                 continue
@@ -113,6 +107,15 @@ class TestRun:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()  # rejected before any work starts
+
+    def test_bad_geometry_value_exits_1(self, small_config_path, tmp_path, capsys):
+        cfg = json.loads(small_config_path.read_text())
+        cfg["highway"]["point_spacing_m"] = 0
+        small_config_path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(small_config_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "highway.point_spacing_m" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestInfeasibleSearch:

@@ -5,9 +5,14 @@ import pytest
 
 from skybeam.config import (
     ChannelParams,
+    CodebookParams,
     ConfigError,
+    EgaParams,
     RadioConfig,
+    channel_params_from_config,
+    codebook_params_from_config,
     default_config,
+    ega_params_from_config,
     load_config,
     radio_from_config,
     validate_config,
@@ -47,13 +52,28 @@ def test_unknown_block_rejected():
 @pytest.mark.parametrize(
     "block, key, value",
     [("seeds", "master", "1"), ("seeds", "master", True), ("optimizer", "p_cross", -0.1),
-     ("optimizer", "max_iters", 0), ("radio", "carrier_freq_hz", 0.0)],
+     ("optimizer", "max_iters", 0), ("radio", "carrier_freq_hz", 0.0),
+     ("highway", "point_spacing_m", 0), ("highway", "uav_spacing_m", 0),
+     ("layout", "isd_m", -500), ("layout", "tiers", -1), ("highway", "point_spacing_m", -5),
+     ("codebook", "ssb_oversampling_h", 0)],
 )
 def test_out_of_range_value_rejected(block, key, value):
     raw = default_config()
     raw[block][key] = value
     with pytest.raises(ConfigError, match=f"{block}.{key}"):
         validate_config(raw)
+
+
+def test_defaults_are_the_parameter_class_defaults():
+    cfg = validate_config(default_config())
+    assert radio_from_config(cfg) == RadioConfig()
+    assert channel_params_from_config(cfg) == ChannelParams()
+    assert codebook_params_from_config(cfg) == CodebookParams()
+    assert ega_params_from_config(cfg) == EgaParams(seed=1)
+
+
+def test_default_config_is_strict_json():
+    json.dumps(default_config(), allow_nan=False)  # no -Infinity for a config file or manifest
 
 
 def test_missing_file():

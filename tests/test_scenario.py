@@ -155,6 +155,11 @@ class TestUavs:
         assert np.allclose(np.diff(xs), 100.0, atol=1e-6)
 
 
+def test_explicit_zero_uav_spacing_is_not_the_default(small_scenario):
+    with pytest.raises(ValueError, match="d_iud"):
+        small_scenario.uavs(d_iud=0.0)
+
+
 def test_scenario_rebuild_bit_identical(small_cfg):
     a = scenario_from_config(small_cfg)
     b = scenario_from_config(small_cfg)
