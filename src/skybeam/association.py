@@ -15,14 +15,9 @@ import numpy as np
 
 from .channel import ChannelSet
 from .codebook import Codebook
-from .config import RadioConfig
 from .scenario import Scenario
 
 N_SSB_SLOTS = 8
-
-
-class NoActiveBeam(Exception):
-    """Serving selection requested while no beam is deployed anywhere."""
 
 
 @dataclass
@@ -78,53 +73,12 @@ def rsrp_table(channels: ChannelSet, plan: BeamPlan, codebook: Codebook) -> np.n
     return table
 
 
-def ssb_rsrp(
-    entity: int, slot: int, sector: int, plan: BeamPlan, channels: ChannelSet, codebook: Codebook
-) -> float:
-    """RSRP of one (entity, beam) pair in mW."""
-    if plan.x[sector, slot] == 0:
-        return 0.0
-    w = codebook.weights[plan.codeword[sector, slot]]
-    proj = abs(channels.h[entity, sector] @ w) ** 2
-    return float(
-        channels.beta[entity, sector] * proj * 10.0 ** (plan.power_dbm[sector, slot] / 10.0)
-    )
-
-
 def select_serving_all(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Argmax beam per entity with (sector, slot) lexicographic tie-break."""
     n, b, s = table.shape
     flat = table.reshape(n, b * s)
     idx = np.argmax(flat, axis=1)  # first occurrence wins ties
     return idx // s, idx % s
-
-
-def select_serving(entity: int, plan: BeamPlan, channels: ChannelSet, codebook: Codebook) -> tuple[int, int]:
-    """Serving (sector, slot) for one entity; raises NoActiveBeam if plan is empty."""
-    if not np.any(plan.x == 1):
-        raise NoActiveBeam("no beam deployed in the network")
-    table = rsrp_table(
-        _single_entity_view(channels, entity), plan, codebook
-    )
-    b, s = select_serving_all(table)
-    return int(b[0]), int(s[0])
-
-
-def _single_entity_view(channels: ChannelSet, entity: int) -> ChannelSet:
-    sl = slice(entity, entity + 1)
-    return ChannelSet(
-        entity_ids=channels.entity_ids[sl],
-        kinds=channels.kinds[sl],
-        positions=channels.positions[sl],
-        rho=channels.rho[sl],
-        tau=channels.tau[sl],
-        g=channels.g[sl],
-        beta=channels.beta[sl],
-        p_los=channels.p_los[sl],
-        is_los=channels.is_los[sl],
-        k_linear=channels.k_linear[sl],
-        h=channels.h[sl],
-    )
 
 
 def coverage_sinr_all(
@@ -155,22 +109,6 @@ def sinr_db(signal_mw: np.ndarray, interference_plus_noise_mw: np.ndarray) -> np
     """10 log10(signal / (interference + noise)); zero signal gives -inf dB."""
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(signal_mw / interference_plus_noise_mw)
-
-
-def coverage_sinr(
-    entity: int,
-    serving: tuple[int, int],
-    plan: BeamPlan,
-    channels: ChannelSet,
-    codebook: Codebook,
-    radio: RadioConfig,
-) -> float:
-    """Per-entity coverage SINR in dB (convenience wrapper)."""
-    table = rsrp_table(_single_entity_view(channels, entity), plan, codebook)
-    sinr = coverage_sinr_all(
-        table, np.array([serving[0]]), np.array([serving[1]]), plan, radio.ssb_noise_mw
-    )
-    return float(sinr[0])
 
 
 def baseline_plan(scenario: Scenario, ssb_codebook: Codebook, tilt_deg: float = 105.0) -> BeamPlan:
@@ -214,14 +152,13 @@ def dump_association_csv(
     channels: ChannelSet,
     serving_sector: np.ndarray,
     serving_slot: np.ndarray,
-    table: np.ndarray,
+    rsrp: np.ndarray,
     sinr_db: np.ndarray,
     path,
 ) -> None:
-    rows = np.arange(channels.n_entities)
-    rsrp = table[rows, serving_sector, serving_slot]
+    """One row per entity: serving beam, its RSRP (mW in, dBm out) and coverage SINR."""
     lines = ["ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"]
-    for i in rows:
+    for i in range(channels.n_entities):
         rsrp_dbm = 10.0 * math.log10(rsrp[i]) if rsrp[i] > 0 else -math.inf
         lines.append(
             f"{channels.entity_ids[i]},{channels.kinds[i]},{serving_sector[i]},"

@@ -169,41 +169,24 @@ def shadow_field(positions_xy, decorrelation_distance_m: float, sigma_db, rng, n
     Returns linear gains with shape (n_draws, n_positions), squeezed when
     n_draws == 1.
     """
-    unit = _unit_shadow_field(positions_xy, decorrelation_distance_m, rng, n_draws)
-    gains = 10.0 ** (np.asarray(sigma_db, dtype=float) * unit / 10.0)
-    return gains[0] if n_draws == 1 else gains
-
-
-def _unit_shadow_field(positions_xy, d_corr_m: float, rng, n_draws: int) -> np.ndarray:
     pos = np.asarray(positions_xy, dtype=float)
     if pos.ndim == 1:
         pos = pos[None, :]
     pos = pos[:, :2]
     n = pos.shape[0]
-    if n == 0:
-        return np.zeros((n_draws, 0))
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    cov = np.exp(-dist / max(d_corr_m, 1e-12))
-    cov[np.diag_indices(n)] += 1e-12
-    chol = np.linalg.cholesky(cov)
-    z = rng.standard_normal((n, n_draws))
-    return (chol @ z).T
+    unit = np.zeros((n_draws, 0))
+    if n:
+        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+        cov = np.exp(-dist / max(decorrelation_distance_m, 1e-12))
+        cov[np.diag_indices(n)] += 1e-12
+        unit = (np.linalg.cholesky(cov) @ rng.standard_normal((n, n_draws))).T
+    gains = 10.0 ** (np.asarray(sigma_db, dtype=float) * unit / 10.0)
+    return gains[0] if n_draws == 1 else gains
 
 
 # --------------------------------------------------------------------------
 # Geometry and small-scale fading
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SteeringInputs:
-    """Plane-wave geometry of one link, expressed in the panel frame."""
-
-    d3d_m: float
-    azimuth_rad: float
-    zenith_rad: float
-    wave_vector: np.ndarray  # unit 3-vector toward the entity
-
 
 def _panel_axes(panel) -> np.ndarray:
     """Rows: boresight, panel-horizontal, panel-up unit vectors (global frame)."""
@@ -215,7 +198,7 @@ def _panel_axes(panel) -> np.ndarray:
     return np.vstack([boresight, horiz, up])
 
 
-def _link_geometry_arrays(sector: Sector, positions: np.ndarray):
+def link_geometry(sector: Sector, positions: np.ndarray):
     """Per-entity (d2d, d3d, azimuth, zenith, unit wave vector) in panel frame."""
     delta = positions - sector.position[None, :]
     d3d = np.linalg.norm(delta, axis=1)
@@ -228,48 +211,24 @@ def _link_geometry_arrays(sector: Sector, positions: np.ndarray):
     return d2d, d3d, azimuth, zenith, unit
 
 
-def link_geometry(sector: Sector, position) -> SteeringInputs:
-    """Steering geometry for a single entity position."""
-    pos = np.asarray(position, dtype=float)[None, :]
-    _, d3d, az, zen, unit = _link_geometry_arrays(sector, pos)
-    return SteeringInputs(float(d3d[0]), float(az[0]), float(zen[0]), unit[0])
-
-
-def los_component(steering: SteeringInputs, element_coords: np.ndarray, wavelength_m: float) -> np.ndarray:
-    """Unit-modulus plane-wave vector over the panel's M elements."""
-    phase = 2.0 * np.pi / wavelength_m * (steering.wave_vector @ element_coords)
-    return np.exp(-1j * 2.0 * np.pi * steering.d3d_m / wavelength_m) * np.exp(1j * phase)
-
-
-def _los_components(unit_wave: np.ndarray, d3d: np.ndarray, coords: np.ndarray, wavelength: float) -> np.ndarray:
+def los_components(unit_wave: np.ndarray, d3d: np.ndarray, coords: np.ndarray, wavelength: float) -> np.ndarray:
+    """Unit-modulus plane-wave vectors, one row of the panel's M elements per entity."""
     phases = 2.0 * np.pi / wavelength * (unit_wave @ coords)
     return np.exp(-1j * 2.0 * np.pi * d3d / wavelength)[:, None] * np.exp(1j * phases)
 
 
-def rician_channel(los_vec: np.ndarray, k_linear: float, rng) -> "ChannelVector":
-    """Mix the deterministic LoS vector with i.i.d. Rayleigh scattering."""
-    if k_linear < 0:
+def rician_channel(h_los: np.ndarray, k_linear, rng) -> np.ndarray:
+    """Mix each (N, M) LoS row with i.i.d. Rayleigh scattering at its Rician K.
+
+    `k_linear` is one K per row or a scalar. The Rayleigh part is drawn as
+    all real parts, then all imaginary parts, row-major.
+    """
+    kk = np.asarray(k_linear, dtype=float)[..., None]
+    if np.any(kk < 0):
         raise ValueError("Rician K must be >= 0")
-    m = los_vec.shape[-1]
-    nlos = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
-    h = math.sqrt(k_linear / (1.0 + k_linear)) * los_vec + math.sqrt(1.0 / (1.0 + k_linear)) * nlos
-    return ChannelVector(h_dl=h, rician_k_linear=float(k_linear))
-
-
-@dataclass(frozen=True)
-class LargeScale:
-    path_gain_linear: float
-    shadow_gain_linear: float
-    element_gain_linear: float
-    beta_linear: float
-    is_los: bool
-    p_los: float
-
-
-@dataclass(frozen=True)
-class ChannelVector:
-    h_dl: np.ndarray
-    rician_k_linear: float
+    n, m = h_los.shape
+    h_nlos = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
+    return np.sqrt(kk / (1.0 + kk)) * h_los + np.sqrt(1.0 / (1.0 + kk)) * h_nlos
 
 
 @dataclass(frozen=True)
@@ -300,16 +259,6 @@ class ChannelSet:
     def n_sectors(self) -> int:
         return self.h.shape[1]
 
-    def large_scale(self, entity: int, sector: int) -> LargeScale:
-        return LargeScale(
-            path_gain_linear=float(self.rho[entity, sector]),
-            shadow_gain_linear=float(self.tau[entity, sector]),
-            element_gain_linear=float(self.g[entity, sector]),
-            beta_linear=float(self.beta[entity, sector]),
-            is_los=bool(self.is_los[entity, sector]),
-            p_los=float(self.p_los[entity, sector]),
-        )
-
 
 def build_channels(
     scenario: Scenario,
@@ -336,23 +285,32 @@ def build_channels(
     aerial_idx = np.array([i for i, k in enumerate(kinds) if k == "aerial"], dtype=int)
 
     rho = np.zeros((n, b))
-    tau = np.zeros((n, b))
+    tau = np.ones((n, b))
     g = np.zeros((n, b))
     p_los = np.zeros((n, b))
     is_los = np.zeros((n, b), dtype=bool)
     k_lin = np.zeros((n, b))
     h = np.zeros((n, b, m), dtype=complex)
+    # per entity class: shadow decorrelation distance, LoS and NLoS sigma
+    classes = (
+        ("ground", ground_idx, params.shadow_corr_dist_ground_m,
+         params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
+        ("aerial", aerial_idx, params.shadow_corr_dist_aerial_m,
+         aerial_los_shadow_sigma_db(heights[aerial_idx]), params.shadow_sigma_nlos_aerial_db),
+    )
 
     for sector in sectors:
         j = sector.id
         coords = sector.panel.element_coords(radio.wavelength_m)
-        d2d, d3d, az, zen, unit = _link_geometry_arrays(sector, positions)
+        d2d, d3d, az, zen, unit = link_geometry(sector, positions)
         g[:, j] = element_gain(az, zen)
 
-        # LoS state, sampled once per link and held for the snapshot
-        rng_los = scenario.streams.derive("los", stream_tag, snapshot, j)
-        draws = rng_los.uniform(size=n)
-        for kind, idx in (("ground", ground_idx), ("aerial", aerial_idx)):
+        # LoS state, sampled once per link and held for the snapshot; then one
+        # correlated shadow field per class, ground first, scaled per link by
+        # the state-dependent sigma
+        draws = scenario.streams.derive("los", stream_tag, snapshot, j).uniform(size=n)
+        rng_shadow = scenario.streams.derive("shadow", stream_tag, snapshot, j)
+        for kind, idx, d_corr, sigma_los, sigma_nlos in classes:
             if idx.size == 0:
                 continue
             p = np.atleast_1d(los_probability(d2d[idx], heights[idx], kind))
@@ -364,43 +322,16 @@ def build_channels(
                     h_bs_m=sector.panel.panel_height_m,
                 )
             )
-
-        # correlated shadowing: one unit-variance field per entity class,
-        # scaled per link by the state-dependent sigma
-        rng_shadow = scenario.streams.derive("shadow", stream_tag, snapshot, j)
-        unit_field = np.zeros(n)
-        if ground_idx.size:
-            unit_field[ground_idx] = _unit_shadow_field(
-                positions[ground_idx], params.shadow_corr_dist_ground_m, rng_shadow, 1
-            )[0]
-        if aerial_idx.size:
-            unit_field[aerial_idx] = _unit_shadow_field(
-                positions[aerial_idx], params.shadow_corr_dist_aerial_m, rng_shadow, 1
-            )[0]
-        sigma = np.zeros(n)
-        if ground_idx.size:
-            sigma[ground_idx] = np.where(
-                is_los[ground_idx, j],
-                params.shadow_sigma_los_ground_db,
-                params.shadow_sigma_nlos_ground_db,
-            )
-        if aerial_idx.size:
-            sigma[aerial_idx] = np.where(
-                is_los[aerial_idx, j],
-                aerial_los_shadow_sigma_db(heights[aerial_idx]),
-                params.shadow_sigma_nlos_aerial_db,
-            )
-        tau[:, j] = 10.0 ** (sigma * unit_field / 10.0)
+            sigma = np.where(is_los[idx, j], sigma_los, sigma_nlos)
+            tau[idx, j] = shadow_field(positions[idx], d_corr, sigma, rng_shadow)
 
         # small-scale: Rician around the plane-wave component
         k_lin[:, j] = np.where(
             is_los[:, j], params.rician_k_linear(True), params.rician_k_linear(False)
         )
-        h_los = _los_components(unit, d3d, coords, radio.wavelength_m)
+        h_los = los_components(unit, d3d, coords, radio.wavelength_m)
         rng_fade = scenario.streams.derive("fading", stream_tag, snapshot, j)
-        h_nlos = (rng_fade.standard_normal((n, m)) + 1j * rng_fade.standard_normal((n, m))) / math.sqrt(2.0)
-        kk = k_lin[:, j][:, None]
-        h[:, j, :] = np.sqrt(kk / (1.0 + kk)) * h_los + np.sqrt(1.0 / (1.0 + kk)) * h_nlos
+        h[:, j, :] = rician_channel(h_los, k_lin[:, j], rng_fade)
 
     beta = rho * tau * g
     return ChannelSet(
@@ -422,20 +353,15 @@ def build_channels(
 # Expected (deterministic) channels for the highway
 # --------------------------------------------------------------------------
 
-def expected_channel(sector: Sector, position, radio: RadioConfig, params: ChannelParams) -> np.ndarray:
-    """Deterministic mean channel: sqrt(rho g) * sqrt(K/(1+K)) * LoS vector.
+def expected_channels(sector: Sector, positions: np.ndarray, radio: RadioConfig, params: ChannelParams) -> np.ndarray:
+    """Deterministic mean channel rows: p_los sqrt(rho g) sqrt(K/(1+K)) LoS vector.
 
     Shadowing enters at its median (gain 1) and the Rayleigh part averages to
     zero; with a LoS probability below one the mean is scaled accordingly.
     """
-    pos = np.asarray(position, dtype=float)[None, :]
-    return _expected_rows(sector, pos, radio, params)[0]
-
-
-def _expected_rows(sector: Sector, positions: np.ndarray, radio: RadioConfig, params: ChannelParams) -> np.ndarray:
     heights = positions[:, 2]
     kind = "aerial" if np.all(heights > AERIAL_MIN_HEIGHT_M) else "ground"
-    d2d, d3d, az, zen, unit = _link_geometry_arrays(sector, positions)
+    d2d, d3d, az, zen, unit = link_geometry(sector, positions)
     p = np.atleast_1d(los_probability(d2d, heights, kind))
     rho_los = np.atleast_1d(
         path_loss(d2d, d3d, heights, kind, True, radio, h_bs_m=sector.panel.panel_height_m)
@@ -443,7 +369,7 @@ def _expected_rows(sector: Sector, positions: np.ndarray, radio: RadioConfig, pa
     gains = element_gain(az, zen)
     k = params.rician_k_linear(True)
     coords = sector.panel.element_coords(radio.wavelength_m)
-    h_los = _los_components(unit, d3d, coords, radio.wavelength_m)
+    h_los = los_components(unit, d3d, coords, radio.wavelength_m)
     amp = p * np.sqrt(rho_los * gains) * math.sqrt(k / (1.0 + k))
     return amp[:, None] * h_los
 
@@ -469,23 +395,5 @@ def stack_highway_channels(
     highway: AerialHighway, sector: Sector, radio: RadioConfig, params: ChannelParams
 ) -> HighwayChannels:
     """Expected channel rows for all highway points toward `sector`."""
-    matrix = _expected_rows(sector, highway.points, radio, params)
+    matrix = expected_channels(sector, highway.points, radio, params)
     return HighwayChannels(sector_id=sector.id, matrix=matrix, segments=highway.segments)
-
-
-def dump_channels_csv(channels: ChannelSet, path) -> None:
-    """Regression dump: one row per link with beta and the complex entries."""
-    m = channels.h.shape[2]
-    header = ["ue_id", "sector_id", "beta_db"]
-    for i in range(m):
-        header += [f"h{i}_re", f"h{i}_im"]
-    lines = [",".join(header)]
-    for e in range(channels.n_entities):
-        for b in range(channels.n_sectors):
-            beta_db = 10.0 * math.log10(channels.beta[e, b])
-            row = [str(channels.entity_ids[e]), str(b), f"{beta_db:.10g}"]
-            for x in channels.h[e, b]:
-                row += [f"{x.real:.10g}", f"{x.imag:.10g}"]
-            lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

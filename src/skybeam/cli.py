@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .association import dump_association_csv, rsrp_table
+from .association import dump_association_csv
 from .codebook import build_dl_codebook, build_ssb_codebook, export_codebook_csv
 from .config import (
     ConfigError,
@@ -144,10 +144,12 @@ def _write_reports(outcomes, plans, out: Path) -> None:
 
 def cmd_run(args) -> int:
     cfg = _apply_env_overrides(load_config(args.config))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if args.snapshots < 1:
+        raise ConfigError("--snapshots must be >= 1")
     t0 = time.time()
     scenario, ssb_cb, dl_cb = _prepare(cfg, args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     export_codebook_csv(ssb_cb, out / "ssb_codebook.csv")
     base, optimized, assignment, ega = _optimize(cfg, scenario, ssb_cb, out)
     plans = {"baseline": base, "optimized": optimized}
@@ -160,12 +162,10 @@ def cmd_run(args) -> int:
 
     # snapshot-0 association dump per plan
     channels, results = outcomes[0]
-    for name, plan in plans.items():
-        res = results[name]
-        table = rsrp_table(channels, plan, ssb_cb)
+    for name, res in results.items():
         dump_association_csv(
-            channels, res.serving_sector, res.serving_slot, table, res.coverage_sinr_db,
-            out / f"association_{name}.csv",
+            channels, res.serving_sector, res.serving_slot, res.serving_rsrp_mw,
+            res.coverage_sinr_db, out / f"association_{name}.csv",
         )
 
     summary = _summaries(outcomes, plans)
@@ -199,9 +199,11 @@ def cmd_sweep(args) -> int:
     cfg = _apply_env_overrides(load_config(args.config))
     if args.n_max < 1:
         raise ConfigError("--n-max must be >= 1")
+    if args.snapshots < 1:
+        raise ConfigError("--snapshots must be >= 1")
+    scenario, ssb_cb, dl_cb = _prepare(cfg, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scenario, ssb_cb, dl_cb = _prepare(cfg, args.seed)
     base, optimized, _, _ = _optimize(cfg, scenario, ssb_cb, out)
     plans = {"baseline": base, "optimized": optimized}
 

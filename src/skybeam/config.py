@@ -8,9 +8,9 @@ keys are rejected so typos fail fast. Units: meters, Hz, dBm throughout.
 The ``radio``, ``channel``, ``codebook`` and ``optimizer`` blocks are the
 fields of `RadioConfig`, `ChannelParams`, `CodebookParams` and `EgaParams`,
 with the dataclass defaults; the optimizer block leaves out ``seed``, which
-is ``seeds.master``. `validate_config` builds the radio and optimizer
-classes, so their checks apply to every config, and checks the numeric
-``layout``, ``highway``, ``users`` and ``codebook`` values itself. A
+is ``seeds.master``. `validate_config` builds the radio, channel and
+optimizer classes, so their checks apply to every config, and checks the
+numeric ``layout``, ``highway``, ``users`` and ``codebook`` values itself. A
 rejected value raises `ConfigError` naming ``block.key``.
 """
 
@@ -86,6 +86,24 @@ class ChannelParams:
     # Aerial LoS shadowing follows the height-dependent urban-macro rule;
     # NLoS aerial sigma is fixed.
     shadow_sigma_nlos_aerial_db: float = 6.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not (f.name == "rician_k_nlos_db" and self.rician_k_nlos_db is None):
+                _finite(getattr(self, f.name), f"channel.{f.name}")
+        for los, name in ((True, "rician_k_los_db"), (False, "rician_k_nlos_db")):
+            try:
+                self.rician_k_linear(los)
+            except OverflowError:
+                raise ConfigError(f"channel.{name} is too large for a linear K")
+        for name in ("shadow_corr_dist_ground_m", "shadow_corr_dist_aerial_m"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"channel.{name} must be positive")
+        for name in (
+            "shadow_sigma_los_ground_db", "shadow_sigma_nlos_ground_db", "shadow_sigma_nlos_aerial_db"
+        ):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"channel.{name} must be non-negative")
 
     def rician_k_linear(self, los: bool) -> float:
         k_db = self.rician_k_los_db if los else self.rician_k_nlos_db
@@ -202,19 +220,23 @@ def _merge_block(name: str, block: dict | None) -> dict:
     return merged
 
 
-def _number(cfg: dict, key: str) -> int | float:
-    """The value at 'block.key', which must be a finite int or float."""
-    block, name = key.split(".")
-    value = cfg[block][name]
+def _finite(value, key: str) -> int | float:
+    """`value`, which must be a finite int or float; a ConfigError names `key`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite number")
     return value
 
 
+def _number(cfg: dict, key: str) -> int | float:
+    """The value at 'block.key', which must be a finite int or float."""
+    block, name = key.split(".")
+    return _finite(cfg[block][name], key)
+
+
 def validate_config(raw: dict) -> dict:
     """Merge a raw config dict with defaults, rejecting unknown keys, bad
-    numeric geometry values and the values the radio and optimizer parameter
-    classes refuse."""
+    numeric geometry values and the values the radio, channel and optimizer
+    parameter classes refuse."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for block in _REQUIRED_BLOCKS:
@@ -237,6 +259,7 @@ def validate_config(raw: dict) -> dict:
     for key in _FINITE:
         _number(cfg, key)
     radio_from_config(cfg)
+    channel_params_from_config(cfg)
     ega_params_from_config(cfg)
     return cfg
 

@@ -10,7 +10,6 @@ statistic 5 percent tile, pooled over snapshots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,21 +30,6 @@ class EmptyGroup(Exception):
     """Statistics requested over an empty sample set."""
 
 
-def select_dl_precoder(entity: int, serving_sector: int, dl_codebook: Codebook, channels: ChannelSet) -> int:
-    """Index of the codeword maximizing beta |h^T w|^2; ties go to the lowest index."""
-    h = channels.h[entity, serving_sector]
-    metric = channels.beta[entity, serving_sector] * np.abs(h @ dl_codebook.weights.T) ** 2
-    return int(np.argmax(metric))
-
-
-def achievable_rate(sinr_db: float, n_codeword_sharers: int, radio: RadioConfig) -> float:
-    """Shannon rate over the UE's bandwidth share, in bit/s."""
-    if n_codeword_sharers < 1:
-        raise ValueError("codeword sharer count must be >= 1")
-    gamma = 10.0 ** (sinr_db / 10.0)
-    return radio.n_prb_total * radio.prb_bandwidth_hz / n_codeword_sharers * math.log2(1.0 + gamma)
-
-
 @dataclass(frozen=True)
 class DataPhaseReport:
     """Per-UE data-phase outcome for one snapshot and plan."""
@@ -64,7 +48,11 @@ def data_phase(
     dl_codebook: Codebook,
     radio: RadioConfig,
 ) -> DataPhaseReport:
-    """Precoder selection, SINR and achievable rate for every entity."""
+    """Precoder selection, SINR and achievable rate for every entity.
+
+    Each UE takes the data codeword maximizing beta |h^T w|^2 toward its
+    serving sector, ties to the lowest index.
+    """
     n = channels.n_entities
     n_sectors = channels.n_sectors
     sector_power_mw = 10.0 ** (radio.sector_tx_power_dbm / 10.0)
@@ -128,48 +116,6 @@ def data_phase(
     )
 
 
-def data_sinr(
-    entity: int,
-    channels: ChannelSet,
-    serving_sector: np.ndarray,
-    precoder: np.ndarray,
-    radio: RadioConfig,
-    dl_codebook: Codebook,
-) -> float:
-    """Data-phase SINR in dB of one entity given everyone's serving cell and
-    precoder. Term-by-term reference path; `data_phase` is the bulk version.
-    """
-    n = channels.n_entities
-    b_hat = int(serving_sector[entity])
-    beta = channels.beta
-    h_u = channels.h[entity]
-    p_cell = {
-        int(b): 10.0 ** (radio.sector_tx_power_dbm / 10.0) / int(np.sum(serving_sector == b))
-        for b in np.unique(serving_sector)
-    }
-    w_u = dl_codebook.weights[precoder[entity]]
-    signal = beta[entity, b_hat] * abs(h_u[b_hat] @ w_u) ** 2 * p_cell[b_hat]
-    intra = 0.0
-    for other in range(n):
-        if other == entity or serving_sector[other] != b_hat:
-            continue
-        if precoder[other] == precoder[entity]:
-            continue
-        w_p = dl_codebook.weights[precoder[other]]
-        intra += beta[entity, b_hat] * abs(h_u[b_hat] @ w_p) ** 2 * p_cell[b_hat]
-    inter = 0.0
-    for b in np.unique(serving_sector):
-        if b == b_hat:
-            continue
-        cw, counts = np.unique(precoder[serving_sector == b], return_counts=True)
-        for c, cnt in zip(cw, counts):
-            w_i = dl_codebook.weights[c]
-            inter += beta[entity, b] * abs(h_u[b] @ w_i) ** 2 * p_cell[int(b)] / cnt
-    n_w = int(np.sum((serving_sector == b_hat) & (precoder == precoder[entity])))
-    noise = radio.n_prb_total * radio.prb_bandwidth_hz / n_w * radio.noise_psd_mw_per_hz
-    return 10.0 * math.log10(signal / (intra + inter + noise))
-
-
 @dataclass(frozen=True)
 class CdfSummary:
     samples: np.ndarray  # sorted ascending
@@ -204,6 +150,7 @@ class SnapshotResult:
     kinds: tuple[str, ...]
     serving_sector: np.ndarray
     serving_slot: np.ndarray
+    serving_rsrp_mw: np.ndarray
     coverage_sinr_db: np.ndarray
     data: DataPhaseReport
 
@@ -243,6 +190,7 @@ def evaluate_snapshot(
             kinds=channels.kinds,
             serving_sector=serving_b,
             serving_slot=serving_s,
+            serving_rsrp_mw=table[np.arange(channels.n_entities), serving_b, serving_s],
             coverage_sinr_db=cov,
             data=data,
         )

@@ -287,12 +287,6 @@ def corridor_problem(
     return assignment, evaluator
 
 
-def fitness(genome: np.ndarray, evaluator: FitnessEvaluator) -> float:
-    """Objective of one genome: min coverage SINR along the corridor (dB),
-    or -inf when the designated association is violated anywhere."""
-    return evaluator.evaluate(genome)
-
-
 def _init_population(rng, n_pop: int, n_cells: int, n_cb: int, p_max_mw: float) -> np.ndarray:
     pop = np.empty((n_pop, 2 * n_cells))
     pop[:, :n_cells] = rng.integers(0, n_cb, size=(n_pop, n_cells))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ChannelParams, RadioConfig
+from .config import ChannelParams, ConfigError, RadioConfig
 from .rng import RngStream
 
 
@@ -234,7 +234,8 @@ def discretize_highway(polyline: np.ndarray, d_r: float, n_s: int) -> AerialHigh
     """Split the corridor into N_r equidistant points and segments of n_s points.
 
     N_r = floor(L / d_r) + 1 with points at arc lengths 0, d_r, 2 d_r, ...;
-    the last segment may hold fewer than n_s points.
+    the last segment may hold fewer than n_s points, and a d_r longer than L
+    leaves the single point at arc length 0.
     """
     polyline = np.asarray(polyline, dtype=float)
     if polyline.ndim != 2 or polyline.shape[1] != 3 or polyline.shape[0] < 2:
@@ -244,8 +245,6 @@ def discretize_highway(polyline: np.ndarray, d_r: float, n_s: int) -> AerialHigh
         raise DegenerateHighway("highway polyline has zero length")
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
-    if total < d_r:
-        raise ValueError("polyline shorter than the point spacing d_r")
     n_points = int(math.floor(total / d_r + 1e-9)) + 1
     arcs = np.arange(n_points) * d_r
     points = _interp_polyline(polyline, arcs)
@@ -353,6 +352,11 @@ def scenario_from_config(cfg: dict) -> Scenario:
         float(highway_cfg["point_spacing_m"]),
         int(highway_cfg["points_per_segment"]),
     )
+    for key in ("point_spacing_m", "uav_spacing_m"):
+        if float(highway_cfg[key]) > highway.total_length_m:
+            raise ConfigError(
+                f"highway.{key} must not exceed the corridor length {highway.total_length_m:.10g} m"
+            )
 
     return Scenario(
         radio=radio,

@@ -55,14 +55,18 @@ def cross_corr_frobenius(h_segment: np.ndarray, h_complement: np.ndarray) -> flo
     return float(np.sum(np.abs(inner) ** 2))
 
 
-def segment_cell_metric(h_segment: np.ndarray, h_complement: np.ndarray, noise_mw: float) -> float:
-    """chi = c * log2(1 + P / (F + noise))."""
-    c = inv_condition_number(h_segment)
-    if c == 0.0:
-        return 0.0
+def segment_cell_metric(
+    h_segment: np.ndarray, h_complement: np.ndarray, noise_mw: float
+) -> tuple[float, float, float, float]:
+    """(P, c, F, chi) of one (segment, sector) pair, chi = c * log2(1 + P / (F + noise)).
+
+    chi is 0 when c is 0; P and F are computed either way.
+    """
     p = avg_channel_gain(h_segment)
+    c = inv_condition_number(h_segment)
     f = cross_corr_frobenius(h_segment, h_complement)
-    return c * math.log2(1.0 + p / (f + noise_mw))
+    chi = 0.0 if c == 0.0 else c * math.log2(1.0 + p / (f + noise_mw))
+    return p, c, f, chi
 
 
 def metric_noise_mw(radio: RadioConfig) -> float:
@@ -112,12 +116,9 @@ def assign_segments(
         best_chi = -math.inf
         best_sector = None
         for hw in highway_channels:
-            h_seg = hw.segment_matrix(z)
-            h_rest = hw.complement_matrix(z)
-            p = avg_channel_gain(h_seg)
-            c = inv_condition_number(h_seg)
-            f = cross_corr_frobenius(h_seg, h_rest)
-            chi = 0.0 if c == 0.0 else c * math.log2(1.0 + p / (f + noise_mw))
+            p, c, f, chi = segment_cell_metric(
+                hw.segment_matrix(z), hw.complement_matrix(z), noise_mw
+            )
             breakdown.append(
                 MetricBreakdown(
                     segment_id=z, sector_id=hw.sector_id, p_gain=p, inv_cond=c,

@@ -12,15 +12,15 @@ import math
 import numpy as np
 import pytest
 
-from skybeam.association import rsrp_table, select_serving_all
-from skybeam.channel import link_geometry, los_component, rician_channel, shadow_field
+from oracles import brute_force_fitness, ssb_rsrp
+from skybeam.association import BeamPlan, rsrp_table, select_serving_all
+from skybeam.channel import link_geometry, los_components, rician_channel, shadow_field
 from skybeam.cli import main as cli_main
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
-from skybeam.config import default_config, validate_config
+from skybeam.config import RadioConfig, default_config, validate_config
 from skybeam.evaluation import (
     data_phase,
     evaluate_snapshot,
-    select_dl_precoder,
     snapshot_stats,
     traffic_sweep,
 )
@@ -28,7 +28,7 @@ from skybeam.genetic import EgaParams, FitnessEvaluator, corridor_problem, run
 from skybeam.scenario import scenario_from_config
 from skybeam.segment_metric import avg_channel_gain, cross_corr_frobenius, inv_condition_number
 from test_association import make_channels, make_codebook
-from test_genetic import brute_force_fitness, random_instance
+from test_genetic import random_instance
 
 N_SNAPSHOTS = 12
 REDUCED_MAX_ITERS = 2000
@@ -171,8 +171,6 @@ class TestCriterion5OracleEquivalence:
         print("PASS criterion 5c: avg_channel_gain matches double loop x100")
 
     def test_select_serving(self):
-        from skybeam.association import BeamPlan, ssb_rsrp
-
         gen = np.random.default_rng(53)
         for _ in range(100):
             n, b, s, m = 2, int(gen.integers(2, 5)), int(gen.integers(1, 8)), 3
@@ -198,7 +196,7 @@ class TestCriterion5OracleEquivalence:
                         if val > best[0]:
                             best = (val, bb, ss)
                 assert (got_b[u], got_s[u]) == (best[1], best[2])
-        print("PASS criterion 5d: select_serving matches exhaustive scan x100")
+        print("PASS criterion 5d: select_serving_all matches exhaustive scan x100")
 
     def test_select_dl_precoder(self):
         gen = np.random.default_rng(54)
@@ -210,10 +208,10 @@ class TestCriterion5OracleEquivalence:
             weights /= np.linalg.norm(weights, axis=1, keepdims=True)
             channels = make_channels(h, beta)
             book = make_codebook(weights)
-            got = select_dl_precoder(0, 0, book, channels)
+            got = data_phase(channels, np.zeros(1, dtype=int), book, RadioConfig()).precoder[0]
             oracle = int(np.argmax([beta[0, 0] * abs(h[0, 0] @ w) ** 2 for w in weights]))
             assert got == oracle
-        print("PASS criterion 5e: select_dl_precoder matches exhaustive scan x100")
+        print("PASS criterion 5e: data_phase precoder matches exhaustive scan x100")
 
     def test_fitness(self):
         gen = np.random.default_rng(55)
@@ -328,9 +326,7 @@ class TestCriterion7ChannelProperties:
         m = 8
         los = np.exp(1j * gen.uniform(0, 2 * np.pi, m))
         for k in (0.0, 10 ** 0.9):
-            total = sum(
-                np.sum(np.abs(rician_channel(los, k, gen).h_dl) ** 2) for _ in range(10_000)
-            )
+            total = np.sum(np.abs(rician_channel(np.tile(los, (10_000, 1)), k, gen)) ** 2)
             ratio = total / 10_000 / m
             assert ratio == pytest.approx(1.0, rel=0.05)
         print("PASS criterion 7a: Rician E||h||^2 = M within 5% (1e4 draws)")
@@ -353,13 +349,13 @@ class TestCriterion7ChannelProperties:
         gen = np.random.default_rng(72)
         sector = scenario.sectors[5]
         coords = sector.panel.element_coords(scenario.radio.wavelength_m)
-        worst = 0.0
-        for _ in range(50):
-            pos = gen.uniform(-900, 900, 3)
+        positions = np.empty((50, 3))
+        for pos in positions:
+            pos[:] = gen.uniform(-900, 900, 3)
             pos[2] = gen.uniform(1.5, 150.0)
-            geom = link_geometry(sector, pos)
-            h = los_component(geom, coords, scenario.radio.wavelength_m)
-            worst = max(worst, float(np.max(np.abs(np.abs(h) - 1.0))))
+        _, d3d, _, _, unit = link_geometry(sector, positions)
+        h = los_components(unit, d3d, coords, scenario.radio.wavelength_m)
+        worst = float(np.max(np.abs(np.abs(h) - 1.0)))
         report("criterion 7c (LoS entries unit modulus)", worst <= 1e-12, f"max deviation {worst:.2e}")
 
 

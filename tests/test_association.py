@@ -3,22 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ssb_rsrp
 from skybeam.association import (
     BeamPlan,
-    NoActiveBeam,
     baseline_plan,
-    coverage_sinr,
     coverage_sinr_all,
     dump_association_csv,
     rsrp_table,
-    select_serving,
     select_serving_all,
-    ssb_rsrp,
 )
 from skybeam.channel import ChannelSet, build_channels
 from skybeam.codebook import Codebook, build_ssb_codebook
 from skybeam.config import RadioConfig
-from skybeam.scenario import UpaGeometry
 
 RADIO = RadioConfig()
 
@@ -76,13 +72,13 @@ class TestSsbRsrp:
         plan = simple_plan(1)
         plan.x[0, 3] = 0
         book = make_codebook([[1.0]])
-        assert ssb_rsrp(0, 3, 0, plan, channels, book) == 0.0
+        assert rsrp_table(channels, plan, book)[0, 0, 3] == 0.0
 
     def test_unit_plugin_gives_1mw(self):
         channels = make_channels(np.ones((1, 1, 1)), np.ones((1, 1)))
         plan = simple_plan(1, power_dbm=0.0)  # 1 mW
         book = make_codebook([[1.0]])
-        assert ssb_rsrp(0, 0, 0, plan, channels, book) == pytest.approx(1.0)
+        assert rsrp_table(channels, plan, book)[0, 0, 0] == pytest.approx(1.0)
 
     def test_matched_beam_beta_m_p(self):
         m = 8
@@ -92,7 +88,7 @@ class TestSsbRsrp:
         channels = make_channels(h.reshape(1, 1, m), np.full((1, 1), 0.5))
         book = make_codebook(w.reshape(1, m))
         plan = simple_plan(1, power_dbm=10.0)  # 10 mW
-        got = ssb_rsrp(0, 0, 0, plan, channels, book)
+        got = rsrp_table(channels, plan, book)[0, 0, 0]
         assert got == pytest.approx(0.5 * m * 10.0, rel=1e-12)
 
 
@@ -103,21 +99,15 @@ class TestSelectServing:
         plan = simple_plan(2)
         plan.x[:] = 0
         plan.x[1, 5] = 1
-        assert select_serving(0, plan, channels, book) == (1, 5)
+        serving_b, serving_s = select_serving_all(rsrp_table(channels, plan, book))
+        assert (serving_b[0], serving_s[0]) == (1, 5)
 
     def test_tie_break_lowest_sector(self):
         channels = make_channels(np.ones((1, 3, 1)), np.ones((1, 3)))
         book = make_codebook([[1.0]])
         plan = simple_plan(3)
-        assert select_serving(0, plan, channels, book) == (0, 0)
-
-    def test_no_active_beam_raises(self):
-        channels = make_channels(np.ones((1, 2, 1)), np.ones((1, 2)))
-        book = make_codebook([[1.0]])
-        plan = simple_plan(2)
-        plan.x[:] = 0
-        with pytest.raises(NoActiveBeam):
-            select_serving(0, plan, channels, book)
+        serving_b, serving_s = select_serving_all(rsrp_table(channels, plan, book))
+        assert (serving_b[0], serving_s[0]) == (0, 0)
 
     def test_matches_bruteforce_on_random_instances(self):
         gen = np.random.default_rng(1)
@@ -155,7 +145,8 @@ class TestCoverageSinr:
         channels = make_channels(np.ones((1, 1, 1)), np.ones((1, 1)))
         book = make_codebook([[1.0]])
         plan = simple_plan(1, power_dbm=0.0)
-        got = coverage_sinr(0, (0, 0), plan, channels, book, RADIO)
+        table = rsrp_table(channels, plan, book)
+        got = coverage_sinr_all(table, np.array([0]), np.array([0]), plan, RADIO.ssb_noise_mw)[0]
         expected = 10 * math.log10(1.0 / RADIO.ssb_noise_mw)
         assert got == pytest.approx(expected, abs=1e-9)
 
@@ -163,7 +154,8 @@ class TestCoverageSinr:
         channels = make_channels(np.ones((2, 2, 1)), np.ones((2, 2)))
         book = make_codebook([[1.0]])
         plan = simple_plan(2, power_dbm=80.0)  # swamp the noise term
-        got = coverage_sinr(0, (0, 0), plan, channels, book, RADIO)
+        table = rsrp_table(channels, plan, book)
+        got = coverage_sinr_all(table, np.array([0, 0]), np.array([0, 0]), plan, RADIO.ssb_noise_mw)[0]
         assert got == pytest.approx(0.0, abs=1e-6)
 
     def test_three_cell_hand_oracle(self):
@@ -304,7 +296,8 @@ def test_dump_association_csv(small_scenario, tmp_path):
     sb, ss = select_serving_all(table)
     sinr = coverage_sinr_all(table, sb, ss, plan, small_scenario.radio.ssb_noise_mw)
     path = tmp_path / "assoc.csv"
-    dump_association_csv(channels, sb, ss, table, sinr, path)
+    rsrp = table[np.arange(channels.n_entities), sb, ss]
+    dump_association_csv(channels, sb, ss, rsrp, sinr, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"
     assert len(lines) == 1 + channels.n_entities

@@ -8,11 +8,10 @@ from skybeam.channel import (
     OutOfValidityRange,
     aerial_los_shadow_sigma_db,
     build_channels,
-    dump_channels_csv,
     element_gain,
-    expected_channel,
+    expected_channels,
     link_geometry,
-    los_component,
+    los_components,
     los_probability,
     path_loss,
     rician_channel,
@@ -165,29 +164,31 @@ class TestLosComponent:
     def test_single_element_phase(self):
         panel = UpaGeometry(m_h=1, m_v=1)
         sector = Sector(0, 0, panel, (0.0, 0.0, 25.0))
-        geom = link_geometry(sector, np.array([120.0, 0.0, 25.0]))
-        h = los_component(geom, panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
-        assert h.shape == (1,)
-        expected = np.exp(-2j * np.pi * geom.d3d_m / RADIO.wavelength_m)
-        assert h[0] == pytest.approx(expected, abs=1e-12)
+        _, d3d, _, _, unit = link_geometry(sector, np.array([[120.0, 0.0, 25.0]]))
+        h = los_components(unit, d3d, panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
+        assert h.shape == (1, 1)
+        expected = np.exp(-2j * np.pi * d3d[0] / RADIO.wavelength_m)
+        assert h[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_unit_modulus_everywhere(self):
         panel = UpaGeometry(m_h=4, m_v=8, bearing_deg=120.0, downtilt_deg=8.0)
         sector = Sector(0, 0, panel, (10.0, -20.0, 25.0))
         gen = np.random.default_rng(3)
-        for _ in range(20):
-            pos = gen.uniform(-800, 800, 3)
+        positions = np.empty((20, 3))
+        for pos in positions:
+            pos[:] = gen.uniform(-800, 800, 3)
             pos[2] = gen.uniform(1.5, 150.0)
-            geom = link_geometry(sector, pos)
-            h = los_component(geom, panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
-            assert np.allclose(np.abs(h), 1.0, atol=1e-12)
-            assert np.linalg.norm(geom.wave_vector) == pytest.approx(1.0, abs=1e-12)
+        _, d3d, _, _, unit = link_geometry(sector, positions)
+        h = los_components(unit, d3d, panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
+        assert h.shape == (20, panel.n_elements)
+        assert np.allclose(np.abs(h), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(unit, axis=1), 1.0, atol=1e-12)
 
     def test_matched_weight_gain_is_m(self):
         panel = UpaGeometry(m_h=4, m_v=8)
         sector = Sector(0, 0, panel, (0.0, 0.0, 25.0))
-        geom = link_geometry(sector, np.array([300.0, 80.0, 100.0]))
-        h = los_component(geom, panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
+        _, d3d, _, _, unit = link_geometry(sector, np.array([[300.0, 80.0, 100.0]]))
+        h = los_components(unit, d3d, panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)[0]
         m = panel.n_elements
         w = np.conj(h) / math.sqrt(m)
         assert abs(h @ w) ** 2 == pytest.approx(m, rel=1e-12)
@@ -196,18 +197,28 @@ class TestLosComponent:
 class TestRicianChannel:
     def test_huge_k_reduces_to_los(self):
         gen = np.random.default_rng(4)
-        los = np.exp(1j * gen.uniform(0, 2 * np.pi, 16))
-        vec = rician_channel(los, 1e9, gen)
-        assert np.allclose(vec.h_dl, los, atol=1e-3)
+        los = np.exp(1j * gen.uniform(0, 2 * np.pi, (3, 16)))
+        h = rician_channel(los, np.full(3, 1e9), gen)
+        assert np.allclose(h, los, atol=1e-3)
+
+    def test_per_row_k(self):
+        # K = 0 on row 0 (pure Rayleigh), huge K on row 1 (pure LoS)
+        gen = np.random.default_rng(9)
+        los = np.exp(1j * gen.uniform(0, 2 * np.pi, (2, 8)))
+        h = rician_channel(los, np.array([0.0, 1e12]), gen)
+        assert not np.allclose(h[0], los[0], atol=0.1)
+        assert np.allclose(h[1], los[1], atol=1e-5)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="Rician K"):
+            rician_channel(np.ones((2, 4), dtype=complex), np.array([1.0, -1.0]), np.random.default_rng(0))
 
     def test_rayleigh_power_normalization(self):
         gen = np.random.default_rng(5)
         m = 8
         los = np.exp(1j * gen.uniform(0, 2 * np.pi, m))
-        total = 0.0
         draws = 10_000
-        for _ in range(draws):
-            total += np.sum(np.abs(rician_channel(los, 0.0, gen).h_dl) ** 2)
+        total = np.sum(np.abs(rician_channel(np.tile(los, (draws, 1)), 0.0, gen)) ** 2)
         assert total / draws / m == pytest.approx(1.0, rel=0.05)
 
     @pytest.mark.parametrize("k_db", [0.0, 9.0])
@@ -216,10 +227,8 @@ class TestRicianChannel:
         m = 8
         los = np.exp(1j * gen.uniform(0, 2 * np.pi, m))
         k = 10 ** (k_db / 10)
-        total = 0.0
         draws = 10_000
-        for _ in range(draws):
-            total += np.sum(np.abs(rician_channel(los, k, gen).h_dl) ** 2)
+        total = np.sum(np.abs(rician_channel(np.tile(los, (draws, 1)), k, gen)) ** 2)
         assert total / draws == pytest.approx(m, rel=0.05)
 
 
@@ -228,49 +237,46 @@ class TestExpectedChannel:
         self.panel = UpaGeometry(m_h=4, m_v=8)
         self.sector = Sector(0, 0, self.panel, (0.0, 0.0, 25.0))
         self.params = ChannelParams()
-        self.point = np.array([350.0, 144.0, 100.0])
+        self.point = np.array([[350.0, 144.0, 100.0]])
 
     def test_composition_of_public_pieces(self):
-        geom = link_geometry(self.sector, self.point)
-        d2d = math.hypot(self.point[0], self.point[1])
+        _, d3d, az, zen, unit = link_geometry(self.sector, self.point)
+        d2d = math.hypot(self.point[0, 0], self.point[0, 1])
         p = los_probability(d2d, 100.0, "aerial")
-        rho = path_loss(d2d, geom.d3d_m, 100.0, "aerial", True, RADIO)
-        g = element_gain(geom.azimuth_rad, geom.zenith_rad)
+        rho = path_loss(d2d, d3d[0], 100.0, "aerial", True, RADIO)
+        g = element_gain(az[0], zen[0])
         k = self.params.rician_k_linear(True)
-        h_los = los_component(geom, self.panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
+        h_los = los_components(unit, d3d, self.panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
         expected = p * math.sqrt(rho * g) * math.sqrt(k / (1 + k)) * h_los
-        got = expected_channel(self.sector, self.point, RADIO, self.params)
+        got = expected_channels(self.sector, self.point, RADIO, self.params)
         assert np.allclose(got, expected, rtol=1e-12)
 
     def test_k_scaling_factor(self):
         # K = 1 scales entries by sqrt(1/2) versus the LoS-only limit
         params_k1 = ChannelParams(rician_k_los_db=0.0)
         params_huge = ChannelParams(rician_k_los_db=200.0)
-        h1 = expected_channel(self.sector, self.point, RADIO, params_k1)
-        h_inf = expected_channel(self.sector, self.point, RADIO, params_huge)
+        h1 = expected_channels(self.sector, self.point, RADIO, params_k1)
+        h_inf = expected_channels(self.sector, self.point, RADIO, params_huge)
         assert np.allclose(h1, h_inf * math.sqrt(0.5), rtol=1e-9)
 
     def test_monte_carlo_mean_matches(self, small_scenario):
         # sample-mean oracle over fading draws (LoS aerial link: p_los = 1)
         sector = small_scenario.sectors[0]
         params = small_scenario.channel_params
-        geom = link_geometry(sector, self.point)
-        d2d = math.hypot(self.point[0], self.point[1])
-        rho = path_loss(d2d, geom.d3d_m, 100.0, "aerial", True, small_scenario.radio)
-        g = element_gain(geom.azimuth_rad, geom.zenith_rad)
-        h_los = los_component(
-            geom, sector.panel.element_coords(small_scenario.radio.wavelength_m),
+        _, d3d, az, zen, unit = link_geometry(sector, self.point)
+        d2d = math.hypot(self.point[0, 0], self.point[0, 1])
+        rho = path_loss(d2d, d3d[0], 100.0, "aerial", True, small_scenario.radio)
+        g = element_gain(az[0], zen[0])
+        h_los = los_components(
+            unit, d3d, sector.panel.element_coords(small_scenario.radio.wavelength_m),
             small_scenario.radio.wavelength_m,
         )
         k = params.rician_k_linear(True)
         gen = np.random.default_rng(8)
         amp = math.sqrt(rho * g)
-        acc = np.zeros_like(h_los)
         draws = 10_000
-        for _ in range(draws):
-            acc += amp * rician_channel(h_los, k, gen).h_dl
-        mc_mean = acc / draws
-        h_tilde = expected_channel(sector, self.point, small_scenario.radio, params)
+        mc_mean = amp * rician_channel(np.tile(h_los, (draws, 1)), k, gen).mean(axis=0)
+        h_tilde = expected_channels(sector, self.point, small_scenario.radio, params)[0]
         assert np.allclose(mc_mean, h_tilde, rtol=0.02, atol=0.02 * np.abs(h_tilde).max())
 
 
@@ -281,10 +287,10 @@ class TestHighwayStack:
             small_scenario.highway, sector, small_scenario.radio, small_scenario.channel_params
         )
         for r in (0, 3, small_scenario.highway.n_points - 1):
-            row = expected_channel(
-                sector, small_scenario.highway.points[r], small_scenario.radio,
+            row = expected_channels(
+                sector, small_scenario.highway.points[r : r + 1], small_scenario.radio,
                 small_scenario.channel_params,
-            )
+            )[0]
             assert np.allclose(stack.matrix[r], row, rtol=1e-12)
 
     def test_segment_plus_complement_covers_rows(self, small_scenario):
@@ -314,8 +320,6 @@ class TestChannelSet:
         users = [User(id=i, kind=u.kind, position_3d_m=u.position_3d_m) for i, u in enumerate(users)]
         cs = build_channels(small_scenario, users, snapshot=0)
         assert np.array_equal(cs.beta, cs.rho * cs.tau * cs.g)
-        ls = cs.large_scale(2, 5)
-        assert ls.beta_linear == ls.path_gain_linear * ls.shadow_gain_linear * ls.element_gain_linear
 
     def test_reproducible_across_builds(self, small_scenario):
         users = small_scenario.ground_users(0)[:8]
@@ -335,16 +339,3 @@ class TestChannelSet:
         cs = build_channels(small_scenario, uavs, snapshot=0)
         assert np.all(cs.p_los == 1.0)
         assert np.all(cs.is_los)
-
-    def test_dump_csv(self, small_scenario, tmp_path):
-        users = small_scenario.ground_users(0)[:2]
-        cs = build_channels(small_scenario, users, snapshot=0)
-        path = tmp_path / "channels.csv"
-        dump_channels_csv(cs, path)
-        lines = path.read_text().splitlines()
-        m = cs.h.shape[2]
-        assert lines[0].split(",")[:3] == ["ue_id", "sector_id", "beta_db"]
-        assert len(lines) == 1 + cs.n_entities * cs.n_sectors
-        first = lines[1].split(",")
-        assert float(first[2]) == pytest.approx(10 * math.log10(cs.beta[0, 0]))
-        assert len(first) == 3 + 2 * m

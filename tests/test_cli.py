@@ -97,6 +97,7 @@ class TestRun:
             ("SKYBEAM_OPTIMIZER_P_MUT", "1.5", "optimizer.p_mut"),
             ("SKYBEAM_OPTIMIZER_N_ELITES", "0", "optimizer"),
             ("SKYBEAM_SEEDS_MASTER", '"abc"', "seeds.master"),
+            ("SKYBEAM_CHANNEL_SHADOW_CORR_DIST_GROUND_M", "-50", "channel.shadow_corr_dist_ground_m"),
         ],
     )
     def test_env_override_out_of_range_exits_1(
@@ -115,6 +116,25 @@ class TestRun:
         code = main(["run", "--config", str(small_config_path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "highway.point_spacing_m" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("key", ["uav_spacing_m", "point_spacing_m"])
+    def test_spacing_longer_than_corridor_exits_1(self, small_config_path, tmp_path, capsys, key):
+        cfg = json.loads(small_config_path.read_text())
+        cfg["highway"][key] = 5000.0  # the corridor is 625 m long
+        small_config_path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(small_config_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"highway.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--n-max", "2"]])
+    def test_zero_snapshots_exits_1(self, small_config_path, tmp_path, capsys, command):
+        argv = [*command, "--config", str(small_config_path), "--out", str(tmp_path / "o"),
+                "--snapshots", "0"]
+        assert main(argv) == 1
+        assert "--snapshots" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

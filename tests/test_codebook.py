@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from skybeam.channel import link_geometry, los_component
 from skybeam.codebook import (
     build_dl_codebook,
     build_ssb_codebook,
@@ -11,7 +10,7 @@ from skybeam.codebook import (
     export_codebook_csv,
 )
 from skybeam.config import RadioConfig
-from skybeam.scenario import Sector, UpaGeometry
+from skybeam.scenario import UpaGeometry
 
 RADIO = RadioConfig()
 

@@ -55,7 +55,10 @@ def test_unknown_block_rejected():
      ("optimizer", "max_iters", 0), ("radio", "carrier_freq_hz", 0.0),
      ("highway", "point_spacing_m", 0), ("highway", "uav_spacing_m", 0),
      ("layout", "isd_m", -500), ("layout", "tiers", -1), ("highway", "point_spacing_m", -5),
-     ("codebook", "ssb_oversampling_h", 0)],
+     ("codebook", "ssb_oversampling_h", 0), ("channel", "rician_k_los_db", "x"),
+     ("channel", "rician_k_nlos_db", 4000.0),
+     ("channel", "shadow_sigma_los_ground_db", float("nan")),
+     ("channel", "shadow_corr_dist_ground_m", -50), ("channel", "shadow_sigma_nlos_aerial_db", -1.0)],
 )
 def test_out_of_range_value_rejected(block, key, value):
     raw = default_config()

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import achievable_rate, data_sinr
 from skybeam.association import baseline_plan
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import RadioConfig
 from skybeam.evaluation import (
     CdfSummary,
     EmptyGroup,
-    achievable_rate,
     data_phase,
-    data_sinr,
     evaluate_snapshot,
-    select_dl_precoder,
     snapshot_stats,
     snapshot_users,
     traffic_sweep,
@@ -23,11 +21,16 @@ from test_association import make_channels, make_codebook
 RADIO = RadioConfig()
 
 
+def dl_precoder(channels, book):
+    """data_phase's precoder for entity 0 served by sector 0."""
+    return data_phase(channels, np.zeros(channels.n_entities, dtype=int), book, RADIO).precoder[0]
+
+
 class TestSelectDlPrecoder:
     def test_single_codeword(self):
         channels = make_channels(np.ones((1, 1, 2)), np.ones((1, 1)))
         book = make_codebook(np.array([[1.0, 0.0]]))
-        assert select_dl_precoder(0, 0, book, channels) == 0
+        assert dl_precoder(channels, book) == 0
 
     def test_aligned_los_codeword_wins(self):
         m = 8
@@ -39,7 +42,7 @@ class TestSelectDlPrecoder:
         weights = np.vstack([others[:2], matched, others[2:]])
         channels = make_channels(steering.reshape(1, 1, m), np.ones((1, 1)))
         book = make_codebook(weights)
-        assert select_dl_precoder(0, 0, book, channels) == 2
+        assert dl_precoder(channels, book) == 2
 
     def test_matches_bruteforce_scan(self):
         gen = np.random.default_rng(1)
@@ -52,7 +55,7 @@ class TestSelectDlPrecoder:
             weights /= np.linalg.norm(weights, axis=1, keepdims=True)
             channels = make_channels(h, beta)
             book = make_codebook(weights)
-            got = select_dl_precoder(0, 0, book, channels)
+            got = dl_precoder(channels, book)
             scores = [abs(h[0, 0] @ w) ** 2 * beta[0, 0] for w in weights]
             assert got == int(np.argmax(scores))
 
@@ -100,6 +103,8 @@ class TestDataSinr:
         for u in range(n):
             ref = data_sinr(u, channels, serving, report.precoder, RADIO, book)
             assert report.sinr_db[u] == pytest.approx(ref, rel=1e-9)
+            rate = achievable_rate(ref, int(report.n_codeword_sharers[u]), RADIO)
+            assert report.rate_bps[u] == pytest.approx(rate, rel=1e-9)
 
     def test_bulk_matches_reference_random(self):
         gen = np.random.default_rng(4)
@@ -116,6 +121,8 @@ class TestDataSinr:
             u = int(gen.integers(0, n))
             ref = data_sinr(u, channels, serving, report.precoder, RADIO, book)
             assert report.sinr_db[u] == pytest.approx(ref, rel=1e-9)
+            rate = achievable_rate(ref, int(report.n_codeword_sharers[u]), RADIO)
+            assert report.rate_bps[u] == pytest.approx(rate, rel=1e-9)
 
 
 def test_inter_cell_interference_sanity_bound():

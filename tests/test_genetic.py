@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from skybeam.association import BeamPlan, rsrp_table, select_serving_all, ssb_rsrp
+from oracles import brute_force_fitness
+from skybeam.association import BeamPlan, rsrp_table, select_serving_all
 from skybeam.genetic import (
     EgaParams,
     FitnessEvaluator,
     apply_individual,
     export_plan_json,
-    fitness,
     run,
     select_frozen_slots,
 )
@@ -40,32 +40,6 @@ def random_instance(gen, n_points=5, n_sectors=3, n_slots=4, m=4, n_codewords=10
     table = rsrp_table(channels, baseline, book)
     required_b, _ = select_serving_all(table)
     return channels, book, baseline, designated, frozen, required_b
-
-
-def brute_force_fitness(genome, channels, book, baseline, designated, frozen, required, noise_mw):
-    """Loop-based reference: apply, associate, penalize, min coverage SINR."""
-    plan = apply_individual(np.asarray(genome, dtype=float), baseline, designated, frozen)
-    n_points = channels.n_entities
-    n_sectors, n_slots = plan.x.shape
-    worst = math.inf
-    for z in range(n_points):
-        best_val, best_b, best_s = -1.0, None, None
-        for b in range(n_sectors):
-            for s in range(n_slots):
-                val = ssb_rsrp(z, s, b, plan, channels, book)
-                if val > best_val:
-                    best_val, best_b, best_s = val, b, s
-        if best_b != required[z]:
-            return -math.inf
-        interf = 0.0
-        for b in range(n_sectors):
-            if b == best_b:
-                continue
-            for s in range(n_slots):
-                if plan.sweep[b, s] == plan.sweep[best_b, best_s]:
-                    interf += ssb_rsrp(z, s, b, plan, channels, book)
-        worst = min(worst, 10 * math.log10(best_val / (interf + noise_mw)))
-    return worst
 
 
 class TestApplyIndividual:
@@ -126,7 +100,7 @@ class TestFitness:
                 [10 ** (baseline.power_dbm[cell, frozen[cell]] / 10) for cell in designated],
             ]
         )
-        got = fitness(genome, ev)
+        got = ev.evaluate(genome)
         oracle = brute_force_fitness(
             genome, channels, book, baseline, designated, frozen, required, NOISE_MW
         )

@@ -106,12 +106,16 @@ class TestMetric:
     def test_log2_of_two(self):
         # c = 1 (single row), P equals the noise, no complement
         h = np.array([[math.sqrt(4 * NOISE), 0.0, 0.0, 0.0]])  # mean |h|^2 = NOISE
-        assert segment_cell_metric(h, np.empty((0, 4)), NOISE) == pytest.approx(1.0, rel=1e-9)
+        assert segment_cell_metric(h, np.empty((0, 4)), NOISE)[3] == pytest.approx(1.0, rel=1e-9)
 
     def test_rank_deficient_is_zero(self):
         row = np.ones((1, 4))
         h = np.vstack([row, row])
-        assert segment_cell_metric(h, np.empty((0, 4)), NOISE) == pytest.approx(0.0, abs=1e-7)
+        p, c, f, chi = segment_cell_metric(h, row, NOISE)
+        assert chi == pytest.approx(0.0, abs=1e-7)
+        # the breakdown keeps P and F even where chi is 0
+        assert p == 1.0 and f == pytest.approx(32.0)
+        assert (p, c, f) == (avg_channel_gain(h), inv_condition_number(h), cross_corr_frobenius(h, row))
 
     def test_composition_of_components(self):
         gen = np.random.default_rng(4)
@@ -123,7 +127,7 @@ class TestMetric:
             p = avg_channel_gain(h_seg)
             f = cross_corr_frobenius(h_seg, h_comp)
             oracle = c * math.log2(1 + p / (f + NOISE))
-            assert segment_cell_metric(h_seg, h_comp, NOISE) == pytest.approx(oracle, rel=1e-12)
+            assert segment_cell_metric(h_seg, h_comp, NOISE) == pytest.approx((p, c, f, oracle), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,8 +164,8 @@ def test_cross_corr_right_unitary_invariance(seed):
 def test_metric_monotone_in_p_and_f():
     h = np.array([[1.0, 0.2], [0.3, 0.9]]) * math.sqrt(NOISE)
     comp = np.array([[0.5, 0.5]]) * math.sqrt(NOISE)
-    base = segment_cell_metric(h, comp, NOISE)
-    assert segment_cell_metric(1.5 * h, 1.5 * comp, NOISE) != base  # sanity: metric reacts
+    base = segment_cell_metric(h, comp, NOISE)[3]
+    assert segment_cell_metric(1.5 * h, 1.5 * comp, NOISE)[3] != base  # sanity: metric reacts
     c = inv_condition_number(h)
     p = avg_channel_gain(h)
     f = cross_corr_frobenius(h, comp)
@@ -196,7 +200,7 @@ class TestAssignSegments:
         stacks = self.make_stacks(gen, 5, 8, 4, ((0, 2), (2, 4), (4, 8)))
         out = assign_segments(stacks, NOISE)
         for z in range(3):
-            chis = [segment_cell_metric(s.segment_matrix(z), s.complement_matrix(z), NOISE) for s in stacks]
+            chis = [segment_cell_metric(s.segment_matrix(z), s.complement_matrix(z), NOISE)[3] for s in stacks]
             assert out.serving_cell[z] == int(np.argmax(chis))
 
     def test_input_order_invariance(self):
