@@ -149,19 +149,22 @@ def baseline_plan(scenario: Scenario, ssb_codebook: Codebook, tilt_deg: float = 
 
 
 def dump_association_csv(
-    channels: ChannelSet,
+    kinds: np.ndarray,
     serving_sector: np.ndarray,
     serving_slot: np.ndarray,
     rsrp: np.ndarray,
     sinr_db: np.ndarray,
     path,
 ) -> None:
-    """One row per entity: serving beam, its RSRP (mW in, dBm out) and coverage SINR."""
+    """One row per entity: serving beam, its RSRP (mW in, dBm out) and coverage SINR.
+
+    The per-entity arrays share one row order, and `ue_id` is the row index.
+    """
     lines = ["ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"]
-    for i in range(channels.n_entities):
+    for i, kind in enumerate(kinds):
         rsrp_dbm = 10.0 * math.log10(rsrp[i]) if rsrp[i] > 0 else -math.inf
         lines.append(
-            f"{channels.entity_ids[i]},{channels.kinds[i]},{serving_sector[i]},"
+            f"{i},{kind},{serving_sector[i]},"
             f"{serving_slot[i]},{rsrp_dbm:.10g},{sinr_db[i]:.10g}"
         )
     with open(path, "w") as fh:

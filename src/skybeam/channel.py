@@ -61,7 +61,7 @@ def los_probability(d2d_m, h_ut_m, kind: str):
         with np.errstate(divide="ignore", invalid="ignore"):
             curve = d1 / d + np.exp(-d / p1) * (1.0 - d1 / d)
         p[mid] = np.where(d <= d1, 1.0, curve)
-    return p if p.shape else float(p)
+    return p
 
 
 def _ground_p_los(d2d: np.ndarray, h_ut: np.ndarray) -> np.ndarray:
@@ -104,8 +104,7 @@ def path_loss(d2d_m, d3d_m, h_ut_m, kind: str, los, radio: RadioConfig, h_bs_m: 
             warnings.warn("aerial link outside model validity", OutOfValidityRange, stacklevel=2)
     else:
         raise ValueError(f"unknown link kind {kind!r}")
-    gain = 10.0 ** (-pl_db / 10.0)
-    return gain if gain.shape else float(gain)
+    return 10.0 ** (-pl_db / 10.0)
 
 
 def _ground_los_pl_db(d2d, d3d, h_ut, f_ghz, h_bs):
@@ -157,8 +156,7 @@ def element_gain(azimuth_rad, zenith_rad):
     a_v = -np.minimum(12.0 * ((zen_deg - 90.0) / 65.0) ** 2, 30.0)
     a_h = -np.minimum(12.0 * (az_deg / 65.0) ** 2, 30.0)
     a_db = 8.0 - np.minimum(-(a_v + a_h), 30.0)
-    gain = 10.0 ** (a_db / 10.0)
-    return gain if gain.shape else float(gain)
+    return 10.0 ** (a_db / 10.0)
 
 
 def shadow_field(positions_xy, decorrelation_distance_m: float, sigma_db, rng, n_draws: int = 1):
@@ -239,16 +237,13 @@ class ChannelSet:
     is exactly rho * tau * g.
     """
 
-    entity_ids: tuple[int, ...]
-    kinds: tuple[str, ...]
-    positions: np.ndarray  # N x 3
+    kinds: np.ndarray  # per-entity "ground" or "aerial"
     rho: np.ndarray  # path gain, linear
     tau: np.ndarray  # shadow gain, linear
     g: np.ndarray  # element gain, linear
     beta: np.ndarray
     p_los: np.ndarray
     is_los: np.ndarray
-    k_linear: np.ndarray
     h: np.ndarray  # N x B x M complex
 
     @property
@@ -278,18 +273,17 @@ def build_channels(
     b = len(sectors)
     m = sectors[0].panel.n_elements if b else 0
     positions = np.array([u.position_3d_m for u in entities], dtype=float).reshape(n, 3)
-    kinds = tuple(u.kind for u in entities)
+    kinds = np.array([u.kind for u in entities], dtype=str)
     heights = positions[:, 2]
 
-    ground_idx = np.array([i for i, k in enumerate(kinds) if k == "ground"], dtype=int)
-    aerial_idx = np.array([i for i, k in enumerate(kinds) if k == "aerial"], dtype=int)
+    ground_idx = np.flatnonzero(kinds == "ground")
+    aerial_idx = np.flatnonzero(kinds == "aerial")
 
     rho = np.zeros((n, b))
     tau = np.ones((n, b))
     g = np.zeros((n, b))
     p_los = np.zeros((n, b))
     is_los = np.zeros((n, b), dtype=bool)
-    k_lin = np.zeros((n, b))
     h = np.zeros((n, b, m), dtype=complex)
     # per entity class: shadow decorrelation distance, LoS and NLoS sigma
     classes = (
@@ -313,38 +307,33 @@ def build_channels(
         for kind, idx, d_corr, sigma_los, sigma_nlos in classes:
             if idx.size == 0:
                 continue
-            p = np.atleast_1d(los_probability(d2d[idx], heights[idx], kind))
+            p = los_probability(d2d[idx], heights[idx], kind)
             p_los[idx, j] = p
             is_los[idx, j] = draws[idx] < p
-            rho[idx, j] = np.atleast_1d(
-                path_loss(
-                    d2d[idx], d3d[idx], heights[idx], kind, is_los[idx, j], radio,
-                    h_bs_m=sector.panel.panel_height_m,
-                )
+            rho[idx, j] = path_loss(
+                d2d[idx], d3d[idx], heights[idx], kind, is_los[idx, j], radio,
+                h_bs_m=sector.panel.panel_height_m,
             )
             sigma = np.where(is_los[idx, j], sigma_los, sigma_nlos)
             tau[idx, j] = shadow_field(positions[idx], d_corr, sigma, rng_shadow)
 
         # small-scale: Rician around the plane-wave component
-        k_lin[:, j] = np.where(
+        k_lin = np.where(
             is_los[:, j], params.rician_k_linear(True), params.rician_k_linear(False)
         )
         h_los = los_components(unit, d3d, coords, radio.wavelength_m)
         rng_fade = scenario.streams.derive("fading", stream_tag, snapshot, j)
-        h[:, j, :] = rician_channel(h_los, k_lin[:, j], rng_fade)
+        h[:, j, :] = rician_channel(h_los, k_lin, rng_fade)
 
     beta = rho * tau * g
     return ChannelSet(
-        entity_ids=tuple(u.id for u in entities),
         kinds=kinds,
-        positions=positions,
         rho=rho,
         tau=tau,
         g=g,
         beta=beta,
         p_los=p_los,
         is_los=is_los,
-        k_linear=k_lin,
         h=h,
     )
 
@@ -362,10 +351,8 @@ def expected_channels(sector: Sector, positions: np.ndarray, radio: RadioConfig,
     heights = positions[:, 2]
     kind = "aerial" if np.all(heights > AERIAL_MIN_HEIGHT_M) else "ground"
     d2d, d3d, az, zen, unit = link_geometry(sector, positions)
-    p = np.atleast_1d(los_probability(d2d, heights, kind))
-    rho_los = np.atleast_1d(
-        path_loss(d2d, d3d, heights, kind, True, radio, h_bs_m=sector.panel.panel_height_m)
-    )
+    p = los_probability(d2d, heights, kind)
+    rho_los = path_loss(d2d, d3d, heights, kind, True, radio, h_bs_m=sector.panel.panel_height_m)
     gains = element_gain(az, zen)
     k = params.rician_k_linear(True)
     coords = sector.panel.element_coords(radio.wavelength_m)

@@ -20,8 +20,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .association import dump_association_csv
 from .codebook import build_dl_codebook, build_ssb_codebook, export_codebook_csv
@@ -32,7 +30,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .evaluation import evaluate_snapshot, snapshot_stats, traffic_sweep
+from .evaluation import SnapshotResult, evaluate_snapshot, snapshot_stats, traffic_sweep
 from .genetic import corridor_problem, export_plan_json, run as run_ega
 from .scenario import scenario_from_config
 from .segment_metric import dump_metric_csv
@@ -105,41 +103,28 @@ def _optimize(cfg: dict, scenario, ssb_cb, out: Path):
     return evaluator.baseline, optimized, assignment, ega
 
 
-def _summaries(outcomes, plans) -> dict:
+# summary label and entity kind of each pooled group
+GROUPS = (("uav", "aerial"), ("gue", "ground"))
+
+
+def _summaries(pooled: dict) -> dict:
+    """5%-tile and mean of each (plan, group, metric) sample list, nested in that order."""
     summary: dict = {}
-    for name in plans:
-        pooled: dict[str, dict[str, list]] = {
-            "aerial": {"cov": [], "rate": []},
-            "ground": {"cov": [], "rate": []},
+    for (name, label, metric), values in pooled.items():
+        stats = snapshot_stats(values)
+        summary.setdefault(name, {}).setdefault(label, {})[metric] = {
+            "p5": stats.percentile(5), "mean": stats.mean,
         }
-        for _, results in outcomes:
-            res = results[name]
-            for kind in ("aerial", "ground"):
-                mask = np.array([k == kind for k in res.kinds])
-                pooled[kind]["cov"].extend(res.coverage_sinr_db[mask].tolist())
-                pooled[kind]["rate"].extend(res.data.rate_bps[mask].tolist())
-        summary[name] = {}
-        for kind, label in (("aerial", "uav"), ("ground", "gue")):
-            cov = snapshot_stats(pooled[kind]["cov"])
-            rate = snapshot_stats(pooled[kind]["rate"])
-            summary[name][label] = {
-                "coverage_sinr_db": {"p5": cov.percentile(5), "mean": cov.mean},
-                "rate_bps": {"p5": rate.percentile(5), "mean": rate.mean},
-            }
     return summary
 
 
-def _write_reports(outcomes, plans, out: Path) -> None:
-    for name in plans:
-        lines = ["snapshot,ue_id,kind,serving_sector,coverage_sinr_db,data_sinr_db,rate_bps"]
-        for snapshot, (channels, results) in enumerate(outcomes):
-            res = results[name]
-            for i in range(len(res.kinds)):
-                lines.append(
-                    f"{snapshot},{channels.entity_ids[i]},{res.kinds[i]},{res.serving_sector[i]},"
-                    f"{_fmt(res.coverage_sinr_db[i])},{_fmt(res.data.sinr_db[i])},{_fmt(res.data.rate_bps[i])}"
-                )
-        (out / f"report_{name}.csv").write_text("\n".join(lines) + "\n")
+def _report_rows(snapshot: int, res: SnapshotResult) -> str:
+    """One report line per entity of a snapshot; `ue_id` is the row index."""
+    return "".join(
+        f"{snapshot},{i},{kind},{res.serving_sector[i]},"
+        f"{_fmt(res.coverage_sinr_db[i])},{_fmt(res.data.sinr_db[i])},{_fmt(res.data.rate_bps[i])}\n"
+        for i, kind in enumerate(res.kinds)
+    )
 
 
 def cmd_run(args) -> int:
@@ -154,21 +139,32 @@ def cmd_run(args) -> int:
     base, optimized, assignment, ega = _optimize(cfg, scenario, ssb_cb, out)
     plans = {"baseline": base, "optimized": optimized}
 
-    outcomes = [
-        evaluate_snapshot(scenario, plans, ssb_cb, dl_cb, snapshot, args.snapshots)
-        for snapshot in range(args.snapshots)
-    ]
-    _write_reports(outcomes, plans, out)
-
-    # snapshot-0 association dump per plan
-    channels, results = outcomes[0]
-    for name, res in results.items():
-        dump_association_csv(
-            channels, res.serving_sector, res.serving_slot, res.serving_rsrp_mw,
-            res.coverage_sinr_db, out / f"association_{name}.csv",
+    # one pass: each snapshot's report rows, pooled samples and (at snapshot 0)
+    # association dump are written before the next snapshot's channels are built
+    pooled = {
+        (name, label, metric): []
+        for name in plans for label, _ in GROUPS for metric in ("coverage_sinr_db", "rate_bps")
+    }
+    for name in plans:
+        (out / f"report_{name}.csv").write_text(
+            "snapshot,ue_id,kind,serving_sector,coverage_sinr_db,data_sinr_db,rate_bps\n"
         )
+    for snapshot in range(args.snapshots):
+        results = evaluate_snapshot(scenario, plans, ssb_cb, dl_cb, snapshot, args.snapshots)
+        for name, res in results.items():
+            with open(out / f"report_{name}.csv", "a") as fh:
+                fh.write(_report_rows(snapshot, res))
+            for label, kind in GROUPS:
+                mask = res.kinds == kind
+                pooled[name, label, "coverage_sinr_db"].extend(res.coverage_sinr_db[mask].tolist())
+                pooled[name, label, "rate_bps"].extend(res.data.rate_bps[mask].tolist())
+            if snapshot == 0:
+                dump_association_csv(
+                    res.kinds, res.serving_sector, res.serving_slot, res.serving_rsrp_mw,
+                    res.coverage_sinr_db, out / f"association_{name}.csv",
+                )
 
-    summary = _summaries(outcomes, plans)
+    summary = _summaries(pooled)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     manifest = {
@@ -184,7 +180,7 @@ def cmd_run(args) -> int:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     for name in plans:
-        for label in ("uav", "gue"):
+        for label, _ in GROUPS:
             s = summary[name][label]
             print(
                 f"{name:9s} {label}: 5%-tile SINR {s['coverage_sinr_db']['p5']:.2f} dB, "

@@ -33,7 +33,6 @@ class Codeword:
 class Codebook:
     """Stack of codewords plus the panel metadata needed to interpret them."""
 
-    panel_m_h: int
     panel_m_v: int
     oversampling_h: int
     oversampling_v: int
@@ -102,7 +101,6 @@ def dft_subbook(active_cols: int, m_h: int, m_v: int, o_h: int, o_v: int) -> lis
 
 def _stack(codewords: list[Codeword], panel: UpaGeometry, o_h: int, o_v: int) -> Codebook:
     return Codebook(
-        panel_m_h=panel.m_h,
         panel_m_v=panel.m_v,
         oversampling_h=o_h,
         oversampling_v=o_v,

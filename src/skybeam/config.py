@@ -10,8 +10,9 @@ fields of `RadioConfig`, `ChannelParams`, `CodebookParams` and `EgaParams`,
 with the dataclass defaults; the optimizer block leaves out ``seed``, which
 is ``seeds.master``. `validate_config` builds the radio, channel and
 optimizer classes, so their checks apply to every config, and checks the
-numeric ``layout``, ``highway``, ``users`` and ``codebook`` values itself. A
-rejected value raises `ConfigError` naming ``block.key``.
+numeric ``layout``, ``highway``, ``users`` and ``codebook`` values and the
+highway polyline itself. A rejected value raises `ConfigError` naming
+``block.key``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ class RadioConfig:
     sector_tx_power_dbm: float = 46.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not (f.name == "ssb_noise_power_dbm" and self.ssb_noise_power_dbm is None):
+                _finite(getattr(self, f.name), f"radio.{f.name}")
+        for name in ("carrier_freq_hz", "bandwidth_hz", "prb_bandwidth_hz"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"radio.{name} must be positive")
+        if self.n_prb_total != int(self.n_prb_total) or self.n_prb_total < 1:
+            raise ConfigError("radio.n_prb_total must be an integer >= 1")
+        if self.n_prb_total * self.prb_bandwidth_hz > self.bandwidth_hz + 1e-6:
+            raise ConfigError("radio.n_prb_total x radio.prb_bandwidth_hz exceeds radio.bandwidth_hz")
         if self.ssb_noise_power_dbm is None:
             ssb_bw_hz = 240 * 30e3
             object.__setattr__(
@@ -52,13 +63,6 @@ class RadioConfig:
                 "ssb_noise_power_dbm",
                 self.noise_psd_dbm_per_hz + 10.0 * math.log10(ssb_bw_hz) + self.ue_noise_figure_db,
             )
-        if self.carrier_freq_hz <= 0:
-            raise ConfigError("radio.carrier_freq_hz must be positive")
-        if self.n_prb_total * self.prb_bandwidth_hz > self.bandwidth_hz + 1e-6:
-            raise ConfigError("radio.n_prb_total x radio.prb_bandwidth_hz exceeds radio.bandwidth_hz")
-        for name in ("max_ssb_power_dbm", "sector_tx_power_dbm", "ssb_noise_power_dbm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"radio.{name} must be finite")
 
     @property
     def wavelength_m(self) -> float:
@@ -227,6 +231,26 @@ def _finite(value, key: str) -> int | float:
     return value
 
 
+def _check_polyline(polyline) -> None:
+    """Null, or at least two [x, y, z] vertices of finite numbers with a finite, positive length."""
+    if polyline is None:
+        return
+    if not (
+        isinstance(polyline, list)
+        and len(polyline) >= 2
+        and all(isinstance(v, list) and len(v) == 3 for v in polyline)
+    ):
+        raise ConfigError("highway.polyline must be null or a list of at least two [x, y, z] vertices")
+    for vertex in polyline:
+        for coord in vertex:
+            _finite(coord, "highway.polyline")
+    # summed as the highway discretization sums it, so overflow and underflow agree
+    deltas = [[q - p for p, q in zip(a, b)] for a, b in zip(polyline, polyline[1:])]
+    length = sum(math.sqrt(sum(d * d for d in delta)) for delta in deltas)
+    if not 0.0 < length < math.inf:
+        raise ConfigError("highway.polyline must have a finite, positive length")
+
+
 def _number(cfg: dict, key: str) -> int | float:
     """The value at 'block.key', which must be a finite int or float."""
     block, name = key.split(".")
@@ -235,8 +259,8 @@ def _number(cfg: dict, key: str) -> int | float:
 
 def validate_config(raw: dict) -> dict:
     """Merge a raw config dict with defaults, rejecting unknown keys, bad
-    numeric geometry values and the values the radio, channel and optimizer
-    parameter classes refuse."""
+    numeric geometry values, a malformed polyline and the values the radio,
+    channel and optimizer parameter classes refuse."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for block in _REQUIRED_BLOCKS:
@@ -258,6 +282,7 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"{key} must be positive")
     for key in _FINITE:
         _number(cfg, key)
+    _check_polyline(cfg["highway"]["polyline"])
     radio_from_config(cfg)
     channel_params_from_config(cfg)
     ega_params_from_config(cfg)

@@ -10,7 +10,7 @@ statistic 5 percent tile, pooled over snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def snapshot_stats(values, group_mask=None) -> CdfSummary:
 class SnapshotResult:
     """Coverage and data-phase outcome of one snapshot under one plan."""
 
-    kinds: tuple[str, ...]
+    kinds: np.ndarray  # per-entity "ground" or "aerial"; the UE id is the row index
     serving_sector: np.ndarray
     serving_slot: np.ndarray
     serving_rsrp_mw: np.ndarray
@@ -156,14 +156,10 @@ class SnapshotResult:
 
 
 def snapshot_users(scenario: Scenario, snapshot: int, n_snapshots: int, d_iud: float) -> list[User]:
-    """Ground users redrawn per snapshot; UAVs advanced by d_iud/n_snapshots."""
+    """Ground users redrawn per snapshot, then UAVs advanced by d_iud/n_snapshots."""
     gues = scenario.ground_users(snapshot=snapshot)
     offset = (snapshot * d_iud / n_snapshots) % scenario.highway.total_length_m
-    uavs = scenario.uavs(offset_m=offset, d_iud=d_iud)
-    users = []
-    for u in gues + uavs:
-        users.append(replace(u, id=len(users)))
-    return users
+    return gues + scenario.uavs(offset_m=offset, d_iud=d_iud)
 
 
 def evaluate_snapshot(
@@ -174,8 +170,13 @@ def evaluate_snapshot(
     snapshot: int,
     n_snapshots: int,
     d_iud: float | None = None,
-) -> tuple[ChannelSet, dict[str, SnapshotResult]]:
-    """Evaluate every plan on one snapshot's shared channel realization."""
+) -> dict[str, SnapshotResult]:
+    """Evaluate every plan on one snapshot's shared channel realization.
+
+    Returns one result per plan name. The channels are built once, shared by
+    the plans and dropped on return; row i of every result is entity i of
+    `snapshot_users`, ground users first, then UAVs.
+    """
     if d_iud is None:
         d_iud = scenario.uav_spacing_m
     users = snapshot_users(scenario, snapshot, n_snapshots, d_iud)
@@ -194,7 +195,7 @@ def evaluate_snapshot(
             coverage_sinr_db=cov,
             data=data,
         )
-    return channels, results
+    return results
 
 
 @dataclass(frozen=True)
@@ -235,13 +236,12 @@ def traffic_sweep(
         uav_p5 = {name: [] for name in plans}
         gue_p5 = {name: [] for name in plans}
         for snapshot in range(n_snapshots):
-            # index the result so the snapshot's channels are freed before the next one
             results = evaluate_snapshot(
                 scenario, plans, ssb_codebook, dl_codebook, snapshot, n_snapshots,
                 d_iud=length / n_uav,
-            )[1]
+            )
             for name, res in results.items():
-                aerial = np.array([k == "aerial" for k in res.kinds])
+                aerial = res.kinds == "aerial"
                 uav_p5[name].append(snapshot_stats(res.data.rate_bps, aerial).percentile(5))
                 gue_p5[name].append(snapshot_stats(res.data.rate_bps, ~aerial).percentile(5))
         for name in plans:

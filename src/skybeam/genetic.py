@@ -272,10 +272,7 @@ def corridor_problem(
     gue_sector, gue_slot = select_serving_all(rsrp_table(gue_channels, base, ssb_codebook))
     frozen = select_frozen_slots(base, assignment.designated_cells, gue_sector, gue_slot)
 
-    points = [
-        User(id=i, kind="aerial", position_3d_m=tuple(p))
-        for i, p in enumerate(scenario.highway.points)
-    ]
+    points = [User(kind="aerial", position_3d_m=tuple(p)) for p in scenario.highway.points]
     point_channels = build_channels(scenario, points, snapshot="static", stream_tag="highway-point")
     required = assignment.required_cell_per_point(
         scenario.highway.segments, scenario.highway.n_points

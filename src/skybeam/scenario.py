@@ -79,7 +79,6 @@ class Sector:
 
 @dataclass(frozen=True)
 class User:
-    id: int
     kind: str  # "ground" | "aerial"
     position_3d_m: tuple[float, float, float]
 
@@ -97,9 +96,7 @@ class AerialHighway:
     """Corridor polyline discretized into equidistant points and segments."""
 
     polyline_3d: np.ndarray  # V x 3 vertices
-    altitude_m: float
     total_length_m: float
-    point_spacing_m: float
     points: np.ndarray  # N_r x 3
     segments: tuple[tuple[int, int], ...]  # half-open [start, stop) point ranges
 
@@ -203,7 +200,6 @@ def place_ground_users(
         raise ValueError("per_cell must be >= 0")
     users: list[User] = []
     radius = isd_m / math.sqrt(3.0)  # hexagon circumradius
-    uid = 0
     for sector in sectors:
         if per_cell == 0:
             continue
@@ -217,7 +213,6 @@ def place_ground_users(
         for x, y in kept:
             users.append(
                 User(
-                    id=uid,
                     kind="ground",
                     position_3d_m=(
                         float(sector.position_3d_m[0] + x),
@@ -226,7 +221,6 @@ def place_ground_users(
                     ),
                 )
             )
-            uid += 1
     return users
 
 
@@ -253,9 +247,7 @@ def discretize_highway(polyline: np.ndarray, d_r: float, n_s: int) -> AerialHigh
     )
     return AerialHighway(
         polyline_3d=polyline,
-        altitude_m=float(np.mean(polyline[:, 2])),
         total_length_m=total,
-        point_spacing_m=float(d_r),
         points=points,
         segments=segments,
     )
@@ -270,8 +262,8 @@ def place_uavs(highway: AerialHighway, d_iud: float, offset_m: float = 0.0) -> l
     arcs = (offset_m + np.arange(count) * d_iud) % length
     positions = highway.point_at_arc_length(arcs)
     return [
-        User(id=k, kind="aerial", position_3d_m=(float(p[0]), float(p[1]), float(p[2])))
-        for k, p in enumerate(positions)
+        User(kind="aerial", position_3d_m=(float(p[0]), float(p[1]), float(p[2])))
+        for p in positions
     ]
 
 

@@ -60,9 +60,9 @@ def pipeline():
         for name in plans
     }
     for snapshot in range(N_SNAPSHOTS):
-        _, results = evaluate_snapshot(scenario, plans, ssb, dl, snapshot, N_SNAPSHOTS)
+        results = evaluate_snapshot(scenario, plans, ssb, dl, snapshot, N_SNAPSHOTS)
         for name, res in results.items():
-            aerial = np.array([k == "aerial" for k in res.kinds])
+            aerial = res.kinds == "aerial"
             stats = per_snapshot[name]
             stats["uav_cov_p5"].append(snapshot_stats(res.coverage_sinr_db, aerial).percentile(5))
             stats["uav_rate_p5"].append(snapshot_stats(res.data.rate_bps, aerial).percentile(5))

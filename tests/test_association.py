@@ -26,16 +26,13 @@ def make_channels(h, beta):
     n, b, _ = h.shape
     ones = np.ones((n, b))
     return ChannelSet(
-        entity_ids=tuple(range(n)),
-        kinds=("aerial",) * n,
-        positions=np.zeros((n, 3)),
+        kinds=np.full(n, "aerial"),
         rho=beta.copy(),
         tau=ones.copy(),
         g=ones.copy(),
         beta=beta,
         p_los=ones.copy(),
         is_los=ones.astype(bool),
-        k_linear=ones.copy(),
         h=h,
     )
 
@@ -44,7 +41,6 @@ def make_codebook(weights):
     weights = np.asarray(weights, dtype=complex)
     n, m = weights.shape
     return Codebook(
-        panel_m_h=1,
         panel_m_v=m,
         oversampling_h=1,
         oversampling_v=1,
@@ -297,7 +293,7 @@ def test_dump_association_csv(small_scenario, tmp_path):
     sinr = coverage_sinr_all(table, sb, ss, plan, small_scenario.radio.ssb_noise_mw)
     path = tmp_path / "assoc.csv"
     rsrp = table[np.arange(channels.n_entities), sb, ss]
-    dump_association_csv(channels, sb, ss, rsrp, sinr, path)
+    dump_association_csv(channels.kinds, sb, ss, rsrp, sinr, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"
     assert len(lines) == 1 + channels.n_entities

@@ -19,7 +19,7 @@ from skybeam.channel import (
     stack_highway_channels,
 )
 from skybeam.config import ChannelParams, RadioConfig
-from skybeam.scenario import Sector, UpaGeometry, User, scenario_from_config
+from skybeam.scenario import Sector, UpaGeometry, scenario_from_config
 
 RADIO = RadioConfig()
 C = 299_792_458.0
@@ -317,7 +317,6 @@ class TestHighwayStack:
 class TestChannelSet:
     def test_beta_is_exact_product(self, small_scenario):
         users = small_scenario.ground_users(0)[:10] + small_scenario.uavs()[:3]
-        users = [User(id=i, kind=u.kind, position_3d_m=u.position_3d_m) for i, u in enumerate(users)]
         cs = build_channels(small_scenario, users, snapshot=0)
         assert np.array_equal(cs.beta, cs.rho * cs.tau * cs.g)
 

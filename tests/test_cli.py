@@ -98,6 +98,7 @@ class TestRun:
             ("SKYBEAM_OPTIMIZER_N_ELITES", "0", "optimizer"),
             ("SKYBEAM_SEEDS_MASTER", '"abc"', "seeds.master"),
             ("SKYBEAM_CHANNEL_SHADOW_CORR_DIST_GROUND_M", "-50", "channel.shadow_corr_dist_ground_m"),
+            ("SKYBEAM_RADIO_N_PRB_TOTAL", "-5", "radio.n_prb_total"),
         ],
     )
     def test_env_override_out_of_range_exits_1(

@@ -58,7 +58,16 @@ def test_unknown_block_rejected():
      ("codebook", "ssb_oversampling_h", 0), ("channel", "rician_k_los_db", "x"),
      ("channel", "rician_k_nlos_db", 4000.0),
      ("channel", "shadow_sigma_los_ground_db", float("nan")),
-     ("channel", "shadow_corr_dist_ground_m", -50), ("channel", "shadow_sigma_nlos_aerial_db", -1.0)],
+     ("channel", "shadow_corr_dist_ground_m", -50), ("channel", "shadow_sigma_nlos_aerial_db", -1.0),
+     ("radio", "carrier_freq_hz", float("nan")), ("radio", "carrier_freq_hz", float("inf")),
+     ("radio", "bandwidth_hz", float("nan")), ("radio", "n_prb_total", -5),
+     ("radio", "n_prb_total", 2.5), ("radio", "n_prb_total", True),
+     ("radio", "prb_bandwidth_hz", 0), ("radio", "prb_bandwidth_hz", -1),
+     ("radio", "noise_psd_dbm_per_hz", float("inf")), ("radio", "ssb_noise_power_dbm", "x"),
+     ("highway", "polyline", float("nan")), ("highway", "polyline", [[0.0, 0.0, 100.0]]),
+     ("highway", "polyline", [[0.0, 0.0, 100.0], [1.0, float("nan"), 100.0]]),
+     ("highway", "polyline", [[0.0, 0.0, 100.0], [0.0, 0.0, 100.0]]),
+     ("highway", "polyline", [[-1e200, 0.0, 100.0], [1e200, 0.0, 100.0]])],
 )
 def test_out_of_range_value_rejected(block, key, value):
     raw = default_config()

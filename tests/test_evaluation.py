@@ -209,7 +209,7 @@ class TestSnapshotEvaluation:
         n_gue = kinds.count("ground")
         assert n_gue == small_scenario.n_sectors * small_scenario.gues_per_cell
         assert kinds.count("aerial") == 6  # floor(625 / 100)
-        assert [u.id for u in users] == list(range(len(users)))
+        assert kinds == ["ground"] * n_gue + ["aerial"] * 6  # ue_id is the row index
 
     def test_uav_offset_advances(self, small_scenario):
         a = snapshot_users(small_scenario, 0, 4, 100.0)
@@ -231,12 +231,11 @@ class TestSnapshotEvaluation:
         base = baseline_plan(small_scenario, ssb)
         louder = base.copy()
         louder.power_dbm += 3.0
-        channels, results = evaluate_snapshot(
-            small_scenario, {"a": base, "b": louder}, ssb, dl, 0, 4
-        )
+        results = evaluate_snapshot(small_scenario, {"a": base, "b": louder}, ssb, dl, 0, 4)
         # a uniform 3 dB power lift leaves association unchanged
         assert np.array_equal(results["a"].serving_sector, results["b"].serving_sector)
-        assert len(results["a"].kinds) == channels.n_entities
+        n_entities = len(snapshot_users(small_scenario, 0, 4, small_scenario.uav_spacing_m))
+        assert len(results["a"].kinds) == n_entities
 
 
 class TestTrafficSweep:
