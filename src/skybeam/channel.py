@@ -159,25 +159,35 @@ def element_gain(azimuth_rad, zenith_rad):
     return 10.0 ** (a_db / 10.0)
 
 
-def shadow_field(positions_xy, decorrelation_distance_m: float, sigma_db, rng, n_draws: int = 1):
-    """Spatially correlated log-normal shadow gains at the given positions.
+def shadow_factor(positions_xy, decorrelation_distance_m: float) -> np.ndarray:
+    """Step 1 of shadowing: the Cholesky factor of the positions' field covariance.
 
-    Correlation between two points decays as exp(-distance / d_corr); the
-    log-domain marginal is N(0, sigma_db^2). `sigma_db` may vary per position.
-    Returns linear gains with shape (n_draws, n_positions), squeezed when
-    n_draws == 1.
+    Correlation between two points decays as exp(-distance / d_corr). The
+    factor depends only on the positions, so one factor serves every draw
+    (every sector) for the same set of entities. Returns an (n, n) array.
     """
     pos = np.asarray(positions_xy, dtype=float)
     if pos.ndim == 1:
         pos = pos[None, :]
     pos = pos[:, :2]
     n = pos.shape[0]
-    unit = np.zeros((n_draws, 0))
-    if n:
-        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-        cov = np.exp(-dist / max(decorrelation_distance_m, 1e-12))
-        cov[np.diag_indices(n)] += 1e-12
-        unit = (np.linalg.cholesky(cov) @ rng.standard_normal((n, n_draws))).T
+    if n == 0:
+        return np.zeros((0, 0))
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    cov = np.exp(-dist / max(decorrelation_distance_m, 1e-12))
+    cov[np.diag_indices(n)] += 1e-12
+    return np.linalg.cholesky(cov)
+
+
+def shadow_field(factor: np.ndarray, sigma_db, rng, n_draws: int = 1):
+    """Step 2 of shadowing: log-normal shadow gains drawn through `factor`.
+
+    `factor` comes from `shadow_factor`; the log-domain marginal is
+    N(0, sigma_db^2), and `sigma_db` may vary per position. Returns linear
+    gains with shape (n_draws, n_positions), squeezed when n_draws == 1.
+    """
+    n = factor.shape[0]
+    unit = (factor @ rng.standard_normal((n, n_draws))).T
     gains = 10.0 ** (np.asarray(sigma_db, dtype=float) * unit / 10.0)
     return gains[0] if n_draws == 1 else gains
 
@@ -264,7 +274,9 @@ def build_channels(
     """Generate the full ChannelSet for `entities` against every sector.
 
     Seed keys combine (stream_tag, snapshot, sector id), which makes the
-    result independent of sector evaluation order.
+    result independent of sector evaluation order. Each entity class's
+    shadow factor is built once per call and shared by all sectors; only
+    the draws through it are per sector.
     """
     radio = scenario.radio
     params = scenario.channel_params
@@ -285,13 +297,17 @@ def build_channels(
     p_los = np.zeros((n, b))
     is_los = np.zeros((n, b), dtype=bool)
     h = np.zeros((n, b, m), dtype=complex)
-    # per entity class: shadow decorrelation distance, LoS and NLoS sigma
-    classes = (
-        ("ground", ground_idx, params.shadow_corr_dist_ground_m,
-         params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
-        ("aerial", aerial_idx, params.shadow_corr_dist_aerial_m,
-         aerial_los_shadow_sigma_db(heights[aerial_idx]), params.shadow_sigma_nlos_aerial_db),
-    )
+    # per non-empty entity class: shadow factor, LoS and NLoS sigma
+    classes = [
+        (kind, idx, shadow_factor(positions[idx], d_corr), sigma_los, sigma_nlos)
+        for kind, idx, d_corr, sigma_los, sigma_nlos in (
+            ("ground", ground_idx, params.shadow_corr_dist_ground_m,
+             params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
+            ("aerial", aerial_idx, params.shadow_corr_dist_aerial_m,
+             aerial_los_shadow_sigma_db(heights[aerial_idx]), params.shadow_sigma_nlos_aerial_db),
+        )
+        if idx.size
+    ]
 
     for sector in sectors:
         j = sector.id
@@ -300,13 +316,11 @@ def build_channels(
         g[:, j] = element_gain(az, zen)
 
         # LoS state, sampled once per link and held for the snapshot; then one
-        # correlated shadow field per class, ground first, scaled per link by
-        # the state-dependent sigma
+        # correlated shadow draw per class through its shared factor, ground
+        # first, scaled per link by the state-dependent sigma
         draws = scenario.streams.derive("los", stream_tag, snapshot, j).uniform(size=n)
         rng_shadow = scenario.streams.derive("shadow", stream_tag, snapshot, j)
-        for kind, idx, d_corr, sigma_los, sigma_nlos in classes:
-            if idx.size == 0:
-                continue
+        for kind, idx, factor, sigma_los, sigma_nlos in classes:
             p = los_probability(d2d[idx], heights[idx], kind)
             p_los[idx, j] = p
             is_los[idx, j] = draws[idx] < p
@@ -315,7 +329,7 @@ def build_channels(
                 h_bs_m=sector.panel.panel_height_m,
             )
             sigma = np.where(is_los[idx, j], sigma_los, sigma_nlos)
-            tau[idx, j] = shadow_field(positions[idx], d_corr, sigma, rng_shadow)
+            tau[idx, j] = shadow_field(factor, sigma, rng_shadow)
 
         # small-scale: Rician around the plane-wave component
         k_lin = np.where(

@@ -63,6 +63,16 @@ class RadioConfig:
                 "ssb_noise_power_dbm",
                 self.noise_psd_dbm_per_hz + 10.0 * math.log10(ssb_bw_hz) + self.ue_noise_figure_db,
             )
+        for name in (
+            "noise_psd_dbm_per_hz", "ue_noise_figure_db", "ssb_noise_power_dbm",
+            "max_ssb_power_dbm", "sector_tx_power_dbm",
+        ):
+            try:
+                linear = 10.0 ** (float(getattr(self, name)) / 10.0)
+            except OverflowError:
+                linear = math.inf
+            if not 0.0 < linear < math.inf:
+                raise ConfigError(f"radio.{name} must give a positive, finite linear value")
 
     @property
     def wavelength_m(self) -> float:

@@ -69,30 +69,24 @@ def data_phase(
 
     p_dl = np.empty(n)
     n_sharers = np.empty(n, dtype=int)
-    for b, idx in members.items():
-        p_dl[idx] = sector_power_mw / idx.size
-        cw, counts = np.unique(precoder[idx], return_counts=True)
-        lookup = dict(zip(cw.tolist(), counts.tolist()))
-        n_sharers[idx] = [lookup[c] for c in precoder[idx]]
-
     signal = np.empty(n)
     intra = np.zeros(n)
     inter = np.zeros(n)
     for b, idx in members.items():
-        used = np.unique(precoder[idx])
-        w_used = dl_codebook.weights[used]  # (U, M)
+        # in-use codewords, each UE's position among them, and their sharers
+        used, own, counts = np.unique(precoder[idx], return_inverse=True, return_counts=True)
+        p_dl[idx] = sector_power_mw / idx.size
+        n_sharers[idx] = counts[own]
         # projections of every entity onto this cell's in-use codewords
-        proj_all = np.abs(channels.h[:, b, :] @ w_used.T) ** 2  # (N, U)
-        counts = np.array([np.sum(precoder[idx] == c) for c in used], dtype=float)
-        own_pos = {c: k for k, c in enumerate(used.tolist())}
+        proj_all = np.abs(channels.h[:, b, :] @ dl_codebook.weights[used].T) ** 2  # (N, U)
 
-        own_proj = proj_all[idx, [own_pos[c] for c in precoder[idx]]]
+        own_proj = proj_all[idx, own]
         signal[idx] = channels.beta[idx, b] * own_proj * p_dl[idx]
 
         # intra-cell: co-cell UEs on *other* codewords
         weighted = proj_all[idx] * counts[None, :] * p_dl[idx][:, None]
         total = weighted.sum(axis=1)
-        own_term = own_proj * counts[[own_pos[c] for c in precoder[idx]]] * p_dl[idx]
+        own_term = own_proj * counts[own] * p_dl[idx]
         intra[idx] = channels.beta[idx, b] * (total - own_term)
 
         # inter-cell: each in-use codeword weighted by 1/N_w at this cell's

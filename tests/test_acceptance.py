@@ -14,7 +14,13 @@ import pytest
 
 from oracles import brute_force_fitness, ssb_rsrp
 from skybeam.association import BeamPlan, rsrp_table, select_serving_all
-from skybeam.channel import link_geometry, los_components, rician_channel, shadow_field
+from skybeam.channel import (
+    link_geometry,
+    los_components,
+    rician_channel,
+    shadow_factor,
+    shadow_field,
+)
 from skybeam.cli import main as cli_main
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import RadioConfig, default_config, validate_config
@@ -334,7 +340,9 @@ class TestCriterion7ChannelProperties:
     def test_shadow_autocorrelation(self):
         d_corr = 50.0
         pos = np.array([[0.0, 0.0], [d_corr, 0.0]])
-        gains = shadow_field(pos, d_corr, 8.0, np.random.default_rng(71), n_draws=10_000)
+        gains = shadow_field(
+            shadow_factor(pos, d_corr), 8.0, np.random.default_rng(71), n_draws=10_000
+        )
         log_vals = 10 * np.log10(gains)
         corr = np.corrcoef(log_vals[:, 0], log_vals[:, 1])[0, 1]
         ok = abs(corr - math.exp(-1)) <= 0.1

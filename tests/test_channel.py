@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from skybeam import channel
 from skybeam.channel import (
     ChannelSet,
     OutOfValidityRange,
@@ -15,6 +16,7 @@ from skybeam.channel import (
     los_probability,
     path_loss,
     rician_channel,
+    shadow_factor,
     shadow_field,
     stack_highway_channels,
 )
@@ -120,26 +122,34 @@ class TestLosProbability:
 class TestShadowField:
     def test_zero_sigma_all_ones(self):
         pos = np.array([[0.0, 0.0], [10.0, 0.0], [35.0, 2.0]])
-        gains = shadow_field(pos, 50.0, 0.0, np.random.default_rng(0))
+        gains = shadow_field(shadow_factor(pos, 50.0), 0.0, np.random.default_rng(0))
         assert np.allclose(gains, 1.0)
 
     def test_coincident_points_identical(self):
         # identical up to the diagonal regularization of the field covariance
         pos = np.array([[5.0, 5.0], [5.0, 5.0]])
-        gains = shadow_field(pos, 50.0, 6.0, np.random.default_rng(1))
+        gains = shadow_field(shadow_factor(pos, 50.0), 6.0, np.random.default_rng(1))
         assert gains[0] == pytest.approx(gains[1], rel=1e-4)
 
     def test_lag_correlation_matches_exponential(self):
         # Monte-Carlo oracle: correlation at one decorrelation distance ~ 1/e
         d_corr = 50.0
         pos = np.array([[0.0, 0.0], [d_corr, 0.0]])
-        gains = shadow_field(pos, d_corr, 6.0, np.random.default_rng(2), n_draws=10_000)
+        gains = shadow_field(
+            shadow_factor(pos, d_corr), 6.0, np.random.default_rng(2), n_draws=10_000
+        )
         log_vals = 10.0 * np.log10(gains)
         corr = np.corrcoef(log_vals[:, 0], log_vals[:, 1])[0, 1]
         assert corr == pytest.approx(math.exp(-1.0), abs=0.1)
 
     def test_aerial_sigma_curve(self):
         assert aerial_los_shadow_sigma_db(100.0) == pytest.approx(4.64 * math.exp(-0.66))
+
+
+    def test_empty_factor(self):
+        factor = shadow_factor(np.zeros((0, 2)), 50.0)
+        assert factor.shape == (0, 0)
+        assert shadow_field(factor, 6.0, np.random.default_rng(3)).shape == (0,)
 
 
 class TestElementGain:
@@ -332,6 +342,40 @@ class TestChannelSet:
         a = build_channels(small_scenario, users, snapshot=0)
         b = build_channels(small_scenario, users, snapshot=1)
         assert not np.array_equal(a.h, b.h)
+
+    def test_shadow_factor_built_once_per_class(self, small_scenario, monkeypatch):
+        users = small_scenario.ground_users(0)[:10] + small_scenario.uavs()[:3]
+        calls = []
+
+        def counting_factor(positions_xy, decorrelation_distance_m):
+            calls.append(decorrelation_distance_m)
+            return shadow_factor(positions_xy, decorrelation_distance_m)
+
+        monkeypatch.setattr(channel, "shadow_factor", counting_factor)
+        cs = build_channels(small_scenario, users, snapshot=2)
+        params = small_scenario.channel_params
+        assert calls == [params.shadow_corr_dist_ground_m, params.shadow_corr_dist_aerial_m]
+        build_channels(small_scenario, users[10:], snapshot=2)  # no ground class, no ground factor
+        assert calls[2:] == [params.shadow_corr_dist_aerial_m]
+
+        # reference: the factor rebuilt for every sector, drawn from the same
+        # per-sector stream, ground first
+        positions = np.array([u.position_3d_m for u in users])
+        ground = np.arange(10)
+        aerial = np.arange(10, 13)
+        classes = (
+            (ground, params.shadow_corr_dist_ground_m,
+             params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
+            (aerial, params.shadow_corr_dist_aerial_m,
+             aerial_los_shadow_sigma_db(positions[aerial, 2]), params.shadow_sigma_nlos_aerial_db),
+        )
+        tau = np.ones_like(cs.tau)
+        for j in range(cs.n_sectors):
+            rng_shadow = small_scenario.streams.derive("shadow", "ue", 2, j)
+            for idx, d_corr, sigma_los, sigma_nlos in classes:
+                sigma = np.where(cs.is_los[idx, j], sigma_los, sigma_nlos)
+                tau[idx, j] = shadow_field(shadow_factor(positions[idx], d_corr), sigma, rng_shadow)
+        assert np.array_equal(cs.tau, tau)
 
     def test_aerial_links_at_100m_all_los(self, small_scenario):
         uavs = small_scenario.uavs()

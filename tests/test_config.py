@@ -67,7 +67,10 @@ def test_unknown_block_rejected():
      ("highway", "polyline", float("nan")), ("highway", "polyline", [[0.0, 0.0, 100.0]]),
      ("highway", "polyline", [[0.0, 0.0, 100.0], [1.0, float("nan"), 100.0]]),
      ("highway", "polyline", [[0.0, 0.0, 100.0], [0.0, 0.0, 100.0]]),
-     ("highway", "polyline", [[-1e200, 0.0, 100.0], [1e200, 0.0, 100.0]])],
+     ("highway", "polyline", [[-1e200, 0.0, 100.0], [1e200, 0.0, 100.0]]),
+     ("radio", "sector_tx_power_dbm", 1e6), ("radio", "max_ssb_power_dbm", 1e6),
+     ("radio", "ue_noise_figure_db", 1e6), ("radio", "noise_psd_dbm_per_hz", 1e6),
+     ("radio", "sector_tx_power_dbm", -1e6), ("radio", "max_ssb_power_dbm", -1e6)],
 )
 def test_out_of_range_value_rejected(block, key, value):
     raw = default_config()

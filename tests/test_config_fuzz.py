@@ -3,9 +3,10 @@
 Each draw gives one key of one block an awkward value: NaN, an infinity, a
 negative number, zero, a large number, a string, a bool, null or a list.
 Validation and scenario assembly must then either succeed with plain finite
-numbers or raise ConfigError naming the block or the variable; no other
-exception may escape. Keys that size a grid draw only small integers as their
-large value, so that no draw builds a large layout.
+numbers, and radio powers whose linear values are positive and finite, or
+raise ConfigError naming the block or the variable; no other exception may
+escape. Keys that size a grid draw only small integers as their large value,
+so that no draw builds a large layout.
 """
 
 import json
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skybeam.cli import ENV_PREFIX, _apply_env_overrides
-from skybeam.config import ConfigError, default_config, validate_config
+from skybeam.config import ConfigError, default_config, radio_from_config, validate_config
 from skybeam.scenario import scenario_from_config
 
 KEYS = [(block, key) for block, entries in default_config().items() for key in entries]
@@ -83,6 +84,14 @@ def assert_plain_values(cfg: dict) -> None:
             check(value, f"{block}.{key}")
 
 
+def assert_finite_radio_powers(cfg: dict) -> None:
+    """Every accepted radio power converts to a positive, finite linear value."""
+    radio = radio_from_config(cfg)
+    linear = [radio.ssb_noise_mw, radio.noise_psd_mw_per_hz]
+    linear += [10.0 ** (p / 10.0) for p in (radio.max_ssb_power_dbm, radio.sector_tx_power_dbm)]
+    assert all(0.0 < x < math.inf for x in linear), linear
+
+
 @settings(max_examples=300, deadline=None)
 @given(key_and_value())
 def test_config_value_is_accepted_or_rejected_by_name(draw):
@@ -96,6 +105,7 @@ def test_config_value_is_accepted_or_rejected_by_name(draw):
         assert block in str(exc)
         return
     assert_plain_values(cfg)
+    assert_finite_radio_powers(cfg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,3 +121,4 @@ def test_env_override_is_accepted_or_rejected_by_name(draw):
             assert block in str(exc) or name in str(exc)
             return
     assert_plain_values(cfg)
+    assert_finite_radio_powers(cfg)
