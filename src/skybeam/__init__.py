@@ -16,7 +16,6 @@ from .scenario import (
     Scenario,
     Sector,
     UpaGeometry,
-    User,
     scenario_from_config,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "Scenario",
     "Sector",
     "UpaGeometry",
-    "User",
     "default_config",
     "load_config",
     "scenario_from_config",

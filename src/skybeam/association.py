@@ -43,17 +43,6 @@ class BeamPlan:
     def copy(self) -> "BeamPlan":
         return BeamPlan(self.x.copy(), self.power_dbm.copy(), self.codeword.copy(), self.sweep.copy())
 
-    def validate(self, n_codewords: int, max_power_dbm: float | None = None) -> None:
-        if not np.all((self.x == 0) | (self.x == 1)):
-            raise ValueError("x must be binary")
-        if np.any(np.sum(self.x, axis=1) > N_SSB_SLOTS):
-            raise ValueError(f"at most {N_SSB_SLOTS} active beams per sector")
-        active = self.x == 1
-        if np.any(self.codeword[active] < 0) or np.any(self.codeword[active] >= n_codewords):
-            raise ValueError("active beams must reference a valid codeword")
-        if max_power_dbm is not None and np.any(self.power_dbm[active] > max_power_dbm + 1e-9):
-            raise ValueError("active beam power above the allowed maximum")
-
 
 def rsrp_table(channels: ChannelSet, plan: BeamPlan, codebook: Codebook) -> np.ndarray:
     """Per-beam RSRP in mW for every entity: shape (N, B, S).

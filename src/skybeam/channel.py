@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .config import ChannelParams, RadioConfig
-from .scenario import AerialHighway, Scenario, Sector, User
+from .scenario import AerialHighway, Scenario, Sector
 
 
 class OutOfValidityRange(UserWarning):
@@ -267,14 +266,16 @@ class ChannelSet:
 
 def build_channels(
     scenario: Scenario,
-    entities: Sequence[User],
+    entities: np.recarray,
     snapshot: int | str = 0,
     stream_tag: str = "ue",
 ) -> ChannelSet:
     """Generate the full ChannelSet for `entities` against every sector.
 
-    Seed keys combine (stream_tag, snapshot, sector id), which makes the
-    result independent of sector evaluation order. Each entity class's
+    `entities` is a record array from `scenario.entity_block`, or several
+    concatenated: row i is entity i, with its `kind` ("ground" or "aerial")
+    and `position_3d_m`. Seed keys combine (stream_tag, snapshot, sector
+    id), which makes the result independent of sector evaluation order. Each entity class's
     shadow factor is built once per call and shared by all sectors; only
     the draws through it are per sector.
     """
@@ -284,8 +285,8 @@ def build_channels(
     n = len(entities)
     b = len(sectors)
     m = sectors[0].panel.n_elements if b else 0
-    positions = np.array([u.position_3d_m for u in entities], dtype=float).reshape(n, 3)
-    kinds = np.array([u.kind for u in entities], dtype=str)
+    positions = entities.position_3d_m
+    kinds = entities.kind
     heights = positions[:, 2]
 
     ground_idx = np.flatnonzero(kinds == "ground")

@@ -22,14 +22,6 @@ from .scenario import UpaGeometry
 
 
 @dataclass(frozen=True)
-class Codeword:
-    weights: np.ndarray  # complex M-vector, unit norm
-    active_columns: int
-    beam_index_h: int
-    beam_index_v: int
-
-
-@dataclass(frozen=True)
 class Codebook:
     """Stack of codewords plus the panel metadata needed to interpret them."""
 
@@ -57,74 +49,61 @@ class Codebook:
         )
         return float(u), float(w)
 
-    def find(self, active_columns: int, beam_index_h: int, beam_index_v: int) -> int:
-        match = np.flatnonzero(
-            (self.active_columns == active_columns)
-            & (self.beam_index_h == beam_index_h)
-            & (self.beam_index_v == beam_index_v)
-        )
-        if match.size == 0:
-            raise KeyError(f"no codeword ({active_columns}, {beam_index_h}, {beam_index_v})")
-        return int(match[0])
-
 
 def _wrap_cosine(x: float) -> float:
     period = 2.0  # direction cosines live in [-1, 1) for half-wavelength spacing
     return (x + 1.0) % period - 1.0
 
 
-def dft_subbook(active_cols: int, m_h: int, m_v: int, o_h: int, o_v: int) -> list[Codeword]:
+def dft_subbook(
+    active_cols: int, m_h: int, m_v: int, o_h: int, o_v: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """2D-DFT grid over `active_cols` leftmost columns, rightmost columns zeroed.
 
-    Returns O_h*active_cols x O_v*m_v codewords ordered vertical-major, each a
-    Kronecker product of the horizontal and vertical DFT vectors, unit norm.
+    Returns (weights, beam_index_h, beam_index_v) for the K = n_v * n_h
+    codewords, n_h = O_h*active_cols and n_v = O_v*m_v, ordered
+    vertical-major: row k has iv = k // n_h and ih = k % n_h. Row k of the
+    (K, m_h*m_v) weights is the unit-norm Kronecker product of the
+    horizontal and vertical DFT vectors.
     """
     if not 1 <= active_cols <= m_h:
         raise ValueError("active_cols must lie in [1, m_h]")
     n_h = o_h * active_cols
     n_v = o_v * m_v
-    cols = np.arange(active_cols)
-    rows = np.arange(m_v)
-    out = []
-    for iv in range(n_v):
-        a_v = np.exp(2j * np.pi * rows * iv / n_v) / math.sqrt(m_v)
-        for ih in range(n_h):
-            a_h = np.exp(2j * np.pi * cols * ih / n_h) / math.sqrt(active_cols)
-            w = np.zeros(m_h * m_v, dtype=complex)
-            block = np.kron(a_h, a_v)  # element m = col * m_v + row
-            w[: active_cols * m_v] = block
-            out.append(
-                Codeword(weights=w, active_columns=active_cols, beam_index_h=ih, beam_index_v=iv)
-            )
-    return out
+    iv, ih = np.divmod(np.arange(n_v * n_h), n_h)
+    a_v = np.exp(2j * np.pi * np.arange(m_v) * iv[:, None] / n_v) / math.sqrt(m_v)
+    a_h = np.exp(2j * np.pi * np.arange(active_cols) * ih[:, None] / n_h) / math.sqrt(active_cols)
+    weights = np.zeros((n_v * n_h, m_h * m_v), dtype=complex)
+    # element m = col * m_v + row
+    weights[:, : active_cols * m_v] = (a_h[:, :, None] * a_v[:, None, :]).reshape(n_v * n_h, -1)
+    return weights, ih, iv
 
 
-def _stack(codewords: list[Codeword], panel: UpaGeometry, o_h: int, o_v: int) -> Codebook:
+def _stack(panel: UpaGeometry, o_h: int, o_v: int, actives: list[int]) -> Codebook:
+    """Concatenate the sub-books for each active-column count, in order."""
+    books = [dft_subbook(a, panel.m_h, panel.m_v, o_h, o_v) for a in actives]
+    weights, beam_h, beam_v = (np.concatenate(parts) for parts in zip(*books))
     return Codebook(
         panel_m_v=panel.m_v,
         oversampling_h=o_h,
         oversampling_v=o_v,
         spacing_h_wl=panel.element_spacing_h_wavelengths,
         spacing_v_wl=panel.element_spacing_v_wavelengths,
-        weights=np.array([c.weights for c in codewords]),
-        active_columns=np.array([c.active_columns for c in codewords], dtype=int),
-        beam_index_h=np.array([c.beam_index_h for c in codewords], dtype=int),
-        beam_index_v=np.array([c.beam_index_v for c in codewords], dtype=int),
+        weights=weights,
+        active_columns=np.repeat(actives, [w.shape[0] for w, _, _ in books]),
+        beam_index_h=beam_h,
+        beam_index_v=beam_v,
     )
 
 
 def build_ssb_codebook(panel: UpaGeometry, o_h: int = 4, o_v: int = 1) -> Codebook:
     """Concatenate sub-books for active_cols = m_h, m_h - 1, ..., 1."""
-    codewords: list[Codeword] = []
-    for active in range(panel.m_h, 0, -1):
-        codewords.extend(dft_subbook(active, panel.m_h, panel.m_v, o_h, o_v))
-    return _stack(codewords, panel, o_h, o_v)
+    return _stack(panel, o_h, o_v, list(range(panel.m_h, 0, -1)))
 
 
 def build_dl_codebook(panel: UpaGeometry, o_h: int = 4, o_v: int = 4) -> Codebook:
     """Full-panel oversampled DFT grid used for data-phase precoding."""
-    codewords = dft_subbook(panel.m_h, panel.m_h, panel.m_v, o_h, o_v)
-    return _stack(codewords, panel, o_h, o_v)
+    return _stack(panel, o_h, o_v, [panel.m_h])
 
 
 def export_codebook_csv(codebook: Codebook, path) -> None:

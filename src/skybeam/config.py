@@ -201,7 +201,7 @@ _MIN_INT = {
     "layout.panel_columns": 1,
     "layout.panel_rows": 1,
     "highway.points_per_segment": 1,
-    "users.gues_per_cell": 0,
+    "users.gues_per_cell": 1,  # the ground-user guard and the frozen slots need ground users
     **{f"codebook.{name}": 1 for name in _DEFAULTS["codebook"]},
 }
 _POSITIVE = (
@@ -212,6 +212,12 @@ _POSITIVE = (
     "highway.uav_spacing_m",
 )
 _FINITE = ("layout.bs_height_m", "layout.downtilt_deg", "highway.altitude_m", "users.ground_height_m")
+
+# Ground users keep this distance from their site, the path-loss validity
+# floor. They are dropped inside the site's hexagon, whose circumradius is
+# isd / sqrt(3), so an ISD at or below GUE_MIN_DISTANCE_M * sqrt(3) leaves
+# no place to drop one.
+GUE_MIN_DISTANCE_M = 10.0
 
 _REQUIRED_BLOCKS = ("radio", "layout", "highway", "users", "seeds")
 
@@ -290,6 +296,9 @@ def validate_config(raw: dict) -> dict:
     for key in _POSITIVE:
         if _number(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
+    min_isd = GUE_MIN_DISTANCE_M * math.sqrt(3.0)
+    if cfg["layout"]["isd_m"] <= min_isd:
+        raise ConfigError(f"layout.isd_m must exceed {min_isd:.6g} m to leave room for ground users")
     for key in _FINITE:
         _number(cfg, key)
     _check_polyline(cfg["highway"]["polyline"])

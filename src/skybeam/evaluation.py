@@ -23,7 +23,7 @@ from .association import (
 from .channel import ChannelSet, build_channels
 from .codebook import Codebook
 from .config import RadioConfig
-from .scenario import Scenario, User
+from .scenario import Scenario
 
 
 class EmptyGroup(Exception):
@@ -149,11 +149,17 @@ class SnapshotResult:
     data: DataPhaseReport
 
 
-def snapshot_users(scenario: Scenario, snapshot: int, n_snapshots: int, d_iud: float) -> list[User]:
-    """Ground users redrawn per snapshot, then UAVs advanced by d_iud/n_snapshots."""
+def snapshot_users(
+    scenario: Scenario, snapshot: int, n_snapshots: int, d_iud: float
+) -> np.recarray:
+    """Ground users redrawn per snapshot, then UAVs advanced by d_iud/n_snapshots.
+
+    Returns one record array with the ground block's rows first, then the
+    UAV block's (see `scenario.entity_block`).
+    """
     gues = scenario.ground_users(snapshot=snapshot)
     offset = (snapshot * d_iud / n_snapshots) % scenario.highway.total_length_m
-    return gues + scenario.uavs(offset_m=offset, d_iud=d_iud)
+    return np.concatenate([gues, scenario.uavs(offset_m=offset, d_iud=d_iud)]).view(np.recarray)
 
 
 def evaluate_snapshot(
@@ -200,10 +206,6 @@ class SweepResult:
     d_iud_m: np.ndarray
     p5_rate: dict[str, np.ndarray]  # plan name -> per-N average 5%-tile UAV rate
     p5_gue_rate: dict[str, np.ndarray]
-
-    def max_supported(self, plan: str, threshold_bps: float) -> int:
-        ok = self.p5_rate[plan] >= threshold_bps
-        return int(self.n_uavs[ok].max()) if np.any(ok) else 0
 
 
 def traffic_sweep(

@@ -31,7 +31,7 @@ from .association import BeamPlan, baseline_plan, rsrp_table, select_serving_all
 from .channel import ChannelSet, build_channels, stack_highway_channels
 from .codebook import Codebook
 from .config import EgaParams
-from .scenario import Scenario, User
+from .scenario import Scenario, entity_block
 from .segment_metric import SegmentAssignment, assign_segments, metric_noise_mw
 
 
@@ -240,12 +240,6 @@ class FitnessEvaluator:
         scores[ok] = sinr_db(best[ok], interference + self.noise_mw).min(axis=1)
         return scores, violations
 
-    def evaluate(self, genome: np.ndarray) -> float:
-        """Fitness of one genome: min coverage SINR in dB, -inf if any point
-        associates outside its designated cell."""
-        scores, _ = self.evaluate_population(np.asarray(genome, dtype=float)[None, :])
-        return float(scores[0])
-
     def plan_for(self, genome: np.ndarray) -> BeamPlan:
         return apply_individual(genome, self.baseline, self.designated_cells, self.frozen_slots)
 
@@ -272,7 +266,7 @@ def corridor_problem(
     gue_sector, gue_slot = select_serving_all(rsrp_table(gue_channels, base, ssb_codebook))
     frozen = select_frozen_slots(base, assignment.designated_cells, gue_sector, gue_slot)
 
-    points = [User(kind="aerial", position_3d_m=tuple(p)) for p in scenario.highway.points]
+    points = entity_block("aerial", scenario.highway.points)
     point_channels = build_channels(scenario, points, snapshot="static", stream_tag="highway-point")
     required = assignment.required_cell_per_point(
         scenario.highway.segments, scenario.highway.n_points

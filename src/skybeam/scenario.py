@@ -9,12 +9,12 @@ steered broadside of an untilted panel leaves horizontally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .config import ChannelParams, ConfigError, RadioConfig
+from .config import GUE_MIN_DISTANCE_M, ChannelParams, ConfigError, RadioConfig
 from .rng import RngStream
 
 
@@ -53,17 +53,6 @@ class UpaGeometry:
         coords[2] = np.tile(rows, self.m_h)
         return coords
 
-    def with_bearing(self, bearing_deg: float) -> "UpaGeometry":
-        return UpaGeometry(
-            self.m_h,
-            self.m_v,
-            self.element_spacing_h_wavelengths,
-            self.element_spacing_v_wavelengths,
-            self.panel_height_m,
-            bearing_deg,
-            self.downtilt_deg,
-        )
-
 
 @dataclass(frozen=True)
 class Sector:
@@ -77,18 +66,14 @@ class Sector:
         return np.array(self.position_3d_m)
 
 
-@dataclass(frozen=True)
-class User:
-    kind: str  # "ground" | "aerial"
-    position_3d_m: tuple[float, float, float]
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array(self.position_3d_m)
-
-    @property
-    def height_m(self) -> float:
-        return self.position_3d_m[2]
+def entity_block(kind: str, positions: np.ndarray) -> np.recarray:
+    """One record per entity of one class: `kind` ("ground" or "aerial") and
+    `position_3d_m`, taken from the rows of an (n, 3) position array."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    block = np.recarray(positions.shape[0], dtype=[("kind", "U6"), ("position_3d_m", "f8", (3,))])
+    block.kind = kind
+    block.position_3d_m = positions
+    return block
 
 
 @dataclass(frozen=True)
@@ -103,10 +88,6 @@ class AerialHighway:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.segments)
 
     def point_at_arc_length(self, s: float | np.ndarray) -> np.ndarray:
         return _interp_polyline(self.polyline_3d, np.atleast_1d(np.asarray(s, dtype=float)))
@@ -154,7 +135,7 @@ def build_hex_layout(tiers: int, isd_m: float, sector_template: UpaGeometry) -> 
     sectors = []
     for site_id, (x, y) in enumerate(sites):
         for k in range(3):
-            panel = sector_template.with_bearing(120.0 * k)
+            panel = replace(sector_template, bearing_deg=120.0 * k)
             sectors.append(
                 Sector(
                     id=3 * site_id + k,
@@ -178,7 +159,7 @@ def _in_dominance_area(offsets: np.ndarray, bearing_deg: float, isd_m: float) ->
     ang = np.degrees(np.arctan2(offsets[:, 1], offsets[:, 0]))
     rel = (ang - bearing_deg + 180.0) % 360.0 - 180.0
     inside_wedge = np.abs(rel) <= 60.0
-    far_enough = np.linalg.norm(offsets, axis=1) >= 10.0  # path-loss validity floor
+    far_enough = np.linalg.norm(offsets, axis=1) >= GUE_MIN_DISTANCE_M
     return inside_hex & inside_wedge & far_enough
 
 
@@ -189,39 +170,27 @@ def place_ground_users(
     streams: RngStream,
     height_m: float = 1.5,
     snapshot: int = 0,
-) -> list[User]:
+) -> np.recarray:
     """Drop `per_cell` users uniformly inside each sector's dominance area.
 
     The dominance area is the site's hexagonal lattice cell intersected with
     the 120-degree wedge around the sector bearing. Positions are reproducible
-    from (master seed, snapshot, sector id).
+    from (master seed, snapshot, sector id). Returns an `entity_block` of
+    kind "ground" with `per_cell` rows per sector, in sector order.
     """
     if per_cell < 0:
         raise ValueError("per_cell must be >= 0")
-    users: list[User] = []
+    positions = np.full((len(sectors), per_cell, 3), float(height_m))
     radius = isd_m / math.sqrt(3.0)  # hexagon circumradius
-    for sector in sectors:
-        if per_cell == 0:
-            continue
+    for k, sector in enumerate(sectors):
         rng = streams.derive("gue-pos", snapshot, sector.id)
         kept = np.empty((0, 2))
         while kept.shape[0] < per_cell:
             batch = rng.uniform(-radius, radius, size=(max(8 * per_cell, 32), 2))
             ok = batch[_in_dominance_area(batch, sector.panel.bearing_deg, isd_m)]
             kept = np.vstack([kept, ok])
-        kept = kept[:per_cell]
-        for x, y in kept:
-            users.append(
-                User(
-                    kind="ground",
-                    position_3d_m=(
-                        float(sector.position_3d_m[0] + x),
-                        float(sector.position_3d_m[1] + y),
-                        float(height_m),
-                    ),
-                )
-            )
-    return users
+        positions[k, :, :2] = sector.position[:2] + kept[:per_cell]
+    return entity_block("ground", positions)
 
 
 def discretize_highway(polyline: np.ndarray, d_r: float, n_s: int) -> AerialHighway:
@@ -253,18 +222,17 @@ def discretize_highway(polyline: np.ndarray, d_r: float, n_s: int) -> AerialHigh
     )
 
 
-def place_uavs(highway: AerialHighway, d_iud: float, offset_m: float = 0.0) -> list[User]:
-    """Evenly spaced UAVs along the corridor, arc positions (offset + k d_iud) mod L."""
+def place_uavs(highway: AerialHighway, d_iud: float, offset_m: float = 0.0) -> np.recarray:
+    """Evenly spaced UAVs along the corridor, arc positions (offset + k d_iud) mod L.
+
+    Returns an `entity_block` of kind "aerial", one row per UAV.
+    """
     length = highway.total_length_m
     if not 0.0 < d_iud <= length:
         raise ValueError("d_iud must satisfy 0 < d_iud <= highway length")
     count = int(math.floor(length / d_iud + 1e-9))
     arcs = (offset_m + np.arange(count) * d_iud) % length
-    positions = highway.point_at_arc_length(arcs)
-    return [
-        User(kind="aerial", position_3d_m=(float(p[0]), float(p[1]), float(p[2])))
-        for p in positions
-    ]
+    return entity_block("aerial", highway.point_at_arc_length(arcs))
 
 
 def default_highway_polyline(isd_m: float, altitude_m: float, length_m: float = 1250.0) -> np.ndarray:
@@ -301,7 +269,7 @@ class Scenario:
     def n_sectors(self) -> int:
         return len(self.sectors)
 
-    def ground_users(self, snapshot: int = 0) -> list[User]:
+    def ground_users(self, snapshot: int = 0) -> np.recarray:
         return place_ground_users(
             self.sectors,
             self.gues_per_cell,
@@ -311,7 +279,7 @@ class Scenario:
             snapshot=snapshot,
         )
 
-    def uavs(self, offset_m: float = 0.0, d_iud: float | None = None) -> list[User]:
+    def uavs(self, offset_m: float = 0.0, d_iud: float | None = None) -> np.recarray:
         if d_iud is None:
             d_iud = self.uav_spacing_m
         return place_uavs(self.highway, d_iud, offset_m)

@@ -5,17 +5,23 @@ paper's formula directly, independent of the batched code path that
 `skybeam run` executes: `ssb_rsrp` for `association.rsrp_table`, `data_sinr`
 and `achievable_rate` for `evaluation.data_phase`, and `brute_force_fitness`
 for `genetic.FitnessEvaluator`.
+
+The helpers at the end read library objects for tests only: `validate_plan`
+checks a plan's constraints, `find_codeword` looks a beam up by its indices,
+`max_supported` reads a traffic sweep against a rate threshold and
+`evaluate_genome` scores one genome.
 """
 
 import math
 
 import numpy as np
 
-from skybeam.association import BeamPlan
+from skybeam.association import N_SSB_SLOTS, BeamPlan
 from skybeam.channel import ChannelSet
 from skybeam.codebook import Codebook
 from skybeam.config import RadioConfig
-from skybeam.genetic import apply_individual
+from skybeam.evaluation import SweepResult
+from skybeam.genetic import FitnessEvaluator, apply_individual
 
 
 def ssb_rsrp(
@@ -105,3 +111,41 @@ def brute_force_fitness(genome, channels, book, baseline, designated, frozen, re
                     interf += ssb_rsrp(z, s, b, plan, channels, book)
         worst = min(worst, 10 * math.log10(best_val / (interf + noise_mw)))
     return worst
+
+
+def validate_plan(plan: BeamPlan, n_codewords: int, max_power_dbm: float | None = None) -> None:
+    """Raise ValueError unless `plan` meets the beam-plan constraints."""
+    if not np.all((plan.x == 0) | (plan.x == 1)):
+        raise ValueError("x must be binary")
+    if np.any(np.sum(plan.x, axis=1) > N_SSB_SLOTS):
+        raise ValueError(f"at most {N_SSB_SLOTS} active beams per sector")
+    active = plan.x == 1
+    if np.any(plan.codeword[active] < 0) or np.any(plan.codeword[active] >= n_codewords):
+        raise ValueError("active beams must reference a valid codeword")
+    if max_power_dbm is not None and np.any(plan.power_dbm[active] > max_power_dbm + 1e-9):
+        raise ValueError("active beam power above the allowed maximum")
+
+
+def find_codeword(book: Codebook, active_columns: int, beam_index_h: int, beam_index_v: int) -> int:
+    """Row of the first codeword with these active columns and DFT indices."""
+    match = np.flatnonzero(
+        (book.active_columns == active_columns)
+        & (book.beam_index_h == beam_index_h)
+        & (book.beam_index_v == beam_index_v)
+    )
+    if match.size == 0:
+        raise KeyError(f"no codeword ({active_columns}, {beam_index_h}, {beam_index_v})")
+    return int(match[0])
+
+
+def max_supported(result: SweepResult, plan: str, threshold_bps: float) -> int:
+    """Largest UAV count whose 5%-tile UAV rate meets the threshold, 0 if none."""
+    ok = result.p5_rate[plan] >= threshold_bps
+    return int(result.n_uavs[ok].max()) if np.any(ok) else 0
+
+
+def evaluate_genome(evaluator: FitnessEvaluator, genome) -> float:
+    """Fitness of one genome: min coverage SINR in dB, -inf if any point
+    associates outside its designated cell."""
+    scores, _ = evaluator.evaluate_population(np.asarray(genome, dtype=float)[None, :])
+    return float(scores[0])

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_fitness, ssb_rsrp
+from oracles import brute_force_fitness, evaluate_genome, max_supported, ssb_rsrp
 from skybeam.association import BeamPlan, rsrp_table, select_serving_all
 from skybeam.channel import (
     link_geometry,
@@ -129,8 +129,8 @@ def test_criterion_4_traffic_capacity(pipeline):
     idx4 = np.flatnonzero(result.n_uavs == 4)[0]
     assert result.d_iud_m[idx4] == 312.5  # exact axis pairing
     threshold = 5e6
-    n_base = result.max_supported("baseline", threshold)
-    n_opt = result.max_supported("optimized", threshold)
+    n_base = max_supported(result, "baseline", threshold)
+    n_opt = max_supported(result, "optimized", threshold)
     report(
         "criterion 4 (sustainable UAV count >= 2x baseline at 5 Mbps)",
         n_opt >= 2 * max(n_base, 1),
@@ -226,7 +226,7 @@ class TestCriterion5OracleEquivalence:
             ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, 1e-9)
             n = len(designated)
             genome = np.concatenate([gen.integers(0, 10, n), gen.uniform(0.05, 4.0, n)])
-            got = ev.evaluate(genome)
+            got = evaluate_genome(ev, genome)
             oracle = brute_force_fitness(
                 genome, channels, book, baseline, designated, frozen, required, 1e-9
             )
@@ -257,7 +257,7 @@ def toy():
     p_max = scenario.radio.max_ssb_power_dbm
     p_max_mw = 10 ** (p_max / 10)
     exhaustive = max(
-        evaluator.evaluate(np.array([cw, p_max_mw], dtype=float)) for cw in range(10)
+        evaluate_genome(evaluator, np.array([cw, p_max_mw], dtype=float)) for cw in range(10)
     )
     return evaluator, p_max, exhaustive
 
@@ -316,7 +316,7 @@ def test_criterion6_emitted_plan_satisfies_constraints(pipeline):
         plan.power_dbm[cell, frozen[cell]] <= scenario.radio.max_ssb_power_dbm + 1e-9
         for cell in designated
     )
-    association_ok = pipeline["evaluator"].evaluate(pipeline["best_genome"]) > -math.inf
+    association_ok = evaluate_genome(pipeline["evaluator"], pipeline["best_genome"]) > -math.inf
     ok = only_designated and one_slot_each and power_ok and association_ok
     report(
         "criterion 6c (emitted plan satisfies all four planning constraints)",

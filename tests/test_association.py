@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ssb_rsrp
+from oracles import ssb_rsrp, validate_plan
 from skybeam.association import (
     BeamPlan,
     baseline_plan,
@@ -280,7 +280,7 @@ class TestBaselinePlan:
     def test_validate_passes(self, small_scenario):
         book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
         plan = baseline_plan(small_scenario, book)
-        plan.validate(len(book))
+        validate_plan(plan, len(book))
 
 
 def test_dump_association_csv(small_scenario, tmp_path):

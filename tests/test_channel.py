@@ -308,7 +308,7 @@ class TestHighwayStack:
         stack = stack_highway_channels(
             small_scenario.highway, sector, small_scenario.radio, small_scenario.channel_params
         )
-        for z in range(small_scenario.highway.n_segments):
+        for z in range(len(small_scenario.highway.segments)):
             n_seg = stack.segment_matrix(z).shape[0]
             n_comp = stack.complement_matrix(z).shape[0]
             assert n_seg + n_comp == small_scenario.highway.n_points
@@ -326,7 +326,8 @@ class TestHighwayStack:
 
 class TestChannelSet:
     def test_beta_is_exact_product(self, small_scenario):
-        users = small_scenario.ground_users(0)[:10] + small_scenario.uavs()[:3]
+        users = np.concatenate([small_scenario.ground_users(0)[:10], small_scenario.uavs()[:3]])
+        users = users.view(np.recarray)
         cs = build_channels(small_scenario, users, snapshot=0)
         assert np.array_equal(cs.beta, cs.rho * cs.tau * cs.g)
 
@@ -344,7 +345,8 @@ class TestChannelSet:
         assert not np.array_equal(a.h, b.h)
 
     def test_shadow_factor_built_once_per_class(self, small_scenario, monkeypatch):
-        users = small_scenario.ground_users(0)[:10] + small_scenario.uavs()[:3]
+        users = np.concatenate([small_scenario.ground_users(0)[:10], small_scenario.uavs()[:3]])
+        users = users.view(np.recarray)
         calls = []
 
         def counting_factor(positions_xy, decorrelation_distance_m):

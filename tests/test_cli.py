@@ -131,6 +131,21 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--n-max", "2"]])
+    @pytest.mark.parametrize(
+        "block, key, value", [("layout", "isd_m", 17.3), ("users", "gues_per_cell", 0)]
+    )
+    def test_no_ground_users_to_drop_exits_1(
+        self, small_config_path, tmp_path, capsys, command, block, key, value
+    ):
+        cfg = json.loads(small_config_path.read_text())
+        cfg[block][key] = value
+        small_config_path.write_text(json.dumps(cfg))
+        argv = [*command, "--config", str(small_config_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"{block}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--n-max", "2"]])
     def test_zero_snapshots_exits_1(self, small_config_path, tmp_path, capsys, command):
         argv = [*command, "--config", str(small_config_path), "--out", str(tmp_path / "o"),
                 "--snapshots", "0"]

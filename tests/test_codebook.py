@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import find_codeword
 from skybeam.codebook import (
     build_dl_codebook,
     build_ssb_codebook,
@@ -17,29 +18,44 @@ RADIO = RadioConfig()
 
 class TestDftSubbook:
     def test_single_element_single_codeword(self):
-        cws = dft_subbook(1, 1, 1, 1, 1)
-        assert len(cws) == 1
-        assert np.allclose(cws[0].weights, [1.0])
+        weights, _, _ = dft_subbook(1, 1, 1, 1, 1)
+        assert len(weights) == 1
+        assert np.allclose(weights[0], [1.0])
 
     def test_two_columns_orthogonal(self):
-        cws = dft_subbook(2, 2, 1, 1, 1)
-        assert len(cws) == 2
-        inner = cws[0].weights @ np.conj(cws[1].weights)
+        weights, _, _ = dft_subbook(2, 2, 1, 1, 1)
+        assert len(weights) == 2
+        inner = weights[0] @ np.conj(weights[1])
         assert abs(inner) < 1e-12
 
     def test_full_grid_gram_identity(self):
         # 4 columns x 8 rows at no oversampling: 32 mutually orthogonal codewords
-        cws = dft_subbook(4, 4, 8, 1, 1)
-        assert len(cws) == 32
-        w = np.array([c.weights for c in cws])
+        w, _, _ = dft_subbook(4, 4, 8, 1, 1)
+        assert len(w) == 32
         gram = w @ np.conj(w).T
         assert np.allclose(gram, np.eye(32), atol=1e-12)
 
     def test_deactivated_columns_exactly_zero(self):
-        cws = dft_subbook(2, 4, 8, 1, 1)
-        for c in cws:
-            assert np.all(c.weights[2 * 8 :] == 0.0)
-            assert np.linalg.norm(c.weights) == pytest.approx(1.0, abs=1e-12)
+        weights, _, _ = dft_subbook(2, 4, 8, 1, 1)
+        for w in weights:
+            assert np.all(w[2 * 8 :] == 0.0)
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rows_are_their_own_kronecker_beams(self):
+        # each row rebuilt from its own (ih, iv), one np.kron per codeword
+        active, m_h, m_v, o_h, o_v = 3, 4, 2, 2, 3
+        weights, beam_h, beam_v = dft_subbook(active, m_h, m_v, o_h, o_v)
+        n_h, n_v = o_h * active, o_v * m_v
+        # vertical-major: iv varies slowest
+        assert [(int(v), int(h)) for v, h in zip(beam_v, beam_h)] == [
+            (iv, ih) for iv in range(n_v) for ih in range(n_h)
+        ]
+        expected = np.zeros((n_v * n_h, m_h * m_v), dtype=complex)
+        for k, (ih, iv) in enumerate(zip(beam_h.tolist(), beam_v.tolist())):
+            a_h = np.exp(2j * np.pi * np.arange(active) * ih / n_h) / math.sqrt(active)
+            a_v = np.exp(2j * np.pi * np.arange(m_v) * iv / n_v) / math.sqrt(m_v)
+            expected[k, : active * m_v] = np.kron(a_h, a_v)
+        assert np.array_equal(weights, expected)
 
 
 class TestSsbCodebook:
@@ -114,9 +130,9 @@ def test_deactivation_widens_beams():
         gains = np.array(gains)
         return np.mean(gains >= gains.max() / 2)
 
-    full = book.find(4, 0, 0)
+    full = find_codeword(book, 4, 0, 0)
     narrow_width = azimuth_halfpower_width(full)
-    two_col = book.find(2, 0, 0)
+    two_col = find_codeword(book, 2, 0, 0)
     wide_width = azimuth_halfpower_width(two_col)
     assert wide_width > narrow_width
 

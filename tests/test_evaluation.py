@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import achievable_rate, data_sinr
+from oracles import achievable_rate, data_sinr, max_supported
 from skybeam.association import baseline_plan
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import RadioConfig
@@ -264,8 +264,8 @@ class TestTrafficSweep:
             p5_rate={"p": np.array([9e6, 6e6, 4e6, 5.5e6])},
             p5_gue_rate={"p": np.zeros(4)},
         )
-        assert res.max_supported("p", 5e6) == 4
-        assert res.max_supported("p", 10e6) == 0
+        assert max_supported(res, "p", 5e6) == 4
+        assert max_supported(res, "p", 10e6) == 0
 
     def test_spacing_at_four_uavs(self):
         # N = 4 on a 1250 m corridor pairs with d_IUD = 312.5 m

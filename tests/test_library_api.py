@@ -1,10 +1,11 @@
-"""Every public library definition and every class field has a reader.
+"""Every public library definition, every method and every class field has a reader.
 
-Reference implementations that only tests call belong in `tests/`. A name
-counts as used when other code in `src/skybeam` loads it, reads it as an
-attribute or imports it; the re-exports in `__init__.py` count. A class
-field counts as read when `src/skybeam` or `tests/` reads an attribute of
-that name.
+Reference implementations and helpers that only tests call belong in
+`tests/`. A module-level name, method or property counts as used when code
+in `src/skybeam` loads it, reads it as an attribute or imports it; the
+re-exports in `__init__.py` count. Dunder methods are exempt. A class field
+counts as read when `src/skybeam` or `tests/` reads an attribute of that
+name.
 """
 
 import ast
@@ -19,14 +20,10 @@ def _trees(directory: Path):
         yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def test_every_public_definition_is_used_in_the_library():
-    defined: dict[str, str] = {}
+def _library_uses() -> set[str]:
+    """Names that `src/skybeam` loads, reads as an attribute or imports."""
     used: set[str] = set()
-    for path, tree in _trees(SRC):
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defined[node.name] = path.name
+    for _, tree in _trees(SRC):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
@@ -34,8 +31,33 @@ def test_every_public_definition_is_used_in_the_library():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_definition_is_used_in_the_library():
+    defined: dict[str, str] = {}
+    for path, tree in _trees(SRC):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined[node.name] = path.name
+    used = _library_uses()
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert not unused, f"public definitions no library code uses: {unused}"
+
+
+def test_every_method_is_used_in_the_library():
+    methods: dict[str, str] = {}  # "module:Class.method" -> method name
+    for path, tree in _trees(SRC):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        if not (stmt.name.startswith("__") and stmt.name.endswith("__")):
+                            methods[f"{path.name}:{node.name}.{stmt.name}"] = stmt.name
+    used = _library_uses()
+    unused = sorted(key for key, name in methods.items() if name not in used)
+    assert not unused, f"methods and properties no library code uses: {unused}"
 
 
 def test_every_class_field_is_read():

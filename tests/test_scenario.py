@@ -66,13 +66,13 @@ class TestGroundUsers:
 
     def test_zero_per_cell(self):
         sectors = build_hex_layout(1, 500.0, TEMPLATE)
-        assert place_ground_users(sectors, 0, 500.0, RngStream(1)) == []
+        assert len(place_ground_users(sectors, 0, 500.0, RngStream(1))) == 0
 
     def test_same_seed_reproducible(self):
         sectors = build_hex_layout(1, 500.0, TEMPLATE)
         a = place_ground_users(sectors, 4, 500.0, RngStream(7))
         b = place_ground_users(sectors, 4, 500.0, RngStream(7))
-        assert all(u.position_3d_m == v.position_3d_m for u, v in zip(a, b))
+        assert np.array_equal(a.position_3d_m, b.position_3d_m)
 
     def test_positions_inside_dominance_area(self):
         isd = 500.0
@@ -81,7 +81,7 @@ class TestGroundUsers:
         per_sector = len(users) // len(sectors)
         for k, sector in enumerate(sectors):
             for u in users[k * per_sector : (k + 1) * per_sector]:
-                d = u.position[:2] - sector.position[:2]
+                d = u.position_3d_m[:2] - sector.position[:2]
                 # hexagonal lattice cell membership
                 for ang in range(0, 360, 60):
                     n = np.array([math.cos(math.radians(ang)), math.sin(math.radians(ang))])
@@ -89,20 +89,20 @@ class TestGroundUsers:
                 # wedge membership
                 rel = (math.degrees(math.atan2(d[1], d[0])) - sector.panel.bearing_deg + 180) % 360 - 180
                 assert abs(rel) <= 60.0 + 1e-9
-                assert u.height_m == 1.5
+                assert u.position_3d_m[2] == 1.5
 
 
 class TestHighway:
     def test_25m_spacing_gives_51_points_6_segments(self):
         hw = discretize_highway(straight_line(1250.0), 25.0, 10)
         assert hw.n_points == 51
-        assert hw.n_segments == 6
+        assert len(hw.segments) == 6
         assert hw.segments[-1] == (50, 51)  # last segment holds the single tail point
 
     def test_line_of_length_dr(self):
         hw = discretize_highway(straight_line(30.0), 30.0, 2)
         assert hw.n_points == 2
-        assert hw.n_segments == 1
+        assert len(hw.segments) == 1
 
     def test_endpoints_only(self):
         hw = discretize_highway(straight_line(1250.0), 1250.0, 2)
@@ -145,8 +145,8 @@ class TestUavs:
         # modular symmetry requires d_iud to divide the corridor length
         a = place_uavs(highway, 125.0, offset_m=0.0)
         b = place_uavs(highway, 125.0, offset_m=125.0)
-        pa = sorted(tuple(np.round(u.position, 6)) for u in a)
-        pb = sorted(tuple(np.round(u.position, 6)) for u in b)
+        pa = sorted(tuple(np.round(u.position_3d_m, 6)) for u in a)
+        pb = sorted(tuple(np.round(u.position_3d_m, 6)) for u in b)
         assert pa == pb
 
     def test_consecutive_spacing(self, highway):
@@ -175,3 +175,10 @@ def test_default_polyline_crosses_cell_edges():
     # corner row between site rows: equidistant-ish from three surrounding sites
     y = line[0][1]
     assert y == pytest.approx(500.0 * math.sqrt(3) / 6)
+
+
+def test_smallest_accepted_isd_drops_ground_users():
+    # 17.4 m is just above the 10 * sqrt(3) m that config validation rejects
+    sectors = build_hex_layout(0, 17.4, TEMPLATE)
+    users = place_ground_users(sectors, 4, 17.4, RngStream(1))
+    assert len(users) == 12

@@ -218,7 +218,7 @@ class TestAssignSegments:
             for s in small_scenario.sectors
         ]
         out = assign_segments(stacks, NOISE)
-        assert len(out.serving_cell) == small_scenario.highway.n_segments
+        assert len(out.serving_cell) == len(small_scenario.highway.segments)
         assert out.designated_cells == tuple(sorted(set(out.serving_cell)))
         req = out.required_cell_per_point(
             small_scenario.highway.segments, small_scenario.highway.n_points
