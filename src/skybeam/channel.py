@@ -7,8 +7,17 @@ entities above 22.5 m switch to the aerial variants (height-dependent LoS
 probability that saturates at 1, aerial path-loss exponents). Small scale is
 a Rician mix of a plane-wave steering vector and an i.i.d. Rayleigh part.
 
-Everything is generated from seeded streams keyed by (snapshot, sector), so a
-ChannelSet is bit-reproducible regardless of evaluation order.
+Everything is generated from seeded streams keyed by (kind of draw, stream
+tag, snapshot, sector): the LoS uniforms, the shadow draws (ground class
+first, then aerial) and the fading draws. A ChannelSet is therefore
+bit-reproducible regardless of evaluation order. `build_channels` keeps
+those keys and each stream's draw order, so its draws are made in two
+per-sector passes, geometry with the large-scale draws first and the
+small-scale fading second. In between, the deterministic large-scale
+functions (`element_gain`, `los_probability`, `path_loss`, the shadow gain)
+run once per entity class over all of its (entity, sector) links. Keying the
+streams per entity class instead would change the output bits; that is a
+separate, declared change.
 """
 
 from __future__ import annotations
@@ -71,31 +80,34 @@ def _ground_p_los(d2d: np.ndarray, h_ut: np.ndarray) -> np.ndarray:
     return np.where(d2d <= 18.0, 1.0, base * bonus)
 
 
-def path_loss(d2d_m, d3d_m, h_ut_m, kind: str, los, radio: RadioConfig, h_bs_m: float = 25.0):
-    """Linear path gain rho for a link (vectorized over the leading shape).
+def path_loss(d2d_m, d3d_m, h_ut_m, kind: str, los, radio: RadioConfig, h_bs_m=25.0):
+    """Linear path gain rho for a link (vectorized over the shape of `d2d_m`).
 
-    Ground links use the dual-slope urban-macro LoS curve and its NLoS
-    counterpart (lower-bounded by the LoS loss). Aerial links above 22.5 m
-    use the aerial exponents. Geometry outside the model's validity region is
-    flagged with an OutOfValidityRange warning, not rejected.
+    `d3d_m` has that shape; the UE heights, the LoS states and the
+    base-station heights `h_bs_m` broadcast to it. Ground links use the
+    dual-slope urban-macro LoS curve and its NLoS counterpart (lower-bounded
+    by the LoS loss). Aerial links above 22.5 m use the aerial exponents.
+    Geometry outside the model's validity region is flagged, not rejected:
+    one OutOfValidityRange warning per call, however many links are outside.
     """
     d2d = np.asarray(d2d_m, dtype=float)
     d3d = np.asarray(d3d_m, dtype=float)
     los_arr = np.broadcast_to(np.asarray(los, dtype=bool), d2d.shape)
     h = np.broadcast_to(np.asarray(h_ut_m, dtype=float), d2d.shape)
+    h_bs = np.broadcast_to(np.asarray(h_bs_m, dtype=float), d2d.shape)
     if np.any(d3d <= 0.0):
         raise ValueError("3D distance must be positive")
     f_ghz = radio.carrier_freq_hz / 1e9
 
     if kind == "ground":
-        pl_db = _ground_pl_db(d2d, d3d, h, los_arr, f_ghz, h_bs_m)
+        pl_db = _ground_pl_db(d2d, d3d, h, los_arr, f_ghz, h_bs)
         if np.any((d2d < 10.0) | (d2d > 5000.0)):
             warnings.warn("2D distance outside [10, 5000] m", OutOfValidityRange, stacklevel=2)
     elif kind == "aerial":
         pl_db = np.empty_like(d2d)
         low = h <= AERIAL_MIN_HEIGHT_M
         if np.any(low):
-            pl_db[low] = _ground_pl_db(d2d[low], d3d[low], h[low], los_arr[low], f_ghz, h_bs_m)
+            pl_db[low] = _ground_pl_db(d2d[low], d3d[low], h[low], los_arr[low], f_ghz, h_bs[low])
         hi = ~low
         if np.any(hi):
             pl_db[hi] = _aerial_pl_db(d3d[hi], h[hi], los_arr[hi], f_ghz)
@@ -178,17 +190,25 @@ def shadow_factor(positions_xy, decorrelation_distance_m: float) -> np.ndarray:
     return np.linalg.cholesky(cov)
 
 
-def shadow_field(factor: np.ndarray, sigma_db, rng, n_draws: int = 1):
-    """Step 2 of shadowing: log-normal shadow gains drawn through `factor`.
+def shadow_field(factor: np.ndarray, rng, n_draws: int = 1) -> np.ndarray:
+    """Step 2 of shadowing: a correlated unit-variance field drawn through `factor`.
 
-    `factor` comes from `shadow_factor`; the log-domain marginal is
-    N(0, sigma_db^2), and `sigma_db` may vary per position. Returns linear
-    gains with shape (n_draws, n_positions), squeezed when n_draws == 1.
+    `factor` comes from `shadow_factor`; each draw is one N(0, 1) value per
+    position, correlated as the factor says. `shadow_gain` scales it to dB.
+    Returns shape (n_draws, n_positions), squeezed when n_draws == 1.
     """
     n = factor.shape[0]
     unit = (factor @ rng.standard_normal((n, n_draws))).T
-    gains = 10.0 ** (np.asarray(sigma_db, dtype=float) * unit / 10.0)
-    return gains[0] if n_draws == 1 else gains
+    return unit[0] if n_draws == 1 else unit
+
+
+def shadow_gain(sigma_db, field) -> np.ndarray:
+    """Step 3 of shadowing: linear gains 10 ** (sigma_db * field / 10).
+
+    `field` comes from `shadow_field`, so the log-domain marginal is
+    N(0, sigma_db^2); `sigma_db` may vary per link.
+    """
+    return 10.0 ** (np.asarray(sigma_db, dtype=float) * field / 10.0)
 
 
 # --------------------------------------------------------------------------
@@ -275,12 +295,25 @@ def build_channels(
     `entities` is a record array from `scenario.entity_block`, or several
     concatenated: row i is entity i, with its `kind` ("ground" or "aerial")
     and `position_3d_m`. Seed keys combine (stream_tag, snapshot, sector
-    id), which makes the result independent of sector evaluation order. Each entity class's
-    shadow factor is built once per call and shared by all sectors; only
-    the draws through it are per sector.
+    id), which makes the result independent of sector evaluation order.
+
+    Three steps. Pass 1 walks the sectors for the link geometry and the two
+    large-scale draws: the LoS uniforms and, ground class first, one
+    correlated unit shadow draw per class through that class's factor (built
+    once per call). The vectorised step then evaluates `element_gain`, and
+    `los_probability`, `path_loss` and the shadow gain once per entity class
+    over all of its (entity, sector) links. Pass 2 walks the sectors again
+    for the small-scale fading, which keeps the (N, M) working set of one
+    sector rather than (N, B, M) arrays. The draws stay per sector because
+    the keyed streams and their draw order are what fixes the output bits.
+
+    `path_loss` runs once per class, so a build whose links leave the model's
+    validity region raises at most one `OutOfValidityRange` warning per
+    entity class.
     """
     radio = scenario.radio
     params = scenario.channel_params
+    streams = scenario.streams
     sectors = scenario.sectors
     n = len(entities)
     b = len(sectors)
@@ -291,13 +324,6 @@ def build_channels(
 
     ground_idx = np.flatnonzero(kinds == "ground")
     aerial_idx = np.flatnonzero(kinds == "aerial")
-
-    rho = np.zeros((n, b))
-    tau = np.ones((n, b))
-    g = np.zeros((n, b))
-    p_los = np.zeros((n, b))
-    is_los = np.zeros((n, b), dtype=bool)
-    h = np.zeros((n, b, m), dtype=complex)
     # per non-empty entity class: shadow factor, LoS and NLoS sigma
     classes = [
         (kind, idx, shadow_factor(positions[idx], d_corr), sigma_los, sigma_nlos)
@@ -305,40 +331,52 @@ def build_channels(
             ("ground", ground_idx, params.shadow_corr_dist_ground_m,
              params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
             ("aerial", aerial_idx, params.shadow_corr_dist_aerial_m,
-             aerial_los_shadow_sigma_db(heights[aerial_idx]), params.shadow_sigma_nlos_aerial_db),
+             aerial_los_shadow_sigma_db(heights[aerial_idx])[:, None],
+             params.shadow_sigma_nlos_aerial_db),
         )
         if idx.size
     ]
 
+    # pass 1: geometry, the LoS uniforms and the unit shadow draws, per sector
+    d2d, d3d, az, zen, los_draws, shadow_unit = (np.empty((n, b)) for _ in range(6))
+    h_bs = np.empty(b)
+    waves = []
     for sector in sectors:
         j = sector.id
+        h_bs[j] = sector.panel.panel_height_m
+        d2d[:, j], d3d[:, j], az[:, j], zen[:, j], unit = link_geometry(sector, positions)
+        waves.append(unit)
+        los_draws[:, j] = streams.derive("los", stream_tag, snapshot, j).uniform(size=n)
+        rng_shadow = streams.derive("shadow", stream_tag, snapshot, j)
+        for _, idx, factor, _, _ in classes:
+            shadow_unit[idx, j] = shadow_field(factor, rng_shadow)
+
+    # vectorised: LoS state (held for the snapshot), path gain and shadow gain
+    # over all links of each class, element gain over all links
+    rho = np.zeros((n, b))
+    tau = np.ones((n, b))
+    p_los = np.zeros((n, b))
+    is_los = np.zeros((n, b), dtype=bool)
+    for kind, idx, _, sigma_los, sigma_nlos in classes:
+        d2d_c = d2d[idx]
+        h_ut = heights[idx, None]
+        p = los_probability(d2d_c, h_ut, kind)
+        los = los_draws[idx] < p
+        p_los[idx] = p
+        is_los[idx] = los
+        rho[idx] = path_loss(d2d_c, d3d[idx], h_ut, kind, los, radio, h_bs_m=h_bs)
+        tau[idx] = shadow_gain(np.where(los, sigma_los, sigma_nlos), shadow_unit[idx])
+    g = element_gain(az, zen)
+
+    # pass 2: Rician small-scale fading around the plane-wave component
+    k_los, k_nlos = params.rician_k_linear(True), params.rician_k_linear(False)
+    h = np.zeros((n, b, m), dtype=complex)
+    for sector, unit in zip(sectors, waves):
+        j = sector.id
         coords = sector.panel.element_coords(radio.wavelength_m)
-        d2d, d3d, az, zen, unit = link_geometry(sector, positions)
-        g[:, j] = element_gain(az, zen)
-
-        # LoS state, sampled once per link and held for the snapshot; then one
-        # correlated shadow draw per class through its shared factor, ground
-        # first, scaled per link by the state-dependent sigma
-        draws = scenario.streams.derive("los", stream_tag, snapshot, j).uniform(size=n)
-        rng_shadow = scenario.streams.derive("shadow", stream_tag, snapshot, j)
-        for kind, idx, factor, sigma_los, sigma_nlos in classes:
-            p = los_probability(d2d[idx], heights[idx], kind)
-            p_los[idx, j] = p
-            is_los[idx, j] = draws[idx] < p
-            rho[idx, j] = path_loss(
-                d2d[idx], d3d[idx], heights[idx], kind, is_los[idx, j], radio,
-                h_bs_m=sector.panel.panel_height_m,
-            )
-            sigma = np.where(is_los[idx, j], sigma_los, sigma_nlos)
-            tau[idx, j] = shadow_field(factor, sigma, rng_shadow)
-
-        # small-scale: Rician around the plane-wave component
-        k_lin = np.where(
-            is_los[:, j], params.rician_k_linear(True), params.rician_k_linear(False)
-        )
-        h_los = los_components(unit, d3d, coords, radio.wavelength_m)
-        rng_fade = scenario.streams.derive("fading", stream_tag, snapshot, j)
-        h[:, j, :] = rician_channel(h_los, k_lin, rng_fade)
+        h_los = los_components(unit, d3d[:, j], coords, radio.wavelength_m)
+        rng_fade = streams.derive("fading", stream_tag, snapshot, j)
+        h[:, j, :] = rician_channel(h_los, np.where(is_los[:, j], k_los, k_nlos), rng_fade)
 
     beta = rho * tau * g
     return ChannelSet(

@@ -214,12 +214,40 @@ _POSITIVE = (
 _FINITE = ("layout.bs_height_m", "layout.downtilt_deg", "highway.altitude_m", "users.ground_height_m")
 
 # Ground users keep this distance from their site, the path-loss validity
-# floor. They are dropped inside the site's hexagon, whose circumradius is
-# isd / sqrt(3), so an ISD at or below GUE_MIN_DISTANCE_M * sqrt(3) leaves
-# no place to drop one.
+# floor.
 GUE_MIN_DISTANCE_M = 10.0
+# The least share of the ground-user sampling square that an ISD must leave
+# for the drop (see `gue_drop_share`), so that a drop costs about a thousand
+# candidates per user at worst. The share is 1e-3 at an ISD of about 17.92 m.
+# At 17.4 m it is 1.8e-5, and a one-site drop of four users per cell took
+# 0.7 s on a 2-vCPU VM; at 17.33 m (2.6e-7) it did not end within 30 s.
+GUE_MIN_DROP_SHARE = 1e-3
 
 _REQUIRED_BLOCKS = ("radio", "layout", "highway", "users", "seeds")
+
+
+def gue_drop_share(isd_m: float) -> float:
+    """Share of the ground-user sampling square that a drop can keep.
+
+    `scenario.place_ground_users` draws candidates uniformly from the square
+    of half-side R = isd / sqrt(3) (the hexagon's circumradius) around the
+    site, and keeps those in the sector's third of the hexagon at least
+    GUE_MIN_DISTANCE_M = r from the site. The kept area is a third of the
+    hexagon less the disc; where the disc crosses the hexagon's edges (its
+    inradius isd / 2 is below r), the six circular segments beyond the edges
+    are outside the hexagon already. The share is 0 once r reaches R.
+    """
+    r = GUE_MIN_DISTANCE_M
+    inradius = isd_m / 2.0
+    circumradius = isd_m / math.sqrt(3.0)
+    if r >= circumradius:
+        return 0.0
+    hexagon = 2.0 * math.sqrt(3.0) * inradius**2
+    disc_inside = math.pi * r * r
+    if r > inradius:
+        segment = r * r * math.acos(inradius / r) - inradius * math.sqrt(r * r - inradius**2)
+        disc_inside -= 6.0 * segment
+    return (hexagon - disc_inside) / 3.0 / (2.0 * circumradius) ** 2
 
 
 def default_config() -> dict:
@@ -296,9 +324,12 @@ def validate_config(raw: dict) -> dict:
     for key in _POSITIVE:
         if _number(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive")
-    min_isd = GUE_MIN_DISTANCE_M * math.sqrt(3.0)
-    if cfg["layout"]["isd_m"] <= min_isd:
-        raise ConfigError(f"layout.isd_m must exceed {min_isd:.6g} m to leave room for ground users")
+    share = gue_drop_share(cfg["layout"]["isd_m"])
+    if share <= GUE_MIN_DROP_SHARE:
+        raise ConfigError(
+            f"layout.isd_m leaves ground users {share:.2g} of their sampling square; "
+            f"it must leave more than {GUE_MIN_DROP_SHARE:g} (an ISD above about 17.92 m)"
+        )
     for key in _FINITE:
         _number(cfg, key)
     _check_polyline(cfg["highway"]["polyline"])

@@ -4,7 +4,9 @@ Each oracle loops over single entities, beams or UEs and evaluates the
 paper's formula directly, independent of the batched code path that
 `skybeam run` executes: `ssb_rsrp` for `association.rsrp_table`, `data_sinr`
 and `achievable_rate` for `evaluation.data_phase`, and `brute_force_fitness`
-for `genetic.FitnessEvaluator`.
+for `genetic.FitnessEvaluator`; `per_sector_channels` builds a ChannelSet
+one sector at a time, every large-scale call per (sector, entity class), as
+the reference for `channel.build_channels`.
 
 The helpers at the end read library objects for tests only: `validate_plan`
 checks a plan's constraints, `find_codeword` looks a beam up by its indices,
@@ -17,7 +19,19 @@ import math
 import numpy as np
 
 from skybeam.association import N_SSB_SLOTS, BeamPlan
-from skybeam.channel import ChannelSet
+from skybeam.channel import (
+    ChannelSet,
+    aerial_los_shadow_sigma_db,
+    element_gain,
+    link_geometry,
+    los_components,
+    los_probability,
+    path_loss,
+    rician_channel,
+    shadow_factor,
+    shadow_field,
+    shadow_gain,
+)
 from skybeam.codebook import Codebook
 from skybeam.config import RadioConfig
 from skybeam.evaluation import SweepResult
@@ -85,6 +99,66 @@ def data_sinr(
     n_w = int(np.sum((serving_sector == b_hat) & (precoder == precoder[entity])))
     noise = radio.n_prb_total * radio.prb_bandwidth_hz / n_w * radio.noise_psd_mw_per_hz
     return 10.0 * math.log10(signal / (intra + inter + noise))
+
+
+def per_sector_channels(scenario, entities, snapshot=0, stream_tag="ue") -> ChannelSet:
+    """Reference ChannelSet: one sector at a time, with the large-scale calls
+    per (sector, entity class) on 1-D link arrays and a scalar base-station
+    height, from the same keyed streams in the same draw order."""
+    radio = scenario.radio
+    params = scenario.channel_params
+    sectors = scenario.sectors
+    n = len(entities)
+    b = len(sectors)
+    m = sectors[0].panel.n_elements if b else 0
+    positions = entities.position_3d_m
+    kinds = entities.kind
+    heights = positions[:, 2]
+    ground_idx = np.flatnonzero(kinds == "ground")
+    aerial_idx = np.flatnonzero(kinds == "aerial")
+
+    rho = np.zeros((n, b))
+    tau = np.ones((n, b))
+    g = np.zeros((n, b))
+    p_los = np.zeros((n, b))
+    is_los = np.zeros((n, b), dtype=bool)
+    h = np.zeros((n, b, m), dtype=complex)
+    classes = [
+        (kind, idx, shadow_factor(positions[idx], d_corr), sigma_los, sigma_nlos)
+        for kind, idx, d_corr, sigma_los, sigma_nlos in (
+            ("ground", ground_idx, params.shadow_corr_dist_ground_m,
+             params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
+            ("aerial", aerial_idx, params.shadow_corr_dist_aerial_m,
+             aerial_los_shadow_sigma_db(heights[aerial_idx]), params.shadow_sigma_nlos_aerial_db),
+        )
+        if idx.size
+    ]
+    for sector in sectors:
+        j = sector.id
+        coords = sector.panel.element_coords(radio.wavelength_m)
+        d2d, d3d, az, zen, unit = link_geometry(sector, positions)
+        g[:, j] = element_gain(az, zen)
+        draws = scenario.streams.derive("los", stream_tag, snapshot, j).uniform(size=n)
+        rng_shadow = scenario.streams.derive("shadow", stream_tag, snapshot, j)
+        for kind, idx, factor, sigma_los, sigma_nlos in classes:
+            p = los_probability(d2d[idx], heights[idx], kind)
+            p_los[idx, j] = p
+            is_los[idx, j] = draws[idx] < p
+            rho[idx, j] = path_loss(
+                d2d[idx], d3d[idx], heights[idx], kind, is_los[idx, j], radio,
+                h_bs_m=sector.panel.panel_height_m,
+            )
+            sigma = np.where(is_los[idx, j], sigma_los, sigma_nlos)
+            tau[idx, j] = shadow_gain(sigma, shadow_field(factor, rng_shadow))
+        k_lin = np.where(
+            is_los[:, j], params.rician_k_linear(True), params.rician_k_linear(False)
+        )
+        h_los = los_components(unit, d3d, coords, radio.wavelength_m)
+        rng_fade = scenario.streams.derive("fading", stream_tag, snapshot, j)
+        h[:, j, :] = rician_channel(h_los, k_lin, rng_fade)
+    return ChannelSet(
+        kinds=kinds, rho=rho, tau=tau, g=g, beta=rho * tau * g, p_los=p_los, is_los=is_los, h=h
+    )
 
 
 def brute_force_fitness(genome, channels, book, baseline, designated, frozen, required, noise_mw):

@@ -20,6 +20,7 @@ from skybeam.channel import (
     rician_channel,
     shadow_factor,
     shadow_field,
+    shadow_gain,
 )
 from skybeam.cli import main as cli_main
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
@@ -340,8 +341,8 @@ class TestCriterion7ChannelProperties:
     def test_shadow_autocorrelation(self):
         d_corr = 50.0
         pos = np.array([[0.0, 0.0], [d_corr, 0.0]])
-        gains = shadow_field(
-            shadow_factor(pos, d_corr), 8.0, np.random.default_rng(71), n_draws=10_000
+        gains = shadow_gain(
+            8.0, shadow_field(shadow_factor(pos, d_corr), np.random.default_rng(71), n_draws=10_000)
         )
         log_vals = 10 * np.log10(gains)
         corr = np.corrcoef(log_vals[:, 0], log_vals[:, 1])[0, 1]

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from oracles import per_sector_channels
 from skybeam import channel
 from skybeam.channel import (
     ChannelSet,
@@ -18,10 +20,11 @@ from skybeam.channel import (
     rician_channel,
     shadow_factor,
     shadow_field,
+    shadow_gain,
     stack_highway_channels,
 )
-from skybeam.config import ChannelParams, RadioConfig
-from skybeam.scenario import Sector, UpaGeometry, scenario_from_config
+from skybeam.config import ChannelParams, RadioConfig, default_config, validate_config
+from skybeam.scenario import Sector, UpaGeometry, entity_block, scenario_from_config
 
 RADIO = RadioConfig()
 C = 299_792_458.0
@@ -122,21 +125,21 @@ class TestLosProbability:
 class TestShadowField:
     def test_zero_sigma_all_ones(self):
         pos = np.array([[0.0, 0.0], [10.0, 0.0], [35.0, 2.0]])
-        gains = shadow_field(shadow_factor(pos, 50.0), 0.0, np.random.default_rng(0))
+        gains = shadow_gain(0.0, shadow_field(shadow_factor(pos, 50.0), np.random.default_rng(0)))
         assert np.allclose(gains, 1.0)
 
     def test_coincident_points_identical(self):
         # identical up to the diagonal regularization of the field covariance
         pos = np.array([[5.0, 5.0], [5.0, 5.0]])
-        gains = shadow_field(shadow_factor(pos, 50.0), 6.0, np.random.default_rng(1))
+        gains = shadow_gain(6.0, shadow_field(shadow_factor(pos, 50.0), np.random.default_rng(1)))
         assert gains[0] == pytest.approx(gains[1], rel=1e-4)
 
     def test_lag_correlation_matches_exponential(self):
         # Monte-Carlo oracle: correlation at one decorrelation distance ~ 1/e
         d_corr = 50.0
         pos = np.array([[0.0, 0.0], [d_corr, 0.0]])
-        gains = shadow_field(
-            shadow_factor(pos, d_corr), 6.0, np.random.default_rng(2), n_draws=10_000
+        gains = shadow_gain(
+            6.0, shadow_field(shadow_factor(pos, d_corr), np.random.default_rng(2), n_draws=10_000)
         )
         log_vals = 10.0 * np.log10(gains)
         corr = np.corrcoef(log_vals[:, 0], log_vals[:, 1])[0, 1]
@@ -149,7 +152,7 @@ class TestShadowField:
     def test_empty_factor(self):
         factor = shadow_factor(np.zeros((0, 2)), 50.0)
         assert factor.shape == (0, 0)
-        assert shadow_field(factor, 6.0, np.random.default_rng(3)).shape == (0,)
+        assert shadow_gain(6.0, shadow_field(factor, np.random.default_rng(3))).shape == (0,)
 
 
 class TestElementGain:
@@ -376,7 +379,8 @@ class TestChannelSet:
             rng_shadow = small_scenario.streams.derive("shadow", "ue", 2, j)
             for idx, d_corr, sigma_los, sigma_nlos in classes:
                 sigma = np.where(cs.is_los[idx, j], sigma_los, sigma_nlos)
-                tau[idx, j] = shadow_field(shadow_factor(positions[idx], d_corr), sigma, rng_shadow)
+                field = shadow_field(shadow_factor(positions[idx], d_corr), rng_shadow)
+                tau[idx, j] = shadow_gain(sigma, field)
         assert np.array_equal(cs.tau, tau)
 
     def test_aerial_links_at_100m_all_los(self, small_scenario):
@@ -384,3 +388,69 @@ class TestChannelSet:
         cs = build_channels(small_scenario, uavs, snapshot=0)
         assert np.all(cs.p_los == 1.0)
         assert np.all(cs.is_los)
+
+
+def _one_tier_scenario(altitude_m):
+    raw = default_config()
+    raw["layout"]["tiers"] = 1
+    raw["highway"]["altitude_m"] = altitude_m
+    return scenario_from_config(validate_config(raw))
+
+
+def _mixed_block(scenario):
+    return np.concatenate([scenario.ground_users(1), scenario.uavs()]).view(np.recarray)
+
+
+class TestMatchesPerSectorOracle:
+    """build_channels against the per-sector, per-class reference builder:
+    every array equal in bytes and dtype."""
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        for name in ("rho", "tau", "g", "beta", "p_los", "is_los", "h"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+    # 20 m is an aerial link on the ground model (at or below 22.5 m), 60 m
+    # the mid-height LoS curve, 100 m always LoS, 350 m outside the validity
+    # region of the aerial path loss
+    @pytest.mark.parametrize("altitude_m", [20.0, 60.0, 100.0, 350.0])
+    @pytest.mark.parametrize("block", ["mixed", "ground", "uav"])
+    def test_bit_identical(self, altitude_m, block):
+        scenario = _one_tier_scenario(altitude_m)
+        entities = {
+            "mixed": _mixed_block(scenario),
+            "ground": scenario.ground_users(1),
+            "uav": scenario.uavs(),
+        }[block]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OutOfValidityRange)
+            got = build_channels(scenario, entities, snapshot=1)
+            want = per_sector_channels(scenario, entities, snapshot=1)
+        self.assert_same_bytes(got, want)
+
+    def test_highway_point_stream(self, cfg):
+        scenario = scenario_from_config(cfg)
+        points = entity_block("aerial", scenario.highway.points)
+        got = build_channels(scenario, points, snapshot="static", stream_tag="highway-point")
+        want = per_sector_channels(scenario, points, snapshot="static", stream_tag="highway-point")
+        self.assert_same_bytes(got, want)
+
+
+class TestOutOfValidityCount:
+    def test_one_warning_per_class_per_build(self):
+        # every UAV link of a 350 m corridor is outside the aerial model; the
+        # ground links of the one-tier layout are inside the ground model
+        scenario = _one_tier_scenario(350.0)
+        entities = _mixed_block(scenario)
+
+        def flagged(build):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build(scenario, entities, snapshot=0)
+            return [w for w in caught if issubclass(w.category, OutOfValidityRange)]
+
+        assert len(flagged(build_channels)) == 1
+        assert len(flagged(per_sector_channels)) == scenario.n_sectors == 21
+

@@ -132,7 +132,8 @@ class TestRun:
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--n-max", "2"]])
     @pytest.mark.parametrize(
-        "block, key, value", [("layout", "isd_m", 17.3), ("users", "gues_per_cell", 0)]
+        "block, key, value",
+        [("layout", "isd_m", 17.3), ("layout", "isd_m", 17.9), ("users", "gues_per_cell", 0)],
     )
     def test_no_ground_users_to_drop_exits_1(
         self, small_config_path, tmp_path, capsys, command, block, key, value

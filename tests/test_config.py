@@ -71,7 +71,8 @@ def test_unknown_block_rejected():
      ("radio", "sector_tx_power_dbm", 1e6), ("radio", "max_ssb_power_dbm", 1e6),
      ("radio", "ue_noise_figure_db", 1e6), ("radio", "noise_psd_dbm_per_hz", 1e6),
      ("radio", "sector_tx_power_dbm", -1e6), ("radio", "max_ssb_power_dbm", -1e6),
-     ("layout", "isd_m", 17.3), ("users", "gues_per_cell", 0)],
+     ("layout", "isd_m", 17.3), ("layout", "isd_m", 17.33), ("layout", "isd_m", 17.4),
+     ("users", "gues_per_cell", 0)],
 )
 def test_out_of_range_value_rejected(block, key, value):
     raw = default_config()

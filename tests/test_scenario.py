@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from skybeam.config import GUE_MIN_DROP_SHARE, gue_drop_share
 from skybeam.rng import RngStream
 from skybeam.scenario import (
     AerialHighway,
     DegenerateHighway,
     UpaGeometry,
+    _in_dominance_area,
     build_hex_layout,
     default_highway_polyline,
     discretize_highway,
@@ -177,8 +179,20 @@ def test_default_polyline_crosses_cell_edges():
     assert y == pytest.approx(500.0 * math.sqrt(3) / 6)
 
 
+@pytest.mark.parametrize("isd_m", [18.5, 25.0])
+def test_drop_share_matches_the_sampler(isd_m):
+    # Monte-Carlo oracle: the share of the sampling square that the drop keeps
+    # for one sector, on both sides of the disc crossing the hexagon's edges
+    sector = build_hex_layout(0, isd_m, TEMPLATE)[0]
+    radius = isd_m / math.sqrt(3.0)
+    candidates = np.random.default_rng(5).uniform(-radius, radius, size=(400_000, 2))
+    kept = np.mean(_in_dominance_area(candidates, sector.panel.bearing_deg, isd_m))
+    assert kept == pytest.approx(gue_drop_share(isd_m), rel=0.1)
+
+
 def test_smallest_accepted_isd_drops_ground_users():
-    # 17.4 m is just above the 10 * sqrt(3) m that config validation rejects
-    sectors = build_hex_layout(0, 17.4, TEMPLATE)
-    users = place_ground_users(sectors, 4, 17.4, RngStream(1))
+    # 17.92 m is just above the floor that config validation rejects
+    assert gue_drop_share(17.91) <= GUE_MIN_DROP_SHARE < gue_drop_share(17.92)
+    sectors = build_hex_layout(0, 17.92, TEMPLATE)
+    users = place_ground_users(sectors, 4, 17.92, RngStream(1))
     assert len(users) == 12
