@@ -236,18 +236,18 @@ def gue_drop_share(isd_m: float) -> float:
     hexagon less the disc; where the disc crosses the hexagon's edges (its
     inradius isd / 2 is below r), the six circular segments beyond the edges
     are outside the hexagon already. The share is 0 once r reaches R.
+    Lengths are in units of R, so that no ISD, however large, overflows.
     """
-    r = GUE_MIN_DISTANCE_M
-    inradius = isd_m / 2.0
-    circumradius = isd_m / math.sqrt(3.0)
-    if r >= circumradius:
+    r = GUE_MIN_DISTANCE_M * math.sqrt(3.0) / isd_m
+    inradius = math.sqrt(3.0) / 2.0
+    if r >= 1.0:
         return 0.0
     hexagon = 2.0 * math.sqrt(3.0) * inradius**2
     disc_inside = math.pi * r * r
     if r > inradius:
         segment = r * r * math.acos(inradius / r) - inradius * math.sqrt(r * r - inradius**2)
         disc_inside -= 6.0 * segment
-    return (hexagon - disc_inside) / 3.0 / (2.0 * circumradius) ** 2
+    return (hexagon - disc_inside) / 3.0 / 4.0
 
 
 def default_config() -> dict:

@@ -190,6 +190,13 @@ def test_drop_share_matches_the_sampler(isd_m):
     assert kept == pytest.approx(gue_drop_share(isd_m), rel=0.1)
 
 
+def test_drop_share_of_a_huge_isd_is_a_third_of_the_hexagon():
+    # the disc vanishes against the square; squaring such an ISD would overflow
+    third_of_hexagon = math.sqrt(3.0) / 8.0  # 3 sqrt(3) / 2 R^2 / 3 over (2 R)^2
+    for isd_m in (1e154, 1.7e308):
+        assert gue_drop_share(isd_m) == pytest.approx(third_of_hexagon)
+
+
 def test_smallest_accepted_isd_drops_ground_users():
     # 17.92 m is just above the floor that config validation rejects
     assert gue_drop_share(17.91) <= GUE_MIN_DROP_SHARE < gue_drop_share(17.92)
