@@ -16,9 +16,12 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .association import dump_association_csv
@@ -103,6 +106,29 @@ def _optimize(cfg: dict, scenario, ssb_cb, out: Path):
     return evaluator.baseline, optimized, assignment, ega
 
 
+def _environment() -> dict:
+    """What the run's speed depends on besides the code: interpreter, NumPy
+    and BLAS versions, usable CPUs and the BLAS thread settings (None when
+    unset). None of it changes an output byte."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = {}
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        nproc = os.cpu_count()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "nproc": nproc,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+    }
+
+
 # summary label and entity kind of each pooled group
 GROUPS = (("uav", "aerial"), ("gue", "ground"))
 
@@ -174,6 +200,7 @@ def cmd_run(args) -> int:
         "snapshots": args.snapshots,
         "designated_cells": list(assignment.designated_cells),
         "ega": ega,
+        "env": _environment(),
         "elapsed_s": round(time.time() - t0, 3),
         "outputs": sorted(p.name for p in out.iterdir()),
     }

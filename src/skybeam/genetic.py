@@ -7,16 +7,34 @@ A genome concatenates one codeword index and one transmit power per
 designated cell: [idx_0 .. idx_{n-1} | p_0 .. p_{n-1}], indices in
 [0, N_CB), powers in (0, p_max] mW on a linear scale. Applying a genome to
 the baseline plan swaps exactly one pre-selected slot per designated cell and
-leaves every other cell untouched.
+leaves every other cell untouched. A codeword gene that does not round to an
+index in [0, N_CB), or a power gene that is not finite and above 0 mW, is
+rejected with ValueError by both the scorer and `apply_individual`.
 
 Fitness is the minimum coverage SINR over all highway points, with a hard
 -inf penalty whenever any point would associate to a cell other than the one
 designated for its segment. `FitnessEvaluator.evaluate_population` scores a
-whole population in one batched call; it is the only fitness code path. The
-search loop is a plain elite GA: rank, crossover of uniformly drawn parent
-pairs, per-gene mutation, elites overwrite the worst. Each iteration scores
-only the offspring, because the elites carry their scores forward, so
+whole population in one batched call; it is the only fitness code path.
+
+The arrays are small (about 80 genomes x 7 serving candidates x 11 points),
+so a GA iteration costs what its NumPy calls cost, not what their
+arithmetic costs. Both halves are laid out for few calls:
+
+- the scorer puts the candidates of all genomes in one
+  (n + 1, P, N_r) block and reduces over its leading axis, and only the
+  feasible genomes reach the interference step;
+- the loop draws the adjacent `Generator.random` requests of an iteration
+  in one call each, crosses the parent pairs with one gather and one
+  `np.where`, mutates with two masked `np.copyto` and writes the elites
+  into the offspring buffer.
+
+The search loop is a plain elite GA: rank, crossover of uniformly drawn
+parent pairs, per-gene mutation, elites overwrite the worst. Each iteration
+scores only the offspring, because the elites carry their scores forward, so
 nothing is cached and memory stays flat over any number of iterations.
+`tests/oracles.py` keeps the one-call-per-draw loop and the
+per-genome-candidate scorer as references that both must match byte for
+byte.
 """
 
 from __future__ import annotations
@@ -95,24 +113,47 @@ def select_frozen_slots(
     return frozen
 
 
+def _check_genes(codeword: np.ndarray, power: np.ndarray, n_codewords: int) -> None:
+    """Raise ValueError unless every rounded codeword gene lies in
+    [0, n_codewords) and every power gene is finite and above 0 mW.
+
+    Minimum and maximum carry a NaN through, and every comparison with NaN
+    is false, so a NaN gene fails both tests.
+    """
+    if codeword.size and not (0 <= codeword.min() and codeword.max() < n_codewords):
+        bad = codeword[~((codeword >= 0) & (codeword < n_codewords))].flat[0]
+        raise ValueError(
+            f"codeword gene rounds to {bad}; it must round to an index in [0, {n_codewords})"
+        )
+    if power.size and not (0 < power.min() and power.max() < math.inf):
+        bad = power[~((power > 0) & (power < math.inf))].flat[0]
+        raise ValueError(f"power gene {bad} mW; it must be finite and above 0 mW")
+
+
 def apply_individual(
     genome: np.ndarray,
     baseline: BeamPlan,
     designated_cells: tuple[int, ...],
     frozen_slots: dict[int, int],
+    n_codewords: int,
 ) -> BeamPlan:
-    """Baseline plan with one slot per designated cell replaced by the genome."""
+    """Baseline plan with one slot per designated cell replaced by the genome.
+
+    Raises ValueError for a genome of the wrong length, a codeword gene
+    outside [0, n_codewords) after rounding or a power gene that is not a
+    finite value above 0 mW.
+    """
+    genome = np.asarray(genome, dtype=float)
     n = len(designated_cells)
-    if genome.shape[0] != 2 * n:
+    if genome.shape != (2 * n,):
         raise ValueError("genome length must be twice the designated-cell count")
+    codeword = np.rint(genome[:n])
+    _check_genes(codeword, genome[n:], n_codewords)
     plan = baseline.copy()
     for j, cell in enumerate(designated_cells):
         slot = frozen_slots[cell]
-        plan.codeword[cell, slot] = int(round(genome[j]))
-        p_mw = float(genome[n + j])
-        if p_mw <= 0.0:
-            raise ValueError("power genes must be positive (linear mW)")
-        plan.power_dbm[cell, slot] = 10.0 * math.log10(p_mw)
+        plan.codeword[cell, slot] = int(codeword[j])
+        plan.power_dbm[cell, slot] = 10.0 * math.log10(float(genome[n + j]))
         plan.x[cell, slot] = 1  # sweep index inherited from the replaced slot
     return plan
 
@@ -128,10 +169,18 @@ class FitnessEvaluator:
       designated ones, with its flat (sector, slot) index;
     - per point, sweep group and sector, that sector's summed RSRP in the
       group, with the designated entries zeroed;
-    - per designated cell, the beam gain of every codeword at every point.
+    - one row table of beam gains, row j * N_CB + c holding designated cell
+      j's gain with codeword c at every point, (n * N_CB, N_r).
 
-    `evaluate_population` then scores a whole population from each genome's
-    n replaced entries alone, without building any genome's table. Nothing is
+    `evaluate_population` scores a (P, 2n) population through one
+    (n + 1, P, N_r) candidate block: row 0 is the baseline best at every
+    point, and rows 1..n are one `np.take` of the genome's gain rows times
+    its powers. A maximum over the leading axis gives each point's serving
+    RSRP, and a second maximum over the same axis, of a key that falls with
+    the flat (sector, slot) index and is zeroed below the maximum RSRP,
+    gives the serving beam with `select_serving_all`'s tie rule (lowest flat
+    index). Only the feasible genomes go on to the
+    interference sums. No genome's full table is built and nothing is
     cached; `evals` counts every genome scored.
     """
 
@@ -164,26 +213,33 @@ class FitnessEvaluator:
         slots = np.array([self.frozen_slots[c] for c in self.designated_cells], dtype=int)
         n = cells.size
         self._n_slots = n_slots
-        # per designated cell: beta * |h^T w|^2 for every codeword -> (n, N_r, N_CB)
-        self._gain = np.array(
+        # beta * |h^T w|^2 of every (designated cell, codeword) pair at every
+        # point -> (n * N_CB, N_r); a genome's codeword j reads row j * N_CB + c
+        self._gain_rows = np.array(
             [
-                point_channels.beta[:, cell, None]
-                * np.abs(point_channels.h[:, cell, :] @ ssb_codebook.weights.T) ** 2
+                (
+                    point_channels.beta[:, cell, None]
+                    * np.abs(point_channels.h[:, cell, :] @ ssb_codebook.weights.T) ** 2
+                ).T
                 for cell in self.designated_cells
             ]
-        ).reshape(n, n_points, self.n_codewords)
+        ).reshape(n * self.n_codewords, n_points)
+        self._row_offset = (np.arange(n) * self.n_codewords)[:, None]
 
         # serving candidates per point: the best entry no genome touches, then
-        # the n replaced entries; (n + 1, N_r) flat (sector, slot) indices
+        # the n replaced entries. Each candidate's key is n_flat minus its flat
+        # (sector, slot) index, (n + 1, 1, N_r), so the largest key among tied
+        # candidates is the lowest flat index; every key is at least 1.
         replaced_flat = cells * n_slots + slots
         others = table.reshape(n_points, n_sectors * n_slots).copy()
         others[:, replaced_flat] = -np.inf
         base_flat = np.argmax(others, axis=1)  # first occurrence, as select_serving_all
         self._base_best = others[np.arange(n_points), base_flat]
-        self._candidate_flat = np.concatenate(
+        candidate_flat = np.concatenate(
             [base_flat[None, :], np.broadcast_to(replaced_flat[:, None], (n, n_points))]
         )
-        self._no_candidate = n_sectors * n_slots
+        self._n_flat = n_sectors * n_slots
+        self._candidate_key = (self._n_flat - candidate_flat)[:, None, :]
 
         # beams interfere within a sweep group; per (point, group, sector) sums
         _, group = np.unique(baseline.sweep, return_inverse=True)
@@ -191,57 +247,69 @@ class FitnessEvaluator:
         kept = table.copy()
         kept[:, cells, slots] = 0.0
         self._group_of_flat = group.reshape(-1)
-        self._replaced_group = group[cells, slots]
+        self._replaced_group = group[cells, slots][:, None, None]
         self._group_sums = np.stack(
             [np.sum(kept * (group == g), axis=2) for g in range(int(group.max()) + 1)], axis=1
         )  # (N_r, n_groups, B)
         self._cells = cells
-        self._cell_index = np.arange(n)
         self._point_index = np.arange(n_points)
 
     def evaluate_population(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(fitness in dB, association violation count) of every row of a
         (P, 2n) population. Fitness is the min coverage SINR over the corridor
         points, -inf for a genome with any violation; the count only orders
-        equally infeasible genomes during the search."""
+        equally infeasible genomes during the search. Raises ValueError for a
+        codeword gene outside [0, N_CB) after rounding or a power gene that
+        is not a finite value above 0 mW."""
         pop = np.asarray(pop, dtype=float)
         n = self._cells.size
         if pop.ndim != 2 or pop.shape[1] != 2 * n:
             raise ValueError("population rows must be genomes of twice the designated-cell count")
+        genes = np.ascontiguousarray(pop.T)  # (2n, P): codeword genes, then power genes
+        codeword = np.rint(genes[:n])
+        power = genes[n:]
+        _check_genes(codeword, power, self.n_codewords)
         self.evals += pop.shape[0]
-        codeword = np.rint(pop[:, :n]).astype(int)
-        # serving candidates of each genome at each point: the baseline best,
-        # then the RSRP of the genome's n replaced entries -> (P, n + 1, N_r)
-        candidates = np.empty((pop.shape[0], n + 1, self._point_index.size))
-        candidates[:, 0] = self._base_best
-        replaced = candidates[:, 1:]
-        np.multiply(self._gain[self._cell_index, :, codeword], pop[:, n:, None], out=replaced)
 
-        # serving beam: argmax over the candidates, ties to the lowest flat
-        # index, which is the first-occurrence rule of select_serving_all
-        best = candidates.max(axis=1)  # (P, N_r)
-        serving = np.where(
-            candidates == best[:, None, :], self._candidate_flat, self._no_candidate
-        ).min(axis=1)
+        # candidate block (n + 1, P, N_r): the baseline best, then the RSRP of
+        # each genome's n replaced entries
+        block = np.empty((n + 1, pop.shape[0], self._point_index.size))
+        block[0] = self._base_best
+        replaced = block[1:]
+        rows = codeword.astype(np.intp) + self._row_offset  # in range: checked above
+        self._gain_rows.take(rows, axis=0, out=replaced, mode="clip")
+        replaced *= power[:, :, None]
+
+        # serving beam: the maximum over the candidates, ties to the lowest
+        # flat index, which is the first-occurrence rule of select_serving_all;
+        # zeroing the keys of the candidates below the maximum is cheaper than
+        # a masked minimum of the flat indices
+        best = block.max(axis=0)  # (P, N_r)
+        serving = self._n_flat - ((block == best) * self._candidate_key).max(axis=0)
         sector = serving // self._n_slots
-        violations = np.count_nonzero(sector != self.required_cell, axis=1)
+        violations = (sector != self.required_cell).sum(axis=1)
         scores = np.full(pop.shape[0], -math.inf)
-        ok = violations == 0
+        ok = (violations == 0).nonzero()[0]
+        if ok.size == 0:
+            return scores, violations
 
-        # interference: the serving sweep group's per-sector row, with the
-        # genome's replaced entries added in, minus the serving sector itself
+        # interference of the F feasible genomes: the serving sweep group's
+        # per-sector row, with the genome's replaced entries added in, minus
+        # the serving sector itself
         group = self._group_of_flat[serving[ok]]  # (F, N_r)
-        rows = self._group_sums[self._point_index, group]  # (F, N_r, B)
-        rows[:, :, self._cells] += np.where(
-            self._replaced_group[:, None] == group[:, None, :], replaced[ok], 0.0
-        ).transpose(0, 2, 1)
-        own = rows[np.arange(group.shape[0])[:, None], self._point_index, sector[ok]]
-        interference = rows.sum(axis=2) - own
+        sums = self._group_sums[self._point_index, group]  # (F, N_r, B)
+        sums[:, :, self._cells] += np.where(
+            self._replaced_group == group, replaced[:, ok], 0.0
+        ).transpose(1, 2, 0)
+        own = sums[np.arange(ok.size)[:, None], self._point_index, sector[ok]]
+        interference = sums.sum(axis=2) - own
         scores[ok] = sinr_db(best[ok], interference + self.noise_mw).min(axis=1)
         return scores, violations
 
     def plan_for(self, genome: np.ndarray) -> BeamPlan:
-        return apply_individual(genome, self.baseline, self.designated_cells, self.frozen_slots)
+        return apply_individual(
+            genome, self.baseline, self.designated_cells, self.frozen_slots, self.n_codewords
+        )
 
 
 def corridor_problem(
@@ -293,17 +361,25 @@ def run(
     """Elite GA search; returns the best-ever genome and the fitness trace.
 
     Per iteration: score the offspring in one batched call, rank everyone,
-    keep the top n_elites aside, breed n_pop offspring from uniformly drawn
-    parent pairs (gene-wise swap with p_cross), mutate every gene with p_mut
-    (indices resampled uniformly, powers redrawn on (0, p_max]), then
-    overwrite the worst n_elites with the elites, which keep their scores.
-    Stops early when the best has not improved for stop_iters iterations
+    breed n_pop offspring from uniformly drawn parent pairs (gene-wise swap
+    with p_cross), mutate every gene with p_mut (indices resampled
+    uniformly, powers redrawn on (0, p_max]), then write the top n_elites,
+    which keep their scores, over the last n_elites offspring. Stops early
+    when the best has not improved for stop_iters iterations
     (trace.stop_reason "stagnation", else "max_iters"). Fully deterministic
     given params.seed.
 
     Ranking is by fitness; genomes tied at -inf are ordered by how many
     points violate the designated association, which lets recombination
     assemble per-cell captures before any fully feasible genome exists.
+
+    The draws per iteration, in order: the parent pairs (`integers`), the
+    swap mask and the codeword mutation mask (one `random` call), the new
+    codewords (`integers`), the power mutation mask and the new powers (one
+    `random` call). `Generator.random` takes one 64-bit word per double, so
+    one call of the summed size gives the same doubles as two calls in a
+    row; `tests/oracles.py::reference_run` draws them separately and the
+    tests compare the two byte for byte.
     """
     n_cells = len(evaluator.designated_cells)
     if n_cells == 0:
@@ -318,10 +394,13 @@ def run(
     best_fitness = -math.inf
     best_violations = math.inf
     last_improvement = 0
-    n_offspring = params.n_pop - params.n_elites
-    scores = np.empty(params.n_pop)
-    violations = np.empty(params.n_pop, dtype=int)
-    n_unscored = params.n_pop  # leading rows of pop; the elites behind them keep their scores
+    n_pop, n_elites = params.n_pop, params.n_elites
+    n_offspring = n_pop - n_elites
+    n_pairs = (n_pop + 1) // 2
+    n_swap = n_pairs * 2 * n_cells  # one swap draw per gene of each pair
+    scores = np.empty(n_pop)
+    violations = np.empty(n_pop, dtype=int)
+    n_unscored = n_pop  # leading rows of pop; the elites behind them keep their scores
 
     for iteration in range(params.max_iters):
         scores[:n_unscored], violations[:n_unscored] = evaluator.evaluate_population(
@@ -329,16 +408,16 @@ def run(
         )
         # primary: fitness descending; tie-break among -inf: fewer violations
         order = np.lexsort((violations, np.negative(scores)))
-        pop = pop[order]
-        scores = scores[order]
-        violations = violations[order]
-        improved = scores[0] > best_fitness or (
-            scores[0] == best_fitness and violations[0] < best_violations
+        ranked = pop[order]
+        ranked_scores = scores[order]
+        ranked_violations = violations[order]
+        improved = ranked_scores[0] > best_fitness or (
+            ranked_scores[0] == best_fitness and ranked_violations[0] < best_violations
         )
         if improved:
-            best_fitness = float(scores[0])
-            best_violations = int(violations[0])
-            best_genome = pop[0].copy()
+            best_fitness = float(ranked_scores[0])
+            best_violations = int(ranked_violations[0])
+            best_genome = ranked[0].copy()
             last_improvement = iteration
         trace.record(iteration, best_fitness, evaluator.evals)
 
@@ -346,33 +425,27 @@ def run(
             trace.stop_reason = "stagnation"
             break
 
-        elites = pop[: params.n_elites].copy()
-        elite_scores = scores[: params.n_elites].copy()
-        elite_violations = violations[: params.n_elites].copy()
-        parents = pop[: params.n_parents]
+        # crossover: each drawn pair (a, b) of the top n_parents yields the
+        # offspring rows where(swap, b, a) and where(swap, a, b)
+        pairs = ranked[rng.integers(0, params.n_parents, size=(n_pairs, 2))]
+        draws = rng.random(n_swap + n_pop * n_cells)
+        swap = draws[:n_swap].reshape(n_pairs, 1, 2 * n_cells) <= params.p_cross
+        pop = np.where(swap, pairs[:, ::-1], pairs).reshape(2 * n_pairs, 2 * n_cells)[:n_pop]
 
-        n_pairs = (params.n_pop + 1) // 2
-        pair_idx = rng.integers(0, params.n_parents, size=(n_pairs, 2))
-        a = parents[pair_idx[:, 0]].copy()
-        b = parents[pair_idx[:, 1]].copy()
-        swap = rng.random(size=a.shape) <= params.p_cross
-        a_swapped = np.where(swap, b, a)
-        b_swapped = np.where(swap, a, b)
-        offspring = np.empty((2 * n_pairs, 2 * n_cells))
-        offspring[0::2] = a_swapped
-        offspring[1::2] = b_swapped
-        pop = offspring[: params.n_pop]
+        # mutation of the offspring rows; the elite rows are overwritten below
+        mutate = draws[n_swap:].reshape(n_pop, n_cells)[:n_offspring] <= params.p_mut
+        new_codeword = rng.integers(0, n_cb, size=(n_pop, n_cells))
+        np.copyto(pop[:n_offspring, :n_cells], new_codeword[:n_offspring], where=mutate)
+        power_draws = rng.random(2 * n_pop * n_cells).reshape(2, n_pop, n_cells)[:, :n_offspring]
+        np.copyto(
+            pop[:n_offspring, n_cells:],
+            p_max_mw * (1.0 - power_draws[1]),  # (0, p_max]
+            where=power_draws[0] <= params.p_mut,
+        )
 
-        mut_idx = rng.random(size=(params.n_pop, n_cells)) <= params.p_mut
-        new_idx = rng.integers(0, n_cb, size=(params.n_pop, n_cells))
-        pop[:, :n_cells] = np.where(mut_idx, new_idx, pop[:, :n_cells])
-        mut_pw = rng.random(size=(params.n_pop, n_cells)) <= params.p_mut
-        new_pw = p_max_mw * (1.0 - rng.random(size=(params.n_pop, n_cells)))
-        pop[:, n_cells:] = np.where(mut_pw, new_pw, pop[:, n_cells:])
-
-        pop[n_offspring:] = elites
-        scores[n_offspring:] = elite_scores
-        violations[n_offspring:] = elite_violations
+        pop[n_offspring:] = ranked[:n_elites]
+        scores[n_offspring:] = ranked_scores[:n_elites]
+        violations[n_offspring:] = ranked_violations[:n_elites]
         n_unscored = n_offspring
 
     return Individual(best_genome, best_fitness, best_violations), trace

@@ -8,6 +8,7 @@ steered broadside of an untilted panel leaves horizontally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -43,15 +44,29 @@ class UpaGeometry:
         return self.m_h * self.m_v
 
     def element_coords(self, wavelength_m: float) -> np.ndarray:
-        """3 x M element offsets in meters, column-major (column varies slowest)."""
-        dy = self.element_spacing_h_wavelengths * wavelength_m
-        dz = self.element_spacing_v_wavelengths * wavelength_m
-        cols = (np.arange(self.m_h) - (self.m_h - 1) / 2.0) * dy
-        rows = (np.arange(self.m_v) - (self.m_v - 1) / 2.0) * dz
-        coords = np.zeros((3, self.n_elements))
-        coords[1] = np.repeat(cols, self.m_v)
-        coords[2] = np.tile(rows, self.m_h)
-        return coords
+        """3 x M element offsets in meters, column-major (column varies slowest).
+
+        The offsets do not depend on the panel's height, bearing or tilt, so
+        all sectors of a layout share them: they are built once per distinct
+        (shape, spacing) and returned read-only.
+        """
+        return _element_offsets(
+            self.m_h,
+            self.m_v,
+            self.element_spacing_h_wavelengths * wavelength_m,
+            self.element_spacing_v_wavelengths * wavelength_m,
+        )
+
+
+@functools.lru_cache(maxsize=8)
+def _element_offsets(m_h: int, m_v: int, dy: float, dz: float) -> np.ndarray:
+    cols = (np.arange(m_h) - (m_h - 1) / 2.0) * dy
+    rows = (np.arange(m_v) - (m_v - 1) / 2.0) * dz
+    coords = np.zeros((3, m_h * m_v))
+    coords[1] = np.repeat(cols, m_v)
+    coords[2] = np.tile(rows, m_h)
+    coords.flags.writeable = False
+    return coords
 
 
 @dataclass(frozen=True)

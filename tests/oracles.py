@@ -8,6 +8,13 @@ for `genetic.FitnessEvaluator`; `per_sector_channels` builds a ChannelSet
 one sector at a time, every large-scale call per (sector, entity class), as
 the reference for `channel.build_channels`.
 
+`ReferenceEvaluator` and `reference_run` are the bit-level references of
+the search: the population scorer with one (P, n + 1, N_r) candidate table
+and a masked reduction over its middle axis, and the GA loop with one
+`Generator.random` call per draw and separate crossover and mutation
+arrays. `genetic.FitnessEvaluator` and `genetic.run` must give the same
+bytes: scores, violation counts, traces and best genomes.
+
 The helpers at the end read library objects for tests only: `validate_plan`
 checks a plan's constraints, `find_codeword` looks a beam up by its indices,
 `max_supported` reads a traffic sweep against a rate threshold and
@@ -18,7 +25,7 @@ import math
 
 import numpy as np
 
-from skybeam.association import N_SSB_SLOTS, BeamPlan
+from skybeam.association import N_SSB_SLOTS, BeamPlan, rsrp_table, sinr_db
 from skybeam.channel import (
     ChannelSet,
     aerial_los_shadow_sigma_db,
@@ -35,7 +42,7 @@ from skybeam.channel import (
 from skybeam.codebook import Codebook
 from skybeam.config import RadioConfig
 from skybeam.evaluation import SweepResult
-from skybeam.genetic import FitnessEvaluator, apply_individual
+from skybeam.genetic import FitnessEvaluator, FitnessTrace, Individual, apply_individual
 
 
 def ssb_rsrp(
@@ -163,7 +170,7 @@ def per_sector_channels(scenario, entities, snapshot=0, stream_tag="ue") -> Chan
 
 def brute_force_fitness(genome, channels, book, baseline, designated, frozen, required, noise_mw):
     """Loop-based reference: apply, associate, penalize, min coverage SINR."""
-    plan = apply_individual(np.asarray(genome, dtype=float), baseline, designated, frozen)
+    plan = apply_individual(np.asarray(genome, dtype=float), baseline, designated, frozen, len(book))
     n_points = channels.n_entities
     n_sectors, n_slots = plan.x.shape
     worst = math.inf
@@ -185,6 +192,163 @@ def brute_force_fitness(genome, channels, book, baseline, designated, frozen, re
                     interf += ssb_rsrp(z, s, b, plan, channels, book)
         worst = min(worst, 10 * math.log10(best_val / (interf + noise_mw)))
     return worst
+
+
+class ReferenceEvaluator:
+    """The population scorer before the candidate block: per genome, a row of
+    n + 1 serving candidates per point, and the tie rule as a masked minimum
+    over that middle axis. Takes `FitnessEvaluator`'s arguments and keeps
+    its `evals` count."""
+
+    def __init__(self, point_channels, ssb_codebook, baseline, designated_cells, frozen_slots,
+                 required_cell, noise_mw):
+        self.designated_cells = tuple(designated_cells)
+        self.required_cell = np.asarray(required_cell, dtype=int)
+        self.noise_mw = float(noise_mw)
+        self.n_codewords = len(ssb_codebook)
+        self.evals = 0
+
+        table = rsrp_table(point_channels, baseline, ssb_codebook)
+        n_points, n_sectors, n_slots = table.shape
+        cells = np.array(self.designated_cells, dtype=int)
+        slots = np.array([frozen_slots[c] for c in self.designated_cells], dtype=int)
+        n = cells.size
+        self._n_slots = n_slots
+        self._gain = np.array(
+            [
+                point_channels.beta[:, cell, None]
+                * np.abs(point_channels.h[:, cell, :] @ ssb_codebook.weights.T) ** 2
+                for cell in self.designated_cells
+            ]
+        ).reshape(n, n_points, self.n_codewords)
+
+        replaced_flat = cells * n_slots + slots
+        others = table.reshape(n_points, n_sectors * n_slots).copy()
+        others[:, replaced_flat] = -np.inf
+        base_flat = np.argmax(others, axis=1)
+        self._base_best = others[np.arange(n_points), base_flat]
+        self._candidate_flat = np.concatenate(
+            [base_flat[None, :], np.broadcast_to(replaced_flat[:, None], (n, n_points))]
+        )
+        self._no_candidate = n_sectors * n_slots
+
+        _, group = np.unique(baseline.sweep, return_inverse=True)
+        group = group.reshape(n_sectors, n_slots)
+        kept = table.copy()
+        kept[:, cells, slots] = 0.0
+        self._group_of_flat = group.reshape(-1)
+        self._replaced_group = group[cells, slots]
+        self._group_sums = np.stack(
+            [np.sum(kept * (group == g), axis=2) for g in range(int(group.max()) + 1)], axis=1
+        )
+        self._cells = cells
+        self._cell_index = np.arange(n)
+        self._point_index = np.arange(n_points)
+
+    def evaluate_population(self, pop):
+        pop = np.asarray(pop, dtype=float)
+        n = self._cells.size
+        self.evals += pop.shape[0]
+        codeword = np.rint(pop[:, :n]).astype(int)
+        candidates = np.empty((pop.shape[0], n + 1, self._point_index.size))
+        candidates[:, 0] = self._base_best
+        replaced = candidates[:, 1:]
+        np.multiply(self._gain[self._cell_index, :, codeword], pop[:, n:, None], out=replaced)
+
+        best = candidates.max(axis=1)
+        serving = np.where(
+            candidates == best[:, None, :], self._candidate_flat, self._no_candidate
+        ).min(axis=1)
+        sector = serving // self._n_slots
+        violations = np.count_nonzero(sector != self.required_cell, axis=1)
+        scores = np.full(pop.shape[0], -math.inf)
+        ok = violations == 0
+
+        group = self._group_of_flat[serving[ok]]
+        rows = self._group_sums[self._point_index, group]
+        rows[:, :, self._cells] += np.where(
+            self._replaced_group[:, None] == group[:, None, :], replaced[ok], 0.0
+        ).transpose(0, 2, 1)
+        own = rows[np.arange(group.shape[0])[:, None], self._point_index, sector[ok]]
+        interference = rows.sum(axis=2) - own
+        scores[ok] = sinr_db(best[ok], interference + self.noise_mw).min(axis=1)
+        return scores, violations
+
+
+def reference_run(params, evaluator, p_max_dbm):
+    """The elite GA loop with one generator call per draw, in the draw order
+    of `genetic.run`: parent pairs, swap mask, codeword mutation mask, new
+    codewords, power mutation mask, new powers."""
+    n_cells = len(evaluator.designated_cells)
+    n_cb = evaluator.n_codewords
+    p_max_mw = 10.0 ** (p_max_dbm / 10.0)
+    rng = np.random.default_rng(params.seed)
+    pop = np.empty((params.n_pop, 2 * n_cells))
+    pop[:, :n_cells] = rng.integers(0, n_cb, size=(params.n_pop, n_cells))
+    pop[:, n_cells:] = p_max_mw * (1.0 - rng.random(size=(params.n_pop, n_cells)))
+
+    trace = FitnessTrace()
+    best_genome = pop[0].copy()
+    best_fitness = -math.inf
+    best_violations = math.inf
+    last_improvement = 0
+    n_offspring = params.n_pop - params.n_elites
+    scores = np.empty(params.n_pop)
+    violations = np.empty(params.n_pop, dtype=int)
+    n_unscored = params.n_pop
+
+    for iteration in range(params.max_iters):
+        scores[:n_unscored], violations[:n_unscored] = evaluator.evaluate_population(
+            pop[:n_unscored]
+        )
+        order = np.lexsort((violations, np.negative(scores)))
+        pop = pop[order]
+        scores = scores[order]
+        violations = violations[order]
+        improved = scores[0] > best_fitness or (
+            scores[0] == best_fitness and violations[0] < best_violations
+        )
+        if improved:
+            best_fitness = float(scores[0])
+            best_violations = int(violations[0])
+            best_genome = pop[0].copy()
+            last_improvement = iteration
+        trace.record(iteration, best_fitness, evaluator.evals)
+
+        if iteration - last_improvement >= params.stop_iters:
+            trace.stop_reason = "stagnation"
+            break
+
+        elites = pop[: params.n_elites].copy()
+        elite_scores = scores[: params.n_elites].copy()
+        elite_violations = violations[: params.n_elites].copy()
+        parents = pop[: params.n_parents]
+
+        n_pairs = (params.n_pop + 1) // 2
+        pair_idx = rng.integers(0, params.n_parents, size=(n_pairs, 2))
+        a = parents[pair_idx[:, 0]].copy()
+        b = parents[pair_idx[:, 1]].copy()
+        swap = rng.random(size=a.shape) <= params.p_cross
+        a_swapped = np.where(swap, b, a)
+        b_swapped = np.where(swap, a, b)
+        offspring = np.empty((2 * n_pairs, 2 * n_cells))
+        offspring[0::2] = a_swapped
+        offspring[1::2] = b_swapped
+        pop = offspring[: params.n_pop]
+
+        mut_idx = rng.random(size=(params.n_pop, n_cells)) <= params.p_mut
+        new_idx = rng.integers(0, n_cb, size=(params.n_pop, n_cells))
+        pop[:, :n_cells] = np.where(mut_idx, new_idx, pop[:, :n_cells])
+        mut_pw = rng.random(size=(params.n_pop, n_cells)) <= params.p_mut
+        new_pw = p_max_mw * (1.0 - rng.random(size=(params.n_pop, n_cells)))
+        pop[:, n_cells:] = np.where(mut_pw, new_pw, pop[:, n_cells:])
+
+        pop[n_offspring:] = elites
+        scores[n_offspring:] = elite_scores
+        violations[n_offspring:] = elite_violations
+        n_unscored = n_offspring
+
+    return Individual(best_genome, best_fitness, best_violations), trace
 
 
 def validate_plan(plan: BeamPlan, n_codewords: int, max_power_dbm: float | None = None) -> None:

@@ -1,5 +1,7 @@
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from skybeam.cli import main
@@ -50,6 +52,20 @@ class TestRun:
         assert manifest["designated_cells"]
         assert set(manifest["ega"]) == {"iterations", "evals", "stop_reason", "feasible", "violations"}
         assert manifest["ega"]["stop_reason"] in ("stagnation", "max_iters")
+
+    def test_manifest_records_environment(self, small_config_path, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(small_config_path), "--out", str(out), "--snapshots", "1"]) == 0
+        env = json.loads((out / "manifest.json").read_text())["env"]
+        assert set(env) == {"python", "numpy", "blas_name", "blas_version", "nproc",
+                            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["nproc"], int) and env["nproc"] >= 1
+        assert env["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["OMP_NUM_THREADS"] is None
 
     def test_missing_radio_block_exits_1(self, tmp_path, capsys):
         cfg = default_config()

@@ -4,16 +4,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import brute_force_fitness, evaluate_genome, validate_plan
+from oracles import (
+    ReferenceEvaluator,
+    brute_force_fitness,
+    evaluate_genome,
+    reference_run,
+    validate_plan,
+)
 from skybeam.association import BeamPlan, rsrp_table, select_serving_all
+from skybeam.channel import build_channels
+from skybeam.codebook import build_ssb_codebook
+from skybeam.config import codebook_params_from_config, default_config, validate_config
 from skybeam.genetic import (
     EgaParams,
     FitnessEvaluator,
     apply_individual,
     export_plan_json,
     run,
+    corridor_problem,
     select_frozen_slots,
 )
+from skybeam.scenario import entity_block, scenario_from_config
 from test_association import make_channels, make_codebook, simple_plan
 
 NOISE_MW = 1e-9
@@ -46,7 +57,7 @@ class TestApplyIndividual:
     def test_empty_designated_set_is_identity(self):
         gen = np.random.default_rng(0)
         _, _, baseline, _, _, _ = random_instance(gen)
-        plan = apply_individual(np.empty(0), baseline, (), {})
+        plan = apply_individual(np.empty(0), baseline, (), {}, 10)
         assert np.array_equal(plan.x, baseline.x)
         assert np.array_equal(plan.power_dbm, baseline.power_dbm)
         assert np.array_equal(plan.codeword, baseline.codeword)
@@ -55,7 +66,7 @@ class TestApplyIndividual:
         gen = np.random.default_rng(1)
         _, _, baseline, _, _, _ = random_instance(gen)
         genome = np.array([7.0, 2.5])
-        plan = apply_individual(genome, baseline, (1,), {1: 3})
+        plan = apply_individual(genome, baseline, (1,), {1: 3}, 10)
         diff = np.argwhere(plan.codeword != baseline.codeword)
         power_diff = np.argwhere(~np.isclose(plan.power_dbm, baseline.power_dbm))
         changed = {tuple(d) for d in diff} | {tuple(d) for d in power_diff}
@@ -70,7 +81,7 @@ class TestApplyIndividual:
             _, _, baseline, designated, frozen, _ = random_instance(gen)
             n = len(designated)
             genome = np.concatenate([gen.integers(0, 10, n), gen.uniform(0.1, 5.0, n)])
-            plan = apply_individual(genome, baseline, designated, frozen)
+            plan = apply_individual(genome, baseline, designated, frozen, 10)
             diff_cells = set(np.argwhere(plan.codeword != baseline.codeword)[:, 0].tolist())
             diff_cells |= set(
                 np.argwhere(~np.isclose(plan.power_dbm, baseline.power_dbm))[:, 0].tolist()
@@ -244,6 +255,49 @@ class TestEvaluatePopulation:
             feasible_toy().evaluate_population(np.ones((3, 4)))
 
 
+class TestGeneRange:
+    """A codeword gene must round to an index in [0, N_CB) and a power gene
+    must be a finite value above 0 mW, in the scorer and in the plan alike."""
+
+    @staticmethod
+    def instance():
+        channels, book, baseline, _, _, required = random_instance(
+            np.random.default_rng(13), n_codewords=320
+        )
+        ev = FitnessEvaluator(channels, book, baseline, (1,), {1: 2}, required, NOISE_MW)
+        return ev
+
+    @pytest.mark.parametrize("codeword", [-1.0, 320.0, 319.6, math.nan, math.inf])
+    def test_codeword_out_of_range_is_rejected(self, codeword):
+        ev = self.instance()
+        genome = np.array([codeword, 1.0])
+        with pytest.raises(ValueError, match=r"\[0, 320\)"):
+            ev.evaluate_population(np.array([[3.0, 1.0], genome]))
+        with pytest.raises(ValueError, match=r"\[0, 320\)"):
+            ev.plan_for(genome)
+        assert ev.evals == 0
+
+    @pytest.mark.parametrize("power", [0.0, -5.0, math.nan, math.inf])
+    def test_power_out_of_range_is_rejected(self, power):
+        ev = self.instance()
+        genome = np.array([3.0, power])
+        with pytest.raises(ValueError, match="finite and above 0 mW"):
+            ev.evaluate_population(genome[None, :])
+        with pytest.raises(ValueError, match="finite and above 0 mW"):
+            ev.plan_for(genome)
+        assert ev.evals == 0
+
+    @pytest.mark.parametrize("codeword, index", [(319.4, 319), (-0.5, 0), (0.0, 0), (2.5, 2)])
+    def test_codeword_rounds_to_nearest_even_index(self, codeword, index):
+        ev = self.instance()
+        genome = np.array([codeword, 1.0])
+        assert ev.plan_for(genome).codeword[1, 2] == index
+        scores, violations = ev.evaluate_population(genome[None, :])
+        rounded = ev.evaluate_population(np.array([[float(index), 1.0]]))
+        assert scores.tobytes() == rounded[0].tobytes()
+        assert violations.tobytes() == rounded[1].tobytes()
+
+
 def feasible_toy(seed=0):
     """Instance where sector 0 dominates and is the only designated cell."""
     gen = np.random.default_rng(seed)
@@ -378,6 +432,142 @@ class TestRun:
         _, trace = run(replace(stalled, stop_iters=50), ev, p_max_dbm=10.0)
         assert trace.stop_reason == "max_iters"
         assert len(trace.iterations) == 20
+
+
+def reference_twin(ev: FitnessEvaluator, channels, book) -> ReferenceEvaluator:
+    return ReferenceEvaluator(
+        channels, book, ev.baseline, ev.designated_cells, ev.frozen_slots, ev.required_cell,
+        ev.noise_mw,
+    )
+
+
+def assert_same_scores(ev, ref, pop):
+    scores, violations = ev.evaluate_population(pop)
+    ref_scores, ref_violations = ref.evaluate_population(pop)
+    assert scores.dtype == ref_scores.dtype and violations.dtype == ref_violations.dtype
+    assert scores.tobytes() == ref_scores.tobytes()
+    assert violations.tobytes() == ref_violations.tobytes()
+    assert ev.evals == ref.evals
+    return scores
+
+
+def assert_same_search(params, ev, ref, p_max_dbm):
+    best, trace = run(params, ev, p_max_dbm)
+    ref_best, ref_trace = reference_run(params, ref, p_max_dbm)
+    assert best.genome.tobytes() == ref_best.genome.tobytes()
+    assert np.float64(best.fitness).tobytes() == np.float64(ref_best.fitness).tobytes()
+    assert best.violations == ref_best.violations
+    assert trace.iterations == ref_trace.iterations
+    assert np.array(trace.best_fitness).tobytes() == np.array(ref_trace.best_fitness).tobytes()
+    assert trace.evaluations == ref_trace.evaluations
+    assert trace.stop_reason == ref_trace.stop_reason
+    assert ev.evals == ref.evals
+    return best, trace
+
+
+@pytest.fixture(scope="module")
+def default_problems():
+    """Per master seed: the default scenario's evaluator, its reference twin
+    and the maximum SSB power."""
+    problems = {}
+
+    def get(seed):
+        if seed not in problems:
+            cfg = validate_config(default_config())
+            cfg["seeds"]["master"] = seed
+            scenario = scenario_from_config(cfg)
+            cb = codebook_params_from_config(cfg)
+            book = build_ssb_codebook(
+                scenario.sectors[0].panel, cb.ssb_oversampling_h, cb.ssb_oversampling_v
+            )
+            _, ev = corridor_problem(scenario, book)
+            points = entity_block("aerial", scenario.highway.points)
+            channels = build_channels(
+                scenario, points, snapshot="static", stream_tag="highway-point"
+            )
+            problems[seed] = (ev, reference_twin(ev, channels, book),
+                              scenario.radio.max_ssb_power_dbm)
+        return problems[seed]
+
+    return get
+
+
+class TestReferenceIdentity:
+    """`FitnessEvaluator` and `run` against the references in tests/oracles.py,
+    byte for byte. `run` merges adjacent `Generator.random` calls, which is
+    exact only because each double takes one 64-bit word of the stream."""
+
+    @pytest.mark.parametrize("sweep_map", [None, [0, 0, 1, 1]])
+    def test_random_populations(self, sweep_map):
+        gen = np.random.default_rng(21)
+        feasible = 0
+        for _ in range(40):
+            channels, book, baseline, designated, frozen, required = random_instance(gen)
+            if sweep_map is not None:
+                baseline.sweep = np.tile(np.array(sweep_map), (channels.n_sectors, 1))
+            ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
+            ref = reference_twin(ev, channels, book)
+            n = len(designated)
+            pop = np.concatenate(
+                [gen.uniform(-0.5, 9.5, (64, n)), gen.uniform(0.05, 4.0, (64, n))], axis=1
+            )
+            scores = assert_same_scores(ev, ref, pop)
+            feasible += np.count_nonzero(scores > -math.inf)
+        assert feasible > 0
+
+    @pytest.mark.parametrize("cell, slot", [(2, 1), (0, 0), (1, 0), (1, 1)])
+    def test_exact_ties(self, cell, slot):
+        channels = make_channels(np.tile([1.0, 0.0], (1, 3, 1)), np.ones((1, 3)))
+        book = make_codebook([[1.0, 0.0], [0.0, 1.0]])
+        baseline = simple_plan(3, 2)
+        baseline.power_dbm = np.array([[0.0, 1.0], [3.0, 2.0], [1.0, 0.0]])
+        table = rsrp_table(channels, baseline, book)
+        # every power that ties some baseline entry, with both codewords
+        pop = np.array([[cw, p] for cw in (0.0, 1.0) for p in np.unique(table)])
+        for required in range(3):
+            ev = FitnessEvaluator(
+                channels, book, baseline, (cell,), {cell: slot}, np.array([required]), NOISE_MW
+            )
+            assert_same_scores(ev, reference_twin(ev, channels, book), pop)
+
+    @pytest.mark.parametrize("seed", [1, 6, 22])
+    def test_default_scenario_search(self, default_problems, seed):
+        ev, ref, p_max_dbm = default_problems(seed)
+        params = EgaParams(max_iters=300, stop_iters=300, seed=seed)
+        best, trace = assert_same_search(params, ev, ref, p_max_dbm)
+        assert len(trace.iterations) == 300
+
+        # one-gene changes of the search's best genome: feasible and
+        # infeasible genomes, and every violation count from 0 up
+        gen = np.random.default_rng(seed)
+        n = len(ev.designated_cells)
+        pop = np.tile(best.genome, (3000, 1))
+        gene = gen.integers(0, 2 * n, 3000)
+        pop[np.arange(3000), gene] = np.where(
+            gene < n, gen.integers(0, ev.n_codewords, 3000), gen.uniform(0.01, 20.0, 3000)
+        )
+        scores = assert_same_scores(ev, ref, pop)
+        assert np.any(scores > -math.inf) and np.any(scores == -math.inf)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            EgaParams(n_pop=31, n_parents=17, n_elites=5, max_iters=120, stop_iters=120, seed=4),
+            EgaParams(n_pop=20, n_parents=20, n_elites=20, max_iters=30, stop_iters=30, seed=5),
+            EgaParams(n_pop=30, n_parents=10, n_elites=10, max_iters=120, stop_iters=120, seed=6),
+            EgaParams(p_cross=0.0, max_iters=80, stop_iters=80, seed=7),
+            EgaParams(p_cross=1.0, max_iters=80, stop_iters=80, seed=8),
+            EgaParams(p_mut=0.0, max_iters=80, stop_iters=20, seed=9),
+            EgaParams(p_mut=1.0, max_iters=80, stop_iters=80, seed=10),
+            EgaParams(n_pop=9, n_parents=5, n_elites=2, p_cross=1.0, p_mut=0.0, max_iters=60,
+                      stop_iters=15, seed=11),
+        ],
+        ids=["odd-n_pop", "n_pop-eq-n_elites", "n_parents-eq-n_elites", "p_cross-0",
+             "p_cross-1", "p_mut-0", "p_mut-1", "odd-p_cross-1-p_mut-0"],
+    )
+    def test_edge_parameters(self, default_problems, params):
+        ev, ref, p_max_dbm = default_problems(1)
+        assert_same_search(params, ev, ref, p_max_dbm)
 
 
 class TestFrozenSlots:
