@@ -8,20 +8,21 @@ probability that saturates at 1, aerial path-loss exponents). Small scale is
 a Rician mix of a plane-wave steering vector and an i.i.d. Rayleigh part.
 
 Everything is generated from seeded streams keyed by (kind of draw, stream
-tag, snapshot, sector): the LoS uniforms, the shadow draws (ground class
-first, then aerial) and the fading draws. A ChannelSet is therefore
-bit-reproducible regardless of evaluation order. `build_channels` keeps
-those keys and each stream's draw order, so its draws are made in two
+tag, snapshot, sector): the LoS uniforms, the shadow draws and the fading
+draws. `build_channels` takes one entity class per call, and each class has
+its own stream tag: "ue" for the ground users of a snapshot, "uav" for its
+UAVs and "highway-point" for the static corridor points. One class's
+channels therefore never depend on the other class, and a ChannelSet is
+bit-reproducible regardless of evaluation order. The draws are made in two
 per-sector passes, geometry with the large-scale draws first and the
 small-scale fading second. In between, the deterministic large-scale
 functions (`element_gain`, `los_probability`, `path_loss`, the shadow gain)
-run once per entity class over all of its (entity, sector) links. Keying the
-streams per entity class instead would change the output bits; that is a
-separate, declared change.
+run once over all (entity, sector) links.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -215,14 +216,21 @@ def shadow_gain(sigma_db, field) -> np.ndarray:
 # Geometry and small-scale fading
 # --------------------------------------------------------------------------
 
-def _panel_axes(panel) -> np.ndarray:
-    """Rows: boresight, panel-horizontal, panel-up unit vectors (global frame)."""
-    a = math.radians(panel.bearing_deg)
-    t = math.radians(panel.downtilt_deg)
+@functools.lru_cache(maxsize=64)
+def _panel_axes(bearing_deg: float, downtilt_deg: float) -> np.ndarray:
+    """Rows: boresight, panel-horizontal, panel-up unit vectors (global frame).
+
+    A layout has a few distinct orientations and every build asks for each
+    sector's, so the axes are built once per orientation and read-only.
+    """
+    a = math.radians(bearing_deg)
+    t = math.radians(downtilt_deg)
     boresight = np.array([math.cos(t) * math.cos(a), math.cos(t) * math.sin(a), -math.sin(t)])
     horiz = np.array([-math.sin(a), math.cos(a), 0.0])
     up = np.array([math.sin(t) * math.cos(a), math.sin(t) * math.sin(a), math.cos(t)])
-    return np.vstack([boresight, horiz, up])
+    axes = np.vstack([boresight, horiz, up])
+    axes.flags.writeable = False
+    return axes
 
 
 def link_geometry(sector: Sector, positions: np.ndarray):
@@ -230,7 +238,7 @@ def link_geometry(sector: Sector, positions: np.ndarray):
     delta = positions - sector.position[None, :]
     d3d = np.linalg.norm(delta, axis=1)
     d2d = np.linalg.norm(delta[:, :2], axis=1)
-    axes = _panel_axes(sector.panel)
+    axes = _panel_axes(sector.panel.bearing_deg, sector.panel.downtilt_deg)
     local = delta @ axes.T
     unit = local / d3d[:, None]
     azimuth = np.arctan2(unit[:, 1], unit[:, 0])
@@ -290,26 +298,27 @@ def build_channels(
     snapshot: int | str = 0,
     stream_tag: str = "ue",
 ) -> ChannelSet:
-    """Generate the full ChannelSet for `entities` against every sector.
+    """Generate the full ChannelSet for one class of `entities` against every sector.
 
-    `entities` is a record array from `scenario.entity_block`, or several
-    concatenated: row i is entity i, with its `kind` ("ground" or "aerial")
-    and `position_3d_m`. Seed keys combine (stream_tag, snapshot, sector
-    id), which makes the result independent of sector evaluation order.
+    `entities` is a record array from `scenario.entity_block`: row i is
+    entity i, with its `kind` and `position_3d_m`. Every row must be of one
+    kind, "ground" or "aerial"; a block mixing the two raises ValueError, so
+    each entity class is built by its own call on its own streams. Seed keys
+    combine (stream_tag, snapshot, sector id), which makes the result
+    independent of sector evaluation order and of every other call.
 
     Three steps. Pass 1 walks the sectors for the link geometry and the two
-    large-scale draws: the LoS uniforms and, ground class first, one
-    correlated unit shadow draw per class through that class's factor (built
-    once per call). The vectorised step then evaluates `element_gain`, and
-    `los_probability`, `path_loss` and the shadow gain once per entity class
-    over all of its (entity, sector) links. Pass 2 walks the sectors again
-    for the small-scale fading, which keeps the (N, M) working set of one
-    sector rather than (N, B, M) arrays. The draws stay per sector because
-    the keyed streams and their draw order are what fixes the output bits.
+    large-scale draws: the LoS uniforms and one correlated unit shadow draw
+    through the class's shadow factor (built once per call). The vectorised
+    step then evaluates `element_gain`, `los_probability`, `path_loss` and
+    the shadow gain once over all (entity, sector) links. Pass 2 walks the
+    sectors again for the small-scale fading, which keeps the (N, M) working
+    set of one sector rather than (N, B, M) arrays. The draws stay per
+    sector because the keyed streams and their draw order are what fixes the
+    output bits.
 
-    `path_loss` runs once per class, so a build whose links leave the model's
-    validity region raises at most one `OutOfValidityRange` warning per
-    entity class.
+    `path_loss` runs once per call, so a build whose links leave the model's
+    validity region raises at most one `OutOfValidityRange` warning.
     """
     radio = scenario.radio
     params = scenario.channel_params
@@ -322,20 +331,21 @@ def build_channels(
     kinds = entities.kind
     heights = positions[:, 2]
 
-    ground_idx = np.flatnonzero(kinds == "ground")
-    aerial_idx = np.flatnonzero(kinds == "aerial")
-    # per non-empty entity class: shadow factor, LoS and NLoS sigma
-    classes = [
-        (kind, idx, shadow_factor(positions[idx], d_corr), sigma_los, sigma_nlos)
-        for kind, idx, d_corr, sigma_los, sigma_nlos in (
-            ("ground", ground_idx, params.shadow_corr_dist_ground_m,
-             params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
-            ("aerial", aerial_idx, params.shadow_corr_dist_aerial_m,
-             aerial_los_shadow_sigma_db(heights[aerial_idx])[:, None],
-             params.shadow_sigma_nlos_aerial_db),
+    kind = str(kinds[0]) if n else "ground"
+    if np.any(kinds != kind):
+        raise ValueError(
+            "build_channels takes one entity class per call; this block mixes "
+            + " and ".join(sorted(set(kinds.tolist())))
         )
-        if idx.size
-    ]
+    if kind == "ground":
+        d_corr = params.shadow_corr_dist_ground_m
+        sigma_los = params.shadow_sigma_los_ground_db
+        sigma_nlos = params.shadow_sigma_nlos_ground_db
+    else:
+        d_corr = params.shadow_corr_dist_aerial_m
+        sigma_los = aerial_los_shadow_sigma_db(heights)[:, None]
+        sigma_nlos = params.shadow_sigma_nlos_aerial_db
+    factor = shadow_factor(positions, d_corr)
 
     # pass 1: geometry, the LoS uniforms and the unit shadow draws, per sector
     d2d, d3d, az, zen, los_draws, shadow_unit = (np.empty((n, b)) for _ in range(6))
@@ -347,25 +357,15 @@ def build_channels(
         d2d[:, j], d3d[:, j], az[:, j], zen[:, j], unit = link_geometry(sector, positions)
         waves.append(unit)
         los_draws[:, j] = streams.derive("los", stream_tag, snapshot, j).uniform(size=n)
-        rng_shadow = streams.derive("shadow", stream_tag, snapshot, j)
-        for _, idx, factor, _, _ in classes:
-            shadow_unit[idx, j] = shadow_field(factor, rng_shadow)
+        shadow_unit[:, j] = shadow_field(factor, streams.derive("shadow", stream_tag, snapshot, j))
 
-    # vectorised: LoS state (held for the snapshot), path gain and shadow gain
-    # over all links of each class, element gain over all links
-    rho = np.zeros((n, b))
-    tau = np.ones((n, b))
-    p_los = np.zeros((n, b))
-    is_los = np.zeros((n, b), dtype=bool)
-    for kind, idx, _, sigma_los, sigma_nlos in classes:
-        d2d_c = d2d[idx]
-        h_ut = heights[idx, None]
-        p = los_probability(d2d_c, h_ut, kind)
-        los = los_draws[idx] < p
-        p_los[idx] = p
-        is_los[idx] = los
-        rho[idx] = path_loss(d2d_c, d3d[idx], h_ut, kind, los, radio, h_bs_m=h_bs)
-        tau[idx] = shadow_gain(np.where(los, sigma_los, sigma_nlos), shadow_unit[idx])
+    # vectorised over all links: LoS state (held for the snapshot), path
+    # gain, shadow gain and element gain
+    h_ut = heights[:, None]
+    p_los = los_probability(d2d, h_ut, kind)
+    is_los = los_draws < p_los
+    rho = path_loss(d2d, d3d, h_ut, kind, is_los, radio, h_bs_m=h_bs)
+    tau = shadow_gain(np.where(is_los, sigma_los, sigma_nlos), shadow_unit)
     g = element_gain(az, zen)
 
     # pass 2: Rician small-scale fading around the plane-wave component

@@ -33,7 +33,13 @@ from .config import (
     load_config,
     validate_config,
 )
-from .evaluation import SnapshotResult, evaluate_snapshot, snapshot_stats, traffic_sweep
+from .evaluation import (
+    SnapshotResult,
+    evaluate_snapshot,
+    ground_channels,
+    snapshot_stats,
+    traffic_sweep,
+)
 from .genetic import corridor_problem, export_plan_json, run as run_ega
 from .scenario import scenario_from_config
 from .segment_metric import dump_metric_csv
@@ -75,13 +81,14 @@ def _prepare(cfg: dict, seed: int | None):
     return scenario, ssb_cb, dl_cb
 
 
-def _optimize(cfg: dict, scenario, ssb_cb, out: Path):
-    """Designate cells, freeze slots, run the beam search.
+def _optimize(cfg: dict, scenario, ssb_cb, ground, out: Path):
+    """Designate cells, freeze slots on snapshot 0's ground block `ground`,
+    run the beam search.
 
     Returns both plans, the segment assignment and the search's manifest
     record (iterations, evals, stop reason, feasibility, violations).
     """
-    assignment, evaluator = corridor_problem(scenario, ssb_cb)
+    assignment, evaluator = corridor_problem(scenario, ssb_cb, ground)
     dump_metric_csv(assignment, out / "segment_metric.csv")
     best, trace = run_ega(ega_params_from_config(cfg), evaluator, scenario.radio.max_ssb_power_dbm)
     if not best.feasible:
@@ -129,6 +136,21 @@ def _environment() -> dict:
     }
 
 
+def _write_manifest(out: Path, cfg: dict, t0: float, **fields) -> None:
+    """manifest.json: version, config, seed, environment, wall time and the
+    output list, plus the command's own `fields`."""
+    manifest = {
+        "version": __version__,
+        "config": cfg,
+        "seed": cfg["seeds"]["master"],
+        **fields,
+        "env": _environment(),
+        "elapsed_s": round(time.time() - t0, 3),
+        "outputs": sorted(p.name for p in out.iterdir()),
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 # summary label and entity kind of each pooled group
 GROUPS = (("uav", "aerial"), ("gue", "ground"))
 
@@ -162,7 +184,8 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_codebook_csv(ssb_cb, out / "ssb_codebook.csv")
-    base, optimized, assignment, ega = _optimize(cfg, scenario, ssb_cb, out)
+    ground = ground_channels(scenario, 0)  # shared by the search and snapshot 0
+    base, optimized, assignment, ega = _optimize(cfg, scenario, ssb_cb, ground, out)
     plans = {"baseline": base, "optimized": optimized}
 
     # one pass: each snapshot's report rows, pooled samples and (at snapshot 0)
@@ -176,7 +199,10 @@ def cmd_run(args) -> int:
             "snapshot,ue_id,kind,serving_sector,coverage_sinr_db,data_sinr_db,rate_bps\n"
         )
     for snapshot in range(args.snapshots):
-        results = evaluate_snapshot(scenario, plans, ssb_cb, dl_cb, snapshot, args.snapshots)
+        results = evaluate_snapshot(
+            scenario, plans, ssb_cb, dl_cb, snapshot, args.snapshots, ground=ground
+        )
+        ground = None  # later snapshots draw and build their own ground users
         for name, res in results.items():
             with open(out / f"report_{name}.csv", "a") as fh:
                 fh.write(_report_rows(snapshot, res))
@@ -193,18 +219,10 @@ def cmd_run(args) -> int:
     summary = _summaries(pooled)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
-    manifest = {
-        "version": __version__,
-        "config": cfg,
-        "seed": cfg["seeds"]["master"],
-        "snapshots": args.snapshots,
-        "designated_cells": list(assignment.designated_cells),
-        "ega": ega,
-        "env": _environment(),
-        "elapsed_s": round(time.time() - t0, 3),
-        "outputs": sorted(p.name for p in out.iterdir()),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(
+        out, cfg, t0, snapshots=args.snapshots,
+        designated_cells=list(assignment.designated_cells), ega=ega,
+    )
 
     for name in plans:
         for label, _ in GROUPS:
@@ -218,19 +236,38 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _extreme_ratio(numerator: np.ndarray, denominator: np.ndarray, n_uavs: np.ndarray, pick) -> dict:
+    """The ratio numerator / denominator that `pick` (max or min) selects over
+    the UAV counts whose denominator is not 0, and its UAV count; both None
+    when every denominator is 0."""
+    defined = denominator != 0
+    if not np.any(defined):
+        return {"ratio": None, "n_uavs": None}
+    ratios = numerator[defined] / denominator[defined]
+    k = int(pick(ratios))
+    return {"ratio": float(ratios[k]), "n_uavs": int(n_uavs[defined][k])}
+
+
 def cmd_sweep(args) -> int:
     cfg = _apply_env_overrides(load_config(args.config))
     if args.n_max < 1:
         raise ConfigError("--n-max must be >= 1")
     if args.snapshots < 1:
         raise ConfigError("--snapshots must be >= 1")
+    t0 = time.time()
     scenario, ssb_cb, dl_cb = _prepare(cfg, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base, optimized, _, _ = _optimize(cfg, scenario, ssb_cb, out)
+    # snapshot 0's ground block, shared by the search and the sweep; popped
+    # into the sweep so that no reference here keeps it past snapshot 0
+    grounds = [ground_channels(scenario, 0)]
+    base, optimized, assignment, ega = _optimize(cfg, scenario, ssb_cb, grounds[0], out)
     plans = {"baseline": base, "optimized": optimized}
 
-    result = traffic_sweep(scenario, plans, ssb_cb, dl_cb, args.n_max, n_snapshots=args.snapshots)
+    result = traffic_sweep(
+        scenario, plans, ssb_cb, dl_cb, args.n_max, n_snapshots=args.snapshots,
+        first_ground=grounds.pop(),
+    )
     lines = ["n_uavs,d_iud_m,p5_uav_rate_baseline_bps,p5_uav_rate_optimized_bps,"
              "p5_gue_rate_baseline_bps,p5_gue_rate_optimized_bps"]
     for i, n in enumerate(result.n_uavs):
@@ -245,6 +282,21 @@ def cmd_sweep(args) -> int:
         for i, n in enumerate(result.n_uavs):
             series.append(f"{n},{_fmt(result.p5_rate[name][i])}")
         (out / f"sweep_{name}_series.csv").write_text("\n".join(series) + "\n")
+
+    # optimized over baseline 5%-tile rates: the best UAV gain, the worst gUE loss
+    _write_manifest(
+        out, cfg, t0, snapshots=args.snapshots, n_max=args.n_max,
+        designated_cells=list(assignment.designated_cells), ega=ega,
+        sweep={
+            "max_uav_rate_ratio": _extreme_ratio(
+                result.p5_rate["optimized"], result.p5_rate["baseline"], result.n_uavs, np.argmax
+            ),
+            "min_gue_rate_ratio": _extreme_ratio(
+                result.p5_gue_rate["optimized"], result.p5_gue_rate["baseline"], result.n_uavs,
+                np.argmin,
+            ),
+        },
+    )
     print(f"sweep written to {out / 'sweep.csv'} ({len(result.n_uavs)} rows)")
     return 0
 

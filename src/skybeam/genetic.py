@@ -49,6 +49,7 @@ from .association import BeamPlan, baseline_plan, rsrp_table, select_serving_all
 from .channel import ChannelSet, build_channels, stack_highway_channels
 from .codebook import Codebook
 from .config import EgaParams
+from .evaluation import ground_channels
 from .scenario import Scenario, entity_block
 from .segment_metric import SegmentAssignment, assign_segments, metric_noise_mw
 
@@ -313,14 +314,17 @@ class FitnessEvaluator:
 
 
 def corridor_problem(
-    scenario: Scenario, ssb_codebook: Codebook
+    scenario: Scenario, ssb_codebook: Codebook, ground: ChannelSet | None = None
 ) -> tuple[SegmentAssignment, FitnessEvaluator]:
     """The beam-search problem of a scenario's corridor.
 
     Scores every (segment, sector) pair and designates a serving cell per
     segment, freezes in each designated cell the baseline slot that serves the
     fewest snapshot-0 ground users, and builds the evaluator on the static
-    corridor-point channels against the baseline plan.
+    corridor-point channels against the baseline plan. `ground` is snapshot
+    0's ground block (`evaluation.ground_channels`), built here if not given;
+    a caller that evaluates snapshot 0 afterwards passes the same block to
+    both.
     """
     radio = scenario.radio
     stacks = [
@@ -330,8 +334,9 @@ def corridor_problem(
     assignment = assign_segments(stacks, metric_noise_mw(radio))
     base = baseline_plan(scenario, ssb_codebook)
 
-    gue_channels = build_channels(scenario, scenario.ground_users(snapshot=0), snapshot=0)
-    gue_sector, gue_slot = select_serving_all(rsrp_table(gue_channels, base, ssb_codebook))
+    if ground is None:
+        ground = ground_channels(scenario, 0)
+    gue_sector, gue_slot = select_serving_all(rsrp_table(ground, base, ssb_codebook))
     frozen = select_frozen_slots(base, assignment.designated_cells, gue_sector, gue_slot)
 
     points = entity_block("aerial", scenario.highway.points)

@@ -15,20 +15,34 @@ and a masked reduction over its middle axis, and the GA loop with one
 arrays. `genetic.FitnessEvaluator` and `genetic.run` must give the same
 bytes: scores, violation counts, traces and best genomes.
 
+`reference_derive` is the stream derivation that `rng.RngStream.derive`
+must match draw for draw, with the entropy passed as a list of Python ints.
+`reference_sweep` is the traffic sweep without reuse: N outside, snapshots
+inside, and both entity blocks of every (N, snapshot) cell built and
+associated afresh; `evaluation.traffic_sweep` must give the same bytes.
+
 The helpers at the end read library objects for tests only: `validate_plan`
 checks a plan's constraints, `find_codeword` looks a beam up by its indices,
 `max_supported` reads a traffic sweep against a rate threshold and
 `evaluate_genome` scores one genome.
 """
 
+import hashlib
 import math
 
 import numpy as np
 
-from skybeam.association import N_SSB_SLOTS, BeamPlan, rsrp_table, sinr_db
+from skybeam.association import (
+    N_SSB_SLOTS,
+    BeamPlan,
+    rsrp_table,
+    select_serving_all,
+    sinr_db,
+)
 from skybeam.channel import (
     ChannelSet,
     aerial_los_shadow_sigma_db,
+    build_channels,
     element_gain,
     link_geometry,
     los_components,
@@ -41,7 +55,7 @@ from skybeam.channel import (
 )
 from skybeam.codebook import Codebook
 from skybeam.config import RadioConfig
-from skybeam.evaluation import SweepResult
+from skybeam.evaluation import SweepResult, data_phase, snapshot_stats
 from skybeam.genetic import FitnessEvaluator, FitnessTrace, Individual, apply_individual
 
 
@@ -165,6 +179,52 @@ def per_sector_channels(scenario, entities, snapshot=0, stream_tag="ue") -> Chan
         h[:, j, :] = rician_channel(h_los, k_lin, rng_fade)
     return ChannelSet(
         kinds=kinds, rho=rho, tau=tau, g=g, beta=rho * tau * g, p_los=p_los, is_los=is_los, h=h
+    )
+
+
+def reference_derive(master_seed: int, *key) -> np.random.Generator:
+    """The keyed generator of `RngStream(master_seed).derive(*key)`, with the
+    master seed and the four digest words handed to SeedSequence as Python
+    ints."""
+    tag = "/".join(str(part) for part in key)
+    digest = hashlib.sha256(tag.encode("utf-8")).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    seq = np.random.SeedSequence(entropy=[int(master_seed) & 0xFFFFFFFFFFFFFFFF, *words])
+    return np.random.default_rng(seq)
+
+
+def reference_sweep(scenario, plans, ssb_codebook, dl_codebook, n_max, n_snapshots):
+    """`traffic_sweep` without reuse: for every N, then every snapshot, the
+    ground users ("ue" streams) and the UAVs ("uav" streams) are drawn, built
+    and associated afresh, and the data phase runs on the two blocks."""
+    length = scenario.highway.total_length_m
+    n_values = np.arange(1, n_max + 1)
+    p5_rate = {name: np.empty(n_max) for name in plans}
+    p5_gue_rate = {name: np.empty(n_max) for name in plans}
+    for i, n_uav in enumerate(n_values.tolist()):
+        d_iud = length / n_uav
+        uav_p5 = {name: [] for name in plans}
+        gue_p5 = {name: [] for name in plans}
+        for snapshot in range(n_snapshots):
+            ground = build_channels(scenario, scenario.ground_users(snapshot), snapshot, "ue")
+            offset = (snapshot * d_iud / n_snapshots) % length
+            uavs = build_channels(scenario, scenario.uavs(offset, d_iud), snapshot, "uav")
+            aerial = np.concatenate([ground.kinds, uavs.kinds]) == "aerial"
+            for name, plan in plans.items():
+                serving = []
+                for block in (ground, uavs):
+                    table = rsrp_table(block, plan, ssb_codebook)
+                    serving.append(select_serving_all(table)[0])
+                report = data_phase(
+                    (ground, uavs), np.concatenate(serving), dl_codebook, scenario.radio
+                )
+                uav_p5[name].append(snapshot_stats(report.rate_bps, aerial).percentile(5))
+                gue_p5[name].append(snapshot_stats(report.rate_bps, ~aerial).percentile(5))
+        for name in plans:
+            p5_rate[name][i] = np.mean(uav_p5[name])
+            p5_gue_rate[name][i] = np.mean(gue_p5[name])
+    return SweepResult(
+        n_uavs=n_values, d_iud_m=length / n_values, p5_rate=p5_rate, p5_gue_rate=p5_gue_rate
     )
 
 

@@ -215,7 +215,7 @@ class TestCriterion5OracleEquivalence:
             weights /= np.linalg.norm(weights, axis=1, keepdims=True)
             channels = make_channels(h, beta)
             book = make_codebook(weights)
-            got = data_phase(channels, np.zeros(1, dtype=int), book, RadioConfig()).precoder[0]
+            got = data_phase([channels], np.zeros(1, dtype=int), book, RadioConfig()).precoder[0]
             oracle = int(np.argmax([beta[0, 0] * abs(h[0, 0] @ w) ** 2 for w in weights]))
             assert got == oracle
         print("PASS criterion 5e: data_phase precoder matches exhaustive scan x100")

@@ -329,10 +329,14 @@ class TestHighwayStack:
 
 class TestChannelSet:
     def test_beta_is_exact_product(self, small_scenario):
+        for users, tag in ((small_scenario.ground_users(0)[:10], "ue"), (small_scenario.uavs()[:3], "uav")):
+            cs = build_channels(small_scenario, users, 0, tag)
+            assert np.array_equal(cs.beta, cs.rho * cs.tau * cs.g)
+
+    def test_mixed_block_raises(self, small_scenario):
         users = np.concatenate([small_scenario.ground_users(0)[:10], small_scenario.uavs()[:3]])
-        users = users.view(np.recarray)
-        cs = build_channels(small_scenario, users, snapshot=0)
-        assert np.array_equal(cs.beta, cs.rho * cs.tau * cs.g)
+        with pytest.raises(ValueError, match="one entity class per call"):
+            build_channels(small_scenario, users.view(np.recarray), snapshot=0)
 
     def test_reproducible_across_builds(self, small_scenario):
         users = small_scenario.ground_users(0)[:8]
@@ -348,8 +352,7 @@ class TestChannelSet:
         assert not np.array_equal(a.h, b.h)
 
     def test_shadow_factor_built_once_per_class(self, small_scenario, monkeypatch):
-        users = np.concatenate([small_scenario.ground_users(0)[:10], small_scenario.uavs()[:3]])
-        users = users.view(np.recarray)
+        ground, uavs = small_scenario.ground_users(0)[:10], small_scenario.uavs()[:3]
         calls = []
 
         def counting_factor(positions_xy, decorrelation_distance_m):
@@ -357,31 +360,26 @@ class TestChannelSet:
             return shadow_factor(positions_xy, decorrelation_distance_m)
 
         monkeypatch.setattr(channel, "shadow_factor", counting_factor)
-        cs = build_channels(small_scenario, users, snapshot=2)
+        built = [build_channels(small_scenario, ground, 2, "ue"), build_channels(small_scenario, uavs, 2, "uav")]
         params = small_scenario.channel_params
         assert calls == [params.shadow_corr_dist_ground_m, params.shadow_corr_dist_aerial_m]
-        build_channels(small_scenario, users[10:], snapshot=2)  # no ground class, no ground factor
-        assert calls[2:] == [params.shadow_corr_dist_aerial_m]
 
-        # reference: the factor rebuilt for every sector, drawn from the same
-        # per-sector stream, ground first
-        positions = np.array([u.position_3d_m for u in users])
-        ground = np.arange(10)
-        aerial = np.arange(10, 13)
+        # reference: the factor rebuilt for every sector, drawn from the
+        # class's own per-sector stream
         classes = (
-            (ground, params.shadow_corr_dist_ground_m,
+            (ground, "ue", params.shadow_corr_dist_ground_m,
              params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
-            (aerial, params.shadow_corr_dist_aerial_m,
-             aerial_los_shadow_sigma_db(positions[aerial, 2]), params.shadow_sigma_nlos_aerial_db),
+            (uavs, "uav", params.shadow_corr_dist_aerial_m,
+             aerial_los_shadow_sigma_db(uavs.position_3d_m[:, 2]), params.shadow_sigma_nlos_aerial_db),
         )
-        tau = np.ones_like(cs.tau)
-        for j in range(cs.n_sectors):
-            rng_shadow = small_scenario.streams.derive("shadow", "ue", 2, j)
-            for idx, d_corr, sigma_los, sigma_nlos in classes:
-                sigma = np.where(cs.is_los[idx, j], sigma_los, sigma_nlos)
-                field = shadow_field(shadow_factor(positions[idx], d_corr), rng_shadow)
-                tau[idx, j] = shadow_gain(sigma, field)
-        assert np.array_equal(cs.tau, tau)
+        for cs, (users, tag, d_corr, sigma_los, sigma_nlos) in zip(built, classes):
+            tau = np.ones_like(cs.tau)
+            for j in range(cs.n_sectors):
+                rng_shadow = small_scenario.streams.derive("shadow", tag, 2, j)
+                sigma = np.where(cs.is_los[:, j], sigma_los, sigma_nlos)
+                field = shadow_field(shadow_factor(users.position_3d_m, d_corr), rng_shadow)
+                tau[:, j] = shadow_gain(sigma, field)
+            assert np.array_equal(cs.tau, tau)
 
     def test_aerial_links_at_100m_all_los(self, small_scenario):
         uavs = small_scenario.uavs()
@@ -397,8 +395,9 @@ def _one_tier_scenario(altitude_m):
     return scenario_from_config(validate_config(raw))
 
 
-def _mixed_block(scenario):
-    return np.concatenate([scenario.ground_users(1), scenario.uavs()]).view(np.recarray)
+def _snapshot_blocks(scenario, snapshot):
+    """A snapshot's two entity classes, each with its own stream tag."""
+    return ((scenario.ground_users(snapshot), "ue"), (scenario.uavs(), "uav"))
 
 
 class TestMatchesPerSectorOracle:
@@ -414,21 +413,20 @@ class TestMatchesPerSectorOracle:
 
     # 20 m is an aerial link on the ground model (at or below 22.5 m), 60 m
     # the mid-height LoS curve, 100 m always LoS, 350 m outside the validity
-    # region of the aerial path loss
+    # region of the aerial path loss. "mixed" is a whole snapshot built the
+    # way the evaluation builds it: one block per class, on its own tag.
     @pytest.mark.parametrize("altitude_m", [20.0, 60.0, 100.0, 350.0])
     @pytest.mark.parametrize("block", ["mixed", "ground", "uav"])
     def test_bit_identical(self, altitude_m, block):
         scenario = _one_tier_scenario(altitude_m)
-        entities = {
-            "mixed": _mixed_block(scenario),
-            "ground": scenario.ground_users(1),
-            "uav": scenario.uavs(),
-        }[block]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OutOfValidityRange)
-            got = build_channels(scenario, entities, snapshot=1)
-            want = per_sector_channels(scenario, entities, snapshot=1)
-        self.assert_same_bytes(got, want)
+        ground, uavs = _snapshot_blocks(scenario, 1)
+        blocks = {"mixed": [ground, uavs], "ground": [(ground[0], "ue")], "uav": [(uavs[0], "ue")]}[block]
+        for entities, tag in blocks:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OutOfValidityRange)
+                got = build_channels(scenario, entities, 1, tag)
+                want = per_sector_channels(scenario, entities, 1, tag)
+            self.assert_same_bytes(got, want)
 
     def test_highway_point_stream(self, cfg):
         scenario = scenario_from_config(cfg)
@@ -443,14 +441,16 @@ class TestOutOfValidityCount:
         # every UAV link of a 350 m corridor is outside the aerial model; the
         # ground links of the one-tier layout are inside the ground model
         scenario = _one_tier_scenario(350.0)
-        entities = _mixed_block(scenario)
 
-        def flagged(build):
+        def flagged(build, entities, tag):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                build(scenario, entities, snapshot=0)
+                build(scenario, entities, 0, tag)
             return [w for w in caught if issubclass(w.category, OutOfValidityRange)]
 
-        assert len(flagged(build_channels)) == 1
-        assert len(flagged(per_sector_channels)) == scenario.n_sectors == 21
+        (ground, ground_tag), (uavs, uav_tag) = _snapshot_blocks(scenario, 0)
+        assert len(flagged(build_channels, ground, ground_tag)) == 0
+        assert len(flagged(build_channels, uavs, uav_tag)) == 1
+        assert len(flagged(per_sector_channels, ground, ground_tag)) == 0
+        assert len(flagged(per_sector_channels, uavs, uav_tag)) == scenario.n_sectors == 21
 

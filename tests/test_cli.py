@@ -1,3 +1,4 @@
+import csv
 import json
 import platform
 
@@ -171,6 +172,25 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--n-max", "3"]])
+def test_ground_users_drawn_once_per_snapshot(small_config_path, tmp_path, monkeypatch, command):
+    """Snapshot 0's ground users serve the search and the evaluation; the
+    sweep draws each snapshot's ground users once for all UAV counts."""
+    from skybeam import scenario
+
+    snapshots = []
+    original = scenario.place_ground_users
+
+    def counting(*args, **kwargs):
+        snapshots.append(kwargs["snapshot"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "place_ground_users", counting)
+    argv = [*command, "--config", str(small_config_path), "--out", str(tmp_path / "o"), "--snapshots", "2"]
+    assert main(argv) == 0
+    assert snapshots == [0, 1]
+
+
 class TestInfeasibleSearch:
     """Seed 1 of the default scenario is first feasible at GA iteration 545,
     so a one-iteration search ends infeasible."""
@@ -201,9 +221,32 @@ class TestInfeasibleSearch:
         )
         assert code == 0
         assert "infeasible" in capsys.readouterr().err
+        ega = json.loads((out / "manifest.json").read_text())["ega"]
+        assert ega["feasible"] is False and ega["violations"] > 0
 
 
 class TestSweep:
+    def test_manifest_matches_sweep_csv(self, small_config_path, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(small_config_path), "--out", str(out), "--n-max", "4",
+                "--snapshots", "2"]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 1
+        assert (manifest["snapshots"], manifest["n_max"]) == (2, 4)
+        assert manifest["designated_cells"]
+        assert set(manifest["ega"]) == {"iterations", "evals", "stop_reason", "feasible", "violations"}
+        assert "OPENBLAS_NUM_THREADS" in manifest["env"]
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for key, kind, pick in (("max_uav_rate_ratio", "uav", max), ("min_gue_rate_ratio", "gue", min)):
+            ratios = {int(r["n_uavs"]): float(r[f"p5_{kind}_rate_optimized_bps"])
+                      / float(r[f"p5_{kind}_rate_baseline_bps"]) for r in rows}
+            n_best = pick(ratios, key=ratios.get)
+            assert manifest["sweep"][key]["n_uavs"] == n_best, key
+            assert manifest["sweep"][key]["ratio"] == pytest.approx(ratios[n_best], rel=1e-9), key
+
+
     def test_rows_match_n_max(self, small_config_path, tmp_path):
         out = tmp_path / "sweep"
         code = main(

@@ -3,19 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from oracles import achievable_rate, data_sinr, max_supported
+from oracles import achievable_rate, data_sinr, max_supported, reference_sweep
+from skybeam import evaluation
 from skybeam.association import baseline_plan
+from skybeam.channel import ChannelSet, build_channels
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import RadioConfig
 from skybeam.evaluation import (
     CdfSummary,
     EmptyGroup,
+    associate,
     data_phase,
     evaluate_snapshot,
+    ground_channels,
     snapshot_stats,
-    snapshot_users,
+    snapshot_uavs,
     traffic_sweep,
 )
+from skybeam.genetic import corridor_problem
 from test_association import make_channels, make_codebook
 
 RADIO = RadioConfig()
@@ -23,7 +28,7 @@ RADIO = RadioConfig()
 
 def dl_precoder(channels, book):
     """data_phase's precoder for entity 0 served by sector 0."""
-    return data_phase(channels, np.zeros(channels.n_entities, dtype=int), book, RADIO).precoder[0]
+    return data_phase([channels], np.zeros(channels.n_entities, dtype=int), book, RADIO).precoder[0]
 
 
 class TestSelectDlPrecoder:
@@ -69,7 +74,7 @@ class TestDataSinr:
         channels = make_channels(steering.reshape(1, 1, m), np.full((1, 1), 2.0))
         book = make_codebook(matched.reshape(1, m))
         serving = np.zeros(1, dtype=int)
-        report = data_phase(channels, serving, book, RADIO)
+        report = data_phase([channels], serving, book, RADIO)
         p_mw = 10 ** (RADIO.sector_tx_power_dbm / 10)
         noise = RADIO.n_prb_total * RADIO.prb_bandwidth_hz * RADIO.noise_psd_mw_per_hz
         expected = 10 * math.log10(2.0 * m * p_mw / noise)
@@ -84,7 +89,7 @@ class TestDataSinr:
         channels = make_channels(h.reshape(2, 1, m), np.ones((2, 1)))
         book = make_codebook(np.vstack([np.ones(m) / math.sqrt(m), np.eye(m)[:1]]))
         serving = np.zeros(2, dtype=int)
-        report = data_phase(channels, serving, book, RADIO)
+        report = data_phase([channels], serving, book, RADIO)
         assert np.all(report.n_codeword_sharers == 2)
         # SINR identical for both and unaffected by each other's stream
         assert report.sinr_db[0] == pytest.approx(report.sinr_db[1], rel=1e-12)
@@ -99,7 +104,7 @@ class TestDataSinr:
         channels = make_channels(h, beta)
         book = make_codebook(weights)
         serving = np.array([0, 0, 1])
-        report = data_phase(channels, serving, book, RADIO)
+        report = data_phase([channels], serving, book, RADIO)
         for u in range(n):
             ref = data_sinr(u, channels, serving, report.precoder, RADIO, book)
             assert report.sinr_db[u] == pytest.approx(ref, rel=1e-9)
@@ -117,7 +122,7 @@ class TestDataSinr:
             channels = make_channels(h, beta)
             book = make_codebook(weights)
             serving = gen.integers(0, b, n)
-            report = data_phase(channels, serving, book, RADIO)
+            report = data_phase([channels], serving, book, RADIO)
             u = int(gen.integers(0, n))
             ref = data_sinr(u, channels, serving, report.precoder, RADIO, book)
             assert report.sinr_db[u] == pytest.approx(ref, rel=1e-9)
@@ -137,7 +142,7 @@ def test_inter_cell_interference_sanity_bound():
     channels = make_channels(h, beta)
     book = make_codebook(weights)
     serving = np.array([0, 0, 0, 1])
-    report = data_phase(channels, serving, book, RADIO)
+    report = data_phase([channels], serving, book, RADIO)
     p_total = 10 ** (RADIO.sector_tx_power_dbm / 10)
     u = 0  # served by cell 0, interfered by cell 1
     sinr = 10 ** (report.sinr_db[u] / 10)
@@ -202,40 +207,146 @@ class TestSnapshotStats:
         assert stats.mean == pytest.approx(1.5)
 
 
+def _books_and_plan(scenario):
+    ssb = build_ssb_codebook(scenario.sectors[0].panel, 4, 1)
+    dl = build_dl_codebook(scenario.sectors[0].panel, 1, 1)
+    return ssb, dl, baseline_plan(scenario, ssb)
+
+
+CHANNEL_ARRAYS = ("rho", "tau", "g", "beta", "p_los", "is_los", "h")
+
+
 class TestSnapshotEvaluation:
     def test_snapshot_users_layout(self, small_scenario):
-        users = snapshot_users(small_scenario, 0, 4, 100.0)
-        kinds = [u.kind for u in users]
+        ssb, dl, base = _books_and_plan(small_scenario)
+        res = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 4, d_iud=100.0)["b"]
+        kinds = res.kinds.tolist()
         n_gue = kinds.count("ground")
         assert n_gue == small_scenario.n_sectors * small_scenario.gues_per_cell
         assert kinds.count("aerial") == 6  # floor(625 / 100)
         assert kinds == ["ground"] * n_gue + ["aerial"] * 6  # ue_id is the row index
 
     def test_uav_offset_advances(self, small_scenario):
-        a = snapshot_users(small_scenario, 0, 4, 100.0)
-        b = snapshot_users(small_scenario, 1, 4, 100.0)
-        ax = [u.position_3d_m[0] for u in a if u.kind == "aerial"]
-        bx = [u.position_3d_m[0] for u in b if u.kind == "aerial"]
-        assert np.allclose(np.array(bx) - np.array(ax), 25.0)  # d_iud / n_snapshots
+        a = snapshot_uavs(small_scenario, 0, 4, 100.0)
+        b = snapshot_uavs(small_scenario, 1, 4, 100.0)
+        assert np.allclose(b.position_3d_m[:, 0] - a.position_3d_m[:, 0], 25.0)  # d_iud / n_snapshots
 
     def test_explicit_zero_uav_spacing_raises(self, small_scenario):
-        ssb = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
-        dl = build_dl_codebook(small_scenario.sectors[0].panel, 1, 1)
-        base = baseline_plan(small_scenario, ssb)
+        ssb, dl, base = _books_and_plan(small_scenario)
         with pytest.raises(ValueError, match="d_iud"):
             evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 4, d_iud=0.0)
 
+    def test_zero_snapshots_raises(self, small_scenario):
+        ssb, dl, base = _books_and_plan(small_scenario)
+        with pytest.raises(ValueError, match="n_snapshots"):
+            evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 0)
+
     def test_plans_share_channels(self, small_scenario):
-        ssb = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
-        dl = build_dl_codebook(small_scenario.sectors[0].panel, 1, 1)
-        base = baseline_plan(small_scenario, ssb)
+        ssb, dl, base = _books_and_plan(small_scenario)
         louder = base.copy()
         louder.power_dbm += 3.0
         results = evaluate_snapshot(small_scenario, {"a": base, "b": louder}, ssb, dl, 0, 4)
         # a uniform 3 dB power lift leaves association unchanged
         assert np.array_equal(results["a"].serving_sector, results["b"].serving_sector)
-        n_entities = len(snapshot_users(small_scenario, 0, 4, small_scenario.uav_spacing_m))
+        n_entities = len(small_scenario.ground_users(0)) + len(small_scenario.uavs())
         assert len(results["a"].kinds) == n_entities
+
+    def test_ground_rows_do_not_depend_on_the_uav_count(self, small_scenario, monkeypatch):
+        """The ground block that evaluate_snapshot builds, and every plan's
+        ground-user association, are the same bytes with 1 UAV and with 12."""
+        ssb, dl, base = _books_and_plan(small_scenario)
+        louder = base.copy()
+        louder.power_dbm[0] += 3.0
+        plans = {"a": base, "b": louder}
+        length = small_scenario.highway.total_length_m
+        grounds = []
+        original = evaluation.build_channels
+
+        def recording(scenario, entities, snapshot, tag):
+            channels = original(scenario, entities, snapshot, tag)
+            if tag == "ue":
+                grounds.append(channels)
+            return channels
+
+        monkeypatch.setattr(evaluation, "build_channels", recording)
+        one, twelve = (
+            evaluate_snapshot(small_scenario, plans, ssb, dl, 2, 3, d_iud=length / n)
+            for n in (1, 12)
+        )
+        assert len(grounds) == 2
+        for name in CHANNEL_ARRAYS:
+            assert getattr(grounds[0], name).tobytes() == getattr(grounds[1], name).tobytes(), name
+        n_gue = grounds[0].n_entities
+        for name in plans:
+            assert np.count_nonzero(one[name].kinds == "aerial") == 1
+            assert np.count_nonzero(twelve[name].kinds == "aerial") == 12
+            for field in ("serving_sector", "serving_slot", "serving_rsrp_mw", "coverage_sinr_db"):
+                a, b = getattr(one[name], field), getattr(twelve[name], field)
+                assert a[:n_gue].tobytes() == b[:n_gue].tobytes(), (name, field)
+
+    def test_given_ground_block_and_association_are_used(self, small_scenario, monkeypatch):
+        """A ground block passed in is not rebuilt, and passing its per-plan
+        association gives the bytes of associating it afresh."""
+        ssb, dl, base = _books_and_plan(small_scenario)
+        ground = ground_channels(small_scenario, 1)
+        fresh = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2)["b"]
+        built = []
+        monkeypatch.setattr(
+            evaluation, "build_channels",
+            lambda scenario, entities, snapshot, tag: built.append(tag) or build_channels(
+                scenario, entities, snapshot, tag),
+        )
+        association = {"b": associate(ground, base, ssb, small_scenario.radio.ssb_noise_mw)}
+        reused = evaluate_snapshot(
+            small_scenario, {"b": base}, ssb, dl, 1, 2, ground=ground, ground_association=association
+        )["b"]
+        assert built == ["uav"]
+        for field in ("serving_sector", "serving_slot", "serving_rsrp_mw", "coverage_sinr_db"):
+            assert getattr(reused, field).tobytes() == getattr(fresh, field).tobytes(), field
+        for field in ("precoder", "sinr_db", "rate_bps"):
+            assert getattr(reused.data, field).tobytes() == getattr(fresh.data, field).tobytes(), field
+        with pytest.raises(ValueError, match="ground block"):
+            evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2, ground_association=association)
+
+    def test_corridor_problem_uses_the_snapshot_0_ground_block(self, small_scenario, monkeypatch):
+        """corridor_problem freezes its slots on snapshot 0's ground block,
+        the one `ground_channels(scenario, 0)` gives and snapshot 0 evaluates;
+        given that block, it builds no ground channels of its own."""
+        ssb, _, _ = _books_and_plan(small_scenario)
+        seen = []
+        original = evaluation.build_channels
+
+        def recording(scenario, entities, snapshot, tag):
+            channels = original(scenario, entities, snapshot, tag)
+            seen.append((tag, snapshot, entities.position_3d_m.tobytes(), channels.h.tobytes()))
+            return channels
+
+        monkeypatch.setattr(evaluation, "build_channels", recording)
+        _, default_ev = corridor_problem(small_scenario, ssb)
+        assert [(tag, snapshot) for tag, snapshot, _, _ in seen] == [("ue", 0)]
+        ground = ground_channels(small_scenario, 0)
+        assert seen[1] == seen[0]
+        _, given_ev = corridor_problem(small_scenario, ssb, ground)
+        assert len(seen) == 2
+        assert given_ev.frozen_slots == default_ev.frozen_slots
+        assert ground.h.tobytes() == seen[0][3]
+
+
+def test_data_phase_joins_blocks_by_rows(small_scenario):
+    """data_phase on a ground block and a UAV block equals data_phase on one
+    set holding the same rows."""
+    ssb, dl, base = _books_and_plan(small_scenario)
+    ground = ground_channels(small_scenario, 0)
+    uavs = build_channels(small_scenario, small_scenario.uavs(), 0, "uav")
+    joined = ChannelSet(
+        **{name: np.concatenate([getattr(ground, name), getattr(uavs, name)])
+           for name in ("kinds",) + CHANNEL_ARRAYS}
+    )
+    serving = np.concatenate([associate(blk, base, ssb, 1e-12).serving_sector for blk in (ground, uavs)])
+    got = data_phase((ground, uavs), serving, dl, RADIO)
+    want = data_phase([joined], serving, dl, RADIO)
+    for field in ("precoder", "power_mw", "n_codeword_sharers", "sinr_db", "rate_bps"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 class TestTrafficSweep:
@@ -247,6 +358,43 @@ class TestTrafficSweep:
         assert list(res.n_uavs) == [1, 2, 3, 4]
         length = small_scenario.highway.total_length_m
         assert np.allclose(res.d_iud_m * res.n_uavs, length, atol=1e-6)
+
+    def test_matches_reference_sweep(self, small_scenario):
+        """Snapshots outside, N inside, each snapshot's ground block reused:
+        the same bytes as rebuilding both blocks for every (N, snapshot)."""
+        ssb, dl, base = _books_and_plan(small_scenario)
+        louder = base.copy()
+        louder.power_dbm[0] += 3.0
+        plans = {"baseline": base, "louder": louder}
+        got = traffic_sweep(small_scenario, plans, ssb, dl, n_max=4, n_snapshots=2)
+        want = reference_sweep(small_scenario, plans, ssb, dl, n_max=4, n_snapshots=2)
+        assert got.n_uavs.tobytes() == want.n_uavs.tobytes()
+        assert got.d_iud_m.tobytes() == want.d_iud_m.tobytes()
+        for name in plans:
+            assert got.p5_rate[name].tobytes() == want.p5_rate[name].tobytes(), name
+            assert got.p5_gue_rate[name].tobytes() == want.p5_gue_rate[name].tobytes(), name
+
+    def test_first_ground_block_is_used_for_snapshot_0(self, small_scenario, monkeypatch):
+        ssb, dl, base = _books_and_plan(small_scenario)
+        plans = {"baseline": base}
+        want = traffic_sweep(small_scenario, plans, ssb, dl, n_max=2, n_snapshots=2)
+        first = ground_channels(small_scenario, 0)
+        built = []
+        original = evaluation.build_channels
+        monkeypatch.setattr(
+            evaluation, "build_channels",
+            lambda scenario, entities, snapshot, tag: built.append((tag, snapshot)) or original(
+                scenario, entities, snapshot, tag),
+        )
+        got = traffic_sweep(small_scenario, plans, ssb, dl, n_max=2, n_snapshots=2, first_ground=first)
+        assert built == [("uav", 0), ("uav", 0), ("ue", 1), ("uav", 1), ("uav", 1)]
+        assert got.p5_rate["baseline"].tobytes() == want.p5_rate["baseline"].tobytes()
+        assert got.p5_gue_rate["baseline"].tobytes() == want.p5_gue_rate["baseline"].tobytes()
+
+    def test_zero_snapshots_raises(self, small_scenario):
+        ssb, dl, base = _books_and_plan(small_scenario)
+        with pytest.raises(ValueError, match="n_snapshots"):
+            traffic_sweep(small_scenario, {"baseline": base}, ssb, dl, n_max=2, n_snapshots=0)
 
     def test_single_row(self, small_scenario):
         ssb = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
