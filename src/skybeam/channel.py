@@ -13,11 +13,14 @@ draws. `build_channels` takes one entity class per call, and each class has
 its own stream tag: "ue" for the ground users of a snapshot, "uav" for its
 UAVs and "highway-point" for the static corridor points. One class's
 channels therefore never depend on the other class, and a ChannelSet is
-bit-reproducible regardless of evaluation order. The draws are made in two
-per-sector passes, geometry with the large-scale draws first and the
+bit-reproducible regardless of evaluation order. `link_geometry` takes the
+geometry of all (sector, entity) links in one stacked pass. The keyed draws
+stay per sector, in two passes: the large-scale draws first and the
 small-scale fading second. In between, the deterministic large-scale
 functions (`element_gain`, `los_probability`, `path_loss`, the shadow gain)
-run once over all (entity, sector) links.
+run once over all links. A link whose Rician K is 0 (every NLoS link under
+the default `rician_k_nlos_db = None`) is pure Rayleigh, so the plane wave
+is computed only for links with K > 0.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,37 +237,47 @@ def _panel_axes(bearing_deg: float, downtilt_deg: float) -> np.ndarray:
     return axes
 
 
-def link_geometry(sector: Sector, positions: np.ndarray):
-    """Per-entity (d2d, d3d, azimuth, zenith, unit wave vector) in panel frame."""
-    delta = positions - sector.position[None, :]
-    d3d = np.linalg.norm(delta, axis=1)
-    d2d = np.linalg.norm(delta[:, :2], axis=1)
-    axes = _panel_axes(sector.panel.bearing_deg, sector.panel.downtilt_deg)
-    local = delta @ axes.T
-    unit = local / d3d[:, None]
-    azimuth = np.arctan2(unit[:, 1], unit[:, 0])
-    zenith = np.arccos(np.clip(unit[:, 2], -1.0, 1.0))
+def link_geometry(sectors: Sequence[Sector], positions: np.ndarray):
+    """Every (sector, entity) link's (d2d, d3d, azimuth, zenith, unit wave vector).
+
+    Angles and unit vectors are in each sector's panel frame. Arrays are
+    indexed [sector, entity], and the unit vectors [sector, entity, axis]:
+    one (B, N, 3) offset array and one stacked product with the panel axes.
+    An entity at a panel's position (3D distance 0) has no direction; it
+    raises ValueError naming the entity row and the sector id.
+    """
+    origins = np.array([sector.position_3d_m for sector in sectors]).reshape(-1, 3)
+    axes = np.array(
+        [_panel_axes(sector.panel.bearing_deg, sector.panel.downtilt_deg) for sector in sectors]
+    ).reshape(-1, 3, 3)
+    delta = positions[None, :, :] - origins[:, None, :]
+    d3d = np.linalg.norm(delta, axis=2)
+    at_panel = np.argwhere(d3d == 0.0)
+    if at_panel.size:
+        j, i = at_panel[0]
+        raise ValueError(
+            f"entity row {i} is at the panel of sector {sectors[j].id} (3D distance 0)"
+        )
+    d2d = np.linalg.norm(delta[..., :2], axis=2)
+    unit = delta @ axes.transpose(0, 2, 1)
+    unit /= d3d[..., None]
+    azimuth = np.arctan2(unit[..., 1], unit[..., 0])
+    zenith = np.arccos(np.clip(unit[..., 2], -1.0, 1.0))
     return d2d, d3d, azimuth, zenith, unit
 
 
-def los_components(unit_wave: np.ndarray, d3d: np.ndarray, coords: np.ndarray, wavelength: float) -> np.ndarray:
-    """Unit-modulus plane-wave vectors, one row of the panel's M elements per entity."""
-    phases = 2.0 * np.pi / wavelength * (unit_wave @ coords)
-    return np.exp(-1j * 2.0 * np.pi * d3d / wavelength)[:, None] * np.exp(1j * phases)
+def los_components(
+    unit_wave: np.ndarray, d3d: np.ndarray, coords: np.ndarray, wavelength: float, rows=slice(None)
+) -> np.ndarray:
+    """Unit-modulus plane-wave vectors, one row of the panel's M elements per entity in `rows`.
 
-
-def rician_channel(h_los: np.ndarray, k_linear, rng) -> np.ndarray:
-    """Mix each (N, M) LoS row with i.i.d. Rayleigh scattering at its Rician K.
-
-    `k_linear` is one K per row or a scalar. The Rayleigh part is drawn as
-    all real parts, then all imaginary parts, row-major.
+    The phase product `unit_wave @ coords` runs over every entity, whatever
+    `rows` selects: a product over a subset of rows can round differently,
+    and a row's value must not depend on which other rows are asked for.
     """
-    kk = np.asarray(k_linear, dtype=float)[..., None]
-    if np.any(kk < 0):
-        raise ValueError("Rician K must be >= 0")
-    n, m = h_los.shape
-    h_nlos = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
-    return np.sqrt(kk / (1.0 + kk)) * h_los + np.sqrt(1.0 / (1.0 + kk)) * h_nlos
+    phases = unit_wave @ coords
+    phases = 2.0 * np.pi / wavelength * phases[rows]
+    return np.exp(-1j * 2.0 * np.pi * d3d[rows] / wavelength)[:, None] * np.exp(1j * phases)
 
 
 @dataclass(frozen=True)
@@ -307,18 +321,24 @@ def build_channels(
     combine (stream_tag, snapshot, sector id), which makes the result
     independent of sector evaluation order and of every other call.
 
-    Three steps. Pass 1 walks the sectors for the link geometry and the two
-    large-scale draws: the LoS uniforms and one correlated unit shadow draw
-    through the class's shadow factor (built once per call). The vectorised
-    step then evaluates `element_gain`, `los_probability`, `path_loss` and
-    the shadow gain once over all (entity, sector) links. Pass 2 walks the
-    sectors again for the small-scale fading, which keeps the (N, M) working
-    set of one sector rather than (N, B, M) arrays. The draws stay per
-    sector because the keyed streams and their draw order are what fixes the
-    output bits.
+    Three steps. Pass 1 takes the geometry of every link in one stacked
+    `link_geometry` call, then walks the sectors for the two large-scale
+    draws: the LoS uniforms and one correlated unit shadow draw through the
+    class's shadow factor (built once per call). The vectorised step
+    evaluates `element_gain`, `los_probability`, `path_loss` and the shadow
+    gain once over all (entity, sector) links. Pass 2 walks the sectors
+    again for the small-scale fading. One (2, N, M) draw gives a sector's
+    Rayleigh parts, real parts first, each scaled by 1/sqrt(2); on a row
+    with K = 0 that is the whole channel. Only rows with K > 0 are scaled by
+    sqrt(1/(1+K)) and get sqrt(K/(1+K)) times their plane wave from
+    `los_components`. Real and imaginary parts are written straight into
+    `h`, so the working set is one sector's draw, never an (N, B, M)
+    temporary. The draws stay per sector because the keyed streams and
+    their draw order are what fixes the output bits.
 
     `path_loss` runs once per call, so a build whose links leave the model's
-    validity region raises at most one `OutOfValidityRange` warning.
+    validity region raises at most one `OutOfValidityRange` warning. An
+    entity at a panel's position raises ValueError from `link_geometry`.
     """
     radio = scenario.radio
     params = scenario.channel_params
@@ -347,17 +367,17 @@ def build_channels(
         sigma_nlos = params.shadow_sigma_nlos_aerial_db
     factor = shadow_factor(positions, d_corr)
 
-    # pass 1: geometry, the LoS uniforms and the unit shadow draws, per sector
-    d2d, d3d, az, zen, los_draws, shadow_unit = (np.empty((n, b)) for _ in range(6))
-    h_bs = np.empty(b)
-    waves = []
-    for sector in sectors:
-        j = sector.id
-        h_bs[j] = sector.panel.panel_height_m
-        d2d[:, j], d3d[:, j], az[:, j], zen[:, j], unit = link_geometry(sector, positions)
-        waves.append(unit)
-        los_draws[:, j] = streams.derive("los", stream_tag, snapshot, j).uniform(size=n)
-        shadow_unit[:, j] = shadow_field(factor, streams.derive("shadow", stream_tag, snapshot, j))
+    # pass 1: the geometry of all links in one stacked pass, then the LoS
+    # uniforms and the unit shadow draws per sector
+    d2d, d3d, az, zen, unit = link_geometry(sectors, positions)
+    # [entity, sector] in C order, the layout of every ChannelSet array
+    d2d, d3d, az, zen = (np.ascontiguousarray(x.T) for x in (d2d, d3d, az, zen))
+    h_bs = np.array([sector.panel.panel_height_m for sector in sectors])
+    los_draws, shadow_unit = np.empty((n, b)), np.empty((n, b))
+    for j, sector in enumerate(sectors):
+        key = (stream_tag, snapshot, sector.id)
+        los_draws[:, j] = streams.derive("los", *key).uniform(size=n)
+        shadow_unit[:, j] = shadow_field(factor, streams.derive("shadow", *key))
 
     # vectorised over all links: LoS state (held for the snapshot), path
     # gain, shadow gain and element gain
@@ -368,15 +388,23 @@ def build_channels(
     tau = shadow_gain(np.where(is_los, sigma_los, sigma_nlos), shadow_unit)
     g = element_gain(az, zen)
 
-    # pass 2: Rician small-scale fading around the plane-wave component
-    k_los, k_nlos = params.rician_k_linear(True), params.rician_k_linear(False)
-    h = np.zeros((n, b, m), dtype=complex)
-    for sector, unit in zip(sectors, waves):
-        j = sector.id
-        coords = sector.panel.element_coords(radio.wavelength_m)
-        h_los = los_components(unit, d3d[:, j], coords, radio.wavelength_m)
-        rng_fade = streams.derive("fading", stream_tag, snapshot, j)
-        h[:, j, :] = rician_channel(h_los, np.where(is_los[:, j], k_los, k_nlos), rng_fade)
+    # pass 2: Rician small-scale fading, real and imaginary parts apart
+    k = np.where(is_los, params.rician_k_linear(True), params.rician_k_linear(False))
+    h = np.empty((n, b, m), dtype=complex)
+    for j, sector in enumerate(sectors):
+        fading = streams.derive("fading", stream_tag, snapshot, sector.id).standard_normal((2, n, m))
+        fading *= 1.0 / math.sqrt(2.0)  # unit-power complex Gaussian parts
+        rows = np.flatnonzero(k[:, j] > 0.0)
+        if rows.size:
+            coords = sector.panel.element_coords(radio.wavelength_m)
+            wave = los_components(unit[j], d3d[:, j], coords, radio.wavelength_m, rows)
+            kr = k[rows, j, None]
+            fading[:, rows] *= np.sqrt(1.0 / (1.0 + kr))
+            los_amp = np.sqrt(kr / (1.0 + kr))
+            fading[0, rows] += los_amp * wave.real
+            fading[1, rows] += los_amp * wave.imag
+        h.real[:, j] = fading[0]
+        h.imag[:, j] = fading[1]
 
     beta = rho * tau * g
     return ChannelSet(
@@ -403,7 +431,7 @@ def expected_channels(sector: Sector, positions: np.ndarray, radio: RadioConfig,
     """
     heights = positions[:, 2]
     kind = "aerial" if np.all(heights > AERIAL_MIN_HEIGHT_M) else "ground"
-    d2d, d3d, az, zen, unit = link_geometry(sector, positions)
+    d2d, d3d, az, zen, unit = (x[0] for x in link_geometry([sector], positions))
     p = los_probability(d2d, heights, kind)
     rho_los = path_loss(d2d, d3d, heights, kind, True, radio, h_bs_m=sector.panel.panel_height_m)
     gains = element_gain(az, zen)

@@ -48,7 +48,6 @@ from skybeam.channel import (
     los_components,
     los_probability,
     path_loss,
-    rician_channel,
     shadow_factor,
     shadow_field,
     shadow_gain,
@@ -122,6 +121,25 @@ def data_sinr(
     return 10.0 * math.log10(signal / (intra + inter + noise))
 
 
+def sector_geometry(sector, positions):
+    """One sector's (d2d, d3d, azimuth, zenith, unit wave vector), indexed by entity."""
+    return tuple(x[0] for x in link_geometry([sector], positions))
+
+
+def rician_channel(h_los: np.ndarray, k_linear, rng) -> np.ndarray:
+    """Mix each (N, M) LoS row with i.i.d. Rayleigh scattering at its Rician K.
+
+    `k_linear` is one K per row or a scalar. The Rayleigh part is drawn as
+    all real parts, then all imaginary parts, row-major.
+    """
+    kk = np.asarray(k_linear, dtype=float)[..., None]
+    if np.any(kk < 0):
+        raise ValueError("Rician K must be >= 0")
+    n, m = h_los.shape
+    h_nlos = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
+    return np.sqrt(kk / (1.0 + kk)) * h_los + np.sqrt(1.0 / (1.0 + kk)) * h_nlos
+
+
 def per_sector_channels(scenario, entities, snapshot=0, stream_tag="ue") -> ChannelSet:
     """Reference ChannelSet: one sector at a time, with the large-scale calls
     per (sector, entity class) on 1-D link arrays and a scalar base-station
@@ -157,7 +175,7 @@ def per_sector_channels(scenario, entities, snapshot=0, stream_tag="ue") -> Chan
     for sector in sectors:
         j = sector.id
         coords = sector.panel.element_coords(radio.wavelength_m)
-        d2d, d3d, az, zen, unit = link_geometry(sector, positions)
+        d2d, d3d, az, zen, unit = sector_geometry(sector, positions)
         g[:, j] = element_gain(az, zen)
         draws = scenario.streams.derive("los", stream_tag, snapshot, j).uniform(size=n)
         rng_shadow = scenario.streams.derive("shadow", stream_tag, snapshot, j)

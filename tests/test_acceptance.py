@@ -12,16 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_fitness, evaluate_genome, max_supported, ssb_rsrp
-from skybeam.association import BeamPlan, rsrp_table, select_serving_all
-from skybeam.channel import (
-    link_geometry,
-    los_components,
+from oracles import (
+    brute_force_fitness,
+    evaluate_genome,
+    max_supported,
     rician_channel,
-    shadow_factor,
-    shadow_field,
-    shadow_gain,
+    sector_geometry,
+    ssb_rsrp,
 )
+from skybeam.association import BeamPlan, rsrp_table, select_serving_all
+from skybeam.channel import los_components, shadow_factor, shadow_field, shadow_gain
 from skybeam.cli import main as cli_main
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import RadioConfig, default_config, validate_config
@@ -362,7 +362,7 @@ class TestCriterion7ChannelProperties:
         for pos in positions:
             pos[:] = gen.uniform(-900, 900, 3)
             pos[2] = gen.uniform(1.5, 150.0)
-        _, d3d, _, _, unit = link_geometry(sector, positions)
+        _, d3d, _, _, unit = sector_geometry(sector, positions)
         h = los_components(unit, d3d, coords, scenario.radio.wavelength_m)
         worst = float(np.max(np.abs(np.abs(h) - 1.0)))
         report("criterion 7c (LoS entries unit modulus)", worst <= 1e-12, f"max deviation {worst:.2e}")

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import per_sector_channels
+from oracles import per_sector_channels, rician_channel, sector_geometry
 from skybeam import channel
 from skybeam.channel import (
     ChannelSet,
@@ -13,18 +13,22 @@ from skybeam.channel import (
     build_channels,
     element_gain,
     expected_channels,
-    link_geometry,
     los_components,
     los_probability,
     path_loss,
-    rician_channel,
     shadow_factor,
     shadow_field,
     shadow_gain,
     stack_highway_channels,
 )
 from skybeam.config import ChannelParams, RadioConfig, default_config, validate_config
-from skybeam.scenario import Sector, UpaGeometry, entity_block, scenario_from_config
+from skybeam.scenario import (
+    Sector,
+    UpaGeometry,
+    discretize_highway,
+    entity_block,
+    scenario_from_config,
+)
 
 RADIO = RadioConfig()
 C = 299_792_458.0
@@ -177,7 +181,7 @@ class TestLosComponent:
     def test_single_element_phase(self):
         panel = UpaGeometry(m_h=1, m_v=1)
         sector = Sector(0, 0, panel, (0.0, 0.0, 25.0))
-        _, d3d, _, _, unit = link_geometry(sector, np.array([[120.0, 0.0, 25.0]]))
+        _, d3d, _, _, unit = sector_geometry(sector, np.array([[120.0, 0.0, 25.0]]))
         h = los_components(unit, d3d, panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
         assert h.shape == (1, 1)
         expected = np.exp(-2j * np.pi * d3d[0] / RADIO.wavelength_m)
@@ -191,16 +195,29 @@ class TestLosComponent:
         for pos in positions:
             pos[:] = gen.uniform(-800, 800, 3)
             pos[2] = gen.uniform(1.5, 150.0)
-        _, d3d, _, _, unit = link_geometry(sector, positions)
+        _, d3d, _, _, unit = sector_geometry(sector, positions)
         h = los_components(unit, d3d, panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
         assert h.shape == (20, panel.n_elements)
         assert np.allclose(np.abs(h), 1.0, atol=1e-12)
         assert np.allclose(np.linalg.norm(unit, axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("rows", [[4], [0, 5, 19]])
+    def test_rows_are_the_full_rows(self, rows):
+        panel = UpaGeometry(m_h=4, m_v=8, bearing_deg=240.0, downtilt_deg=6.0)
+        sector = Sector(0, 0, panel, (10.0, -20.0, 25.0))
+        gen = np.random.default_rng(11)
+        positions = gen.uniform(-700, 700, (20, 3))
+        positions[:, 2] = gen.uniform(1.5, 150.0, 20)
+        _, d3d, _, _, unit = sector_geometry(sector, positions)
+        coords = panel.element_coords(RADIO.wavelength_m)
+        full = los_components(unit, d3d, coords, RADIO.wavelength_m)
+        some = los_components(unit, d3d, coords, RADIO.wavelength_m, np.array(rows))
+        assert some.tobytes() == full[rows].tobytes()
+
     def test_matched_weight_gain_is_m(self):
         panel = UpaGeometry(m_h=4, m_v=8)
         sector = Sector(0, 0, panel, (0.0, 0.0, 25.0))
-        _, d3d, _, _, unit = link_geometry(sector, np.array([[300.0, 80.0, 100.0]]))
+        _, d3d, _, _, unit = sector_geometry(sector, np.array([[300.0, 80.0, 100.0]]))
         h = los_components(unit, d3d, panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)[0]
         m = panel.n_elements
         w = np.conj(h) / math.sqrt(m)
@@ -253,7 +270,7 @@ class TestExpectedChannel:
         self.point = np.array([[350.0, 144.0, 100.0]])
 
     def test_composition_of_public_pieces(self):
-        _, d3d, az, zen, unit = link_geometry(self.sector, self.point)
+        _, d3d, az, zen, unit = sector_geometry(self.sector, self.point)
         d2d = math.hypot(self.point[0, 0], self.point[0, 1])
         p = los_probability(d2d, 100.0, "aerial")
         rho = path_loss(d2d, d3d[0], 100.0, "aerial", True, RADIO)
@@ -276,7 +293,7 @@ class TestExpectedChannel:
         # sample-mean oracle over fading draws (LoS aerial link: p_los = 1)
         sector = small_scenario.sectors[0]
         params = small_scenario.channel_params
-        _, d3d, az, zen, unit = link_geometry(sector, self.point)
+        _, d3d, az, zen, unit = sector_geometry(sector, self.point)
         d2d = math.hypot(self.point[0, 0], self.point[0, 1])
         rho = path_loss(d2d, d3d[0], 100.0, "aerial", True, small_scenario.radio)
         g = element_gain(az[0], zen[0])
@@ -318,8 +335,6 @@ class TestHighwayStack:
 
     def test_single_segment_empty_complement(self):
         cfg_line = np.array([[0.0, 144.0, 100.0], [250.0, 144.0, 100.0]])
-        from skybeam.scenario import discretize_highway
-
         hw = discretize_highway(cfg_line, 125.0, 3)
         panel = UpaGeometry(m_h=4, m_v=8)
         sector = Sector(0, 0, panel, (0.0, 0.0, 25.0))
@@ -388,10 +403,11 @@ class TestChannelSet:
         assert np.all(cs.is_los)
 
 
-def _one_tier_scenario(altitude_m):
+def _one_tier_scenario(altitude_m, rician_k_nlos_db=None):
     raw = default_config()
     raw["layout"]["tiers"] = 1
     raw["highway"]["altitude_m"] = altitude_m
+    raw["channel"]["rician_k_nlos_db"] = rician_k_nlos_db
     return scenario_from_config(validate_config(raw))
 
 
@@ -428,6 +444,38 @@ class TestMatchesPerSectorOracle:
                 want = per_sector_channels(scenario, entities, 1, tag)
             self.assert_same_bytes(got, want)
 
+    # The default 19-site layout, seed 1: on snapshot 0, sector 21 has a
+    # single LoS ground link (entity 92), the case where a plane-wave
+    # product over the K > 0 rows alone rounds differently.
+    @pytest.mark.parametrize("snapshot", [0, 1, 2])
+    def test_default_layout_ground_blocks(self, cfg, snapshot):
+        scenario = scenario_from_config(cfg)
+        ground = scenario.ground_users(snapshot)
+        got = build_channels(scenario, ground, snapshot, "ue")
+        if snapshot == 0:
+            assert np.any(np.count_nonzero(got.is_los, axis=0) == 1)
+        self.assert_same_bytes(got, per_sector_channels(scenario, ground, snapshot, "ue"))
+
+    # A 3 dB K on NLoS links puts every link, LoS or not, through the
+    # plane-wave branch of the mix; the default config never does.
+    @pytest.mark.parametrize("block, altitude_m", [("ground", 100.0), ("uav", 20.0), ("uav", 60.0)])
+    def test_bit_identical_with_nlos_k(self, block, altitude_m):
+        scenario = _one_tier_scenario(altitude_m, rician_k_nlos_db=3.0)
+        ground, uavs = _snapshot_blocks(scenario, 1)
+        entities, tag = uavs if block == "uav" else ground
+        got = build_channels(scenario, entities, 1, tag)
+        assert not np.all(got.is_los)
+        self.assert_same_bytes(got, per_sector_channels(scenario, entities, 1, tag))
+
+    def test_empty_block(self):
+        scenario = _one_tier_scenario(100.0)
+        empty = entity_block("ground", np.zeros((0, 3)))
+        got = build_channels(scenario, empty, 1, "ue")
+        b, m = scenario.n_sectors, scenario.sectors[0].panel.n_elements
+        assert got.beta.shape == (0, b)
+        assert got.h.shape == (0, b, m)
+        self.assert_same_bytes(got, per_sector_channels(scenario, empty, 1, "ue"))
+
     def test_highway_point_stream(self, cfg):
         scenario = scenario_from_config(cfg)
         points = entity_block("aerial", scenario.highway.points)
@@ -454,3 +502,23 @@ class TestOutOfValidityCount:
         assert len(flagged(per_sector_channels, ground, ground_tag)) == 0
         assert len(flagged(per_sector_channels, uavs, uav_tag)) == scenario.n_sectors == 21
 
+
+class TestEntityAtPanel:
+    """An entity at a panel's position has no direction: ValueError naming
+    the entity row and the sector id, with no NumPy RuntimeWarning first."""
+
+    def test_build_channels(self, small_scenario):
+        panel_position = small_scenario.sectors[3].position
+        positions = np.array([[100.0, 50.0, 1.5], [-80.0, 20.0, 1.5], panel_position])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"entity row 2 .*sector 3\b"):
+                build_channels(small_scenario, entity_block("ground", positions), 0, "ue")
+
+    def test_stack_highway_channels(self):
+        highway = discretize_highway(np.array([[-125.0, 0.0, 25.0], [125.0, 0.0, 25.0]]), 125.0, 3)
+        sector = Sector(7, 2, UpaGeometry(m_h=4, m_v=8), (0.0, 0.0, 25.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"entity row 1 .*sector 7\b"):
+                stack_highway_channels(highway, sector, RADIO, ChannelParams())
