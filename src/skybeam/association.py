@@ -48,17 +48,25 @@ def rsrp_table(channels: ChannelSet, plan: BeamPlan, codebook: Codebook) -> np.n
     """Per-beam RSRP in mW for every entity: shape (N, B, S).
 
     rsrp = beta * |h^T w|^2 * p * x, zero where the beam is not deployed.
+    Each sector's (N, M) channel rows meet only its deployed codewords, in
+    one product whose modulus goes straight into the table: a product that
+    also covered idle slots would round differently, and one stacked over
+    all sectors would hold an (N, B, S) complex temporary. The square and
+    the beta and power factors then run once over the whole table.
     """
     n, b, _ = channels.h.shape
     table = np.zeros((n, b, plan.n_slots))
-    p_mw = plan.power_mw()
-    for sector in range(b):
-        slots = np.flatnonzero(plan.x[sector] == 1)
-        if slots.size == 0:
-            continue
-        w = codebook.weights[plan.codeword[sector, slots]]  # (n_active, M)
-        proj = np.abs(channels.h[:, sector, :] @ w.T) ** 2  # (N, n_active)
-        table[:, sector, slots] = channels.beta[:, sector, None] * proj * p_mw[sector, slots]
+    active = plan.x == 1
+    weights = codebook.weights[plan.codeword]  # (B, S, M); rows of idle slots unused
+    for sector, n_active in enumerate(np.count_nonzero(active, axis=1).tolist()):
+        if n_active == plan.n_slots:
+            np.abs(channels.h[:, sector, :] @ weights[sector].T, out=table[:, sector])
+        elif n_active:
+            slots = np.flatnonzero(active[sector])
+            table[:, sector, slots] = np.abs(channels.h[:, sector, :] @ weights[sector, slots].T)
+    np.square(table, out=table)
+    table *= channels.beta[:, :, None]
+    table *= plan.power_mw()  # 0 where the beam is not deployed
     return table
 
 

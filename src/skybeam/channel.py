@@ -20,7 +20,10 @@ small-scale fading second. In between, the deterministic large-scale
 functions (`element_gain`, `los_probability`, `path_loss`, the shadow gain)
 run once over all links. A link whose Rician K is 0 (every NLoS link under
 the default `rician_k_nlos_db = None`) is pure Rayleigh, so the plane wave
-is computed only for links with K > 0.
+is computed only for links with K > 0. `build_channel_blocks` builds several
+blocks of one class and snapshot (the UAV blocks of a traffic sweep, one
+per UAV count) from one draw of each sector's streams, and gives each block
+the bytes that `build_channels` gives it alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,15 +272,22 @@ def link_geometry(sectors: Sequence[Sector], positions: np.ndarray):
 def los_components(
     unit_wave: np.ndarray, d3d: np.ndarray, coords: np.ndarray, wavelength: float, rows=slice(None)
 ) -> np.ndarray:
-    """Unit-modulus plane-wave vectors, one row of the panel's M elements per entity in `rows`.
+    """Unit-modulus plane-wave vectors, one row of the panel's M elements per link in `rows`.
 
-    The phase product `unit_wave @ coords` runs over every entity, whatever
-    `rows` selects: a product over a subset of rows can round differently,
-    and a row's value must not depend on which other rows are asked for.
+    `unit_wave` is one sector's (N, 3) unit wave vectors, with `d3d` (N,)
+    and `coords` (3, M), or S sectors' (S, N, 3), with (S, N) and (3, M) or
+    (S, 3, M); `rows` indexes the links in sector-major order. The phase
+    product `unit_wave @ coords` runs over every entity, whatever `rows`
+    selects: a product over a subset of rows can round differently, and a
+    row's value must not depend on which other rows are asked for.
     """
-    phases = unit_wave @ coords
-    phases = 2.0 * np.pi / wavelength * phases[rows]
-    return np.exp(-1j * 2.0 * np.pi * d3d[rows] / wavelength)[:, None] * np.exp(1j * phases)
+    phases = (unit_wave @ coords).reshape(-1, coords.shape[-1])[rows]
+    phases *= 2.0 * np.pi / wavelength
+    wave = 1j * phases
+    np.exp(wave, out=wave)
+    # in place, with the operands in the order of the spelled-out product
+    delay = np.exp(-1j * 2.0 * np.pi * d3d.reshape(-1)[rows] / wavelength)
+    return np.multiply(delay[:, None], wave, out=wave)
 
 
 @dataclass(frozen=True)
@@ -306,6 +316,102 @@ class ChannelSet:
         return self.h.shape[1]
 
 
+def _entity_kind(entities: np.recarray) -> str:
+    """The one entity class of a block; a block mixing classes raises ValueError."""
+    kinds = entities.kind
+    kind = str(kinds[0]) if len(entities) else "ground"
+    if np.any(kinds != kind):
+        raise ValueError(
+            "build_channels takes one entity class per call; this block mixes "
+            + " and ".join(sorted(set(kinds.tolist())))
+        )
+    return kind
+
+
+def _block_geometry(scenario: Scenario, entities: np.recarray):
+    """A block's entity class, its shadow factor and the geometry of its links.
+
+    The distances and angles come in [entity, sector] C order, the layout of
+    every ChannelSet array, so that the large-scale functions see the same
+    array layout whichever builder calls them. `d3d` and the unit wave
+    vectors also come sector-major, as the Rician mix takes them.
+    """
+    kind = _entity_kind(entities)
+    params = scenario.channel_params
+    positions = entities.position_3d_m
+    d_corr = params.shadow_corr_dist_ground_m if kind == "ground" else params.shadow_corr_dist_aerial_m
+    factor = shadow_factor(positions, d_corr)
+    d2d, d3d, az, zen, unit = link_geometry(scenario.sectors, positions)
+    links = tuple(np.ascontiguousarray(x.T) for x in (d2d, d3d, az, zen))
+    return kind, factor, links, d3d, unit
+
+
+def _large_scale(scenario: Scenario, entities: np.recarray, kind: str, links, los_draws, shadow_unit):
+    """The deterministic large-scale step over all (entity, sector) links.
+
+    `los_draws` and `shadow_unit` are the block's LoS uniforms and unit
+    shadow draws, [entity, sector]. Returns the block's ChannelSet with `h`
+    allocated but not yet filled, and every link's Rician K, sector-major.
+    """
+    radio = scenario.radio
+    params = scenario.channel_params
+    d2d, d3d, az, zen = links
+    heights = entities.position_3d_m[:, 2]
+    if kind == "ground":
+        sigma_los = params.shadow_sigma_los_ground_db
+        sigma_nlos = params.shadow_sigma_nlos_ground_db
+    else:
+        sigma_los = aerial_los_shadow_sigma_db(heights)[:, None]
+        sigma_nlos = params.shadow_sigma_nlos_aerial_db
+    h_bs = np.array([sector.panel.panel_height_m for sector in scenario.sectors])
+
+    # LoS state (held for the snapshot), path gain, shadow gain, element gain
+    h_ut = heights[:, None]
+    p_los = los_probability(d2d, h_ut, kind)
+    is_los = los_draws < p_los
+    rho = path_loss(d2d, d3d, h_ut, kind, is_los, radio, h_bs_m=h_bs)
+    tau = shadow_gain(np.where(is_los, sigma_los, sigma_nlos), shadow_unit)
+    g = element_gain(az, zen)
+    k = np.where(is_los, params.rician_k_linear(True), params.rician_k_linear(False))
+    n, b = d2d.shape
+    m = scenario.sectors[0].panel.n_elements if b else 0
+    channels = ChannelSet(
+        kinds=entities.kind,
+        rho=rho,
+        tau=tau,
+        g=g,
+        beta=rho * tau * g,
+        p_los=p_los,
+        is_los=is_los,
+        h=np.empty((n, b, m), dtype=complex),
+    )
+    return channels, np.ascontiguousarray(k.T)
+
+
+def _rician_mix(fading, k, unit, d3d, coords, wavelength) -> None:
+    """Mix N(0, 1) draws into Rician small-scale fading, in place.
+
+    `fading` is (2, L, M): the real parts of L links' Rayleigh draws, then
+    the imaginary parts. The links are one sector's N entities, with
+    `unit` (N, 3), `d3d` (N,) and `coords` (3, M), or S sectors' N entities
+    each, sector-major, with (S, N, 3), (S, N) and (S, 3, M); `k` is their
+    (L,) Rician K. Every part is scaled by 1/sqrt(2); on a link with K = 0
+    that is the whole channel. Only links with K > 0 are scaled by
+    sqrt(1/(1+K)) and get sqrt(K/(1+K)) times their plane wave. Each
+    sector's phase product has the block's own row count, whichever links
+    need it (see `los_components`).
+    """
+    fading *= 1.0 / math.sqrt(2.0)  # unit-power complex Gaussian parts
+    rows = np.flatnonzero(k > 0.0)
+    if rows.size:
+        wave = los_components(unit, d3d, coords, wavelength, rows)
+        kr = k[rows, None]
+        fading[:, rows] *= np.sqrt(1.0 / (1.0 + kr))
+        los_amp = np.sqrt(kr / (1.0 + kr))
+        fading[0, rows] += los_amp * wave.real
+        fading[1, rows] += los_amp * wave.imag
+
+
 def build_channels(
     scenario: Scenario,
     entities: np.recarray,
@@ -327,96 +433,103 @@ def build_channels(
     class's shadow factor (built once per call). The vectorised step
     evaluates `element_gain`, `los_probability`, `path_loss` and the shadow
     gain once over all (entity, sector) links. Pass 2 walks the sectors
-    again for the small-scale fading. One (2, N, M) draw gives a sector's
-    Rayleigh parts, real parts first, each scaled by 1/sqrt(2); on a row
-    with K = 0 that is the whole channel. Only rows with K > 0 are scaled by
-    sqrt(1/(1+K)) and get sqrt(K/(1+K)) times their plane wave from
-    `los_components`. Real and imaginary parts are written straight into
-    `h`, so the working set is one sector's draw, never an (N, B, M)
-    temporary. The draws stay per sector because the keyed streams and
-    their draw order are what fixes the output bits.
+    again for the small-scale fading: one (2, N, M) draw gives a sector's
+    Rayleigh parts, real parts first, and `_rician_mix` turns it into the
+    sector's channel, copied into `h`. The working set is one sector's
+    draw, never an (N, B, M) temporary. The draws stay per sector because
+    the keyed streams and their draw order are what fixes the output bits.
+    `build_channel_blocks` shares the geometry, the large-scale step and
+    the mix, and differs only in where the draws come from.
 
     `path_loss` runs once per call, so a build whose links leave the model's
     validity region raises at most one `OutOfValidityRange` warning. An
     entity at a panel's position raises ValueError from `link_geometry`.
     """
-    radio = scenario.radio
-    params = scenario.channel_params
     streams = scenario.streams
     sectors = scenario.sectors
+    wavelength = scenario.radio.wavelength_m
     n = len(entities)
     b = len(sectors)
-    m = sectors[0].panel.n_elements if b else 0
-    positions = entities.position_3d_m
-    kinds = entities.kind
-    heights = positions[:, 2]
+    kind, factor, links, d3d, unit = _block_geometry(scenario, entities)
 
-    kind = str(kinds[0]) if n else "ground"
-    if np.any(kinds != kind):
-        raise ValueError(
-            "build_channels takes one entity class per call; this block mixes "
-            + " and ".join(sorted(set(kinds.tolist())))
-        )
-    if kind == "ground":
-        d_corr = params.shadow_corr_dist_ground_m
-        sigma_los = params.shadow_sigma_los_ground_db
-        sigma_nlos = params.shadow_sigma_nlos_ground_db
-    else:
-        d_corr = params.shadow_corr_dist_aerial_m
-        sigma_los = aerial_los_shadow_sigma_db(heights)[:, None]
-        sigma_nlos = params.shadow_sigma_nlos_aerial_db
-    factor = shadow_factor(positions, d_corr)
-
-    # pass 1: the geometry of all links in one stacked pass, then the LoS
-    # uniforms and the unit shadow draws per sector
-    d2d, d3d, az, zen, unit = link_geometry(sectors, positions)
-    # [entity, sector] in C order, the layout of every ChannelSet array
-    d2d, d3d, az, zen = (np.ascontiguousarray(x.T) for x in (d2d, d3d, az, zen))
-    h_bs = np.array([sector.panel.panel_height_m for sector in sectors])
+    # pass 1: the LoS uniforms and the unit shadow draws per sector
     los_draws, shadow_unit = np.empty((n, b)), np.empty((n, b))
     for j, sector in enumerate(sectors):
         key = (stream_tag, snapshot, sector.id)
         los_draws[:, j] = streams.derive("los", *key).uniform(size=n)
         shadow_unit[:, j] = shadow_field(factor, streams.derive("shadow", *key))
 
-    # vectorised over all links: LoS state (held for the snapshot), path
-    # gain, shadow gain and element gain
-    h_ut = heights[:, None]
-    p_los = los_probability(d2d, h_ut, kind)
-    is_los = los_draws < p_los
-    rho = path_loss(d2d, d3d, h_ut, kind, is_los, radio, h_bs_m=h_bs)
-    tau = shadow_gain(np.where(is_los, sigma_los, sigma_nlos), shadow_unit)
-    g = element_gain(az, zen)
+    channels, k = _large_scale(scenario, entities, kind, links, los_draws, shadow_unit)
 
-    # pass 2: Rician small-scale fading, real and imaginary parts apart
-    k = np.where(is_los, params.rician_k_linear(True), params.rician_k_linear(False))
-    h = np.empty((n, b, m), dtype=complex)
+    # pass 2: Rician small-scale fading, one sector at a time
+    h = channels.h
     for j, sector in enumerate(sectors):
-        fading = streams.derive("fading", stream_tag, snapshot, sector.id).standard_normal((2, n, m))
-        fading *= 1.0 / math.sqrt(2.0)  # unit-power complex Gaussian parts
-        rows = np.flatnonzero(k[:, j] > 0.0)
-        if rows.size:
-            coords = sector.panel.element_coords(radio.wavelength_m)
-            wave = los_components(unit[j], d3d[:, j], coords, radio.wavelength_m, rows)
-            kr = k[rows, j, None]
-            fading[:, rows] *= np.sqrt(1.0 / (1.0 + kr))
-            los_amp = np.sqrt(kr / (1.0 + kr))
-            fading[0, rows] += los_amp * wave.real
-            fading[1, rows] += los_amp * wave.imag
+        fading = streams.derive("fading", stream_tag, snapshot, sector.id).standard_normal((2, n, h.shape[2]))
+        coords = sector.panel.element_coords(wavelength)
+        _rician_mix(fading, k[j], unit[j], d3d[j], coords, wavelength)
         h.real[:, j] = fading[0]
         h.imag[:, j] = fading[1]
+    return channels
 
-    beta = rho * tau * g
-    return ChannelSet(
-        kinds=kinds,
-        rho=rho,
-        tau=tau,
-        g=g,
-        beta=beta,
-        p_los=p_los,
-        is_los=is_los,
-        h=h,
-    )
+
+def build_channel_blocks(
+    scenario: Scenario,
+    blocks: Sequence[np.recarray],
+    snapshot: int | str,
+    stream_tag: str,
+) -> Iterator[ChannelSet]:
+    """Yield `build_channels(scenario, block, snapshot, stream_tag)` for each
+    of `blocks` in turn, bit for bit, drawing each sector's streams once.
+
+    Made for the small UAV blocks of one snapshot, one per UAV count, that
+    share the snapshot's keyed streams. Per sector the `los`, `shadow` and
+    `fading` streams are derived once and drawn at the largest block's
+    size. A block of n rows takes prefixes: the first n uniforms, the first
+    n shadow normals and the first 2nM fading normals, read as (2, n, M).
+    `Generator` draws are sequential, so these are the doubles a fresh
+    `build_channels` call on the block draws. Per block, the geometry, the
+    large-scale step, the shadow product and the Rician mix each run once
+    over all sectors; each sector's shadow and phase products keep the
+    block's own shapes, so they round as `build_channels` rounds them. A
+    block is built only when the caller asks for it, and the generator keeps
+    no reference to it: a caller that drops each block before asking for
+    the next holds one block at a time.
+    """
+    streams = scenario.streams
+    sectors = scenario.sectors
+    wavelength = scenario.radio.wavelength_m
+    b = len(sectors)
+    m = sectors[0].panel.n_elements if b else 0
+    n_max = max((len(entities) for entities in blocks), default=0)
+    uniforms, normals = np.empty((b, n_max)), np.empty((b, n_max))
+    fading_draws = np.empty((b, 2 * n_max * m))
+    for j, sector in enumerate(sectors):
+        key = (stream_tag, snapshot, sector.id)
+        uniforms[j] = streams.derive("los", *key).uniform(size=n_max)
+        normals[j] = streams.derive("shadow", *key).standard_normal(n_max)
+        fading_draws[j] = streams.derive("fading", *key).standard_normal(2 * n_max * m)
+    coords = np.array([sector.panel.element_coords(wavelength) for sector in sectors]).reshape(b, 3, m)
+    for entities in blocks:
+        yield _prefix_block(scenario, entities, uniforms, normals, fading_draws, coords)
+
+
+def _prefix_block(scenario, entities, uniforms, normals, fading_draws, coords) -> ChannelSet:
+    """One block of `build_channel_blocks`, from the prefixes of every
+    sector's draws: `uniforms` and `normals` (B, n_max), `fading_draws`
+    (B, 2 n_max M)."""
+    n = len(entities)
+    b, _, m = coords.shape
+    kind, factor, links, d3d, unit = _block_geometry(scenario, entities)
+    los_draws = np.ascontiguousarray(uniforms[:, :n].T)
+    shadow_unit = np.ascontiguousarray(np.matmul(factor[None], normals[:, :n, None])[..., 0].T)
+    channels, k = _large_scale(scenario, entities, kind, links, los_draws, shadow_unit)
+    # every sector's (2, n, M) draw prefix, links sector-major
+    fading = np.empty((2, b, n, m))
+    fading[...] = fading_draws[:, :2 * n * m].reshape(b, 2, n, m).transpose(1, 0, 2, 3)
+    _rician_mix(fading.reshape(2, b * n, m), k.reshape(-1), unit, d3d, coords, scenario.radio.wavelength_m)
+    channels.h.real[...] = fading[0].transpose(1, 0, 2)
+    channels.h.imag[...] = fading[1].transpose(1, 0, 2)
+    return channels
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,10 @@ codeword split that codeword's bandwidth (and do not interfere with each
 other); co-cell UEs on different codewords and every other cell's in-use
 codewords interfere. Statistics are empirical CDFs with a lower-order-
 statistic 5 percent tile, pooled over snapshots.
+
+The data phase runs in two steps: a ground step per snapshot and plan
+(`data_phase_ground`) and a UAV step per UAV block (`data_phase_uavs`), so a
+traffic sweep pays per UAV count only for what the UAVs change.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .association import (
     rsrp_table,
     select_serving_all,
 )
-from .channel import ChannelSet, build_channels
+from .channel import ChannelSet, build_channel_blocks, build_channels
 from .codebook import Codebook
 from .config import RadioConfig
 from .scenario import Scenario
@@ -43,67 +47,174 @@ class DataPhaseReport:
     rate_bps: np.ndarray
 
 
-def data_phase(
-    blocks: Sequence[ChannelSet],
-    serving_sector: np.ndarray,
-    dl_codebook: Codebook,
-    radio: RadioConfig,
-) -> DataPhaseReport:
-    """Precoder selection, SINR and achievable rate for every entity.
+@dataclass(frozen=True)
+class GroundDataPhase:
+    """The ground step of the data phase: one ground block under one plan's
+    association, with every term that a cell's UAVs leave alone.
 
-    `blocks` are channel sets against the same sectors, such as a snapshot's
-    ground block and its UAV block; their rows, in order, are the entities
-    that `serving_sector` indexes. Only the (N, B) beta, each UE's (N, M)
-    rows toward its serving sector and one sector's (N, M) rows at a time
-    are joined, never an (N, B, M) array.
-
-    Each UE takes the data codeword maximizing beta |h^T w|^2 toward its
-    serving sector, ties to the lowest index.
+    Computed once per (snapshot, plan) by `data_phase_ground`; each cell's
+    `data_phase_uavs` reads it. Rows are the ground block's.
     """
-    beta = np.concatenate([blk.beta for blk in blocks])
-    n, n_sectors = beta.shape
-    n_codewords = dl_codebook.weights.shape[0]
+
+    channels: ChannelSet
+    serving_sector: np.ndarray
+    precoder: np.ndarray
+    served: np.ndarray  # (B,) ground UEs per sector
+    # the serving sectors grouped by their count U of in-use codewords:
+    # (sectors, their (U, M) in-use codeword weights, their (U,) sharer counts)
+    codeword_groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    n_codeword_sharers: np.ndarray
+    own_proj: np.ndarray  # |h^T w|^2 toward the serving sector, own codeword
+    total: np.ndarray  # per-UE-power-weighted projections on the serving sector's in-use codewords
+    inter_terms: np.ndarray  # (G, B) each sector's inter-cell term, 0 where it serves no one
+    dl_weights: np.ndarray
+    radio: RadioConfig
+
+
+def _precoders(h_serving: np.ndarray, beta_serving: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The data codeword maximizing beta |h^T w|^2 per row, ties to the lowest index."""
+    metric = beta_serving[:, None] * np.abs(h_serving @ weights.T) ** 2
+    return np.argmax(metric, axis=1)
+
+
+def _sector_terms(h_b, beta_b, idx, precoder, weights, sector_power_mw):
+    """One serving sector's terms on the rows of `h_b`, its (N, M) channel
+    rows, of which it serves the rows `idx`.
+
+    Returns its per-codeword sharer counts, then, for the rows in `idx`,
+    their sharer counts, own projections and co-cell totals, and for every
+    row its inter-cell term (0 on the rows in `idx`).
+    """
+    p = sector_power_mw / idx.size
+    # in-use codewords (ascending), their sharer counts and each UE's
+    # position among them
+    per_codeword = np.bincount(precoder[idx], minlength=weights.shape[0])
+    used = np.flatnonzero(per_codeword)
+    counts = per_codeword[used]
+    own = np.searchsorted(used, precoder[idx])
+    # projections of every row onto this cell's in-use codewords
+    proj_all = np.abs(h_b @ weights[used].T)  # (N, U)
+    np.square(proj_all, out=proj_all)
+    own_proj = proj_all[idx, own]
+    # co-cell power over all in-use codewords, own codeword included
+    total = (proj_all[idx] * counts * p).sum(axis=1)
+    # inter-cell: each in-use codeword weighted by 1/N_w at this cell's
+    # per-UE power, felt by every row served elsewhere
+    contrib = (proj_all / counts).sum(axis=1)
+    contrib[idx] = 0.0
+    return per_codeword, counts[own], own_proj, total, beta_b * contrib * p
+
+
+def data_phase_ground(
+    ground: ChannelSet, serving_sector: np.ndarray, dl_codebook: Codebook, radio: RadioConfig
+) -> GroundDataPhase:
+    """The ground step: the ground rows' precoders, and every serving
+    sector's in-use codewords and terms on the ground rows alone."""
+    g, n_sectors = ground.beta.shape
+    weights = dl_codebook.weights
     sector_power_mw = 10.0 ** (radio.sector_tx_power_dbm / 10.0)
-    beta_serving = beta[np.arange(n), serving_sector]
-
-    # every UE's channel toward its serving sector, (N, M), and its precoder
-    per_block = np.split(serving_sector, np.cumsum([blk.n_entities for blk in blocks])[:-1])
-    h_serving = np.concatenate(
-        [blk.h[np.arange(blk.n_entities), s] for blk, s in zip(blocks, per_block)]
+    rows = np.arange(g)
+    precoder = _precoders(ground.h[rows, serving_sector], ground.beta[rows, serving_sector], weights)
+    per_codeword = np.zeros((n_sectors, weights.shape[0]), dtype=int)
+    n_sharers = np.empty(g, dtype=int)
+    own_proj = np.empty(g)
+    total = np.empty(g)
+    inter_terms = np.zeros((g, n_sectors))
+    for b in np.unique(serving_sector).tolist():
+        idx = np.flatnonzero(serving_sector == b)
+        per_codeword[b], n_sharers[idx], own_proj[idx], total[idx], inter_terms[:, b] = _sector_terms(
+            ground.h[:, b, :], ground.beta[:, b], idx, precoder, weights, sector_power_mw
+        )
+    n_used = np.count_nonzero(per_codeword, axis=1)
+    groups = []
+    for u in np.unique(n_used[n_used > 0]).tolist():
+        sectors = np.flatnonzero(n_used == u)
+        used = np.nonzero(per_codeword[sectors])[1].reshape(-1, u)  # ascending per sector
+        groups.append((sectors, weights[used], per_codeword[sectors[:, None], used]))
+    return GroundDataPhase(
+        channels=ground,
+        serving_sector=serving_sector,
+        precoder=precoder,
+        served=per_codeword.sum(axis=1),
+        codeword_groups=tuple(groups),
+        n_codeword_sharers=n_sharers,
+        own_proj=own_proj,
+        total=total,
+        inter_terms=inter_terms,
+        dl_weights=weights,
+        radio=radio,
     )
-    metric = beta_serving[:, None] * np.abs(h_serving @ dl_codebook.weights.T) ** 2
-    precoder = np.argmax(metric, axis=1)
 
+
+def data_phase_uavs(
+    ground: GroundDataPhase, uavs: ChannelSet | None, serving_sector: np.ndarray
+) -> DataPhaseReport:
+    """The UAV step: the data phase of the ground rows joined with the rows
+    of `uavs` (None for no UAVs), served by `serving_sector`.
+
+    Rows are the ground users first, then the UAVs. A sector that serves a
+    UAV is recomputed in full on the joined rows. Every other sector keeps
+    its ground terms and only projects the UAV rows onto its in-use
+    codewords, in one stacked product per group of sectors with the same
+    count of in-use codewords. Inter-cell interference sums the sectors'
+    terms left to right, the order of a loop over sectors. The result is
+    the data phase of the joined rows, bit for bit.
+
+    A product over exactly one row takes BLAS's matrix-vector kernel and
+    rounds differently from the same row inside a product of two or more,
+    so the UAV rows' products carry one ground row in front (dropped from
+    the result) whenever the ground block is not empty. A one-row ground
+    block joined with UAVs would still round apart from the joined product;
+    a scenario's ground block has at least one user in each of three
+    sectors.
+    """
+    gb = ground.channels
+    radio = ground.radio
+    weights = ground.dl_weights
+    g, n_sectors = gb.beta.shape
+    sector_power_mw = 10.0 ** (radio.sector_tx_power_dbm / 10.0)
+    if uavs is None:
+        uav_beta, uav_h = np.empty((0, n_sectors)), np.empty((0,) + gb.h.shape[1:], dtype=complex)
+    else:
+        uav_beta, uav_h = uavs.beta, uavs.h
+    u = uav_beta.shape[0]
+    n = g + u
+    serving = np.concatenate([ground.serving_sector, serving_sector])
+    beta = np.concatenate([gb.beta, uav_beta])
+    beta_serving = beta[np.arange(n), serving]
     # equal power share per served UE of a sector
-    served = np.bincount(serving_sector, minlength=n_sectors)
-    p_dl = sector_power_mw / served[serving_sector]
-    n_sharers = np.empty(n, dtype=int)
-    own_proj = np.empty(n)
-    total = np.empty(n)
-    inter = np.zeros(n)
-    order = np.argsort(serving_sector, kind="stable")
-    starts = np.cumsum(served) - served
-    for b in np.flatnonzero(served).tolist():
-        idx = order[starts[b]:starts[b] + served[b]]
-        p = sector_power_mw / idx.size
-        # in-use codewords (ascending), their sharer counts and each UE's
-        # position among them
-        per_codeword = np.bincount(precoder[idx], minlength=n_codewords)
-        used = np.flatnonzero(per_codeword)
-        counts = per_codeword[used]
-        own = (np.cumsum(per_codeword != 0) - 1)[precoder[idx]]
-        n_sharers[idx] = counts[own]
-        # projections of every entity onto this cell's in-use codewords
-        h_b = np.concatenate([blk.h[:, b, :] for blk in blocks])  # (N, M)
-        proj_all = np.abs(h_b @ dl_codebook.weights[used].T) ** 2  # (N, U)
-        own_proj[idx] = proj_all[idx, own]
-        # co-cell power over all in-use codewords, own codeword included
-        total[idx] = (proj_all[idx] * counts * p).sum(axis=1)
-        # inter-cell: each in-use codeword weighted by 1/N_w at this cell's
-        # per-UE power, felt by every entity served elsewhere
-        contrib = (proj_all / counts).sum(axis=1)
-        contrib[idx] = 0.0
-        inter += beta[:, b] * contrib * p
+    p_dl = sector_power_mw / np.bincount(serving, minlength=n_sectors)[serving]
+    precoder = ground.precoder
+    n_sharers = np.concatenate([ground.n_codeword_sharers, np.empty(u, dtype=int)])
+    own_proj = np.concatenate([ground.own_proj, np.empty(u)])
+    total = np.concatenate([ground.total, np.empty(u)])
+    terms = np.zeros((n, n_sectors))
+    terms[:g] = ground.inter_terms
+
+    if u:
+        pad = min(g, 1)  # ground rows in front of the UAV rows' products
+        padded = np.concatenate([gb.h[:pad], uav_h])  # (pad + U, B, M)
+        padded_serving = np.concatenate([ground.serving_sector[:pad], serving_sector])
+        padded_beta = np.concatenate([gb.beta[np.arange(pad), padded_serving[:pad]], beta_serving[g:]])
+        uav_precoder = _precoders(padded[np.arange(pad + u), padded_serving], padded_beta, weights)
+        precoder = np.concatenate([precoder, uav_precoder[pad:]])
+
+        serves_uav = np.zeros(n_sectors, dtype=bool)
+        serves_uav[serving_sector] = True
+        for b in np.flatnonzero(serves_uav).tolist():
+            idx = np.flatnonzero(serving == b)
+            h_b = np.concatenate([gb.h[:, b, :], uav_h[:, b, :]])
+            _, n_sharers[idx], own_proj[idx], total[idx], terms[:, b] = _sector_terms(
+                h_b, beta[:, b], idx, precoder, weights, sector_power_mw
+            )
+        by_sector = padded.transpose(1, 0, 2)  # (B, pad + U, M) view
+        for sectors, w, counts in ground.codeword_groups:
+            keep = ~serves_uav[sectors]
+            sectors = sectors[keep]
+            proj = np.abs(np.matmul(by_sector[sectors], w[keep].transpose(0, 2, 1))) ** 2
+            contrib = (proj[:, pad:] / counts[keep][:, None, :]).sum(axis=2)  # (sectors, U)
+            terms[g:, sectors] = uav_beta[:, sectors] * contrib.T * (sector_power_mw / ground.served[sectors])
+    inter = np.cumsum(terms, axis=1)[:, -1]
 
     signal = beta_serving * own_proj * p_dl
     # intra-cell: co-cell UEs on *other* codewords
@@ -113,13 +224,37 @@ def data_phase(
     sinr_db = 10.0 * np.log10(sinr)
     rate = radio.n_prb_total * radio.prb_bandwidth_hz / n_sharers * np.log2(1.0 + sinr)
     return DataPhaseReport(
-        serving_sector=serving_sector.copy(),
+        serving_sector=serving,
         precoder=precoder,
         power_mw=p_dl,
         n_codeword_sharers=n_sharers,
         sinr_db=sinr_db,
         rate_bps=rate,
     )
+
+
+def data_phase(
+    blocks: Sequence[ChannelSet],
+    serving_sector: np.ndarray,
+    dl_codebook: Codebook,
+    radio: RadioConfig,
+) -> DataPhaseReport:
+    """Precoder selection, SINR and achievable rate for every entity.
+
+    `blocks` is a snapshot's ground block, optionally followed by its UAV
+    block; their rows, in order, are the entities that `serving_sector`
+    indexes. Runs the ground step (`data_phase_ground`) and the UAV step
+    (`data_phase_uavs`), the two steps that the traffic sweep runs apart.
+
+    Every associated UE is scheduled with an equal share of its serving
+    sector's power and takes the data codeword maximizing beta |h^T w|^2
+    toward that sector, ties to the lowest index.
+    """
+    if len(blocks) not in (1, 2):
+        raise ValueError(f"data_phase takes a ground block and at most one UAV block, got {len(blocks)}")
+    g = blocks[0].n_entities
+    ground = data_phase_ground(blocks[0], serving_sector[:g], dl_codebook, radio)
+    return data_phase_uavs(ground, blocks[1] if len(blocks) == 2 else None, serving_sector[g:])
 
 
 @dataclass(frozen=True)
@@ -195,6 +330,11 @@ def _check_snapshots(n_snapshots: int) -> None:
         raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
 
 
+def _serving_sector(channels: ChannelSet, plan: BeamPlan, ssb_codebook: Codebook) -> np.ndarray:
+    """Each row's serving sector under `plan`: the sector of its `associate` beam."""
+    return select_serving_all(rsrp_table(channels, plan, ssb_codebook))[0]
+
+
 def ground_channels(scenario: Scenario, snapshot: int) -> ChannelSet:
     """The snapshot's ground-user drop and its channels, on the "ue" streams."""
     return build_channels(scenario, scenario.ground_users(snapshot=snapshot), snapshot, "ue")
@@ -216,7 +356,6 @@ def evaluate_snapshot(
     n_snapshots: int,
     d_iud: float | None = None,
     ground: ChannelSet | None = None,
-    ground_association: dict[str, Association] | None = None,
 ) -> dict[str, SnapshotResult]:
     """Evaluate every plan on one snapshot's channel realization.
 
@@ -224,12 +363,9 @@ def evaluate_snapshot(
     ground users first, then the UAVs. The snapshot's ground block
     (`ground_channels`) and UAV block (`snapshot_uavs` on the "uav" streams)
     are built apart and shared by the plans. A caller that already holds
-    the ground block passes it as `ground`, and may pass its per-plan
-    `associate` results as `ground_association`; then only the UAV block is
-    built and associated.
+    the ground block passes it as `ground`; then only the UAV block is
+    built.
     """
-    if ground_association is not None and ground is None:
-        raise ValueError("ground_association needs the ground block it was computed on")
     if d_iud is None:
         d_iud = scenario.uav_spacing_m
     uavs = build_channels(scenario, snapshot_uavs(scenario, snapshot, n_snapshots, d_iud), snapshot, "uav")
@@ -239,10 +375,7 @@ def evaluate_snapshot(
     kinds = np.concatenate([ground.kinds, uavs.kinds])
     results = {}
     for name, plan in plans.items():
-        if ground_association is None:
-            gue = associate(ground, plan, ssb_codebook, noise_mw)
-        else:
-            gue = ground_association[name]
+        gue = associate(ground, plan, ssb_codebook, noise_mw)
         uav = associate(uavs, plan, ssb_codebook, noise_mw)
         serving_b = np.concatenate([gue.serving_sector, uav.serving_sector])
         results[name] = SnapshotResult(
@@ -278,17 +411,22 @@ def traffic_sweep(
     """Evaluate both plans for N = 1..n_max UAVs at d_IUD = L / N.
 
     Snapshots are the outer loop and N the inner one. Each snapshot's ground
-    users are drawn, built and associated once per plan, then shared by all
-    N; each (N, snapshot) cell builds and associates only its UAV block, at
-    the snapshot's UAV offset. `first_ground`, if given, is snapshot 0's
-    ground block; a caller that keeps no reference to it lets it be freed
-    after snapshot 0. Both plans see bit-identical channels. The per-N
-    statistic is the mean over snapshots, in snapshot order, of the
-    per-snapshot 5 percent tile UAV rate.
+    users are drawn and built once, and associated and put through the
+    ground step of the data phase (`data_phase_ground`) once per plan; all N
+    share them. `build_channel_blocks` yields the snapshot's UAV blocks,
+    one per N at the snapshot's UAV offset, from one draw of the "uav"
+    streams. Each (N, snapshot) cell then associates its UAV block and runs
+    the UAV step (`data_phase_uavs`): it computes only what depends on N.
+    `first_ground`, if given, is snapshot 0's ground block; a caller that
+    keeps no reference to it lets it be freed after snapshot 0. Both plans
+    see bit-identical channels. The per-N statistic is the mean over
+    snapshots, in snapshot order, of the per-snapshot 5 percent tile UAV
+    rate.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_snapshots(n_snapshots)
+    radio = scenario.radio
     length = scenario.highway.total_length_m
     n_values = np.arange(1, n_max + 1)
     uav_p5 = {name: [[] for _ in range(n_max)] for name in plans}
@@ -299,19 +437,19 @@ def traffic_sweep(
             ground, first_ground = first_ground, None
         else:
             ground = ground_channels(scenario, snapshot)
-        ground_association = {
-            name: associate(ground, plan, ssb_codebook, scenario.radio.ssb_noise_mw)
+        grounds = {
+            name: data_phase_ground(ground, _serving_sector(ground, plan, ssb_codebook), dl_codebook, radio)
             for name, plan in plans.items()
         }
-        for i, n_uav in enumerate(n_values.tolist()):
-            results = evaluate_snapshot(
-                scenario, plans, ssb_codebook, dl_codebook, snapshot, n_snapshots,
-                d_iud=length / n_uav, ground=ground, ground_association=ground_association,
-            )
-            for name, res in results.items():
-                aerial = res.kinds == "aerial"
-                uav_p5[name][i].append(snapshot_stats(res.data.rate_bps, aerial).percentile(5))
-                gue_p5[name][i].append(snapshot_stats(res.data.rate_bps, ~aerial).percentile(5))
+        g = ground.n_entities
+        blocks = [snapshot_uavs(scenario, snapshot, n_snapshots, length / n) for n in n_values.tolist()]
+        for i, uavs in enumerate(build_channel_blocks(scenario, blocks, snapshot, "uav")):
+            for name, plan in plans.items():
+                serving = _serving_sector(uavs, plan, ssb_codebook)
+                rate = data_phase_uavs(grounds[name], uavs, serving).rate_bps
+                uav_p5[name][i].append(snapshot_stats(rate[g:]).percentile(5))
+                gue_p5[name][i].append(snapshot_stats(rate[:g]).percentile(5))
+            del uavs  # freed before the next block is built
     return SweepResult(
         n_uavs=n_values,
         d_iud_m=length / n_values,

@@ -8,6 +8,12 @@ for `genetic.FitnessEvaluator`; `per_sector_channels` builds a ChannelSet
 one sector at a time, every large-scale call per (sector, entity class), as
 the reference for `channel.build_channels`.
 
+Two more are bit-level references for batched library paths:
+`per_sector_rsrp_table` is `association.rsrp_table` one sector at a time,
+and `joined_data_phase` is the data phase in one pass over the joined
+ground and UAV rows, which `evaluation.data_phase` and the traffic sweep's
+ground and UAV steps must match byte for byte.
+
 `ReferenceEvaluator` and `reference_run` are the bit-level references of
 the search: the population scorer with one (P, n + 1, N_r) candidate table
 and a masked reduction over its middle axis, and the GA loop with one
@@ -18,8 +24,9 @@ bytes: scores, violation counts, traces and best genomes.
 `reference_derive` is the stream derivation that `rng.RngStream.derive`
 must match draw for draw, with the entropy passed as a list of Python ints.
 `reference_sweep` is the traffic sweep without reuse: N outside, snapshots
-inside, and both entity blocks of every (N, snapshot) cell built and
-associated afresh; `evaluation.traffic_sweep` must give the same bytes.
+inside, both entity blocks of every (N, snapshot) cell built and associated
+afresh, and the joined data phase; `evaluation.traffic_sweep` must give the
+same bytes.
 
 The helpers at the end read library objects for tests only: `validate_plan`
 checks a plan's constraints, `find_codeword` looks a beam up by its indices,
@@ -54,7 +61,7 @@ from skybeam.channel import (
 )
 from skybeam.codebook import Codebook
 from skybeam.config import RadioConfig
-from skybeam.evaluation import SweepResult, data_phase, snapshot_stats
+from skybeam.evaluation import DataPhaseReport, SweepResult, snapshot_stats
 from skybeam.genetic import FitnessEvaluator, FitnessTrace, Individual, apply_individual
 
 
@@ -69,6 +76,23 @@ def ssb_rsrp(
     return float(
         channels.beta[entity, sector] * proj * 10.0 ** (plan.power_dbm[sector, slot] / 10.0)
     )
+
+
+def per_sector_rsrp_table(channels: ChannelSet, plan: BeamPlan, codebook: Codebook) -> np.ndarray:
+    """`rsrp_table` with each sector's whole formula in one expression: the
+    bit-level reference for `association.rsrp_table`, which applies the
+    square and the beta and power factors once over the whole table."""
+    n, b, _ = channels.h.shape
+    table = np.zeros((n, b, plan.n_slots))
+    p_mw = plan.power_mw()
+    for sector in range(b):
+        slots = np.flatnonzero(plan.x[sector] == 1)
+        if slots.size == 0:
+            continue
+        w = codebook.weights[plan.codeword[sector, slots]]  # (n_active, M)
+        proj = np.abs(channels.h[:, sector, :] @ w.T) ** 2  # (N, n_active)
+        table[:, sector, slots] = channels.beta[:, sector, None] * proj * p_mw[sector, slots]
+    return table
 
 
 def achievable_rate(sinr_db: float, n_codeword_sharers: int, radio: RadioConfig) -> float:
@@ -233,7 +257,7 @@ def reference_sweep(scenario, plans, ssb_codebook, dl_codebook, n_max, n_snapsho
                 for block in (ground, uavs):
                     table = rsrp_table(block, plan, ssb_codebook)
                     serving.append(select_serving_all(table)[0])
-                report = data_phase(
+                report = joined_data_phase(
                     (ground, uavs), np.concatenate(serving), dl_codebook, scenario.radio
                 )
                 uav_p5[name].append(snapshot_stats(report.rate_bps, aerial).percentile(5))
@@ -243,6 +267,82 @@ def reference_sweep(scenario, plans, ssb_codebook, dl_codebook, n_max, n_snapsho
             p5_gue_rate[name][i] = np.mean(gue_p5[name])
     return SweepResult(
         n_uavs=n_values, d_iud_m=length / n_values, p5_rate=p5_rate, p5_gue_rate=p5_gue_rate
+    )
+
+
+def joined_data_phase(blocks, serving_sector, dl_codebook, radio) -> DataPhaseReport:
+    """The data phase in one pass over the joined rows of `blocks`: the
+    reference that `evaluation.data_phase` and the traffic sweep's two steps
+    must match bit for bit.
+
+    `blocks` are channel sets against the same sectors, such as a snapshot's
+    ground block and its UAV block; their rows, in order, are the entities
+    that `serving_sector` indexes. Only the (N, B) beta, each UE's (N, M)
+    rows toward its serving sector and one sector's (N, M) rows at a time
+    are joined, never an (N, B, M) array.
+
+    Each UE takes the data codeword maximizing beta |h^T w|^2 toward its
+    serving sector, ties to the lowest index.
+    """
+    beta = np.concatenate([blk.beta for blk in blocks])
+    n, n_sectors = beta.shape
+    n_codewords = dl_codebook.weights.shape[0]
+    sector_power_mw = 10.0 ** (radio.sector_tx_power_dbm / 10.0)
+    beta_serving = beta[np.arange(n), serving_sector]
+
+    # every UE's channel toward its serving sector, (N, M), and its precoder
+    per_block = np.split(serving_sector, np.cumsum([blk.n_entities for blk in blocks])[:-1])
+    h_serving = np.concatenate(
+        [blk.h[np.arange(blk.n_entities), s] for blk, s in zip(blocks, per_block)]
+    )
+    metric = beta_serving[:, None] * np.abs(h_serving @ dl_codebook.weights.T) ** 2
+    precoder = np.argmax(metric, axis=1)
+
+    # equal power share per served UE of a sector
+    served = np.bincount(serving_sector, minlength=n_sectors)
+    p_dl = sector_power_mw / served[serving_sector]
+    n_sharers = np.empty(n, dtype=int)
+    own_proj = np.empty(n)
+    total = np.empty(n)
+    inter = np.zeros(n)
+    order = np.argsort(serving_sector, kind="stable")
+    starts = np.cumsum(served) - served
+    for b in np.flatnonzero(served).tolist():
+        idx = order[starts[b]:starts[b] + served[b]]
+        p = sector_power_mw / idx.size
+        # in-use codewords (ascending), their sharer counts and each UE's
+        # position among them
+        per_codeword = np.bincount(precoder[idx], minlength=n_codewords)
+        used = np.flatnonzero(per_codeword)
+        counts = per_codeword[used]
+        own = (np.cumsum(per_codeword != 0) - 1)[precoder[idx]]
+        n_sharers[idx] = counts[own]
+        # projections of every entity onto this cell's in-use codewords
+        h_b = np.concatenate([blk.h[:, b, :] for blk in blocks])  # (N, M)
+        proj_all = np.abs(h_b @ dl_codebook.weights[used].T) ** 2  # (N, U)
+        own_proj[idx] = proj_all[idx, own]
+        # co-cell power over all in-use codewords, own codeword included
+        total[idx] = (proj_all[idx] * counts * p).sum(axis=1)
+        # inter-cell: each in-use codeword weighted by 1/N_w at this cell's
+        # per-UE power, felt by every entity served elsewhere
+        contrib = (proj_all / counts).sum(axis=1)
+        contrib[idx] = 0.0
+        inter += beta[:, b] * contrib * p
+
+    signal = beta_serving * own_proj * p_dl
+    # intra-cell: co-cell UEs on *other* codewords
+    intra = beta_serving * (total - own_proj * n_sharers * p_dl)
+    noise = radio.n_prb_total * radio.prb_bandwidth_hz / n_sharers * radio.noise_psd_mw_per_hz
+    sinr = signal / (intra + inter + noise)
+    sinr_db = 10.0 * np.log10(sinr)
+    rate = radio.n_prb_total * radio.prb_bandwidth_hz / n_sharers * np.log2(1.0 + sinr)
+    return DataPhaseReport(
+        serving_sector=serving_sector.copy(),
+        precoder=precoder,
+        power_mw=p_dl,
+        n_codeword_sharers=n_sharers,
+        sinr_db=sinr_db,
+        rate_bps=rate,
     )
 
 

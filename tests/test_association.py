@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ssb_rsrp, validate_plan
+from oracles import per_sector_rsrp_table, ssb_rsrp, validate_plan
 from skybeam.association import (
     BeamPlan,
     baseline_plan,
@@ -281,6 +281,31 @@ class TestBaselinePlan:
         book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
         plan = baseline_plan(small_scenario, book)
         validate_plan(plan, len(book))
+
+
+@pytest.mark.parametrize("tag", ["ue", "uav"])
+def test_rsrp_table_matches_per_sector_products(small_scenario, tag):
+    """The table equals the per-sector formula byte for byte, on the
+    baseline plan and on random plans with idle slots, including sectors
+    with one deployed beam and sectors with none."""
+    book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
+    base = baseline_plan(small_scenario, book)
+    entities = small_scenario.ground_users(0) if tag == "ue" else small_scenario.uavs()
+    channels = build_channels(small_scenario, entities, 0, tag)
+    gen = np.random.default_rng(5)
+    plans = [base]
+    for _ in range(30):
+        plan = base.copy()
+        plan.x = (gen.random(plan.x.shape) < gen.uniform(0.1, 0.9)).astype(np.int8)
+        plan.x[0] = 0
+        plan.x[1] = 0
+        plan.x[1, 3] = 1
+        plan.codeword = gen.integers(0, len(book), plan.x.shape)
+        plan.power_dbm = gen.uniform(0.0, 40.0, plan.x.shape)
+        plans.append(plan)
+    for plan in plans:
+        got = rsrp_table(channels, plan, book)
+        assert got.tobytes() == per_sector_rsrp_table(channels, plan, book).tobytes()
 
 
 def test_dump_association_csv(small_scenario, tmp_path):

@@ -10,6 +10,7 @@ from skybeam.channel import (
     ChannelSet,
     OutOfValidityRange,
     aerial_los_shadow_sigma_db,
+    build_channel_blocks,
     build_channels,
     element_gain,
     expected_channels,
@@ -22,6 +23,7 @@ from skybeam.channel import (
     stack_highway_channels,
 )
 from skybeam.config import ChannelParams, RadioConfig, default_config, validate_config
+from skybeam.evaluation import snapshot_uavs
 from skybeam.scenario import (
     Sector,
     UpaGeometry,
@@ -482,6 +484,71 @@ class TestMatchesPerSectorOracle:
         got = build_channels(scenario, points, snapshot="static", stream_tag="highway-point")
         want = per_sector_channels(scenario, points, snapshot="static", stream_tag="highway-point")
         self.assert_same_bytes(got, want)
+
+
+class TestChannelBlocks:
+    """build_channel_blocks against build_channels on each block alone:
+    every ChannelSet array equal in bytes, dtype and shape, at every UAV
+    count of a sweep snapshot, one row included."""
+
+    N_MAX = 12
+
+    @staticmethod
+    def sweep_blocks(scenario, snapshot, n_snapshots=2):
+        length = scenario.highway.total_length_m
+        return [
+            snapshot_uavs(scenario, snapshot, n_snapshots, length / n)
+            for n in range(1, TestChannelBlocks.N_MAX + 1)
+        ]
+
+    # 100 m: every UAV link LoS, K > 0 on all of them; 60 m with a 3 dB
+    # NLoS K: LoS and NLoS links, every one through the plane-wave branch;
+    # 20 m: the ground model, NLoS links pure Rayleigh
+    @pytest.mark.parametrize("altitude_m, rician_k_nlos_db", [(100.0, None), (60.0, 3.0), (20.0, None)])
+    @pytest.mark.parametrize("snapshot", [0, 1])
+    def test_each_block_matches_a_fresh_build(self, altitude_m, rician_k_nlos_db, snapshot):
+        scenario = _one_tier_scenario(altitude_m, rician_k_nlos_db)
+        blocks = self.sweep_blocks(scenario, snapshot)
+        assert [len(entities) for entities in blocks] == list(range(1, self.N_MAX + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OutOfValidityRange)
+            got = list(build_channel_blocks(scenario, blocks, snapshot, "uav"))
+            want = [build_channels(scenario, entities, snapshot, "uav") for entities in blocks]
+        assert len(got) == len(blocks)
+        for a, b in zip(got, want):
+            TestMatchesPerSectorOracle.assert_same_bytes(a, b)
+            assert a.kinds.tobytes() == b.kinds.tobytes()
+
+    def test_default_layout(self, cfg):
+        scenario = scenario_from_config(cfg)
+        blocks = self.sweep_blocks(scenario, 1)
+        for a, entities in zip(build_channel_blocks(scenario, blocks, 1, "uav"), blocks):
+            TestMatchesPerSectorOracle.assert_same_bytes(a, build_channels(scenario, entities, 1, "uav"))
+
+    def test_streams_derived_once_per_sector(self, small_scenario, monkeypatch):
+        """Every block of a call reads the same three keyed streams per
+        sector, derived once; the blocks come one at a time."""
+        keys = []
+        derive = small_scenario.streams.derive
+        monkeypatch.setattr(small_scenario.streams, "derive", lambda *key: keys.append(key) or derive(*key))
+        blocks = self.sweep_blocks(small_scenario, 0)
+        built = build_channel_blocks(small_scenario, blocks, 0, "uav")
+        assert keys == []  # nothing is drawn before the first block is asked for
+        first = next(built)
+        assert first.n_entities == 1
+        assert len(keys) == 3 * small_scenario.n_sectors
+        assert sorted(set(keys)) == sorted(
+            (kind, "uav", 0, sector.id)
+            for kind in ("los", "shadow", "fading")
+            for sector in small_scenario.sectors
+        )
+        assert [cs.n_entities for cs in built] == list(range(2, self.N_MAX + 1))
+        assert len(keys) == 3 * small_scenario.n_sectors
+
+    def test_mixed_block_raises(self, small_scenario):
+        users = np.concatenate([small_scenario.ground_users(0)[:2], small_scenario.uavs()[:1]])
+        with pytest.raises(ValueError, match="one entity class per call"):
+            list(build_channel_blocks(small_scenario, [users.view(np.recarray)], 0, "uav"))
 
 
 class TestOutOfValidityCount:

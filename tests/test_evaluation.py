@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import achievable_rate, data_sinr, max_supported, reference_sweep
+import dataclasses
+
+from oracles import achievable_rate, data_sinr, joined_data_phase, max_supported, reference_sweep
 from skybeam import evaluation
 from skybeam.association import baseline_plan
-from skybeam.channel import ChannelSet, build_channels
+from skybeam.channel import ChannelSet, build_channel_blocks, build_channels
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import RadioConfig
 from skybeam.evaluation import (
@@ -14,6 +16,8 @@ from skybeam.evaluation import (
     EmptyGroup,
     associate,
     data_phase,
+    data_phase_ground,
+    data_phase_uavs,
     evaluate_snapshot,
     ground_channels,
     snapshot_stats,
@@ -21,6 +25,7 @@ from skybeam.evaluation import (
     traffic_sweep,
 )
 from skybeam.genetic import corridor_problem
+from skybeam.scenario import scenario_from_config
 from test_association import make_channels, make_codebook
 
 RADIO = RadioConfig()
@@ -284,9 +289,9 @@ class TestSnapshotEvaluation:
                 a, b = getattr(one[name], field), getattr(twelve[name], field)
                 assert a[:n_gue].tobytes() == b[:n_gue].tobytes(), (name, field)
 
-    def test_given_ground_block_and_association_are_used(self, small_scenario, monkeypatch):
-        """A ground block passed in is not rebuilt, and passing its per-plan
-        association gives the bytes of associating it afresh."""
+    def test_given_ground_block_is_used(self, small_scenario, monkeypatch):
+        """A ground block passed in is not rebuilt, and gives the bytes of
+        building it afresh."""
         ssb, dl, base = _books_and_plan(small_scenario)
         ground = ground_channels(small_scenario, 1)
         fresh = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2)["b"]
@@ -296,17 +301,12 @@ class TestSnapshotEvaluation:
             lambda scenario, entities, snapshot, tag: built.append(tag) or build_channels(
                 scenario, entities, snapshot, tag),
         )
-        association = {"b": associate(ground, base, ssb, small_scenario.radio.ssb_noise_mw)}
-        reused = evaluate_snapshot(
-            small_scenario, {"b": base}, ssb, dl, 1, 2, ground=ground, ground_association=association
-        )["b"]
+        reused = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2, ground=ground)["b"]
         assert built == ["uav"]
         for field in ("serving_sector", "serving_slot", "serving_rsrp_mw", "coverage_sinr_db"):
             assert getattr(reused, field).tobytes() == getattr(fresh, field).tobytes(), field
         for field in ("precoder", "sinr_db", "rate_bps"):
             assert getattr(reused.data, field).tobytes() == getattr(fresh.data, field).tobytes(), field
-        with pytest.raises(ValueError, match="ground block"):
-            evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2, ground_association=association)
 
     def test_corridor_problem_uses_the_snapshot_0_ground_block(self, small_scenario, monkeypatch):
         """corridor_problem freezes its slots on snapshot 0's ground block,
@@ -349,6 +349,87 @@ def test_data_phase_joins_blocks_by_rows(small_scenario):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
+REPORT_FIELDS = ("serving_sector", "precoder", "power_mw", "n_codeword_sharers", "sinr_db", "rate_bps")
+
+
+class TestTwoStepDataPhase:
+    """The ground step once, then the UAV step per UAV block, against the
+    joined one-pass data phase: every report array equal in bytes."""
+
+    @staticmethod
+    def assert_matches_joined(ground, ground_serving, uavs, uav_serving, dl):
+        want = joined_data_phase((ground, uavs), np.concatenate([ground_serving, uav_serving]), dl, RADIO)
+        steps = data_phase_uavs(data_phase_ground(ground, ground_serving, dl, RADIO), uavs, uav_serving)
+        joined = data_phase((ground, uavs), np.concatenate([ground_serving, uav_serving]), dl, RADIO)
+        for got in (steps, joined):
+            for field in REPORT_FIELDS:
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+                assert a.tobytes() == b.tobytes(), field
+        return want
+
+    @staticmethod
+    def snapshot(scenario, snapshot=0):
+        """The DL book, then (block, serving sectors) for the ground block and
+        for the sweep's UAV blocks of 1 to 12 rows."""
+        ssb = build_ssb_codebook(scenario.sectors[0].panel, 4, 1)
+        dl = build_dl_codebook(scenario.sectors[0].panel, 1, 1)
+        base = baseline_plan(scenario, ssb)
+        length = scenario.highway.total_length_m
+        blocks = [snapshot_uavs(scenario, snapshot, 2, length / n) for n in range(1, 13)]
+        built = [ground_channels(scenario, snapshot), *build_channel_blocks(scenario, blocks, snapshot, "uav")]
+        noise_mw = scenario.radio.ssb_noise_mw
+        served = [(blk, associate(blk, base, ssb, noise_mw).serving_sector) for blk in built]
+        return dl, served[0], served[1:]
+
+    @pytest.mark.parametrize("layout", ["small", "default"])
+    def test_every_uav_count(self, layout, small_scenario, cfg):
+        """UAV blocks of 1 row and of 2 to 12 rows, on their own association."""
+        scenario = small_scenario if layout == "small" else scenario_from_config(cfg)
+        dl, (ground, ground_serving), uav_blocks = self.snapshot(scenario, 1)
+        assert uav_blocks[0][0].n_entities == 1
+        for uavs, uav_serving in uav_blocks:
+            self.assert_matches_joined(ground, ground_serving, uavs, uav_serving, dl)
+
+    def test_no_uavs(self, small_scenario):
+        dl, (ground, ground_serving), _ = self.snapshot(small_scenario)
+        want = joined_data_phase([ground], ground_serving, dl, RADIO)
+        got = data_phase([ground], ground_serving, dl, RADIO)
+        for field in REPORT_FIELDS:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+    @pytest.mark.parametrize("n_uavs", [1, 5])
+    def test_sector_served_only_by_uavs(self, small_scenario, n_uavs):
+        dl, (ground, ground_serving), uav_blocks = self.snapshot(small_scenario)
+        uavs, uav_serving = uav_blocks[n_uavs - 1]
+        # move the ground users of the first UAV's sector to the next sector
+        b = int(uav_serving[0])
+        ground_serving = np.where(ground_serving == b, (b + 1) % small_scenario.n_sectors, ground_serving)
+        want = self.assert_matches_joined(ground, ground_serving, uavs, uav_serving, dl)
+        assert not np.any(want.serving_sector[:ground.n_entities] == b)
+
+    @pytest.mark.parametrize("n_uavs", [1, 4])
+    def test_uav_shares_a_codeword_with_ground_users(self, small_scenario, n_uavs):
+        """UAV 0 gets ground user 0's channel row toward that user's serving
+        sector and is served there, so it takes the same codeword."""
+        dl, (ground, ground_serving), uav_blocks = self.snapshot(small_scenario)
+        uavs, uav_serving = uav_blocks[n_uavs - 1]
+        b = int(ground_serving[0])
+        h, beta, uav_serving = uavs.h.copy(), uavs.beta.copy(), uav_serving.copy()
+        h[0, b], beta[0, b], uav_serving[0] = ground.h[0, b], ground.beta[0, b], b
+        uavs = dataclasses.replace(uavs, h=h, beta=beta)
+        want = self.assert_matches_joined(ground, ground_serving, uavs, uav_serving, dl)
+        g = ground.n_entities
+        assert want.precoder[g] == want.precoder[0]
+        assert want.n_codeword_sharers[g] == want.n_codeword_sharers[0] >= 2
+
+    def test_block_count_checked(self, small_scenario):
+        dl, (ground, _), uav_blocks = self.snapshot(small_scenario)
+        blocks = (ground, uav_blocks[0][0], uav_blocks[1][0])
+        with pytest.raises(ValueError, match="at most one UAV block"):
+            data_phase(blocks, np.zeros(ground.n_entities + 3, dtype=int), dl, RADIO)
+
+
 class TestTrafficSweep:
     def test_rows_and_spacing_invariant(self, small_scenario):
         ssb = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
@@ -380,14 +461,21 @@ class TestTrafficSweep:
         want = traffic_sweep(small_scenario, plans, ssb, dl, n_max=2, n_snapshots=2)
         first = ground_channels(small_scenario, 0)
         built = []
-        original = evaluation.build_channels
+        original, original_blocks = evaluation.build_channels, evaluation.build_channel_blocks
         monkeypatch.setattr(
             evaluation, "build_channels",
             lambda scenario, entities, snapshot, tag: built.append((tag, snapshot)) or original(
                 scenario, entities, snapshot, tag),
         )
+        monkeypatch.setattr(
+            evaluation, "build_channel_blocks",
+            lambda scenario, blocks, snapshot, tag: built.append(
+                (tag, snapshot, [len(entities) for entities in blocks])
+            ) or original_blocks(scenario, blocks, snapshot, tag),
+        )
         got = traffic_sweep(small_scenario, plans, ssb, dl, n_max=2, n_snapshots=2, first_ground=first)
-        assert built == [("uav", 0), ("uav", 0), ("ue", 1), ("uav", 1), ("uav", 1)]
+        # one generator call per snapshot yields every UAV count's block
+        assert built == [("uav", 0, [1, 2]), ("ue", 1), ("uav", 1, [1, 2])]
         assert got.p5_rate["baseline"].tobytes() == want.p5_rate["baseline"].tobytes()
         assert got.p5_gue_rate["baseline"].tobytes() == want.p5_gue_rate["baseline"].tobytes()
 
