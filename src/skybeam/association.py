@@ -44,7 +44,28 @@ class BeamPlan:
         return BeamPlan(self.x.copy(), self.power_dbm.copy(), self.codeword.copy(), self.sweep.copy())
 
 
-def rsrp_table(channels: ChannelSet, plan: BeamPlan, codebook: Codebook) -> np.ndarray:
+def unique_ints(values) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(values, return_inverse=True)` for non-negative ints: the
+    sorted distinct values, and each value's index among them (flattened).
+
+    Counting and searching give the same arrays without `np.unique`, whose
+    first call imports `numpy.ma`, about 13 ms of every process.
+    """
+    flat = np.asarray(values).reshape(-1)
+    distinct = np.flatnonzero(np.bincount(flat))
+    return distinct, np.searchsorted(distinct, flat)
+
+
+def changed_sectors(a: BeamPlan, b: BeamPlan) -> np.ndarray:
+    """The sectors whose deployment, codeword, power or sweep row differs
+    between two plans, ascending."""
+    differs = (a.x != b.x) | (a.codeword != b.codeword) | (a.power_dbm != b.power_dbm) | (a.sweep != b.sweep)
+    return np.flatnonzero(differs.any(axis=1))
+
+
+def rsrp_table(
+    channels: ChannelSet, plan: BeamPlan, codebook: Codebook, table: np.ndarray | None = None, sectors=None
+) -> np.ndarray:
     """Per-beam RSRP in mW for every entity: shape (N, B, S).
 
     rsrp = beta * |h^T w|^2 * p * x, zero where the beam is not deployed.
@@ -53,20 +74,40 @@ def rsrp_table(channels: ChannelSet, plan: BeamPlan, codebook: Codebook) -> np.n
     also covered idle slots would round differently, and one stacked over
     all sectors would hold an (N, B, S) complex temporary. The square and
     the beta and power factors then run once over the whole table.
+
+    Given `table`, another plan's table on the same channels, and
+    `sectors`, the sectors where that plan differs from `plan`
+    (`changed_sectors`), the call patches `table` in place and returns it:
+    each listed sector's slab is recomputed by the same product and the
+    same elementwise factors, so it holds a fresh table's bytes, and every
+    other slab is kept.
     """
     n, b, _ = channels.h.shape
-    table = np.zeros((n, b, plan.n_slots))
+    patch = table is not None
+    if not patch:
+        table = np.zeros((n, b, plan.n_slots))
+        sectors = range(b)
     active = plan.x == 1
+    n_active = np.count_nonzero(active, axis=1)
     weights = codebook.weights[plan.codeword]  # (B, S, M); rows of idle slots unused
-    for sector, n_active in enumerate(np.count_nonzero(active, axis=1).tolist()):
-        if n_active == plan.n_slots:
-            np.abs(channels.h[:, sector, :] @ weights[sector].T, out=table[:, sector])
-        elif n_active:
+    power = plan.power_mw()  # 0 where the beam is not deployed
+    for sector in sectors:
+        slab = table[:, sector]
+        if n_active[sector] == plan.n_slots:
+            np.abs(channels.h[:, sector, :] @ weights[sector].T, out=slab)
+        elif n_active[sector]:
             slots = np.flatnonzero(active[sector])
-            table[:, sector, slots] = np.abs(channels.h[:, sector, :] @ weights[sector, slots].T)
+            slab[:, slots] = np.abs(channels.h[:, sector, :] @ weights[sector, slots].T)
+    if patch:  # a patched slab's idle slots keep stale finite values until the power factor zeroes them
+        for sector in sectors:
+            slab = table[:, sector]
+            np.square(slab, out=slab)
+            slab *= channels.beta[:, sector, None]
+            slab *= power[sector]
+        return table
     np.square(table, out=table)
     table *= channels.beta[:, :, None]
-    table *= plan.power_mw()  # 0 where the beam is not deployed
+    table *= power
     return table
 
 
@@ -121,7 +162,7 @@ def baseline_plan(scenario: Scenario, ssb_codebook: Codebook, tilt_deg: float = 
     w_target = math.cos(math.radians(tilt_deg))
 
     # vertical index nearest the target zenith within the full-panel sub-book
-    v_indices = np.unique(ssb_codebook.beam_index_v[full])
+    v_indices = unique_ints(ssb_codebook.beam_index_v[full])[0]
     v_cos = []
     for iv in v_indices:
         i = full[ssb_codebook.beam_index_v[full] == iv][0]
@@ -156,13 +197,12 @@ def dump_association_csv(
     """One row per entity: serving beam, its RSRP (mW in, dBm out) and coverage SINR.
 
     The per-entity arrays share one row order, and `ue_id` is the row index.
+    Each row is one `%`-format of Python values.
     """
     lines = ["ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"]
-    for i, kind in enumerate(kinds):
-        rsrp_dbm = 10.0 * math.log10(rsrp[i]) if rsrp[i] > 0 else -math.inf
-        lines.append(
-            f"{i},{kind},{serving_sector[i]},"
-            f"{serving_slot[i]},{rsrp_dbm:.10g},{sinr_db[i]:.10g}"
-        )
+    columns = (kinds.tolist(), serving_sector.tolist(), serving_slot.tolist(), rsrp.tolist(), sinr_db.tolist())
+    for i, (kind, sector, slot, rsrp_mw, sinr) in enumerate(zip(*columns)):
+        rsrp_dbm = 10.0 * math.log10(rsrp_mw) if rsrp_mw > 0 else -math.inf
+        lines.append("%d,%s,%d,%d,%.10g,%.10g" % (i, kind, sector, slot, rsrp_dbm, sinr))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -9,12 +9,16 @@ a Rician mix of a plane-wave steering vector and an i.i.d. Rayleigh part.
 
 Everything is generated from seeded streams keyed by (kind of draw, stream
 tag, snapshot, sector): the LoS uniforms, the shadow draws and the fading
-draws. `build_channels` takes one entity class per call, and each class has
-its own stream tag: "ue" for the ground users of a snapshot, "uav" for its
-UAVs and "highway-point" for the static corridor points. One class's
-channels therefore never depend on the other class, and a ChannelSet is
-bit-reproducible regardless of evaluation order. `link_geometry` takes the
-geometry of all (sector, entity) links in one stacked pass. The keyed draws
+draws, all of a build's streams derived in one `RngStream.derive_many`
+call. A build takes one entity class, and each class has its own stream
+tag: "ue" for the ground users of a snapshot, "uav" for its UAVs and
+"highway-point" for the static corridor points. One class's channels
+therefore never depend on the other class, and a ChannelSet is
+bit-reproducible regardless of evaluation order. `build_channels` builds
+the ground blocks and the highway points; `build_channel_blocks` builds
+the UAV blocks, one per call in `evaluate_snapshot` and one per UAV count
+in a traffic sweep. `link_geometry` takes the geometry of all (sector,
+entity) links in one stacked pass. The keyed draws
 stay per sector, in two passes: the large-scale draws first and the
 small-scale fading second. In between, the deterministic large-scale
 functions (`element_gain`, `los_probability`, `path_loss`, the shadow gain)
@@ -192,7 +196,9 @@ def shadow_factor(positions_xy, decorrelation_distance_m: float) -> np.ndarray:
     n = pos.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    dx = pos[:, None, 0] - pos[None, :, 0]
+    dy = pos[:, None, 1] - pos[None, :, 1]
+    dist = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm's bytes: it sums the squares left to right
     cov = np.exp(-dist / max(decorrelation_distance_m, 1e-12))
     cov[np.diag_indices(n)] += 1e-12
     return np.linalg.cholesky(cov)
@@ -254,14 +260,17 @@ def link_geometry(sectors: Sequence[Sector], positions: np.ndarray):
         [_panel_axes(sector.panel.bearing_deg, sector.panel.downtilt_deg) for sector in sectors]
     ).reshape(-1, 3, 3)
     delta = positions[None, :, :] - origins[:, None, :]
-    d3d = np.linalg.norm(delta, axis=2)
+    # the squares summed left to right, as np.linalg.norm sums them
+    dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
+    d2d_sq = dx * dx + dy * dy
+    d3d = np.sqrt(d2d_sq + dz * dz)
     at_panel = np.argwhere(d3d == 0.0)
     if at_panel.size:
         j, i = at_panel[0]
         raise ValueError(
             f"entity row {i} is at the panel of sector {sectors[j].id} (3D distance 0)"
         )
-    d2d = np.linalg.norm(delta[..., :2], axis=2)
+    d2d = np.sqrt(d2d_sq)
     unit = delta @ axes.transpose(0, 2, 1)
     unit /= d3d[..., None]
     azimuth = np.arctan2(unit[..., 1], unit[..., 0])
@@ -412,6 +421,19 @@ def _rician_mix(fading, k, unit, d3d, coords, wavelength) -> None:
         fading[1, rows] += los_amp * wave.imag
 
 
+def _sector_streams(scenario: Scenario, stream_tag: str, snapshot: int | str):
+    """Every sector's `los`, `shadow` and `fading` generators of one class
+    and snapshot, keyed (kind of draw, stream_tag, snapshot, sector id) and
+    derived in one `derive_many` call: three lists in sector order."""
+    b = len(scenario.sectors)
+    rngs = scenario.streams.derive_many(
+        (draw, stream_tag, snapshot, sector.id)
+        for draw in ("los", "shadow", "fading")
+        for sector in scenario.sectors
+    )
+    return rngs[:b], rngs[b : 2 * b], rngs[2 * b :]
+
+
 def build_channels(
     scenario: Scenario,
     entities: np.recarray,
@@ -425,7 +447,9 @@ def build_channels(
     kind, "ground" or "aerial"; a block mixing the two raises ValueError, so
     each entity class is built by its own call on its own streams. Seed keys
     combine (stream_tag, snapshot, sector id), which makes the result
-    independent of sector evaluation order and of every other call.
+    independent of sector evaluation order and of every other call. The
+    library builds its ground blocks and highway points here, and its UAV
+    blocks through `build_channel_blocks`.
 
     Three steps. Pass 1 takes the geometry of every link in one stacked
     `link_geometry` call, then walks the sectors for the two large-scale
@@ -445,26 +469,25 @@ def build_channels(
     validity region raises at most one `OutOfValidityRange` warning. An
     entity at a panel's position raises ValueError from `link_geometry`.
     """
-    streams = scenario.streams
     sectors = scenario.sectors
     wavelength = scenario.radio.wavelength_m
     n = len(entities)
     b = len(sectors)
     kind, factor, links, d3d, unit = _block_geometry(scenario, entities)
+    los_rngs, shadow_rngs, fading_rngs = _sector_streams(scenario, stream_tag, snapshot)
 
     # pass 1: the LoS uniforms and the unit shadow draws per sector
     los_draws, shadow_unit = np.empty((n, b)), np.empty((n, b))
-    for j, sector in enumerate(sectors):
-        key = (stream_tag, snapshot, sector.id)
-        los_draws[:, j] = streams.derive("los", *key).uniform(size=n)
-        shadow_unit[:, j] = shadow_field(factor, streams.derive("shadow", *key))
+    for j in range(b):
+        los_draws[:, j] = los_rngs[j].uniform(size=n)
+        shadow_unit[:, j] = shadow_field(factor, shadow_rngs[j])
 
     channels, k = _large_scale(scenario, entities, kind, links, los_draws, shadow_unit)
 
     # pass 2: Rician small-scale fading, one sector at a time
     h = channels.h
     for j, sector in enumerate(sectors):
-        fading = streams.derive("fading", stream_tag, snapshot, sector.id).standard_normal((2, n, h.shape[2]))
+        fading = fading_rngs[j].standard_normal((2, n, h.shape[2]))
         coords = sector.panel.element_coords(wavelength)
         _rician_mix(fading, k[j], unit[j], d3d[j], coords, wavelength)
         h.real[:, j] = fading[0]
@@ -495,7 +518,6 @@ def build_channel_blocks(
     no reference to it: a caller that drops each block before asking for
     the next holds one block at a time.
     """
-    streams = scenario.streams
     sectors = scenario.sectors
     wavelength = scenario.radio.wavelength_m
     b = len(sectors)
@@ -503,11 +525,10 @@ def build_channel_blocks(
     n_max = max((len(entities) for entities in blocks), default=0)
     uniforms, normals = np.empty((b, n_max)), np.empty((b, n_max))
     fading_draws = np.empty((b, 2 * n_max * m))
-    for j, sector in enumerate(sectors):
-        key = (stream_tag, snapshot, sector.id)
-        uniforms[j] = streams.derive("los", *key).uniform(size=n_max)
-        normals[j] = streams.derive("shadow", *key).standard_normal(n_max)
-        fading_draws[j] = streams.derive("fading", *key).standard_normal(2 * n_max * m)
+    for j, (los, shadow, fading) in enumerate(zip(*_sector_streams(scenario, stream_tag, snapshot))):
+        uniforms[j] = los.uniform(size=n_max)
+        normals[j] = shadow.standard_normal(n_max)
+        fading_draws[j] = fading.standard_normal(2 * n_max * m)
     coords = np.array([sector.panel.element_coords(wavelength) for sector in sectors]).reshape(b, 3, m)
     for entities in blocks:
         yield _prefix_block(scenario, entities, uniforms, normals, fading_draws, coords)

@@ -167,11 +167,14 @@ def _summaries(pooled: dict) -> dict:
 
 
 def _report_rows(snapshot: int, res: SnapshotResult) -> str:
-    """One report line per entity of a snapshot; `ue_id` is the row index."""
+    """One report line per entity of a snapshot, one `%`-format each; `ue_id`
+    is the row index, and "%.10g" writes a float as `_fmt` does."""
+    columns = (
+        res.kinds.tolist(), res.serving_sector.tolist(), res.coverage_sinr_db.tolist(),
+        res.data.sinr_db.tolist(), res.data.rate_bps.tolist(),
+    )
     return "".join(
-        f"{snapshot},{i},{kind},{res.serving_sector[i]},"
-        f"{_fmt(res.coverage_sinr_db[i])},{_fmt(res.data.sinr_db[i])},{_fmt(res.data.rate_bps[i])}\n"
-        for i, kind in enumerate(res.kinds)
+        "%d,%d,%s,%d,%.10g,%.10g,%.10g\n" % (snapshot, i, *row) for i, row in enumerate(zip(*columns))
     )
 
 

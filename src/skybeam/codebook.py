@@ -107,12 +107,18 @@ def build_dl_codebook(panel: UpaGeometry, o_h: int = 4, o_v: int = 4) -> Codeboo
 
 
 def export_codebook_csv(codebook: Codebook, path) -> None:
-    """Debug/regression dump: one row per codeword, weights as re:im pairs."""
+    """Debug/regression dump: one row per codeword, weights as re:im pairs.
+
+    Each row is one `%`-format of Python values; "%.10g" writes a float as
+    f"{x:.10g}" does.
+    """
+    n, m = codebook.weights.shape
+    parts = np.empty((n, 2 * m))
+    parts[:, 0::2] = codebook.weights.real
+    parts[:, 1::2] = codebook.weights.imag
+    row = "%d,%d,%d,%d," + ";".join(["%.10g:%.10g"] * m)
+    columns = (codebook.active_columns.tolist(), codebook.beam_index_h.tolist(), codebook.beam_index_v.tolist())
     lines = ["index,active_cols,ih,iv,weights_re_im"]
-    for i in range(len(codebook)):
-        w = ";".join(f"{x.real:.10g}:{x.imag:.10g}" for x in codebook.weights[i])
-        lines.append(
-            f"{i},{codebook.active_columns[i]},{codebook.beam_index_h[i]},{codebook.beam_index_v[i]},{w}"
-        )
+    lines += [row % (i, a, h, v, *w) for i, (a, h, v, w) in enumerate(zip(*columns, parts.tolist()))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

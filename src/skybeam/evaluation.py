@@ -9,21 +9,28 @@ statistic 5 percent tile, pooled over snapshots.
 
 The data phase runs in two steps: a ground step per snapshot and plan
 (`data_phase_ground`) and a UAV step per UAV block (`data_phase_uavs`), so a
-traffic sweep pays per UAV count only for what the UAVs change.
+traffic sweep pays per UAV count only for what the UAVs change. Plans are
+evaluated in turn on shared channels, and each plan after the first pays
+only where it differs from the one before: its RSRP tables patch the
+previous plan's on the sectors whose beams differ (`plan_tables`), and its
+ground step patches the previous plan's on the sectors whose served ground
+users differ.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .association import (
     BeamPlan,
+    changed_sectors,
     coverage_sinr_all,
     rsrp_table,
     select_serving_all,
+    unique_ints,
 )
 from .channel import ChannelSet, build_channel_blocks, build_channels
 from .codebook import Codebook
@@ -59,6 +66,7 @@ class GroundDataPhase:
     channels: ChannelSet
     serving_sector: np.ndarray
     precoder: np.ndarray
+    per_codeword: np.ndarray  # (B, C) ground UEs per sector and data codeword
     served: np.ndarray  # (B,) ground UEs per sector
     # the serving sectors grouped by their count U of in-use codewords:
     # (sectors, their (U, M) in-use codeword weights, their (U,) sharer counts)
@@ -106,28 +114,56 @@ def _sector_terms(h_b, beta_b, idx, precoder, weights, sector_power_mw):
 
 
 def data_phase_ground(
-    ground: ChannelSet, serving_sector: np.ndarray, dl_codebook: Codebook, radio: RadioConfig
+    ground: ChannelSet,
+    serving_sector: np.ndarray,
+    dl_codebook: Codebook,
+    radio: RadioConfig,
+    previous: GroundDataPhase | None = None,
 ) -> GroundDataPhase:
     """The ground step: the ground rows' precoders, and every serving
-    sector's in-use codewords and terms on the ground rows alone."""
+    sector's in-use codewords and terms on the ground rows alone.
+
+    Given `previous`, the ground step of another plan on the same block,
+    only the sectors whose served rows differ from `previous`'s are
+    recomputed, a sector that loses its last user included; every other
+    sector keeps `previous`'s terms, which are the bytes a recomputation
+    gives. With no row moved, `previous` is the result. The precoder
+    product always covers every row (see `data_phase_uavs` on rounding).
+    """
     g, n_sectors = ground.beta.shape
     weights = dl_codebook.weights
     sector_power_mw = 10.0 ** (radio.sector_tx_power_dbm / 10.0)
+    if previous is None:
+        sectors = unique_ints(serving_sector)[0]
+        per_codeword = np.zeros((n_sectors, weights.shape[0]), dtype=int)
+        n_sharers = np.empty(g, dtype=int)
+        own_proj = np.empty(g)
+        total = np.empty(g)
+        inter_terms = np.zeros((g, n_sectors))
+    else:
+        moved = serving_sector != previous.serving_sector
+        if not moved.any():
+            return previous
+        sectors = unique_ints(np.concatenate([previous.serving_sector[moved], serving_sector[moved]]))[0]
+        per_codeword = previous.per_codeword.copy()
+        n_sharers = previous.n_codeword_sharers.copy()
+        own_proj = previous.own_proj.copy()
+        total = previous.total.copy()
+        inter_terms = previous.inter_terms.copy()
     rows = np.arange(g)
     precoder = _precoders(ground.h[rows, serving_sector], ground.beta[rows, serving_sector], weights)
-    per_codeword = np.zeros((n_sectors, weights.shape[0]), dtype=int)
-    n_sharers = np.empty(g, dtype=int)
-    own_proj = np.empty(g)
-    total = np.empty(g)
-    inter_terms = np.zeros((g, n_sectors))
-    for b in np.unique(serving_sector).tolist():
+    for b in sectors.tolist():
         idx = np.flatnonzero(serving_sector == b)
+        if idx.size == 0:  # lost its last ground user to another sector
+            per_codeword[b] = 0
+            inter_terms[:, b] = 0.0
+            continue
         per_codeword[b], n_sharers[idx], own_proj[idx], total[idx], inter_terms[:, b] = _sector_terms(
             ground.h[:, b, :], ground.beta[:, b], idx, precoder, weights, sector_power_mw
         )
     n_used = np.count_nonzero(per_codeword, axis=1)
     groups = []
-    for u in np.unique(n_used[n_used > 0]).tolist():
+    for u in unique_ints(n_used[n_used > 0])[0].tolist():
         sectors = np.flatnonzero(n_used == u)
         used = np.nonzero(per_codeword[sectors])[1].reshape(-1, u)  # ascending per sector
         groups.append((sectors, weights[used], per_codeword[sectors[:, None], used]))
@@ -135,6 +171,7 @@ def data_phase_ground(
         channels=ground,
         serving_sector=serving_sector,
         precoder=precoder,
+        per_codeword=per_codeword,
         served=per_codeword.sum(axis=1),
         codeword_groups=tuple(groups),
         n_codeword_sharers=n_sharers,
@@ -233,30 +270,6 @@ def data_phase_uavs(
     )
 
 
-def data_phase(
-    blocks: Sequence[ChannelSet],
-    serving_sector: np.ndarray,
-    dl_codebook: Codebook,
-    radio: RadioConfig,
-) -> DataPhaseReport:
-    """Precoder selection, SINR and achievable rate for every entity.
-
-    `blocks` is a snapshot's ground block, optionally followed by its UAV
-    block; their rows, in order, are the entities that `serving_sector`
-    indexes. Runs the ground step (`data_phase_ground`) and the UAV step
-    (`data_phase_uavs`), the two steps that the traffic sweep runs apart.
-
-    Every associated UE is scheduled with an equal share of its serving
-    sector's power and takes the data codeword maximizing beta |h^T w|^2
-    toward that sector, ties to the lowest index.
-    """
-    if len(blocks) not in (1, 2):
-        raise ValueError(f"data_phase takes a ground block and at most one UAV block, got {len(blocks)}")
-    g = blocks[0].n_entities
-    ground = data_phase_ground(blocks[0], serving_sector[:g], dl_codebook, radio)
-    return data_phase_uavs(ground, blocks[1] if len(blocks) == 2 else None, serving_sector[g:])
-
-
 @dataclass(frozen=True)
 class CdfSummary:
     samples: np.ndarray  # sorted ascending
@@ -295,20 +308,38 @@ class Association:
     coverage_sinr_db: np.ndarray
 
 
-def associate(channels: ChannelSet, plan: BeamPlan, ssb_codebook: Codebook, noise_mw: float) -> Association:
-    """Associate every row of `channels` under `plan`.
+def plan_tables(channels: ChannelSet, plans: Iterable[BeamPlan], ssb_codebook: Codebook) -> Iterator[np.ndarray]:
+    """Yield `rsrp_table(channels, plan, ssb_codebook)` for each of `plans`
+    in turn: the first in full, each later one by patching the table before
+    it in place on the sectors where the two plans differ
+    (`changed_sectors`), with the bytes of a fresh table. The table is
+    overwritten when the next one is asked for, so a caller keeps only what
+    it copies out of it.
+    """
+    table = previous = None
+    for plan in plans:
+        if previous is None:
+            table = rsrp_table(channels, plan, ssb_codebook)
+        else:
+            table = rsrp_table(channels, plan, ssb_codebook, table, changed_sectors(previous, plan))
+        previous = plan
+        yield table
+
+
+def associate(table: np.ndarray, plan: BeamPlan, noise_mw: float) -> Association:
+    """Associate every row of `table`, the (N, B, S) `rsrp_table` of a
+    channel block under `plan`.
 
     `rsrp_table`, `select_serving_all` and `coverage_sinr_all` treat each
     row on its own, so the rows of two blocks associate the same whether the
-    blocks are associated apart or together; the (N, B, S) table is dropped
-    on return and only the per-row vectors are kept.
+    blocks are associated apart or together. Only per-row vectors, copies
+    out of `table`, are kept.
     """
-    table = rsrp_table(channels, plan, ssb_codebook)
     serving_b, serving_s = select_serving_all(table)
     return Association(
         serving_sector=serving_b,
         serving_slot=serving_s,
-        serving_rsrp_mw=table[np.arange(channels.n_entities), serving_b, serving_s],
+        serving_rsrp_mw=table[np.arange(table.shape[0]), serving_b, serving_s],
         coverage_sinr_db=coverage_sinr_all(table, serving_b, serving_s, plan, noise_mw),
     )
 
@@ -328,11 +359,6 @@ class SnapshotResult:
 def _check_snapshots(n_snapshots: int) -> None:
     if n_snapshots < 1:
         raise ValueError(f"n_snapshots must be >= 1, got {n_snapshots}")
-
-
-def _serving_sector(channels: ChannelSet, plan: BeamPlan, ssb_codebook: Codebook) -> np.ndarray:
-    """Each row's serving sector under `plan`: the sector of its `associate` beam."""
-    return select_serving_all(rsrp_table(channels, plan, ssb_codebook))[0]
 
 
 def ground_channels(scenario: Scenario, snapshot: int) -> ChannelSet:
@@ -361,30 +387,36 @@ def evaluate_snapshot(
 
     Returns one result per plan name; row i of every result is entity i, the
     ground users first, then the UAVs. The snapshot's ground block
-    (`ground_channels`) and UAV block (`snapshot_uavs` on the "uav" streams)
-    are built apart and shared by the plans. A caller that already holds
-    the ground block passes it as `ground`; then only the UAV block is
-    built.
+    (`ground_channels`) and UAV block (`snapshot_uavs` on the "uav" streams,
+    through `build_channel_blocks`) are built apart and shared by the plans.
+    A caller that already holds the ground block passes it as `ground`; then
+    only the UAV block is built. The first plan is evaluated in full; each
+    later plan patches the previous plan's RSRP tables and ground step where
+    the two differ (`plan_tables`, `data_phase_ground`), with the bytes of
+    evaluating it alone.
     """
     if d_iud is None:
         d_iud = scenario.uav_spacing_m
-    uavs = build_channels(scenario, snapshot_uavs(scenario, snapshot, n_snapshots, d_iud), snapshot, "uav")
+    uav_block = snapshot_uavs(scenario, snapshot, n_snapshots, d_iud)
+    uavs = next(build_channel_blocks(scenario, [uav_block], snapshot, "uav"))
     if ground is None:
         ground = ground_channels(scenario, snapshot)
     noise_mw = scenario.radio.ssb_noise_mw
     kinds = np.concatenate([ground.kinds, uavs.kinds])
+    tables = zip(plan_tables(ground, plans.values(), ssb_codebook), plan_tables(uavs, plans.values(), ssb_codebook))
     results = {}
-    for name, plan in plans.items():
-        gue = associate(ground, plan, ssb_codebook, noise_mw)
-        uav = associate(uavs, plan, ssb_codebook, noise_mw)
-        serving_b = np.concatenate([gue.serving_sector, uav.serving_sector])
+    step = None
+    for (name, plan), (gue_table, uav_table) in zip(plans.items(), tables):
+        gue = associate(gue_table, plan, noise_mw)
+        uav = associate(uav_table, plan, noise_mw)
+        step = data_phase_ground(ground, gue.serving_sector, dl_codebook, scenario.radio, step)
         results[name] = SnapshotResult(
             kinds=kinds,
-            serving_sector=serving_b,
+            serving_sector=np.concatenate([gue.serving_sector, uav.serving_sector]),
             serving_slot=np.concatenate([gue.serving_slot, uav.serving_slot]),
             serving_rsrp_mw=np.concatenate([gue.serving_rsrp_mw, uav.serving_rsrp_mw]),
             coverage_sinr_db=np.concatenate([gue.coverage_sinr_db, uav.coverage_sinr_db]),
-            data=data_phase((ground, uavs), serving_b, dl_codebook, scenario.radio),
+            data=data_phase_uavs(step, uavs, uav.serving_sector),
         )
     return results
 
@@ -417,6 +449,8 @@ def traffic_sweep(
     one per N at the snapshot's UAV offset, from one draw of the "uav"
     streams. Each (N, snapshot) cell then associates its UAV block and runs
     the UAV step (`data_phase_uavs`): it computes only what depends on N.
+    As in `evaluate_snapshot`, each plan after the first patches the
+    previous plan's RSRP tables and ground step where the plans differ.
     `first_ground`, if given, is snapshot 0's ground block; a caller that
     keeps no reference to it lets it be freed after snapshot 0. Both plans
     see bit-identical channels. The per-N statistic is the mean over
@@ -437,16 +471,15 @@ def traffic_sweep(
             ground, first_ground = first_ground, None
         else:
             ground = ground_channels(scenario, snapshot)
-        grounds = {
-            name: data_phase_ground(ground, _serving_sector(ground, plan, ssb_codebook), dl_codebook, radio)
-            for name, plan in plans.items()
-        }
+        grounds = {}
+        step = None
+        for name, table in zip(plans, plan_tables(ground, plans.values(), ssb_codebook)):
+            step = grounds[name] = data_phase_ground(ground, select_serving_all(table)[0], dl_codebook, radio, step)
         g = ground.n_entities
         blocks = [snapshot_uavs(scenario, snapshot, n_snapshots, length / n) for n in n_values.tolist()]
         for i, uavs in enumerate(build_channel_blocks(scenario, blocks, snapshot, "uav")):
-            for name, plan in plans.items():
-                serving = _serving_sector(uavs, plan, ssb_codebook)
-                rate = data_phase_uavs(grounds[name], uavs, serving).rate_bps
+            for name, table in zip(plans, plan_tables(uavs, plans.values(), ssb_codebook)):
+                rate = data_phase_uavs(grounds[name], uavs, select_serving_all(table)[0]).rate_bps
                 uav_p5[name][i].append(snapshot_stats(rate[g:]).percentile(5))
                 gue_p5[name][i].append(snapshot_stats(rate[:g]).percentile(5))
             del uavs  # freed before the next block is built

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import BeamPlan, baseline_plan, rsrp_table, select_serving_all, sinr_db
+from .association import BeamPlan, baseline_plan, rsrp_table, select_serving_all, sinr_db, unique_ints
 from .channel import ChannelSet, build_channels, stack_highway_channels
 from .codebook import Codebook
 from .config import EgaParams
@@ -243,8 +243,7 @@ class FitnessEvaluator:
         self._candidate_key = (self._n_flat - candidate_flat)[:, None, :]
 
         # beams interfere within a sweep group; per (point, group, sector) sums
-        _, group = np.unique(baseline.sweep, return_inverse=True)
-        group = group.reshape(n_sectors, n_slots)
+        group = unique_ints(baseline.sweep)[1].reshape(n_sectors, n_slots)
         kept = table.copy()
         kept[:, cells, slots] = 0.0
         self._group_of_flat = group.reshape(-1)

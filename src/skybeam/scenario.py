@@ -169,12 +169,14 @@ _HEX_NORMALS = np.array(
 )
 
 
-def _in_dominance_area(offsets: np.ndarray, bearing_deg: float, isd_m: float) -> np.ndarray:
-    inside_hex = np.all(offsets @ _HEX_NORMALS.T <= isd_m / 2.0 + 1e-9, axis=1)
-    ang = np.degrees(np.arctan2(offsets[:, 1], offsets[:, 0]))
+def _in_dominance_area(offsets: np.ndarray, bearing_deg, isd_m: float) -> np.ndarray:
+    """Which (..., 2) offsets from a site fall in the dominance area of its
+    sector at `bearing_deg`, which broadcasts against offsets[..., 0]."""
+    inside_hex = np.all(offsets @ _HEX_NORMALS.T <= isd_m / 2.0 + 1e-9, axis=-1)
+    ang = np.degrees(np.arctan2(offsets[..., 1], offsets[..., 0]))
     rel = (ang - bearing_deg + 180.0) % 360.0 - 180.0
     inside_wedge = np.abs(rel) <= 60.0
-    far_enough = np.linalg.norm(offsets, axis=1) >= GUE_MIN_DISTANCE_M
+    far_enough = np.linalg.norm(offsets, axis=-1) >= GUE_MIN_DISTANCE_M
     return inside_hex & inside_wedge & far_enough
 
 
@@ -192,19 +194,31 @@ def place_ground_users(
     the 120-degree wedge around the sector bearing. Positions are reproducible
     from (master seed, snapshot, sector id). Returns an `entity_block` of
     kind "ground" with `per_cell` rows per sector, in sector order.
+
+    Each sector draws batches of uniform candidates from its own stream
+    until `per_cell` of them fall in its area. The first batch of every
+    sector is tested in one stacked pass, (S, batch, 2) offsets against the
+    hexagon's edge normals; only the sectors still short of `per_cell` draw
+    further batches, in the order one sector alone would draw them.
     """
     if per_cell < 0:
         raise ValueError("per_cell must be >= 0")
     positions = np.full((len(sectors), per_cell, 3), float(height_m))
+    if per_cell == 0 or not sectors:
+        return entity_block("ground", positions)
     radius = isd_m / math.sqrt(3.0)  # hexagon circumradius
-    for k, sector in enumerate(sectors):
-        rng = streams.derive("gue-pos", snapshot, sector.id)
-        kept = np.empty((0, 2))
-        while kept.shape[0] < per_cell:
-            batch = rng.uniform(-radius, radius, size=(max(8 * per_cell, 32), 2))
-            ok = batch[_in_dominance_area(batch, sector.panel.bearing_deg, isd_m)]
-            kept = np.vstack([kept, ok])
-        positions[k, :, :2] = sector.position[:2] + kept[:per_cell]
+    size = (max(8 * per_cell, 32), 2)
+    rngs = streams.derive_many(("gue-pos", snapshot, sector.id) for sector in sectors)
+    bearings = np.array([sector.panel.bearing_deg for sector in sectors])
+    first = np.stack([rng.uniform(-radius, radius, size=size) for rng in rngs])
+    ok = _in_dominance_area(first, bearings[:, None], isd_m)
+    kept = [batch[mask] for batch, mask in zip(first, ok)]
+    for k, rng in enumerate(rngs):
+        while kept[k].shape[0] < per_cell:
+            batch = rng.uniform(-radius, radius, size=size)
+            kept[k] = np.vstack([kept[k], batch[_in_dominance_area(batch, bearings[k], isd_m)]])
+    centres = np.array([sector.position[:2] for sector in sectors])
+    positions[:, :, :2] = centres[:, None, :] + np.stack([batch[:per_cell] for batch in kept])
     return entity_block("ground", positions)
 
 

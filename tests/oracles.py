@@ -8,11 +8,16 @@ for `genetic.FitnessEvaluator`; `per_sector_channels` builds a ChannelSet
 one sector at a time, every large-scale call per (sector, entity class), as
 the reference for `channel.build_channels`.
 
-Two more are bit-level references for batched library paths:
-`per_sector_rsrp_table` is `association.rsrp_table` one sector at a time,
-and `joined_data_phase` is the data phase in one pass over the joined
-ground and UAV rows, which `evaluation.data_phase` and the traffic sweep's
-ground and UAV steps must match byte for byte.
+More are bit-level references for batched library paths:
+`per_sector_rsrp_table` is `association.rsrp_table` one sector at a time;
+`joined_data_phase` is the data phase in one pass over the joined ground
+and UAV rows, which `data_phase` (the ground step, then the UAV step, in
+one call) and the traffic sweep's two steps must match byte for byte;
+`reference_evaluate_snapshot` evaluates every plan of a snapshot in full,
+which `evaluation.evaluate_snapshot`, patching each later plan where it
+differs from the one before, must match; `per_sector_ground_users` draws
+and tests each sector's candidates alone, the reference for
+`scenario.place_ground_users`.
 
 `ReferenceEvaluator` and `reference_run` are the bit-level references of
 the search: the population scorer with one (P, n + 1, N_r) candidate table
@@ -21,8 +26,10 @@ and a masked reduction over its middle axis, and the GA loop with one
 arrays. `genetic.FitnessEvaluator` and `genetic.run` must give the same
 bytes: scores, violation counts, traces and best genomes.
 
-`reference_derive` is the stream derivation that `rng.RngStream.derive`
-must match draw for draw, with the entropy passed as a list of Python ints.
+`reference_derive` is one key's stream derivation through its own
+SeedSequence, with the entropy passed as a list of Python ints;
+`rng.RngStream.derive_many`, which mixes every key's seed words at once,
+must match it state for state and draw for draw.
 `reference_sweep` is the traffic sweep without reuse: N outside, snapshots
 inside, both entity blocks of every (N, snapshot) cell built and associated
 afresh, and the joined data phase; `evaluation.traffic_sweep` must give the
@@ -61,8 +68,19 @@ from skybeam.channel import (
 )
 from skybeam.codebook import Codebook
 from skybeam.config import RadioConfig
-from skybeam.evaluation import DataPhaseReport, SweepResult, snapshot_stats
+from skybeam.evaluation import (
+    DataPhaseReport,
+    SnapshotResult,
+    SweepResult,
+    associate,
+    data_phase_ground,
+    data_phase_uavs,
+    ground_channels,
+    snapshot_stats,
+    snapshot_uavs,
+)
 from skybeam.genetic import FitnessEvaluator, FitnessTrace, Individual, apply_individual
+from skybeam.scenario import _in_dominance_area, entity_block
 
 
 def ssb_rsrp(
@@ -201,8 +219,8 @@ def per_sector_channels(scenario, entities, snapshot=0, stream_tag="ue") -> Chan
         coords = sector.panel.element_coords(radio.wavelength_m)
         d2d, d3d, az, zen, unit = sector_geometry(sector, positions)
         g[:, j] = element_gain(az, zen)
-        draws = scenario.streams.derive("los", stream_tag, snapshot, j).uniform(size=n)
-        rng_shadow = scenario.streams.derive("shadow", stream_tag, snapshot, j)
+        draws = reference_derive(scenario.master_seed, "los", stream_tag, snapshot, j).uniform(size=n)
+        rng_shadow = reference_derive(scenario.master_seed, "shadow", stream_tag, snapshot, j)
         for kind, idx, factor, sigma_los, sigma_nlos in classes:
             p = los_probability(d2d[idx], heights[idx], kind)
             p_los[idx, j] = p
@@ -217,7 +235,7 @@ def per_sector_channels(scenario, entities, snapshot=0, stream_tag="ue") -> Chan
             is_los[:, j], params.rician_k_linear(True), params.rician_k_linear(False)
         )
         h_los = los_components(unit, d3d, coords, radio.wavelength_m)
-        rng_fade = scenario.streams.derive("fading", stream_tag, snapshot, j)
+        rng_fade = reference_derive(scenario.master_seed, "fading", stream_tag, snapshot, j)
         h[:, j, :] = rician_channel(h_los, k_lin, rng_fade)
     return ChannelSet(
         kinds=kinds, rho=rho, tau=tau, g=g, beta=rho * tau * g, p_los=p_los, is_los=is_los, h=h
@@ -225,14 +243,30 @@ def per_sector_channels(scenario, entities, snapshot=0, stream_tag="ue") -> Chan
 
 
 def reference_derive(master_seed: int, *key) -> np.random.Generator:
-    """The keyed generator of `RngStream(master_seed).derive(*key)`, with the
-    master seed and the four digest words handed to SeedSequence as Python
-    ints."""
+    """The keyed generator of `RngStream(master_seed).derive_many([key])[0]`,
+    with the master seed and the four digest words handed to SeedSequence as
+    Python ints."""
     tag = "/".join(str(part) for part in key)
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     seq = np.random.SeedSequence(entropy=[int(master_seed) & 0xFFFFFFFFFFFFFFFF, *words])
     return np.random.default_rng(seq)
+
+
+def per_sector_ground_users(sectors, per_cell, isd_m, master_seed, height_m=1.5, snapshot=0):
+    """`scenario.place_ground_users` one sector at a time: each sector's
+    stream derived on its own, and every batch drawn and tested alone."""
+    positions = np.full((len(sectors), per_cell, 3), float(height_m))
+    radius = isd_m / math.sqrt(3.0)
+    for k, sector in enumerate(sectors):
+        rng = reference_derive(master_seed, "gue-pos", snapshot, sector.id)
+        kept = np.empty((0, 2))
+        while kept.shape[0] < per_cell:
+            batch = rng.uniform(-radius, radius, size=(max(8 * per_cell, 32), 2))
+            ok = batch[_in_dominance_area(batch, sector.panel.bearing_deg, isd_m)]
+            kept = np.vstack([kept, ok])
+        positions[k, :, :2] = sector.position[:2] + kept[:per_cell]
+    return entity_block("ground", positions)
 
 
 def reference_sweep(scenario, plans, ssb_codebook, dl_codebook, n_max, n_snapshots):
@@ -268,6 +302,45 @@ def reference_sweep(scenario, plans, ssb_codebook, dl_codebook, n_max, n_snapsho
     return SweepResult(
         n_uavs=n_values, d_iud_m=length / n_values, p5_rate=p5_rate, p5_gue_rate=p5_gue_rate
     )
+
+
+def data_phase(blocks, serving_sector, dl_codebook, radio) -> DataPhaseReport:
+    """The data phase of a snapshot's ground block, optionally followed by
+    its UAV block, whose rows in order `serving_sector` indexes: the ground
+    step, then the UAV step, as one call."""
+    if len(blocks) not in (1, 2):
+        raise ValueError(f"data_phase takes a ground block and at most one UAV block, got {len(blocks)}")
+    g = blocks[0].n_entities
+    ground = data_phase_ground(blocks[0], serving_sector[:g], dl_codebook, radio)
+    return data_phase_uavs(ground, blocks[1] if len(blocks) == 2 else None, serving_sector[g:])
+
+
+def reference_evaluate_snapshot(scenario, plans, ssb_codebook, dl_codebook, snapshot, n_snapshots,
+                                d_iud=None, ground=None):
+    """`evaluation.evaluate_snapshot` with every plan evaluated in full: the
+    UAV block built by `build_channels`, each plan's RSRP tables computed
+    afresh and its data phase run on both blocks."""
+    if d_iud is None:
+        d_iud = scenario.uav_spacing_m
+    uavs = build_channels(scenario, snapshot_uavs(scenario, snapshot, n_snapshots, d_iud), snapshot, "uav")
+    if ground is None:
+        ground = ground_channels(scenario, snapshot)
+    noise_mw = scenario.radio.ssb_noise_mw
+    kinds = np.concatenate([ground.kinds, uavs.kinds])
+    results = {}
+    for name, plan in plans.items():
+        gue = associate(rsrp_table(ground, plan, ssb_codebook), plan, noise_mw)
+        uav = associate(rsrp_table(uavs, plan, ssb_codebook), plan, noise_mw)
+        serving_b = np.concatenate([gue.serving_sector, uav.serving_sector])
+        results[name] = SnapshotResult(
+            kinds=kinds,
+            serving_sector=serving_b,
+            serving_slot=np.concatenate([gue.serving_slot, uav.serving_slot]),
+            serving_rsrp_mw=np.concatenate([gue.serving_rsrp_mw, uav.serving_rsrp_mw]),
+            coverage_sinr_db=np.concatenate([gue.coverage_sinr_db, uav.coverage_sinr_db]),
+            data=data_phase((ground, uavs), serving_b, dl_codebook, scenario.radio),
+        )
+    return results
 
 
 def joined_data_phase(blocks, serving_sector, dl_codebook, radio) -> DataPhaseReport:

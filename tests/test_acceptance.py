@@ -14,6 +14,7 @@ import pytest
 
 from oracles import (
     brute_force_fitness,
+    data_phase,
     evaluate_genome,
     max_supported,
     rician_channel,
@@ -26,7 +27,6 @@ from skybeam.cli import main as cli_main
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import RadioConfig, default_config, validate_config
 from skybeam.evaluation import (
-    data_phase,
     evaluate_snapshot,
     snapshot_stats,
     traffic_sweep,

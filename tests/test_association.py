@@ -7,10 +7,12 @@ from oracles import per_sector_rsrp_table, ssb_rsrp, validate_plan
 from skybeam.association import (
     BeamPlan,
     baseline_plan,
+    changed_sectors,
     coverage_sinr_all,
     dump_association_csv,
     rsrp_table,
     select_serving_all,
+    unique_ints,
 )
 from skybeam.channel import ChannelSet, build_channels
 from skybeam.codebook import Codebook, build_ssb_codebook
@@ -322,3 +324,82 @@ def test_dump_association_csv(small_scenario, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"
     assert len(lines) == 1 + channels.n_entities
+
+
+@pytest.mark.parametrize("block", ["ue", "uav", "one-uav"])
+def test_patched_rsrp_table_matches_a_fresh_table(small_scenario, block):
+    """A chain of plans, each differing from the one before in a few
+    sectors: patching the previous table on `changed_sectors` gives a fresh
+    table's bytes at every step. The steps turn a full sector partly or
+    wholly idle and back, so a patch that kept a sector's stale idle slots
+    would fail."""
+    book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
+    base = baseline_plan(small_scenario, book)
+    entities = {"ue": small_scenario.ground_users(1), "uav": small_scenario.uavs(),
+                "one-uav": small_scenario.uavs()[:1]}[block]
+    channels = build_channels(small_scenario, entities, 1, "ue" if block == "ue" else "uav")
+    gen = np.random.default_rng(11)
+    previous = base
+    table = rsrp_table(channels, base, book)
+    for step in range(12):
+        plan = previous.copy()
+        sectors = gen.choice(plan.n_sectors, size=int(gen.integers(1, 7)), replace=False)
+        for b in sectors.tolist():
+            change = step % 4
+            if change == 0:  # fewer beams
+                plan.x[b] = (gen.random(plan.n_slots) < 0.5).astype(np.int8)
+            elif change == 1:  # no beam at all
+                plan.x[b] = 0
+            elif change == 2:  # every beam, new codewords
+                plan.x[b] = 1
+                plan.codeword[b] = gen.integers(0, len(book), plan.n_slots)
+            else:  # new powers
+                plan.power_dbm[b] = gen.uniform(0.0, 40.0, plan.n_slots)
+        assert set(changed_sectors(previous, plan).tolist()) <= set(sectors.tolist())
+        got = rsrp_table(channels, plan, book, table, changed_sectors(previous, plan))
+        assert got is table
+        assert got.tobytes() == per_sector_rsrp_table(channels, plan, book).tobytes(), step
+        previous = plan
+
+
+def test_changed_sectors_reads_every_beam_field(small_scenario):
+    book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
+    base = baseline_plan(small_scenario, book)
+    assert changed_sectors(base, base.copy()).tolist() == []
+    plan = base.copy()
+    plan.x[2, 0] = 0
+    plan.codeword[5, 1] += 1
+    plan.power_dbm[7, 2] += 1.0
+    plan.sweep[11, 3] = 0
+    assert changed_sectors(base, plan).tolist() == [2, 5, 7, 11]
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=int),
+    np.array([3]),
+    np.array([5, 0, 5, 2, 2, 9, 0]),
+    np.tile(np.arange(8), (57, 1)),
+    np.random.default_rng(2).integers(0, 40, (13, 7)),
+])
+def test_unique_ints_matches_np_unique(values):
+    distinct, inverse = unique_ints(values)
+    want, want_inverse = np.unique(values, return_inverse=True)
+    assert distinct.tobytes() == want.astype(distinct.dtype).tobytes()
+    assert distinct.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+
+
+def test_dump_association_csv_rows_match_fstring_formatting(tmp_path):
+    """One %-format per row writes what per-value f-strings wrote, zero
+    RSRP (-inf dBm), infinite and NaN SINR included."""
+    kinds = np.array(["ground", "ground", "aerial", "aerial"])
+    sector, slot = np.array([0, 3, 56, 12]), np.array([7, 0, 2, 5])
+    rsrp = np.array([1.234567890123e-9, 0.0, 5e-324, 3.0])
+    sinr = np.array([-0.0, -np.inf, np.nan, 12.345678901234])
+    path = tmp_path / "assoc.csv"
+    dump_association_csv(kinds, sector, slot, rsrp, sinr, path)
+    want = ["ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"]
+    for i, kind in enumerate(kinds):
+        rsrp_dbm = 10.0 * math.log10(rsrp[i]) if rsrp[i] > 0 else -math.inf
+        want.append(f"{i},{kind},{sector[i]},{slot[i]},{rsrp_dbm:.10g},{sinr[i]:.10g}")
+    assert path.read_text() == "\n".join(want) + "\n"

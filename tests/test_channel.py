@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import per_sector_channels, rician_channel, sector_geometry
+from oracles import per_sector_channels, reference_derive, rician_channel, sector_geometry
 from skybeam import channel
 from skybeam.channel import (
     ChannelSet,
@@ -14,6 +14,7 @@ from skybeam.channel import (
     build_channels,
     element_gain,
     expected_channels,
+    link_geometry,
     los_components,
     los_probability,
     path_loss,
@@ -392,7 +393,7 @@ class TestChannelSet:
         for cs, (users, tag, d_corr, sigma_los, sigma_nlos) in zip(built, classes):
             tau = np.ones_like(cs.tau)
             for j in range(cs.n_sectors):
-                rng_shadow = small_scenario.streams.derive("shadow", tag, 2, j)
+                rng_shadow = reference_derive(small_scenario.master_seed, "shadow", tag, 2, j)
                 sigma = np.where(cs.is_los[:, j], sigma_los, sigma_nlos)
                 field = shadow_field(shadow_factor(users.position_3d_m, d_corr), rng_shadow)
                 tau[:, j] = shadow_gain(sigma, field)
@@ -527,23 +528,26 @@ class TestChannelBlocks:
 
     def test_streams_derived_once_per_sector(self, small_scenario, monkeypatch):
         """Every block of a call reads the same three keyed streams per
-        sector, derived once; the blocks come one at a time."""
-        keys = []
-        derive = small_scenario.streams.derive
-        monkeypatch.setattr(small_scenario.streams, "derive", lambda *key: keys.append(key) or derive(*key))
+        sector, derived once in one batch; the blocks come one at a time."""
+        batches = []
+        derive_many = small_scenario.streams.derive_many
+        monkeypatch.setattr(
+            small_scenario.streams, "derive_many", lambda keys: derive_many(batches.append(list(keys)) or batches[-1])
+        )
         blocks = self.sweep_blocks(small_scenario, 0)
         built = build_channel_blocks(small_scenario, blocks, 0, "uav")
-        assert keys == []  # nothing is drawn before the first block is asked for
+        assert batches == []  # nothing is drawn before the first block is asked for
         first = next(built)
         assert first.n_entities == 1
-        assert len(keys) == 3 * small_scenario.n_sectors
-        assert sorted(set(keys)) == sorted(
+        assert len(batches) == 1
+        assert len(batches[0]) == 3 * small_scenario.n_sectors
+        assert sorted(set(batches[0])) == sorted(
             (kind, "uav", 0, sector.id)
             for kind in ("los", "shadow", "fading")
             for sector in small_scenario.sectors
         )
         assert [cs.n_entities for cs in built] == list(range(2, self.N_MAX + 1))
-        assert len(keys) == 3 * small_scenario.n_sectors
+        assert len(batches) == 1
 
     def test_mixed_block_raises(self, small_scenario):
         users = np.concatenate([small_scenario.ground_users(0)[:2], small_scenario.uavs()[:1]])
@@ -568,6 +572,26 @@ class TestOutOfValidityCount:
         assert len(flagged(build_channels, uavs, uav_tag)) == 1
         assert len(flagged(per_sector_channels, ground, ground_tag)) == 0
         assert len(flagged(per_sector_channels, uavs, uav_tag)) == scenario.n_sectors == 21
+
+
+@pytest.mark.parametrize("snapshot", [0, 1, 2])
+def test_distances_match_linalg_norm(cfg, snapshot):
+    """`shadow_factor` and `link_geometry` take their distances as
+    sqrt(dx*dx + dy*dy [+ dz*dz]); on default ground blocks that is
+    np.linalg.norm's bytes, which sums the squares of a 2- or 3-long axis
+    left to right. Fails if the sum is taken in another order."""
+    scenario = scenario_from_config(cfg)
+    positions = scenario.ground_users(snapshot).position_3d_m
+    d_corr = scenario.channel_params.shadow_corr_dist_ground_m
+    xy = positions[:, :2]
+    cov = np.exp(-np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2) / d_corr)
+    cov[np.diag_indices(len(xy))] += 1e-12
+    assert shadow_factor(positions, d_corr).tobytes() == np.linalg.cholesky(cov).tobytes()
+    origins = np.array([sector.position_3d_m for sector in scenario.sectors])
+    delta = positions[None, :, :] - origins[:, None, :]
+    d2d, d3d, *_ = link_geometry(scenario.sectors, positions)
+    assert d2d.tobytes() == np.linalg.norm(delta[..., :2], axis=2).tobytes()
+    assert d3d.tobytes() == np.linalg.norm(delta, axis=2).tobytes()
 
 
 class TestEntityAtPanel:

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +317,52 @@ class TestInspect:
 
     def test_missing_file(self, tmp_path):
         assert main(["inspect", str(tmp_path / "nope.csv")]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_numpy_ma_is_never_imported(small_config_path, tmp_path, command):
+    """No library call reaches `np.unique`, whose first call imports
+    `numpy.ma` (about 13 ms per process); checked in a fresh interpreter."""
+    argv = [command, "--config", str(small_config_path), "--out", str(tmp_path / "out"), "--snapshots", "2"]
+    if command == "sweep":
+        argv += ["--n-max", "3"]
+    script = (
+        "import sys\n"
+        "from skybeam.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """Importing the CLI loads no `numpy.random`: the set-up stage (import,
+    config, scenario, codebooks) pays for it only once a stream is derived."""
+    script = "import sys\nimport skybeam.cli\nprint('numpy.random' in sys.modules)\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_report_rows_match_fstring_formatting():
+    from skybeam.cli import _fmt, _report_rows
+    from skybeam.evaluation import DataPhaseReport, SnapshotResult
+
+    kinds = np.array(["ground", "aerial", "aerial"])
+    values = np.array([[-0.0, np.inf, 5e-324], [np.nan, -np.inf, 1e300], [1.0 / 3.0, -12.5, 123456789012.0]])
+    sector = np.array([3, 0, 56])
+    data = DataPhaseReport(serving_sector=sector, precoder=sector, power_mw=values[0], n_codeword_sharers=sector,
+                           sinr_db=values[1], rate_bps=values[2])
+    res = SnapshotResult(kinds=kinds, serving_sector=sector, serving_slot=sector, serving_rsrp_mw=values[0],
+                         coverage_sinr_db=values[0], data=data)
+    want = "".join(
+        f"{7},{i},{kind},{sector[i]},{_fmt(values[0][i])},{_fmt(values[1][i])},{_fmt(values[2][i])}\n"
+        for i, kind in enumerate(kinds)
+    )
+    assert _report_rows(7, res) == want

@@ -147,3 +147,29 @@ def test_export_csv(tmp_path):
     first_weight = lines[1].split(",")[4].split(";")[0]
     re, im = (float(x) for x in first_weight.split(":"))
     assert complex(re, im) == pytest.approx(book.weights[0][0])
+
+
+FORMAT_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300, 1.0 / 3.0,
+                   123456789012.0, 1e-7, 0.1 + 0.2, 2.0**53 + 1.0, 9.9999999995, 1e16, 1e-5]
+
+
+def test_percent_format_matches_fstring():
+    """The CSV writers' "%.10g" gives the text of f"{x:.10g}", on special
+    values and on random doubles, as Python floats and as NumPy scalars."""
+    values = FORMAT_SPECIALS + np.random.default_rng(0).standard_normal(2000).tolist()
+    values += (10.0 ** np.random.default_rng(1).uniform(-320, 300, 2000)).tolist()
+    for x in values:
+        assert "%.10g" % x == f"{x:.10g}", x
+        assert "%.10g" % np.float64(x) == f"{np.float64(x):.10g}", x
+
+
+def test_codebook_csv_rows_match_fstring_formatting(tmp_path):
+    """One %-format per row writes what per-value f-strings wrote."""
+    book = build_ssb_codebook(UpaGeometry(m_h=4, m_v=2), 2, 1)
+    path = tmp_path / "cb.csv"
+    export_codebook_csv(book, path)
+    want = ["index,active_cols,ih,iv,weights_re_im"]
+    for i in range(len(book)):
+        w = ";".join(f"{x.real:.10g}:{x.imag:.10g}" for x in book.weights[i])
+        want.append(f"{i},{book.active_columns[i]},{book.beam_index_h[i]},{book.beam_index_v[i]},{w}")
+    assert path.read_text() == "\n".join(want) + "\n"

@@ -5,9 +5,17 @@ import pytest
 
 import dataclasses
 
-from oracles import achievable_rate, data_sinr, joined_data_phase, max_supported, reference_sweep
+from oracles import (
+    achievable_rate,
+    data_phase,
+    data_sinr,
+    joined_data_phase,
+    max_supported,
+    reference_evaluate_snapshot,
+    reference_sweep,
+)
 from skybeam import evaluation
-from skybeam.association import baseline_plan
+from skybeam.association import baseline_plan, changed_sectors, rsrp_table
 from skybeam.channel import ChannelSet, build_channel_blocks, build_channels
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import RadioConfig
@@ -15,7 +23,6 @@ from skybeam.evaluation import (
     CdfSummary,
     EmptyGroup,
     associate,
-    data_phase,
     data_phase_ground,
     data_phase_uavs,
     evaluate_snapshot,
@@ -301,8 +308,13 @@ class TestSnapshotEvaluation:
             lambda scenario, entities, snapshot, tag: built.append(tag) or build_channels(
                 scenario, entities, snapshot, tag),
         )
+        monkeypatch.setattr(
+            evaluation, "build_channel_blocks",
+            lambda scenario, blocks, snapshot, tag: built.append((tag, len(blocks))) or build_channel_blocks(
+                scenario, blocks, snapshot, tag),
+        )
         reused = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2, ground=ground)["b"]
-        assert built == ["uav"]
+        assert built == [("uav", 1)]  # the UAV block alone, through the block builder
         for field in ("serving_sector", "serving_slot", "serving_rsrp_mw", "coverage_sinr_db"):
             assert getattr(reused, field).tobytes() == getattr(fresh, field).tobytes(), field
         for field in ("precoder", "sinr_db", "rate_bps"):
@@ -332,6 +344,108 @@ class TestSnapshotEvaluation:
         assert ground.h.tobytes() == seen[0][3]
 
 
+SNAPSHOT_FIELDS = ("kinds", "serving_sector", "serving_slot", "serving_rsrp_mw", "coverage_sinr_db")
+GROUND_STEP_ARRAYS = ("serving_sector", "precoder", "per_codeword", "served", "n_codeword_sharers", "own_proj",
+                      "total", "inter_terms")
+
+
+def _assert_same_arrays(got, want, names, label):
+    for field in names:
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), (label, field)
+        assert a.tobytes() == b.tobytes(), (label, field)
+
+
+class TestPlanDeltas:
+    """evaluate_snapshot, which patches each later plan's RSRP tables and
+    ground step where it differs from the plan before, against the oracle
+    that evaluates every plan in full: every SnapshotResult array equal in
+    bytes. The plan sets cover each way a later plan can differ; the
+    ground step patched from the previous plan's is also checked against a
+    fresh ground step, field by field."""
+
+    @staticmethod
+    def assert_matches_full_evaluation(scenario, plans, dl=None, snapshot=1):
+        ssb = build_ssb_codebook(scenario.sectors[0].panel, 4, 1)
+        dl = dl or build_dl_codebook(scenario.sectors[0].panel, 1, 1)
+        got = evaluate_snapshot(scenario, plans, ssb, dl, snapshot, 4)
+        want = reference_evaluate_snapshot(scenario, plans, ssb, dl, snapshot, 4)
+        assert list(got) == list(want)
+        for name in plans:
+            _assert_same_arrays(got[name], want[name], SNAPSHOT_FIELDS, name)
+            _assert_same_arrays(got[name].data, want[name].data, REPORT_FIELDS, name)
+
+        ground = ground_channels(scenario, snapshot)
+        g = ground.n_entities
+        previous = None
+        for name in plans:
+            serving = want[name].serving_sector[:g]
+            patched = data_phase_ground(ground, serving, dl, RADIO, previous)
+            fresh = data_phase_ground(ground, serving, dl, RADIO)
+            _assert_same_arrays(patched, fresh, GROUND_STEP_ARRAYS, name)
+            assert len(patched.codeword_groups) == len(fresh.codeword_groups), name
+            for a, b in zip(patched.codeword_groups, fresh.codeword_groups):
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b)), name
+            previous = patched
+        return want
+
+    @staticmethod
+    def with_new_codewords(plan, sectors, n_codewords, seed=0):
+        changed = plan.copy()
+        gen = np.random.default_rng(seed)
+        for b in sectors:
+            changed.codeword[b, int(gen.integers(plan.n_slots))] = int(gen.integers(n_codewords))
+        return changed
+
+    def test_identical_plans(self, small_scenario):
+        _, _, base = _books_and_plan(small_scenario)
+        self.assert_matches_full_evaluation(small_scenario, {"a": base, "b": base.copy()})
+
+    @pytest.mark.parametrize("n_changed", [1, 6])
+    def test_plans_differing_in_some_sectors(self, small_scenario, n_changed):
+        ssb, _, base = _books_and_plan(small_scenario)
+        other = self.with_new_codewords(base, range(3, 3 + n_changed), len(ssb))
+        assert changed_sectors(base, other).size == n_changed
+        self.assert_matches_full_evaluation(small_scenario, {"base": base, "other": other})
+
+    def test_ground_user_changes_serving_sector(self, small_scenario):
+        """A 6 dB louder sector takes ground users from its neighbours: the
+        ground step recomputes the sectors on both ends of each move."""
+        _, _, base = _books_and_plan(small_scenario)
+        louder = base.copy()
+        louder.power_dbm[12] += 6.0
+        want = self.assert_matches_full_evaluation(small_scenario, {"base": base, "louder": louder})
+        g = len(small_scenario.ground_users(1))
+        moved = want["base"].serving_sector[:g] != want["louder"].serving_sector[:g]
+        assert 0 < np.count_nonzero(moved) < g
+
+    def test_sector_loses_its_last_ground_user(self, small_scenario):
+        """A sector with every beam off serves no one, so its ground users
+        move away and its inter-cell terms and codeword counts go to 0."""
+        ssb, dl, base = _books_and_plan(small_scenario)
+        g = len(small_scenario.ground_users(1))
+        b = int(evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 4)["b"].serving_sector[0])
+        dark = base.copy()
+        dark.x[b] = 0
+        want = self.assert_matches_full_evaluation(small_scenario, {"base": base, "dark": dark})
+        assert np.any(want["base"].serving_sector[:g] == b)
+        assert not np.any(want["dark"].serving_sector[:g] == b)
+
+    def test_three_plans_in_a_row(self, cfg):
+        """On the default layout and DL book: each plan patches the one
+        before it. The third plan differs from the first in fewer sectors
+        than from the second, so patching from the first plan's sectors
+        would leave the second plan's beams in the table."""
+        scenario = scenario_from_config(cfg)
+        ssb, _, base = _books_and_plan(scenario)
+        six = self.with_new_codewords(base, range(20, 26), len(ssb), seed=3)
+        louder = base.copy()
+        louder.power_dbm[[9, 21]] += 6.0
+        louder.x[30] = 0
+        dl = build_dl_codebook(scenario.sectors[0].panel, 4, 4)
+        self.assert_matches_full_evaluation(scenario, {"base": base, "six": six, "louder": louder}, dl)
+
+
 def test_data_phase_joins_blocks_by_rows(small_scenario):
     """data_phase on a ground block and a UAV block equals data_phase on one
     set holding the same rows."""
@@ -342,7 +456,9 @@ def test_data_phase_joins_blocks_by_rows(small_scenario):
         **{name: np.concatenate([getattr(ground, name), getattr(uavs, name)])
            for name in ("kinds",) + CHANNEL_ARRAYS}
     )
-    serving = np.concatenate([associate(blk, base, ssb, 1e-12).serving_sector for blk in (ground, uavs)])
+    serving = np.concatenate(
+        [associate(rsrp_table(blk, base, ssb), base, 1e-12).serving_sector for blk in (ground, uavs)]
+    )
     got = data_phase((ground, uavs), serving, dl, RADIO)
     want = data_phase([joined], serving, dl, RADIO)
     for field in ("precoder", "power_mw", "n_codeword_sharers", "sinr_db", "rate_bps"):
@@ -379,7 +495,7 @@ class TestTwoStepDataPhase:
         blocks = [snapshot_uavs(scenario, snapshot, 2, length / n) for n in range(1, 13)]
         built = [ground_channels(scenario, snapshot), *build_channel_blocks(scenario, blocks, snapshot, "uav")]
         noise_mw = scenario.radio.ssb_noise_mw
-        served = [(blk, associate(blk, base, ssb, noise_mw).serving_sector) for blk in built]
+        served = [(blk, associate(rsrp_table(blk, base, ssb), base, noise_mw).serving_sector) for blk in built]
         return dl, served[0], served[1:]
 
     @pytest.mark.parametrize("layout", ["small", "default"])

@@ -3,12 +3,15 @@
 Reference implementations and helpers that only tests call belong in
 `tests/`. A module-level name, method or property counts as used when code
 in `src/skybeam` loads it, reads it as an attribute or imports it; the
-re-exports in `__init__.py` count. Dunder methods are exempt. A class field
-counts as read when `src/skybeam` or `tests/` reads an attribute of that
-name.
+re-exports in `__init__.py` count. Dunder methods are exempt, and so is a
+method that implements an abstract method of a base class imported from
+outside the package: the outside code calls it, as Python calls a dunder.
+A class field counts as read when `src/skybeam` or `tests/` reads an
+attribute of that name.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "skybeam"
@@ -46,14 +49,34 @@ def test_every_public_definition_is_used_in_the_library():
     assert not unused, f"public definitions no library code uses: {unused}"
 
 
+def _outside_abstract_methods(tree, cls: ast.ClassDef) -> set[str]:
+    """The abstract methods that `cls`'s bases declare, for each base that
+    its module imports by `from <module outside the package> import`."""
+    outside = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and not node.module.startswith("skybeam")
+        for alias in node.names
+    }
+    names: set[str] = set()
+    for base in cls.bases:
+        if isinstance(base, ast.Name) and base.id in outside:
+            module, name = outside[base.id]
+            names |= set(getattr(getattr(importlib.import_module(module), name), "__abstractmethods__", ()))
+    return names
+
+
 def test_every_method_is_used_in_the_library():
     methods: dict[str, str] = {}  # "module:Class.method" -> method name
     for path, tree in _trees(SRC):
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
+                implemented = _outside_abstract_methods(tree, node)
                 for stmt in node.body:
                     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        if not (stmt.name.startswith("__") and stmt.name.endswith("__")):
+                        if stmt.name.startswith("__") and stmt.name.endswith("__"):
+                            continue
+                        if stmt.name not in implemented:
                             methods[f"{path.name}:{node.name}.{stmt.name}"] = stmt.name
     used = _library_uses()
     unused = sorted(key for key, name in methods.items() if name not in used)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import per_sector_ground_users, reference_derive
 from skybeam.config import GUE_MIN_DROP_SHARE, gue_drop_share
 from skybeam.rng import RngStream
 from skybeam.scenario import (
@@ -92,6 +93,46 @@ class TestGroundUsers:
                 rel = (math.degrees(math.atan2(d[1], d[0])) - sector.panel.bearing_deg + 180) % 360 - 180
                 assert abs(rel) <= 60.0 + 1e-9
                 assert u.position_3d_m[2] == 1.5
+
+
+def _sectors_short_after_one_batch(sectors, per_cell, isd_m, master_seed, snapshot):
+    """The sectors whose first batch of candidates keeps fewer than `per_cell`."""
+    radius = isd_m / math.sqrt(3.0)
+    short = []
+    for sector in sectors:
+        rng = reference_derive(master_seed, "gue-pos", snapshot, sector.id)
+        batch = rng.uniform(-radius, radius, size=(max(8 * per_cell, 32), 2))
+        if np.count_nonzero(_in_dominance_area(batch, sector.panel.bearing_deg, isd_m)) < per_cell:
+            short.append(sector.id)
+    return short
+
+
+class TestDropMatchesPerSectorOracle:
+    """The stacked first batch and the per-sector follow-up batches against
+    drawing and testing every batch of every sector alone: positions equal
+    in bytes. Fails if a short sector's further batches are drawn from a
+    fresh stream, or if the stacked test broadcasts one sector's bearing."""
+
+    @pytest.mark.parametrize("per_cell", [1, 4, 40])
+    @pytest.mark.parametrize("snapshot", [0, 3])
+    def test_default_isd(self, per_cell, snapshot):
+        sectors = build_hex_layout(2, 500.0, TEMPLATE)
+        got = place_ground_users(sectors, per_cell, 500.0, RngStream(1), snapshot=snapshot)
+        want = per_sector_ground_users(sectors, per_cell, 500.0, 1, snapshot=snapshot)
+        assert got.position_3d_m.tobytes() == want.position_3d_m.tobytes()
+        assert got.kind.tolist() == want.kind.tolist()
+
+    @pytest.mark.parametrize("per_cell", [1, 4])
+    def test_sectors_needing_a_second_batch(self, per_cell):
+        isd_m = 20.0  # a small drop share: some sectors' first batches fall short
+        sectors = build_hex_layout(1, isd_m, TEMPLATE)
+        assert _sectors_short_after_one_batch(sectors, per_cell, isd_m, 2, 0)
+        got = place_ground_users(sectors, per_cell, isd_m, RngStream(2), height_m=2.0)
+        want = per_sector_ground_users(sectors, per_cell, isd_m, 2, height_m=2.0)
+        assert got.position_3d_m.tobytes() == want.position_3d_m.tobytes()
+
+    def test_no_sectors(self):
+        assert len(place_ground_users([], 4, 500.0, RngStream(1))) == 0
 
 
 class TestHighway:
