@@ -18,6 +18,7 @@ from .codebook import Codebook
 from .scenario import Scenario
 
 N_SSB_SLOTS = 8
+BASELINE_TILT_DEG = 105.0  # zenith of the ground-optimized baseline beams
 
 
 @dataclass
@@ -149,17 +150,17 @@ def sinr_db(signal_mw: np.ndarray, interference_plus_noise_mw: np.ndarray) -> np
         return 10.0 * np.log10(signal_mw / interference_plus_noise_mw)
 
 
-def baseline_plan(scenario: Scenario, ssb_codebook: Codebook, tilt_deg: float = 105.0) -> BeamPlan:
+def baseline_plan(scenario: Scenario, ssb_codebook: Codebook) -> BeamPlan:
     """Ground-optimized default: 8 full-panel beams per sector.
 
-    Beams point at the codebook entries nearest to the given zenith and to
+    Beams point at the codebook entries nearest to `BASELINE_TILT_DEG` and to
     eight azimuths evenly spanning the 120-degree sector; the sector power is
     split equally and sweep indices run 0..7 in azimuth order.
     """
     panel = scenario.sectors[0].panel
     full = np.flatnonzero(ssb_codebook.active_columns == panel.m_h)
     cos_all = np.array([ssb_codebook.direction_cosines(i) for i in full])
-    w_target = math.cos(math.radians(tilt_deg))
+    w_target = math.cos(math.radians(BASELINE_TILT_DEG))
 
     # vertical index nearest the target zenith within the full-panel sub-book
     v_indices = unique_ints(ssb_codebook.beam_index_v[full])[0]
@@ -170,7 +171,7 @@ def baseline_plan(scenario: Scenario, ssb_codebook: Codebook, tilt_deg: float = 
     best_iv = int(v_indices[np.argmin(np.abs(np.array(v_cos) - w_target))])
 
     az_targets_deg = np.arange(-52.5, 60.0, 15.0)  # eight beams across 120 degrees
-    sin_t = math.sin(math.radians(tilt_deg))
+    sin_t = math.sin(math.radians(BASELINE_TILT_DEG))
     slots_cw = []
     for az in az_targets_deg:
         u_t = sin_t * math.sin(math.radians(az))

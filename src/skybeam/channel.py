@@ -15,19 +15,16 @@ tag: "ue" for the ground users of a snapshot, "uav" for its UAVs and
 "highway-point" for the static corridor points. One class's channels
 therefore never depend on the other class, and a ChannelSet is
 bit-reproducible regardless of evaluation order. `build_channels` builds
-the ground blocks and the highway points; `build_channel_blocks` builds
-the UAV blocks, one per call in `evaluate_snapshot` and one per UAV count
-in a traffic sweep. `link_geometry` takes the geometry of all (sector,
-entity) links in one stacked pass. The keyed draws
-stay per sector, in two passes: the large-scale draws first and the
-small-scale fading second. In between, the deterministic large-scale
-functions (`element_gain`, `los_probability`, `path_loss`, the shadow gain)
-run once over all links. A link whose Rician K is 0 (every NLoS link under
-the default `rician_k_nlos_db = None`) is pure Rayleigh, so the plane wave
-is computed only for links with K > 0. `build_channel_blocks` builds several
-blocks of one class and snapshot (the UAV blocks of a traffic sweep, one
-per UAV count) from one draw of each sector's streams, and gives each block
-the bytes that `build_channels` gives it alone.
+every block. `link_geometry` takes the geometry of all (sector, entity)
+links in one stacked pass. The keyed draws stay per sector, in two passes:
+the large-scale draws first and the small-scale fading second. In between,
+the deterministic large-scale functions (`element_gain`,
+`los_probability`, `path_loss`, the shadow gain) run once over all links.
+The Rician mix runs over chunks of sectors of about `_MIX_LINKS` links: a
+small UAV block or the corridor points mix every sector at once, a ground
+block a few sectors at a time. A link whose Rician K is 0 (every NLoS link
+under the default `rician_k_nlos_db = None`) is pure Rayleigh, so the
+plane wave is computed only for links with K > 0.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +47,7 @@ class OutOfValidityRange(UserWarning):
 
 AERIAL_MIN_HEIGHT_M = 22.5  # below this, airborne links reuse the ground model
 AERIAL_ALWAYS_LOS_HEIGHT_M = 100.0
+_MIX_LINKS = 1024  # links per Rician mix: all sectors of a UAV block, 4 of a ground block
 
 
 # --------------------------------------------------------------------------
@@ -341,9 +339,8 @@ def _block_geometry(scenario: Scenario, entities: np.recarray):
     """A block's entity class, its shadow factor and the geometry of its links.
 
     The distances and angles come in [entity, sector] C order, the layout of
-    every ChannelSet array, so that the large-scale functions see the same
-    array layout whichever builder calls them. `d3d` and the unit wave
-    vectors also come sector-major, as the Rician mix takes them.
+    every ChannelSet array. `d3d` and the unit wave vectors also come
+    sector-major, as the Rician mix takes them.
     """
     kind = _entity_kind(entities)
     params = scenario.channel_params
@@ -401,14 +398,13 @@ def _rician_mix(fading, k, unit, d3d, coords, wavelength) -> None:
     """Mix N(0, 1) draws into Rician small-scale fading, in place.
 
     `fading` is (2, L, M): the real parts of L links' Rayleigh draws, then
-    the imaginary parts. The links are one sector's N entities, with
-    `unit` (N, 3), `d3d` (N,) and `coords` (3, M), or S sectors' N entities
-    each, sector-major, with (S, N, 3), (S, N) and (S, 3, M); `k` is their
-    (L,) Rician K. Every part is scaled by 1/sqrt(2); on a link with K = 0
-    that is the whole channel. Only links with K > 0 are scaled by
-    sqrt(1/(1+K)) and get sqrt(K/(1+K)) times their plane wave. Each
-    sector's phase product has the block's own row count, whichever links
-    need it (see `los_components`).
+    the imaginary parts. The links are S sectors' N entities each,
+    sector-major, with `unit` (S, N, 3), `d3d` (S, N) and `coords`
+    (S, 3, M); `k` is their (L,) Rician K. Every part is scaled by
+    1/sqrt(2); on a link with K = 0 that is the whole channel. Only links
+    with K > 0 are scaled by sqrt(1/(1+K)) and get sqrt(K/(1+K)) times
+    their plane wave. Each sector's phase product has the block's own row
+    count, whichever links need it (see `los_components`).
     """
     fading *= 1.0 / math.sqrt(2.0)  # unit-power complex Gaussian parts
     rows = np.flatnonzero(k > 0.0)
@@ -419,19 +415,6 @@ def _rician_mix(fading, k, unit, d3d, coords, wavelength) -> None:
         los_amp = np.sqrt(kr / (1.0 + kr))
         fading[0, rows] += los_amp * wave.real
         fading[1, rows] += los_amp * wave.imag
-
-
-def _sector_streams(scenario: Scenario, stream_tag: str, snapshot: int | str):
-    """Every sector's `los`, `shadow` and `fading` generators of one class
-    and snapshot, keyed (kind of draw, stream_tag, snapshot, sector id) and
-    derived in one `derive_many` call: three lists in sector order."""
-    b = len(scenario.sectors)
-    rngs = scenario.streams.derive_many(
-        (draw, stream_tag, snapshot, sector.id)
-        for draw in ("los", "shadow", "fading")
-        for sector in scenario.sectors
-    )
-    return rngs[:b], rngs[b : 2 * b], rngs[2 * b :]
 
 
 def build_channels(
@@ -447,9 +430,7 @@ def build_channels(
     kind, "ground" or "aerial"; a block mixing the two raises ValueError, so
     each entity class is built by its own call on its own streams. Seed keys
     combine (stream_tag, snapshot, sector id), which makes the result
-    independent of sector evaluation order and of every other call. The
-    library builds its ground blocks and highway points here, and its UAV
-    blocks through `build_channel_blocks`.
+    independent of sector evaluation order and of every other call.
 
     Three steps. Pass 1 takes the geometry of every link in one stacked
     `link_geometry` call, then walks the sectors for the two large-scale
@@ -458,12 +439,14 @@ def build_channels(
     evaluates `element_gain`, `los_probability`, `path_loss` and the shadow
     gain once over all (entity, sector) links. Pass 2 walks the sectors
     again for the small-scale fading: one (2, N, M) draw gives a sector's
-    Rayleigh parts, real parts first, and `_rician_mix` turns it into the
-    sector's channel, copied into `h`. The working set is one sector's
-    draw, never an (N, B, M) temporary. The draws stay per sector because
-    the keyed streams and their draw order are what fixes the output bits.
-    `build_channel_blocks` shares the geometry, the large-scale step and
-    the mix, and differs only in where the draws come from.
+    Rayleigh parts, real parts first. `_rician_mix` turns the draws of a
+    chunk of `_MIX_LINKS // N` sectors (at least one) into their channels,
+    copied into `h`: a 12-row UAV block mixes all 57 sectors at once, a
+    228-row ground block 4 at a time, so the working set stays near
+    `_MIX_LINKS` links and never reaches an (N, B, M) temporary. The draws
+    stay per sector because the keyed streams and their draw order are what
+    fixes the output bits; each sector's phase product keeps the block's
+    row count, so a chunk rounds as a lone sector does.
 
     `path_loss` runs once per call, so a build whose links leave the model's
     validity region raises at most one `OutOfValidityRange` warning. An
@@ -474,7 +457,11 @@ def build_channels(
     n = len(entities)
     b = len(sectors)
     kind, factor, links, d3d, unit = _block_geometry(scenario, entities)
-    los_rngs, shadow_rngs, fading_rngs = _sector_streams(scenario, stream_tag, snapshot)
+    # every sector's los, shadow and fading streams, derived in one batch
+    rngs = scenario.streams.derive_many(
+        (draw, stream_tag, snapshot, sector.id) for draw in ("los", "shadow", "fading") for sector in sectors
+    )
+    los_rngs, shadow_rngs, fading_rngs = rngs[:b], rngs[b : 2 * b], rngs[2 * b :]
 
     # pass 1: the LoS uniforms and the unit shadow draws per sector
     los_draws, shadow_unit = np.empty((n, b)), np.empty((n, b))
@@ -484,72 +471,20 @@ def build_channels(
 
     channels, k = _large_scale(scenario, entities, kind, links, los_draws, shadow_unit)
 
-    # pass 2: Rician small-scale fading, one sector at a time
+    # pass 2: Rician small-scale fading, drawn per sector, mixed per chunk
     h = channels.h
-    for j, sector in enumerate(sectors):
-        fading = fading_rngs[j].standard_normal((2, n, h.shape[2]))
-        coords = sector.panel.element_coords(wavelength)
-        _rician_mix(fading, k[j], unit[j], d3d[j], coords, wavelength)
-        h.real[:, j] = fading[0]
-        h.imag[:, j] = fading[1]
-    return channels
-
-
-def build_channel_blocks(
-    scenario: Scenario,
-    blocks: Sequence[np.recarray],
-    snapshot: int | str,
-    stream_tag: str,
-) -> Iterator[ChannelSet]:
-    """Yield `build_channels(scenario, block, snapshot, stream_tag)` for each
-    of `blocks` in turn, bit for bit, drawing each sector's streams once.
-
-    Made for the small UAV blocks of one snapshot, one per UAV count, that
-    share the snapshot's keyed streams. Per sector the `los`, `shadow` and
-    `fading` streams are derived once and drawn at the largest block's
-    size. A block of n rows takes prefixes: the first n uniforms, the first
-    n shadow normals and the first 2nM fading normals, read as (2, n, M).
-    `Generator` draws are sequential, so these are the doubles a fresh
-    `build_channels` call on the block draws. Per block, the geometry, the
-    large-scale step, the shadow product and the Rician mix each run once
-    over all sectors; each sector's shadow and phase products keep the
-    block's own shapes, so they round as `build_channels` rounds them. A
-    block is built only when the caller asks for it, and the generator keeps
-    no reference to it: a caller that drops each block before asking for
-    the next holds one block at a time.
-    """
-    sectors = scenario.sectors
-    wavelength = scenario.radio.wavelength_m
-    b = len(sectors)
-    m = sectors[0].panel.n_elements if b else 0
-    n_max = max((len(entities) for entities in blocks), default=0)
-    uniforms, normals = np.empty((b, n_max)), np.empty((b, n_max))
-    fading_draws = np.empty((b, 2 * n_max * m))
-    for j, (los, shadow, fading) in enumerate(zip(*_sector_streams(scenario, stream_tag, snapshot))):
-        uniforms[j] = los.uniform(size=n_max)
-        normals[j] = shadow.standard_normal(n_max)
-        fading_draws[j] = fading.standard_normal(2 * n_max * m)
-    coords = np.array([sector.panel.element_coords(wavelength) for sector in sectors]).reshape(b, 3, m)
-    for entities in blocks:
-        yield _prefix_block(scenario, entities, uniforms, normals, fading_draws, coords)
-
-
-def _prefix_block(scenario, entities, uniforms, normals, fading_draws, coords) -> ChannelSet:
-    """One block of `build_channel_blocks`, from the prefixes of every
-    sector's draws: `uniforms` and `normals` (B, n_max), `fading_draws`
-    (B, 2 n_max M)."""
-    n = len(entities)
-    b, _, m = coords.shape
-    kind, factor, links, d3d, unit = _block_geometry(scenario, entities)
-    los_draws = np.ascontiguousarray(uniforms[:, :n].T)
-    shadow_unit = np.ascontiguousarray(np.matmul(factor[None], normals[:, :n, None])[..., 0].T)
-    channels, k = _large_scale(scenario, entities, kind, links, los_draws, shadow_unit)
-    # every sector's (2, n, M) draw prefix, links sector-major
-    fading = np.empty((2, b, n, m))
-    fading[...] = fading_draws[:, :2 * n * m].reshape(b, 2, n, m).transpose(1, 0, 2, 3)
-    _rician_mix(fading.reshape(2, b * n, m), k.reshape(-1), unit, d3d, coords, scenario.radio.wavelength_m)
-    channels.h.real[...] = fading[0].transpose(1, 0, 2)
-    channels.h.imag[...] = fading[1].transpose(1, 0, 2)
+    m = h.shape[2]
+    per_chunk = max(1, _MIX_LINKS // max(n, 1))
+    for lo in range(0, b, per_chunk):
+        chunk = slice(lo, lo + per_chunk)
+        chunk_rngs = fading_rngs[chunk]
+        fading = np.empty((2, len(chunk_rngs), n, m))
+        for i, rng in enumerate(chunk_rngs):
+            fading[:, i] = rng.standard_normal((2, n, m))
+        coords = np.array([sector.panel.element_coords(wavelength) for sector in sectors[chunk]])
+        _rician_mix(fading.reshape(2, -1, m), k[chunk].reshape(-1), unit[chunk], d3d[chunk], coords, wavelength)
+        h.real[:, chunk] = fading[0].transpose(1, 0, 2)
+        h.imag[:, chunk] = fading[1].transpose(1, 0, 2)
     return channels
 
 

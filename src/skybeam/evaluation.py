@@ -9,7 +9,8 @@ statistic 5 percent tile, pooled over snapshots.
 
 The data phase runs in two steps: a ground step per snapshot and plan
 (`data_phase_ground`) and a UAV step per UAV block (`data_phase_uavs`), so a
-traffic sweep pays per UAV count only for what the UAVs change. Plans are
+traffic sweep pays per UAV count only for what the UAVs change. Every block,
+ground or UAV, comes from its own `channel.build_channels` call. Plans are
 evaluated in turn on shared channels, and each plan after the first pays
 only where it differs from the one before: its RSRP tables patch the
 previous plan's on the sectors whose beams differ (`plan_tables`), and its
@@ -32,7 +33,7 @@ from .association import (
     select_serving_all,
     unique_ints,
 )
-from .channel import ChannelSet, build_channel_blocks, build_channels
+from .channel import ChannelSet, build_channels
 from .codebook import Codebook
 from .config import RadioConfig
 from .scenario import Scenario
@@ -387,8 +388,8 @@ def evaluate_snapshot(
 
     Returns one result per plan name; row i of every result is entity i, the
     ground users first, then the UAVs. The snapshot's ground block
-    (`ground_channels`) and UAV block (`snapshot_uavs` on the "uav" streams,
-    through `build_channel_blocks`) are built apart and shared by the plans.
+    (`ground_channels`) and UAV block (`snapshot_uavs` on the "uav" streams)
+    are built apart and shared by the plans.
     A caller that already holds the ground block passes it as `ground`; then
     only the UAV block is built. The first plan is evaluated in full; each
     later plan patches the previous plan's RSRP tables and ground step where
@@ -398,7 +399,7 @@ def evaluate_snapshot(
     if d_iud is None:
         d_iud = scenario.uav_spacing_m
     uav_block = snapshot_uavs(scenario, snapshot, n_snapshots, d_iud)
-    uavs = next(build_channel_blocks(scenario, [uav_block], snapshot, "uav"))
+    uavs = build_channels(scenario, uav_block, snapshot, "uav")
     if ground is None:
         ground = ground_channels(scenario, snapshot)
     noise_mw = scenario.radio.ssb_noise_mw
@@ -445,10 +446,9 @@ def traffic_sweep(
     Snapshots are the outer loop and N the inner one. Each snapshot's ground
     users are drawn and built once, and associated and put through the
     ground step of the data phase (`data_phase_ground`) once per plan; all N
-    share them. `build_channel_blocks` yields the snapshot's UAV blocks,
-    one per N at the snapshot's UAV offset, from one draw of the "uav"
-    streams. Each (N, snapshot) cell then associates its UAV block and runs
-    the UAV step (`data_phase_uavs`): it computes only what depends on N.
+    share them. Each (N, snapshot) cell builds its UAV block at the
+    snapshot's UAV offset on the "uav" streams, associates it and runs the
+    UAV step (`data_phase_uavs`): it computes only what depends on N.
     As in `evaluate_snapshot`, each plan after the first patches the
     previous plan's RSRP tables and ground step where the plans differ.
     `first_ground`, if given, is snapshot 0's ground block; a caller that
@@ -476,8 +476,8 @@ def traffic_sweep(
         for name, table in zip(plans, plan_tables(ground, plans.values(), ssb_codebook)):
             step = grounds[name] = data_phase_ground(ground, select_serving_all(table)[0], dl_codebook, radio, step)
         g = ground.n_entities
-        blocks = [snapshot_uavs(scenario, snapshot, n_snapshots, length / n) for n in n_values.tolist()]
-        for i, uavs in enumerate(build_channel_blocks(scenario, blocks, snapshot, "uav")):
+        for i, n in enumerate(n_values.tolist()):
+            uavs = build_channels(scenario, snapshot_uavs(scenario, snapshot, n_snapshots, length / n), snapshot, "uav")
             for name, table in zip(plans, plan_tables(uavs, plans.values(), ssb_codebook)):
                 rate = data_phase_uavs(grounds[name], uavs, select_serving_all(table)[0]).rate_bps
                 uav_p5[name][i].append(snapshot_stats(rate[g:]).percentile(5))

@@ -259,7 +259,7 @@ class TestBaselinePlan:
         # oracle: scan the full-panel sub-book for the vertical index whose
         # boresight cosine is closest to cos(105 deg)
         book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
-        plan = baseline_plan(small_scenario, book, tilt_deg=105.0)
+        plan = baseline_plan(small_scenario, book)
         target = math.cos(math.radians(105.0))
         panel = small_scenario.sectors[0].panel
         full = np.flatnonzero(book.active_columns == panel.m_h)

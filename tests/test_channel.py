@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ from skybeam.channel import (
     ChannelSet,
     OutOfValidityRange,
     aerial_los_shadow_sigma_db,
-    build_channel_blocks,
     build_channels,
     element_gain,
     expected_channels,
@@ -449,11 +449,14 @@ class TestMatchesPerSectorOracle:
 
     # The default 19-site layout, seed 1: on snapshot 0, sector 21 has a
     # single LoS ground link (entity 92), the case where a plane-wave
-    # product over the K > 0 rows alone rounds differently.
+    # product over the K > 0 rows alone rounds differently. Its 228 rows
+    # mix 4 sectors per chunk, and 57 = 14 * 4 + 1 leaves a one-sector
+    # last chunk.
     @pytest.mark.parametrize("snapshot", [0, 1, 2])
     def test_default_layout_ground_blocks(self, cfg, snapshot):
         scenario = scenario_from_config(cfg)
         ground = scenario.ground_users(snapshot)
+        assert (len(ground), channel._MIX_LINKS // len(ground), scenario.n_sectors % 4) == (228, 4, 1)
         got = build_channels(scenario, ground, snapshot, "ue")
         if snapshot == 0:
             assert np.any(np.count_nonzero(got.is_los, axis=0) == 1)
@@ -488,9 +491,9 @@ class TestMatchesPerSectorOracle:
 
 
 class TestChannelBlocks:
-    """build_channel_blocks against build_channels on each block alone:
-    every ChannelSet array equal in bytes, dtype and shape, at every UAV
-    count of a sweep snapshot, one row included."""
+    """build_channels on every UAV block of a sweep snapshot, and on blocks
+    at the edges of the chunked Rician mix, against the per-sector
+    reference: every ChannelSet array equal in bytes, dtype and shape."""
 
     N_MAX = 12
 
@@ -511,48 +514,67 @@ class TestChannelBlocks:
         scenario = _one_tier_scenario(altitude_m, rician_k_nlos_db)
         blocks = self.sweep_blocks(scenario, snapshot)
         assert [len(entities) for entities in blocks] == list(range(1, self.N_MAX + 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OutOfValidityRange)
-            got = list(build_channel_blocks(scenario, blocks, snapshot, "uav"))
-            want = [build_channels(scenario, entities, snapshot, "uav") for entities in blocks]
-        assert len(got) == len(blocks)
-        for a, b in zip(got, want):
-            TestMatchesPerSectorOracle.assert_same_bytes(a, b)
-            assert a.kinds.tobytes() == b.kinds.tobytes()
+        for entities in blocks:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OutOfValidityRange)
+                got = build_channels(scenario, entities, snapshot, "uav")
+                want = per_sector_channels(scenario, entities, snapshot, "uav")
+            TestMatchesPerSectorOracle.assert_same_bytes(got, want)
+            assert got.kinds.tobytes() == want.kinds.tobytes()
 
     def test_default_layout(self, cfg):
         scenario = scenario_from_config(cfg)
-        blocks = self.sweep_blocks(scenario, 1)
-        for a, entities in zip(build_channel_blocks(scenario, blocks, 1, "uav"), blocks):
-            TestMatchesPerSectorOracle.assert_same_bytes(a, build_channels(scenario, entities, 1, "uav"))
+        for entities in self.sweep_blocks(scenario, 1):
+            TestMatchesPerSectorOracle.assert_same_bytes(
+                build_channels(scenario, entities, 1, "uav"), per_sector_channels(scenario, entities, 1, "uav")
+            )
+
+    def test_one_sector_chunks(self):
+        """50 users per cell of the one-tier layout are more rows than a
+        chunk of the Rician mix holds links, so each chunk is one sector."""
+        raw = default_config()
+        raw["layout"]["tiers"] = 1
+        raw["users"]["gues_per_cell"] = 50
+        scenario = scenario_from_config(validate_config(raw))
+        ground = scenario.ground_users(0)
+        assert len(ground) == 1050 > channel._MIX_LINKS
+        TestMatchesPerSectorOracle.assert_same_bytes(
+            build_channels(scenario, ground, 0, "ue"), per_sector_channels(scenario, ground, 0, "ue")
+        )
 
     def test_streams_derived_once_per_sector(self, small_scenario, monkeypatch):
-        """Every block of a call reads the same three keyed streams per
-        sector, derived once in one batch; the blocks come one at a time."""
+        """Each build_channels call derives its block's three keyed streams
+        per sector in one batch of 3 B keys."""
         batches = []
         derive_many = small_scenario.streams.derive_many
         monkeypatch.setattr(
             small_scenario.streams, "derive_many", lambda keys: derive_many(batches.append(list(keys)) or batches[-1])
         )
         blocks = self.sweep_blocks(small_scenario, 0)
-        built = build_channel_blocks(small_scenario, blocks, 0, "uav")
-        assert batches == []  # nothing is drawn before the first block is asked for
-        first = next(built)
-        assert first.n_entities == 1
-        assert len(batches) == 1
-        assert len(batches[0]) == 3 * small_scenario.n_sectors
-        assert sorted(set(batches[0])) == sorted(
-            (kind, "uav", 0, sector.id)
-            for kind in ("los", "shadow", "fading")
-            for sector in small_scenario.sectors
+        for i, entities in enumerate(blocks, 1):
+            assert build_channels(small_scenario, entities, 0, "uav").n_entities == i
+            assert len(batches) == i
+        expected = sorted(
+            (kind, "uav", 0, sector.id) for kind in ("los", "shadow", "fading") for sector in small_scenario.sectors
         )
-        assert [cs.n_entities for cs in built] == list(range(2, self.N_MAX + 1))
-        assert len(batches) == 1
+        for keys in batches:
+            assert len(keys) == 3 * small_scenario.n_sectors
+            assert sorted(keys) == expected
 
-    def test_mixed_block_raises(self, small_scenario):
-        users = np.concatenate([small_scenario.ground_users(0)[:2], small_scenario.uavs()[:1]])
-        with pytest.raises(ValueError, match="one entity class per call"):
-            list(build_channel_blocks(small_scenario, [users.view(np.recarray)], 0, "uav"))
+    def test_working_set_stays_below_half_the_block(self, cfg):
+        """A default ground build holds, beyond the arrays it returns, less
+        than half its (N, B, M) channel: the chunked mix never gathers every
+        sector's fading draws at once."""
+        scenario = scenario_from_config(cfg)
+        ground = scenario.ground_users(0)
+        build_channels(scenario, ground, 0, "ue")  # warm the per-layout caches
+        tracemalloc.start()
+        try:
+            got = build_channels(scenario, ground, 0, "ue")
+            returned, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - returned < got.h.nbytes / 2
 
 
 class TestOutOfValidityCount:

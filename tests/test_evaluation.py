@@ -16,7 +16,7 @@ from oracles import (
 )
 from skybeam import evaluation
 from skybeam.association import baseline_plan, changed_sectors, rsrp_table
-from skybeam.channel import ChannelSet, build_channel_blocks, build_channels
+from skybeam.channel import ChannelSet, build_channels
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import RadioConfig
 from skybeam.evaluation import (
@@ -308,13 +308,8 @@ class TestSnapshotEvaluation:
             lambda scenario, entities, snapshot, tag: built.append(tag) or build_channels(
                 scenario, entities, snapshot, tag),
         )
-        monkeypatch.setattr(
-            evaluation, "build_channel_blocks",
-            lambda scenario, blocks, snapshot, tag: built.append((tag, len(blocks))) or build_channel_blocks(
-                scenario, blocks, snapshot, tag),
-        )
         reused = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2, ground=ground)["b"]
-        assert built == [("uav", 1)]  # the UAV block alone, through the block builder
+        assert built == ["uav"]  # the UAV block alone
         for field in ("serving_sector", "serving_slot", "serving_rsrp_mw", "coverage_sinr_db"):
             assert getattr(reused, field).tobytes() == getattr(fresh, field).tobytes(), field
         for field in ("precoder", "sinr_db", "rate_bps"):
@@ -493,7 +488,7 @@ class TestTwoStepDataPhase:
         base = baseline_plan(scenario, ssb)
         length = scenario.highway.total_length_m
         blocks = [snapshot_uavs(scenario, snapshot, 2, length / n) for n in range(1, 13)]
-        built = [ground_channels(scenario, snapshot), *build_channel_blocks(scenario, blocks, snapshot, "uav")]
+        built = [ground_channels(scenario, snapshot), *(build_channels(scenario, b, snapshot, "uav") for b in blocks)]
         noise_mw = scenario.radio.ssb_noise_mw
         served = [(blk, associate(rsrp_table(blk, base, ssb), base, noise_mw).serving_sector) for blk in built]
         return dl, served[0], served[1:]
@@ -577,21 +572,15 @@ class TestTrafficSweep:
         want = traffic_sweep(small_scenario, plans, ssb, dl, n_max=2, n_snapshots=2)
         first = ground_channels(small_scenario, 0)
         built = []
-        original, original_blocks = evaluation.build_channels, evaluation.build_channel_blocks
+        original = evaluation.build_channels
         monkeypatch.setattr(
             evaluation, "build_channels",
             lambda scenario, entities, snapshot, tag: built.append((tag, snapshot)) or original(
                 scenario, entities, snapshot, tag),
         )
-        monkeypatch.setattr(
-            evaluation, "build_channel_blocks",
-            lambda scenario, blocks, snapshot, tag: built.append(
-                (tag, snapshot, [len(entities) for entities in blocks])
-            ) or original_blocks(scenario, blocks, snapshot, tag),
-        )
         got = traffic_sweep(small_scenario, plans, ssb, dl, n_max=2, n_snapshots=2, first_ground=first)
-        # one generator call per snapshot yields every UAV count's block
-        assert built == [("uav", 0, [1, 2]), ("ue", 1), ("uav", 1, [1, 2])]
+        # one UAV block per UAV count; snapshot 1's ground block built once
+        assert built == [("uav", 0), ("uav", 0), ("ue", 1), ("uav", 1), ("uav", 1)]
         assert got.p5_rate["baseline"].tobytes() == want.p5_rate["baseline"].tobytes()
         assert got.p5_gue_rate["baseline"].tobytes() == want.p5_gue_rate["baseline"].tobytes()
 

@@ -1,8 +1,9 @@
 """Every public library definition, every method and every class field has a reader.
 
 Reference implementations and helpers that only tests call belong in
-`tests/`. A module-level name, method or property counts as used when code
-in `src/skybeam` loads it, reads it as an attribute or imports it; the
+`tests/`, and a private module-level name that no library code reads is
+dead. A module-level name, method or property counts as used when code in
+`src/skybeam` loads it, reads it as an attribute or imports it; the
 re-exports in `__init__.py` count. Dunder methods are exempt, and so is a
 method that implements an abstract method of a base class imported from
 outside the package: the outside code calls it, as Python calls a dunder.
@@ -47,6 +48,32 @@ def test_every_public_definition_is_used_in_the_library():
     used = _library_uses()
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert not unused, f"public definitions no library code uses: {unused}"
+
+
+def _module_level_names(tree) -> list[str]:
+    """The functions, classes and assigned names a module defines at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name))
+    return names
+
+
+def test_every_private_definition_is_read_in_the_library():
+    """A module-level `_name` (function, class or constant) that no library
+    code reads is dead: the helper a deleted caller left behind."""
+    defined = {
+        f"{path.name}:{name}"
+        for path, tree in _trees(SRC)
+        for name in _module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    used = _library_uses()
+    unread = sorted(key for key in defined if key.split(":")[1] not in used)
+    assert not unread, f"private definitions no library code reads: {unread}"
 
 
 def _outside_abstract_methods(tree, cls: ast.ClassDef) -> set[str]:
