@@ -71,21 +71,20 @@ def rsrp_table(
 
     rsrp = beta * |h^T w|^2 * p * x, zero where the beam is not deployed.
     Each sector's (N, M) channel rows meet only its deployed codewords, in
-    one product whose modulus goes straight into the table: a product that
-    also covered idle slots would round differently, and one stacked over
-    all sectors would hold an (N, B, S) complex temporary. The square and
-    the beta and power factors then run once over the whole table.
+    one product whose modulus goes straight into the sector's slab: a
+    product that also covered idle slots would round differently, and one
+    stacked over all sectors would hold an (N, B, S) complex temporary. The
+    square and the beta and power factors then run on that slab.
 
     Given `table`, another plan's table on the same channels, and
     `sectors`, the sectors where that plan differs from `plan`
     (`changed_sectors`), the call patches `table` in place and returns it:
-    each listed sector's slab is recomputed by the same product and the
-    same elementwise factors, so it holds a fresh table's bytes, and every
-    other slab is kept.
+    each listed sector's slab is recomputed as a fresh table computes it,
+    and every other slab is kept. A patched slab's idle slots keep stale
+    finite values until the power factor zeroes them.
     """
     n, b, _ = channels.h.shape
-    patch = table is not None
-    if not patch:
+    if table is None:
         table = np.zeros((n, b, plan.n_slots))
         sectors = range(b)
     active = plan.x == 1
@@ -99,16 +98,9 @@ def rsrp_table(
         elif n_active[sector]:
             slots = np.flatnonzero(active[sector])
             slab[:, slots] = np.abs(channels.h[:, sector, :] @ weights[sector, slots].T)
-    if patch:  # a patched slab's idle slots keep stale finite values until the power factor zeroes them
-        for sector in sectors:
-            slab = table[:, sector]
-            np.square(slab, out=slab)
-            slab *= channels.beta[:, sector, None]
-            slab *= power[sector]
-        return table
-    np.square(table, out=table)
-    table *= channels.beta[:, :, None]
-    table *= power
+        np.square(slab, out=slab)
+        slab *= channels.beta[:, sector, None]
+        slab *= power[sector]
     return table
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ChannelParams, RadioConfig
-from .scenario import AerialHighway, Scenario, Sector
+from .scenario import Scenario, Sector
 
 
 class OutOfValidityRange(UserWarning):
@@ -492,45 +492,25 @@ def build_channels(
 # Expected (deterministic) channels for the highway
 # --------------------------------------------------------------------------
 
-def expected_channels(sector: Sector, positions: np.ndarray, radio: RadioConfig, params: ChannelParams) -> np.ndarray:
+def expected_channels(
+    sectors: Sequence[Sector], positions: np.ndarray, radio: RadioConfig, params: ChannelParams
+) -> np.ndarray:
     """Deterministic mean channel rows: p_los sqrt(rho g) sqrt(K/(1+K)) LoS vector.
 
-    Shadowing enters at its median (gain 1) and the Rayleigh part averages to
-    zero; with a LoS probability below one the mean is scaled accordingly.
+    Returns a (B, N, M) array: row b holds every position's mean channel
+    toward `sectors[b]`, all sectors in one stacked pass. Shadowing enters
+    at its median (gain 1) and the Rayleigh part averages to zero; with a
+    LoS probability below one the mean is scaled accordingly.
     """
     heights = positions[:, 2]
     kind = "aerial" if np.all(heights > AERIAL_MIN_HEIGHT_M) else "ground"
-    d2d, d3d, az, zen, unit = (x[0] for x in link_geometry([sector], positions))
+    d2d, d3d, az, zen, unit = link_geometry(sectors, positions)
+    h_bs = np.array([sector.panel.panel_height_m for sector in sectors])[:, None]
     p = los_probability(d2d, heights, kind)
-    rho_los = path_loss(d2d, d3d, heights, kind, True, radio, h_bs_m=sector.panel.panel_height_m)
+    rho_los = path_loss(d2d, d3d, heights, kind, True, radio, h_bs_m=h_bs)
     gains = element_gain(az, zen)
     k = params.rician_k_linear(True)
-    coords = sector.panel.element_coords(radio.wavelength_m)
-    h_los = los_components(unit, d3d, coords, radio.wavelength_m)
+    coords = np.array([sector.panel.element_coords(radio.wavelength_m) for sector in sectors])
+    h_los = los_components(unit, d3d, coords, radio.wavelength_m).reshape(d3d.shape + (-1,))
     amp = p * np.sqrt(rho_los * gains) * math.sqrt(k / (1.0 + k))
-    return amp[:, None] * h_los
-
-
-@dataclass(frozen=True)
-class HighwayChannels:
-    """Expected channel matrix of every highway point toward one sector."""
-
-    sector_id: int
-    matrix: np.ndarray  # N_r x M
-    segments: tuple[tuple[int, int], ...]
-
-    def segment_matrix(self, z: int) -> np.ndarray:
-        a, b = self.segments[z]
-        return self.matrix[a:b]
-
-    def complement_matrix(self, z: int) -> np.ndarray:
-        a, b = self.segments[z]
-        return np.vstack([self.matrix[:a], self.matrix[b:]])
-
-
-def stack_highway_channels(
-    highway: AerialHighway, sector: Sector, radio: RadioConfig, params: ChannelParams
-) -> HighwayChannels:
-    """Expected channel rows for all highway points toward `sector`."""
-    matrix = expected_channels(sector, highway.points, radio, params)
-    return HighwayChannels(sector_id=sector.id, matrix=matrix, segments=highway.segments)
+    return amp[..., None] * h_los

@@ -96,12 +96,12 @@ def _stack(panel: UpaGeometry, o_h: int, o_v: int, actives: list[int]) -> Codebo
     )
 
 
-def build_ssb_codebook(panel: UpaGeometry, o_h: int = 4, o_v: int = 1) -> Codebook:
+def build_ssb_codebook(panel: UpaGeometry, o_h: int, o_v: int) -> Codebook:
     """Concatenate sub-books for active_cols = m_h, m_h - 1, ..., 1."""
     return _stack(panel, o_h, o_v, list(range(panel.m_h, 0, -1)))
 
 
-def build_dl_codebook(panel: UpaGeometry, o_h: int = 4, o_v: int = 4) -> Codebook:
+def build_dl_codebook(panel: UpaGeometry, o_h: int, o_v: int) -> Codebook:
     """Full-panel oversampled DFT grid used for data-phase precoding."""
     return _stack(panel, o_h, o_v, [panel.m_h])
 

@@ -185,10 +185,10 @@ def data_phase_ground(
 
 
 def data_phase_uavs(
-    ground: GroundDataPhase, uavs: ChannelSet | None, serving_sector: np.ndarray
+    ground: GroundDataPhase, uavs: ChannelSet, serving_sector: np.ndarray
 ) -> DataPhaseReport:
     """The UAV step: the data phase of the ground rows joined with the rows
-    of `uavs` (None for no UAVs), served by `serving_sector`.
+    of `uavs`, served by `serving_sector`.
 
     Rows are the ground users first, then the UAVs. A sector that serves a
     UAV is recomputed in full on the joined rows. Every other sector keeps
@@ -211,10 +211,7 @@ def data_phase_uavs(
     weights = ground.dl_weights
     g, n_sectors = gb.beta.shape
     sector_power_mw = 10.0 ** (radio.sector_tx_power_dbm / 10.0)
-    if uavs is None:
-        uav_beta, uav_h = np.empty((0, n_sectors)), np.empty((0,) + gb.h.shape[1:], dtype=complex)
-    else:
-        uav_beta, uav_h = uavs.beta, uavs.h
+    uav_beta, uav_h = uavs.beta, uavs.h
     u = uav_beta.shape[0]
     n = g + u
     serving = np.concatenate([ground.serving_sector, serving_sector])

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .association import BeamPlan, baseline_plan, rsrp_table, select_serving_all, sinr_db, unique_ints
-from .channel import ChannelSet, build_channels, stack_highway_channels
+from .channel import ChannelSet, build_channels, expected_channels
 from .codebook import Codebook
 from .config import EgaParams
 from .evaluation import ground_channels
@@ -102,10 +102,7 @@ def select_frozen_slots(
     frozen: dict[int, int] = {}
     taken: set[int] = set()
     for cell in designated_cells:
-        counts = np.zeros(baseline.n_slots, dtype=int)
-        mine = gue_serving_sector == cell
-        for slot in gue_serving_slot[mine]:
-            counts[slot] += 1
+        counts = np.bincount(gue_serving_slot[gue_serving_sector == cell], minlength=baseline.n_slots)
         order = np.argsort(counts, kind="stable")  # fewest gUEs first, then slot id
         free = [int(s) for s in order if int(s) not in taken]
         slot = free[0] if free else int(order[0])
@@ -325,12 +322,9 @@ def corridor_problem(
     a caller that evaluates snapshot 0 afterwards passes the same block to
     both.
     """
-    radio = scenario.radio
-    stacks = [
-        stack_highway_channels(scenario.highway, s, radio, scenario.channel_params)
-        for s in scenario.sectors
-    ]
-    assignment = assign_segments(stacks, metric_noise_mw(radio))
+    radio, highway = scenario.radio, scenario.highway
+    h = expected_channels(scenario.sectors, highway.points, radio, scenario.channel_params)
+    assignment = assign_segments(h, highway.segments, metric_noise_mw(radio))
     base = baseline_plan(scenario, ssb_codebook)
 
     if ground is None:
@@ -338,14 +332,11 @@ def corridor_problem(
     gue_sector, gue_slot = select_serving_all(rsrp_table(ground, base, ssb_codebook))
     frozen = select_frozen_slots(base, assignment.designated_cells, gue_sector, gue_slot)
 
-    points = entity_block("aerial", scenario.highway.points)
+    points = entity_block("aerial", highway.points)
     point_channels = build_channels(scenario, points, snapshot="static", stream_tag="highway-point")
-    required = assignment.required_cell_per_point(
-        scenario.highway.segments, scenario.highway.n_points
-    )
     evaluator = FitnessEvaluator(
-        point_channels, ssb_codebook, base, assignment.designated_cells, frozen, required,
-        radio.ssb_noise_mw,
+        point_channels, ssb_codebook, base, assignment.designated_cells, frozen,
+        assignment.required_cell, radio.ssb_noise_mw,
     )
     return assignment, evaluator
 

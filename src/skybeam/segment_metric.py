@@ -20,52 +20,63 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import HighwayChannels
 from .config import RadioConfig
 
 
-def avg_channel_gain(h_segment: np.ndarray) -> float:
-    """Mean squared entry magnitude: (1/N_z) sum_z (1/M) sum_m |h|^2."""
+def _entries(x: np.ndarray) -> np.ndarray:
+    """Each matrix's entries on one flat last axis: a reduction over it runs
+    in the pairwise order of the same reduction over one 2-D matrix."""
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
+def avg_channel_gain(h_segment: np.ndarray) -> float | np.ndarray:
+    """Mean squared entry magnitude: (1/N_z) sum_z (1/M) sum_m |h|^2.
+
+    Takes one (rows, M) matrix or a stack (..., rows, M), one value per matrix.
+    """
     if h_segment.size == 0:
         raise ValueError("segment matrix must be non-empty")
-    return float(np.mean(np.abs(h_segment) ** 2))
+    return np.mean(_entries(np.abs(h_segment) ** 2), axis=-1)
 
 
-def inv_condition_number(h_segment: np.ndarray) -> float:
+def inv_condition_number(h_segment: np.ndarray) -> float | np.ndarray:
     """sigma_min / sigma_max of the segment matrix, in [0, 1]; 0 if degenerate.
 
     Uses the compact SVD, so segments with fewer points than antennas stay
-    well defined.
+    well defined. Takes one matrix or a stack (..., rows, M).
     """
-    s = np.linalg.svd(np.atleast_2d(h_segment), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
+    s = np.linalg.svd(h_segment, compute_uv=False)
+    top = s[..., 0]
+    return np.divide(s[..., -1], top, out=np.zeros_like(top), where=top > 0)[()]
 
 
-def cross_corr_frobenius(h_segment: np.ndarray, h_complement: np.ndarray) -> float:
+def cross_corr_frobenius(h_segment: np.ndarray, h_complement: np.ndarray) -> float | np.ndarray:
     """Squared Frobenius norm of the complement x segment correlation matrix.
 
     Sums |<h_i, h_z>|^2 over all (complement row i, segment row z) pairs;
-    zero when the complement is empty.
+    zero when the complement is empty. Takes one pair of matrices or two
+    stacks with the same leading axes.
     """
-    if h_complement.size == 0 or h_segment.size == 0:
-        return 0.0
-    inner = h_complement @ h_segment.conj().T
-    return float(np.sum(np.abs(inner) ** 2))
+    inner = h_complement @ h_segment.conj().swapaxes(-1, -2)
+    return np.sum(_entries(np.abs(inner) ** 2), axis=-1)
 
 
 def segment_cell_metric(
     h_segment: np.ndarray, h_complement: np.ndarray, noise_mw: float
-) -> tuple[float, float, float, float]:
+) -> tuple[float | np.ndarray, ...]:
     """(P, c, F, chi) of one (segment, sector) pair, chi = c * log2(1 + P / (F + noise)).
 
-    chi is 0 when c is 0; P and F are computed either way.
+    chi is 0 when c is 0; P and F are computed either way. Stacked inputs
+    (..., rows, M) score many pairs at once, one value per pair in each
+    output.
     """
     p = avg_channel_gain(h_segment)
     c = inv_condition_number(h_segment)
     f = cross_corr_frobenius(h_segment, h_complement)
-    chi = 0.0 if c == 0.0 else c * math.log2(1.0 + p / (f + noise_mw))
+    ratio = np.asarray(1.0 + p / (f + noise_mw))
+    # math.log2 per value: np.log2 can differ in the last bit
+    log2 = np.array([math.log2(x) for x in ratio.flat]).reshape(ratio.shape)
+    chi = np.where(c == 0.0, 0.0, c * log2)[()]
     return p, c, f, chi
 
 
@@ -75,76 +86,58 @@ def metric_noise_mw(radio: RadioConfig) -> float:
 
 
 @dataclass(frozen=True)
-class MetricBreakdown:
-    segment_id: int
-    sector_id: int
-    p_gain: float
-    inv_cond: float
-    cross_corr: float
-    chi: float
-
-
-@dataclass(frozen=True)
 class SegmentAssignment:
-    """Chi argmax per segment plus the deduplicated designated-cell set."""
+    """Chi argmax per segment, the designated-cell set and every pair's terms.
+
+    `p_gain`, `inv_cond`, `cross_corr` and `chi` are (Z, B) arrays, row z
+    segment z, column b sector b.
+    """
 
     serving_cell: tuple[int, ...]  # per segment
     designated_cells: tuple[int, ...]  # sorted unique serving cells
-    breakdown: tuple[MetricBreakdown, ...]
-
-    def required_cell_per_point(self, segments: Sequence[tuple[int, int]], n_points: int) -> np.ndarray:
-        req = np.empty(n_points, dtype=int)
-        for z, (a, b) in enumerate(segments):
-            req[a:b] = self.serving_cell[z]
-        return req
+    required_cell: np.ndarray  # per corridor point, its segment's serving cell
+    p_gain: np.ndarray
+    inv_cond: np.ndarray
+    cross_corr: np.ndarray
+    chi: np.ndarray
 
 
 def assign_segments(
-    highway_channels: Sequence[HighwayChannels], noise_mw: float
+    h: np.ndarray, segments: Sequence[tuple[int, int]], noise_mw: float
 ) -> SegmentAssignment:
     """Score every (segment, sector) pair and pick the best cell per segment.
 
-    Ties go to the lowest sector id. `highway_channels` must be ordered by
-    sector id.
+    `h` is the (B, N, M) expected channel array of `channel.expected_channels`,
+    row b toward sector b; `segments` are the (start, stop) point ranges.
+    Each segment takes one `segment_cell_metric` call over all B sectors.
+    Ties go to the lowest sector id.
     """
-    if not highway_channels:
-        raise ValueError("need at least one sector's highway channels")
-    n_seg = len(highway_channels[0].segments)
-    breakdown: list[MetricBreakdown] = []
-    serving: list[int] = []
-    for z in range(n_seg):
-        best_chi = -math.inf
-        best_sector = None
-        for hw in highway_channels:
-            p, c, f, chi = segment_cell_metric(
-                hw.segment_matrix(z), hw.complement_matrix(z), noise_mw
-            )
-            breakdown.append(
-                MetricBreakdown(
-                    segment_id=z, sector_id=hw.sector_id, p_gain=p, inv_cond=c,
-                    cross_corr=f, chi=chi,
-                )
-            )
-            # argmax with lowest-sector-id tie-break, independent of input order
-            if chi > best_chi or (chi == best_chi and hw.sector_id < best_sector):
-                best_chi = chi
-                best_sector = hw.sector_id
-        serving.append(int(best_sector))
+    scores = [
+        segment_cell_metric(h[:, a:b], np.concatenate([h[:, :a], h[:, b:]], axis=1), noise_mw)
+        for a, b in segments
+    ]
+    p_gain, inv_cond, cross_corr, chi = (np.array(x) for x in zip(*scores))
+    serving = np.argmax(chi, axis=1)  # first occurrence: the lowest sector id
     return SegmentAssignment(
-        serving_cell=tuple(serving),
-        designated_cells=tuple(sorted(set(serving))),
-        breakdown=tuple(breakdown),
+        serving_cell=tuple(serving.tolist()),
+        designated_cells=tuple(sorted(set(serving.tolist()))),
+        required_cell=np.repeat(serving, [b - a for a, b in segments]),
+        p_gain=p_gain,
+        inv_cond=inv_cond,
+        cross_corr=cross_corr,
+        chi=chi,
     )
 
 
 def dump_metric_csv(assignment: SegmentAssignment, path) -> None:
     lines = ["segment_id,sector_id,p_gain_db,inv_cond,cross_corr_db,chi"]
-    for row in assignment.breakdown:
-        p_db = 10.0 * math.log10(row.p_gain) if row.p_gain > 0 else -math.inf
-        f_db = 10.0 * math.log10(row.cross_corr) if row.cross_corr > 0 else -math.inf
+    for (z, b), p in np.ndenumerate(assignment.p_gain):
+        f = assignment.cross_corr[z, b]
+        p_db = 10.0 * math.log10(p) if p > 0 else -math.inf
+        f_db = 10.0 * math.log10(f) if f > 0 else -math.inf
         lines.append(
-            f"{row.segment_id},{row.sector_id},{p_db:.10g},{row.inv_cond:.10g},"
-            f"{f_db:.10g},{row.chi:.10g}"
+            f"{z},{b},{p_db:.10g},{assignment.inv_cond[z, b]:.10g},"
+            f"{f_db:.10g},{assignment.chi[z, b]:.10g}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -17,7 +17,9 @@ one call) and the traffic sweep's two steps must match byte for byte;
 which `evaluation.evaluate_snapshot`, patching each later plan where it
 differs from the one before, must match; `per_sector_ground_users` draws
 and tests each sector's candidates alone, the reference for
-`scenario.place_ground_users`.
+`scenario.place_ground_users`; `per_pair_segment_metric` scores one
+(segment, sector) pair per 2-D `segment_cell_metric` call and picks each
+segment's cell by a scan, the reference for `segment_metric.assign_segments`.
 
 `ReferenceEvaluator` and `reference_run` are the bit-level references of
 the search: the population scorer with one (P, n + 1, N_r) candidate table
@@ -43,6 +45,7 @@ checks a plan's constraints, `find_codeword` looks a beam up by its indices,
 
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -81,6 +84,7 @@ from skybeam.evaluation import (
 )
 from skybeam.genetic import FitnessEvaluator, FitnessTrace, Individual, apply_individual
 from skybeam.scenario import _in_dominance_area, entity_block
+from skybeam.segment_metric import segment_cell_metric
 
 
 def ssb_rsrp(
@@ -312,7 +316,31 @@ def data_phase(blocks, serving_sector, dl_codebook, radio) -> DataPhaseReport:
         raise ValueError(f"data_phase takes a ground block and at most one UAV block, got {len(blocks)}")
     g = blocks[0].n_entities
     ground = data_phase_ground(blocks[0], serving_sector[:g], dl_codebook, radio)
-    return data_phase_uavs(ground, blocks[1] if len(blocks) == 2 else None, serving_sector[g:])
+    if len(blocks) == 2:
+        uavs = blocks[1]
+    else:  # no UAVs: a 0-row block
+        uavs = ChannelSet(*(getattr(blocks[0], f.name)[:0] for f in fields(ChannelSet)))
+    return data_phase_uavs(ground, uavs, serving_sector[g:])
+
+
+def per_pair_segment_metric(h, segments, noise_mw):
+    """(P, c, F, chi) as (Z, B) arrays, each (segment, sector) pair scored by
+    one 2-D `segment_cell_metric` call on sector b's rows `h[b]`, plus each
+    segment's cell (the chi maximum, ties to the lowest sector id) and each
+    point's required cell, filled segment by segment."""
+    terms = np.empty((4, len(segments), h.shape[0]))
+    serving = []
+    for z, (a, e) in enumerate(segments):
+        best_chi, best_sector = -math.inf, None
+        for b in range(h.shape[0]):
+            terms[:, z, b] = segment_cell_metric(h[b, a:e], np.vstack([h[b, :a], h[b, e:]]), noise_mw)
+            if terms[3, z, b] > best_chi:
+                best_chi, best_sector = terms[3, z, b], b
+        serving.append(best_sector)
+    required = np.empty(h.shape[1], dtype=int)
+    for z, (a, e) in enumerate(segments):
+        required[a:e] = serving[z]
+    return (*terms, tuple(serving), required)
 
 
 def reference_evaluate_snapshot(scenario, plans, ssb_codebook, dl_codebook, snapshot, n_snapshots,

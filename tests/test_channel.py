@@ -21,7 +21,6 @@ from skybeam.channel import (
     shadow_factor,
     shadow_field,
     shadow_gain,
-    stack_highway_channels,
 )
 from skybeam.config import ChannelParams, RadioConfig, default_config, validate_config
 from skybeam.evaluation import snapshot_uavs
@@ -281,15 +280,15 @@ class TestExpectedChannel:
         k = self.params.rician_k_linear(True)
         h_los = los_components(unit, d3d, self.panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
         expected = p * math.sqrt(rho * g) * math.sqrt(k / (1 + k)) * h_los
-        got = expected_channels(self.sector, self.point, RADIO, self.params)
+        got = expected_channels([self.sector], self.point, RADIO, self.params)[0]
         assert np.allclose(got, expected, rtol=1e-12)
 
     def test_k_scaling_factor(self):
         # K = 1 scales entries by sqrt(1/2) versus the LoS-only limit
         params_k1 = ChannelParams(rician_k_los_db=0.0)
         params_huge = ChannelParams(rician_k_los_db=200.0)
-        h1 = expected_channels(self.sector, self.point, RADIO, params_k1)
-        h_inf = expected_channels(self.sector, self.point, RADIO, params_huge)
+        h1 = expected_channels([self.sector], self.point, RADIO, params_k1)[0]
+        h_inf = expected_channels([self.sector], self.point, RADIO, params_huge)[0]
         assert np.allclose(h1, h_inf * math.sqrt(0.5), rtol=1e-9)
 
     def test_monte_carlo_mean_matches(self, small_scenario):
@@ -309,40 +308,31 @@ class TestExpectedChannel:
         amp = math.sqrt(rho * g)
         draws = 10_000
         mc_mean = amp * rician_channel(np.tile(h_los, (draws, 1)), k, gen).mean(axis=0)
-        h_tilde = expected_channels(sector, self.point, small_scenario.radio, params)[0]
+        h_tilde = expected_channels([sector], self.point, small_scenario.radio, params)[0][0]
         assert np.allclose(mc_mean, h_tilde, rtol=0.02, atol=0.02 * np.abs(h_tilde).max())
 
 
 class TestHighwayStack:
     def test_rows_match_per_point_calls(self, small_scenario):
         sector = small_scenario.sectors[2]
-        stack = stack_highway_channels(
-            small_scenario.highway, sector, small_scenario.radio, small_scenario.channel_params
-        )
-        for r in (0, 3, small_scenario.highway.n_points - 1):
+        highway = small_scenario.highway
+        stack = expected_channels([sector], highway.points, small_scenario.radio, small_scenario.channel_params)[0]
+        for r in (0, 3, highway.n_points - 1):
             row = expected_channels(
-                sector, small_scenario.highway.points[r : r + 1], small_scenario.radio,
-                small_scenario.channel_params,
-            )[0]
-            assert np.allclose(stack.matrix[r], row, rtol=1e-12)
+                [sector], highway.points[r : r + 1], small_scenario.radio, small_scenario.channel_params,
+            )[0, 0]
+            assert np.allclose(stack[r], row, rtol=1e-12)
 
-    def test_segment_plus_complement_covers_rows(self, small_scenario):
-        sector = small_scenario.sectors[0]
-        stack = stack_highway_channels(
-            small_scenario.highway, sector, small_scenario.radio, small_scenario.channel_params
-        )
-        for z in range(len(small_scenario.highway.segments)):
-            n_seg = stack.segment_matrix(z).shape[0]
-            n_comp = stack.complement_matrix(z).shape[0]
-            assert n_seg + n_comp == small_scenario.highway.n_points
-
-    def test_single_segment_empty_complement(self):
-        cfg_line = np.array([[0.0, 144.0, 100.0], [250.0, 144.0, 100.0]])
-        hw = discretize_highway(cfg_line, 125.0, 3)
-        panel = UpaGeometry(m_h=4, m_v=8)
-        sector = Sector(0, 0, panel, (0.0, 0.0, 25.0))
-        stack = stack_highway_channels(hw, sector, RADIO, ChannelParams())
-        assert stack.complement_matrix(0).size == 0
+    @pytest.mark.parametrize("one_point", [False, True])
+    def test_all_sectors_match_one_sector_calls(self, small_scenario, one_point):
+        # row b of the stacked pass holds sector b's own call, byte for byte
+        sectors = small_scenario.sectors
+        points = small_scenario.highway.points[:1] if one_point else small_scenario.highway.points
+        args = (points, small_scenario.radio, small_scenario.channel_params)
+        h = expected_channels(sectors, *args)
+        assert h.shape == (len(sectors), len(points), sectors[0].panel.n_elements)
+        for b, sector in enumerate(sectors):
+            assert h[b].tobytes() == expected_channels([sector], *args)[0].tobytes()
 
 
 class TestChannelSet:
@@ -628,10 +618,10 @@ class TestEntityAtPanel:
             with pytest.raises(ValueError, match=r"entity row 2 .*sector 3\b"):
                 build_channels(small_scenario, entity_block("ground", positions), 0, "ue")
 
-    def test_stack_highway_channels(self):
+    def test_expected_channels(self):
         highway = discretize_highway(np.array([[-125.0, 0.0, 25.0], [125.0, 0.0, 25.0]]), 125.0, 3)
         sector = Sector(7, 2, UpaGeometry(m_h=4, m_v=8), (0.0, 0.0, 25.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"entity row 1 .*sector 7\b"):
-                stack_highway_channels(highway, sector, RADIO, ChannelParams())
+                expected_channels([sector], highway.points, RADIO, ChannelParams())

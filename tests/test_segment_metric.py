@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skybeam.channel import HighwayChannels, stack_highway_channels
-from skybeam.config import RadioConfig
+from oracles import per_pair_segment_metric
+from skybeam.channel import expected_channels
+from skybeam.config import RadioConfig, default_config, validate_config
+from skybeam.scenario import scenario_from_config
 from skybeam.segment_metric import (
     assign_segments,
     avg_channel_gain,
@@ -175,66 +177,106 @@ def test_metric_monotone_in_p_and_f():
     assert up_f < base
 
 
+class TestStackedMatchesTwoD:
+    """A stack (B, rows, M) gives, per matrix, the 2-D call's bytes."""
+
+    @pytest.mark.parametrize("n_seg,n_comp", [(3, 4), (1, 4), (3, 0), (1, 0)])
+    def test_every_function(self, n_seg, n_comp):
+        gen = np.random.default_rng(9)
+        seg = np.stack([cmat(gen, n_seg, 5, scale=math.sqrt(NOISE)) for _ in range(5)])
+        comp = np.stack([cmat(gen, n_comp, 5, scale=math.sqrt(NOISE)) for _ in range(5)])
+        seg[2] = 0.0  # a zero matrix inside the stack
+        stacked = {
+            "avg": avg_channel_gain(seg),
+            "inv_cond": inv_condition_number(seg),
+            "cross": cross_corr_frobenius(seg, comp),
+            "metric": np.array(segment_cell_metric(seg, comp, NOISE)),
+        }
+        for b in range(5):
+            one = {
+                "avg": avg_channel_gain(seg[b]),
+                "inv_cond": inv_condition_number(seg[b]),
+                "cross": cross_corr_frobenius(seg[b], comp[b]),
+                "metric": np.array(segment_cell_metric(seg[b], comp[b], NOISE)),
+            }
+            for name, value in one.items():
+                got = stacked[name][..., b]
+                assert np.asarray(value).tobytes() == np.asarray(got).tobytes(), name
+        assert stacked["inv_cond"][2] == 0.0 and stacked["metric"][3, 2] == 0.0
+
+
+def _expected(scenario):
+    return expected_channels(
+        scenario.sectors, scenario.highway.points, scenario.radio, scenario.channel_params
+    )
+
+
 class TestAssignSegments:
-    def make_stacks(self, gen, n_sectors, n_points, cols, segments):
-        stacks = []
-        for b in range(n_sectors):
-            stacks.append(
-                HighwayChannels(
-                    sector_id=b,
-                    matrix=cmat(gen, n_points, cols, scale=math.sqrt(NOISE)),
-                    segments=segments,
-                )
-            )
-        return stacks
+    def make_h(self, gen, n_sectors, n_points, cols):
+        return np.stack([cmat(gen, n_points, cols, scale=math.sqrt(NOISE)) for _ in range(n_sectors)])
 
     def test_single_sector_wins_everything(self):
         gen = np.random.default_rng(5)
-        stacks = self.make_stacks(gen, 1, 6, 4, ((0, 3), (3, 6)))
-        out = assign_segments(stacks, NOISE)
+        out = assign_segments(self.make_h(gen, 1, 6, 4), ((0, 3), (3, 6)), NOISE)
         assert out.serving_cell == (0, 0)
         assert out.designated_cells == (0,)
 
     def test_matches_exhaustive_scan(self):
         gen = np.random.default_rng(6)
-        stacks = self.make_stacks(gen, 5, 8, 4, ((0, 2), (2, 4), (4, 8)))
-        out = assign_segments(stacks, NOISE)
-        for z in range(3):
-            chis = [segment_cell_metric(s.segment_matrix(z), s.complement_matrix(z), NOISE)[3] for s in stacks]
+        h = self.make_h(gen, 5, 8, 4)
+        segments = ((0, 2), (2, 4), (4, 8))
+        out = assign_segments(h, segments, NOISE)
+        for z, (a, e) in enumerate(segments):
+            chis = [segment_cell_metric(hb[a:e], np.vstack([hb[:a], hb[e:]]), NOISE)[3] for hb in h]
             assert out.serving_cell[z] == int(np.argmax(chis))
 
-    def test_input_order_invariance(self):
+    def test_ties_go_to_the_lowest_sector(self):
         gen = np.random.default_rng(7)
-        stacks = self.make_stacks(gen, 4, 6, 3, ((0, 3), (3, 6)))
-        a = assign_segments(stacks, NOISE)
-        b = assign_segments(list(reversed(stacks)), NOISE)
-        assert a.serving_cell == b.serving_cell
+        h = np.tile(self.make_h(gen, 1, 6, 3), (4, 1, 1))
+        h[0] = 0.0  # chi 0; sectors 1-3 tie
+        out = assign_segments(h, ((0, 3), (3, 6)), NOISE)
+        assert out.serving_cell == (1, 1)
 
     def test_on_real_scenario(self, small_scenario):
-        stacks = [
-            stack_highway_channels(
-                small_scenario.highway, s, small_scenario.radio, small_scenario.channel_params
-            )
-            for s in small_scenario.sectors
-        ]
-        out = assign_segments(stacks, NOISE)
-        assert len(out.serving_cell) == len(small_scenario.highway.segments)
+        highway = small_scenario.highway
+        out = assign_segments(_expected(small_scenario), highway.segments, NOISE)
+        assert len(out.serving_cell) == len(highway.segments)
         assert out.designated_cells == tuple(sorted(set(out.serving_cell)))
-        req = out.required_cell_per_point(
-            small_scenario.highway.segments, small_scenario.highway.n_points
-        )
-        assert req.shape[0] == small_scenario.highway.n_points
+        assert out.chi.shape == (len(highway.segments), len(small_scenario.sectors))
+        assert out.required_cell.shape[0] == highway.n_points
 
     def test_dump_csv(self, small_scenario, tmp_path):
-        stacks = [
-            stack_highway_channels(
-                small_scenario.highway, s, small_scenario.radio, small_scenario.channel_params
-            )
-            for s in small_scenario.sectors
-        ]
-        out = assign_segments(stacks, NOISE)
+        out = assign_segments(_expected(small_scenario), small_scenario.highway.segments, NOISE)
         path = tmp_path / "metric.csv"
         dump_metric_csv(out, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "segment_id,sector_id,p_gain_db,inv_cond,cross_corr_db,chi"
-        assert len(lines) == 1 + len(out.breakdown)
+        assert len(lines) == 1 + out.chi.size
+        assert lines[2].startswith("0,1,") and lines[-1].startswith(f"{out.chi.shape[0] - 1},{out.chi.shape[1] - 1},")
+
+
+def _one_segment_scenario():
+    raw = default_config()
+    raw["highway"]["points_per_segment"] = 20
+    return scenario_from_config(validate_config(raw))
+
+
+@pytest.mark.parametrize("which", ["default", "small", "one segment"])
+def test_assign_segments_matches_per_pair_oracle(which, cfg, small_scenario):
+    """The (Z, B) tables, the serving cells and the required cells equal the
+    per-pair loop's bytes."""
+    scenario = {
+        "default": lambda: scenario_from_config(cfg),
+        "small": lambda: small_scenario,
+        "one segment": _one_segment_scenario,
+    }[which]()
+    segments = scenario.highway.segments
+    assert (len(segments) == 1) == (which == "one segment")
+    h = _expected(scenario)
+    noise = metric_noise_mw(scenario.radio)
+    out = assign_segments(h, segments, noise)
+    p, c, f, chi, serving, required = per_pair_segment_metric(h, segments, noise)
+    for got, want in ((out.p_gain, p), (out.inv_cond, c), (out.cross_corr, f), (out.chi, chi)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert out.serving_cell == serving
+    assert out.required_cell.tobytes() == required.tobytes()
