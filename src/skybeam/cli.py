@@ -28,8 +28,8 @@ from .association import dump_association_csv
 from .codebook import build_dl_codebook, build_ssb_codebook, export_codebook_csv
 from .config import (
     ConfigError,
+    block_params,
     codebook_params_from_config,
-    ega_params_from_config,
     load_config,
     validate_config,
 )
@@ -90,7 +90,7 @@ def _optimize(cfg: dict, scenario, ssb_cb, ground, out: Path):
     """
     assignment, evaluator = corridor_problem(scenario, ssb_cb, ground)
     dump_metric_csv(assignment, out / "segment_metric.csv")
-    best, trace = run_ega(ega_params_from_config(cfg), evaluator, scenario.radio.max_ssb_power_dbm)
+    best, trace = run_ega(block_params(cfg, "optimizer"), evaluator, scenario.radio.max_ssb_power_dbm)
     if not best.feasible:
         print(
             f"warning: beam search ended infeasible after {len(trace.iterations)} iterations: "

@@ -5,14 +5,14 @@ The config file is plain JSON with five mandatory blocks (``radio``,
 (``channel``, ``codebook``, ``optimizer``). Every key has a default; unknown
 keys are rejected so typos fail fast. Units: meters, Hz, dBm throughout.
 
-The ``radio``, ``channel``, ``codebook`` and ``optimizer`` blocks are the
-fields of `RadioConfig`, `ChannelParams`, `CodebookParams` and `EgaParams`,
-with the dataclass defaults; the optimizer block leaves out ``seed``, which
-is ``seeds.master``. `validate_config` builds the radio, channel and
-optimizer classes, so their checks apply to every config, and checks the
-numeric ``layout``, ``highway``, ``users`` and ``codebook`` values and the
-highway polyline itself. A rejected value raises `ConfigError` naming
-``block.key``.
+Every block but ``seeds`` is the fields of one frozen parameter class, with
+the class defaults: `RadioConfig`, `LayoutParams`, `HighwayParams`,
+`UsersParams`, `ChannelParams`, `CodebookParams` and `EgaParams`. The
+optimizer block leaves out ``seed``, which is ``seeds.master``. Each class
+checks its numeric fields by one rule (`_check_fields`) and its cross-field
+conditions itself; `validate_config` builds all seven, so every check applies
+to every config, and `block_params` builds one block's class. A rejected
+value raises `ConfigError` naming ``block.key``.
 """
 
 from __future__ import annotations
@@ -46,14 +46,7 @@ class RadioConfig:
     sector_tx_power_dbm: float = 46.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not (f.name == "ssb_noise_power_dbm" and self.ssb_noise_power_dbm is None):
-                _finite(getattr(self, f.name), f"radio.{f.name}")
-        for name in ("carrier_freq_hz", "bandwidth_hz", "prb_bandwidth_hz"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"radio.{name} must be positive")
-        if self.n_prb_total != int(self.n_prb_total) or self.n_prb_total < 1:
-            raise ConfigError("radio.n_prb_total must be an integer >= 1")
+        _check_fields(self, "radio", positive=("carrier_freq_hz", "bandwidth_hz", "prb_bandwidth_hz"))
         if self.n_prb_total * self.prb_bandwidth_hz > self.bandwidth_hz + 1e-6:
             raise ConfigError("radio.n_prb_total x radio.prb_bandwidth_hz exceeds radio.bandwidth_hz")
         if self.ssb_noise_power_dbm is None:
@@ -68,7 +61,7 @@ class RadioConfig:
             "max_ssb_power_dbm", "sector_tx_power_dbm",
         ):
             try:
-                linear = 10.0 ** (float(getattr(self, name)) / 10.0)
+                linear = 10.0 ** (getattr(self, name) / 10.0)
             except OverflowError:
                 linear = math.inf
             if not 0.0 < linear < math.inf:
@@ -88,6 +81,59 @@ class RadioConfig:
 
 
 @dataclass(frozen=True)
+class LayoutParams:
+    """Hexagonal site grid and the sector panel that every site carries."""
+
+    tiers: int = 2
+    isd_m: float = 500.0
+    bs_height_m: float = 25.0
+    panel_columns: int = 4
+    panel_rows: int = 8
+    element_spacing_h_wavelengths: float = 0.5
+    element_spacing_v_wavelengths: float = 0.5
+    downtilt_deg: float = 0.0
+
+    def __post_init__(self):
+        _check_fields(
+            self, "layout",
+            positive=("isd_m", "element_spacing_h_wavelengths", "element_spacing_v_wavelengths"),
+            least={"tiers": 0},
+        )
+        share = gue_drop_share(self.isd_m)
+        if share <= GUE_MIN_DROP_SHARE:
+            raise ConfigError(
+                f"layout.isd_m leaves ground users {share:.2g} of their sampling square; "
+                f"it must leave more than {GUE_MIN_DROP_SHARE:g} (an ISD above about 17.92 m)"
+            )
+
+
+@dataclass(frozen=True)
+class HighwayParams:
+    """The aerial corridor, its discretization and the UAV spacing along it."""
+
+    polyline: list | None = None  # defaults to a straight west-east chord across cell edges
+    altitude_m: float = 100.0
+    point_spacing_m: float = 125.0
+    points_per_segment: int = 2
+    uav_spacing_m: float = 100.0
+
+    def __post_init__(self):
+        _check_fields(self, "highway", positive=("point_spacing_m", "uav_spacing_m"))
+        _check_polyline(self.polyline)
+
+
+@dataclass(frozen=True)
+class UsersParams:
+    """Ground users dropped in every sector each snapshot."""
+
+    gues_per_cell: int = 4  # the ground-user guard and the frozen slots need ground users
+    ground_height_m: float = 1.5
+
+    def __post_init__(self):
+        _check_fields(self, "users")
+
+
+@dataclass(frozen=True)
 class ChannelParams:
     """Statistical channel model knobs (standard urban-macro defaults)."""
 
@@ -102,22 +148,18 @@ class ChannelParams:
     shadow_sigma_nlos_aerial_db: float = 6.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not (f.name == "rician_k_nlos_db" and self.rician_k_nlos_db is None):
-                _finite(getattr(self, f.name), f"channel.{f.name}")
+        _check_fields(
+            self, "channel",
+            positive=("shadow_corr_dist_ground_m", "shadow_corr_dist_aerial_m"),
+            non_negative=(
+                "shadow_sigma_los_ground_db", "shadow_sigma_nlos_ground_db", "shadow_sigma_nlos_aerial_db"
+            ),
+        )
         for los, name in ((True, "rician_k_los_db"), (False, "rician_k_nlos_db")):
             try:
                 self.rician_k_linear(los)
             except OverflowError:
                 raise ConfigError(f"channel.{name} is too large for a linear K")
-        for name in ("shadow_corr_dist_ground_m", "shadow_corr_dist_aerial_m"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"channel.{name} must be positive")
-        for name in (
-            "shadow_sigma_los_ground_db", "shadow_sigma_nlos_ground_db", "shadow_sigma_nlos_aerial_db"
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"channel.{name} must be non-negative")
 
     def rician_k_linear(self, los: bool) -> float:
         k_db = self.rician_k_los_db if los else self.rician_k_nlos_db
@@ -135,6 +177,9 @@ class CodebookParams:
     dl_oversampling_h: int = 1
     dl_oversampling_v: int = 1
 
+    def __post_init__(self):
+        _check_fields(self, "codebook")
+
 
 @dataclass(frozen=True)
 class EgaParams:
@@ -150,68 +195,30 @@ class EgaParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.n_elites <= self.n_parents <= self.n_pop):
-            raise ConfigError("optimizer requires 0 < n_elites <= n_parents <= n_pop")
-        if self.max_iters < 1:
-            raise ConfigError("optimizer.max_iters must be at least 1")
+        _check_fields(self, "optimizer", least={"seed": None})
+        if not self.n_elites <= self.n_parents <= self.n_pop:
+            raise ConfigError("optimizer requires n_elites <= n_parents <= n_pop")
         for name in ("p_cross", "p_mut"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"optimizer.{name} must lie in [0, 1]")
 
 
-def _field_defaults(cls, skip: tuple[str, ...] = ()) -> dict[str, Any]:
-    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+_PARAMS = {
+    "radio": RadioConfig,
+    "layout": LayoutParams,
+    "highway": HighwayParams,
+    "users": UsersParams,
+    "channel": ChannelParams,
+    "codebook": CodebookParams,
+    "optimizer": EgaParams,
+}
 
-
+# Every block holds its class's fields but the optimizer's seed, which is
+# seeds.master, the one key no parameter class holds.
 _DEFAULTS: dict[str, dict[str, Any]] = {
-    "radio": _field_defaults(RadioConfig),
-    "layout": {
-        "tiers": 2,
-        "isd_m": 500.0,
-        "bs_height_m": 25.0,
-        "panel_columns": 4,
-        "panel_rows": 8,
-        "element_spacing_h_wavelengths": 0.5,
-        "element_spacing_v_wavelengths": 0.5,
-        "downtilt_deg": 0.0,
-    },
-    "highway": {
-        "polyline": None,  # defaults to a straight west-east chord across cell edges
-        "altitude_m": 100.0,
-        "point_spacing_m": 125.0,
-        "points_per_segment": 2,
-        "uav_spacing_m": 100.0,
-    },
-    "users": {
-        "gues_per_cell": 4,
-        "ground_height_m": 1.5,
-    },
-    "seeds": {
-        "master": 1,
-    },
-    "channel": _field_defaults(ChannelParams),
-    "codebook": _field_defaults(CodebookParams),
-    "optimizer": _field_defaults(EgaParams, skip=("seed",)),  # the seed is seeds.master
+    **{name: {f.name: f.default for f in fields(cls) if f.name != "seed"} for name, cls in _PARAMS.items()},
+    "seeds": {"master": 1},
 }
-
-# Numeric keys of the geometry blocks: integers with their least value, then
-# reals that must be positive, then reals that only need to be finite.
-_MIN_INT = {
-    "layout.tiers": 0,
-    "layout.panel_columns": 1,
-    "layout.panel_rows": 1,
-    "highway.points_per_segment": 1,
-    "users.gues_per_cell": 1,  # the ground-user guard and the frozen slots need ground users
-    **{f"codebook.{name}": 1 for name in _DEFAULTS["codebook"]},
-}
-_POSITIVE = (
-    "layout.isd_m",
-    "layout.element_spacing_h_wavelengths",
-    "layout.element_spacing_v_wavelengths",
-    "highway.point_spacing_m",
-    "highway.uav_spacing_m",
-)
-_FINITE = ("layout.bs_height_m", "layout.downtilt_deg", "highway.altitude_m", "users.ground_height_m")
 
 # Ground users keep this distance from their site, the path-loss validity
 # floor.
@@ -268,11 +275,46 @@ def _merge_block(name: str, block: dict | None) -> dict:
     return merged
 
 
-def _finite(value, key: str) -> int | float:
-    """`value`, which must be a finite int or float; a ConfigError names `key`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number")
-    return value
+def _finite(value, key: str) -> float:
+    """`value` as a float; it must be a finite int or float. A ConfigError names `key`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigError(f"{key} must be a finite number")
+
+
+def _check_fields(params, block: str, positive=(), non_negative=(), least=None) -> None:
+    """Check the numeric fields of the parameter object `params` by their
+    annotations and store each as its annotated type; a ConfigError names
+    ``block.field``.
+
+    A field annotated ``int`` or ``float`` must hold a finite number, or
+    None where its default is None. An ``int`` field must be integer-valued
+    and at least its entry in `least` (1 when it has none, no bound when the
+    entry is None). The fields named in `positive` must be above 0, those in
+    `non_negative` at least 0. A field of another type is its class's to check.
+    """
+    least = least or {}
+    for f in fields(params):
+        kind = f.type.split(" | ")[0]
+        value = getattr(params, f.name)
+        if kind not in ("int", "float") or (value is None and f.default is None):
+            continue
+        key = f"{block}.{f.name}"
+        number = _finite(value, key)
+        if kind == "int":
+            bound = least.get(f.name, 1)
+            if not number.is_integer() or (bound is not None and number < bound):
+                raise ConfigError(f"{key} must be an integer" + ("" if bound is None else f" >= {bound}"))
+            number = int(value)
+        if f.name in positive and number <= 0:
+            raise ConfigError(f"{key} must be positive")
+        if f.name in non_negative and number < 0:
+            raise ConfigError(f"{key} must be non-negative")
+        object.__setattr__(params, f.name, number)
 
 
 def _check_polyline(polyline) -> None:
@@ -295,16 +337,22 @@ def _check_polyline(polyline) -> None:
         raise ConfigError("highway.polyline must have a finite, positive length")
 
 
-def _number(cfg: dict, key: str) -> int | float:
-    """The value at 'block.key', which must be a finite int or float."""
-    block, name = key.split(".")
-    return _finite(cfg[block][name], key)
+def block_params(cfg: dict, name: str):
+    """The parameter object of block `name` of a config dict; the
+    optimizer's seed is seeds.master."""
+    values = cfg[name]
+    if name == "optimizer":
+        values = {**values, "seed": cfg["seeds"]["master"]}
+    return _PARAMS[name](**values)
+
+
+def codebook_params_from_config(cfg: dict) -> CodebookParams:
+    return block_params(cfg, "codebook")
 
 
 def validate_config(raw: dict) -> dict:
-    """Merge a raw config dict with defaults, rejecting unknown keys, bad
-    numeric geometry values, a malformed polyline and the values the radio,
-    channel and optimizer parameter classes refuse."""
+    """Merge a raw config dict with defaults, rejecting unknown keys, a
+    non-integer master seed and every value a parameter class refuses."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for block in _REQUIRED_BLOCKS:
@@ -317,25 +365,8 @@ def validate_config(raw: dict) -> dict:
     master = cfg["seeds"]["master"]
     if not isinstance(master, int) or isinstance(master, bool):
         raise ConfigError("seeds.master must be an integer")
-    for key, least in _MIN_INT.items():
-        value = _number(cfg, key)
-        if value != int(value) or value < least:
-            raise ConfigError(f"{key} must be an integer >= {least}")
-    for key in _POSITIVE:
-        if _number(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive")
-    share = gue_drop_share(cfg["layout"]["isd_m"])
-    if share <= GUE_MIN_DROP_SHARE:
-        raise ConfigError(
-            f"layout.isd_m leaves ground users {share:.2g} of their sampling square; "
-            f"it must leave more than {GUE_MIN_DROP_SHARE:g} (an ISD above about 17.92 m)"
-        )
-    for key in _FINITE:
-        _number(cfg, key)
-    _check_polyline(cfg["highway"]["polyline"])
-    radio_from_config(cfg)
-    channel_params_from_config(cfg)
-    ega_params_from_config(cfg)
+    for name in _PARAMS:
+        block_params(cfg, name)
     return cfg
 
 
@@ -343,39 +374,11 @@ def load_config(path: str | Path) -> dict:
     """Read and validate a JSON config file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read as UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
     return validate_config(raw)
-
-
-def _build_dataclass(cls, block: dict, prefix: str):
-    try:
-        return cls(**block)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in '{prefix}': {exc}")
-
-
-def radio_from_config(cfg: dict) -> RadioConfig:
-    return _build_dataclass(RadioConfig, cfg["radio"], "radio")
-
-
-def channel_params_from_config(cfg: dict) -> ChannelParams:
-    return _build_dataclass(ChannelParams, cfg["channel"], "channel")
-
-
-def codebook_params_from_config(cfg: dict) -> CodebookParams:
-    return _build_dataclass(CodebookParams, cfg["codebook"], "codebook")
-
-
-def ega_params_from_config(cfg: dict) -> EgaParams:
-    """The optimizer block, each value cast to its field's int or float, with
-    seeds.master as the seed."""
-    values = {
-        f.name: (int if f.type == "int" else float)(_number(cfg, f"optimizer.{f.name}"))
-        for f in fields(EgaParams)
-        if f.name != "seed"
-    }
-    return EgaParams(**values, seed=int(cfg["seeds"]["master"]))

@@ -272,13 +272,6 @@ def data_phase_uavs(
 class CdfSummary:
     samples: np.ndarray  # sorted ascending
 
-    @classmethod
-    def of(cls, values) -> "CdfSummary":
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
-            raise EmptyGroup("no samples")
-        return cls(samples=np.sort(arr))
-
     def percentile(self, q: float) -> float:
         return float(np.percentile(self.samples, q, method="lower"))
 
@@ -287,12 +280,12 @@ class CdfSummary:
         return float(np.mean(self.samples))
 
 
-def snapshot_stats(values, group_mask=None) -> CdfSummary:
-    """Empirical CDF of a metric, optionally restricted to a boolean mask."""
+def snapshot_stats(values) -> CdfSummary:
+    """Empirical CDF of a metric."""
     arr = np.asarray(values, dtype=float)
-    if group_mask is not None:
-        arr = arr[np.asarray(group_mask, dtype=bool)]
-    return CdfSummary.of(arr)
+    if arr.size == 0:
+        raise EmptyGroup("no samples")
+    return CdfSummary(samples=np.sort(arr))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import GUE_MIN_DISTANCE_M, ChannelParams, ConfigError, RadioConfig
+from .config import GUE_MIN_DISTANCE_M, ChannelParams, ConfigError, RadioConfig, block_params
 from .rng import RngStream
 
 
@@ -127,10 +127,6 @@ def hex_site_positions(tiers: int, isd_m: float) -> np.ndarray:
     Adjacent sites are exactly `isd_m` apart. Sites are ordered by ring and
     then by angle so ids are stable across runs.
     """
-    if tiers < 0:
-        raise ValueError("tiers must be >= 0")
-    if isd_m <= 0:
-        raise ValueError("isd_m must be positive")
     cells = []
     for q in range(-tiers, tiers + 1):
         for r in range(-tiers, tiers + 1):
@@ -201,8 +197,6 @@ def place_ground_users(
     hexagon's edge normals; only the sectors still short of `per_cell` draw
     further batches, in the order one sector alone would draw them.
     """
-    if per_cell < 0:
-        raise ValueError("per_cell must be >= 0")
     positions = np.full((len(sectors), per_cell, 3), float(height_m))
     if per_cell == 0 or not sectors:
         return entity_block("ground", positions)
@@ -235,8 +229,6 @@ def discretize_highway(polyline: np.ndarray, d_r: float, n_s: int) -> AerialHigh
     total = float(_polyline_cumlen(polyline)[-1])
     if total <= 0.0:
         raise DegenerateHighway("highway polyline has zero length")
-    if n_s < 1:
-        raise ValueError("n_s must be >= 1")
     n_points = int(math.floor(total / d_r + 1e-9)) + 1
     arcs = np.arange(n_points) * d_r
     points = _interp_polyline(polyline, arcs)
@@ -316,45 +308,42 @@ class Scenario:
 
 def scenario_from_config(cfg: dict) -> Scenario:
     """Assemble the immutable Scenario from a validated config dict."""
-    from .config import channel_params_from_config, radio_from_config
-
-    radio = radio_from_config(cfg)
-    layout = cfg["layout"]
-    highway_cfg = cfg["highway"]
-    users_cfg = cfg["users"]
+    layout = block_params(cfg, "layout")
+    corridor = block_params(cfg, "highway")
+    users = block_params(cfg, "users")
 
     template = UpaGeometry(
-        m_h=int(layout["panel_columns"]),
-        m_v=int(layout["panel_rows"]),
-        element_spacing_h_wavelengths=float(layout["element_spacing_h_wavelengths"]),
-        element_spacing_v_wavelengths=float(layout["element_spacing_v_wavelengths"]),
-        panel_height_m=float(layout["bs_height_m"]),
-        downtilt_deg=float(layout["downtilt_deg"]),
+        m_h=layout.panel_columns,
+        m_v=layout.panel_rows,
+        element_spacing_h_wavelengths=layout.element_spacing_h_wavelengths,
+        element_spacing_v_wavelengths=layout.element_spacing_v_wavelengths,
+        panel_height_m=layout.bs_height_m,
+        downtilt_deg=layout.downtilt_deg,
     )
-    sectors = build_hex_layout(int(layout["tiers"]), float(layout["isd_m"]), template)
+    sectors = build_hex_layout(layout.tiers, layout.isd_m, template)
 
-    polyline = highway_cfg["polyline"]
+    polyline = corridor.polyline
     if polyline is None:
-        polyline = default_highway_polyline(float(layout["isd_m"]), float(highway_cfg["altitude_m"]))
+        polyline = default_highway_polyline(layout.isd_m, corridor.altitude_m)
     highway = discretize_highway(
         np.asarray(polyline, dtype=float),
-        float(highway_cfg["point_spacing_m"]),
-        int(highway_cfg["points_per_segment"]),
+        corridor.point_spacing_m,
+        corridor.points_per_segment,
     )
     for key in ("point_spacing_m", "uav_spacing_m"):
-        if float(highway_cfg[key]) > highway.total_length_m:
+        if getattr(corridor, key) > highway.total_length_m:
             raise ConfigError(
                 f"highway.{key} must not exceed the corridor length {highway.total_length_m:.10g} m"
             )
 
     return Scenario(
-        radio=radio,
-        channel_params=channel_params_from_config(cfg),
+        radio=block_params(cfg, "radio"),
+        channel_params=block_params(cfg, "channel"),
         sectors=tuple(sectors),
         highway=highway,
-        isd_m=float(layout["isd_m"]),
-        gues_per_cell=int(users_cfg["gues_per_cell"]),
-        ground_height_m=float(users_cfg["ground_height_m"]),
-        uav_spacing_m=float(highway_cfg["uav_spacing_m"]),
-        master_seed=int(cfg["seeds"]["master"]),
+        isd_m=layout.isd_m,
+        gues_per_cell=users.gues_per_cell,
+        ground_height_m=users.ground_height_m,
+        uav_spacing_m=corridor.uav_spacing_m,
+        master_seed=cfg["seeds"]["master"],
     )

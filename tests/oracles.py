@@ -298,8 +298,8 @@ def reference_sweep(scenario, plans, ssb_codebook, dl_codebook, n_max, n_snapsho
                 report = joined_data_phase(
                     (ground, uavs), np.concatenate(serving), dl_codebook, scenario.radio
                 )
-                uav_p5[name].append(snapshot_stats(report.rate_bps, aerial).percentile(5))
-                gue_p5[name].append(snapshot_stats(report.rate_bps, ~aerial).percentile(5))
+                uav_p5[name].append(snapshot_stats(report.rate_bps[aerial]).percentile(5))
+                gue_p5[name].append(snapshot_stats(report.rate_bps[~aerial]).percentile(5))
         for name in plans:
             p5_rate[name][i] = np.mean(uav_p5[name])
             p5_gue_rate[name][i] = np.mean(gue_p5[name])

@@ -71,10 +71,10 @@ def pipeline():
         for name, res in results.items():
             aerial = res.kinds == "aerial"
             stats = per_snapshot[name]
-            stats["uav_cov_p5"].append(snapshot_stats(res.coverage_sinr_db, aerial).percentile(5))
-            stats["uav_rate_p5"].append(snapshot_stats(res.data.rate_bps, aerial).percentile(5))
-            stats["gue_cov_p5"].append(snapshot_stats(res.coverage_sinr_db, ~aerial).percentile(5))
-            stats["gue_rate_p5"].append(snapshot_stats(res.data.rate_bps, ~aerial).percentile(5))
+            stats["uav_cov_p5"].append(snapshot_stats(res.coverage_sinr_db[aerial]).percentile(5))
+            stats["uav_rate_p5"].append(snapshot_stats(res.data.rate_bps[aerial]).percentile(5))
+            stats["gue_cov_p5"].append(snapshot_stats(res.coverage_sinr_db[~aerial]).percentile(5))
+            stats["gue_rate_p5"].append(snapshot_stats(res.data.rate_bps[~aerial]).percentile(5))
 
     return {
         "scenario": scenario,

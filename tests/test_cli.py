@@ -167,6 +167,17 @@ class TestRun:
         assert f"{block}.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    def test_unreadable_config_file_exits_1(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"radio": {}, "seeds": {"master": 1}, "layout": "\xff"}')
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--n-max", "2"]])
     def test_zero_snapshots_exits_1(self, small_config_path, tmp_path, capsys, command):
         argv = [*command, "--config", str(small_config_path), "--out", str(tmp_path / "o"),
@@ -337,6 +348,22 @@ def test_numpy_ma_is_never_imported(small_config_path, tmp_path, command):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_benchmark_setup_stage_runs(tmp_path):
+    """perfbench's setup stage (`child.py setup`) still runs against the
+    library's API: import, config loading, scenario and codebooks."""
+    root = Path(__file__).resolve().parent.parent
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(default_config()))
+    result = tmp_path / "setup.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "setup", str(config), "1", str(result)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "setup_s" in json.loads(result.read_text())
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -8,13 +8,14 @@ from skybeam.config import (
     CodebookParams,
     ConfigError,
     EgaParams,
+    HighwayParams,
+    LayoutParams,
     RadioConfig,
-    channel_params_from_config,
+    UsersParams,
+    block_params,
     codebook_params_from_config,
     default_config,
-    ega_params_from_config,
     load_config,
-    radio_from_config,
     validate_config,
 )
 
@@ -72,7 +73,10 @@ def test_unknown_block_rejected():
      ("radio", "ue_noise_figure_db", 1e6), ("radio", "noise_psd_dbm_per_hz", 1e6),
      ("radio", "sector_tx_power_dbm", -1e6), ("radio", "max_ssb_power_dbm", -1e6),
      ("layout", "isd_m", 17.3), ("layout", "isd_m", 17.33), ("layout", "isd_m", 17.4),
-     ("users", "gues_per_cell", 0)],
+     ("users", "gues_per_cell", 0),
+     ("optimizer", "n_pop", 100.5), ("optimizer", "max_iters", 2.7), ("optimizer", "n_elites", 1.9),
+     ("optimizer", "stop_iters", 0), ("optimizer", "stop_iters", -5),
+     pytest.param("layout", "bs_height_m", 10**400, id="layout-bs_height_m-int_beyond_float")],
 )
 def test_out_of_range_value_rejected(block, key, value):
     raw = default_config()
@@ -83,10 +87,13 @@ def test_out_of_range_value_rejected(block, key, value):
 
 def test_defaults_are_the_parameter_class_defaults():
     cfg = validate_config(default_config())
-    assert radio_from_config(cfg) == RadioConfig()
-    assert channel_params_from_config(cfg) == ChannelParams()
-    assert codebook_params_from_config(cfg) == CodebookParams()
-    assert ega_params_from_config(cfg) == EgaParams(seed=1)
+    assert block_params(cfg, "radio") == RadioConfig()
+    assert block_params(cfg, "layout") == LayoutParams()
+    assert block_params(cfg, "highway") == HighwayParams()
+    assert block_params(cfg, "users") == UsersParams()
+    assert block_params(cfg, "channel") == ChannelParams()
+    assert codebook_params_from_config(cfg) == block_params(cfg, "codebook") == CodebookParams()
+    assert block_params(cfg, "optimizer") == EgaParams(seed=1)
 
 
 def test_default_config_is_strict_json():
@@ -125,7 +132,7 @@ class TestRadioConfig:
 
     def test_from_config_roundtrip(self):
         cfg = validate_config(default_config())
-        radio = radio_from_config(cfg)
+        radio = block_params(cfg, "radio")
         assert radio.n_prb_total * radio.prb_bandwidth_hz <= radio.bandwidth_hz
 
 

@@ -3,7 +3,8 @@
 Each draw gives one key of one block an awkward value: NaN, an infinity, a
 negative number, zero, a large number, a string, a bool, null or a list.
 Validation and scenario assembly must then either succeed with plain finite
-numbers, and radio powers whose linear values are positive and finite, or
+numbers, parameter objects whose fields hold their annotated int or float
+type, and radio powers whose linear values are positive and finite, or
 raise ConfigError naming the block or the variable; no other exception may
 escape. Keys that size a grid draw only small integers as their large value,
 so that no draw builds a large layout.
@@ -12,13 +13,14 @@ so that no draw builds a large layout.
 import json
 import math
 import os
+from dataclasses import fields
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skybeam.cli import ENV_PREFIX, _apply_env_overrides
-from skybeam.config import ConfigError, default_config, radio_from_config, validate_config
+from skybeam.config import ConfigError, block_params, default_config, validate_config
 from skybeam.scenario import scenario_from_config
 
 KEYS = [(block, key) for block, entries in default_config().items() for key in entries]
@@ -84,9 +86,25 @@ def assert_plain_values(cfg: dict) -> None:
             check(value, f"{block}.{key}")
 
 
+def assert_typed_params(cfg: dict) -> None:
+    """Every numeric field of every block's parameter object holds its
+    annotated type: an `int` field an int (not a bool or an integer-valued
+    float), a `float` field a float or, where the default is None, None."""
+    for block in cfg:
+        if block == "seeds":
+            continue
+        params = block_params(cfg, block)
+        for f in fields(params):
+            value = getattr(params, f.name)
+            if f.type == "int":
+                assert type(value) is int, f"{block}.{f.name}"
+            elif f.type.startswith("float"):
+                assert type(value) is float or (value is None and f.default is None), f"{block}.{f.name}"
+
+
 def assert_finite_radio_powers(cfg: dict) -> None:
     """Every accepted radio power converts to a positive, finite linear value."""
-    radio = radio_from_config(cfg)
+    radio = block_params(cfg, "radio")
     linear = [radio.ssb_noise_mw, radio.noise_psd_mw_per_hz]
     linear += [10.0 ** (p / 10.0) for p in (radio.max_ssb_power_dbm, radio.sector_tx_power_dbm)]
     assert all(0.0 < x < math.inf for x in linear), linear
@@ -105,6 +123,7 @@ def test_config_value_is_accepted_or_rejected_by_name(draw):
         assert block in str(exc)
         return
     assert_plain_values(cfg)
+    assert_typed_params(cfg)
     assert_finite_radio_powers(cfg)
 
 
@@ -121,4 +140,5 @@ def test_env_override_is_accepted_or_rejected_by_name(draw):
             assert block in str(exc) or name in str(exc)
             return
     assert_plain_values(cfg)
+    assert_typed_params(cfg)
     assert_finite_radio_powers(cfg)

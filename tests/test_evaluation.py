@@ -212,10 +212,10 @@ class TestSnapshotStats:
 
     def test_empty_group_raises(self):
         with pytest.raises(EmptyGroup):
-            snapshot_stats(np.array([1.0, 2.0]), np.array([False, False]))
+            snapshot_stats(np.array([1.0, 2.0])[np.array([False, False])])
 
     def test_mask_selects_group(self):
-        stats = snapshot_stats(np.array([1.0, 100.0, 2.0]), np.array([True, False, True]))
+        stats = snapshot_stats(np.array([1.0, 100.0, 2.0])[np.array([True, False, True])])
         assert stats.mean == pytest.approx(1.5)
 
 
