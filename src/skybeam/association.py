@@ -39,10 +39,15 @@ class BeamPlan:
         return self.x.shape[1]
 
     def power_mw(self) -> np.ndarray:
-        return np.where(self.x == 1, 10.0 ** (self.power_dbm / 10.0), 0.0)
+        return np.where(self.x == 1, dbm_to_mw(self.power_dbm), 0.0)
 
     def copy(self) -> "BeamPlan":
         return BeamPlan(self.x.copy(), self.power_dbm.copy(), self.codeword.copy(), self.sweep.copy())
+
+
+def dbm_to_mw(power_dbm: np.ndarray) -> np.ndarray:
+    """Powers in dBm as mW, 10^(P/10): how every RSRP reads a plan's powers."""
+    return 10.0 ** (power_dbm / 10.0)
 
 
 def unique_ints(values) -> tuple[np.ndarray, np.ndarray]:
@@ -64,43 +69,45 @@ def changed_sectors(a: BeamPlan, b: BeamPlan) -> np.ndarray:
     return np.flatnonzero(differs.any(axis=1))
 
 
+def beam_gain(channels: ChannelSet, sector: int, weights: np.ndarray) -> np.ndarray:
+    """beta * |h^T w|^2 of every entity in `sector` with each codeword row of
+    `weights` (..., K, M), as (..., N, K): the one beam-gain definition, which
+    `rsrp_table` and the search's gain rows both call. An entry's bits can
+    depend on the codewords its product covers, so both pass the set that a
+    plan deploys."""
+    gain = np.abs(channels.h[:, sector, :] @ np.swapaxes(weights, -1, -2))
+    np.square(gain, out=gain)
+    gain *= channels.beta[:, sector, None]
+    return gain
+
+
 def rsrp_table(
     channels: ChannelSet, plan: BeamPlan, codebook: Codebook, table: np.ndarray | None = None, sectors=None
 ) -> np.ndarray:
     """Per-beam RSRP in mW for every entity: shape (N, B, S).
 
-    rsrp = beta * |h^T w|^2 * p * x, zero where the beam is not deployed.
-    Each sector's (N, M) channel rows meet only its deployed codewords, in
-    one product whose modulus goes straight into the sector's slab: a
-    product that also covered idle slots would round differently, and one
-    stacked over all sectors would hold an (N, B, S) complex temporary. The
-    square and the beta and power factors then run on that slab.
+    rsrp = beta * |h^T w|^2 * p * x, zero where the beam is not deployed:
+    each sector's `beam_gain` over its deployed codewords, times their
+    powers.
 
     Given `table`, another plan's table on the same channels, and
     `sectors`, the sectors where that plan differs from `plan`
     (`changed_sectors`), the call patches `table` in place and returns it:
     each listed sector's slab is recomputed as a fresh table computes it,
-    and every other slab is kept. A patched slab's idle slots keep stale
-    finite values until the power factor zeroes them.
+    and every other slab is kept.
     """
     n, b, _ = channels.h.shape
     if table is None:
         table = np.zeros((n, b, plan.n_slots))
         sectors = range(b)
     active = plan.x == 1
-    n_active = np.count_nonzero(active, axis=1)
+    full = active.all(axis=1)  # index these sectors' slots by a slice, which is faster
     weights = codebook.weights[plan.codeword]  # (B, S, M); rows of idle slots unused
-    power = plan.power_mw()  # 0 where the beam is not deployed
+    power = plan.power_mw()
     for sector in sectors:
-        slab = table[:, sector]
-        if n_active[sector] == plan.n_slots:
-            np.abs(channels.h[:, sector, :] @ weights[sector].T, out=slab)
-        elif n_active[sector]:
-            slots = np.flatnonzero(active[sector])
-            slab[:, slots] = np.abs(channels.h[:, sector, :] @ weights[sector, slots].T)
-        np.square(slab, out=slab)
-        slab *= channels.beta[:, sector, None]
-        slab *= power[sector]
+        slots = slice(None) if full[sector] else np.flatnonzero(active[sector])
+        table[:, sector] = 0.0  # the idle slots, also of a patched slab
+        table[:, sector, slots] = beam_gain(channels, sector, weights[sector, slots]) * power[sector, slots]
     return table
 
 
@@ -125,14 +132,11 @@ def coverage_sinr_all(
     serving beam's sweep index; the serving sector never interferes with
     itself. Zero serving RSRP gives -inf dB.
     """
-    n = table.shape[0]
-    rows = np.arange(n)
+    rows = np.arange(table.shape[0])
     numerator = table[rows, serving_sector, serving_slot]
-    serving_sweep = plan.sweep[serving_sector, serving_slot]  # (N,)
-    match = plan.sweep[None, :, :] == serving_sweep[:, None, None]  # (N, B, S)
-    interference = np.sum(table * match, axis=(1, 2))
-    own = np.sum(table[rows, serving_sector, :] * match[rows, serving_sector, :], axis=1)
-    interference -= own
+    # (N, B, S): each row's RSRP in its serving beam's sweep group, else 0
+    in_group = table * (plan.sweep == plan.sweep[serving_sector, serving_slot][:, None, None])
+    interference = in_group.sum(axis=(1, 2)) - in_group[rows, serving_sector].sum(axis=1)
     return sinr_db(numerator, interference + noise_mw)
 
 

@@ -324,14 +324,13 @@ def cmd_inspect(args) -> int:
     header = text.splitlines()[0].split(",")
     rows = text.splitlines()[1:]
     if header[:2] == ["iteration", "best_fitness_db"]:
-        best = -math.inf
-        best_iter = 0
-        for row in rows:
-            it, f, _ = row.split(",")
-            if float(f) > best:
-                best = float(f)
-                best_iter = int(it)
-        print(f"trace: {len(rows)} iterations, max fitness {best:.4g} dB, last improvement at iteration {best_iter}")
+        fitness = [float(row.split(",")[1]) for row in rows]
+        best = max(fitness, default=-math.inf)
+        if best == -math.inf:
+            print(f"trace: {len(rows)} iterations, no iteration was feasible")
+        else:
+            best_iter = rows[fitness.index(best)].split(",")[0]  # the first row at the maximum
+            print(f"trace: {len(rows)} iterations, max fitness {best:.4g} dB, last improvement at iteration {best_iter}")
         return 0
     if header[0] == "segment_id":
         cells = sorted({row.split(",")[1] for row in rows})

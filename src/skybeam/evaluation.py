@@ -387,7 +387,7 @@ def evaluate_snapshot(
     evaluating it alone.
     """
     if d_iud is None:
-        d_iud = scenario.uav_spacing_m
+        d_iud = scenario.highway_params.uav_spacing_m
     uav_block = snapshot_uavs(scenario, snapshot, n_snapshots, d_iud)
     uavs = build_channels(scenario, uav_block, snapshot, "uav")
     if ground is None:

@@ -14,7 +14,9 @@ rejected with ValueError by both the scorer and `apply_individual`.
 Fitness is the minimum coverage SINR over all highway points, with a hard
 -inf penalty whenever any point would associate to a cell other than the one
 designated for its segment. `FitnessEvaluator.evaluate_population` scores a
-whole population in one batched call; it is the only fitness code path.
+whole population in one batched call. It is the only fitness code path, and
+it scores the plan that `apply_individual` writes bit for bit, through the
+definitions `skybeam run` evaluates that plan with.
 
 The arrays are small (about 80 genomes x 7 serving candidates x 11 points),
 so a GA iteration costs what its NumPy calls cost, not what their
@@ -22,7 +24,7 @@ arithmetic costs. Both halves are laid out for few calls:
 
 - the scorer puts the candidates of all genomes in one
   (n + 1, P, N_r) block and reduces over its leading axis, and only the
-  feasible genomes reach the interference step;
+  feasible genomes, a few in a thousand, reach the coverage SINR;
 - the loop draws the adjacent `Generator.random` requests of an iteration
   in one call each, crosses the parent pairs with one gather and one
   `np.where`, mutates with two masked `np.copyto` and writes the elites
@@ -45,7 +47,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import BeamPlan, baseline_plan, rsrp_table, select_serving_all, sinr_db, unique_ints
+from .association import (
+    BeamPlan, baseline_plan, beam_gain, coverage_sinr_all, dbm_to_mw, rsrp_table, select_serving_all,
+)
 from .channel import ChannelSet, build_channels, expected_channels
 from .codebook import Codebook
 from .config import EgaParams
@@ -111,6 +115,9 @@ def select_frozen_slots(
     return frozen
 
 
+_GAIN_BATCH = 16  # codewords per batched gain product: a 64 KB stack of 8 x 32 weights
+
+
 def _check_genes(codeword: np.ndarray, power: np.ndarray, n_codewords: int) -> None:
     """Raise ValueError unless every rounded codeword gene lies in
     [0, n_codewords) and every power gene is finite and above 0 mW.
@@ -126,6 +133,11 @@ def _check_genes(codeword: np.ndarray, power: np.ndarray, n_codewords: int) -> N
     if power.size and not (0 < power.min() and power.max() < math.inf):
         bad = power[~((power > 0) & (power < math.inf))].flat[0]
         raise ValueError(f"power gene {bad} mW; it must be finite and above 0 mW")
+
+
+def _genes_dbm(power: np.ndarray) -> np.ndarray:
+    """Power genes in mW as the dBm values that a written plan holds."""
+    return 10.0 * np.log10(power)
 
 
 def apply_individual(
@@ -147,39 +159,42 @@ def apply_individual(
         raise ValueError("genome length must be twice the designated-cell count")
     codeword = np.rint(genome[:n])
     _check_genes(codeword, genome[n:], n_codewords)
+    cells = np.array(designated_cells, dtype=int)
+    slots = np.array([frozen_slots[cell] for cell in designated_cells], dtype=int)
     plan = baseline.copy()
-    for j, cell in enumerate(designated_cells):
-        slot = frozen_slots[cell]
-        plan.codeword[cell, slot] = int(codeword[j])
-        plan.power_dbm[cell, slot] = 10.0 * math.log10(float(genome[n + j]))
-        plan.x[cell, slot] = 1  # sweep index inherited from the replaced slot
+    plan.codeword[cells, slots] = codeword
+    plan.power_dbm[cells, slots] = _genes_dbm(genome[n:])
+    plan.x[cells, slots] = 1  # sweep index inherited from the replaced slot
     return plan
 
 
 class FitnessEvaluator:
     """Minimum corridor coverage SINR of genomes, with association constraint.
 
-    A genome changes one (cell, frozen slot) entry of the baseline RSRP table
-    per designated cell and nothing else. Construction therefore splits the
-    table, once, into what no genome can change and what each genome sets:
+    A genome changes one (cell, frozen slot) entry of the corridor points'
+    RSRP table per designated cell and nothing else. Construction therefore
+    splits the table, once, into what no genome can change and what each
+    genome sets:
 
-    - per corridor point, the best RSRP over every entry except the
-      designated ones, with its flat (sector, slot) index;
-    - per point, sweep group and sector, that sector's summed RSRP in the
-      group, with the designated entries zeroed;
+    - `_table`, the `rsrp_table` of any written plan, with the replaced
+      entries still to be written;
+    - per corridor point, the best RSRP over every other entry, with its
+      flat (sector, slot) index;
     - one row table of beam gains, row j * N_CB + c holding designated cell
-      j's gain with codeword c at every point, (n * N_CB, N_r).
+      j's `beam_gain` with codeword c in its frozen slot and the plan's
+      other deployed codewords beside it, (n * N_CB, N_r).
 
     `evaluate_population` scores a (P, 2n) population through one
     (n + 1, P, N_r) candidate block: row 0 is the baseline best at every
     point, and rows 1..n are one `np.take` of the genome's gain rows times
-    its powers. A maximum over the leading axis gives each point's serving
-    RSRP, and a second maximum over the same axis, of a key that falls with
-    the flat (sector, slot) index and is zeroed below the maximum RSRP,
-    gives the serving beam with `select_serving_all`'s tie rule (lowest flat
-    index). Only the feasible genomes go on to the
-    interference sums. No genome's full table is built and nothing is
-    cached; `evals` counts every genome scored.
+    its powers, read through dBm as the written plan holds them. A maximum
+    over the leading axis gives each point's serving RSRP, and a second
+    maximum over the same axis, of a key that falls with the flat
+    (sector, slot) index and is zeroed below the maximum RSRP, gives the
+    serving beam with `select_serving_all`'s tie rule (lowest flat index).
+    Only the F feasible genomes go on: `coverage_sinr_all` scores F copies
+    of `_table` with their replaced entries written in. Nothing is cached;
+    `evals` counts every genome scored.
     """
 
     def __init__(
@@ -192,7 +207,6 @@ class FitnessEvaluator:
         required_cell: np.ndarray,
         noise_mw: float,
     ):
-        self.codebook = ssb_codebook
         self.baseline = baseline
         self.designated_cells = tuple(designated_cells)
         self.frozen_slots = dict(frozen_slots)
@@ -203,25 +217,30 @@ class FitnessEvaluator:
         if len(set(self.designated_cells)) != len(self.designated_cells):
             raise ValueError("designated cells must be distinct")
 
-        table = rsrp_table(point_channels, baseline, ssb_codebook)
-        n_points, n_sectors, n_slots = table.shape
+        self._cells = cells = np.array(self.designated_cells, dtype=int)
+        self._slots = slots = np.array([self.frozen_slots[c] for c in self.designated_cells], dtype=int)
+        n = cells.size
+        self._plan = self.plan_for(np.concatenate([np.zeros(n), np.ones(n)]))
+        self._table = rsrp_table(point_channels, self._plan, ssb_codebook)
+        n_points, n_sectors, n_slots = self._table.shape
         if self.required_cell.shape[0] != n_points:
             raise ValueError("required_cell must give one sector per highway point")
-        cells = np.array(self.designated_cells, dtype=int)
-        slots = np.array([self.frozen_slots[c] for c in self.designated_cells], dtype=int)
-        n = cells.size
         self._n_slots = n_slots
-        # beta * |h^T w|^2 of every (designated cell, codeword) pair at every
-        # point -> (n * N_CB, N_r); a genome's codeword j reads row j * N_CB + c
-        self._gain_rows = np.array(
-            [
-                (
-                    point_channels.beta[:, cell, None]
-                    * np.abs(point_channels.h[:, cell, :] @ ssb_codebook.weights.T) ** 2
-                ).T
-                for cell in self.designated_cells
-            ]
-        ).reshape(n * self.n_codewords, n_points)
+
+        # gain rows (n * N_CB, N_r), row j * N_CB + c: cell j's deployed
+        # codewords with c in the frozen slot, in stacks of _GAIN_BATCH; a
+        # freed larger stack would raise glibc's mmap threshold, and peak RSS
+        # with it, for the rest of the process
+        rows = []
+        for cell, slot in zip(cells, slots):
+            deployed = np.flatnonzero(self._plan.x[cell] == 1)
+            k = int(np.searchsorted(deployed, slot))
+            stack = np.repeat(ssb_codebook.weights[None, self._plan.codeword[cell, deployed]], _GAIN_BATCH, 0)
+            for start in range(0, self.n_codewords, _GAIN_BATCH):
+                batch = ssb_codebook.weights[start : start + _GAIN_BATCH]
+                stack[: len(batch), k] = batch
+                rows.append(beam_gain(point_channels, cell, stack[: len(batch)])[:, :, k])
+        self._gain_rows = np.concatenate(rows) if rows else np.empty((0, n_points))
         self._row_offset = (np.arange(n) * self.n_codewords)[:, None]
 
         # serving candidates per point: the best entry no genome touches, then
@@ -229,7 +248,7 @@ class FitnessEvaluator:
         # (sector, slot) index, (n + 1, 1, N_r), so the largest key among tied
         # candidates is the lowest flat index; every key is at least 1.
         replaced_flat = cells * n_slots + slots
-        others = table.reshape(n_points, n_sectors * n_slots).copy()
+        others = self._table.reshape(n_points, n_sectors * n_slots).copy()
         others[:, replaced_flat] = -np.inf
         base_flat = np.argmax(others, axis=1)  # first occurrence, as select_serving_all
         self._base_best = others[np.arange(n_points), base_flat]
@@ -238,18 +257,6 @@ class FitnessEvaluator:
         )
         self._n_flat = n_sectors * n_slots
         self._candidate_key = (self._n_flat - candidate_flat)[:, None, :]
-
-        # beams interfere within a sweep group; per (point, group, sector) sums
-        group = unique_ints(baseline.sweep)[1].reshape(n_sectors, n_slots)
-        kept = table.copy()
-        kept[:, cells, slots] = 0.0
-        self._group_of_flat = group.reshape(-1)
-        self._replaced_group = group[cells, slots][:, None, None]
-        self._group_sums = np.stack(
-            [np.sum(kept * (group == g), axis=2) for g in range(int(group.max()) + 1)], axis=1
-        )  # (N_r, n_groups, B)
-        self._cells = cells
-        self._point_index = np.arange(n_points)
 
     def evaluate_population(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(fitness in dB, association violation count) of every row of a
@@ -264,18 +271,17 @@ class FitnessEvaluator:
             raise ValueError("population rows must be genomes of twice the designated-cell count")
         genes = np.ascontiguousarray(pop.T)  # (2n, P): codeword genes, then power genes
         codeword = np.rint(genes[:n])
-        power = genes[n:]
-        _check_genes(codeword, power, self.n_codewords)
+        _check_genes(codeword, genes[n:], self.n_codewords)
         self.evals += pop.shape[0]
 
         # candidate block (n + 1, P, N_r): the baseline best, then the RSRP of
         # each genome's n replaced entries
-        block = np.empty((n + 1, pop.shape[0], self._point_index.size))
+        block = np.empty((n + 1, pop.shape[0], self._base_best.size))
         block[0] = self._base_best
         replaced = block[1:]
         rows = codeword.astype(np.intp) + self._row_offset  # in range: checked above
         self._gain_rows.take(rows, axis=0, out=replaced, mode="clip")
-        replaced *= power[:, :, None]
+        replaced *= dbm_to_mw(_genes_dbm(genes[n:]))[:, :, None]
 
         # serving beam: the maximum over the candidates, ties to the lowest
         # flat index, which is the first-occurrence rule of select_serving_all;
@@ -290,17 +296,12 @@ class FitnessEvaluator:
         if ok.size == 0:
             return scores, violations
 
-        # interference of the F feasible genomes: the serving sweep group's
-        # per-sector row, with the genome's replaced entries added in, minus
-        # the serving sector itself
-        group = self._group_of_flat[serving[ok]]  # (F, N_r)
-        sums = self._group_sums[self._point_index, group]  # (F, N_r, B)
-        sums[:, :, self._cells] += np.where(
-            self._replaced_group == group, replaced[:, ok], 0.0
-        ).transpose(1, 2, 0)
-        own = sums[np.arange(ok.size)[:, None], self._point_index, sector[ok]]
-        interference = sums.sum(axis=2) - own
-        scores[ok] = sinr_db(best[ok], interference + self.noise_mw).min(axis=1)
+        # the F feasible genomes' own tables, stacked (F * N_r, B, S)
+        tables = np.tile(self._table, (ok.size, 1, 1))
+        tables[:, self._cells, self._slots] = replaced[:, ok].reshape(n, -1).T
+        flat = serving[ok].reshape(-1)
+        sinr = coverage_sinr_all(tables, flat // self._n_slots, flat % self._n_slots, self._plan, self.noise_mw)
+        scores[ok] = sinr.reshape(ok.size, -1).min(axis=1)
         return scores, violations
 
     def plan_for(self, genome: np.ndarray) -> BeamPlan:

@@ -15,7 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import GUE_MIN_DISTANCE_M, ChannelParams, ConfigError, RadioConfig, block_params
+from .config import (
+    GUE_MIN_DISTANCE_M, ChannelParams, ConfigError, HighwayParams, LayoutParams, RadioConfig, UsersParams,
+    block_params,
+)
 from .rng import RngStream
 
 
@@ -274,12 +277,11 @@ class Scenario:
 
     radio: RadioConfig
     channel_params: ChannelParams
+    layout: LayoutParams
+    users: UsersParams
+    highway_params: HighwayParams
     sectors: tuple[Sector, ...]
     highway: AerialHighway
-    isd_m: float
-    gues_per_cell: int
-    ground_height_m: float
-    uav_spacing_m: float
     master_seed: int
     streams: RngStream = field(init=False)
 
@@ -292,17 +294,13 @@ class Scenario:
 
     def ground_users(self, snapshot: int = 0) -> np.recarray:
         return place_ground_users(
-            self.sectors,
-            self.gues_per_cell,
-            self.isd_m,
-            self.streams,
-            height_m=self.ground_height_m,
-            snapshot=snapshot,
+            self.sectors, self.users.gues_per_cell, self.layout.isd_m, self.streams,
+            height_m=self.users.ground_height_m, snapshot=snapshot,
         )
 
     def uavs(self, offset_m: float = 0.0, d_iud: float | None = None) -> np.recarray:
         if d_iud is None:
-            d_iud = self.uav_spacing_m
+            d_iud = self.highway_params.uav_spacing_m
         return place_uavs(self.highway, d_iud, offset_m)
 
 
@@ -310,7 +308,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
     """Assemble the immutable Scenario from a validated config dict."""
     layout = block_params(cfg, "layout")
     corridor = block_params(cfg, "highway")
-    users = block_params(cfg, "users")
 
     template = UpaGeometry(
         m_h=layout.panel_columns,
@@ -339,11 +336,10 @@ def scenario_from_config(cfg: dict) -> Scenario:
     return Scenario(
         radio=block_params(cfg, "radio"),
         channel_params=block_params(cfg, "channel"),
+        layout=layout,
+        users=block_params(cfg, "users"),
+        highway_params=corridor,
         sectors=tuple(sectors),
         highway=highway,
-        isd_m=layout.isd_m,
-        gues_per_cell=users.gues_per_cell,
-        ground_height_m=users.ground_height_m,
-        uav_spacing_m=corridor.uav_spacing_m,
         master_seed=cfg["seeds"]["master"],
     )

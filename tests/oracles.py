@@ -22,8 +22,9 @@ and tests each sector's candidates alone, the reference for
 segment's cell by a scan, the reference for `segment_metric.assign_segments`.
 
 `ReferenceEvaluator` and `reference_run` are the bit-level references of
-the search: the population scorer with one (P, n + 1, N_r) candidate table
-and a masked reduction over its middle axis, and the GA loop with one
+the search: the population scorer with one (P, n + 1, N_r) candidate table,
+a masked reduction over its middle axis and one coverage-SINR call per
+feasible genome, and the GA loop with one
 `Generator.random` call per draw and separate crossover and mutation
 arrays. `genetic.FitnessEvaluator` and `genetic.run` must give the same
 bytes: scores, violation counts, traces and best genomes.
@@ -52,9 +53,10 @@ import numpy as np
 from skybeam.association import (
     N_SSB_SLOTS,
     BeamPlan,
+    beam_gain,
+    coverage_sinr_all,
     rsrp_table,
     select_serving_all,
-    sinr_db,
 )
 from skybeam.channel import (
     ChannelSet,
@@ -102,8 +104,8 @@ def ssb_rsrp(
 
 def per_sector_rsrp_table(channels: ChannelSet, plan: BeamPlan, codebook: Codebook) -> np.ndarray:
     """`rsrp_table` with each sector's whole formula in one expression: the
-    bit-level reference for `association.rsrp_table`, which applies the
-    square and the beta and power factors once over the whole table."""
+    bit-level reference for `association.rsrp_table`, which takes each
+    sector's `beam_gain` and then its powers."""
     n, b, _ = channels.h.shape
     table = np.zeros((n, b, plan.n_slots))
     p_mw = plan.power_mw()
@@ -349,7 +351,7 @@ def reference_evaluate_snapshot(scenario, plans, ssb_codebook, dl_codebook, snap
     UAV block built by `build_channels`, each plan's RSRP tables computed
     afresh and its data phase run on both blocks."""
     if d_iud is None:
-        d_iud = scenario.uav_spacing_m
+        d_iud = scenario.highway_params.uav_spacing_m
     uavs = build_channels(scenario, snapshot_uavs(scenario, snapshot, n_snapshots, d_iud), snapshot, "uav")
     if ground is None:
         ground = ground_channels(scenario, snapshot)
@@ -476,7 +478,9 @@ def brute_force_fitness(genome, channels, book, baseline, designated, frozen, re
 class ReferenceEvaluator:
     """The population scorer before the candidate block: per genome, a row of
     n + 1 serving candidates per point, and the tie rule as a masked minimum
-    over that middle axis. Takes `FitnessEvaluator`'s arguments and keeps
+    over that middle axis. Each gain row is one `beam_gain` call per
+    (cell, codeword), each feasible genome's SINR one `coverage_sinr_all`
+    call on its own table. Takes `FitnessEvaluator`'s arguments and keeps
     its `evals` count."""
 
     def __init__(self, point_channels, ssb_codebook, baseline, designated_cells, frozen_slots,
@@ -487,22 +491,27 @@ class ReferenceEvaluator:
         self.n_codewords = len(ssb_codebook)
         self.evals = 0
 
-        table = rsrp_table(point_channels, baseline, ssb_codebook)
-        n_points, n_sectors, n_slots = table.shape
         cells = np.array(self.designated_cells, dtype=int)
         slots = np.array([frozen_slots[c] for c in self.designated_cells], dtype=int)
         n = cells.size
+        self._plan = apply_individual(
+            np.concatenate([np.zeros(n), np.ones(n)]), baseline, self.designated_cells,
+            frozen_slots, self.n_codewords,
+        )
+        self._table = rsrp_table(point_channels, self._plan, ssb_codebook)
+        n_points, n_sectors, n_slots = self._table.shape
         self._n_slots = n_slots
-        self._gain = np.array(
-            [
-                point_channels.beta[:, cell, None]
-                * np.abs(point_channels.h[:, cell, :] @ ssb_codebook.weights.T) ** 2
-                for cell in self.designated_cells
-            ]
-        ).reshape(n, n_points, self.n_codewords)
+        self._gain = np.empty((n, n_points, self.n_codewords))
+        for j, (cell, slot) in enumerate(zip(cells, slots)):
+            deployed = np.flatnonzero(self._plan.x[cell]).tolist()
+            k = deployed.index(slot)
+            for c in range(self.n_codewords):
+                weights = ssb_codebook.weights[self._plan.codeword[cell, deployed]]
+                weights[k] = ssb_codebook.weights[c]
+                self._gain[j, :, c] = beam_gain(point_channels, cell, weights)[:, k]
 
         replaced_flat = cells * n_slots + slots
-        others = table.reshape(n_points, n_sectors * n_slots).copy()
+        others = self._table.reshape(n_points, n_sectors * n_slots).copy()
         others[:, replaced_flat] = -np.inf
         base_flat = np.argmax(others, axis=1)
         self._base_best = others[np.arange(n_points), base_flat]
@@ -510,29 +519,19 @@ class ReferenceEvaluator:
             [base_flat[None, :], np.broadcast_to(replaced_flat[:, None], (n, n_points))]
         )
         self._no_candidate = n_sectors * n_slots
-
-        _, group = np.unique(baseline.sweep, return_inverse=True)
-        group = group.reshape(n_sectors, n_slots)
-        kept = table.copy()
-        kept[:, cells, slots] = 0.0
-        self._group_of_flat = group.reshape(-1)
-        self._replaced_group = group[cells, slots]
-        self._group_sums = np.stack(
-            [np.sum(kept * (group == g), axis=2) for g in range(int(group.max()) + 1)], axis=1
-        )
-        self._cells = cells
+        self._cells, self._slots = cells, slots
         self._cell_index = np.arange(n)
-        self._point_index = np.arange(n_points)
 
     def evaluate_population(self, pop):
         pop = np.asarray(pop, dtype=float)
         n = self._cells.size
         self.evals += pop.shape[0]
         codeword = np.rint(pop[:, :n]).astype(int)
-        candidates = np.empty((pop.shape[0], n + 1, self._point_index.size))
+        power = 10.0 ** (10.0 * np.log10(pop[:, n:]) / 10.0)  # through the plan's dBm
+        candidates = np.empty((pop.shape[0], n + 1, self._base_best.size))
         candidates[:, 0] = self._base_best
         replaced = candidates[:, 1:]
-        np.multiply(self._gain[self._cell_index, :, codeword], pop[:, n:, None], out=replaced)
+        np.multiply(self._gain[self._cell_index, :, codeword], power[:, :, None], out=replaced)
 
         best = candidates.max(axis=1)
         serving = np.where(
@@ -541,16 +540,12 @@ class ReferenceEvaluator:
         sector = serving // self._n_slots
         violations = np.count_nonzero(sector != self.required_cell, axis=1)
         scores = np.full(pop.shape[0], -math.inf)
-        ok = violations == 0
-
-        group = self._group_of_flat[serving[ok]]
-        rows = self._group_sums[self._point_index, group]
-        rows[:, :, self._cells] += np.where(
-            self._replaced_group[:, None] == group[:, None, :], replaced[ok], 0.0
-        ).transpose(0, 2, 1)
-        own = rows[np.arange(group.shape[0])[:, None], self._point_index, sector[ok]]
-        interference = rows.sum(axis=2) - own
-        scores[ok] = sinr_db(best[ok], interference + self.noise_mw).min(axis=1)
+        for g in np.flatnonzero(violations == 0):
+            table = self._table.copy()
+            table[:, self._cells, self._slots] = replaced[g].T
+            sinr = coverage_sinr_all(table, sector[g], serving[g] % self._n_slots, self._plan,
+                                     self.noise_mw)
+            scores[g] = sinr.min()
         return scores, violations
 
 

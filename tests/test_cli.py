@@ -313,6 +313,13 @@ class TestInspect:
         printed = capsys.readouterr().out
         assert "max fitness" in printed and "last improvement" in printed
 
+    def test_trace_never_feasible(self, tmp_path, capsys):
+        trace = tmp_path / "ega_trace.csv"
+        trace.write_text("iteration,best_fitness_db,evals\n0,-inf,100\n1,-inf,180\n2,-inf,260\n")
+        assert main(["inspect", str(trace)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == "trace: 3 iterations, no iteration was feasible\n"
+
     def test_metric_summary(self, small_config_path, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "--config", str(small_config_path), "--out", str(out), "--snapshots", "1"])

@@ -234,7 +234,7 @@ class TestSnapshotEvaluation:
         res = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 4, d_iud=100.0)["b"]
         kinds = res.kinds.tolist()
         n_gue = kinds.count("ground")
-        assert n_gue == small_scenario.n_sectors * small_scenario.gues_per_cell
+        assert n_gue == small_scenario.n_sectors * small_scenario.users.gues_per_cell
         assert kinds.count("aerial") == 6  # floor(625 / 100)
         assert kinds == ["ground"] * n_gue + ["aerial"] * 6  # ue_id is the row index
 

@@ -11,10 +11,11 @@ from oracles import (
     reference_run,
     validate_plan,
 )
-from skybeam.association import BeamPlan, rsrp_table, select_serving_all
+from skybeam.association import BeamPlan, changed_sectors, rsrp_table, select_serving_all
 from skybeam.channel import build_channels
 from skybeam.codebook import build_ssb_codebook
 from skybeam.config import codebook_params_from_config, default_config, validate_config
+from skybeam.evaluation import associate
 from skybeam.genetic import (
     EgaParams,
     FitnessEvaluator,
@@ -434,8 +435,10 @@ class TestRun:
         assert len(trace.iterations) == 20
 
 
-def reference_twin(ev: FitnessEvaluator, channels, book) -> ReferenceEvaluator:
-    return ReferenceEvaluator(
+def twin(cls, ev: FitnessEvaluator, channels, book):
+    """A `cls` scorer (`FitnessEvaluator` or `ReferenceEvaluator`) of `ev`'s
+    problem, with its own `evals` count."""
+    return cls(
         channels, book, ev.baseline, ev.designated_cells, ev.frozen_slots, ev.required_cell,
         ev.noise_mw,
     )
@@ -467,8 +470,9 @@ def assert_same_search(params, ev, ref, p_max_dbm):
 
 @pytest.fixture(scope="module")
 def default_problems():
-    """Per master seed: the default scenario's evaluator, its reference twin
-    and the maximum SSB power."""
+    """Per master seed: the default scenario's evaluator, its reference twin,
+    the maximum SSB power, the corridor points' channels and the SSB
+    codebook."""
     problems = {}
 
     def get(seed):
@@ -485,8 +489,8 @@ def default_problems():
             channels = build_channels(
                 scenario, points, snapshot="static", stream_tag="highway-point"
             )
-            problems[seed] = (ev, reference_twin(ev, channels, book),
-                              scenario.radio.max_ssb_power_dbm)
+            problems[seed] = (ev, twin(ReferenceEvaluator, ev, channels, book),
+                              scenario.radio.max_ssb_power_dbm, channels, book)
         return problems[seed]
 
     return get
@@ -506,7 +510,7 @@ class TestReferenceIdentity:
             if sweep_map is not None:
                 baseline.sweep = np.tile(np.array(sweep_map), (channels.n_sectors, 1))
             ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
-            ref = reference_twin(ev, channels, book)
+            ref = twin(ReferenceEvaluator, ev, channels, book)
             n = len(designated)
             pop = np.concatenate(
                 [gen.uniform(-0.5, 9.5, (64, n)), gen.uniform(0.05, 4.0, (64, n))], axis=1
@@ -528,11 +532,11 @@ class TestReferenceIdentity:
             ev = FitnessEvaluator(
                 channels, book, baseline, (cell,), {cell: slot}, np.array([required]), NOISE_MW
             )
-            assert_same_scores(ev, reference_twin(ev, channels, book), pop)
+            assert_same_scores(ev, twin(ReferenceEvaluator, ev, channels, book), pop)
 
     @pytest.mark.parametrize("seed", [1, 6, 22])
     def test_default_scenario_search(self, default_problems, seed):
-        ev, ref, p_max_dbm = default_problems(seed)
+        ev, ref, p_max_dbm, _, _ = default_problems(seed)
         params = EgaParams(max_iters=300, stop_iters=300, seed=seed)
         best, trace = assert_same_search(params, ev, ref, p_max_dbm)
         assert len(trace.iterations) == 300
@@ -566,8 +570,90 @@ class TestReferenceIdentity:
              "p_cross-1", "p_mut-0", "p_mut-1", "odd-p_cross-1-p_mut-0"],
     )
     def test_edge_parameters(self, default_problems, params):
-        ev, ref, p_max_dbm = default_problems(1)
+        ev, ref, p_max_dbm, _, _ = default_problems(1)
         assert_same_search(params, ev, ref, p_max_dbm)
+
+
+def written_plan_scores(ev, channels, book, pop, patch=False):
+    """(fitness, violation count) of each genome, read from the plan that
+    `plan_for` writes as `skybeam run` evaluates a plan: `rsrp_table`, then
+    `associate`. Fitness is the minimum coverage SINR, -inf when a point is
+    served outside its required sector. With `patch`, each table is the
+    baseline's table patched on the sectors the plan changes, which
+    `rsrp_table` computes as a fresh table does; `evaluate_snapshot` builds
+    the optimized plan's tables so."""
+    base = rsrp_table(channels, ev.baseline, book) if patch else None
+    scores, violations = [], []
+    for genome in pop:
+        plan = ev.plan_for(genome)
+        if patch:
+            table = rsrp_table(channels, plan, book, base.copy(), changed_sectors(ev.baseline, plan))
+        else:
+            table = rsrp_table(channels, plan, book)
+        assoc = associate(table, plan, ev.noise_mw)
+        count = np.count_nonzero(assoc.serving_sector != ev.required_cell)
+        violations.append(count)
+        scores.append(assoc.coverage_sinr_db.min() if count == 0 else -math.inf)
+    return np.array(scores), np.array(violations)
+
+
+def assert_scores_written_plan(ev, channels, book, pop, patch=False):
+    scores, violations = ev.evaluate_population(pop)
+    want_scores, want_violations = written_plan_scores(ev, channels, book, pop, patch)
+    assert scores.tobytes() == want_scores.tobytes()
+    assert violations.tolist() == want_violations.tolist()
+    return scores
+
+
+class TestScoresWrittenPlan:
+    """The search scores the plan it writes, bit for bit: every genome's
+    fitness and violation count equal those of `plan_for(genome)` under
+    `rsrp_table` and `associate`."""
+
+    @pytest.mark.parametrize("sweep_map", [None, [0, 0, 1, 1]])
+    def test_random_instances(self, sweep_map):
+        gen = np.random.default_rng(31)
+        feasible = 0
+        for _ in range(40):
+            channels, book, baseline, designated, frozen, required = random_instance(gen)
+            if sweep_map is not None:
+                baseline.sweep = np.tile(np.array(sweep_map), (channels.n_sectors, 1))
+            ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
+            n = len(designated)
+            pop = np.concatenate(
+                [gen.uniform(-0.5, 9.5, (32, n)), gen.uniform(0.05, 4.0, (32, n))], axis=1
+            )
+            scores = assert_scores_written_plan(ev, channels, book, pop)
+            feasible += np.count_nonzero(scores > -math.inf)
+        assert feasible >= 100
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_default_scenario(self, default_problems, seed):
+        problem, _, p_max_dbm, channels, book = default_problems(seed)
+        ev = twin(FitnessEvaluator, problem, channels, book)
+        best, _ = run(EgaParams(max_iters=700, stop_iters=700, seed=seed), ev, p_max_dbm)
+        assert best.feasible
+
+        # the best genome; its one-gene changes; its powers scaled down
+        # together; random genomes
+        gen = np.random.default_rng(seed)
+        n, p_max_mw = len(ev.designated_cells), 10.0 ** (p_max_dbm / 10.0)
+        one_gene = np.tile(best.genome, (300, 1))
+        gene = gen.integers(0, 2 * n, 300)
+        one_gene[np.arange(300), gene] = np.where(
+            gene < n, gen.integers(0, ev.n_codewords, 300), gen.uniform(0.01, p_max_mw, 300)
+        )
+        scaled = np.tile(best.genome, (150, 1))
+        scaled[:, n:] *= gen.uniform(0.5, 1.0, (150, 1))
+        drawn = np.concatenate(
+            [gen.integers(0, ev.n_codewords, (100, n)), gen.uniform(0.01, p_max_mw, (100, n))],
+            axis=1,
+        )
+        pop = np.concatenate([best.genome[None], one_gene, scaled, drawn])
+        scores = assert_scores_written_plan(ev, channels, book, pop, patch=True)
+        assert np.count_nonzero(scores > -math.inf) >= 100
+        assert scores[0] == best.fitness
+        assert_scores_written_plan(ev, channels, book, pop[:20])  # fresh tables
 
 
 class TestFrozenSlots:
