@@ -315,10 +315,6 @@ class ChannelSet:
     h: np.ndarray  # N x B x M complex
 
     @property
-    def n_entities(self) -> int:
-        return self.h.shape[0]
-
-    @property
     def n_sectors(self) -> int:
         return self.h.shape[1]
 

@@ -46,7 +46,7 @@ from .segment_metric import dump_metric_csv
 
 
 class FormatError(Exception):
-    """Artifact file is empty or not of a recognized type."""
+    """Artifact file is missing, empty or malformed."""
 
 
 ENV_PREFIX = "SKYBEAM_"
@@ -202,8 +202,9 @@ def cmd_run(args) -> int:
             "snapshot,ue_id,kind,serving_sector,coverage_sinr_db,data_sinr_db,rate_bps\n"
         )
     for snapshot in range(args.snapshots):
-        results = evaluate_snapshot(
-            scenario, plans, ssb_cb, dl_cb, snapshot, args.snapshots, ground=ground
+        (results,) = evaluate_snapshot(
+            scenario, plans, ssb_cb, dl_cb, snapshot, args.snapshots,
+            [scenario.highway_params.uav_spacing_m], ground,
         )
         ground = None  # later snapshots draw and build their own ground users
         for name, res in results.items():
@@ -304,6 +305,31 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _describe(text: str) -> list[str]:
+    """The lines `skybeam inspect` prints for an artifact's text."""
+    if text.lstrip().startswith("{"):
+        payload = json.loads(text)
+        if "modified_beams" in payload:
+            lines = ["optimized plan:", "sector slot codeword power_dbm"]
+            for e in payload["modified_beams"]:
+                lines.append(f"{e['sector']:6d} {e['slot']:4d} {e['codeword']:8d} {e['power_dbm']:9.2f}")
+            return lines
+        return [json.dumps(payload, indent=2, sort_keys=True)]
+    header = text.splitlines()[0].split(",")
+    rows = text.splitlines()[1:]
+    if header[:2] == ["iteration", "best_fitness_db"]:
+        fitness = [float(row.split(",")[1]) for row in rows]
+        best = max(fitness, default=-math.inf)
+        if best == -math.inf:
+            return [f"trace: {len(rows)} iterations, no iteration was feasible"]
+        best_iter = rows[fitness.index(best)].split(",")[0]  # the first row at the maximum
+        return [f"trace: {len(rows)} iterations, max fitness {best:.4g} dB, last improvement at iteration {best_iter}"]
+    if header[0] == "segment_id":
+        cells = sorted({row.split(",")[1] for row in rows})
+        return [f"metric table: {len(rows)} rows, sectors scored: {', '.join(cells)}"]
+    return [f"csv artifact with columns: {', '.join(header)} ({len(rows)} rows)"]
+
+
 def cmd_inspect(args) -> int:
     path = Path(args.artifact)
     if not path.exists():
@@ -311,32 +337,11 @@ def cmd_inspect(args) -> int:
     text = path.read_text()
     if not text.strip():
         raise FormatError(f"artifact is empty: {path}")
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        if "modified_beams" in payload:
-            print("optimized plan:")
-            print("sector slot codeword power_dbm")
-            for e in payload["modified_beams"]:
-                print(f"{e['sector']:6d} {e['slot']:4d} {e['codeword']:8d} {e['power_dbm']:9.2f}")
-            return 0
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    header = text.splitlines()[0].split(",")
-    rows = text.splitlines()[1:]
-    if header[:2] == ["iteration", "best_fitness_db"]:
-        fitness = [float(row.split(",")[1]) for row in rows]
-        best = max(fitness, default=-math.inf)
-        if best == -math.inf:
-            print(f"trace: {len(rows)} iterations, no iteration was feasible")
-        else:
-            best_iter = rows[fitness.index(best)].split(",")[0]  # the first row at the maximum
-            print(f"trace: {len(rows)} iterations, max fitness {best:.4g} dB, last improvement at iteration {best_iter}")
-        return 0
-    if header[0] == "segment_id":
-        cells = sorted({row.split(",")[1] for row in rows})
-        print(f"metric table: {len(rows)} rows, sectors scored: {', '.join(cells)}")
-        return 0
-    print(f"csv artifact with columns: {', '.join(header)} ({len(rows)} rows)")
+    try:
+        lines = _describe(text)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:  # a missing column or key, a bad value
+        raise FormatError(f"malformed artifact {path}: {exc!r}") from exc
+    print("\n".join(lines))
     return 0
 
 

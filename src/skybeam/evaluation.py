@@ -371,44 +371,48 @@ def evaluate_snapshot(
     dl_codebook: Codebook,
     snapshot: int,
     n_snapshots: int,
-    d_iud: float | None = None,
+    spacings: Iterable[float],
     ground: ChannelSet | None = None,
-) -> dict[str, SnapshotResult]:
-    """Evaluate every plan on one snapshot's channel realization.
+) -> list[dict[str, SnapshotResult]]:
+    """Evaluate every plan on one snapshot's channel realization at each
+    UAV spacing in `spacings`.
 
-    Returns one result per plan name; row i of every result is entity i, the
-    ground users first, then the UAVs. The snapshot's ground block
-    (`ground_channels`) and UAV block (`snapshot_uavs` on the "uav" streams)
-    are built apart and shared by the plans.
-    A caller that already holds the ground block passes it as `ground`; then
-    only the UAV block is built. The first plan is evaluated in full; each
-    later plan patches the previous plan's RSRP tables and ground step where
-    the two differ (`plan_tables`, `data_phase_ground`), with the bytes of
-    evaluating it alone.
+    Returns one `{plan name: result}` per spacing, in order; row i of every
+    result is entity i, the ground users first, then the UAVs. The ground
+    block (`ground_channels`, or `ground` if the caller holds it) is
+    associated and put through `data_phase_ground` once per plan. Each
+    spacing builds its UAV block (`snapshot_uavs` on the "uav" streams),
+    associates it, runs `data_phase_uavs` and frees it before the next is
+    built. The first plan is evaluated in full; each later plan patches the
+    previous plan's RSRP tables and ground step where the two differ
+    (`plan_tables`, `data_phase_ground`), with the bytes of evaluating it
+    alone.
     """
-    if d_iud is None:
-        d_iud = scenario.highway_params.uav_spacing_m
-    uav_block = snapshot_uavs(scenario, snapshot, n_snapshots, d_iud)
-    uavs = build_channels(scenario, uav_block, snapshot, "uav")
     if ground is None:
         ground = ground_channels(scenario, snapshot)
     noise_mw = scenario.radio.ssb_noise_mw
-    kinds = np.concatenate([ground.kinds, uavs.kinds])
-    tables = zip(plan_tables(ground, plans.values(), ssb_codebook), plan_tables(uavs, plans.values(), ssb_codebook))
-    results = {}
+    gues, steps = {}, {}
     step = None
-    for (name, plan), (gue_table, uav_table) in zip(plans.items(), tables):
-        gue = associate(gue_table, plan, noise_mw)
-        uav = associate(uav_table, plan, noise_mw)
-        step = data_phase_ground(ground, gue.serving_sector, dl_codebook, scenario.radio, step)
-        results[name] = SnapshotResult(
-            kinds=kinds,
-            serving_sector=np.concatenate([gue.serving_sector, uav.serving_sector]),
-            serving_slot=np.concatenate([gue.serving_slot, uav.serving_slot]),
-            serving_rsrp_mw=np.concatenate([gue.serving_rsrp_mw, uav.serving_rsrp_mw]),
-            coverage_sinr_db=np.concatenate([gue.coverage_sinr_db, uav.coverage_sinr_db]),
-            data=data_phase_uavs(step, uavs, uav.serving_sector),
-        )
+    for (name, plan), table in zip(plans.items(), plan_tables(ground, plans.values(), ssb_codebook)):
+        gues[name] = associate(table, plan, noise_mw)
+        step = steps[name] = data_phase_ground(ground, gues[name].serving_sector, dl_codebook, scenario.radio, step)
+    results = []
+    for d_iud in spacings:
+        uavs = build_channels(scenario, snapshot_uavs(scenario, snapshot, n_snapshots, d_iud), snapshot, "uav")
+        kinds = np.concatenate([ground.kinds, uavs.kinds])
+        cell = {}
+        for (name, plan), table in zip(plans.items(), plan_tables(uavs, plans.values(), ssb_codebook)):
+            gue, uav = gues[name], associate(table, plan, noise_mw)
+            cell[name] = SnapshotResult(
+                kinds=kinds,
+                serving_sector=np.concatenate([gue.serving_sector, uav.serving_sector]),
+                serving_slot=np.concatenate([gue.serving_slot, uav.serving_slot]),
+                serving_rsrp_mw=np.concatenate([gue.serving_rsrp_mw, uav.serving_rsrp_mw]),
+                coverage_sinr_db=np.concatenate([gue.coverage_sinr_db, uav.coverage_sinr_db]),
+                data=data_phase_uavs(steps[name], uavs, uav.serving_sector),
+            )
+        results.append(cell)
+        del uavs  # freed before the next block is built
     return results
 
 
@@ -433,49 +437,35 @@ def traffic_sweep(
 ) -> SweepResult:
     """Evaluate both plans for N = 1..n_max UAVs at d_IUD = L / N.
 
-    Snapshots are the outer loop and N the inner one. Each snapshot's ground
-    users are drawn and built once, and associated and put through the
-    ground step of the data phase (`data_phase_ground`) once per plan; all N
-    share them. Each (N, snapshot) cell builds its UAV block at the
-    snapshot's UAV offset on the "uav" streams, associates it and runs the
-    UAV step (`data_phase_uavs`): it computes only what depends on N.
-    As in `evaluate_snapshot`, each plan after the first patches the
-    previous plan's RSRP tables and ground step where the plans differ.
-    `first_ground`, if given, is snapshot 0's ground block; a caller that
-    keeps no reference to it lets it be freed after snapshot 0. Both plans
-    see bit-identical channels. The per-N statistic is the mean over
-    snapshots, in snapshot order, of the per-snapshot 5 percent tile UAV
-    rate.
+    Snapshots are the outer loop: each is one `evaluate_snapshot` call at
+    the spacings L / N, so each snapshot's ground block is built, associated
+    and put through the ground step once, and each (N, snapshot) cell
+    computes only what depends on N. `first_ground`, if given, is snapshot
+    0's ground block; a caller that keeps no reference to it lets it be
+    freed before snapshot 1's is built. Both plans see bit-identical
+    channels. The per-N statistic is the mean over snapshots, in snapshot
+    order, of the per-snapshot 5 percent tile UAV (and gUE) rate.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_snapshots(n_snapshots)
-    radio = scenario.radio
-    length = scenario.highway.total_length_m
     n_values = np.arange(1, n_max + 1)
+    spacings = scenario.highway.total_length_m / n_values
     uav_p5 = {name: [[] for _ in range(n_max)] for name in plans}
     gue_p5 = {name: [[] for _ in range(n_max)] for name in plans}
     for snapshot in range(n_snapshots):
-        ground = None  # frees the previous snapshot's block before the next is built
-        if first_ground is not None:  # snapshot 0's, freed once snapshot 0 is done
-            ground, first_ground = first_ground, None
-        else:
-            ground = ground_channels(scenario, snapshot)
-        grounds = {}
-        step = None
-        for name, table in zip(plans, plan_tables(ground, plans.values(), ssb_codebook)):
-            step = grounds[name] = data_phase_ground(ground, select_serving_all(table)[0], dl_codebook, radio, step)
-        g = ground.n_entities
-        for i, n in enumerate(n_values.tolist()):
-            uavs = build_channels(scenario, snapshot_uavs(scenario, snapshot, n_snapshots, length / n), snapshot, "uav")
-            for name, table in zip(plans, plan_tables(uavs, plans.values(), ssb_codebook)):
-                rate = data_phase_uavs(grounds[name], uavs, select_serving_all(table)[0]).rate_bps
-                uav_p5[name][i].append(snapshot_stats(rate[g:]).percentile(5))
-                gue_p5[name][i].append(snapshot_stats(rate[:g]).percentile(5))
-            del uavs  # freed before the next block is built
+        cells = evaluate_snapshot(
+            scenario, plans, ssb_codebook, dl_codebook, snapshot, n_snapshots, spacings.tolist(), first_ground
+        )
+        first_ground = None  # snapshot 0's, freed before snapshot 1's is built
+        for i, cell in enumerate(cells):
+            for name, res in cell.items():
+                aerial = res.kinds == "aerial"
+                uav_p5[name][i].append(snapshot_stats(res.data.rate_bps[aerial]).percentile(5))
+                gue_p5[name][i].append(snapshot_stats(res.data.rate_bps[~aerial]).percentile(5))
     return SweepResult(
         n_uavs=n_values,
-        d_iud_m=length / n_values,
+        d_iud_m=spacings,
         p5_rate={name: np.array([np.mean(v) for v in uav_p5[name]]) for name in plans},
         p5_gue_rate={name: np.array([np.mean(v) for v in gue_p5[name]]) for name in plans},
     )

@@ -8,8 +8,12 @@ segment and the rest of the corridor (self-interference the cell would leak
 onto other segments). The winning cell per segment is the chi argmax.
 
 Channel matrices are expected in linear amplitude including the sqrt(beta)
-large-scale scaling, so P and F are power-like and comparable to the noise
-term (thermal noise over one PRB by default).
+large-scale scaling, so P is a power, comparable to the noise term N
+(thermal noise over one PRB by default). F = sum |<h_i, h_z>|^2 is not: it
+scales with the square of channel power. On the default corridor F / N is
+at most 1.46e-3 over all 342 (segment, sector) pairs, so there chi is close
+to c * log2(1 + P / N). For the same reason chi changes when every channel
+is scaled by a and the noise by a^2 (P / N stays, F / N grows by a^2).
 """
 
 from __future__ import annotations

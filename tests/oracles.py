@@ -138,7 +138,7 @@ def data_sinr(
     """Data-phase SINR in dB of one entity given everyone's serving cell and
     precoder. Term-by-term reference path; `data_phase` is the bulk version.
     """
-    n = channels.n_entities
+    n = channels.h.shape[0]
     b_hat = int(serving_sector[entity])
     beta = channels.beta
     h_u = channels.h[entity]
@@ -316,7 +316,7 @@ def data_phase(blocks, serving_sector, dl_codebook, radio) -> DataPhaseReport:
     step, then the UAV step, as one call."""
     if len(blocks) not in (1, 2):
         raise ValueError(f"data_phase takes a ground block and at most one UAV block, got {len(blocks)}")
-    g = blocks[0].n_entities
+    g = blocks[0].h.shape[0]
     ground = data_phase_ground(blocks[0], serving_sector[:g], dl_codebook, radio)
     if len(blocks) == 2:
         uavs = blocks[1]
@@ -345,16 +345,15 @@ def per_pair_segment_metric(h, segments, noise_mw):
     return (*terms, tuple(serving), required)
 
 
-def reference_evaluate_snapshot(scenario, plans, ssb_codebook, dl_codebook, snapshot, n_snapshots,
-                                d_iud=None, ground=None):
-    """`evaluation.evaluate_snapshot` with every plan evaluated in full: the
-    UAV block built by `build_channels`, each plan's RSRP tables computed
-    afresh and its data phase run on both blocks."""
+def reference_evaluate_snapshot(scenario, plans, ssb_codebook, dl_codebook, snapshot, n_snapshots, d_iud=None):
+    """`evaluation.evaluate_snapshot` at the one UAV spacing `d_iud` (the
+    config's by default), with every plan evaluated in full: both blocks
+    built by `build_channels`, each plan's RSRP tables computed afresh and
+    its data phase run on both blocks."""
     if d_iud is None:
         d_iud = scenario.highway_params.uav_spacing_m
     uavs = build_channels(scenario, snapshot_uavs(scenario, snapshot, n_snapshots, d_iud), snapshot, "uav")
-    if ground is None:
-        ground = ground_channels(scenario, snapshot)
+    ground = ground_channels(scenario, snapshot)
     noise_mw = scenario.radio.ssb_noise_mw
     kinds = np.concatenate([ground.kinds, uavs.kinds])
     results = {}
@@ -394,9 +393,9 @@ def joined_data_phase(blocks, serving_sector, dl_codebook, radio) -> DataPhaseRe
     beta_serving = beta[np.arange(n), serving_sector]
 
     # every UE's channel toward its serving sector, (N, M), and its precoder
-    per_block = np.split(serving_sector, np.cumsum([blk.n_entities for blk in blocks])[:-1])
+    per_block = np.split(serving_sector, np.cumsum([blk.h.shape[0] for blk in blocks])[:-1])
     h_serving = np.concatenate(
-        [blk.h[np.arange(blk.n_entities), s] for blk, s in zip(blocks, per_block)]
+        [blk.h[np.arange(blk.h.shape[0]), s] for blk, s in zip(blocks, per_block)]
     )
     metric = beta_serving[:, None] * np.abs(h_serving @ dl_codebook.weights.T) ** 2
     precoder = np.argmax(metric, axis=1)
@@ -452,7 +451,7 @@ def joined_data_phase(blocks, serving_sector, dl_codebook, radio) -> DataPhaseRe
 def brute_force_fitness(genome, channels, book, baseline, designated, frozen, required, noise_mw):
     """Loop-based reference: apply, associate, penalize, min coverage SINR."""
     plan = apply_individual(np.asarray(genome, dtype=float), baseline, designated, frozen, len(book))
-    n_points = channels.n_entities
+    n_points = channels.h.shape[0]
     n_sectors, n_slots = plan.x.shape
     worst = math.inf
     for z in range(n_points):

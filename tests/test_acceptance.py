@@ -67,7 +67,9 @@ def pipeline():
         for name in plans
     }
     for snapshot in range(N_SNAPSHOTS):
-        results = evaluate_snapshot(scenario, plans, ssb, dl, snapshot, N_SNAPSHOTS)
+        (results,) = evaluate_snapshot(
+            scenario, plans, ssb, dl, snapshot, N_SNAPSHOTS, [scenario.highway_params.uav_spacing_m]
+        )
         for name, res in results.items():
             aerial = res.kinds == "aerial"
             stats = per_snapshot[name]

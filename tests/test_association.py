@@ -319,11 +319,11 @@ def test_dump_association_csv(small_scenario, tmp_path):
     sb, ss = select_serving_all(table)
     sinr = coverage_sinr_all(table, sb, ss, plan, small_scenario.radio.ssb_noise_mw)
     path = tmp_path / "assoc.csv"
-    rsrp = table[np.arange(channels.n_entities), sb, ss]
+    rsrp = table[np.arange(channels.h.shape[0]), sb, ss]
     dump_association_csv(channels.kinds, sb, ss, rsrp, sinr, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"
-    assert len(lines) == 1 + channels.n_entities
+    assert len(lines) == 1 + channels.h.shape[0]
 
 
 @pytest.mark.parametrize("block", ["ue", "uav", "one-uav"])

@@ -542,7 +542,7 @@ class TestChannelBlocks:
         )
         blocks = self.sweep_blocks(small_scenario, 0)
         for i, entities in enumerate(blocks, 1):
-            assert build_channels(small_scenario, entities, 0, "uav").n_entities == i
+            assert build_channels(small_scenario, entities, 0, "uav").h.shape[0] == i
             assert len(batches) == i
         expected = sorted(
             (kind, "uav", 0, sector.id) for kind in ("los", "shadow", "fading") for sector in small_scenario.sectors

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import platform
@@ -336,6 +337,30 @@ class TestInspect:
     def test_missing_file(self, tmp_path):
         assert main(["inspect", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("optimized_plan.json", '{"modified_beams": 5}'),
+            ("optimized_plan.json", '{"modified_beams": {"sector": 1}}'),
+            ("optimized_plan.json", '{"modified_beams": [{"sector": 1, "codeword": 2, "power_dbm": 3.0}]}'),
+            ("optimized_plan.json", '{"modified_beams": [{"sector": 1, "slot": 0, "codeword": 2, "power_dbm": "x"}]}'),
+            ("optimized_plan.json", '{"modified_beams": '),
+            ("ega_trace.csv", "iteration,best_fitness_db,evals\n0,1.5,100\n1\n"),
+            ("segment_metric.csv", "segment_id,sector_id,p_gain_db,inv_cond,cross_corr_db,chi\n0\n"),
+        ],
+        ids=["beams-not-a-list", "beams-a-dict", "entry-without-slot", "power-not-a-number", "truncated-json",
+             "short-trace-row", "short-metric-row"],
+    )
+    def test_malformed_artifact_is_format_error(self, tmp_path, capsys, name, text):
+        """A malformed artifact exits 2 with a message naming the file, and
+        prints nothing to stdout."""
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["inspect", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err
+
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_numpy_ma_is_never_imported(small_config_path, tmp_path, command):
@@ -371,6 +396,58 @@ def test_benchmark_setup_stage_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "setup_s" in json.loads(result.read_text())
+
+
+def _load_benchmark_harness(monkeypatch):
+    """perfbench/run.py as a module, registered in `sys.modules` before it
+    runs: its dataclasses look their module up there."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# layer names the tracer looks up that the library no longer defines
+STALE_SPANS = {
+    "channel.stack_highway_channels",
+    "genetic.FitnessEvaluator.evaluate_detailed",
+    "evaluation.data_phase",
+}
+
+
+@pytest.mark.parametrize("command, traced", [("run", False), ("sweep", True)])
+def test_benchmark_operation_runs(small_cfg, tmp_path, monkeypatch, command, traced):
+    """perfbench's operation (`child.py op`) runs `skybeam run` untraced and
+    `skybeam sweep` traced, and the harness's own output check accepts what
+    they write. On the small layout with a 5-iteration search; seed 2, so
+    the default seed's quality gate does not apply. The tracer finds every
+    layer it wraps but the stale ones."""
+    harness = _load_benchmark_harness(monkeypatch)
+    root = Path(__file__).resolve().parent.parent
+    small_cfg["optimizer"].update({"max_iters": 5, "stop_iters": 5})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small_cfg))
+    workload = harness.Workload(command, ga_iters=5, snapshots=2, n_max=3 if command == "sweep" else 0)
+    out, result = tmp_path / "out", tmp_path / "op.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "op", str(int(traced)), str(result),
+         *workload.argv(config, out, 2)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    problems, _ = harness.check_outputs(workload, out, 2)
+    assert problems == []
+    trace = json.loads(result.read_text())["trace"]
+    if traced:
+        assert set(trace["missing"]) <= STALE_SPANS
+        assert trace["spans"]["evaluation.evaluate_snapshot"]["calls"] == workload.snapshots
+        assert trace["spans"]["evaluation.traffic_sweep"]["calls"] == 1
+    else:
+        assert trace is None
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from skybeam import evaluation
 from skybeam.association import baseline_plan, changed_sectors, rsrp_table
 from skybeam.channel import ChannelSet, build_channels
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
-from skybeam.config import RadioConfig
+from skybeam.config import HighwayParams, RadioConfig
 from skybeam.evaluation import (
     CdfSummary,
     EmptyGroup,
@@ -36,11 +37,12 @@ from skybeam.scenario import scenario_from_config
 from test_association import make_channels, make_codebook
 
 RADIO = RadioConfig()
+UAV_SPACING = HighwayParams().uav_spacing_m  # the spacing `skybeam run` evaluates
 
 
 def dl_precoder(channels, book):
     """data_phase's precoder for entity 0 served by sector 0."""
-    return data_phase([channels], np.zeros(channels.n_entities, dtype=int), book, RADIO).precoder[0]
+    return data_phase([channels], np.zeros(channels.h.shape[0], dtype=int), book, RADIO).precoder[0]
 
 
 class TestSelectDlPrecoder:
@@ -231,7 +233,7 @@ CHANNEL_ARRAYS = ("rho", "tau", "g", "beta", "p_los", "is_los", "h")
 class TestSnapshotEvaluation:
     def test_snapshot_users_layout(self, small_scenario):
         ssb, dl, base = _books_and_plan(small_scenario)
-        res = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 4, d_iud=100.0)["b"]
+        res = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 4, [100.0])[0]["b"]
         kinds = res.kinds.tolist()
         n_gue = kinds.count("ground")
         assert n_gue == small_scenario.n_sectors * small_scenario.users.gues_per_cell
@@ -246,18 +248,18 @@ class TestSnapshotEvaluation:
     def test_explicit_zero_uav_spacing_raises(self, small_scenario):
         ssb, dl, base = _books_and_plan(small_scenario)
         with pytest.raises(ValueError, match="d_iud"):
-            evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 4, d_iud=0.0)
+            evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 4, [0.0])
 
     def test_zero_snapshots_raises(self, small_scenario):
         ssb, dl, base = _books_and_plan(small_scenario)
         with pytest.raises(ValueError, match="n_snapshots"):
-            evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 0)
+            evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 0, [UAV_SPACING])
 
     def test_plans_share_channels(self, small_scenario):
         ssb, dl, base = _books_and_plan(small_scenario)
         louder = base.copy()
         louder.power_dbm += 3.0
-        results = evaluate_snapshot(small_scenario, {"a": base, "b": louder}, ssb, dl, 0, 4)
+        (results,) = evaluate_snapshot(small_scenario, {"a": base, "b": louder}, ssb, dl, 0, 4, [UAV_SPACING])
         # a uniform 3 dB power lift leaves association unchanged
         assert np.array_equal(results["a"].serving_sector, results["b"].serving_sector)
         n_entities = len(small_scenario.ground_users(0)) + len(small_scenario.uavs())
@@ -282,13 +284,13 @@ class TestSnapshotEvaluation:
 
         monkeypatch.setattr(evaluation, "build_channels", recording)
         one, twelve = (
-            evaluate_snapshot(small_scenario, plans, ssb, dl, 2, 3, d_iud=length / n)
+            evaluate_snapshot(small_scenario, plans, ssb, dl, 2, 3, [length / n])[0]
             for n in (1, 12)
         )
         assert len(grounds) == 2
         for name in CHANNEL_ARRAYS:
             assert getattr(grounds[0], name).tobytes() == getattr(grounds[1], name).tobytes(), name
-        n_gue = grounds[0].n_entities
+        n_gue = grounds[0].h.shape[0]
         for name in plans:
             assert np.count_nonzero(one[name].kinds == "aerial") == 1
             assert np.count_nonzero(twelve[name].kinds == "aerial") == 12
@@ -301,14 +303,14 @@ class TestSnapshotEvaluation:
         building it afresh."""
         ssb, dl, base = _books_and_plan(small_scenario)
         ground = ground_channels(small_scenario, 1)
-        fresh = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2)["b"]
+        fresh = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2, [UAV_SPACING])[0]["b"]
         built = []
         monkeypatch.setattr(
             evaluation, "build_channels",
             lambda scenario, entities, snapshot, tag: built.append(tag) or build_channels(
                 scenario, entities, snapshot, tag),
         )
-        reused = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2, ground=ground)["b"]
+        reused = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2, [UAV_SPACING], ground)[0]["b"]
         assert built == ["uav"]  # the UAV block alone
         for field in ("serving_sector", "serving_slot", "serving_rsrp_mw", "coverage_sinr_db"):
             assert getattr(reused, field).tobytes() == getattr(fresh, field).tobytes(), field
@@ -363,7 +365,7 @@ class TestPlanDeltas:
     def assert_matches_full_evaluation(scenario, plans, dl=None, snapshot=1):
         ssb = build_ssb_codebook(scenario.sectors[0].panel, 4, 1)
         dl = dl or build_dl_codebook(scenario.sectors[0].panel, 1, 1)
-        got = evaluate_snapshot(scenario, plans, ssb, dl, snapshot, 4)
+        (got,) = evaluate_snapshot(scenario, plans, ssb, dl, snapshot, 4, [scenario.highway_params.uav_spacing_m])
         want = reference_evaluate_snapshot(scenario, plans, ssb, dl, snapshot, 4)
         assert list(got) == list(want)
         for name in plans:
@@ -371,7 +373,7 @@ class TestPlanDeltas:
             _assert_same_arrays(got[name].data, want[name].data, REPORT_FIELDS, name)
 
         ground = ground_channels(scenario, snapshot)
-        g = ground.n_entities
+        g = ground.h.shape[0]
         previous = None
         for name in plans:
             serving = want[name].serving_sector[:g]
@@ -391,6 +393,23 @@ class TestPlanDeltas:
         for b in sectors:
             changed.codeword[b, int(gen.integers(plan.n_slots))] = int(gen.integers(n_codewords))
         return changed
+
+    def test_every_spacing_matches_full_evaluation(self, small_scenario):
+        """One call at several UAV spacings, sharing the snapshot's ground
+        block and ground steps, gives each spacing the bytes of evaluating
+        it alone in full."""
+        ssb, dl, base = _books_and_plan(small_scenario)
+        plans = {"base": base, "other": self.with_new_codewords(base, range(3, 6), len(ssb))}
+        length = small_scenario.highway.total_length_m
+        spacings = [length / n for n in (1, 5, 12)]
+        got = evaluate_snapshot(small_scenario, plans, ssb, dl, 1, 4, spacings)
+        assert len(got) == len(spacings)
+        for d_iud, cell in zip(spacings, got):
+            want = reference_evaluate_snapshot(small_scenario, plans, ssb, dl, 1, 4, d_iud=d_iud)
+            assert list(cell) == list(want)
+            for name in plans:
+                _assert_same_arrays(cell[name], want[name], SNAPSHOT_FIELDS, name)
+                _assert_same_arrays(cell[name].data, want[name].data, REPORT_FIELDS, name)
 
     def test_identical_plans(self, small_scenario):
         _, _, base = _books_and_plan(small_scenario)
@@ -419,7 +438,7 @@ class TestPlanDeltas:
         move away and its inter-cell terms and codeword counts go to 0."""
         ssb, dl, base = _books_and_plan(small_scenario)
         g = len(small_scenario.ground_users(1))
-        b = int(evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 4)["b"].serving_sector[0])
+        b = int(evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 4, [UAV_SPACING])[0]["b"].serving_sector[0])
         dark = base.copy()
         dark.x[b] = 0
         want = self.assert_matches_full_evaluation(small_scenario, {"base": base, "dark": dark})
@@ -498,7 +517,7 @@ class TestTwoStepDataPhase:
         """UAV blocks of 1 row and of 2 to 12 rows, on their own association."""
         scenario = small_scenario if layout == "small" else scenario_from_config(cfg)
         dl, (ground, ground_serving), uav_blocks = self.snapshot(scenario, 1)
-        assert uav_blocks[0][0].n_entities == 1
+        assert uav_blocks[0][0].h.shape[0] == 1
         for uavs, uav_serving in uav_blocks:
             self.assert_matches_joined(ground, ground_serving, uavs, uav_serving, dl)
 
@@ -517,7 +536,7 @@ class TestTwoStepDataPhase:
         b = int(uav_serving[0])
         ground_serving = np.where(ground_serving == b, (b + 1) % small_scenario.n_sectors, ground_serving)
         want = self.assert_matches_joined(ground, ground_serving, uavs, uav_serving, dl)
-        assert not np.any(want.serving_sector[:ground.n_entities] == b)
+        assert not np.any(want.serving_sector[:ground.h.shape[0]] == b)
 
     @pytest.mark.parametrize("n_uavs", [1, 4])
     def test_uav_shares_a_codeword_with_ground_users(self, small_scenario, n_uavs):
@@ -530,7 +549,7 @@ class TestTwoStepDataPhase:
         h[0, b], beta[0, b], uav_serving[0] = ground.h[0, b], ground.beta[0, b], b
         uavs = dataclasses.replace(uavs, h=h, beta=beta)
         want = self.assert_matches_joined(ground, ground_serving, uavs, uav_serving, dl)
-        g = ground.n_entities
+        g = ground.h.shape[0]
         assert want.precoder[g] == want.precoder[0]
         assert want.n_codeword_sharers[g] == want.n_codeword_sharers[0] >= 2
 
@@ -538,7 +557,7 @@ class TestTwoStepDataPhase:
         dl, (ground, _), uav_blocks = self.snapshot(small_scenario)
         blocks = (ground, uav_blocks[0][0], uav_blocks[1][0])
         with pytest.raises(ValueError, match="at most one UAV block"):
-            data_phase(blocks, np.zeros(ground.n_entities + 3, dtype=int), dl, RADIO)
+            data_phase(blocks, np.zeros(ground.h.shape[0] + 3, dtype=int), dl, RADIO)
 
 
 class TestTrafficSweep:
@@ -583,6 +602,35 @@ class TestTrafficSweep:
         assert built == [("uav", 0), ("uav", 0), ("ue", 1), ("uav", 1), ("uav", 1)]
         assert got.p5_rate["baseline"].tobytes() == want.p5_rate["baseline"].tobytes()
         assert got.p5_gue_rate["baseline"].tobytes() == want.p5_gue_rate["baseline"].tobytes()
+
+    def test_one_block_of_each_kind_alive_at_a_time(self, small_scenario, monkeypatch):
+        """When a ground block is built, no earlier ground block is alive,
+        the one passed as `first_ground` included; the same holds for UAV
+        blocks."""
+        ssb, dl, base = _books_and_plan(small_scenario)
+        louder = base.copy()
+        louder.power_dbm[0] += 3.0
+        blocks = {"ue": [], "uav": []}  # weak references to every block built, per stream tag
+        alive_at_build = []
+        original = evaluation.build_channels
+
+        def recording(scenario, entities, snapshot, tag):
+            alive = sum(ref() is not None for ref in blocks[tag])
+            alive_at_build.append((tag, snapshot, alive))
+            channels = original(scenario, entities, snapshot, tag)
+            blocks[tag].append(weakref.ref(channels))
+            return channels
+
+        monkeypatch.setattr(evaluation, "build_channels", recording)
+        traffic_sweep(
+            small_scenario, {"baseline": base, "louder": louder}, ssb, dl, n_max=2, n_snapshots=3,
+            first_ground=ground_channels(small_scenario, 0),
+        )
+        assert alive_at_build == [
+            ("ue", 0, 0), ("uav", 0, 0), ("uav", 0, 0),
+            ("ue", 1, 0), ("uav", 1, 0), ("uav", 1, 0),
+            ("ue", 2, 0), ("uav", 2, 0), ("uav", 2, 0),
+        ]
 
     def test_zero_snapshots_raises(self, small_scenario):
         ssb, dl, base = _books_and_plan(small_scenario)
