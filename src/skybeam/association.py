@@ -181,25 +181,3 @@ def baseline_plan(scenario: Scenario, ssb_codebook: Codebook) -> BeamPlan:
     codeword = np.tile(np.array(slots_cw, dtype=int), (b, 1))
     sweep = np.tile(np.arange(N_SSB_SLOTS, dtype=int), (b, 1))
     return BeamPlan(x=x, power_dbm=power, codeword=codeword, sweep=sweep)
-
-
-def dump_association_csv(
-    kinds: np.ndarray,
-    serving_sector: np.ndarray,
-    serving_slot: np.ndarray,
-    rsrp: np.ndarray,
-    sinr_db: np.ndarray,
-    path,
-) -> None:
-    """One row per entity: serving beam, its RSRP (mW in, dBm out) and coverage SINR.
-
-    The per-entity arrays share one row order, and `ue_id` is the row index.
-    Each row is one `%`-format of Python values.
-    """
-    lines = ["ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"]
-    columns = (kinds.tolist(), serving_sector.tolist(), serving_slot.tolist(), rsrp.tolist(), sinr_db.tolist())
-    for i, (kind, sector, slot, rsrp_mw, sinr) in enumerate(zip(*columns)):
-        rsrp_dbm = 10.0 * math.log10(rsrp_mw) if rsrp_mw > 0 else -math.inf
-        lines.append("%d,%s,%d,%d,%.10g,%.10g" % (i, kind, sector, slot, rsrp_dbm, sinr))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

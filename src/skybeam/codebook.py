@@ -104,21 +104,3 @@ def build_ssb_codebook(panel: UpaGeometry, o_h: int, o_v: int) -> Codebook:
 def build_dl_codebook(panel: UpaGeometry, o_h: int, o_v: int) -> Codebook:
     """Full-panel oversampled DFT grid used for data-phase precoding."""
     return _stack(panel, o_h, o_v, [panel.m_h])
-
-
-def export_codebook_csv(codebook: Codebook, path) -> None:
-    """Debug/regression dump: one row per codeword, weights as re:im pairs.
-
-    Each row is one `%`-format of Python values; "%.10g" writes a float as
-    f"{x:.10g}" does.
-    """
-    n, m = codebook.weights.shape
-    parts = np.empty((n, 2 * m))
-    parts[:, 0::2] = codebook.weights.real
-    parts[:, 1::2] = codebook.weights.imag
-    row = "%d,%d,%d,%d," + ";".join(["%.10g:%.10g"] * m)
-    columns = (codebook.active_columns.tolist(), codebook.beam_index_h.tolist(), codebook.beam_index_v.tolist())
-    lines = ["index,active_cols,ih,iv,weights_re_im"]
-    lines += [row % (i, a, h, v, *w) for i, (a, h, v, w) in enumerate(zip(*columns, parts.tolist()))]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

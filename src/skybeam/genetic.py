@@ -41,7 +41,6 @@ byte.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -80,13 +79,6 @@ class FitnessTrace:
         self.iterations.append(iteration)
         self.best_fitness.append(best)
         self.evaluations.append(evals)
-
-    def to_csv(self, path) -> None:
-        lines = ["iteration,best_fitness_db,evals"]
-        for i, f, e in zip(self.iterations, self.best_fitness, self.evaluations):
-            lines.append(f"{i},{f:.10g},{e}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def select_frozen_slots(
@@ -445,27 +437,3 @@ def run(
         n_unscored = n_offspring
 
     return Individual(best_genome, best_fitness, best_violations), trace
-
-
-def export_plan_json(
-    plan: BeamPlan,
-    designated_cells: tuple[int, ...],
-    frozen_slots: dict[int, int],
-    path,
-) -> None:
-    """Persist the optimized beams (only the entries that differ from baseline)."""
-    entries = []
-    for cell in designated_cells:
-        slot = frozen_slots[cell]
-        entries.append(
-            {
-                "sector": int(cell),
-                "slot": int(slot),
-                "codeword": int(plan.codeword[cell, slot]),
-                "power_dbm": float(plan.power_dbm[cell, slot]),
-            }
-        )
-    payload = {"modified_beams": entries, "n_sectors": int(plan.n_sectors)}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

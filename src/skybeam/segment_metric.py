@@ -131,17 +131,3 @@ def assign_segments(
         cross_corr=cross_corr,
         chi=chi,
     )
-
-
-def dump_metric_csv(assignment: SegmentAssignment, path) -> None:
-    lines = ["segment_id,sector_id,p_gain_db,inv_cond,cross_corr_db,chi"]
-    for (z, b), p in np.ndenumerate(assignment.p_gain):
-        f = assignment.cross_corr[z, b]
-        p_db = 10.0 * math.log10(p) if p > 0 else -math.inf
-        f_db = 10.0 * math.log10(f) if f > 0 else -math.inf
-        lines.append(
-            f"{z},{b},{p_db:.10g},{assignment.inv_cond[z, b]:.10g},"
-            f"{f_db:.10g},{assignment.chi[z, b]:.10g}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

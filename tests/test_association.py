@@ -9,14 +9,15 @@ from skybeam.association import (
     baseline_plan,
     changed_sectors,
     coverage_sinr_all,
-    dump_association_csv,
     rsrp_table,
     select_serving_all,
     unique_ints,
 )
 from skybeam.channel import ChannelSet, build_channels
+from skybeam.cli import ASSOCIATION_CSV, _association_rows, _RunDir
 from skybeam.codebook import Codebook, build_ssb_codebook
 from skybeam.config import RadioConfig
+from skybeam.evaluation import SnapshotResult
 
 RADIO = RadioConfig()
 
@@ -318,10 +319,11 @@ def test_dump_association_csv(small_scenario, tmp_path):
     table = rsrp_table(channels, plan, book)
     sb, ss = select_serving_all(table)
     sinr = coverage_sinr_all(table, sb, ss, plan, small_scenario.radio.ssb_noise_mw)
-    path = tmp_path / "assoc.csv"
     rsrp = table[np.arange(channels.h.shape[0]), sb, ss]
-    dump_association_csv(channels.kinds, sb, ss, rsrp, sinr, path)
-    lines = path.read_text().splitlines()
+    res = SnapshotResult(kinds=channels.kinds, serving_sector=sb, serving_slot=ss, serving_rsrp_mw=rsrp,
+                         coverage_sinr_db=sinr, data=None)  # the association rows read no data phase
+    _RunDir(str(tmp_path), 0.0).write_csv("assoc.csv", ASSOCIATION_CSV, _association_rows(res))
+    lines = (tmp_path / "assoc.csv").read_text().splitlines()
     assert lines[0] == "ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"
     assert len(lines) == 1 + channels.h.shape[0]
 
@@ -396,8 +398,10 @@ def test_dump_association_csv_rows_match_fstring_formatting(tmp_path):
     sector, slot = np.array([0, 3, 56, 12]), np.array([7, 0, 2, 5])
     rsrp = np.array([1.234567890123e-9, 0.0, 5e-324, 3.0])
     sinr = np.array([-0.0, -np.inf, np.nan, 12.345678901234])
+    res = SnapshotResult(kinds=kinds, serving_sector=sector, serving_slot=slot, serving_rsrp_mw=rsrp,
+                         coverage_sinr_db=sinr, data=None)
     path = tmp_path / "assoc.csv"
-    dump_association_csv(kinds, sector, slot, rsrp, sinr, path)
+    _RunDir(str(tmp_path), 0.0).write_csv(path.name, ASSOCIATION_CSV, _association_rows(res))
     want = ["ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"]
     for i, kind in enumerate(kinds):
         rsrp_dbm = 10.0 * math.log10(rsrp[i]) if rsrp[i] > 0 else -math.inf

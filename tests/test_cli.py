@@ -1,10 +1,12 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -191,8 +193,10 @@ class TestRun:
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--n-max", "3"]])
 def test_ground_users_drawn_once_per_snapshot(small_config_path, tmp_path, monkeypatch, command):
     """Snapshot 0's ground users serve the search and the evaluation; the
-    sweep draws each snapshot's ground users once for all UAV counts."""
-    from skybeam import scenario
+    sweep draws each snapshot's ground users once for all UAV counts. When
+    snapshot 1's ground block is built, no reference keeps snapshot 0's
+    alive."""
+    from skybeam import evaluation, scenario
 
     snapshots = []
     original = scenario.place_ground_users
@@ -201,10 +205,23 @@ def test_ground_users_drawn_once_per_snapshot(small_config_path, tmp_path, monke
         snapshots.append(kwargs["snapshot"])
         return original(*args, **kwargs)
 
+    blocks, alive_at_build = [], []
+    build = evaluation.build_channels
+
+    def recording(*args):
+        if args[3] == "ue":
+            alive_at_build.append(sum(ref() is not None for ref in blocks))
+        channels = build(*args)
+        if args[3] == "ue":
+            blocks.append(weakref.ref(channels))
+        return channels
+
     monkeypatch.setattr(scenario, "place_ground_users", counting)
+    monkeypatch.setattr(evaluation, "build_channels", recording)
     argv = [*command, "--config", str(small_config_path), "--out", str(tmp_path / "o"), "--snapshots", "2"]
     assert main(argv) == 0
     assert snapshots == [0, 1]
+    assert alive_at_build == [0, 0]
 
 
 class TestInfeasibleSearch:
@@ -262,6 +279,20 @@ class TestSweep:
             assert manifest["sweep"][key]["n_uavs"] == n_best, key
             assert manifest["sweep"][key]["ratio"] == pytest.approx(ratios[n_best], rel=1e-9), key
 
+
+    def test_manifest_lists_only_this_commands_outputs(self, small_config_path, tmp_path):
+        """`run`, then `sweep`, then `run` again into one directory: each
+        manifest lists the files its own command wrote, not the files an
+        earlier command left there, its manifest included."""
+        out = tmp_path / "shared"
+        common = ["--config", str(small_config_path), "--out", str(out), "--snapshots", "1"]
+        run_outputs = sorted(name for name in RUN_OUTPUTS if name != "manifest.json")
+        sweep_outputs = ["ega_trace.csv", "optimized_plan.json", "segment_metric.csv", "sweep.csv",
+                         "sweep_baseline_series.csv", "sweep_optimized_series.csv"]
+        for argv, want in ((["run", *common], run_outputs), (["sweep", *common, "--n-max", "2"], sweep_outputs),
+                           (["run", *common], run_outputs)):
+            assert main(argv) == 0
+            assert json.loads((out / "manifest.json").read_text())["outputs"] == want, argv[0]
 
     def test_rows_match_n_max(self, small_config_path, tmp_path):
         out = tmp_path / "sweep"
@@ -326,7 +357,11 @@ class TestInspect:
         main(["run", "--config", str(small_config_path), "--out", str(out), "--snapshots", "1"])
         capsys.readouterr()
         assert main(["inspect", str(out / "segment_metric.csv")]) == 0
-        assert "metric table" in capsys.readouterr().out
+        rows = (out / "segment_metric.csv").read_text().splitlines()[1:]
+        n_sectors = 21  # one tier: 7 sites of 3 sectors, every one scored against every segment
+        assert {int(row.split(",")[1]) for row in rows} == set(range(n_sectors))
+        sectors = ", ".join(str(b) for b in range(n_sectors))  # 2 before 10, not "0, 1, 10, 11, ..."
+        assert capsys.readouterr().out == f"metric table: {len(rows)} rows, sectors scored: {sectors}\n"
 
     def test_empty_file_is_format_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
@@ -347,15 +382,19 @@ class TestInspect:
             ("optimized_plan.json", '{"modified_beams": '),
             ("ega_trace.csv", "iteration,best_fitness_db,evals\n0,1.5,100\n1\n"),
             ("segment_metric.csv", "segment_id,sector_id,p_gain_db,inv_cond,cross_corr_db,chi\n0\n"),
+            ("summary.json", "[1, 2]"),
+            ("summary.json", '"x"'),
+            ("ega_trace.csv", b"iteration,best_fitness_db,evals\n0,\xff,100\n"),
         ],
         ids=["beams-not-a-list", "beams-a-dict", "entry-without-slot", "power-not-a-number", "truncated-json",
-             "short-trace-row", "short-metric-row"],
+             "short-trace-row", "short-metric-row", "json-array", "json-string", "not-utf8"],
     )
     def test_malformed_artifact_is_format_error(self, tmp_path, capsys, name, text):
         """A malformed artifact exits 2 with a message naming the file, and
-        prints nothing to stdout."""
+        prints nothing to stdout: a `.json` file must hold an object, and
+        every artifact must be UTF-8 text."""
         path = tmp_path / name
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["inspect", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -461,9 +500,22 @@ def test_import_leaves_numpy_random_unloaded():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-def test_report_rows_match_fstring_formatting():
-    from skybeam.cli import _fmt, _report_rows
-    from skybeam.evaluation import DataPhaseReport, SnapshotResult
+def test_report_rows_match_fstring_formatting(tmp_path):
+    """Each CSV writer's file, written through the output directory, holds
+    the bytes of the per-value f-strings the writers used to format: the
+    report, the segment metric, the search trace, the sweep table and the
+    sweep series, on zero, signed-zero, infinite, NaN, subnormal and huge
+    values."""
+    from skybeam.cli import (
+        METRIC_CSV, REPORT_CSV, SERIES_CSV, SWEEP_CSV, TRACE_CSV, _metric_rows, _report_rows, _RunDir,
+        _series_rows, _sweep_rows, _trace_rows,
+    )
+    from skybeam.evaluation import DataPhaseReport, SnapshotResult, SweepResult
+    from skybeam.genetic import FitnessTrace
+    from skybeam.segment_metric import SegmentAssignment
+
+    def db(x):
+        return 10.0 * math.log10(x) if x > 0 else -math.inf
 
     kinds = np.array(["ground", "aerial", "aerial"])
     values = np.array([[-0.0, np.inf, 5e-324], [np.nan, -np.inf, 1e300], [1.0 / 3.0, -12.5, 123456789012.0]])
@@ -472,8 +524,51 @@ def test_report_rows_match_fstring_formatting():
                            sinr_db=values[1], rate_bps=values[2])
     res = SnapshotResult(kinds=kinds, serving_sector=sector, serving_slot=sector, serving_rsrp_mw=values[0],
                          coverage_sinr_db=values[0], data=data)
-    want = "".join(
-        f"{7},{i},{kind},{sector[i]},{_fmt(values[0][i])},{_fmt(values[1][i])},{_fmt(values[2][i])}\n"
+    report = "".join(
+        f"{7},{i},{kind},{sector[i]},{values[0][i]:.10g},{values[1][i]:.10g},{values[2][i]:.10g}\n"
         for i, kind in enumerate(kinds)
     )
-    assert _report_rows(7, res) == want
+
+    grid = np.array([[0.0, 5e-324, 1.0 / 3.0], [1e300, np.nan, 2.5e-13]])
+    assignment = SegmentAssignment(serving_cell=(2, 0), designated_cells=(0, 2), required_cell=np.array([2, 0]),
+                                   p_gain=grid, inv_cond=grid[::-1], cross_corr=grid[:, ::-1], chi=-grid)
+    metric = "".join(
+        f"{z},{b},{db(p):.10g},{assignment.inv_cond[z, b]:.10g},{db(assignment.cross_corr[z, b]):.10g},"
+        f"{assignment.chi[z, b]:.10g}\n"
+        for (z, b), p in np.ndenumerate(grid)
+    )
+
+    trace = FitnessTrace(iterations=[0, 1, 2], best_fitness=[-math.inf, 1.0 / 3.0, 1e300], evaluations=[100, 180, 260])
+    trace_text = "".join(
+        f"{i},{f:.10g},{e}\n" for i, f, e in zip(trace.iterations, trace.best_fitness, trace.evaluations)
+    )
+
+    sweep = SweepResult(n_uavs=np.arange(1, 4), d_iud_m=1250.0 / np.arange(1, 4),
+                        p5_rate={"baseline": values[0], "optimized": values[1]},
+                        p5_gue_rate={"baseline": values[2], "optimized": -values[2]})
+    sweep_text = "".join(
+        f"{n},{sweep.d_iud_m[i]:.10g},{sweep.p5_rate['baseline'][i]:.10g},{sweep.p5_rate['optimized'][i]:.10g},"
+        f"{sweep.p5_gue_rate['baseline'][i]:.10g},{sweep.p5_gue_rate['optimized'][i]:.10g}\n"
+        for i, n in enumerate(sweep.n_uavs)
+    )
+    series_text = "".join(f"{n},{sweep.p5_rate['optimized'][i]:.10g}\n" for i, n in enumerate(sweep.n_uavs))
+
+    run_dir = _RunDir(str(tmp_path / "out"), 0.0)
+    cases = [
+        ("report.csv", REPORT_CSV, _report_rows(7, res),
+         "snapshot,ue_id,kind,serving_sector,coverage_sinr_db,data_sinr_db,rate_bps\n" + report),
+        ("metric.csv", METRIC_CSV, _metric_rows(assignment),
+         "segment_id,sector_id,p_gain_db,inv_cond,cross_corr_db,chi\n" + metric),
+        ("trace.csv", TRACE_CSV, _trace_rows(trace), "iteration,best_fitness_db,evals\n" + trace_text),
+        ("sweep.csv", SWEEP_CSV, _sweep_rows(sweep),
+         "n_uavs,d_iud_m,p5_uav_rate_baseline_bps,p5_uav_rate_optimized_bps,"
+         "p5_gue_rate_baseline_bps,p5_gue_rate_optimized_bps\n" + sweep_text),
+        ("series.csv", SERIES_CSV, _series_rows(sweep, "optimized"), "n_uavs,p5_uav_rate_bps\n" + series_text),
+    ]
+    for name, spec, rows, want in cases:
+        run_dir.write_csv(name, spec, rows)
+        assert (run_dir.path / name).read_text() == want, name
+    # appended rows carry no second header
+    run_dir.write_csv("report.csv", REPORT_CSV, _report_rows(7, res), append=True)
+    assert (run_dir.path / "report.csv").read_text() == cases[0][3] + report
+    assert run_dir.names == {name for name, *_ in cases}

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import find_codeword
+from skybeam.cli import CODEBOOK_CSV, _codebook_rows, _RunDir
 from skybeam.codebook import (
     build_dl_codebook,
     build_ssb_codebook,
     dft_subbook,
-    export_codebook_csv,
 )
 from skybeam.config import RadioConfig
 from skybeam.scenario import UpaGeometry
@@ -140,7 +140,7 @@ def test_deactivation_widens_beams():
 def test_export_csv(tmp_path):
     book = build_ssb_codebook(UpaGeometry(m_h=2, m_v=2), 1, 1)
     path = tmp_path / "codebook.csv"
-    export_codebook_csv(book, path)
+    _RunDir(str(tmp_path), 0.0).write_csv(path.name, CODEBOOK_CSV, _codebook_rows(book))
     lines = path.read_text().splitlines()
     assert lines[0] == "index,active_cols,ih,iv,weights_re_im"
     assert len(lines) == 1 + len(book)
@@ -167,7 +167,7 @@ def test_codebook_csv_rows_match_fstring_formatting(tmp_path):
     """One %-format per row writes what per-value f-strings wrote."""
     book = build_ssb_codebook(UpaGeometry(m_h=4, m_v=2), 2, 1)
     path = tmp_path / "cb.csv"
-    export_codebook_csv(book, path)
+    _RunDir(str(tmp_path), 0.0).write_csv(path.name, CODEBOOK_CSV, _codebook_rows(book))
     want = ["index,active_cols,ih,iv,weights_re_im"]
     for i in range(len(book)):
         w = ";".join(f"{x.real:.10g}:{x.imag:.10g}" for x in book.weights[i])

@@ -13,6 +13,7 @@ from oracles import (
 )
 from skybeam.association import BeamPlan, changed_sectors, rsrp_table, select_serving_all
 from skybeam.channel import build_channels
+from skybeam.cli import TRACE_CSV, _plan_json, _RunDir, _trace_rows
 from skybeam.codebook import build_ssb_codebook
 from skybeam.config import codebook_params_from_config, default_config, validate_config
 from skybeam.evaluation import associate
@@ -20,7 +21,6 @@ from skybeam.genetic import (
     EgaParams,
     FitnessEvaluator,
     apply_individual,
-    export_plan_json,
     run,
     corridor_problem,
     select_frozen_slots,
@@ -688,16 +688,15 @@ def test_trace_and_plan_export(tmp_path):
         stop_iters=50, seed=1,
     )
     winner, trace = run(params, ev, p_max_dbm=10.0)
-    trace_path = tmp_path / "trace.csv"
-    trace.to_csv(trace_path)
-    lines = trace_path.read_text().splitlines()
+    run_dir = _RunDir(str(tmp_path), 0.0)
+    run_dir.write_csv("trace.csv", TRACE_CSV, _trace_rows(trace))
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "iteration,best_fitness_db,evals"
     assert len(lines) == 1 + len(trace.iterations)
 
     plan = ev.plan_for(winner.genome)
-    plan_path = tmp_path / "plan.json"
-    export_plan_json(plan, ev.designated_cells, ev.frozen_slots, plan_path)
+    run_dir.write_json("plan.json", _plan_json(plan, ev.designated_cells, ev.frozen_slots))
     import json
 
-    payload = json.loads(plan_path.read_text())
+    payload = json.loads((tmp_path / "plan.json").read_text())
     assert len(payload["modified_beams"]) == len(ev.designated_cells)

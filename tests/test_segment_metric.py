@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from oracles import per_pair_segment_metric
 from skybeam.channel import expected_channels
+from skybeam.cli import METRIC_CSV, _metric_rows, _RunDir
 from skybeam.config import RadioConfig, default_config, validate_config
 from skybeam.scenario import scenario_from_config
 from skybeam.segment_metric import (
     assign_segments,
     avg_channel_gain,
     cross_corr_frobenius,
-    dump_metric_csv,
     inv_condition_number,
     metric_noise_mw,
     segment_cell_metric,
@@ -248,7 +248,7 @@ class TestAssignSegments:
     def test_dump_csv(self, small_scenario, tmp_path):
         out = assign_segments(_expected(small_scenario), small_scenario.highway.segments, NOISE)
         path = tmp_path / "metric.csv"
-        dump_metric_csv(out, path)
+        _RunDir(str(tmp_path), 0.0).write_csv(path.name, METRIC_CSV, _metric_rows(out))
         lines = path.read_text().splitlines()
         assert lines[0] == "segment_id,sector_id,p_gain_db,inv_cond,cross_corr_db,chi"
         assert len(lines) == 1 + out.chi.size
