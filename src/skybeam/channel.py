@@ -10,15 +10,16 @@ a Rician mix of a plane-wave steering vector and an i.i.d. Rayleigh part.
 Everything is generated from seeded streams keyed by (kind of draw, stream
 tag, snapshot, sector): the LoS uniforms, the shadow draws and the fading
 draws, all of a build's streams derived in one `RngStream.derive_many`
-call. A build takes one entity class, and each class has its own stream
-tag: "ue" for the ground users of a snapshot, "uav" for its UAVs and
-"highway-point" for the static corridor points. One class's channels
-therefore never depend on the other class, and a ChannelSet is
-bit-reproducible regardless of evaluation order. `build_channels` builds
-every block. `link_geometry` takes the geometry of all (sector, entity)
-links in one stacked pass. The keyed draws stay per sector, in two passes:
-the large-scale draws first and the small-scale fading second. In between,
-the deterministic large-scale functions (`element_gain`,
+call. `build_channels(scenario, entities, snapshot, stream_tag)` builds
+every block: an `entity_block` of one entity class, "ground" or "aerial",
+at the rows of an (n, 3) position array, on its own stream tag: "ue" for
+the ground users of a snapshot, "uav" for its UAVs and "highway-point" for
+the static corridor points. One class's channels therefore never depend on
+the other class, and a ChannelSet is bit-reproducible regardless of
+evaluation order. `link_geometry` takes the geometry of all (sector,
+entity) links in one stacked pass. The keyed draws stay per sector, in two
+passes: the large-scale draws first and the small-scale fading second. In
+between, the deterministic large-scale functions (`element_gain`,
 `los_probability`, `path_loss`, the shadow gain) run once over all links.
 The Rician mix runs over chunks of sectors of about `_MIX_LINKS` links: a
 small UAV block or the corridor points mix every sector at once, a ground
@@ -90,7 +91,7 @@ def _ground_p_los(d2d: np.ndarray, h_ut: np.ndarray) -> np.ndarray:
     return np.where(d2d <= 18.0, 1.0, base * bonus)
 
 
-def path_loss(d2d_m, d3d_m, h_ut_m, kind: str, los, radio: RadioConfig, h_bs_m=25.0):
+def path_loss(d2d_m, d3d_m, h_ut_m, kind: str, los, radio: RadioConfig, h_bs_m):
     """Linear path gain rho for a link (vectorized over the shape of `d2d_m`).
 
     `d3d_m` has that shape; the UE heights, the LoS states and the
@@ -305,7 +306,6 @@ class ChannelSet:
     is exactly rho * tau * g.
     """
 
-    kinds: np.ndarray  # per-entity "ground" or "aerial"
     rho: np.ndarray  # path gain, linear
     tau: np.ndarray  # shadow gain, linear
     g: np.ndarray  # element gain, linear
@@ -314,9 +314,18 @@ class ChannelSet:
     is_los: np.ndarray
     h: np.ndarray  # N x B x M complex
 
-    @property
-    def n_sectors(self) -> int:
-        return self.h.shape[1]
+
+def entity_block(kind: str, positions: np.ndarray) -> np.recarray:
+    """The input of `build_channels`: one record per row of an (n, 3) position
+    array, each with the block's `kind` ("ground" or "aerial", any other
+    raises ValueError naming it) and its `position_3d_m`."""
+    if kind not in ("ground", "aerial"):
+        raise ValueError(f"unknown entity kind {kind!r}")
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    block = np.recarray(positions.shape[0], dtype=[("kind", "U6"), ("position_3d_m", "f8", (3,))])
+    block.kind = kind
+    block.position_3d_m = positions
+    return block
 
 
 def _entity_kind(entities: np.recarray) -> str:
@@ -331,24 +340,22 @@ def _entity_kind(entities: np.recarray) -> str:
     return kind
 
 
-def _block_geometry(scenario: Scenario, entities: np.recarray):
-    """A block's entity class, its shadow factor and the geometry of its links.
+def _block_geometry(scenario: Scenario, kind: str, positions: np.ndarray):
+    """A block's shadow factor and the geometry of its links.
 
     The distances and angles come in [entity, sector] C order, the layout of
     every ChannelSet array. `d3d` and the unit wave vectors also come
     sector-major, as the Rician mix takes them.
     """
-    kind = _entity_kind(entities)
     params = scenario.channel_params
-    positions = entities.position_3d_m
     d_corr = params.shadow_corr_dist_ground_m if kind == "ground" else params.shadow_corr_dist_aerial_m
     factor = shadow_factor(positions, d_corr)
     d2d, d3d, az, zen, unit = link_geometry(scenario.sectors, positions)
     links = tuple(np.ascontiguousarray(x.T) for x in (d2d, d3d, az, zen))
-    return kind, factor, links, d3d, unit
+    return factor, links, d3d, unit
 
 
-def _large_scale(scenario: Scenario, entities: np.recarray, kind: str, links, los_draws, shadow_unit):
+def _large_scale(scenario: Scenario, kind: str, heights: np.ndarray, links, los_draws, shadow_unit):
     """The deterministic large-scale step over all (entity, sector) links.
 
     `los_draws` and `shadow_unit` are the block's LoS uniforms and unit
@@ -358,7 +365,6 @@ def _large_scale(scenario: Scenario, entities: np.recarray, kind: str, links, lo
     radio = scenario.radio
     params = scenario.channel_params
     d2d, d3d, az, zen = links
-    heights = entities.position_3d_m[:, 2]
     if kind == "ground":
         sigma_los = params.shadow_sigma_los_ground_db
         sigma_nlos = params.shadow_sigma_nlos_ground_db
@@ -378,7 +384,6 @@ def _large_scale(scenario: Scenario, entities: np.recarray, kind: str, links, lo
     n, b = d2d.shape
     m = scenario.sectors[0].panel.n_elements if b else 0
     channels = ChannelSet(
-        kinds=entities.kind,
         rho=rho,
         tau=tau,
         g=g,
@@ -413,20 +418,15 @@ def _rician_mix(fading, k, unit, d3d, coords, wavelength) -> None:
         fading[1, rows] += los_amp * wave.imag
 
 
-def build_channels(
-    scenario: Scenario,
-    entities: np.recarray,
-    snapshot: int | str = 0,
-    stream_tag: str = "ue",
-) -> ChannelSet:
+def build_channels(scenario: Scenario, entities: np.recarray, snapshot: int | str, stream_tag: str) -> ChannelSet:
     """Generate the full ChannelSet for one class of `entities` against every sector.
 
-    `entities` is a record array from `scenario.entity_block`: row i is
-    entity i, with its `kind` and `position_3d_m`. Every row must be of one
-    kind, "ground" or "aerial"; a block mixing the two raises ValueError, so
-    each entity class is built by its own call on its own streams. Seed keys
-    combine (stream_tag, snapshot, sector id), which makes the result
-    independent of sector evaluation order and of every other call.
+    `entities` comes from `entity_block`: row i is entity i, with its `kind`
+    and `position_3d_m`. Every row must be of one kind; a block mixing the
+    two raises ValueError, so each entity class is built by its own call on
+    its own streams. Seed keys combine (stream_tag, snapshot, sector id),
+    which makes the result independent of sector evaluation order and of
+    every other call.
 
     Three steps. Pass 1 takes the geometry of every link in one stacked
     `link_geometry` call, then walks the sectors for the two large-scale
@@ -448,11 +448,13 @@ def build_channels(
     validity region raises at most one `OutOfValidityRange` warning. An
     entity at a panel's position raises ValueError from `link_geometry`.
     """
+    kind = _entity_kind(entities)
+    positions = entities.position_3d_m
     sectors = scenario.sectors
     wavelength = scenario.radio.wavelength_m
-    n = len(entities)
+    n = len(positions)
     b = len(sectors)
-    kind, factor, links, d3d, unit = _block_geometry(scenario, entities)
+    factor, links, d3d, unit = _block_geometry(scenario, kind, positions)
     # every sector's los, shadow and fading streams, derived in one batch
     rngs = scenario.streams.derive_many(
         (draw, stream_tag, snapshot, sector.id) for draw in ("los", "shadow", "fading") for sector in sectors
@@ -465,7 +467,7 @@ def build_channels(
         los_draws[:, j] = los_rngs[j].uniform(size=n)
         shadow_unit[:, j] = shadow_field(factor, shadow_rngs[j])
 
-    channels, k = _large_scale(scenario, entities, kind, links, los_draws, shadow_unit)
+    channels, k = _large_scale(scenario, kind, positions[:, 2], links, los_draws, shadow_unit)
 
     # pass 2: Rician small-scale fading, drawn per sector, mixed per chunk
     h = channels.h

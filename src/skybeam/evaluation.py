@@ -33,7 +33,7 @@ from .association import (
     select_serving_all,
     unique_ints,
 )
-from .channel import ChannelSet, build_channels
+from .channel import ChannelSet, build_channels, entity_block
 from .codebook import Codebook
 from .config import RadioConfig
 from .scenario import Scenario
@@ -354,14 +354,14 @@ def _check_snapshots(n_snapshots: int) -> None:
 
 def ground_channels(scenario: Scenario, snapshot: int) -> ChannelSet:
     """The snapshot's ground-user drop and its channels, on the "ue" streams."""
-    return build_channels(scenario, scenario.ground_users(snapshot=snapshot), snapshot, "ue")
+    return build_channels(scenario, entity_block("ground", scenario.ground_users(snapshot)), snapshot, "ue")
 
 
-def snapshot_uavs(scenario: Scenario, snapshot: int, n_snapshots: int, d_iud: float) -> np.recarray:
+def snapshot_uavs(scenario: Scenario, snapshot: int, n_snapshots: int, d_iud: float) -> np.ndarray:
     """UAVs at spacing d_iud, advanced by d_iud / n_snapshots per snapshot."""
     _check_snapshots(n_snapshots)
     offset = (snapshot * d_iud / n_snapshots) % scenario.highway.total_length_m
-    return scenario.uavs(offset_m=offset, d_iud=d_iud)
+    return scenario.uavs(offset, d_iud)
 
 
 def evaluate_snapshot(
@@ -398,8 +398,9 @@ def evaluate_snapshot(
         step = steps[name] = data_phase_ground(ground, gues[name].serving_sector, dl_codebook, scenario.radio, step)
     results = []
     for d_iud in spacings:
-        uavs = build_channels(scenario, snapshot_uavs(scenario, snapshot, n_snapshots, d_iud), snapshot, "uav")
-        kinds = np.concatenate([ground.kinds, uavs.kinds])
+        positions = snapshot_uavs(scenario, snapshot, n_snapshots, d_iud)
+        uavs = build_channels(scenario, entity_block("aerial", positions), snapshot, "uav")
+        kinds = np.repeat(["ground", "aerial"], [len(ground.h), len(uavs.h)])
         cell = {}
         for (name, plan), table in zip(plans.items(), plan_tables(uavs, plans.values(), ssb_codebook)):
             gue, uav = gues[name], associate(table, plan, noise_mw)
@@ -432,7 +433,7 @@ def traffic_sweep(
     ssb_codebook: Codebook,
     dl_codebook: Codebook,
     n_max: int,
-    n_snapshots: int = 20,
+    n_snapshots: int,
     first_ground: ChannelSet | None = None,
 ) -> SweepResult:
     """Evaluate both plans for N = 1..n_max UAVs at d_IUD = L / N.

@@ -49,11 +49,10 @@ import numpy as np
 from .association import (
     BeamPlan, baseline_plan, beam_gain, coverage_sinr_all, dbm_to_mw, rsrp_table, select_serving_all,
 )
-from .channel import ChannelSet, build_channels, expected_channels
+from .channel import ChannelSet, build_channels, entity_block, expected_channels
 from .codebook import Codebook
 from .config import EgaParams
-from .evaluation import ground_channels
-from .scenario import Scenario, entity_block
+from .scenario import Scenario
 from .segment_metric import SegmentAssignment, assign_segments, metric_noise_mw
 
 
@@ -303,7 +302,7 @@ class FitnessEvaluator:
 
 
 def corridor_problem(
-    scenario: Scenario, ssb_codebook: Codebook, ground: ChannelSet | None = None
+    scenario: Scenario, ssb_codebook: Codebook, ground: ChannelSet
 ) -> tuple[SegmentAssignment, FitnessEvaluator]:
     """The beam-search problem of a scenario's corridor.
 
@@ -311,22 +310,18 @@ def corridor_problem(
     segment, freezes in each designated cell the baseline slot that serves the
     fewest snapshot-0 ground users, and builds the evaluator on the static
     corridor-point channels against the baseline plan. `ground` is snapshot
-    0's ground block (`evaluation.ground_channels`), built here if not given;
-    a caller that evaluates snapshot 0 afterwards passes the same block to
-    both.
+    0's ground block (`evaluation.ground_channels`); a caller that evaluates
+    snapshot 0 afterwards passes the same block to both.
     """
     radio, highway = scenario.radio, scenario.highway
     h = expected_channels(scenario.sectors, highway.points, radio, scenario.channel_params)
     assignment = assign_segments(h, highway.segments, metric_noise_mw(radio))
     base = baseline_plan(scenario, ssb_codebook)
 
-    if ground is None:
-        ground = ground_channels(scenario, 0)
     gue_sector, gue_slot = select_serving_all(rsrp_table(ground, base, ssb_codebook))
     frozen = select_frozen_slots(base, assignment.designated_cells, gue_sector, gue_slot)
 
-    points = entity_block("aerial", highway.points)
-    point_channels = build_channels(scenario, points, snapshot="static", stream_tag="highway-point")
+    point_channels = build_channels(scenario, entity_block("aerial", highway.points), "static", "highway-point")
     evaluator = FitnessEvaluator(
         point_channels, ssb_codebook, base, assignment.designated_cells, frozen,
         assignment.required_cell, radio.ssb_noise_mw,

@@ -4,6 +4,9 @@ Coordinate conventions (global frame): x east, y north, z up, meters.
 Azimuth angles are measured counter-clockwise from the +x axis; a panel's
 ``downtilt_deg`` is the angle of its boresight below the horizon, so a beam
 steered broadside of an untilted panel leaves horizontally.
+
+Users and UAVs are placed as plain (n, 3) position arrays, one row per
+entity; `channel.entity_block` joins one to its entity class.
 """
 
 from __future__ import annotations
@@ -84,16 +87,6 @@ class Sector:
         return np.array(self.position_3d_m)
 
 
-def entity_block(kind: str, positions: np.ndarray) -> np.recarray:
-    """One record per entity of one class: `kind` ("ground" or "aerial") and
-    `position_3d_m`, taken from the rows of an (n, 3) position array."""
-    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    block = np.recarray(positions.shape[0], dtype=[("kind", "U6"), ("position_3d_m", "f8", (3,))])
-    block.kind = kind
-    block.position_3d_m = positions
-    return block
-
-
 @dataclass(frozen=True)
 class AerialHighway:
     """Corridor polyline discretized into equidistant points and segments."""
@@ -102,10 +95,6 @@ class AerialHighway:
     total_length_m: float
     points: np.ndarray  # N_r x 3
     segments: tuple[tuple[int, int], ...]  # half-open [start, stop) point ranges
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
 
     def point_at_arc_length(self, s: float | np.ndarray) -> np.ndarray:
         return _interp_polyline(self.polyline_3d, np.atleast_1d(np.asarray(s, dtype=float)))
@@ -184,15 +173,15 @@ def place_ground_users(
     per_cell: int,
     isd_m: float,
     streams: RngStream,
-    height_m: float = 1.5,
-    snapshot: int = 0,
-) -> np.recarray:
+    height_m: float,
+    snapshot: int,
+) -> np.ndarray:
     """Drop `per_cell` users uniformly inside each sector's dominance area.
 
     The dominance area is the site's hexagonal lattice cell intersected with
     the 120-degree wedge around the sector bearing. Positions are reproducible
-    from (master seed, snapshot, sector id). Returns an `entity_block` of
-    kind "ground" with `per_cell` rows per sector, in sector order.
+    from (master seed, snapshot, sector id). Returns an (S * per_cell, 3)
+    position array, `per_cell` rows per sector, in sector order.
 
     Each sector draws batches of uniform candidates from its own stream
     until `per_cell` of them fall in its area. The first batch of every
@@ -202,7 +191,7 @@ def place_ground_users(
     """
     positions = np.full((len(sectors), per_cell, 3), float(height_m))
     if per_cell == 0 or not sectors:
-        return entity_block("ground", positions)
+        return positions.reshape(-1, 3)
     radius = isd_m / math.sqrt(3.0)  # hexagon circumradius
     size = (max(8 * per_cell, 32), 2)
     rngs = streams.derive_many(("gue-pos", snapshot, sector.id) for sector in sectors)
@@ -216,7 +205,7 @@ def place_ground_users(
             kept[k] = np.vstack([kept[k], batch[_in_dominance_area(batch, bearings[k], isd_m)]])
     centres = np.array([sector.position[:2] for sector in sectors])
     positions[:, :, :2] = centres[:, None, :] + np.stack([batch[:per_cell] for batch in kept])
-    return entity_block("ground", positions)
+    return positions.reshape(-1, 3)
 
 
 def discretize_highway(polyline: np.ndarray, d_r: float, n_s: int) -> AerialHighway:
@@ -246,17 +235,17 @@ def discretize_highway(polyline: np.ndarray, d_r: float, n_s: int) -> AerialHigh
     )
 
 
-def place_uavs(highway: AerialHighway, d_iud: float, offset_m: float = 0.0) -> np.recarray:
+def place_uavs(highway: AerialHighway, d_iud: float, offset_m: float = 0.0) -> np.ndarray:
     """Evenly spaced UAVs along the corridor, arc positions (offset + k d_iud) mod L.
 
-    Returns an `entity_block` of kind "aerial", one row per UAV.
+    Returns an (n, 3) position array, one row per UAV.
     """
     length = highway.total_length_m
     if not 0.0 < d_iud <= length:
         raise ValueError("d_iud must satisfy 0 < d_iud <= highway length")
     count = int(math.floor(length / d_iud + 1e-9))
     arcs = (offset_m + np.arange(count) * d_iud) % length
-    return entity_block("aerial", highway.point_at_arc_length(arcs))
+    return highway.point_at_arc_length(arcs)
 
 
 def default_highway_polyline(isd_m: float, altitude_m: float, length_m: float = 1250.0) -> np.ndarray:
@@ -292,15 +281,13 @@ class Scenario:
     def n_sectors(self) -> int:
         return len(self.sectors)
 
-    def ground_users(self, snapshot: int = 0) -> np.recarray:
+    def ground_users(self, snapshot: int) -> np.ndarray:
         return place_ground_users(
             self.sectors, self.users.gues_per_cell, self.layout.isd_m, self.streams,
             height_m=self.users.ground_height_m, snapshot=snapshot,
         )
 
-    def uavs(self, offset_m: float = 0.0, d_iud: float | None = None) -> np.recarray:
-        if d_iud is None:
-            d_iud = self.highway_params.uav_spacing_m
+    def uavs(self, offset_m: float, d_iud: float) -> np.ndarray:
         return place_uavs(self.highway, d_iud, offset_m)
 
 

@@ -5,8 +5,8 @@ paper's formula directly, independent of the batched code path that
 `skybeam run` executes: `ssb_rsrp` for `association.rsrp_table`, `data_sinr`
 and `achievable_rate` for `evaluation.data_phase`, and `brute_force_fitness`
 for `genetic.FitnessEvaluator`; `per_sector_channels` builds a ChannelSet
-one sector at a time, every large-scale call per (sector, entity class), as
-the reference for `channel.build_channels`.
+of one entity class one sector at a time, every large-scale call per
+sector, as the reference for `channel.build_channels`.
 
 More are bit-level references for batched library paths:
 `per_sector_rsrp_table` is `association.rsrp_table` one sector at a time;
@@ -63,6 +63,7 @@ from skybeam.channel import (
     aerial_los_shadow_sigma_db,
     build_channels,
     element_gain,
+    entity_block,
     link_geometry,
     los_components,
     los_probability,
@@ -85,7 +86,7 @@ from skybeam.evaluation import (
     snapshot_uavs,
 )
 from skybeam.genetic import FitnessEvaluator, FitnessTrace, Individual, apply_individual
-from skybeam.scenario import _in_dominance_area, entity_block
+from skybeam.scenario import _in_dominance_area
 from skybeam.segment_metric import segment_cell_metric
 
 
@@ -188,21 +189,18 @@ def rician_channel(h_los: np.ndarray, k_linear, rng) -> np.ndarray:
     return np.sqrt(kk / (1.0 + kk)) * h_los + np.sqrt(1.0 / (1.0 + kk)) * h_nlos
 
 
-def per_sector_channels(scenario, entities, snapshot=0, stream_tag="ue") -> ChannelSet:
-    """Reference ChannelSet: one sector at a time, with the large-scale calls
-    per (sector, entity class) on 1-D link arrays and a scalar base-station
-    height, from the same keyed streams in the same draw order."""
+def per_sector_channels(scenario, kind, positions, snapshot, stream_tag) -> ChannelSet:
+    """Reference ChannelSet of one entity class ("ground" or "aerial") at the
+    rows of `positions`: one sector at a time, with the large-scale calls on
+    1-D link arrays and a scalar base-station height, from the same keyed
+    streams in the same draw order."""
     radio = scenario.radio
     params = scenario.channel_params
     sectors = scenario.sectors
-    n = len(entities)
+    n = len(positions)
     b = len(sectors)
     m = sectors[0].panel.n_elements if b else 0
-    positions = entities.position_3d_m
-    kinds = entities.kind
     heights = positions[:, 2]
-    ground_idx = np.flatnonzero(kinds == "ground")
-    aerial_idx = np.flatnonzero(kinds == "aerial")
 
     rho = np.zeros((n, b))
     tau = np.ones((n, b))
@@ -210,16 +208,13 @@ def per_sector_channels(scenario, entities, snapshot=0, stream_tag="ue") -> Chan
     p_los = np.zeros((n, b))
     is_los = np.zeros((n, b), dtype=bool)
     h = np.zeros((n, b, m), dtype=complex)
-    classes = [
-        (kind, idx, shadow_factor(positions[idx], d_corr), sigma_los, sigma_nlos)
-        for kind, idx, d_corr, sigma_los, sigma_nlos in (
-            ("ground", ground_idx, params.shadow_corr_dist_ground_m,
-             params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
-            ("aerial", aerial_idx, params.shadow_corr_dist_aerial_m,
-             aerial_los_shadow_sigma_db(heights[aerial_idx]), params.shadow_sigma_nlos_aerial_db),
-        )
-        if idx.size
-    ]
+    if kind == "ground":
+        d_corr = params.shadow_corr_dist_ground_m
+        sigma_los, sigma_nlos = params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db
+    else:
+        d_corr = params.shadow_corr_dist_aerial_m
+        sigma_los, sigma_nlos = aerial_los_shadow_sigma_db(heights), params.shadow_sigma_nlos_aerial_db
+    factor = shadow_factor(positions, d_corr)
     for sector in sectors:
         j = sector.id
         coords = sector.panel.element_coords(radio.wavelength_m)
@@ -227,25 +222,18 @@ def per_sector_channels(scenario, entities, snapshot=0, stream_tag="ue") -> Chan
         g[:, j] = element_gain(az, zen)
         draws = reference_derive(scenario.master_seed, "los", stream_tag, snapshot, j).uniform(size=n)
         rng_shadow = reference_derive(scenario.master_seed, "shadow", stream_tag, snapshot, j)
-        for kind, idx, factor, sigma_los, sigma_nlos in classes:
-            p = los_probability(d2d[idx], heights[idx], kind)
-            p_los[idx, j] = p
-            is_los[idx, j] = draws[idx] < p
-            rho[idx, j] = path_loss(
-                d2d[idx], d3d[idx], heights[idx], kind, is_los[idx, j], radio,
-                h_bs_m=sector.panel.panel_height_m,
-            )
-            sigma = np.where(is_los[idx, j], sigma_los, sigma_nlos)
-            tau[idx, j] = shadow_gain(sigma, shadow_field(factor, rng_shadow))
+        p_los[:, j] = los_probability(d2d, heights, kind)
+        is_los[:, j] = draws < p_los[:, j]
+        rho[:, j] = path_loss(d2d, d3d, heights, kind, is_los[:, j], radio, h_bs_m=sector.panel.panel_height_m)
+        sigma = np.where(is_los[:, j], sigma_los, sigma_nlos)
+        tau[:, j] = shadow_gain(sigma, shadow_field(factor, rng_shadow))
         k_lin = np.where(
             is_los[:, j], params.rician_k_linear(True), params.rician_k_linear(False)
         )
         h_los = los_components(unit, d3d, coords, radio.wavelength_m)
         rng_fade = reference_derive(scenario.master_seed, "fading", stream_tag, snapshot, j)
         h[:, j, :] = rician_channel(h_los, k_lin, rng_fade)
-    return ChannelSet(
-        kinds=kinds, rho=rho, tau=tau, g=g, beta=rho * tau * g, p_los=p_los, is_los=is_los, h=h
-    )
+    return ChannelSet(rho=rho, tau=tau, g=g, beta=rho * tau * g, p_los=p_los, is_los=is_los, h=h)
 
 
 def reference_derive(master_seed: int, *key) -> np.random.Generator:
@@ -272,7 +260,7 @@ def per_sector_ground_users(sectors, per_cell, isd_m, master_seed, height_m=1.5,
             ok = batch[_in_dominance_area(batch, sector.panel.bearing_deg, isd_m)]
             kept = np.vstack([kept, ok])
         positions[k, :, :2] = sector.position[:2] + kept[:per_cell]
-    return entity_block("ground", positions)
+    return positions.reshape(-1, 3)
 
 
 def reference_sweep(scenario, plans, ssb_codebook, dl_codebook, n_max, n_snapshots):
@@ -288,10 +276,10 @@ def reference_sweep(scenario, plans, ssb_codebook, dl_codebook, n_max, n_snapsho
         uav_p5 = {name: [] for name in plans}
         gue_p5 = {name: [] for name in plans}
         for snapshot in range(n_snapshots):
-            ground = build_channels(scenario, scenario.ground_users(snapshot), snapshot, "ue")
+            ground = build_channels(scenario, entity_block("ground", scenario.ground_users(snapshot)), snapshot, "ue")
             offset = (snapshot * d_iud / n_snapshots) % length
-            uavs = build_channels(scenario, scenario.uavs(offset, d_iud), snapshot, "uav")
-            aerial = np.concatenate([ground.kinds, uavs.kinds]) == "aerial"
+            uavs = build_channels(scenario, entity_block("aerial", scenario.uavs(offset, d_iud)), snapshot, "uav")
+            aerial = np.arange(len(ground.h) + len(uavs.h)) >= len(ground.h)
             for name, plan in plans.items():
                 serving = []
                 for block in (ground, uavs):
@@ -352,10 +340,11 @@ def reference_evaluate_snapshot(scenario, plans, ssb_codebook, dl_codebook, snap
     its data phase run on both blocks."""
     if d_iud is None:
         d_iud = scenario.highway_params.uav_spacing_m
-    uavs = build_channels(scenario, snapshot_uavs(scenario, snapshot, n_snapshots, d_iud), snapshot, "uav")
+    uav_positions = snapshot_uavs(scenario, snapshot, n_snapshots, d_iud)
+    uavs = build_channels(scenario, entity_block("aerial", uav_positions), snapshot, "uav")
     ground = ground_channels(scenario, snapshot)
     noise_mw = scenario.radio.ssb_noise_mw
-    kinds = np.concatenate([ground.kinds, uavs.kinds])
+    kinds = np.array(["ground"] * len(ground.h) + ["aerial"] * len(uavs.h))
     results = {}
     for name, plan in plans.items():
         gue = associate(rsrp_table(ground, plan, ssb_codebook), plan, noise_mw)

@@ -28,6 +28,7 @@ from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import RadioConfig, default_config, validate_config
 from skybeam.evaluation import (
     evaluate_snapshot,
+    ground_channels,
     snapshot_stats,
     traffic_sweep,
 )
@@ -55,7 +56,7 @@ def pipeline():
     ssb = build_ssb_codebook(panel, 4, 1)
     dl = build_dl_codebook(panel, 1, 1)
 
-    assignment, evaluator = corridor_problem(scenario, ssb)
+    assignment, evaluator = corridor_problem(scenario, ssb, ground_channels(scenario, 0))
     base = evaluator.baseline
     params = EgaParams(max_iters=REDUCED_MAX_ITERS, stop_iters=1000, seed=scenario.master_seed)
     best, trace = run(params, evaluator, scenario.radio.max_ssb_power_dbm)
@@ -254,9 +255,9 @@ def toy():
     scenario = scenario_from_config(cfg)
     ssb = build_ssb_codebook(scenario.sectors[0].panel, 1, 1)
     assert len(ssb) == 10
-    assignment, evaluator = corridor_problem(scenario, ssb)
+    assignment, evaluator = corridor_problem(scenario, ssb, ground_channels(scenario, 0))
     assert len(assignment.designated_cells) == 1
-    assert scenario.highway.n_points == 5
+    assert len(scenario.highway.points) == 5
     p_max = scenario.radio.max_ssb_power_dbm
     p_max_mw = 10 ** (p_max / 10)
     exhaustive = max(

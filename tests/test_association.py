@@ -13,11 +13,12 @@ from skybeam.association import (
     select_serving_all,
     unique_ints,
 )
-from skybeam.channel import ChannelSet, build_channels
+from skybeam.channel import ChannelSet, build_channels, entity_block
 from skybeam.cli import ASSOCIATION_CSV, _association_rows, _RunDir
 from skybeam.codebook import Codebook, build_ssb_codebook
 from skybeam.config import RadioConfig
 from skybeam.evaluation import SnapshotResult
+from test_channel import config_uavs
 
 RADIO = RadioConfig()
 
@@ -29,7 +30,6 @@ def make_channels(h, beta):
     n, b, _ = h.shape
     ones = np.ones((n, b))
     return ChannelSet(
-        kinds=np.full(n, "aerial"),
         rho=beta.copy(),
         tau=ones.copy(),
         g=ones.copy(),
@@ -293,8 +293,10 @@ def test_rsrp_table_matches_per_sector_products(small_scenario, tag):
     with one deployed beam and sectors with none."""
     book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
     base = baseline_plan(small_scenario, book)
-    entities = small_scenario.ground_users(0) if tag == "ue" else small_scenario.uavs()
-    channels = build_channels(small_scenario, entities, 0, tag)
+    if tag == "ue":
+        channels = build_channels(small_scenario, entity_block("ground", small_scenario.ground_users(0)), 0, tag)
+    else:
+        channels = build_channels(small_scenario, entity_block("aerial", config_uavs(small_scenario)), 0, tag)
     gen = np.random.default_rng(5)
     plans = [base]
     for _ in range(30):
@@ -314,13 +316,12 @@ def test_rsrp_table_matches_per_sector_products(small_scenario, tag):
 def test_dump_association_csv(small_scenario, tmp_path):
     book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
     plan = baseline_plan(small_scenario, book)
-    users = small_scenario.uavs()
-    channels = build_channels(small_scenario, users, snapshot=0)
+    channels = build_channels(small_scenario, entity_block("aerial", config_uavs(small_scenario)), 0, "uav")
     table = rsrp_table(channels, plan, book)
     sb, ss = select_serving_all(table)
     sinr = coverage_sinr_all(table, sb, ss, plan, small_scenario.radio.ssb_noise_mw)
     rsrp = table[np.arange(channels.h.shape[0]), sb, ss]
-    res = SnapshotResult(kinds=channels.kinds, serving_sector=sb, serving_slot=ss, serving_rsrp_mw=rsrp,
+    res = SnapshotResult(kinds=np.full(len(sb), "aerial"), serving_sector=sb, serving_slot=ss, serving_rsrp_mw=rsrp,
                          coverage_sinr_db=sinr, data=None)  # the association rows read no data phase
     _RunDir(str(tmp_path), 0.0).write_csv("assoc.csv", ASSOCIATION_CSV, _association_rows(res))
     lines = (tmp_path / "assoc.csv").read_text().splitlines()
@@ -337,9 +338,11 @@ def test_patched_rsrp_table_matches_a_fresh_table(small_scenario, block):
     would fail."""
     book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
     base = baseline_plan(small_scenario, book)
-    entities = {"ue": small_scenario.ground_users(1), "uav": small_scenario.uavs(),
-                "one-uav": small_scenario.uavs()[:1]}[block]
-    channels = build_channels(small_scenario, entities, 1, "ue" if block == "ue" else "uav")
+    if block == "ue":
+        channels = build_channels(small_scenario, entity_block("ground", small_scenario.ground_users(1)), 1, "ue")
+    else:
+        uavs = config_uavs(small_scenario)[: 1 if block == "one-uav" else None]
+        channels = build_channels(small_scenario, entity_block("aerial", uavs), 1, "uav")
     gen = np.random.default_rng(11)
     previous = base
     table = rsrp_table(channels, base, book)

@@ -13,6 +13,7 @@ from skybeam.channel import (
     aerial_los_shadow_sigma_db,
     build_channels,
     element_gain,
+    entity_block,
     expected_channels,
     link_geometry,
     los_components,
@@ -24,15 +25,16 @@ from skybeam.channel import (
 )
 from skybeam.config import ChannelParams, RadioConfig, default_config, validate_config
 from skybeam.evaluation import snapshot_uavs
+from skybeam.rng import RngStream
 from skybeam.scenario import (
     Sector,
     UpaGeometry,
     discretize_highway,
-    entity_block,
     scenario_from_config,
 )
 
 RADIO = RadioConfig()
+H_BS = 25.0  # the default layout's base-station height
 C = 299_792_458.0
 
 
@@ -64,19 +66,19 @@ class TestPathLoss:
         d2d = 1000.0
         d3d = math.sqrt(d2d**2 + 23.5**2)
         expected_db = uma_los_pl_oracle(d2d, 25.0, 1.5, 3.5)
-        gain = path_loss(d2d, d3d, 1.5, "ground", True, RADIO)
+        gain = path_loss(d2d, d3d, 1.5, "ground", True, RADIO, H_BS)
         assert 10 * math.log10(1 / gain) == pytest.approx(expected_db, abs=1e-9)
 
     def test_monotone_decrease_with_distance(self):
-        g1 = path_loss(1000.0, 1000.3, 1.5, "ground", True, RADIO)
-        g2 = path_loss(2000.0, 2000.2, 1.5, "ground", True, RADIO)
+        g1 = path_loss(1000.0, 1000.3, 1.5, "ground", True, RADIO, H_BS)
+        g2 = path_loss(2000.0, 2000.2, 1.5, "ground", True, RADIO, H_BS)
         assert g2 < g1
 
     def test_nlos_never_beats_los(self):
         for d2d in (50.0, 200.0, 800.0, 3000.0):
             d3d = math.sqrt(d2d**2 + 23.5**2)
-            assert path_loss(d2d, d3d, 1.5, "ground", False, RADIO) <= path_loss(
-                d2d, d3d, 1.5, "ground", True, RADIO
+            assert path_loss(d2d, d3d, 1.5, "ground", False, RADIO, H_BS) <= path_loss(
+                d2d, d3d, 1.5, "ground", True, RADIO, H_BS
             )
 
     def test_aerial_branch_selected_at_100m(self):
@@ -84,7 +86,7 @@ class TestPathLoss:
         d2d, h = 500.0, 100.0
         d3d = math.sqrt(d2d**2 + (h - 25.0) ** 2)
         aerial_db = 28.0 + 22 * math.log10(d3d) + 20 * math.log10(3.5)
-        gain = path_loss(d2d, d3d, h, "aerial", True, RADIO)
+        gain = path_loss(d2d, d3d, h, "aerial", True, RADIO, H_BS)
         assert 10 * math.log10(1 / gain) == pytest.approx(aerial_db, abs=1e-9)
         # NLoS is where the aerial and ground tables genuinely diverge
         aerial_nlos_db = (
@@ -96,13 +98,13 @@ class TestPathLoss:
             uma_los_pl_oracle(d2d, 25.0, h, 3.5),
             13.54 + 39.08 * math.log10(d3d) + 20 * math.log10(3.5) - 0.6 * (h - 1.5),
         )
-        gain_nlos = path_loss(d2d, d3d, h, "aerial", False, RADIO)
+        gain_nlos = path_loss(d2d, d3d, h, "aerial", False, RADIO, H_BS)
         assert 10 * math.log10(1 / gain_nlos) == pytest.approx(aerial_nlos_db, abs=1e-9)
         assert abs(aerial_nlos_db - ground_nlos_db) > 1.0
 
     def test_out_of_validity_flagged_not_fatal(self):
         with pytest.warns(OutOfValidityRange):
-            path_loss(6000.0, 6000.1, 1.5, "ground", True, RADIO)
+            path_loss(6000.0, 6000.1, 1.5, "ground", True, RADIO, H_BS)
 
 
 class TestLosProbability:
@@ -275,7 +277,7 @@ class TestExpectedChannel:
         _, d3d, az, zen, unit = sector_geometry(self.sector, self.point)
         d2d = math.hypot(self.point[0, 0], self.point[0, 1])
         p = los_probability(d2d, 100.0, "aerial")
-        rho = path_loss(d2d, d3d[0], 100.0, "aerial", True, RADIO)
+        rho = path_loss(d2d, d3d[0], 100.0, "aerial", True, RADIO, H_BS)
         g = element_gain(az[0], zen[0])
         k = self.params.rician_k_linear(True)
         h_los = los_components(unit, d3d, self.panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
@@ -297,7 +299,7 @@ class TestExpectedChannel:
         params = small_scenario.channel_params
         _, d3d, az, zen, unit = sector_geometry(sector, self.point)
         d2d = math.hypot(self.point[0, 0], self.point[0, 1])
-        rho = path_loss(d2d, d3d[0], 100.0, "aerial", True, small_scenario.radio)
+        rho = path_loss(d2d, d3d[0], 100.0, "aerial", True, small_scenario.radio, sector.panel.panel_height_m)
         g = element_gain(az[0], zen[0])
         h_los = los_components(
             unit, d3d, sector.panel.element_coords(small_scenario.radio.wavelength_m),
@@ -317,7 +319,7 @@ class TestHighwayStack:
         sector = small_scenario.sectors[2]
         highway = small_scenario.highway
         stack = expected_channels([sector], highway.points, small_scenario.radio, small_scenario.channel_params)[0]
-        for r in (0, 3, highway.n_points - 1):
+        for r in (0, 3, len(highway.points) - 1):
             row = expected_channels(
                 [sector], highway.points[r : r + 1], small_scenario.radio, small_scenario.channel_params,
             )[0, 0]
@@ -335,32 +337,50 @@ class TestHighwayStack:
             assert h[b].tobytes() == expected_channels([sector], *args)[0].tobytes()
 
 
+def config_uavs(scenario):
+    """The config's UAVs of snapshot 0: the corridor at its UAV spacing from arc length 0."""
+    return scenario.uavs(0.0, scenario.highway_params.uav_spacing_m)
+
+
 class TestChannelSet:
     def test_beta_is_exact_product(self, small_scenario):
-        for users, tag in ((small_scenario.ground_users(0)[:10], "ue"), (small_scenario.uavs()[:3], "uav")):
+        for users, tag in (
+            (entity_block("ground", small_scenario.ground_users(0)[:10]), "ue"),
+            (entity_block("aerial", config_uavs(small_scenario)[:3]), "uav"),
+        ):
             cs = build_channels(small_scenario, users, 0, tag)
             assert np.array_equal(cs.beta, cs.rho * cs.tau * cs.g)
 
-    def test_mixed_block_raises(self, small_scenario):
-        users = np.concatenate([small_scenario.ground_users(0)[:10], small_scenario.uavs()[:3]])
+    def test_mixed_block_raises(self, small_scenario, monkeypatch):
+        """A block that mixes the two classes raises before a stream is
+        derived, and a class other than "ground" or "aerial" is named in full
+        (a 6-character record field would have cut "airborne" to "airbor")."""
+        ground = entity_block("ground", small_scenario.ground_users(0)[:10])
+        users = np.concatenate([ground, entity_block("aerial", config_uavs(small_scenario)[:3])])
+        calls = []
+        derive_many = RngStream.derive_many
+        monkeypatch.setattr(RngStream, "derive_many", lambda self, keys: calls.append(1) or derive_many(self, keys))
         with pytest.raises(ValueError, match="one entity class per call"):
-            build_channels(small_scenario, users.view(np.recarray), snapshot=0)
+            build_channels(small_scenario, users.view(np.recarray), 0, "ue")
+        with pytest.raises(ValueError, match=r"unknown entity kind 'airborne'"):
+            build_channels(small_scenario, entity_block("airborne", config_uavs(small_scenario)), 0, "uav")
+        assert calls == []
 
     def test_reproducible_across_builds(self, small_scenario):
         users = small_scenario.ground_users(0)[:8]
-        a = build_channels(small_scenario, users, snapshot=3)
-        b = build_channels(small_scenario, users, snapshot=3)
+        a = build_channels(small_scenario, entity_block("ground", users), 3, "ue")
+        b = build_channels(small_scenario, entity_block("ground", users), 3, "ue")
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.beta, b.beta)
 
     def test_distinct_snapshots_differ(self, small_scenario):
         users = small_scenario.ground_users(0)[:8]
-        a = build_channels(small_scenario, users, snapshot=0)
-        b = build_channels(small_scenario, users, snapshot=1)
+        a = build_channels(small_scenario, entity_block("ground", users), 0, "ue")
+        b = build_channels(small_scenario, entity_block("ground", users), 1, "ue")
         assert not np.array_equal(a.h, b.h)
 
     def test_shadow_factor_built_once_per_class(self, small_scenario, monkeypatch):
-        ground, uavs = small_scenario.ground_users(0)[:10], small_scenario.uavs()[:3]
+        ground, uavs = small_scenario.ground_users(0)[:10], config_uavs(small_scenario)[:3]
         calls = []
 
         def counting_factor(positions_xy, decorrelation_distance_m):
@@ -368,7 +388,10 @@ class TestChannelSet:
             return shadow_factor(positions_xy, decorrelation_distance_m)
 
         monkeypatch.setattr(channel, "shadow_factor", counting_factor)
-        built = [build_channels(small_scenario, ground, 2, "ue"), build_channels(small_scenario, uavs, 2, "uav")]
+        built = [
+            build_channels(small_scenario, entity_block("ground", ground), 2, "ue"),
+            build_channels(small_scenario, entity_block("aerial", uavs), 2, "uav"),
+        ]
         params = small_scenario.channel_params
         assert calls == [params.shadow_corr_dist_ground_m, params.shadow_corr_dist_aerial_m]
 
@@ -378,20 +401,19 @@ class TestChannelSet:
             (ground, "ue", params.shadow_corr_dist_ground_m,
              params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
             (uavs, "uav", params.shadow_corr_dist_aerial_m,
-             aerial_los_shadow_sigma_db(uavs.position_3d_m[:, 2]), params.shadow_sigma_nlos_aerial_db),
+             aerial_los_shadow_sigma_db(uavs[:, 2]), params.shadow_sigma_nlos_aerial_db),
         )
         for cs, (users, tag, d_corr, sigma_los, sigma_nlos) in zip(built, classes):
             tau = np.ones_like(cs.tau)
-            for j in range(cs.n_sectors):
+            for j in range(cs.h.shape[1]):
                 rng_shadow = reference_derive(small_scenario.master_seed, "shadow", tag, 2, j)
                 sigma = np.where(cs.is_los[:, j], sigma_los, sigma_nlos)
-                field = shadow_field(shadow_factor(users.position_3d_m, d_corr), rng_shadow)
+                field = shadow_field(shadow_factor(users, d_corr), rng_shadow)
                 tau[:, j] = shadow_gain(sigma, field)
             assert np.array_equal(cs.tau, tau)
 
     def test_aerial_links_at_100m_all_los(self, small_scenario):
-        uavs = small_scenario.uavs()
-        cs = build_channels(small_scenario, uavs, snapshot=0)
+        cs = build_channels(small_scenario, entity_block("aerial", config_uavs(small_scenario)), 0, "uav")
         assert np.all(cs.p_los == 1.0)
         assert np.all(cs.is_los)
 
@@ -405,8 +427,8 @@ def _one_tier_scenario(altitude_m, rician_k_nlos_db=None):
 
 
 def _snapshot_blocks(scenario, snapshot):
-    """A snapshot's two entity classes, each with its own stream tag."""
-    return ((scenario.ground_users(snapshot), "ue"), (scenario.uavs(), "uav"))
+    """A snapshot's two entity classes, each with its own positions and stream tag."""
+    return (("ground", scenario.ground_users(snapshot), "ue"), ("aerial", config_uavs(scenario), "uav"))
 
 
 class TestMatchesPerSectorOracle:
@@ -429,12 +451,12 @@ class TestMatchesPerSectorOracle:
     def test_bit_identical(self, altitude_m, block):
         scenario = _one_tier_scenario(altitude_m)
         ground, uavs = _snapshot_blocks(scenario, 1)
-        blocks = {"mixed": [ground, uavs], "ground": [(ground[0], "ue")], "uav": [(uavs[0], "ue")]}[block]
-        for entities, tag in blocks:
+        blocks = {"mixed": [ground, uavs], "ground": [(*ground[:2], "ue")], "uav": [(*uavs[:2], "ue")]}[block]
+        for kind, positions, tag in blocks:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", OutOfValidityRange)
-                got = build_channels(scenario, entities, 1, tag)
-                want = per_sector_channels(scenario, entities, 1, tag)
+                got = build_channels(scenario, entity_block(kind, positions), 1, tag)
+                want = per_sector_channels(scenario, kind, positions, 1, tag)
             self.assert_same_bytes(got, want)
 
     # The default 19-site layout, seed 1: on snapshot 0, sector 21 has a
@@ -447,10 +469,10 @@ class TestMatchesPerSectorOracle:
         scenario = scenario_from_config(cfg)
         ground = scenario.ground_users(snapshot)
         assert (len(ground), channel._MIX_LINKS // len(ground), scenario.n_sectors % 4) == (228, 4, 1)
-        got = build_channels(scenario, ground, snapshot, "ue")
+        got = build_channels(scenario, entity_block("ground", ground), snapshot, "ue")
         if snapshot == 0:
             assert np.any(np.count_nonzero(got.is_los, axis=0) == 1)
-        self.assert_same_bytes(got, per_sector_channels(scenario, ground, snapshot, "ue"))
+        self.assert_same_bytes(got, per_sector_channels(scenario, "ground", ground, snapshot, "ue"))
 
     # A 3 dB K on NLoS links puts every link, LoS or not, through the
     # plane-wave branch of the mix; the default config never does.
@@ -458,25 +480,25 @@ class TestMatchesPerSectorOracle:
     def test_bit_identical_with_nlos_k(self, block, altitude_m):
         scenario = _one_tier_scenario(altitude_m, rician_k_nlos_db=3.0)
         ground, uavs = _snapshot_blocks(scenario, 1)
-        entities, tag = uavs if block == "uav" else ground
-        got = build_channels(scenario, entities, 1, tag)
+        kind, positions, tag = uavs if block == "uav" else ground
+        got = build_channels(scenario, entity_block(kind, positions), 1, tag)
         assert not np.all(got.is_los)
-        self.assert_same_bytes(got, per_sector_channels(scenario, entities, 1, tag))
+        self.assert_same_bytes(got, per_sector_channels(scenario, kind, positions, 1, tag))
 
     def test_empty_block(self):
         scenario = _one_tier_scenario(100.0)
-        empty = entity_block("ground", np.zeros((0, 3)))
-        got = build_channels(scenario, empty, 1, "ue")
+        empty = np.zeros((0, 3))
+        got = build_channels(scenario, entity_block("ground", empty), 1, "ue")
         b, m = scenario.n_sectors, scenario.sectors[0].panel.n_elements
         assert got.beta.shape == (0, b)
         assert got.h.shape == (0, b, m)
-        self.assert_same_bytes(got, per_sector_channels(scenario, empty, 1, "ue"))
+        self.assert_same_bytes(got, per_sector_channels(scenario, "ground", empty, 1, "ue"))
 
     def test_highway_point_stream(self, cfg):
         scenario = scenario_from_config(cfg)
-        points = entity_block("aerial", scenario.highway.points)
-        got = build_channels(scenario, points, snapshot="static", stream_tag="highway-point")
-        want = per_sector_channels(scenario, points, snapshot="static", stream_tag="highway-point")
+        points = scenario.highway.points
+        got = build_channels(scenario, entity_block("aerial", points), "static", "highway-point")
+        want = per_sector_channels(scenario, "aerial", points, "static", "highway-point")
         self.assert_same_bytes(got, want)
 
 
@@ -507,16 +529,16 @@ class TestChannelBlocks:
         for entities in blocks:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", OutOfValidityRange)
-                got = build_channels(scenario, entities, snapshot, "uav")
-                want = per_sector_channels(scenario, entities, snapshot, "uav")
+                got = build_channels(scenario, entity_block("aerial", entities), snapshot, "uav")
+                want = per_sector_channels(scenario, "aerial", entities, snapshot, "uav")
             TestMatchesPerSectorOracle.assert_same_bytes(got, want)
-            assert got.kinds.tobytes() == want.kinds.tobytes()
 
     def test_default_layout(self, cfg):
         scenario = scenario_from_config(cfg)
         for entities in self.sweep_blocks(scenario, 1):
             TestMatchesPerSectorOracle.assert_same_bytes(
-                build_channels(scenario, entities, 1, "uav"), per_sector_channels(scenario, entities, 1, "uav")
+                build_channels(scenario, entity_block("aerial", entities), 1, "uav"),
+                per_sector_channels(scenario, "aerial", entities, 1, "uav"),
             )
 
     def test_one_sector_chunks(self):
@@ -529,7 +551,8 @@ class TestChannelBlocks:
         ground = scenario.ground_users(0)
         assert len(ground) == 1050 > channel._MIX_LINKS
         TestMatchesPerSectorOracle.assert_same_bytes(
-            build_channels(scenario, ground, 0, "ue"), per_sector_channels(scenario, ground, 0, "ue")
+            build_channels(scenario, entity_block("ground", ground), 0, "ue"),
+            per_sector_channels(scenario, "ground", ground, 0, "ue"),
         )
 
     def test_streams_derived_once_per_sector(self, small_scenario, monkeypatch):
@@ -542,7 +565,7 @@ class TestChannelBlocks:
         )
         blocks = self.sweep_blocks(small_scenario, 0)
         for i, entities in enumerate(blocks, 1):
-            assert build_channels(small_scenario, entities, 0, "uav").h.shape[0] == i
+            assert build_channels(small_scenario, entity_block("aerial", entities), 0, "uav").h.shape[0] == i
             assert len(batches) == i
         expected = sorted(
             (kind, "uav", 0, sector.id) for kind in ("los", "shadow", "fading") for sector in small_scenario.sectors
@@ -557,10 +580,10 @@ class TestChannelBlocks:
         sector's fading draws at once."""
         scenario = scenario_from_config(cfg)
         ground = scenario.ground_users(0)
-        build_channels(scenario, ground, 0, "ue")  # warm the per-layout caches
+        build_channels(scenario, entity_block("ground", ground), 0, "ue")  # warm the per-layout caches
         tracemalloc.start()
         try:
-            got = build_channels(scenario, ground, 0, "ue")
+            got = build_channels(scenario, entity_block("ground", ground), 0, "ue")
             returned, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -573,17 +596,17 @@ class TestOutOfValidityCount:
         # ground links of the one-tier layout are inside the ground model
         scenario = _one_tier_scenario(350.0)
 
-        def flagged(build, entities, tag):
+        def flagged(build, *args):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                build(scenario, entities, 0, tag)
+                build(scenario, *args)
             return [w for w in caught if issubclass(w.category, OutOfValidityRange)]
 
-        (ground, ground_tag), (uavs, uav_tag) = _snapshot_blocks(scenario, 0)
-        assert len(flagged(build_channels, ground, ground_tag)) == 0
-        assert len(flagged(build_channels, uavs, uav_tag)) == 1
-        assert len(flagged(per_sector_channels, ground, ground_tag)) == 0
-        assert len(flagged(per_sector_channels, uavs, uav_tag)) == scenario.n_sectors == 21
+        (ground_kind, ground, ground_tag), (uav_kind, uavs, uav_tag) = _snapshot_blocks(scenario, 0)
+        assert len(flagged(build_channels, entity_block(ground_kind, ground), 0, ground_tag)) == 0
+        assert len(flagged(build_channels, entity_block(uav_kind, uavs), 0, uav_tag)) == 1
+        assert len(flagged(per_sector_channels, ground_kind, ground, 0, ground_tag)) == 0
+        assert len(flagged(per_sector_channels, uav_kind, uavs, 0, uav_tag)) == scenario.n_sectors == 21
 
 
 @pytest.mark.parametrize("snapshot", [0, 1, 2])
@@ -593,7 +616,7 @@ def test_distances_match_linalg_norm(cfg, snapshot):
     np.linalg.norm's bytes, which sums the squares of a 2- or 3-long axis
     left to right. Fails if the sum is taken in another order."""
     scenario = scenario_from_config(cfg)
-    positions = scenario.ground_users(snapshot).position_3d_m
+    positions = scenario.ground_users(snapshot)
     d_corr = scenario.channel_params.shadow_corr_dist_ground_m
     xy = positions[:, :2]
     cov = np.exp(-np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=2) / d_corr)

@@ -17,7 +17,7 @@ from oracles import (
 )
 from skybeam import evaluation
 from skybeam.association import baseline_plan, changed_sectors, rsrp_table
-from skybeam.channel import ChannelSet, build_channels
+from skybeam.channel import ChannelSet, build_channels, entity_block
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import HighwayParams, RadioConfig
 from skybeam.evaluation import (
@@ -243,7 +243,7 @@ class TestSnapshotEvaluation:
     def test_uav_offset_advances(self, small_scenario):
         a = snapshot_uavs(small_scenario, 0, 4, 100.0)
         b = snapshot_uavs(small_scenario, 1, 4, 100.0)
-        assert np.allclose(b.position_3d_m[:, 0] - a.position_3d_m[:, 0], 25.0)  # d_iud / n_snapshots
+        assert np.allclose(b[:, 0] - a[:, 0], 25.0)  # d_iud / n_snapshots
 
     def test_explicit_zero_uav_spacing_raises(self, small_scenario):
         ssb, dl, base = _books_and_plan(small_scenario)
@@ -262,7 +262,7 @@ class TestSnapshotEvaluation:
         (results,) = evaluate_snapshot(small_scenario, {"a": base, "b": louder}, ssb, dl, 0, 4, [UAV_SPACING])
         # a uniform 3 dB power lift leaves association unchanged
         assert np.array_equal(results["a"].serving_sector, results["b"].serving_sector)
-        n_entities = len(small_scenario.ground_users(0)) + len(small_scenario.uavs())
+        n_entities = len(small_scenario.ground_users(0)) + len(small_scenario.uavs(0.0, UAV_SPACING))
         assert len(results["a"].kinds) == n_entities
 
     def test_ground_rows_do_not_depend_on_the_uav_count(self, small_scenario, monkeypatch):
@@ -318,27 +318,22 @@ class TestSnapshotEvaluation:
             assert getattr(reused.data, field).tobytes() == getattr(fresh.data, field).tobytes(), field
 
     def test_corridor_problem_uses_the_snapshot_0_ground_block(self, small_scenario, monkeypatch):
-        """corridor_problem freezes its slots on snapshot 0's ground block,
-        the one `ground_channels(scenario, 0)` gives and snapshot 0 evaluates;
-        given that block, it builds no ground channels of its own."""
+        """corridor_problem takes snapshot 0's ground block, the one
+        `ground_channels(scenario, 0)` gives and snapshot 0 evaluates, and
+        builds no ground channels of its own."""
         ssb, _, _ = _books_and_plan(small_scenario)
         seen = []
         original = evaluation.build_channels
 
         def recording(scenario, entities, snapshot, tag):
-            channels = original(scenario, entities, snapshot, tag)
-            seen.append((tag, snapshot, entities.position_3d_m.tobytes(), channels.h.tobytes()))
-            return channels
+            seen.append((tag, snapshot))
+            return original(scenario, entities, snapshot, tag)
 
         monkeypatch.setattr(evaluation, "build_channels", recording)
-        _, default_ev = corridor_problem(small_scenario, ssb)
-        assert [(tag, snapshot) for tag, snapshot, _, _ in seen] == [("ue", 0)]
         ground = ground_channels(small_scenario, 0)
-        assert seen[1] == seen[0]
-        _, given_ev = corridor_problem(small_scenario, ssb, ground)
-        assert len(seen) == 2
-        assert given_ev.frozen_slots == default_ev.frozen_slots
-        assert ground.h.tobytes() == seen[0][3]
+        assert seen == [("ue", 0)]
+        corridor_problem(small_scenario, ssb, ground)
+        assert seen == [("ue", 0)]
 
 
 SNAPSHOT_FIELDS = ("kinds", "serving_sector", "serving_slot", "serving_rsrp_mw", "coverage_sinr_db")
@@ -465,10 +460,9 @@ def test_data_phase_joins_blocks_by_rows(small_scenario):
     set holding the same rows."""
     ssb, dl, base = _books_and_plan(small_scenario)
     ground = ground_channels(small_scenario, 0)
-    uavs = build_channels(small_scenario, small_scenario.uavs(), 0, "uav")
+    uavs = build_channels(small_scenario, entity_block("aerial", small_scenario.uavs(0.0, UAV_SPACING)), 0, "uav")
     joined = ChannelSet(
-        **{name: np.concatenate([getattr(ground, name), getattr(uavs, name)])
-           for name in ("kinds",) + CHANNEL_ARRAYS}
+        **{name: np.concatenate([getattr(ground, name), getattr(uavs, name)]) for name in CHANNEL_ARRAYS}
     )
     serving = np.concatenate(
         [associate(rsrp_table(blk, base, ssb), base, 1e-12).serving_sector for blk in (ground, uavs)]
@@ -507,7 +501,8 @@ class TestTwoStepDataPhase:
         base = baseline_plan(scenario, ssb)
         length = scenario.highway.total_length_m
         blocks = [snapshot_uavs(scenario, snapshot, 2, length / n) for n in range(1, 13)]
-        built = [ground_channels(scenario, snapshot), *(build_channels(scenario, b, snapshot, "uav") for b in blocks)]
+        built = [ground_channels(scenario, snapshot)]
+        built += [build_channels(scenario, entity_block("aerial", b), snapshot, "uav") for b in blocks]
         noise_mw = scenario.radio.ssb_noise_mw
         served = [(blk, associate(rsrp_table(blk, base, ssb), base, noise_mw).serving_sector) for blk in built]
         return dl, served[0], served[1:]

@@ -12,11 +12,11 @@ from oracles import (
     validate_plan,
 )
 from skybeam.association import BeamPlan, changed_sectors, rsrp_table, select_serving_all
-from skybeam.channel import build_channels
+from skybeam.channel import build_channels, entity_block
 from skybeam.cli import TRACE_CSV, _plan_json, _RunDir, _trace_rows
 from skybeam.codebook import build_ssb_codebook
 from skybeam.config import codebook_params_from_config, default_config, validate_config
-from skybeam.evaluation import associate
+from skybeam.evaluation import associate, ground_channels
 from skybeam.genetic import (
     EgaParams,
     FitnessEvaluator,
@@ -25,7 +25,7 @@ from skybeam.genetic import (
     corridor_problem,
     select_frozen_slots,
 )
-from skybeam.scenario import entity_block, scenario_from_config
+from skybeam.scenario import scenario_from_config
 from test_association import make_channels, make_codebook, simple_plan
 
 NOISE_MW = 1e-9
@@ -123,7 +123,7 @@ class TestFitness:
         gen = np.random.default_rng(4)
         channels, book, baseline, designated, frozen, required = random_instance(gen)
         required = required.copy()
-        required[0] = (required[0] + 1) % channels.n_sectors  # unsatisfiable demand
+        required[0] = (required[0] + 1) % channels.h.shape[1]  # unsatisfiable demand
         ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
         genome = np.concatenate([np.zeros(len(designated)), np.ones(len(designated))])
         if evaluate_genome(ev, genome) != -math.inf:
@@ -153,7 +153,7 @@ class TestFitness:
         # of a sector in one interfering sweep group
         gen = np.random.default_rng(6)
         channels, book, baseline, designated, frozen, required = random_instance(gen)
-        baseline.sweep = np.tile(np.array([0, 0, 1, 1]), (channels.n_sectors, 1))
+        baseline.sweep = np.tile(np.array([0, 0, 1, 1]), (channels.h.shape[1], 1))
         ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
         n = len(designated)
         genome = np.concatenate([gen.integers(0, 10, n), gen.uniform(0.05, 4.0, n)])
@@ -188,7 +188,7 @@ class TestEvaluatePopulation:
         for _ in range(30):
             channels, book, baseline, designated, frozen, required = random_instance(gen)
             if sweep_map is not None:
-                baseline.sweep = np.tile(np.array(sweep_map), (channels.n_sectors, 1))
+                baseline.sweep = np.tile(np.array(sweep_map), (channels.h.shape[1], 1))
             ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
             n = len(designated)
             pop = np.concatenate(
@@ -484,11 +484,9 @@ def default_problems():
             book = build_ssb_codebook(
                 scenario.sectors[0].panel, cb.ssb_oversampling_h, cb.ssb_oversampling_v
             )
-            _, ev = corridor_problem(scenario, book)
+            _, ev = corridor_problem(scenario, book, ground_channels(scenario, 0))
             points = entity_block("aerial", scenario.highway.points)
-            channels = build_channels(
-                scenario, points, snapshot="static", stream_tag="highway-point"
-            )
+            channels = build_channels(scenario, points, "static", "highway-point")
             problems[seed] = (ev, twin(ReferenceEvaluator, ev, channels, book),
                               scenario.radio.max_ssb_power_dbm, channels, book)
         return problems[seed]
@@ -508,7 +506,7 @@ class TestReferenceIdentity:
         for _ in range(40):
             channels, book, baseline, designated, frozen, required = random_instance(gen)
             if sweep_map is not None:
-                baseline.sweep = np.tile(np.array(sweep_map), (channels.n_sectors, 1))
+                baseline.sweep = np.tile(np.array(sweep_map), (channels.h.shape[1], 1))
             ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
             ref = twin(ReferenceEvaluator, ev, channels, book)
             n = len(designated)
@@ -617,7 +615,7 @@ class TestScoresWrittenPlan:
         for _ in range(40):
             channels, book, baseline, designated, frozen, required = random_instance(gen)
             if sweep_map is not None:
-                baseline.sweep = np.tile(np.array(sweep_map), (channels.n_sectors, 1))
+                baseline.sweep = np.tile(np.array(sweep_map), (channels.h.shape[1], 1))
             ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
             n = len(designated)
             pop = np.concatenate(

@@ -2,9 +2,11 @@
 
 Reference implementations and helpers that only tests call belong in
 `tests/`, and a private module-level name that no library code reads is
-dead. A module-level name, method or property counts as used when code in
-`src/skybeam` loads it, reads it as an attribute or imports it; the
-re-exports in `__init__.py` count. Dunder methods are exempt, and so is a
+dead. A module-level name counts as used when code in `src/skybeam` loads
+it, reads it as an attribute or imports it; the re-exports in `__init__.py`
+count. A method or property counts as used only when `src/skybeam` reads it
+as an attribute, so a local variable of the same name does not hide an
+unused property. Dunder methods are exempt, and so is a
 method that implements an abstract method of a base class imported from
 outside the package: the outside code calls it, as Python calls a dunder.
 A class field counts as read when `src/skybeam` or `tests/` reads an
@@ -36,6 +38,16 @@ def _library_uses() -> set[str]:
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     return used
+
+
+def _library_attribute_reads() -> set[str]:
+    """Attribute names that `src/skybeam` reads (`obj.name` in a load)."""
+    return {
+        node.attr
+        for _, tree in _trees(SRC)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def test_every_public_definition_is_used_in_the_library():
@@ -105,7 +117,7 @@ def test_every_method_is_used_in_the_library():
                             continue
                         if stmt.name not in implemented:
                             methods[f"{path.name}:{node.name}.{stmt.name}"] = stmt.name
-    used = _library_uses()
+    used = _library_attribute_reads()
     unused = sorted(key for key, name in methods.items() if name not in used)
     assert not unused, f"methods and properties no library code uses: {unused}"
 

@@ -64,27 +64,27 @@ class TestHexLayout:
 class TestGroundUsers:
     def test_four_per_cell_over_57_sectors(self):
         sectors = build_hex_layout(2, 500.0, TEMPLATE)
-        users = place_ground_users(sectors, 4, 500.0, RngStream(1))
+        users = place_ground_users(sectors, 4, 500.0, RngStream(1), 1.5, 0)
         assert len(users) == 228
 
     def test_zero_per_cell(self):
         sectors = build_hex_layout(1, 500.0, TEMPLATE)
-        assert len(place_ground_users(sectors, 0, 500.0, RngStream(1))) == 0
+        assert len(place_ground_users(sectors, 0, 500.0, RngStream(1), 1.5, 0)) == 0
 
     def test_same_seed_reproducible(self):
         sectors = build_hex_layout(1, 500.0, TEMPLATE)
-        a = place_ground_users(sectors, 4, 500.0, RngStream(7))
-        b = place_ground_users(sectors, 4, 500.0, RngStream(7))
-        assert np.array_equal(a.position_3d_m, b.position_3d_m)
+        a = place_ground_users(sectors, 4, 500.0, RngStream(7), 1.5, 0)
+        b = place_ground_users(sectors, 4, 500.0, RngStream(7), 1.5, 0)
+        assert np.array_equal(a, b)
 
     def test_positions_inside_dominance_area(self):
         isd = 500.0
         sectors = build_hex_layout(1, isd, TEMPLATE)
-        users = place_ground_users(sectors, 6, isd, RngStream(3))
+        users = place_ground_users(sectors, 6, isd, RngStream(3), 1.5, 0)
         per_sector = len(users) // len(sectors)
         for k, sector in enumerate(sectors):
             for u in users[k * per_sector : (k + 1) * per_sector]:
-                d = u.position_3d_m[:2] - sector.position[:2]
+                d = u[:2] - sector.position[:2]
                 # hexagonal lattice cell membership
                 for ang in range(0, 360, 60):
                     n = np.array([math.cos(math.radians(ang)), math.sin(math.radians(ang))])
@@ -92,7 +92,7 @@ class TestGroundUsers:
                 # wedge membership
                 rel = (math.degrees(math.atan2(d[1], d[0])) - sector.panel.bearing_deg + 180) % 360 - 180
                 assert abs(rel) <= 60.0 + 1e-9
-                assert u.position_3d_m[2] == 1.5
+                assert u[2] == 1.5
 
 
 def _sectors_short_after_one_batch(sectors, per_cell, isd_m, master_seed, snapshot):
@@ -117,39 +117,38 @@ class TestDropMatchesPerSectorOracle:
     @pytest.mark.parametrize("snapshot", [0, 3])
     def test_default_isd(self, per_cell, snapshot):
         sectors = build_hex_layout(2, 500.0, TEMPLATE)
-        got = place_ground_users(sectors, per_cell, 500.0, RngStream(1), snapshot=snapshot)
+        got = place_ground_users(sectors, per_cell, 500.0, RngStream(1), 1.5, snapshot)
         want = per_sector_ground_users(sectors, per_cell, 500.0, 1, snapshot=snapshot)
-        assert got.position_3d_m.tobytes() == want.position_3d_m.tobytes()
-        assert got.kind.tolist() == want.kind.tolist()
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("per_cell", [1, 4])
     def test_sectors_needing_a_second_batch(self, per_cell):
         isd_m = 20.0  # a small drop share: some sectors' first batches fall short
         sectors = build_hex_layout(1, isd_m, TEMPLATE)
         assert _sectors_short_after_one_batch(sectors, per_cell, isd_m, 2, 0)
-        got = place_ground_users(sectors, per_cell, isd_m, RngStream(2), height_m=2.0)
+        got = place_ground_users(sectors, per_cell, isd_m, RngStream(2), 2.0, 0)
         want = per_sector_ground_users(sectors, per_cell, isd_m, 2, height_m=2.0)
-        assert got.position_3d_m.tobytes() == want.position_3d_m.tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_no_sectors(self):
-        assert len(place_ground_users([], 4, 500.0, RngStream(1))) == 0
+        assert len(place_ground_users([], 4, 500.0, RngStream(1), 1.5, 0)) == 0
 
 
 class TestHighway:
     def test_25m_spacing_gives_51_points_6_segments(self):
         hw = discretize_highway(straight_line(1250.0), 25.0, 10)
-        assert hw.n_points == 51
+        assert len(hw.points) == 51
         assert len(hw.segments) == 6
         assert hw.segments[-1] == (50, 51)  # last segment holds the single tail point
 
     def test_line_of_length_dr(self):
         hw = discretize_highway(straight_line(30.0), 30.0, 2)
-        assert hw.n_points == 2
+        assert len(hw.points) == 2
         assert len(hw.segments) == 1
 
     def test_endpoints_only(self):
         hw = discretize_highway(straight_line(1250.0), 1250.0, 2)
-        assert hw.n_points == 2
+        assert len(hw.points) == 2
 
     def test_points_equidistant(self):
         hw = discretize_highway(straight_line(1250.0), 25.0, 10)
@@ -170,7 +169,7 @@ class TestHighway:
     def test_segments_partition_points(self):
         hw = discretize_highway(straight_line(1250.0), 25.0, 10)
         covered = sorted(i for a, b in hw.segments for i in range(a, b))
-        assert covered == list(range(hw.n_points))
+        assert covered == list(range(len(hw.points)))
 
 
 class TestUavs:
@@ -188,28 +187,26 @@ class TestUavs:
         # modular symmetry requires d_iud to divide the corridor length
         a = place_uavs(highway, 125.0, offset_m=0.0)
         b = place_uavs(highway, 125.0, offset_m=125.0)
-        pa = sorted(tuple(np.round(u.position_3d_m, 6)) for u in a)
-        pb = sorted(tuple(np.round(u.position_3d_m, 6)) for u in b)
+        pa = sorted(tuple(np.round(u, 6)) for u in a)
+        pb = sorted(tuple(np.round(u, 6)) for u in b)
         assert pa == pb
 
     def test_consecutive_spacing(self, highway):
         uavs = place_uavs(highway, 100.0)
-        xs = np.sort([u.position_3d_m[0] for u in uavs])
+        xs = np.sort(uavs[:, 0])
         assert np.allclose(np.diff(xs), 100.0, atol=1e-6)
 
 
 def test_explicit_zero_uav_spacing_is_not_the_default(small_scenario):
     with pytest.raises(ValueError, match="d_iud"):
-        small_scenario.uavs(d_iud=0.0)
+        small_scenario.uavs(0.0, 0.0)
 
 
 def test_scenario_rebuild_bit_identical(small_cfg):
     a = scenario_from_config(small_cfg)
     b = scenario_from_config(small_cfg)
     assert np.array_equal(a.highway.points, b.highway.points)
-    ua = np.array([u.position_3d_m for u in a.ground_users(0)])
-    ub = np.array([u.position_3d_m for u in b.ground_users(0)])
-    assert np.array_equal(ua, ub)
+    assert np.array_equal(a.ground_users(0), b.ground_users(0))
 
 
 def test_default_polyline_crosses_cell_edges():
@@ -242,5 +239,5 @@ def test_smallest_accepted_isd_drops_ground_users():
     # 17.92 m is just above the floor that config validation rejects
     assert gue_drop_share(17.91) <= GUE_MIN_DROP_SHARE < gue_drop_share(17.92)
     sectors = build_hex_layout(0, 17.92, TEMPLATE)
-    users = place_ground_users(sectors, 4, 17.92, RngStream(1))
+    users = place_ground_users(sectors, 4, 17.92, RngStream(1), 1.5, 0)
     assert len(users) == 12

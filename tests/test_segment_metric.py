@@ -243,7 +243,7 @@ class TestAssignSegments:
         assert len(out.serving_cell) == len(highway.segments)
         assert out.designated_cells == tuple(sorted(set(out.serving_cell)))
         assert out.chi.shape == (len(highway.segments), len(small_scenario.sectors))
-        assert out.required_cell.shape[0] == highway.n_points
+        assert out.required_cell.shape[0] == len(highway.points)
 
     def test_dump_csv(self, small_scenario, tmp_path):
         out = assign_segments(_expected(small_scenario), small_scenario.highway.segments, NOISE)
