@@ -155,29 +155,20 @@ def baseline_plan(scenario: Scenario, ssb_codebook: Codebook) -> BeamPlan:
     """
     panel = scenario.sectors[0].panel
     full = np.flatnonzero(ssb_codebook.active_columns == panel.m_h)
-    cos_all = np.array([ssb_codebook.direction_cosines(i) for i in full])
-    w_target = math.cos(math.radians(BASELINE_TILT_DEG))
+    u, w = ssb_codebook.directions[full].T
+    iv = ssb_codebook.beam_index_v[full]
 
-    # vertical index nearest the target zenith within the full-panel sub-book
-    v_indices = unique_ints(ssb_codebook.beam_index_v[full])[0]
-    v_cos = []
-    for iv in v_indices:
-        i = full[ssb_codebook.beam_index_v[full] == iv][0]
-        v_cos.append(ssb_codebook.direction_cosines(int(i))[1])
-    best_iv = int(v_indices[np.argmin(np.abs(np.array(v_cos) - w_target))])
+    # the vertical row nearest the target zenith within the full-panel sub-book
+    best = np.argmin(np.abs(w - math.cos(math.radians(BASELINE_TILT_DEG))))
+    row = iv == iv[best]
 
-    az_targets_deg = np.arange(-52.5, 60.0, 15.0)  # eight beams across 120 degrees
-    sin_t = math.sin(math.radians(BASELINE_TILT_DEG))
-    slots_cw = []
-    for az in az_targets_deg:
-        u_t = sin_t * math.sin(math.radians(az))
-        cand = full[ssb_codebook.beam_index_v[full] == best_iv]
-        u_cand = cos_all[ssb_codebook.beam_index_v[full] == best_iv, 0]
-        slots_cw.append(int(cand[np.argmin(np.abs(u_cand - u_t))]))
+    az_targets = np.radians(np.arange(-52.5, 60.0, 15.0))  # eight beams across 120 degrees
+    u_targets = math.sin(math.radians(BASELINE_TILT_DEG)) * np.sin(az_targets)
+    slots_cw = full[row][np.argmin(np.abs(u[row] - u_targets[:, None]), axis=1)]
 
     b = scenario.n_sectors
     x = np.ones((b, N_SSB_SLOTS), dtype=np.int8)
     power = np.full((b, N_SSB_SLOTS), scenario.radio.sector_tx_power_dbm - 10.0 * math.log10(N_SSB_SLOTS))
-    codeword = np.tile(np.array(slots_cw, dtype=int), (b, 1))
+    codeword = np.tile(slots_cw, (b, 1))
     sweep = np.tile(np.arange(N_SSB_SLOTS, dtype=int), (b, 1))
     return BeamPlan(x=x, power_dbm=power, codeword=codeword, sweep=sweep)

@@ -2,10 +2,12 @@
 
 Large scale follows the urban-macro statistical models (dual-slope path loss
 with breakpoint, distance-dependent LoS probability, spatially correlated
-log-normal shadowing, 8 dBi / 65-degree element pattern); links to airborne
-entities above 22.5 m switch to the aerial variants (height-dependent LoS
-probability that saturates at 1, aerial path-loss exponents). Small scale is
-a Rician mix of a plane-wave steering vector and an i.i.d. Rayleigh part.
+log-normal shadowing, 8 dBi / 65-degree element pattern). A link's UE
+height picks its LoS and path-loss model: links above 22.5 m use the aerial
+variants (height-dependent LoS probability that saturates at 1, aerial
+path-loss exponents) whatever their block's entity class, and the class
+picks only the shadowing sigma and decorrelation distance. Small scale is a
+Rician mix of a plane-wave steering vector and an i.i.d. Rayleigh part.
 
 Everything is generated from seeded streams keyed by (kind of draw, stream
 tag, snapshot, sector): the LoS uniforms, the shadow draws and the fading
@@ -46,7 +48,7 @@ class OutOfValidityRange(UserWarning):
     """Link geometry left the path-loss model's stated validity region."""
 
 
-AERIAL_MIN_HEIGHT_M = 22.5  # below this, airborne links reuse the ground model
+AERIAL_MIN_HEIGHT_M = 22.5  # links at or below it use the ground model, above it the aerial one
 AERIAL_ALWAYS_LOS_HEIGHT_M = 100.0
 _MIX_LINKS = 1024  # links per Rician mix: all sectors of a UAV block, 4 of a ground block
 
@@ -55,22 +57,18 @@ _MIX_LINKS = 1024  # links per Rician mix: all sectors of a UAV block, 4 of a gr
 # Large-scale ingredients
 # --------------------------------------------------------------------------
 
-def los_probability(d2d_m, h_ut_m, kind: str):
-    """LoS probability for ground or aerial links (urban macro).
+def los_probability(d2d_m, h_ut_m):
+    """LoS probability of urban-macro links, the model picked by UE height.
 
-    Ground: the standard distance curve, 1 inside 18 m. Aerial: the
-    height-parameterized curve for 22.5 m < h < 100 m, exactly 1 at and above
-    100 m. Heights at or below 22.5 m use the ground curve.
+    At or below `AERIAL_MIN_HEIGHT_M` (22.5 m): the ground distance curve, 1
+    inside 18 m. Above it: the height-parameterized aerial curve below
+    100 m, exactly 1 at and above 100 m.
     """
     d2d = np.asarray(d2d_m, dtype=float)
-    h = np.broadcast_to(np.asarray(h_ut_m, dtype=float), d2d.shape).copy()
-    if kind == "ground":
-        return _ground_p_los(d2d, h)
-    if kind != "aerial":
-        raise ValueError(f"unknown link kind {kind!r}")
+    h = np.broadcast_to(np.asarray(h_ut_m, dtype=float), d2d.shape)
     p = np.ones_like(d2d)
     low = h <= AERIAL_MIN_HEIGHT_M
-    mid = (h > AERIAL_MIN_HEIGHT_M) & (h < AERIAL_ALWAYS_LOS_HEIGHT_M)
+    mid = ~low & (h < AERIAL_ALWAYS_LOS_HEIGHT_M)
     if np.any(low):
         p[low] = _ground_p_los(d2d[low], h[low])
     if np.any(mid):
@@ -91,15 +89,15 @@ def _ground_p_los(d2d: np.ndarray, h_ut: np.ndarray) -> np.ndarray:
     return np.where(d2d <= 18.0, 1.0, base * bonus)
 
 
-def path_loss(d2d_m, d3d_m, h_ut_m, kind: str, los, radio: RadioConfig, h_bs_m):
+def path_loss(d2d_m, d3d_m, h_ut_m, los, radio: RadioConfig, h_bs_m):
     """Linear path gain rho for a link (vectorized over the shape of `d2d_m`).
 
     `d3d_m` has that shape; the UE heights, the LoS states and the
-    base-station heights `h_bs_m` broadcast to it. Ground links use the
-    dual-slope urban-macro LoS curve and its NLoS counterpart (lower-bounded
-    by the LoS loss). Aerial links above 22.5 m use the aerial exponents.
-    Geometry outside the model's validity region is flagged, not rejected:
-    one OutOfValidityRange warning per call, however many links are outside.
+    base-station heights `h_bs_m` broadcast to it. Links at or below 22.5 m
+    use the dual-slope urban-macro LoS curve and its NLoS counterpart
+    (lower-bounded by the LoS loss), links above it the aerial exponents.
+    Geometry outside a model's validity region is flagged, not rejected: at
+    most one OutOfValidityRange warning per model and call.
     """
     d2d = np.asarray(d2d_m, dtype=float)
     d3d = np.asarray(d3d_m, dtype=float)
@@ -110,22 +108,17 @@ def path_loss(d2d_m, d3d_m, h_ut_m, kind: str, los, radio: RadioConfig, h_bs_m):
         raise ValueError("3D distance must be positive")
     f_ghz = radio.carrier_freq_hz / 1e9
 
-    if kind == "ground":
-        pl_db = _ground_pl_db(d2d, d3d, h, los_arr, f_ghz, h_bs)
-        if np.any((d2d < 10.0) | (d2d > 5000.0)):
+    pl_db = np.empty_like(d2d)
+    low = h <= AERIAL_MIN_HEIGHT_M
+    if np.any(low):
+        pl_db[low] = _ground_pl_db(d2d[low], d3d[low], h[low], los_arr[low], f_ghz, h_bs[low])
+        if np.any(low & ((d2d < 10.0) | (d2d > 5000.0))):
             warnings.warn("2D distance outside [10, 5000] m", OutOfValidityRange, stacklevel=2)
-    elif kind == "aerial":
-        pl_db = np.empty_like(d2d)
-        low = h <= AERIAL_MIN_HEIGHT_M
-        if np.any(low):
-            pl_db[low] = _ground_pl_db(d2d[low], d3d[low], h[low], los_arr[low], f_ghz, h_bs[low])
-        hi = ~low
-        if np.any(hi):
-            pl_db[hi] = _aerial_pl_db(d3d[hi], h[hi], los_arr[hi], f_ghz)
+    hi = ~low
+    if np.any(hi):
+        pl_db[hi] = _aerial_pl_db(d3d[hi], h[hi], los_arr[hi], f_ghz)
         if np.any(hi & ((d2d > 4000.0) | (h > 300.0) | (~los_arr & (h > 100.0)))):
             warnings.warn("aerial link outside model validity", OutOfValidityRange, stacklevel=2)
-    else:
-        raise ValueError(f"unknown link kind {kind!r}")
     return 10.0 ** (-pl_db / 10.0)
 
 
@@ -152,10 +145,9 @@ def _ground_pl_db(d2d, d3d, h_ut, los, f_ghz, h_bs):
 
 def _aerial_pl_db(d3d, h_ut, los, f_ghz):
     pl_los = 28.0 + 22.0 * np.log10(d3d) + 20.0 * np.log10(f_ghz)
-    h_safe = np.clip(h_ut, AERIAL_MIN_HEIGHT_M + 1e-9, None)
     pl_nlos = (
         -17.5
-        + (46.0 - 7.0 * np.log10(h_safe)) * np.log10(d3d)
+        + (46.0 - 7.0 * np.log10(h_ut)) * np.log10(d3d)
         + 20.0 * np.log10(40.0 * np.pi * f_ghz / 3.0)
     )
     return np.where(los, pl_los, pl_nlos)
@@ -359,8 +351,9 @@ def _large_scale(scenario: Scenario, kind: str, heights: np.ndarray, links, los_
     """The deterministic large-scale step over all (entity, sector) links.
 
     `los_draws` and `shadow_unit` are the block's LoS uniforms and unit
-    shadow draws, [entity, sector]. Returns the block's ChannelSet with `h`
-    allocated but not yet filled, and every link's Rician K, sector-major.
+    shadow draws, [entity, sector]; the entity class `kind` picks the shadow
+    sigmas. Returns the block's ChannelSet with `h` allocated but not yet
+    filled, and every link's Rician K, sector-major.
     """
     radio = scenario.radio
     params = scenario.channel_params
@@ -375,9 +368,9 @@ def _large_scale(scenario: Scenario, kind: str, heights: np.ndarray, links, los_
 
     # LoS state (held for the snapshot), path gain, shadow gain, element gain
     h_ut = heights[:, None]
-    p_los = los_probability(d2d, h_ut, kind)
+    p_los = los_probability(d2d, h_ut)
     is_los = los_draws < p_los
-    rho = path_loss(d2d, d3d, h_ut, kind, is_los, radio, h_bs_m=h_bs)
+    rho = path_loss(d2d, d3d, h_ut, is_los, radio, h_bs_m=h_bs)
     tau = shadow_gain(np.where(is_los, sigma_los, sigma_nlos), shadow_unit)
     g = element_gain(az, zen)
     k = np.where(is_los, params.rician_k_linear(True), params.rician_k_linear(False))
@@ -501,11 +494,10 @@ def expected_channels(
     LoS probability below one the mean is scaled accordingly.
     """
     heights = positions[:, 2]
-    kind = "aerial" if np.all(heights > AERIAL_MIN_HEIGHT_M) else "ground"
     d2d, d3d, az, zen, unit = link_geometry(sectors, positions)
     h_bs = np.array([sector.panel.panel_height_m for sector in sectors])[:, None]
-    p = los_probability(d2d, heights, kind)
-    rho_los = path_loss(d2d, d3d, heights, kind, True, radio, h_bs_m=h_bs)
+    p = los_probability(d2d, heights)
+    rho_los = path_loss(d2d, d3d, heights, True, radio, h_bs_m=h_bs)
     gains = element_gain(az, zen)
     k = params.rician_k_linear(True)
     coords = np.array([sector.panel.element_coords(radio.wavelength_m) for sector in sectors])

@@ -43,7 +43,7 @@ from .evaluation import (
     SweepResult,
     evaluate_snapshot,
     ground_channels,
-    snapshot_stats,
+    p5,
     traffic_sweep,
 )
 from .genetic import FitnessTrace, corridor_problem, run as run_ega
@@ -292,9 +292,9 @@ def _summaries(pooled: dict) -> dict:
     """5%-tile and mean of each (plan, group, metric) sample list, nested in that order."""
     summary: dict = {}
     for (name, label, metric), values in pooled.items():
-        stats = snapshot_stats(values)
+        # the mean sums the samples in ascending order, which fixes summary.json's bytes
         summary.setdefault(name, {}).setdefault(label, {})[metric] = {
-            "p5": stats.percentile(5), "mean": stats.mean,
+            "p5": p5(values), "mean": float(np.mean(np.sort(values))),
         }
     return summary
 

@@ -8,7 +8,8 @@ is a single oversampled 2D-DFT grid over the full panel.
 Codeword layout matches `UpaGeometry.element_coords`: element m = col * m_v
 + row. Horizontal DFT index ih steers the beam to the direction cosine
 u = wrap(-ih / (O_h N d_h)) and vertical index iv to w = wrap(-iv / (O_v M_v
-d_v)), both wrapped into [-1, 1).
+d_v)), both wrapped into [-1, 1). A `Codebook` holds every codeword's (u, w)
+in `directions`, computed once when the codebook is built.
 """
 
 from __future__ import annotations
@@ -23,36 +24,16 @@ from .scenario import UpaGeometry
 
 @dataclass(frozen=True)
 class Codebook:
-    """Stack of codewords plus the panel metadata needed to interpret them."""
+    """Stack of codewords, each with its sub-book, DFT indices and beam direction."""
 
-    panel_m_v: int
-    oversampling_h: int
-    oversampling_v: int
-    spacing_h_wl: float
-    spacing_v_wl: float
     weights: np.ndarray  # N_CB x M
     active_columns: np.ndarray
     beam_index_h: np.ndarray
     beam_index_v: np.ndarray
+    directions: np.ndarray  # N_CB x 2: boresight direction cosines (u, w)
 
     def __len__(self) -> int:
         return self.weights.shape[0]
-
-    def direction_cosines(self, index: int) -> tuple[float, float]:
-        """(u, w) boresight direction cosines of the indexed beam."""
-        n_act = int(self.active_columns[index])
-        u = _wrap_cosine(
-            -self.beam_index_h[index] / (self.oversampling_h * n_act * self.spacing_h_wl)
-        )
-        w = _wrap_cosine(
-            -self.beam_index_v[index] / (self.oversampling_v * self.panel_m_v * self.spacing_v_wl)
-        )
-        return float(u), float(w)
-
-
-def _wrap_cosine(x: float) -> float:
-    period = 2.0  # direction cosines live in [-1, 1) for half-wavelength spacing
-    return (x + 1.0) % period - 1.0
 
 
 def dft_subbook(
@@ -83,16 +64,17 @@ def _stack(panel: UpaGeometry, o_h: int, o_v: int, actives: list[int]) -> Codebo
     """Concatenate the sub-books for each active-column count, in order."""
     books = [dft_subbook(a, panel.m_h, panel.m_v, o_h, o_v) for a in actives]
     weights, beam_h, beam_v = (np.concatenate(parts) for parts in zip(*books))
+    active = np.repeat(actives, [w.shape[0] for w, _, _ in books])
+    u = -beam_h / (o_h * active * panel.element_spacing_h_wavelengths)
+    w = -beam_v / (o_v * panel.m_v * panel.element_spacing_v_wavelengths)
+    # direction cosines live in [-1, 1) for half-wavelength spacing
+    directions = (np.stack([u, w], axis=1) + 1.0) % 2.0 - 1.0
     return Codebook(
-        panel_m_v=panel.m_v,
-        oversampling_h=o_h,
-        oversampling_v=o_v,
-        spacing_h_wl=panel.element_spacing_h_wavelengths,
-        spacing_v_wl=panel.element_spacing_v_wavelengths,
         weights=weights,
-        active_columns=np.repeat(actives, [w.shape[0] for w, _, _ in books]),
+        active_columns=active,
         beam_index_h=beam_h,
         beam_index_v=beam_v,
+        directions=directions,
     )
 
 

@@ -96,7 +96,7 @@ class LayoutParams:
     def __post_init__(self):
         _check_fields(
             self, "layout",
-            positive=("isd_m", "element_spacing_h_wavelengths", "element_spacing_v_wavelengths"),
+            positive=("isd_m", "bs_height_m", "element_spacing_h_wavelengths", "element_spacing_v_wavelengths"),
             least={"tiers": 0},
         )
         share = gue_drop_share(self.isd_m)
@@ -118,7 +118,7 @@ class HighwayParams:
     uav_spacing_m: float = 100.0
 
     def __post_init__(self):
-        _check_fields(self, "highway", positive=("point_spacing_m", "uav_spacing_m"))
+        _check_fields(self, "highway", positive=("altitude_m", "point_spacing_m", "uav_spacing_m"))
         _check_polyline(self.polyline)
 
 
@@ -130,7 +130,7 @@ class UsersParams:
     ground_height_m: float = 1.5
 
     def __post_init__(self):
-        _check_fields(self, "users")
+        _check_fields(self, "users", positive=("ground_height_m",))
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,7 @@ def _check_fields(params, block: str, positive=(), non_negative=(), least=None) 
 
 
 def _check_polyline(polyline) -> None:
-    """Null, or at least two [x, y, z] vertices of finite numbers with a finite, positive length."""
+    """Null, or at least two [x, y, z] vertices of finite numbers with z > 0 and a finite, positive length."""
     if polyline is None:
         return
     if not (
@@ -330,6 +330,8 @@ def _check_polyline(polyline) -> None:
     for vertex in polyline:
         for coord in vertex:
             _finite(coord, "highway.polyline")
+        if vertex[2] <= 0:
+            raise ConfigError("highway.polyline vertex heights (z) must be positive")
     # summed as the highway discretization sums it, so overflow and underflow agree
     deltas = [[q - p for p, q in zip(a, b)] for a, b in zip(polyline, polyline[1:])]
     length = sum(math.sqrt(sum(d * d for d in delta)) for delta in deltas)

@@ -4,8 +4,8 @@ Every associated UE is scheduled each snapshot (fully loaded cells) with an
 equal share of its sector's power. UEs of one cell sharing a precoding
 codeword split that codeword's bandwidth (and do not interfere with each
 other); co-cell UEs on different codewords and every other cell's in-use
-codewords interfere. Statistics are empirical CDFs with a lower-order-
-statistic 5 percent tile, pooled over snapshots.
+codewords interfere. Statistics are lower-order-statistic 5 percent tiles
+(`p5`), pooled over snapshots.
 
 The data phase runs in two steps: a ground step per snapshot and plan
 (`data_phase_ground`) and a UAV step per UAV block (`data_phase_uavs`), so a
@@ -36,11 +36,7 @@ from .association import (
 from .channel import ChannelSet, build_channels, entity_block
 from .codebook import Codebook
 from .config import RadioConfig
-from .scenario import Scenario
-
-
-class EmptyGroup(Exception):
-    """Statistics requested over an empty sample set."""
+from .scenario import Scenario, place_uavs
 
 
 @dataclass(frozen=True)
@@ -268,24 +264,12 @@ def data_phase_uavs(
     )
 
 
-@dataclass(frozen=True)
-class CdfSummary:
-    samples: np.ndarray  # sorted ascending
-
-    def percentile(self, q: float) -> float:
-        return float(np.percentile(self.samples, q, method="lower"))
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.samples))
-
-
-def snapshot_stats(values) -> CdfSummary:
-    """Empirical CDF of a metric."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise EmptyGroup("no samples")
-    return CdfSummary(samples=np.sort(arr))
+def p5(values) -> float:
+    """The lower-order-statistic 5 percent tile of `values`; no samples raise ValueError."""
+    samples = np.asarray(values, dtype=float)
+    if samples.size == 0:
+        raise ValueError("5%-tile of an empty sample set")
+    return float(np.percentile(samples, 5, method="lower"))
 
 
 @dataclass(frozen=True)
@@ -361,7 +345,7 @@ def snapshot_uavs(scenario: Scenario, snapshot: int, n_snapshots: int, d_iud: fl
     """UAVs at spacing d_iud, advanced by d_iud / n_snapshots per snapshot."""
     _check_snapshots(n_snapshots)
     offset = (snapshot * d_iud / n_snapshots) % scenario.highway.total_length_m
-    return scenario.uavs(offset, d_iud)
+    return place_uavs(scenario.highway, d_iud, offset)
 
 
 def evaluate_snapshot(
@@ -462,8 +446,8 @@ def traffic_sweep(
         for i, cell in enumerate(cells):
             for name, res in cell.items():
                 aerial = res.kinds == "aerial"
-                uav_p5[name][i].append(snapshot_stats(res.data.rate_bps[aerial]).percentile(5))
-                gue_p5[name][i].append(snapshot_stats(res.data.rate_bps[~aerial]).percentile(5))
+                uav_p5[name][i].append(p5(res.data.rate_bps[aerial]))
+                gue_p5[name][i].append(p5(res.data.rate_bps[~aerial]))
     return SweepResult(
         n_uavs=n_values,
         d_iud_m=spacings,

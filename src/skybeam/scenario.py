@@ -235,7 +235,7 @@ def discretize_highway(polyline: np.ndarray, d_r: float, n_s: int) -> AerialHigh
     )
 
 
-def place_uavs(highway: AerialHighway, d_iud: float, offset_m: float = 0.0) -> np.ndarray:
+def place_uavs(highway: AerialHighway, d_iud: float, offset_m: float) -> np.ndarray:
     """Evenly spaced UAVs along the corridor, arc positions (offset + k d_iud) mod L.
 
     Returns an (n, 3) position array, one row per UAV.
@@ -286,9 +286,6 @@ class Scenario:
             self.sectors, self.users.gues_per_cell, self.layout.isd_m, self.streams,
             height_m=self.users.ground_height_m, snapshot=snapshot,
         )
-
-    def uavs(self, offset_m: float, d_iud: float) -> np.ndarray:
-        return place_uavs(self.highway, d_iud, offset_m)
 
 
 def scenario_from_config(cfg: dict) -> Scenario:

@@ -82,11 +82,11 @@ from skybeam.evaluation import (
     data_phase_ground,
     data_phase_uavs,
     ground_channels,
-    snapshot_stats,
+    p5,
     snapshot_uavs,
 )
 from skybeam.genetic import FitnessEvaluator, FitnessTrace, Individual, apply_individual
-from skybeam.scenario import _in_dominance_area
+from skybeam.scenario import _in_dominance_area, place_uavs
 from skybeam.segment_metric import segment_cell_metric
 
 
@@ -222,9 +222,9 @@ def per_sector_channels(scenario, kind, positions, snapshot, stream_tag) -> Chan
         g[:, j] = element_gain(az, zen)
         draws = reference_derive(scenario.master_seed, "los", stream_tag, snapshot, j).uniform(size=n)
         rng_shadow = reference_derive(scenario.master_seed, "shadow", stream_tag, snapshot, j)
-        p_los[:, j] = los_probability(d2d, heights, kind)
+        p_los[:, j] = los_probability(d2d, heights)
         is_los[:, j] = draws < p_los[:, j]
-        rho[:, j] = path_loss(d2d, d3d, heights, kind, is_los[:, j], radio, h_bs_m=sector.panel.panel_height_m)
+        rho[:, j] = path_loss(d2d, d3d, heights, is_los[:, j], radio, h_bs_m=sector.panel.panel_height_m)
         sigma = np.where(is_los[:, j], sigma_los, sigma_nlos)
         tau[:, j] = shadow_gain(sigma, shadow_field(factor, rng_shadow))
         k_lin = np.where(
@@ -278,7 +278,7 @@ def reference_sweep(scenario, plans, ssb_codebook, dl_codebook, n_max, n_snapsho
         for snapshot in range(n_snapshots):
             ground = build_channels(scenario, entity_block("ground", scenario.ground_users(snapshot)), snapshot, "ue")
             offset = (snapshot * d_iud / n_snapshots) % length
-            uavs = build_channels(scenario, entity_block("aerial", scenario.uavs(offset, d_iud)), snapshot, "uav")
+            uavs = build_channels(scenario, entity_block("aerial", place_uavs(scenario.highway, d_iud, offset)), snapshot, "uav")
             aerial = np.arange(len(ground.h) + len(uavs.h)) >= len(ground.h)
             for name, plan in plans.items():
                 serving = []
@@ -288,8 +288,8 @@ def reference_sweep(scenario, plans, ssb_codebook, dl_codebook, n_max, n_snapsho
                 report = joined_data_phase(
                     (ground, uavs), np.concatenate(serving), dl_codebook, scenario.radio
                 )
-                uav_p5[name].append(snapshot_stats(report.rate_bps[aerial]).percentile(5))
-                gue_p5[name].append(snapshot_stats(report.rate_bps[~aerial]).percentile(5))
+                uav_p5[name].append(p5(report.rate_bps[aerial]))
+                gue_p5[name].append(p5(report.rate_bps[~aerial]))
         for name in plans:
             p5_rate[name][i] = np.mean(uav_p5[name])
             p5_gue_rate[name][i] = np.mean(gue_p5[name])

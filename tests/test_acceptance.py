@@ -29,7 +29,7 @@ from skybeam.config import RadioConfig, default_config, validate_config
 from skybeam.evaluation import (
     evaluate_snapshot,
     ground_channels,
-    snapshot_stats,
+    p5,
     traffic_sweep,
 )
 from skybeam.genetic import EgaParams, FitnessEvaluator, corridor_problem, run
@@ -74,10 +74,10 @@ def pipeline():
         for name, res in results.items():
             aerial = res.kinds == "aerial"
             stats = per_snapshot[name]
-            stats["uav_cov_p5"].append(snapshot_stats(res.coverage_sinr_db[aerial]).percentile(5))
-            stats["uav_rate_p5"].append(snapshot_stats(res.data.rate_bps[aerial]).percentile(5))
-            stats["gue_cov_p5"].append(snapshot_stats(res.coverage_sinr_db[~aerial]).percentile(5))
-            stats["gue_rate_p5"].append(snapshot_stats(res.data.rate_bps[~aerial]).percentile(5))
+            stats["uav_cov_p5"].append(p5(res.coverage_sinr_db[aerial]))
+            stats["uav_rate_p5"].append(p5(res.data.rate_bps[aerial]))
+            stats["gue_cov_p5"].append(p5(res.coverage_sinr_db[~aerial]))
+            stats["gue_rate_p5"].append(p5(res.data.rate_bps[~aerial]))
 
     return {
         "scenario": scenario,

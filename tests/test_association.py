@@ -42,17 +42,13 @@ def make_channels(h, beta):
 
 def make_codebook(weights):
     weights = np.asarray(weights, dtype=complex)
-    n, m = weights.shape
+    n = weights.shape[0]
     return Codebook(
-        panel_m_v=m,
-        oversampling_h=1,
-        oversampling_v=1,
-        spacing_h_wl=0.5,
-        spacing_v_wl=0.5,
         weights=weights,
         active_columns=np.full(n, 1),
         beam_index_h=np.zeros(n, dtype=int),
         beam_index_v=np.arange(n),
+        directions=np.zeros((n, 2)),
     )
 
 
@@ -267,7 +263,7 @@ class TestBaselinePlan:
         best = min(
             {book.beam_index_v[i] for i in full},
             key=lambda iv: abs(
-                book.direction_cosines(int(full[book.beam_index_v[full] == iv][0]))[1] - target
+                book.directions[full[book.beam_index_v[full] == iv][0], 1] - target
             ),
         )
         for cw in plan.codeword[0]:

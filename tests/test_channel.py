@@ -30,6 +30,7 @@ from skybeam.scenario import (
     Sector,
     UpaGeometry,
     discretize_highway,
+    place_uavs,
     scenario_from_config,
 )
 
@@ -58,7 +59,7 @@ class TestPathLoss:
         d2d, h_bs, h_ut = 100.0, 25.0, 1.5
         d3d = math.sqrt(d2d**2 + (h_bs - h_ut) ** 2)
         expected_db = uma_los_pl_oracle(d2d, h_bs, h_ut, 3.5)
-        gain = path_loss(d2d, d3d, h_ut, "ground", True, RADIO, h_bs_m=h_bs)
+        gain = path_loss(d2d, d3d, h_ut, True, RADIO, h_bs_m=h_bs)
         assert 10 * math.log10(1 / gain) == pytest.approx(expected_db, abs=1e-9)
 
     def test_far_slope_beyond_breakpoint(self):
@@ -66,19 +67,19 @@ class TestPathLoss:
         d2d = 1000.0
         d3d = math.sqrt(d2d**2 + 23.5**2)
         expected_db = uma_los_pl_oracle(d2d, 25.0, 1.5, 3.5)
-        gain = path_loss(d2d, d3d, 1.5, "ground", True, RADIO, H_BS)
+        gain = path_loss(d2d, d3d, 1.5, True, RADIO, H_BS)
         assert 10 * math.log10(1 / gain) == pytest.approx(expected_db, abs=1e-9)
 
     def test_monotone_decrease_with_distance(self):
-        g1 = path_loss(1000.0, 1000.3, 1.5, "ground", True, RADIO, H_BS)
-        g2 = path_loss(2000.0, 2000.2, 1.5, "ground", True, RADIO, H_BS)
+        g1 = path_loss(1000.0, 1000.3, 1.5, True, RADIO, H_BS)
+        g2 = path_loss(2000.0, 2000.2, 1.5, True, RADIO, H_BS)
         assert g2 < g1
 
     def test_nlos_never_beats_los(self):
         for d2d in (50.0, 200.0, 800.0, 3000.0):
             d3d = math.sqrt(d2d**2 + 23.5**2)
-            assert path_loss(d2d, d3d, 1.5, "ground", False, RADIO, H_BS) <= path_loss(
-                d2d, d3d, 1.5, "ground", True, RADIO, H_BS
+            assert path_loss(d2d, d3d, 1.5, False, RADIO, H_BS) <= path_loss(
+                d2d, d3d, 1.5, True, RADIO, H_BS
             )
 
     def test_aerial_branch_selected_at_100m(self):
@@ -86,7 +87,7 @@ class TestPathLoss:
         d2d, h = 500.0, 100.0
         d3d = math.sqrt(d2d**2 + (h - 25.0) ** 2)
         aerial_db = 28.0 + 22 * math.log10(d3d) + 20 * math.log10(3.5)
-        gain = path_loss(d2d, d3d, h, "aerial", True, RADIO, H_BS)
+        gain = path_loss(d2d, d3d, h, True, RADIO, H_BS)
         assert 10 * math.log10(1 / gain) == pytest.approx(aerial_db, abs=1e-9)
         # NLoS is where the aerial and ground tables genuinely diverge
         aerial_nlos_db = (
@@ -98,25 +99,71 @@ class TestPathLoss:
             uma_los_pl_oracle(d2d, 25.0, h, 3.5),
             13.54 + 39.08 * math.log10(d3d) + 20 * math.log10(3.5) - 0.6 * (h - 1.5),
         )
-        gain_nlos = path_loss(d2d, d3d, h, "aerial", False, RADIO, H_BS)
+        gain_nlos = path_loss(d2d, d3d, h, False, RADIO, H_BS)
         assert 10 * math.log10(1 / gain_nlos) == pytest.approx(aerial_nlos_db, abs=1e-9)
         assert abs(aerial_nlos_db - ground_nlos_db) > 1.0
 
     def test_out_of_validity_flagged_not_fatal(self):
         with pytest.warns(OutOfValidityRange):
-            path_loss(6000.0, 6000.1, 1.5, "ground", True, RADIO, H_BS)
+            path_loss(6000.0, 6000.1, 1.5, True, RADIO, H_BS)
+
+
+class TestModelByHeight:
+    """The link's UE height alone picks the model: the ground formulas at
+    22.5 m, the aerial ones just above it."""
+
+    D2D = 300.0
+
+    def d3d(self, h):
+        return math.sqrt(self.D2D**2 + (H_BS - h) ** 2)
+
+    def test_ground_formulas_at_the_boundary(self):
+        h = 22.5
+        base = 18 / self.D2D + math.exp(-self.D2D / 63) * (1 - 18 / self.D2D)
+        c = ((h - 13) / 10) ** 1.5
+        ground_p = base * (1 + c * 1.25 * (self.D2D / 100) ** 3 * math.exp(-self.D2D / 150))
+        assert los_probability(self.D2D, h) == pytest.approx(ground_p, abs=1e-12)
+        ground_nlos_db = max(
+            uma_los_pl_oracle(self.D2D, H_BS, h, 3.5),
+            13.54 + 39.08 * math.log10(self.d3d(h)) + 20 * math.log10(3.5) - 0.6 * (h - 1.5),
+        )
+        gain = path_loss(self.D2D, self.d3d(h), h, False, RADIO, H_BS)
+        assert 10 * math.log10(1 / gain) == pytest.approx(ground_nlos_db, abs=1e-9)
+
+    def test_aerial_formulas_just_above(self):
+        h = 22.5 + 1e-6
+        d1 = max(460 * math.log10(h) - 700, 18.0)
+        p1 = 4300 * math.log10(h) - 3800
+        aerial_p = d1 / self.D2D + math.exp(-self.D2D / p1) * (1 - d1 / self.D2D)
+        assert los_probability(self.D2D, h) == pytest.approx(aerial_p, abs=1e-12)
+        assert abs(aerial_p - los_probability(self.D2D, 22.5)) > 0.1
+        aerial_nlos_db = (
+            -17.5 + (46 - 7 * math.log10(h)) * math.log10(self.d3d(h)) + 20 * math.log10(40 * math.pi * 3.5 / 3)
+        )
+        gain = path_loss(self.D2D, self.d3d(h), h, False, RADIO, H_BS)
+        assert 10 * math.log10(1 / gain) == pytest.approx(aerial_nlos_db, abs=1e-9)
+        ground_db = -10 * math.log10(path_loss(self.D2D, self.d3d(22.5), 22.5, False, RADIO, H_BS))
+        assert abs(aerial_nlos_db - ground_db) > 1.0
+
+    def test_ground_distance_warning_only_on_low_links(self):
+        # 5 m from the mast is outside the ground model's [10, 5000] m, not the aerial model's range
+        with pytest.warns(OutOfValidityRange, match="2D distance"):
+            path_loss(5.0, math.hypot(5.0, H_BS - 20.0), 20.0, True, RADIO, H_BS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OutOfValidityRange)
+            path_loss(5.0, math.hypot(5.0, H_BS - 30.0), 30.0, True, RADIO, H_BS)
 
 
 class TestLosProbability:
     def test_uav_at_100m_is_one(self):
-        assert los_probability(2500.0, 100.0, "aerial") == 1.0
+        assert los_probability(2500.0, 100.0) == 1.0
 
     def test_ground_short_distance_is_one(self):
-        assert los_probability(5.0, 1.5, "ground") == 1.0
+        assert los_probability(5.0, 1.5) == 1.0
 
     def test_ground_monotone_non_increasing(self):
         d = np.linspace(1.0, 3000.0, 400)
-        p = los_probability(d, 1.5, "ground")
+        p = los_probability(d, 1.5)
         assert np.all(np.diff(p) <= 1e-12)
 
     def test_aerial_mid_height_curve(self):
@@ -126,8 +173,8 @@ class TestLosProbability:
         p1 = 4300 * math.log10(h) - 3800
         d = 800.0
         expected = d1 / d + math.exp(-d / p1) * (1 - d1 / d)
-        assert los_probability(d, h, "aerial") == pytest.approx(expected, abs=1e-12)
-        assert los_probability(d1 / 2, h, "aerial") == 1.0
+        assert los_probability(d, h) == pytest.approx(expected, abs=1e-12)
+        assert los_probability(d1 / 2, h) == 1.0
 
 
 class TestShadowField:
@@ -276,8 +323,8 @@ class TestExpectedChannel:
     def test_composition_of_public_pieces(self):
         _, d3d, az, zen, unit = sector_geometry(self.sector, self.point)
         d2d = math.hypot(self.point[0, 0], self.point[0, 1])
-        p = los_probability(d2d, 100.0, "aerial")
-        rho = path_loss(d2d, d3d[0], 100.0, "aerial", True, RADIO, H_BS)
+        p = los_probability(d2d, 100.0)
+        rho = path_loss(d2d, d3d[0], 100.0, True, RADIO, H_BS)
         g = element_gain(az[0], zen[0])
         k = self.params.rician_k_linear(True)
         h_los = los_components(unit, d3d, self.panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
@@ -299,7 +346,7 @@ class TestExpectedChannel:
         params = small_scenario.channel_params
         _, d3d, az, zen, unit = sector_geometry(sector, self.point)
         d2d = math.hypot(self.point[0, 0], self.point[0, 1])
-        rho = path_loss(d2d, d3d[0], 100.0, "aerial", True, small_scenario.radio, sector.panel.panel_height_m)
+        rho = path_loss(d2d, d3d[0], 100.0, True, small_scenario.radio, sector.panel.panel_height_m)
         g = element_gain(az[0], zen[0])
         h_los = los_components(
             unit, d3d, sector.panel.element_coords(small_scenario.radio.wavelength_m),
@@ -337,9 +384,24 @@ class TestHighwayStack:
             assert h[b].tobytes() == expected_channels([sector], *args)[0].tobytes()
 
 
+def test_corridor_point_height_changes_only_its_own_rows(cfg):
+    """Lowering one corridor point to 15 m puts that point on the ground model
+    and leaves every other point's mean channel row as it was, byte for byte."""
+    scenario = scenario_from_config(cfg)
+    args = (scenario.radio, scenario.channel_params)
+    points = scenario.highway.points
+    lowered = points.copy()
+    lowered[4, 2] = 15.0
+    before = expected_channels(scenario.sectors, points, *args)
+    after = expected_channels(scenario.sectors, lowered, *args)
+    others = np.arange(len(points)) != 4
+    assert after[:, others].tobytes() == before[:, others].tobytes()
+    assert not np.array_equal(after[:, 4], before[:, 4])
+
+
 def config_uavs(scenario):
     """The config's UAVs of snapshot 0: the corridor at its UAV spacing from arc length 0."""
-    return scenario.uavs(0.0, scenario.highway_params.uav_spacing_m)
+    return place_uavs(scenario.highway, scenario.highway_params.uav_spacing_m, 0.0)
 
 
 class TestChannelSet:

@@ -104,7 +104,7 @@ class TestDlCodebook:
         lam = RADIO.wavelength_m
         gen = np.random.default_rng(0)
         for idx in gen.integers(0, len(book), 12):
-            u, w = book.direction_cosines(int(idx))
+            u, w = book.directions[idx]
             if u**2 + w**2 >= 1.0:
                 continue  # invisible-region beam has no physical direction
             kvec = np.array([math.sqrt(1 - u**2 - w**2), u, w])

@@ -76,6 +76,11 @@ def test_unknown_block_rejected():
      ("users", "gues_per_cell", 0),
      ("optimizer", "n_pop", 100.5), ("optimizer", "max_iters", 2.7), ("optimizer", "n_elites", 1.9),
      ("optimizer", "stop_iters", 0), ("optimizer", "stop_iters", -5),
+     # heights at or below the ground, which the channel models do not cover
+     ("users", "ground_height_m", 0), ("users", "ground_height_m", -10.0),
+     ("highway", "altitude_m", 0.0), ("highway", "altitude_m", -100.0),
+     ("layout", "bs_height_m", 0), ("layout", "bs_height_m", -5.0),
+     ("highway", "polyline", [[0.0, 0.0, 100.0], [500.0, 0.0, 0.0]]),
      pytest.param("layout", "bs_height_m", 10**400, id="layout-bs_height_m-int_beyond_float")],
 )
 def test_out_of_range_value_rejected(block, key, value):

@@ -18,22 +18,21 @@ from oracles import (
 from skybeam import evaluation
 from skybeam.association import baseline_plan, changed_sectors, rsrp_table
 from skybeam.channel import ChannelSet, build_channels, entity_block
+from skybeam.cli import _summaries
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import HighwayParams, RadioConfig
 from skybeam.evaluation import (
-    CdfSummary,
-    EmptyGroup,
     associate,
     data_phase_ground,
     data_phase_uavs,
     evaluate_snapshot,
     ground_channels,
-    snapshot_stats,
+    p5,
     snapshot_uavs,
     traffic_sweep,
 )
 from skybeam.genetic import corridor_problem
-from skybeam.scenario import scenario_from_config
+from skybeam.scenario import place_uavs, scenario_from_config
 from test_association import make_channels, make_codebook
 
 RADIO = RadioConfig()
@@ -197,28 +196,28 @@ class TestAchievableRate:
 
 class TestSnapshotStats:
     def test_order_statistic_convention(self):
-        stats = snapshot_stats(np.arange(1, 101))
-        assert stats.percentile(5) == 5.0
+        assert p5(np.arange(1, 101)) == 5.0
 
     def test_single_sample(self):
-        stats = snapshot_stats([42.0])
-        assert stats.percentile(5) == 42.0
-        assert stats.percentile(95) == 42.0
-        assert stats.mean == 42.0
+        assert p5([42.0]) == 42.0
+        summary = _summaries({("optimized", "uav", "rate_bps"): [42.0]})
+        assert summary == {"optimized": {"uav": {"rate_bps": {"p5": 42.0, "mean": 42.0}}}}
 
-    def test_cdf_monotone(self):
+    def test_lower_order_statistic_of_any_order(self):
+        # the sample at index floor(0.05 (n - 1)) of the sorted values, whatever their order
         gen = np.random.default_rng(5)
-        stats = snapshot_stats(gen.standard_normal(200))
-        qs = [stats.percentile(q) for q in range(0, 101, 5)]
-        assert all(b >= a for a, b in zip(qs, qs[1:]))
+        values = gen.standard_normal(200)
+        assert p5(values) == np.sort(values)[9] == p5(gen.permutation(values))
 
     def test_empty_group_raises(self):
-        with pytest.raises(EmptyGroup):
-            snapshot_stats(np.array([1.0, 2.0])[np.array([False, False])])
+        with pytest.raises(ValueError, match="empty sample set"):
+            p5(np.array([1.0, 2.0])[np.array([False, False])])
 
     def test_mask_selects_group(self):
-        stats = snapshot_stats(np.array([1.0, 100.0, 2.0])[np.array([True, False, True])])
-        assert stats.mean == pytest.approx(1.5)
+        values = np.array([1.0, 100.0, 2.0])[np.array([True, False, True])]
+        assert p5(values) == 1.0
+        summary = _summaries({("baseline", "gue", "coverage_sinr_db"): values.tolist()})
+        assert summary["baseline"]["gue"]["coverage_sinr_db"]["mean"] == pytest.approx(1.5)
 
 
 def _books_and_plan(scenario):
@@ -262,7 +261,7 @@ class TestSnapshotEvaluation:
         (results,) = evaluate_snapshot(small_scenario, {"a": base, "b": louder}, ssb, dl, 0, 4, [UAV_SPACING])
         # a uniform 3 dB power lift leaves association unchanged
         assert np.array_equal(results["a"].serving_sector, results["b"].serving_sector)
-        n_entities = len(small_scenario.ground_users(0)) + len(small_scenario.uavs(0.0, UAV_SPACING))
+        n_entities = len(small_scenario.ground_users(0)) + len(place_uavs(small_scenario.highway, UAV_SPACING, 0.0))
         assert len(results["a"].kinds) == n_entities
 
     def test_ground_rows_do_not_depend_on_the_uav_count(self, small_scenario, monkeypatch):
@@ -460,7 +459,7 @@ def test_data_phase_joins_blocks_by_rows(small_scenario):
     set holding the same rows."""
     ssb, dl, base = _books_and_plan(small_scenario)
     ground = ground_channels(small_scenario, 0)
-    uavs = build_channels(small_scenario, entity_block("aerial", small_scenario.uavs(0.0, UAV_SPACING)), 0, "uav")
+    uavs = build_channels(small_scenario, entity_block("aerial", place_uavs(small_scenario.highway, UAV_SPACING, 0.0)), 0, "uav")
     joined = ChannelSet(
         **{name: np.concatenate([getattr(ground, name), getattr(uavs, name)]) for name in CHANNEL_ARRAYS}
     )

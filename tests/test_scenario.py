@@ -178,10 +178,10 @@ class TestUavs:
         return discretize_highway(straight_line(1250.0), 25.0, 10)
 
     def test_hundred_meter_spacing_gives_12(self, highway):
-        assert len(place_uavs(highway, 100.0)) == 12
+        assert len(place_uavs(highway, 100.0, 0.0)) == 12
 
     def test_single_uav(self, highway):
-        assert len(place_uavs(highway, 1250.0)) == 1
+        assert len(place_uavs(highway, 1250.0, 0.0)) == 1
 
     def test_offset_full_period_wraps(self, highway):
         # modular symmetry requires d_iud to divide the corridor length
@@ -192,14 +192,14 @@ class TestUavs:
         assert pa == pb
 
     def test_consecutive_spacing(self, highway):
-        uavs = place_uavs(highway, 100.0)
+        uavs = place_uavs(highway, 100.0, 0.0)
         xs = np.sort(uavs[:, 0])
         assert np.allclose(np.diff(xs), 100.0, atol=1e-6)
 
 
 def test_explicit_zero_uav_spacing_is_not_the_default(small_scenario):
     with pytest.raises(ValueError, match="d_iud"):
-        small_scenario.uavs(0.0, 0.0)
+        place_uavs(small_scenario.highway, 0.0, 0.0)
 
 
 def test_scenario_rebuild_bit_identical(small_cfg):
