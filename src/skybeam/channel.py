@@ -3,31 +3,31 @@
 Large scale follows the urban-macro statistical models (dual-slope path loss
 with breakpoint, distance-dependent LoS probability, spatially correlated
 log-normal shadowing, 8 dBi / 65-degree element pattern). A link's UE
-height picks its LoS and path-loss model: links above 22.5 m use the aerial
-variants (height-dependent LoS probability that saturates at 1, aerial
-path-loss exponents) whatever their block's entity class, and the class
-picks only the shadowing sigma and decorrelation distance. Small scale is a
-Rician mix of a plane-wave steering vector and an i.i.d. Rayleigh part.
+height picks every large-scale quantity: links at or below 22.5 m use the
+ground model (LoS curve, path loss, shadow sigmas, decorrelation distance),
+links above it the aerial one (height-dependent LoS probability that
+saturates at 1, aerial path-loss exponents, height-dependent LoS shadow
+sigma, aerial decorrelation distance). Small scale is a Rician mix of a
+plane-wave steering vector and an i.i.d. Rayleigh part.
 
 Everything is generated from seeded streams keyed by (kind of draw, stream
 tag, snapshot, sector): the LoS uniforms, the shadow draws and the fading
 draws, all of a build's streams derived in one `RngStream.derive_many`
 call. `build_channels(scenario, entities, snapshot, stream_tag)` builds
-every block: an `entity_block` of one entity class, "ground" or "aerial",
-at the rows of an (n, 3) position array, on its own stream tag: "ue" for
-the ground users of a snapshot, "uav" for its UAVs and "highway-point" for
-the static corridor points. One class's channels therefore never depend on
-the other class, and a ChannelSet is bit-reproducible regardless of
-evaluation order. `link_geometry` takes the geometry of all (sector,
-entity) links in one stacked pass. The keyed draws stay per sector, in two
-passes: the large-scale draws first and the small-scale fading second. In
-between, the deterministic large-scale functions (`element_gain`,
-`los_probability`, `path_loss`, the shadow gain) run once over all links.
-The Rician mix runs over chunks of sectors of about `_MIX_LINKS` links: a
-small UAV block or the corridor points mix every sector at once, a ground
-block a few sectors at a time. A link whose Rician K is 0 (every NLoS link
-under the default `rician_k_nlos_db = None`) is pure Rayleigh, so the
-plane wave is computed only for links with K > 0.
+every block: an `entity_block` at the rows of an (n, 3) position array, on
+its own stream tag: "ue" for the ground users of a snapshot, "uav" for its
+UAVs and "highway-point" for the static corridor points. One block's
+channels therefore never depend on another block, and a ChannelSet is
+bit-reproducible regardless of evaluation order. `link_geometry` takes the
+geometry of all (sector, entity) links in one stacked pass. The keyed draws
+stay per sector, in two passes: the large-scale draws first and the
+small-scale fading second. In between, the deterministic large-scale
+functions (`element_gain`, `los_probability`, `path_loss`, the shadow gain)
+run once over all links. The Rician mix runs over chunks of sectors of
+about `_MIX_LINKS` links: a small UAV block or the corridor points mix
+every sector at once, a ground block a few sectors at a time. A link whose
+Rician K is 0 (every NLoS link under the default `rician_k_nlos_db = None`)
+is pure Rayleigh, so the plane wave is computed only for links with K > 0.
 """
 
 from __future__ import annotations
@@ -123,7 +123,14 @@ def path_loss(d2d_m, d3d_m, h_ut_m, los, radio: RadioConfig, h_bs_m):
 
 
 def _ground_los_pl_db(d2d, d3d, h_ut, f_ghz, h_bs):
-    # breakpoint with effective environment height 1 m (valid for h_ut <= 13 m)
+    # Breakpoint with effective environment height h_E = 1 m on every link at
+    # or below 22.5 m. TR 38.901 (Table 7.4.1-1, note 1) fixes h_E = 1 m only
+    # up to 13 m; between 13 and 23 m it draws h_E per link, 1 m being the
+    # likeliest value. Links between 13 and 22.5 m keep the deterministic
+    # 1 m: a drawn h_E would need a keyed stream of its own, and the
+    # corridor's mean channels (`expected_channels`), which score the
+    # designation, would stop being a function of the geometry alone. 1 m
+    # gives the furthest breakpoint any draw can give.
     d_bp = 4.0 * (h_bs - 1.0) * (h_ut - 1.0) * (f_ghz * 1e9) / 299_792_458.0
     pl1 = 28.0 + 22.0 * np.log10(d3d) + 20.0 * np.log10(f_ghz)
     pl2 = (
@@ -307,63 +314,54 @@ class ChannelSet:
     h: np.ndarray  # N x B x M complex
 
 
-def entity_block(kind: str, positions: np.ndarray) -> np.recarray:
-    """The input of `build_channels`: one record per row of an (n, 3) position
-    array, each with the block's `kind` ("ground" or "aerial", any other
-    raises ValueError naming it) and its `position_3d_m`."""
-    if kind not in ("ground", "aerial"):
-        raise ValueError(f"unknown entity kind {kind!r}")
+def entity_block(positions: np.ndarray) -> np.recarray:
+    """The input of `build_channels`: one record per row of an (n, 3)
+    position array, with its `position_3d_m`."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    block = np.recarray(positions.shape[0], dtype=[("kind", "U6"), ("position_3d_m", "f8", (3,))])
-    block.kind = kind
+    block = np.recarray(positions.shape[0], dtype=[("position_3d_m", "f8", (3,))])
     block.position_3d_m = positions
     return block
 
 
-def _entity_kind(entities: np.recarray) -> str:
-    """The one entity class of a block; a block mixing classes raises ValueError."""
-    kinds = entities.kind
-    kind = str(kinds[0]) if len(entities) else "ground"
-    if np.any(kinds != kind):
-        raise ValueError(
-            "build_channels takes one entity class per call; this block mixes "
-            + " and ".join(sorted(set(kinds.tolist())))
-        )
-    return kind
-
-
-def _block_geometry(scenario: Scenario, kind: str, positions: np.ndarray):
+def _block_geometry(scenario: Scenario, positions: np.ndarray):
     """A block's shadow factor and the geometry of its links.
 
-    The distances and angles come in [entity, sector] C order, the layout of
-    every ChannelSet array. `d3d` and the unit wave vectors also come
-    sector-major, as the Rician mix takes them.
+    Each row's height picks its shadow field, as it picks its model: the
+    rows at or below `AERIAL_MIN_HEIGHT_M` share the ground field and its
+    decorrelation distance, the rows above it the aerial one. The factor is
+    block-diagonal over the two: each side's rows get the `shadow_factor` of
+    their own positions, and the covariance between the sides is exactly 0.
+    A block on one side gets that side's factor alone. The distances and
+    angles come in [entity, sector] C order, the layout of every ChannelSet
+    array. `d3d` and the unit wave vectors also come sector-major, as the
+    Rician mix takes them.
     """
     params = scenario.channel_params
-    d_corr = params.shadow_corr_dist_ground_m if kind == "ground" else params.shadow_corr_dist_aerial_m
-    factor = shadow_factor(positions, d_corr)
+    aerial = positions[:, 2] > AERIAL_MIN_HEIGHT_M
+    factor = np.zeros((len(positions),) * 2)
+    for rows, d_corr in ((~aerial, params.shadow_corr_dist_ground_m), (aerial, params.shadow_corr_dist_aerial_m)):
+        if rows.any():
+            factor[np.ix_(rows, rows)] = shadow_factor(positions[rows], d_corr)
     d2d, d3d, az, zen, unit = link_geometry(scenario.sectors, positions)
     links = tuple(np.ascontiguousarray(x.T) for x in (d2d, d3d, az, zen))
     return factor, links, d3d, unit
 
 
-def _large_scale(scenario: Scenario, kind: str, heights: np.ndarray, links, los_draws, shadow_unit):
+def _large_scale(scenario: Scenario, heights: np.ndarray, links, los_draws, shadow_unit):
     """The deterministic large-scale step over all (entity, sector) links.
 
     `los_draws` and `shadow_unit` are the block's LoS uniforms and unit
-    shadow draws, [entity, sector]; the entity class `kind` picks the shadow
-    sigmas. Returns the block's ChannelSet with `h` allocated but not yet
-    filled, and every link's Rician K, sector-major.
+    shadow draws, [entity, sector]. Each row's height picks its shadow
+    sigmas: the ground ones at or below `AERIAL_MIN_HEIGHT_M`, the aerial
+    ones above it. Returns the block's ChannelSet with `h` allocated but not
+    yet filled, and every link's Rician K, sector-major.
     """
     radio = scenario.radio
     params = scenario.channel_params
     d2d, d3d, az, zen = links
-    if kind == "ground":
-        sigma_los = params.shadow_sigma_los_ground_db
-        sigma_nlos = params.shadow_sigma_nlos_ground_db
-    else:
-        sigma_los = aerial_los_shadow_sigma_db(heights)[:, None]
-        sigma_nlos = params.shadow_sigma_nlos_aerial_db
+    aerial = (heights > AERIAL_MIN_HEIGHT_M)[:, None]
+    sigma_los = np.where(aerial, aerial_los_shadow_sigma_db(heights)[:, None], params.shadow_sigma_los_ground_db)
+    sigma_nlos = np.where(aerial, params.shadow_sigma_nlos_aerial_db, params.shadow_sigma_nlos_ground_db)
     h_bs = np.array([sector.panel.panel_height_m for sector in scenario.sectors])
 
     # LoS state (held for the snapshot), path gain, shadow gain, element gain
@@ -412,19 +410,18 @@ def _rician_mix(fading, k, unit, d3d, coords, wavelength) -> None:
 
 
 def build_channels(scenario: Scenario, entities: np.recarray, snapshot: int | str, stream_tag: str) -> ChannelSet:
-    """Generate the full ChannelSet for one class of `entities` against every sector.
+    """Generate the full ChannelSet of `entities` against every sector.
 
-    `entities` comes from `entity_block`: row i is entity i, with its `kind`
-    and `position_3d_m`. Every row must be of one kind; a block mixing the
-    two raises ValueError, so each entity class is built by its own call on
-    its own streams. Seed keys combine (stream_tag, snapshot, sector id),
-    which makes the result independent of sector evaluation order and of
-    every other call.
+    `entities` comes from `entity_block`: row i is entity i, at its
+    `position_3d_m`, whose height picks every large-scale model of its
+    links. Seed keys combine (stream_tag, snapshot, sector id), which makes
+    the result independent of sector evaluation order and of every other
+    call.
 
     Three steps. Pass 1 takes the geometry of every link in one stacked
     `link_geometry` call, then walks the sectors for the two large-scale
     draws: the LoS uniforms and one correlated unit shadow draw through the
-    class's shadow factor (built once per call). The vectorised step
+    block's shadow factor (built once per call). The vectorised step
     evaluates `element_gain`, `los_probability`, `path_loss` and the shadow
     gain once over all (entity, sector) links. Pass 2 walks the sectors
     again for the small-scale fading: one (2, N, M) draw gives a sector's
@@ -441,13 +438,12 @@ def build_channels(scenario: Scenario, entities: np.recarray, snapshot: int | st
     validity region raises at most one `OutOfValidityRange` warning. An
     entity at a panel's position raises ValueError from `link_geometry`.
     """
-    kind = _entity_kind(entities)
     positions = entities.position_3d_m
     sectors = scenario.sectors
     wavelength = scenario.radio.wavelength_m
     n = len(positions)
     b = len(sectors)
-    factor, links, d3d, unit = _block_geometry(scenario, kind, positions)
+    factor, links, d3d, unit = _block_geometry(scenario, positions)
     # every sector's los, shadow and fading streams, derived in one batch
     rngs = scenario.streams.derive_many(
         (draw, stream_tag, snapshot, sector.id) for draw in ("los", "shadow", "fading") for sector in sectors
@@ -460,7 +456,7 @@ def build_channels(scenario: Scenario, entities: np.recarray, snapshot: int | st
         los_draws[:, j] = los_rngs[j].uniform(size=n)
         shadow_unit[:, j] = shadow_field(factor, shadow_rngs[j])
 
-    channels, k = _large_scale(scenario, kind, positions[:, 2], links, los_draws, shadow_unit)
+    channels, k = _large_scale(scenario, positions[:, 2], links, los_draws, shadow_unit)
 
     # pass 2: Rician small-scale fading, drawn per sector, mixed per chunk
     h = channels.h

@@ -112,7 +112,7 @@ class HighwayParams:
     """The aerial corridor, its discretization and the UAV spacing along it."""
 
     polyline: list | None = None  # defaults to a straight west-east chord across cell edges
-    altitude_m: float = 100.0
+    altitude_m: float = 100.0  # the default polyline's height; a set polyline gives its own
     point_spacing_m: float = 125.0
     points_per_segment: int = 2
     uav_spacing_m: float = 100.0
@@ -120,6 +120,8 @@ class HighwayParams:
     def __post_init__(self):
         _check_fields(self, "highway", positive=("altitude_m", "point_spacing_m", "uav_spacing_m"))
         _check_polyline(self.polyline)
+        if self.polyline is not None and self.altitude_m != HighwayParams.altitude_m:
+            raise ConfigError("highway.altitude_m must keep its default: highway.polyline's z sets the heights")
 
 
 @dataclass(frozen=True)

@@ -323,7 +323,7 @@ def associate(table: np.ndarray, plan: BeamPlan, noise_mw: float) -> Association
 class SnapshotResult:
     """Coverage and data-phase outcome of one snapshot under one plan."""
 
-    kinds: np.ndarray  # per-entity "ground" or "aerial"; the UE id is the row index
+    kinds: np.ndarray  # per-entity block label, "ground" or "aerial"; the UE id is the row index
     serving_sector: np.ndarray
     serving_slot: np.ndarray
     serving_rsrp_mw: np.ndarray
@@ -338,7 +338,7 @@ def _check_snapshots(n_snapshots: int) -> None:
 
 def ground_channels(scenario: Scenario, snapshot: int) -> ChannelSet:
     """The snapshot's ground-user drop and its channels, on the "ue" streams."""
-    return build_channels(scenario, entity_block("ground", scenario.ground_users(snapshot)), snapshot, "ue")
+    return build_channels(scenario, entity_block(scenario.ground_users(snapshot)), snapshot, "ue")
 
 
 def snapshot_uavs(scenario: Scenario, snapshot: int, n_snapshots: int, d_iud: float) -> np.ndarray:
@@ -383,7 +383,7 @@ def evaluate_snapshot(
     results = []
     for d_iud in spacings:
         positions = snapshot_uavs(scenario, snapshot, n_snapshots, d_iud)
-        uavs = build_channels(scenario, entity_block("aerial", positions), snapshot, "uav")
+        uavs = build_channels(scenario, entity_block(positions), snapshot, "uav")
         kinds = np.repeat(["ground", "aerial"], [len(ground.h), len(uavs.h)])
         cell = {}
         for (name, plan), table in zip(plans.items(), plan_tables(uavs, plans.values(), ssb_codebook)):

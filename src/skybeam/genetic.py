@@ -321,7 +321,7 @@ def corridor_problem(
     gue_sector, gue_slot = select_serving_all(rsrp_table(ground, base, ssb_codebook))
     frozen = select_frozen_slots(base, assignment.designated_cells, gue_sector, gue_slot)
 
-    point_channels = build_channels(scenario, entity_block("aerial", highway.points), "static", "highway-point")
+    point_channels = build_channels(scenario, entity_block(highway.points), "static", "highway-point")
     evaluator = FitnessEvaluator(
         point_channels, ssb_codebook, base, assignment.designated_cells, frozen,
         assignment.required_cell, radio.ssb_noise_mw,

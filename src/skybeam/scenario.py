@@ -6,7 +6,7 @@ Azimuth angles are measured counter-clockwise from the +x axis; a panel's
 steered broadside of an untilted panel leaves horizontally.
 
 Users and UAVs are placed as plain (n, 3) position arrays, one row per
-entity; `channel.entity_block` joins one to its entity class.
+entity; `channel.entity_block` wraps one for `channel.build_channels`.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ paper's formula directly, independent of the batched code path that
 `skybeam run` executes: `ssb_rsrp` for `association.rsrp_table`, `data_sinr`
 and `achievable_rate` for `evaluation.data_phase`, and `brute_force_fitness`
 for `genetic.FitnessEvaluator`; `per_sector_channels` builds a ChannelSet
-of one entity class one sector at a time, every large-scale call per
-sector, as the reference for `channel.build_channels`.
+one sector at a time, every large-scale call per sector and every link's
+model picked by its own height, as the reference for
+`channel.build_channels`.
 
 More are bit-level references for batched library paths:
 `per_sector_rsrp_table` is `association.rsrp_table` one sector at a time;
@@ -59,6 +60,7 @@ from skybeam.association import (
     select_serving_all,
 )
 from skybeam.channel import (
+    AERIAL_MIN_HEIGHT_M,
     ChannelSet,
     aerial_los_shadow_sigma_db,
     build_channels,
@@ -189,11 +191,13 @@ def rician_channel(h_los: np.ndarray, k_linear, rng) -> np.ndarray:
     return np.sqrt(kk / (1.0 + kk)) * h_los + np.sqrt(1.0 / (1.0 + kk)) * h_nlos
 
 
-def per_sector_channels(scenario, kind, positions, snapshot, stream_tag) -> ChannelSet:
-    """Reference ChannelSet of one entity class ("ground" or "aerial") at the
-    rows of `positions`: one sector at a time, with the large-scale calls on
-    1-D link arrays and a scalar base-station height, from the same keyed
-    streams in the same draw order."""
+def per_sector_channels(scenario, positions, snapshot, stream_tag) -> ChannelSet:
+    """Reference ChannelSet at the rows of `positions`: one sector at a
+    time, with the large-scale calls on 1-D link arrays and a scalar
+    base-station height, from the same keyed streams in the same draw order.
+    Each row's height picks its shadowing: rows at or below 22.5 m take the
+    ground sigmas and a ground field, rows above it the aerial sigmas and an
+    aerial field, the two fields independent."""
     radio = scenario.radio
     params = scenario.channel_params
     sectors = scenario.sectors
@@ -208,13 +212,17 @@ def per_sector_channels(scenario, kind, positions, snapshot, stream_tag) -> Chan
     p_los = np.zeros((n, b))
     is_los = np.zeros((n, b), dtype=bool)
     h = np.zeros((n, b, m), dtype=complex)
-    if kind == "ground":
-        d_corr = params.shadow_corr_dist_ground_m
-        sigma_los, sigma_nlos = params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db
-    else:
-        d_corr = params.shadow_corr_dist_aerial_m
-        sigma_los, sigma_nlos = aerial_los_shadow_sigma_db(heights), params.shadow_sigma_nlos_aerial_db
-    factor = shadow_factor(positions, d_corr)
+    low = heights <= AERIAL_MIN_HEIGHT_M
+    factor = np.zeros((n, n))
+    for rows, d_corr in ((low, params.shadow_corr_dist_ground_m), (~low, params.shadow_corr_dist_aerial_m)):
+        if rows.any():
+            factor[np.ix_(rows, rows)] = shadow_factor(positions[rows], d_corr)
+    sigma_los, sigma_nlos = np.empty(n), np.empty(n)
+    for i, (h_ut, aerial_sigma) in enumerate(zip(heights, aerial_los_shadow_sigma_db(heights))):
+        if h_ut <= AERIAL_MIN_HEIGHT_M:
+            sigma_los[i], sigma_nlos[i] = params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db
+        else:
+            sigma_los[i], sigma_nlos[i] = aerial_sigma, params.shadow_sigma_nlos_aerial_db
     for sector in sectors:
         j = sector.id
         coords = sector.panel.element_coords(radio.wavelength_m)
@@ -276,9 +284,9 @@ def reference_sweep(scenario, plans, ssb_codebook, dl_codebook, n_max, n_snapsho
         uav_p5 = {name: [] for name in plans}
         gue_p5 = {name: [] for name in plans}
         for snapshot in range(n_snapshots):
-            ground = build_channels(scenario, entity_block("ground", scenario.ground_users(snapshot)), snapshot, "ue")
+            ground = build_channels(scenario, entity_block(scenario.ground_users(snapshot)), snapshot, "ue")
             offset = (snapshot * d_iud / n_snapshots) % length
-            uavs = build_channels(scenario, entity_block("aerial", place_uavs(scenario.highway, d_iud, offset)), snapshot, "uav")
+            uavs = build_channels(scenario, entity_block(place_uavs(scenario.highway, d_iud, offset)), snapshot, "uav")
             aerial = np.arange(len(ground.h) + len(uavs.h)) >= len(ground.h)
             for name, plan in plans.items():
                 serving = []
@@ -341,7 +349,7 @@ def reference_evaluate_snapshot(scenario, plans, ssb_codebook, dl_codebook, snap
     if d_iud is None:
         d_iud = scenario.highway_params.uav_spacing_m
     uav_positions = snapshot_uavs(scenario, snapshot, n_snapshots, d_iud)
-    uavs = build_channels(scenario, entity_block("aerial", uav_positions), snapshot, "uav")
+    uavs = build_channels(scenario, entity_block(uav_positions), snapshot, "uav")
     ground = ground_channels(scenario, snapshot)
     noise_mw = scenario.radio.ssb_noise_mw
     kinds = np.array(["ground"] * len(ground.h) + ["aerial"] * len(uavs.h))

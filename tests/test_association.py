@@ -290,9 +290,9 @@ def test_rsrp_table_matches_per_sector_products(small_scenario, tag):
     book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
     base = baseline_plan(small_scenario, book)
     if tag == "ue":
-        channels = build_channels(small_scenario, entity_block("ground", small_scenario.ground_users(0)), 0, tag)
+        channels = build_channels(small_scenario, entity_block(small_scenario.ground_users(0)), 0, tag)
     else:
-        channels = build_channels(small_scenario, entity_block("aerial", config_uavs(small_scenario)), 0, tag)
+        channels = build_channels(small_scenario, entity_block(config_uavs(small_scenario)), 0, tag)
     gen = np.random.default_rng(5)
     plans = [base]
     for _ in range(30):
@@ -312,7 +312,7 @@ def test_rsrp_table_matches_per_sector_products(small_scenario, tag):
 def test_dump_association_csv(small_scenario, tmp_path):
     book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
     plan = baseline_plan(small_scenario, book)
-    channels = build_channels(small_scenario, entity_block("aerial", config_uavs(small_scenario)), 0, "uav")
+    channels = build_channels(small_scenario, entity_block(config_uavs(small_scenario)), 0, "uav")
     table = rsrp_table(channels, plan, book)
     sb, ss = select_serving_all(table)
     sinr = coverage_sinr_all(table, sb, ss, plan, small_scenario.radio.ssb_noise_mw)
@@ -335,10 +335,10 @@ def test_patched_rsrp_table_matches_a_fresh_table(small_scenario, block):
     book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
     base = baseline_plan(small_scenario, book)
     if block == "ue":
-        channels = build_channels(small_scenario, entity_block("ground", small_scenario.ground_users(1)), 1, "ue")
+        channels = build_channels(small_scenario, entity_block(small_scenario.ground_users(1)), 1, "ue")
     else:
         uavs = config_uavs(small_scenario)[: 1 if block == "one-uav" else None]
-        channels = build_channels(small_scenario, entity_block("aerial", uavs), 1, "uav")
+        channels = build_channels(small_scenario, entity_block(uavs), 1, "uav")
     gen = np.random.default_rng(11)
     previous = base
     table = rsrp_table(channels, base, book)

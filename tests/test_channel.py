@@ -25,7 +25,6 @@ from skybeam.channel import (
 )
 from skybeam.config import ChannelParams, RadioConfig, default_config, validate_config
 from skybeam.evaluation import snapshot_uavs
-from skybeam.rng import RngStream
 from skybeam.scenario import (
     Sector,
     UpaGeometry,
@@ -407,65 +406,57 @@ def config_uavs(scenario):
 class TestChannelSet:
     def test_beta_is_exact_product(self, small_scenario):
         for users, tag in (
-            (entity_block("ground", small_scenario.ground_users(0)[:10]), "ue"),
-            (entity_block("aerial", config_uavs(small_scenario)[:3]), "uav"),
+            (entity_block(small_scenario.ground_users(0)[:10]), "ue"),
+            (entity_block(config_uavs(small_scenario)[:3]), "uav"),
         ):
             cs = build_channels(small_scenario, users, 0, tag)
             assert np.array_equal(cs.beta, cs.rho * cs.tau * cs.g)
 
-    def test_mixed_block_raises(self, small_scenario, monkeypatch):
-        """A block that mixes the two classes raises before a stream is
-        derived, and a class other than "ground" or "aerial" is named in full
-        (a 6-character record field would have cut "airborne" to "airbor")."""
-        ground = entity_block("ground", small_scenario.ground_users(0)[:10])
-        users = np.concatenate([ground, entity_block("aerial", config_uavs(small_scenario)[:3])])
-        calls = []
-        derive_many = RngStream.derive_many
-        monkeypatch.setattr(RngStream, "derive_many", lambda self, keys: calls.append(1) or derive_many(self, keys))
-        with pytest.raises(ValueError, match="one entity class per call"):
-            build_channels(small_scenario, users.view(np.recarray), 0, "ue")
-        with pytest.raises(ValueError, match=r"unknown entity kind 'airborne'"):
-            build_channels(small_scenario, entity_block("airborne", config_uavs(small_scenario)), 0, "uav")
-        assert calls == []
-
     def test_reproducible_across_builds(self, small_scenario):
         users = small_scenario.ground_users(0)[:8]
-        a = build_channels(small_scenario, entity_block("ground", users), 3, "ue")
-        b = build_channels(small_scenario, entity_block("ground", users), 3, "ue")
+        a = build_channels(small_scenario, entity_block(users), 3, "ue")
+        b = build_channels(small_scenario, entity_block(users), 3, "ue")
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.beta, b.beta)
 
     def test_distinct_snapshots_differ(self, small_scenario):
         users = small_scenario.ground_users(0)[:8]
-        a = build_channels(small_scenario, entity_block("ground", users), 0, "ue")
-        b = build_channels(small_scenario, entity_block("ground", users), 1, "ue")
+        a = build_channels(small_scenario, entity_block(users), 0, "ue")
+        b = build_channels(small_scenario, entity_block(users), 1, "ue")
         assert not np.array_equal(a.h, b.h)
 
-    def test_shadow_factor_built_once_per_class(self, small_scenario, monkeypatch):
+    def test_shadow_factor_built_once_per_side(self, small_scenario, monkeypatch):
+        """One `shadow_factor` call per build and side of 22.5 m the block has
+        rows on, with that side's rows and decorrelation distance: ground
+        rows first, then aerial rows, whatever their order in the block."""
         ground, uavs = small_scenario.ground_users(0)[:10], config_uavs(small_scenario)[:3]
         calls = []
 
         def counting_factor(positions_xy, decorrelation_distance_m):
-            calls.append(decorrelation_distance_m)
+            calls.append((positions_xy.tolist(), decorrelation_distance_m))
             return shadow_factor(positions_xy, decorrelation_distance_m)
 
         monkeypatch.setattr(channel, "shadow_factor", counting_factor)
         built = [
-            build_channels(small_scenario, entity_block("ground", ground), 2, "ue"),
-            build_channels(small_scenario, entity_block("aerial", uavs), 2, "uav"),
+            build_channels(small_scenario, entity_block(ground), 2, "ue"),
+            build_channels(small_scenario, entity_block(uavs), 2, "uav"),
         ]
         params = small_scenario.channel_params
-        assert calls == [params.shadow_corr_dist_ground_m, params.shadow_corr_dist_aerial_m]
+        d_ground, d_aerial = params.shadow_corr_dist_ground_m, params.shadow_corr_dist_aerial_m
+        assert calls == [(ground.tolist(), d_ground), (uavs.tolist(), d_aerial)]
+        calls.clear()
+        build_channels(small_scenario, entity_block(np.concatenate([uavs[:1], ground[:2], uavs[1:]])), 2, "uav")
+        assert calls == [(ground[:2].tolist(), d_ground), (uavs.tolist(), d_aerial)]
 
         # reference: the factor rebuilt for every sector, drawn from the
-        # class's own per-sector stream
-        classes = (
+        # block's own per-sector stream
+        blocks = (
             (ground, "ue", params.shadow_corr_dist_ground_m,
              params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
             (uavs, "uav", params.shadow_corr_dist_aerial_m,
              aerial_los_shadow_sigma_db(uavs[:, 2]), params.shadow_sigma_nlos_aerial_db),
         )
-        for cs, (users, tag, d_corr, sigma_los, sigma_nlos) in zip(built, classes):
+        for cs, (users, tag, d_corr, sigma_los, sigma_nlos) in zip(built, blocks):
             tau = np.ones_like(cs.tau)
             for j in range(cs.h.shape[1]):
                 rng_shadow = reference_derive(small_scenario.master_seed, "shadow", tag, 2, j)
@@ -475,22 +466,38 @@ class TestChannelSet:
             assert np.array_equal(cs.tau, tau)
 
     def test_aerial_links_at_100m_all_los(self, small_scenario):
-        cs = build_channels(small_scenario, entity_block("aerial", config_uavs(small_scenario)), 0, "uav")
+        cs = build_channels(small_scenario, entity_block(config_uavs(small_scenario)), 0, "uav")
         assert np.all(cs.p_los == 1.0)
         assert np.all(cs.is_los)
 
 
-def _one_tier_scenario(altitude_m, rician_k_nlos_db=None):
+CLIMB = "climb"  # a corridor polyline climbing from 10 m to 60 m, across 22.5 m
+
+
+def _one_tier_scenario(altitude_m, rician_k_nlos_db=None, ground_height_m=1.5):
+    """The one-tier layout with its corridor at `altitude_m` (or climbing,
+    for CLIMB) and its ground users at `ground_height_m`."""
     raw = default_config()
     raw["layout"]["tiers"] = 1
-    raw["highway"]["altitude_m"] = altitude_m
+    if altitude_m == CLIMB:
+        y = raw["layout"]["isd_m"] * math.sqrt(3.0) / 6.0
+        raw["highway"]["polyline"] = [[-625.0, y, 10.0], [625.0, y, 60.0]]
+    else:
+        raw["highway"]["altitude_m"] = altitude_m
+    raw["users"]["ground_height_m"] = ground_height_m
     raw["channel"]["rician_k_nlos_db"] = rician_k_nlos_db
     return scenario_from_config(validate_config(raw))
 
 
 def _snapshot_blocks(scenario, snapshot):
-    """A snapshot's two entity classes, each with its own positions and stream tag."""
-    return (("ground", scenario.ground_users(snapshot), "ue"), ("aerial", config_uavs(scenario), "uav"))
+    """A snapshot's two blocks, the ground users' and the UAVs', each with its
+    own positions and stream tag."""
+    return ((scenario.ground_users(snapshot), "ue"), (config_uavs(scenario), "uav"))
+
+
+def _straddles(positions):
+    low = positions[:, 2] <= channel.AERIAL_MIN_HEIGHT_M
+    return bool(low.any() and not low.all())
 
 
 class TestMatchesPerSectorOracle:
@@ -504,21 +511,25 @@ class TestMatchesPerSectorOracle:
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tobytes() == b.tobytes(), name
 
-    # 20 m is an aerial link on the ground model (at or below 22.5 m), 60 m
-    # the mid-height LoS curve, 100 m always LoS, 350 m outside the validity
-    # region of the aerial path loss. "mixed" is a whole snapshot built the
-    # way the evaluation builds it: one block per class, on its own tag.
-    @pytest.mark.parametrize("altitude_m", [20.0, 60.0, 100.0, 350.0])
-    @pytest.mark.parametrize("block", ["mixed", "ground", "uav"])
+    # 20 m is a UAV link on the ground model (at or below 22.5 m), 60 m the
+    # mid-height LoS curve, 100 m always LoS, 350 m outside the validity
+    # region of the aerial path loss, and CLIMB puts the UAVs on both sides
+    # of 22.5 m. "mixed" is a whole snapshot built the way the evaluation
+    # builds it: one block per entity class, on its own tag. "ground-30m"
+    # lifts the ground users above 22.5 m, onto the aerial model.
+    @pytest.mark.parametrize("altitude_m", [20.0, 60.0, 100.0, 350.0, CLIMB])
+    @pytest.mark.parametrize("block", ["mixed", "ground", "uav", "ground-30m"])
     def test_bit_identical(self, altitude_m, block):
-        scenario = _one_tier_scenario(altitude_m)
+        scenario = _one_tier_scenario(altitude_m, ground_height_m=30.0 if block == "ground-30m" else 1.5)
         ground, uavs = _snapshot_blocks(scenario, 1)
-        blocks = {"mixed": [ground, uavs], "ground": [(*ground[:2], "ue")], "uav": [(*uavs[:2], "ue")]}[block]
-        for kind, positions, tag in blocks:
+        blocks = {"mixed": [ground, uavs], "uav": [(uavs[0], "ue")]}.get(block, [(ground[0], "ue")])
+        if altitude_m == CLIMB and block in ("mixed", "uav"):
+            assert _straddles(uavs[0])
+        for positions, tag in blocks:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", OutOfValidityRange)
-                got = build_channels(scenario, entity_block(kind, positions), 1, tag)
-                want = per_sector_channels(scenario, kind, positions, 1, tag)
+                got = build_channels(scenario, entity_block(positions), 1, tag)
+                want = per_sector_channels(scenario, positions, 1, tag)
             self.assert_same_bytes(got, want)
 
     # The default 19-site layout, seed 1: on snapshot 0, sector 21 has a
@@ -531,37 +542,70 @@ class TestMatchesPerSectorOracle:
         scenario = scenario_from_config(cfg)
         ground = scenario.ground_users(snapshot)
         assert (len(ground), channel._MIX_LINKS // len(ground), scenario.n_sectors % 4) == (228, 4, 1)
-        got = build_channels(scenario, entity_block("ground", ground), snapshot, "ue")
+        got = build_channels(scenario, entity_block(ground), snapshot, "ue")
         if snapshot == 0:
             assert np.any(np.count_nonzero(got.is_los, axis=0) == 1)
-        self.assert_same_bytes(got, per_sector_channels(scenario, "ground", ground, snapshot, "ue"))
+        self.assert_same_bytes(got, per_sector_channels(scenario, ground, snapshot, "ue"))
 
     # A 3 dB K on NLoS links puts every link, LoS or not, through the
     # plane-wave branch of the mix; the default config never does.
-    @pytest.mark.parametrize("block, altitude_m", [("ground", 100.0), ("uav", 20.0), ("uav", 60.0)])
+    @pytest.mark.parametrize(
+        "block, altitude_m",
+        [("ground", 100.0), ("uav", 20.0), ("uav", 60.0), ("ground-30m", 100.0), ("uav", CLIMB)],
+    )
     def test_bit_identical_with_nlos_k(self, block, altitude_m):
-        scenario = _one_tier_scenario(altitude_m, rician_k_nlos_db=3.0)
+        scenario = _one_tier_scenario(
+            altitude_m, rician_k_nlos_db=3.0, ground_height_m=30.0 if block == "ground-30m" else 1.5
+        )
         ground, uavs = _snapshot_blocks(scenario, 1)
-        kind, positions, tag = uavs if block == "uav" else ground
-        got = build_channels(scenario, entity_block(kind, positions), 1, tag)
+        positions, tag = uavs if block == "uav" else ground
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OutOfValidityRange)
+            got = build_channels(scenario, entity_block(positions), 1, tag)
+            want = per_sector_channels(scenario, positions, 1, tag)
         assert not np.all(got.is_los)
-        self.assert_same_bytes(got, per_sector_channels(scenario, kind, positions, 1, tag))
+        self.assert_same_bytes(got, want)
 
     def test_empty_block(self):
         scenario = _one_tier_scenario(100.0)
         empty = np.zeros((0, 3))
-        got = build_channels(scenario, entity_block("ground", empty), 1, "ue")
+        got = build_channels(scenario, entity_block(empty), 1, "ue")
         b, m = scenario.n_sectors, scenario.sectors[0].panel.n_elements
         assert got.beta.shape == (0, b)
         assert got.h.shape == (0, b, m)
-        self.assert_same_bytes(got, per_sector_channels(scenario, "ground", empty, 1, "ue"))
+        self.assert_same_bytes(got, per_sector_channels(scenario, empty, 1, "ue"))
 
     def test_highway_point_stream(self, cfg):
         scenario = scenario_from_config(cfg)
         points = scenario.highway.points
-        got = build_channels(scenario, entity_block("aerial", points), "static", "highway-point")
-        want = per_sector_channels(scenario, "aerial", points, "static", "highway-point")
+        got = build_channels(scenario, entity_block(points), "static", "highway-point")
+        want = per_sector_channels(scenario, points, "static", "highway-point")
         self.assert_same_bytes(got, want)
+
+    def test_climbing_highway_point_stream(self):
+        """Corridor points on both sides of 22.5 m, each on its own height's model."""
+        scenario = _one_tier_scenario(CLIMB)
+        points = scenario.highway.points
+        assert _straddles(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OutOfValidityRange)
+            got = build_channels(scenario, entity_block(points), "static", "highway-point")
+            want = per_sector_channels(scenario, points, "static", "highway-point")
+        self.assert_same_bytes(got, want)
+
+    def test_straddling_block_draws_two_independent_fields(self):
+        """The climbing corridor's points on each side of 22.5 m get their
+        side's own shadow factor, and the covariance between the sides is
+        exactly 0."""
+        scenario = _one_tier_scenario(CLIMB)
+        points = scenario.highway.points
+        low = points[:, 2] <= channel.AERIAL_MIN_HEIGHT_M
+        assert _straddles(points)
+        factor = channel._block_geometry(scenario, points)[0]
+        assert np.all((factor @ factor.T)[np.ix_(low, ~low)] == 0.0)
+        params = scenario.channel_params
+        for rows, d_corr in ((low, params.shadow_corr_dist_ground_m), (~low, params.shadow_corr_dist_aerial_m)):
+            assert factor[np.ix_(rows, rows)].tobytes() == shadow_factor(points[rows], d_corr).tobytes()
 
 
 class TestChannelBlocks:
@@ -581,8 +625,11 @@ class TestChannelBlocks:
 
     # 100 m: every UAV link LoS, K > 0 on all of them; 60 m with a 3 dB
     # NLoS K: LoS and NLoS links, every one through the plane-wave branch;
-    # 20 m: the ground model, NLoS links pure Rayleigh
-    @pytest.mark.parametrize("altitude_m, rician_k_nlos_db", [(100.0, None), (60.0, 3.0), (20.0, None)])
+    # 20 m: the ground model, NLoS links pure Rayleigh; CLIMB: blocks on
+    # both sides of 22.5 m
+    @pytest.mark.parametrize(
+        "altitude_m, rician_k_nlos_db", [(100.0, None), (60.0, 3.0), (20.0, None), (CLIMB, None)]
+    )
     @pytest.mark.parametrize("snapshot", [0, 1])
     def test_each_block_matches_a_fresh_build(self, altitude_m, rician_k_nlos_db, snapshot):
         scenario = _one_tier_scenario(altitude_m, rician_k_nlos_db)
@@ -591,16 +638,16 @@ class TestChannelBlocks:
         for entities in blocks:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", OutOfValidityRange)
-                got = build_channels(scenario, entity_block("aerial", entities), snapshot, "uav")
-                want = per_sector_channels(scenario, "aerial", entities, snapshot, "uav")
+                got = build_channels(scenario, entity_block(entities), snapshot, "uav")
+                want = per_sector_channels(scenario, entities, snapshot, "uav")
             TestMatchesPerSectorOracle.assert_same_bytes(got, want)
 
     def test_default_layout(self, cfg):
         scenario = scenario_from_config(cfg)
         for entities in self.sweep_blocks(scenario, 1):
             TestMatchesPerSectorOracle.assert_same_bytes(
-                build_channels(scenario, entity_block("aerial", entities), 1, "uav"),
-                per_sector_channels(scenario, "aerial", entities, 1, "uav"),
+                build_channels(scenario, entity_block(entities), 1, "uav"),
+                per_sector_channels(scenario, entities, 1, "uav"),
             )
 
     def test_one_sector_chunks(self):
@@ -613,8 +660,8 @@ class TestChannelBlocks:
         ground = scenario.ground_users(0)
         assert len(ground) == 1050 > channel._MIX_LINKS
         TestMatchesPerSectorOracle.assert_same_bytes(
-            build_channels(scenario, entity_block("ground", ground), 0, "ue"),
-            per_sector_channels(scenario, "ground", ground, 0, "ue"),
+            build_channels(scenario, entity_block(ground), 0, "ue"),
+            per_sector_channels(scenario, ground, 0, "ue"),
         )
 
     def test_streams_derived_once_per_sector(self, small_scenario, monkeypatch):
@@ -627,7 +674,7 @@ class TestChannelBlocks:
         )
         blocks = self.sweep_blocks(small_scenario, 0)
         for i, entities in enumerate(blocks, 1):
-            assert build_channels(small_scenario, entity_block("aerial", entities), 0, "uav").h.shape[0] == i
+            assert build_channels(small_scenario, entity_block(entities), 0, "uav").h.shape[0] == i
             assert len(batches) == i
         expected = sorted(
             (kind, "uav", 0, sector.id) for kind in ("los", "shadow", "fading") for sector in small_scenario.sectors
@@ -642,10 +689,10 @@ class TestChannelBlocks:
         sector's fading draws at once."""
         scenario = scenario_from_config(cfg)
         ground = scenario.ground_users(0)
-        build_channels(scenario, entity_block("ground", ground), 0, "ue")  # warm the per-layout caches
+        build_channels(scenario, entity_block(ground), 0, "ue")  # warm the per-layout caches
         tracemalloc.start()
         try:
-            got = build_channels(scenario, entity_block("ground", ground), 0, "ue")
+            got = build_channels(scenario, entity_block(ground), 0, "ue")
             returned, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -664,11 +711,11 @@ class TestOutOfValidityCount:
                 build(scenario, *args)
             return [w for w in caught if issubclass(w.category, OutOfValidityRange)]
 
-        (ground_kind, ground, ground_tag), (uav_kind, uavs, uav_tag) = _snapshot_blocks(scenario, 0)
-        assert len(flagged(build_channels, entity_block(ground_kind, ground), 0, ground_tag)) == 0
-        assert len(flagged(build_channels, entity_block(uav_kind, uavs), 0, uav_tag)) == 1
-        assert len(flagged(per_sector_channels, ground_kind, ground, 0, ground_tag)) == 0
-        assert len(flagged(per_sector_channels, uav_kind, uavs, 0, uav_tag)) == scenario.n_sectors == 21
+        (ground, ground_tag), (uavs, uav_tag) = _snapshot_blocks(scenario, 0)
+        assert len(flagged(build_channels, entity_block(ground), 0, ground_tag)) == 0
+        assert len(flagged(build_channels, entity_block(uavs), 0, uav_tag)) == 1
+        assert len(flagged(per_sector_channels, ground, 0, ground_tag)) == 0
+        assert len(flagged(per_sector_channels, uavs, 0, uav_tag)) == scenario.n_sectors == 21
 
 
 @pytest.mark.parametrize("snapshot", [0, 1, 2])
@@ -701,7 +748,7 @@ class TestEntityAtPanel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"entity row 2 .*sector 3\b"):
-                build_channels(small_scenario, entity_block("ground", positions), 0, "ue")
+                build_channels(small_scenario, entity_block(positions), 0, "ue")
 
     def test_expected_channels(self):
         highway = discretize_highway(np.array([[-125.0, 0.0, 25.0], [125.0, 0.0, 25.0]]), 125.0, 3)

@@ -123,6 +123,8 @@ class TestRun:
             ("SKYBEAM_SEEDS_MASTER", '"abc"', "seeds.master"),
             ("SKYBEAM_CHANNEL_SHADOW_CORR_DIST_GROUND_M", "-50", "channel.shadow_corr_dist_ground_m"),
             ("SKYBEAM_RADIO_N_PRB_TOTAL", "-5", "radio.n_prb_total"),
+            # the config sets a polyline, whose z gives the corridor heights
+            ("SKYBEAM_HIGHWAY_ALTITUDE_M", "50", "highway.altitude_m"),
         ],
     )
     def test_env_override_out_of_range_exits_1(
@@ -141,6 +143,17 @@ class TestRun:
         code = main(["run", "--config", str(small_config_path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "highway.point_spacing_m" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_altitude_beside_a_polyline_exits_1(self, small_config_path, tmp_path, capsys):
+        """The polyline's z gives the corridor heights, so an altitude other
+        than the default beside it would be dropped without a word."""
+        cfg = json.loads(small_config_path.read_text())
+        cfg["highway"]["altitude_m"] = 50.0
+        small_config_path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(small_config_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "highway.altitude_m" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

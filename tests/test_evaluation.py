@@ -459,7 +459,7 @@ def test_data_phase_joins_blocks_by_rows(small_scenario):
     set holding the same rows."""
     ssb, dl, base = _books_and_plan(small_scenario)
     ground = ground_channels(small_scenario, 0)
-    uavs = build_channels(small_scenario, entity_block("aerial", place_uavs(small_scenario.highway, UAV_SPACING, 0.0)), 0, "uav")
+    uavs = build_channels(small_scenario, entity_block(place_uavs(small_scenario.highway, UAV_SPACING, 0.0)), 0, "uav")
     joined = ChannelSet(
         **{name: np.concatenate([getattr(ground, name), getattr(uavs, name)]) for name in CHANNEL_ARRAYS}
     )
@@ -501,7 +501,7 @@ class TestTwoStepDataPhase:
         length = scenario.highway.total_length_m
         blocks = [snapshot_uavs(scenario, snapshot, 2, length / n) for n in range(1, 13)]
         built = [ground_channels(scenario, snapshot)]
-        built += [build_channels(scenario, entity_block("aerial", b), snapshot, "uav") for b in blocks]
+        built += [build_channels(scenario, entity_block(b), snapshot, "uav") for b in blocks]
         noise_mw = scenario.radio.ssb_noise_mw
         served = [(blk, associate(rsrp_table(blk, base, ssb), base, noise_mw).serving_sector) for blk in built]
         return dl, served[0], served[1:]

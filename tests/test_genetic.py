@@ -485,7 +485,7 @@ def default_problems():
                 scenario.sectors[0].panel, cb.ssb_oversampling_h, cb.ssb_oversampling_v
             )
             _, ev = corridor_problem(scenario, book, ground_channels(scenario, 0))
-            points = entity_block("aerial", scenario.highway.points)
+            points = entity_block(scenario.highway.points)
             channels = build_channels(scenario, points, "static", "highway-point")
             problems[seed] = (ev, twin(ReferenceEvaluator, ev, channels, book),
                               scenario.radio.max_ssb_power_dbm, channels, book)

@@ -17,6 +17,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+from skybeam.channel import entity_block
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "skybeam"
 TESTS = Path(__file__).resolve().parent
 
@@ -139,3 +143,18 @@ def test_every_class_field_is_read():
     }
     unread = sorted(key for key, name in fields.items() if name not in read)
     assert not unread, f"class fields nothing reads: {unread}"
+
+
+def test_channel_takes_no_entity_class():
+    """A link's height picks every large-scale model, so no function in
+    `skybeam.channel` takes a `kind` parameter, and `entity_block`'s record
+    holds the positions alone."""
+    tree = ast.parse((SRC / "channel.py").read_text())
+    takes_kind = sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "kind" in [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+    )
+    assert not takes_kind, f"functions taking a kind: {takes_kind}"
+    assert entity_block(np.zeros((2, 3))).dtype.names == ("position_3d_m",)
