@@ -18,12 +18,13 @@ every block: an `entity_block` at the rows of an (n, 3) position array, on
 its own stream tag: "ue" for the ground users of a snapshot, "uav" for its
 UAVs and "highway-point" for the static corridor points. One block's
 channels therefore never depend on another block, and a ChannelSet is
-bit-reproducible regardless of evaluation order. `link_geometry` takes the
-geometry of all (sector, entity) links in one stacked pass. The keyed draws
-stay per sector, in two passes: the large-scale draws first and the
-small-scale fading second. In between, the deterministic large-scale
-functions (`element_gain`, `los_probability`, `path_loss`, the shadow gain)
-run once over all links. The Rician mix runs over chunks of sectors of
+bit-reproducible regardless of evaluation order. A ChannelSet holds each
+link's large-scale gain `beta` and small-scale channel `h`. A block is built
+in `link_geometry`'s sector-major layout, and only `beta` is transposed at
+the end. The keyed draws stay per sector, in two passes: the large-scale
+draws first and the small-scale fading second. In between, the
+deterministic large-scale functions (`element_gain`, `los_probability`,
+`path_loss`, the shadow gain) run once over all links. The Rician mix runs over chunks of sectors of
 about `_MIX_LINKS` links: a small UAV block or the corridor points mix
 every sector at once, a ground block a few sectors at a time. A link whose
 Rician K is 0 (every NLoS link under the default `rician_k_nlos_db = None`)
@@ -202,16 +203,14 @@ def shadow_factor(positions_xy, decorrelation_distance_m: float) -> np.ndarray:
     return np.linalg.cholesky(cov)
 
 
-def shadow_field(factor: np.ndarray, rng, n_draws: int = 1) -> np.ndarray:
+def shadow_field(factor: np.ndarray, rng) -> np.ndarray:
     """Step 2 of shadowing: a correlated unit-variance field drawn through `factor`.
 
-    `factor` comes from `shadow_factor`; each draw is one N(0, 1) value per
+    `factor` comes from `shadow_factor`; the draw is one N(0, 1) value per
     position, correlated as the factor says. `shadow_gain` scales it to dB.
-    Returns shape (n_draws, n_positions), squeezed when n_draws == 1.
+    Returns shape (n_positions,).
     """
-    n = factor.shape[0]
-    unit = (factor @ rng.standard_normal((n, n_draws))).T
-    return unit[0] if n_draws == 1 else unit
+    return (factor @ rng.standard_normal((factor.shape[0], 1)))[:, 0]
 
 
 def shadow_gain(sigma_db, field) -> np.ndarray:
@@ -299,18 +298,11 @@ def los_components(
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """All per-(entity, sector) channel quantities for one snapshot.
+    """A block's channels toward every sector: `beta` [entity, sector] is each
+    link's large-scale gain (path gain x shadow gain x element gain, linear)
+    and `h` [entity, sector, element] its small-scale channel."""
 
-    Arrays are indexed [entity, sector] (and [..., element] for h). `beta`
-    is exactly rho * tau * g.
-    """
-
-    rho: np.ndarray  # path gain, linear
-    tau: np.ndarray  # shadow gain, linear
-    g: np.ndarray  # element gain, linear
     beta: np.ndarray
-    p_los: np.ndarray
-    is_los: np.ndarray
     h: np.ndarray  # N x B x M complex
 
 
@@ -323,67 +315,48 @@ def entity_block(positions: np.ndarray) -> np.recarray:
     return block
 
 
-def _block_geometry(scenario: Scenario, positions: np.ndarray):
-    """A block's shadow factor and the geometry of its links.
+def _block_shadow_factor(params: ChannelParams, positions: np.ndarray) -> np.ndarray:
+    """A block's shadow factor, built once per side of `AERIAL_MIN_HEIGHT_M`.
 
     Each row's height picks its shadow field, as it picks its model: the
-    rows at or below `AERIAL_MIN_HEIGHT_M` share the ground field and its
-    decorrelation distance, the rows above it the aerial one. The factor is
-    block-diagonal over the two: each side's rows get the `shadow_factor` of
-    their own positions, and the covariance between the sides is exactly 0.
-    A block on one side gets that side's factor alone. The distances and
-    angles come in [entity, sector] C order, the layout of every ChannelSet
-    array. `d3d` and the unit wave vectors also come sector-major, as the
-    Rician mix takes them.
+    rows at or below 22.5 m share the ground field and its decorrelation
+    distance, the rows above it the aerial one. The factor is
+    block-diagonal over the two: each side's rows get the `shadow_factor`
+    of their own positions, and the covariance between the sides is exactly
+    0. A block on one side gets that side's factor alone.
     """
-    params = scenario.channel_params
     aerial = positions[:, 2] > AERIAL_MIN_HEIGHT_M
     factor = np.zeros((len(positions),) * 2)
     for rows, d_corr in ((~aerial, params.shadow_corr_dist_ground_m), (aerial, params.shadow_corr_dist_aerial_m)):
         if rows.any():
             factor[np.ix_(rows, rows)] = shadow_factor(positions[rows], d_corr)
-    d2d, d3d, az, zen, unit = link_geometry(scenario.sectors, positions)
-    links = tuple(np.ascontiguousarray(x.T) for x in (d2d, d3d, az, zen))
-    return factor, links, d3d, unit
+    return factor
 
 
 def _large_scale(scenario: Scenario, heights: np.ndarray, links, los_draws, shadow_unit):
-    """The deterministic large-scale step over all (entity, sector) links.
+    """The deterministic large-scale step over all (sector, entity) links.
 
-    `los_draws` and `shadow_unit` are the block's LoS uniforms and unit
-    shadow draws, [entity, sector]. Each row's height picks its shadow
-    sigmas: the ground ones at or below `AERIAL_MIN_HEIGHT_M`, the aerial
-    ones above it. Returns the block's ChannelSet with `h` allocated but not
-    yet filled, and every link's Rician K, sector-major.
+    `links` is `link_geometry`'s (d2d, d3d, azimuth, zenith); it and the
+    block's LoS uniforms `los_draws` and unit shadow draws `shadow_unit` are
+    [sector, entity]. Each entity's height picks its shadow sigmas: the
+    ground ones at or below `AERIAL_MIN_HEIGHT_M`, the aerial ones above it.
+    Returns every link's `beta` = rho * tau * g and Rician K, [sector,
+    entity]; rho, tau, g and the LoS states stay local.
     """
-    radio = scenario.radio
     params = scenario.channel_params
     d2d, d3d, az, zen = links
-    aerial = (heights > AERIAL_MIN_HEIGHT_M)[:, None]
-    sigma_los = np.where(aerial, aerial_los_shadow_sigma_db(heights)[:, None], params.shadow_sigma_los_ground_db)
+    aerial = heights > AERIAL_MIN_HEIGHT_M
+    sigma_los = np.where(aerial, aerial_los_shadow_sigma_db(heights), params.shadow_sigma_los_ground_db)
     sigma_nlos = np.where(aerial, params.shadow_sigma_nlos_aerial_db, params.shadow_sigma_nlos_ground_db)
-    h_bs = np.array([sector.panel.panel_height_m for sector in scenario.sectors])
+    h_bs = np.array([sector.panel.panel_height_m for sector in scenario.sectors])[:, None]
 
     # LoS state (held for the snapshot), path gain, shadow gain, element gain
-    h_ut = heights[:, None]
-    p_los = los_probability(d2d, h_ut)
-    is_los = los_draws < p_los
-    rho = path_loss(d2d, d3d, h_ut, is_los, radio, h_bs_m=h_bs)
+    is_los = los_draws < los_probability(d2d, heights)
+    rho = path_loss(d2d, d3d, heights, is_los, scenario.radio, h_bs_m=h_bs)
     tau = shadow_gain(np.where(is_los, sigma_los, sigma_nlos), shadow_unit)
     g = element_gain(az, zen)
     k = np.where(is_los, params.rician_k_linear(True), params.rician_k_linear(False))
-    n, b = d2d.shape
-    m = scenario.sectors[0].panel.n_elements if b else 0
-    channels = ChannelSet(
-        rho=rho,
-        tau=tau,
-        g=g,
-        beta=rho * tau * g,
-        p_los=p_los,
-        is_los=is_los,
-        h=np.empty((n, b, m), dtype=complex),
-    )
-    return channels, np.ascontiguousarray(k.T)
+    return rho * tau * g, k
 
 
 def _rician_mix(fading, k, unit, d3d, coords, wavelength) -> None:
@@ -418,21 +391,23 @@ def build_channels(scenario: Scenario, entities: np.recarray, snapshot: int | st
     the result independent of sector evaluation order and of every other
     call.
 
-    Three steps. Pass 1 takes the geometry of every link in one stacked
-    `link_geometry` call, then walks the sectors for the two large-scale
+    Every link quantity is held [sector, entity], the layout of one stacked
+    `link_geometry` call; `h` is filled in its [entity, sector, element]
+    layout, and one transposed copy of `beta` is the only other copy made.
+    Three steps. Pass 1 fills one row per sector with its two large-scale
     draws: the LoS uniforms and one correlated unit shadow draw through the
-    block's shadow factor (built once per call). The vectorised step
-    evaluates `element_gain`, `los_probability`, `path_loss` and the shadow
-    gain once over all (entity, sector) links. Pass 2 walks the sectors
-    again for the small-scale fading: one (2, N, M) draw gives a sector's
-    Rayleigh parts, real parts first. `_rician_mix` turns the draws of a
-    chunk of `_MIX_LINKS // N` sectors (at least one) into their channels,
-    copied into `h`: a 12-row UAV block mixes all 57 sectors at once, a
-    228-row ground block 4 at a time, so the working set stays near
-    `_MIX_LINKS` links and never reaches an (N, B, M) temporary. The draws
-    stay per sector because the keyed streams and their draw order are what
-    fixes the output bits; each sector's phase product keeps the block's
-    row count, so a chunk rounds as a lone sector does.
+    block's shadow factor (built once per call). `_large_scale` evaluates
+    `element_gain`, `los_probability`, `path_loss` and the shadow gain once
+    over all links. Pass 2 walks the sectors again for the small-scale
+    fading: one (2, N, M) draw gives a sector's Rayleigh parts, real parts
+    first. `_rician_mix` turns the draws of a chunk of `_MIX_LINKS // N`
+    sectors (at least one) into their channels, copied into `h`: a 12-row
+    UAV block mixes all 57 sectors at once, a 228-row ground block 4 at a
+    time, so the working set stays near `_MIX_LINKS` links and never reaches
+    an (N, B, M) temporary. The draws stay per sector because the keyed
+    streams and their draw order are what fixes the output bits; each
+    sector's phase product keeps the block's row count, so a chunk rounds as
+    a lone sector does.
 
     `path_loss` runs once per call, so a build whose links leave the model's
     validity region raises at most one `OutOfValidityRange` warning. An
@@ -443,24 +418,25 @@ def build_channels(scenario: Scenario, entities: np.recarray, snapshot: int | st
     wavelength = scenario.radio.wavelength_m
     n = len(positions)
     b = len(sectors)
-    factor, links, d3d, unit = _block_geometry(scenario, positions)
+    factor = _block_shadow_factor(scenario.channel_params, positions)
+    d2d, d3d, az, zen, unit = link_geometry(sectors, positions)
     # every sector's los, shadow and fading streams, derived in one batch
     rngs = scenario.streams.derive_many(
         (draw, stream_tag, snapshot, sector.id) for draw in ("los", "shadow", "fading") for sector in sectors
     )
     los_rngs, shadow_rngs, fading_rngs = rngs[:b], rngs[b : 2 * b], rngs[2 * b :]
 
-    # pass 1: the LoS uniforms and the unit shadow draws per sector
-    los_draws, shadow_unit = np.empty((n, b)), np.empty((n, b))
+    # pass 1: the LoS uniforms and the unit shadow draws, one row per sector
+    los_draws, shadow_unit = np.empty((b, n)), np.empty((b, n))
     for j in range(b):
-        los_draws[:, j] = los_rngs[j].uniform(size=n)
-        shadow_unit[:, j] = shadow_field(factor, shadow_rngs[j])
+        los_draws[j] = los_rngs[j].uniform(size=n)
+        shadow_unit[j] = shadow_field(factor, shadow_rngs[j])
 
-    channels, k = _large_scale(scenario, positions[:, 2], links, los_draws, shadow_unit)
+    beta, k = _large_scale(scenario, positions[:, 2], (d2d, d3d, az, zen), los_draws, shadow_unit)
 
     # pass 2: Rician small-scale fading, drawn per sector, mixed per chunk
-    h = channels.h
-    m = h.shape[2]
+    m = sectors[0].panel.n_elements if b else 0
+    h = np.empty((n, b, m), dtype=complex)
     per_chunk = max(1, _MIX_LINKS // max(n, 1))
     for lo in range(0, b, per_chunk):
         chunk = slice(lo, lo + per_chunk)
@@ -472,7 +448,7 @@ def build_channels(scenario: Scenario, entities: np.recarray, snapshot: int | st
         _rician_mix(fading.reshape(2, -1, m), k[chunk].reshape(-1), unit[chunk], d3d[chunk], coords, wavelength)
         h.real[:, chunk] = fading[0].transpose(1, 0, 2)
         h.imag[:, chunk] = fading[1].transpose(1, 0, 2)
-    return channels
+    return ChannelSet(beta=np.ascontiguousarray(beta.T), h=h)
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,8 @@ through `_RunDir`'s CSV or JSON writer, each CSV has one `_Csv` header and
 row format, and `inspect` recognizes a CSV by the header its writer wrote.
 
 Any config leaf can be overridden from the environment with the prefix
-SKYBEAM_, e.g. SKYBEAM_OPTIMIZER_MAX_ITERS=2000.
+SKYBEAM_, e.g. SKYBEAM_OPTIMIZER_MAX_ITERS=2000; a SKYBEAM_ variable that
+names no leaf exits 1.
 """
 
 from __future__ import annotations
@@ -59,16 +60,18 @@ ENV_PREFIX = "SKYBEAM_"
 
 
 def _apply_env_overrides(cfg: dict) -> dict:
-    """Overlay SKYBEAM_<BLOCK>_<KEY> JSON values, then validate the result."""
-    for block, entries in cfg.items():
-        for key in entries:
-            name = f"{ENV_PREFIX}{block.upper()}_{key.upper()}"
-            env = os.environ.get(name)
-            if env is not None:
-                try:
-                    entries[key] = json.loads(env)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{name} is not valid JSON: {exc}")
+    """Overlay SKYBEAM_<BLOCK>_<KEY> JSON values, then validate the result.
+    A SKYBEAM_ variable that names no config leaf is rejected, as an unknown
+    key in the config file is."""
+    leaves = {f"{ENV_PREFIX}{block}_{key}".upper(): (block, key) for block in cfg for key in cfg[block]}
+    for name in sorted(name for name in os.environ if name.startswith(ENV_PREFIX)):
+        if name not in leaves:
+            raise ConfigError(f"{name} names no config key")
+        block, key = leaves[name]
+        try:
+            cfg[block][key] = json.loads(os.environ[name])
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{name} is not valid JSON: {exc}")
     return validate_config(cfg)
 
 

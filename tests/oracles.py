@@ -5,8 +5,8 @@ paper's formula directly, independent of the batched code path that
 `skybeam run` executes: `ssb_rsrp` for `association.rsrp_table`, `data_sinr`
 and `achievable_rate` for `evaluation.data_phase`, and `brute_force_fitness`
 for `genetic.FitnessEvaluator`; `per_sector_channels` builds a ChannelSet
-one sector at a time, every large-scale call per sector and every link's
-model picked by its own height, as the reference for
+and its LoS states one sector at a time, every large-scale call per sector
+and every link's model picked by its own height, as the reference for
 `channel.build_channels`.
 
 More are bit-level references for batched library paths:
@@ -191,13 +191,14 @@ def rician_channel(h_los: np.ndarray, k_linear, rng) -> np.ndarray:
     return np.sqrt(kk / (1.0 + kk)) * h_los + np.sqrt(1.0 / (1.0 + kk)) * h_nlos
 
 
-def per_sector_channels(scenario, positions, snapshot, stream_tag) -> ChannelSet:
-    """Reference ChannelSet at the rows of `positions`: one sector at a
-    time, with the large-scale calls on 1-D link arrays and a scalar
-    base-station height, from the same keyed streams in the same draw order.
-    Each row's height picks its shadowing: rows at or below 22.5 m take the
-    ground sigmas and a ground field, rows above it the aerial sigmas and an
-    aerial field, the two fields independent."""
+def per_sector_channels(scenario, positions, snapshot, stream_tag):
+    """Reference ChannelSet at the rows of `positions`, and the (N, B) LoS
+    states of its draws: one sector at a time, with the large-scale calls
+    on 1-D link arrays and a scalar base-station height, from the same keyed
+    streams in the same draw order. Each row's height picks its shadowing:
+    rows at or below 22.5 m take the ground sigmas and a ground field, rows
+    above it the aerial sigmas and an aerial field, the two fields
+    independent."""
     radio = scenario.radio
     params = scenario.channel_params
     sectors = scenario.sectors
@@ -206,10 +207,7 @@ def per_sector_channels(scenario, positions, snapshot, stream_tag) -> ChannelSet
     m = sectors[0].panel.n_elements if b else 0
     heights = positions[:, 2]
 
-    rho = np.zeros((n, b))
-    tau = np.ones((n, b))
-    g = np.zeros((n, b))
-    p_los = np.zeros((n, b))
+    beta = np.zeros((n, b))
     is_los = np.zeros((n, b), dtype=bool)
     h = np.zeros((n, b, m), dtype=complex)
     low = heights <= AERIAL_MIN_HEIGHT_M
@@ -227,21 +225,20 @@ def per_sector_channels(scenario, positions, snapshot, stream_tag) -> ChannelSet
         j = sector.id
         coords = sector.panel.element_coords(radio.wavelength_m)
         d2d, d3d, az, zen, unit = sector_geometry(sector, positions)
-        g[:, j] = element_gain(az, zen)
         draws = reference_derive(scenario.master_seed, "los", stream_tag, snapshot, j).uniform(size=n)
         rng_shadow = reference_derive(scenario.master_seed, "shadow", stream_tag, snapshot, j)
-        p_los[:, j] = los_probability(d2d, heights)
-        is_los[:, j] = draws < p_los[:, j]
-        rho[:, j] = path_loss(d2d, d3d, heights, is_los[:, j], radio, h_bs_m=sector.panel.panel_height_m)
+        is_los[:, j] = draws < los_probability(d2d, heights)
+        rho = path_loss(d2d, d3d, heights, is_los[:, j], radio, h_bs_m=sector.panel.panel_height_m)
         sigma = np.where(is_los[:, j], sigma_los, sigma_nlos)
-        tau[:, j] = shadow_gain(sigma, shadow_field(factor, rng_shadow))
+        tau = shadow_gain(sigma, shadow_field(factor, rng_shadow))
+        beta[:, j] = rho * tau * element_gain(az, zen)
         k_lin = np.where(
             is_los[:, j], params.rician_k_linear(True), params.rician_k_linear(False)
         )
         h_los = los_components(unit, d3d, coords, radio.wavelength_m)
         rng_fade = reference_derive(scenario.master_seed, "fading", stream_tag, snapshot, j)
         h[:, j, :] = rician_channel(h_los, k_lin, rng_fade)
-    return ChannelSet(rho=rho, tau=tau, g=g, beta=rho * tau * g, p_los=p_los, is_los=is_los, h=h)
+    return ChannelSet(beta=beta, h=h), is_los
 
 
 def reference_derive(master_seed: int, *key) -> np.random.Generator:

@@ -25,19 +25,7 @@ RADIO = RadioConfig()
 
 def make_channels(h, beta):
     """ChannelSet stub from explicit arrays (N x B x M complex, N x B)."""
-    h = np.asarray(h, dtype=complex)
-    beta = np.asarray(beta, dtype=float)
-    n, b, _ = h.shape
-    ones = np.ones((n, b))
-    return ChannelSet(
-        rho=beta.copy(),
-        tau=ones.copy(),
-        g=ones.copy(),
-        beta=beta,
-        p_los=ones.copy(),
-        is_los=ones.astype(bool),
-        h=h,
-    )
+    return ChannelSet(beta=np.asarray(beta, dtype=float), h=np.asarray(h, dtype=complex))
 
 
 def make_codebook(weights):

@@ -5,10 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import per_sector_channels, reference_derive, rician_channel, sector_geometry
+from oracles import per_sector_channels, rician_channel, sector_geometry
 from skybeam import channel
 from skybeam.channel import (
-    ChannelSet,
     OutOfValidityRange,
     aerial_los_shadow_sigma_db,
     build_channels,
@@ -192,9 +191,8 @@ class TestShadowField:
         # Monte-Carlo oracle: correlation at one decorrelation distance ~ 1/e
         d_corr = 50.0
         pos = np.array([[0.0, 0.0], [d_corr, 0.0]])
-        gains = shadow_gain(
-            6.0, shadow_field(shadow_factor(pos, d_corr), np.random.default_rng(2), n_draws=10_000)
-        )
+        unit = shadow_factor(pos, d_corr) @ np.random.default_rng(2).standard_normal((2, 10_000))
+        gains = shadow_gain(6.0, unit.T)
         log_vals = 10.0 * np.log10(gains)
         corr = np.corrcoef(log_vals[:, 0], log_vals[:, 1])[0, 1]
         assert corr == pytest.approx(math.exp(-1.0), abs=0.1)
@@ -404,14 +402,6 @@ def config_uavs(scenario):
 
 
 class TestChannelSet:
-    def test_beta_is_exact_product(self, small_scenario):
-        for users, tag in (
-            (entity_block(small_scenario.ground_users(0)[:10]), "ue"),
-            (entity_block(config_uavs(small_scenario)[:3]), "uav"),
-        ):
-            cs = build_channels(small_scenario, users, 0, tag)
-            assert np.array_equal(cs.beta, cs.rho * cs.tau * cs.g)
-
     def test_reproducible_across_builds(self, small_scenario):
         users = small_scenario.ground_users(0)[:8]
         a = build_channels(small_scenario, entity_block(users), 3, "ue")
@@ -437,10 +427,8 @@ class TestChannelSet:
             return shadow_factor(positions_xy, decorrelation_distance_m)
 
         monkeypatch.setattr(channel, "shadow_factor", counting_factor)
-        built = [
-            build_channels(small_scenario, entity_block(ground), 2, "ue"),
-            build_channels(small_scenario, entity_block(uavs), 2, "uav"),
-        ]
+        build_channels(small_scenario, entity_block(ground), 2, "ue")
+        build_channels(small_scenario, entity_block(uavs), 2, "uav")
         params = small_scenario.channel_params
         d_ground, d_aerial = params.shadow_corr_dist_ground_m, params.shadow_corr_dist_aerial_m
         assert calls == [(ground.tolist(), d_ground), (uavs.tolist(), d_aerial)]
@@ -448,27 +436,11 @@ class TestChannelSet:
         build_channels(small_scenario, entity_block(np.concatenate([uavs[:1], ground[:2], uavs[1:]])), 2, "uav")
         assert calls == [(ground[:2].tolist(), d_ground), (uavs.tolist(), d_aerial)]
 
-        # reference: the factor rebuilt for every sector, drawn from the
-        # block's own per-sector stream
-        blocks = (
-            (ground, "ue", params.shadow_corr_dist_ground_m,
-             params.shadow_sigma_los_ground_db, params.shadow_sigma_nlos_ground_db),
-            (uavs, "uav", params.shadow_corr_dist_aerial_m,
-             aerial_los_shadow_sigma_db(uavs[:, 2]), params.shadow_sigma_nlos_aerial_db),
-        )
-        for cs, (users, tag, d_corr, sigma_los, sigma_nlos) in zip(built, blocks):
-            tau = np.ones_like(cs.tau)
-            for j in range(cs.h.shape[1]):
-                rng_shadow = reference_derive(small_scenario.master_seed, "shadow", tag, 2, j)
-                sigma = np.where(cs.is_los[:, j], sigma_los, sigma_nlos)
-                field = shadow_field(shadow_factor(users, d_corr), rng_shadow)
-                tau[:, j] = shadow_gain(sigma, field)
-            assert np.array_equal(cs.tau, tau)
-
     def test_aerial_links_at_100m_all_los(self, small_scenario):
-        cs = build_channels(small_scenario, entity_block(config_uavs(small_scenario)), 0, "uav")
-        assert np.all(cs.p_los == 1.0)
-        assert np.all(cs.is_los)
+        uavs = config_uavs(small_scenario)
+        want, is_los = per_sector_channels(small_scenario, uavs, 0, "uav")
+        assert np.all(is_los)
+        TestMatchesPerSectorOracle.assert_same_bytes(build_channels(small_scenario, entity_block(uavs), 0, "uav"), want)
 
 
 CLIMB = "climb"  # a corridor polyline climbing from 10 m to 60 m, across 22.5 m
@@ -501,12 +473,12 @@ def _straddles(positions):
 
 
 class TestMatchesPerSectorOracle:
-    """build_channels against the per-sector, per-class reference builder:
-    every array equal in bytes and dtype."""
+    """build_channels against the per-sector reference builder: both arrays
+    equal in bytes and dtype."""
 
     @staticmethod
     def assert_same_bytes(got, want):
-        for name in ("rho", "tau", "g", "beta", "p_los", "is_los", "h"):
+        for name in ("beta", "h"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tobytes() == b.tobytes(), name
@@ -529,7 +501,7 @@ class TestMatchesPerSectorOracle:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", OutOfValidityRange)
                 got = build_channels(scenario, entity_block(positions), 1, tag)
-                want = per_sector_channels(scenario, positions, 1, tag)
+                want, _ = per_sector_channels(scenario, positions, 1, tag)
             self.assert_same_bytes(got, want)
 
     # The default 19-site layout, seed 1: on snapshot 0, sector 21 has a
@@ -542,10 +514,10 @@ class TestMatchesPerSectorOracle:
         scenario = scenario_from_config(cfg)
         ground = scenario.ground_users(snapshot)
         assert (len(ground), channel._MIX_LINKS // len(ground), scenario.n_sectors % 4) == (228, 4, 1)
-        got = build_channels(scenario, entity_block(ground), snapshot, "ue")
+        want, is_los = per_sector_channels(scenario, ground, snapshot, "ue")
         if snapshot == 0:
-            assert np.any(np.count_nonzero(got.is_los, axis=0) == 1)
-        self.assert_same_bytes(got, per_sector_channels(scenario, ground, snapshot, "ue"))
+            assert np.any(np.count_nonzero(is_los, axis=0) == 1)
+        self.assert_same_bytes(build_channels(scenario, entity_block(ground), snapshot, "ue"), want)
 
     # A 3 dB K on NLoS links puts every link, LoS or not, through the
     # plane-wave branch of the mix; the default config never does.
@@ -562,8 +534,8 @@ class TestMatchesPerSectorOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OutOfValidityRange)
             got = build_channels(scenario, entity_block(positions), 1, tag)
-            want = per_sector_channels(scenario, positions, 1, tag)
-        assert not np.all(got.is_los)
+            want, is_los = per_sector_channels(scenario, positions, 1, tag)
+        assert not np.all(is_los)
         self.assert_same_bytes(got, want)
 
     def test_empty_block(self):
@@ -573,13 +545,13 @@ class TestMatchesPerSectorOracle:
         b, m = scenario.n_sectors, scenario.sectors[0].panel.n_elements
         assert got.beta.shape == (0, b)
         assert got.h.shape == (0, b, m)
-        self.assert_same_bytes(got, per_sector_channels(scenario, empty, 1, "ue"))
+        self.assert_same_bytes(got, per_sector_channels(scenario, empty, 1, "ue")[0])
 
     def test_highway_point_stream(self, cfg):
         scenario = scenario_from_config(cfg)
         points = scenario.highway.points
         got = build_channels(scenario, entity_block(points), "static", "highway-point")
-        want = per_sector_channels(scenario, points, "static", "highway-point")
+        want, _ = per_sector_channels(scenario, points, "static", "highway-point")
         self.assert_same_bytes(got, want)
 
     def test_climbing_highway_point_stream(self):
@@ -590,7 +562,7 @@ class TestMatchesPerSectorOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OutOfValidityRange)
             got = build_channels(scenario, entity_block(points), "static", "highway-point")
-            want = per_sector_channels(scenario, points, "static", "highway-point")
+            want, _ = per_sector_channels(scenario, points, "static", "highway-point")
         self.assert_same_bytes(got, want)
 
     def test_straddling_block_draws_two_independent_fields(self):
@@ -601,7 +573,7 @@ class TestMatchesPerSectorOracle:
         points = scenario.highway.points
         low = points[:, 2] <= channel.AERIAL_MIN_HEIGHT_M
         assert _straddles(points)
-        factor = channel._block_geometry(scenario, points)[0]
+        factor = channel._block_shadow_factor(scenario.channel_params, points)
         assert np.all((factor @ factor.T)[np.ix_(low, ~low)] == 0.0)
         params = scenario.channel_params
         for rows, d_corr in ((low, params.shadow_corr_dist_ground_m), (~low, params.shadow_corr_dist_aerial_m)):
@@ -611,7 +583,7 @@ class TestMatchesPerSectorOracle:
 class TestChannelBlocks:
     """build_channels on every UAV block of a sweep snapshot, and on blocks
     at the edges of the chunked Rician mix, against the per-sector
-    reference: every ChannelSet array equal in bytes, dtype and shape."""
+    reference: both ChannelSet arrays equal in bytes, dtype and shape."""
 
     N_MAX = 12
 
@@ -639,7 +611,7 @@ class TestChannelBlocks:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", OutOfValidityRange)
                 got = build_channels(scenario, entity_block(entities), snapshot, "uav")
-                want = per_sector_channels(scenario, entities, snapshot, "uav")
+                want, _ = per_sector_channels(scenario, entities, snapshot, "uav")
             TestMatchesPerSectorOracle.assert_same_bytes(got, want)
 
     def test_default_layout(self, cfg):
@@ -647,7 +619,7 @@ class TestChannelBlocks:
         for entities in self.sweep_blocks(scenario, 1):
             TestMatchesPerSectorOracle.assert_same_bytes(
                 build_channels(scenario, entity_block(entities), 1, "uav"),
-                per_sector_channels(scenario, entities, 1, "uav"),
+                per_sector_channels(scenario, entities, 1, "uav")[0],
             )
 
     def test_one_sector_chunks(self):
@@ -661,7 +633,7 @@ class TestChannelBlocks:
         assert len(ground) == 1050 > channel._MIX_LINKS
         TestMatchesPerSectorOracle.assert_same_bytes(
             build_channels(scenario, entity_block(ground), 0, "ue"),
-            per_sector_channels(scenario, ground, 0, "ue"),
+            per_sector_channels(scenario, ground, 0, "ue")[0],
         )
 
     def test_streams_derived_once_per_sector(self, small_scenario, monkeypatch):

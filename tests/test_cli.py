@@ -125,6 +125,9 @@ class TestRun:
             ("SKYBEAM_RADIO_N_PRB_TOTAL", "-5", "radio.n_prb_total"),
             # the config sets a polyline, whose z gives the corridor heights
             ("SKYBEAM_HIGHWAY_ALTITUDE_M", "50", "highway.altitude_m"),
+            # variables that name no config key, as a misspelling does
+            ("SKYBEAM_OPTIMIZER_MAX_ITER", "5", "SKYBEAM_OPTIMIZER_MAX_ITER"),
+            ("SKYBEAM_NOISE_DB", "5", "SKYBEAM_NOISE_DB"),
         ],
     )
     def test_env_override_out_of_range_exits_1(

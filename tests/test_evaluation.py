@@ -226,7 +226,7 @@ def _books_and_plan(scenario):
     return ssb, dl, baseline_plan(scenario, ssb)
 
 
-CHANNEL_ARRAYS = ("rho", "tau", "g", "beta", "p_los", "is_los", "h")
+CHANNEL_ARRAYS = ("beta", "h")
 
 
 class TestSnapshotEvaluation:

@@ -9,8 +9,9 @@ as an attribute, so a local variable of the same name does not hide an
 unused property. Dunder methods are exempt, and so is a
 method that implements an abstract method of a base class imported from
 outside the package: the outside code calls it, as Python calls a dunder.
-A class field counts as read when `src/skybeam` or `tests/` reads an
-attribute of that name.
+A class field counts as read when `src/skybeam` reads an attribute of that
+name. The few fields that only tests read are named in `TEST_ONLY_FIELDS`,
+so a new test-only field fails here until it is listed.
 """
 
 import ast
@@ -44,11 +45,11 @@ def _library_uses() -> set[str]:
     return used
 
 
-def _library_attribute_reads() -> set[str]:
-    """Attribute names that `src/skybeam` reads (`obj.name` in a load)."""
+def _attribute_reads(directory: Path) -> set[str]:
+    """Attribute names that the modules of `directory` read (`obj.name` in a load)."""
     return {
         node.attr
-        for _, tree in _trees(SRC)
+        for _, tree in _trees(directory)
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
@@ -121,9 +122,17 @@ def test_every_method_is_used_in_the_library():
                             continue
                         if stmt.name not in implemented:
                             methods[f"{path.name}:{node.name}.{stmt.name}"] = stmt.name
-    used = _library_attribute_reads()
+    used = _attribute_reads(SRC)
     unused = sorted(key for key, name in methods.items() if name not in used)
     assert not unused, f"methods and properties no library code uses: {unused}"
+
+
+# class fields that tests read and no library code does
+TEST_ONLY_FIELDS = {
+    "genetic.py:Individual.fitness",
+    "scenario.py:Sector.site_id",
+    "segment_metric.py:SegmentAssignment.serving_cell",
+}
 
 
 def test_every_class_field_is_read():
@@ -134,15 +143,12 @@ def test_every_class_field_is_read():
                 for stmt in node.body:
                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                         fields[f"{path.name}:{node.name}.{stmt.target.id}"] = stmt.target.id
-    read = {
-        node.attr
-        for directory in (SRC, TESTS)
-        for _, tree in _trees(directory)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
-    unread = sorted(key for key, name in fields.items() if name not in read)
-    assert not unread, f"class fields nothing reads: {unread}"
+    library = _attribute_reads(SRC)
+    unread = sorted(key for key, name in fields.items() if name not in library and key not in TEST_ONLY_FIELDS)
+    assert not unread, f"class fields no library code reads: {unread}"
+    test_only = _attribute_reads(TESTS) - library
+    stale = sorted(key for key in TEST_ONLY_FIELDS if fields.get(key) not in test_only)
+    assert not stale, f"TEST_ONLY_FIELDS entries that are gone, read by the library or read by no test: {stale}"
 
 
 def test_channel_takes_no_entity_class():
