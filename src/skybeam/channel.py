@@ -254,7 +254,7 @@ def link_geometry(sectors: Sequence[Sector], positions: np.ndarray):
     """
     origins = np.array([sector.position_3d_m for sector in sectors]).reshape(-1, 3)
     axes = np.array(
-        [_panel_axes(sector.panel.bearing_deg, sector.panel.downtilt_deg) for sector in sectors]
+        [_panel_axes(sector.bearing_deg, sector.panel.downtilt_deg) for sector in sectors]
     ).reshape(-1, 3, 3)
     delta = positions[None, :, :] - origins[:, None, :]
     # the squares summed left to right, as np.linalg.norm sums them
@@ -280,10 +280,10 @@ def los_components(
 ) -> np.ndarray:
     """Unit-modulus plane-wave vectors, one row of the panel's M elements per link in `rows`.
 
-    `unit_wave` is one sector's (N, 3) unit wave vectors, with `d3d` (N,)
-    and `coords` (3, M), or S sectors' (S, N, 3), with (S, N) and (3, M) or
-    (S, 3, M); `rows` indexes the links in sector-major order. The phase
-    product `unit_wave @ coords` runs over every entity, whatever `rows`
+    `unit_wave` is one sector's (N, 3) unit wave vectors with `d3d` (N,),
+    or S sectors' (S, N, 3) with (S, N); `coords` is the panel's (3, M)
+    element offsets; `rows` indexes the links in sector-major order. The
+    phase product `unit_wave @ coords` runs over every entity, whatever `rows`
     selects: a product over a subset of rows can round differently, and a
     row's value must not depend on which other rows are asked for.
     """
@@ -348,11 +348,10 @@ def _large_scale(scenario: Scenario, heights: np.ndarray, links, los_draws, shad
     aerial = heights > AERIAL_MIN_HEIGHT_M
     sigma_los = np.where(aerial, aerial_los_shadow_sigma_db(heights), params.shadow_sigma_los_ground_db)
     sigma_nlos = np.where(aerial, params.shadow_sigma_nlos_aerial_db, params.shadow_sigma_nlos_ground_db)
-    h_bs = np.array([sector.panel.panel_height_m for sector in scenario.sectors])[:, None]
 
     # LoS state (held for the snapshot), path gain, shadow gain, element gain
     is_los = los_draws < los_probability(d2d, heights)
-    rho = path_loss(d2d, d3d, heights, is_los, scenario.radio, h_bs_m=h_bs)
+    rho = path_loss(d2d, d3d, heights, is_los, scenario.radio, h_bs_m=scenario.layout.bs_height_m)
     tau = shadow_gain(np.where(is_los, sigma_los, sigma_nlos), shadow_unit)
     g = element_gain(az, zen)
     k = np.where(is_los, params.rician_k_linear(True), params.rician_k_linear(False))
@@ -364,8 +363,8 @@ def _rician_mix(fading, k, unit, d3d, coords, wavelength) -> None:
 
     `fading` is (2, L, M): the real parts of L links' Rayleigh draws, then
     the imaginary parts. The links are S sectors' N entities each,
-    sector-major, with `unit` (S, N, 3), `d3d` (S, N) and `coords`
-    (S, 3, M); `k` is their (L,) Rician K. Every part is scaled by
+    sector-major, with `unit` (S, N, 3), `d3d` (S, N) and the panel's
+    `coords` (3, M); `k` is their (L,) Rician K. Every part is scaled by
     1/sqrt(2); on a link with K = 0 that is the whole channel. Only links
     with K > 0 are scaled by sqrt(1/(1+K)) and get sqrt(K/(1+K)) times
     their plane wave. Each sector's phase product has the block's own row
@@ -444,7 +443,7 @@ def build_channels(scenario: Scenario, entities: np.recarray, snapshot: int | st
         fading = np.empty((2, len(chunk_rngs), n, m))
         for i, rng in enumerate(chunk_rngs):
             fading[:, i] = rng.standard_normal((2, n, m))
-        coords = np.array([sector.panel.element_coords(wavelength) for sector in sectors[chunk]])
+        coords = sectors[0].panel.element_coords(wavelength)  # the panel every sector holds
         _rician_mix(fading.reshape(2, -1, m), k[chunk].reshape(-1), unit[chunk], d3d[chunk], coords, wavelength)
         h.real[:, chunk] = fading[0].transpose(1, 0, 2)
         h.imag[:, chunk] = fading[1].transpose(1, 0, 2)
@@ -467,12 +466,12 @@ def expected_channels(
     """
     heights = positions[:, 2]
     d2d, d3d, az, zen, unit = link_geometry(sectors, positions)
-    h_bs = np.array([sector.panel.panel_height_m for sector in sectors])[:, None]
+    h_bs = np.array([sector.position_3d_m[2] for sector in sectors])[:, None]
     p = los_probability(d2d, heights)
     rho_los = path_loss(d2d, d3d, heights, True, radio, h_bs_m=h_bs)
     gains = element_gain(az, zen)
     k = params.rician_k_linear(True)
-    coords = np.array([sector.panel.element_coords(radio.wavelength_m) for sector in sectors])
+    coords = sectors[0].panel.element_coords(radio.wavelength_m)
     h_los = los_components(unit, d3d, coords, radio.wavelength_m).reshape(d3d.shape + (-1,))
     amp = p * np.sqrt(rho_los * gains) * math.sqrt(k / (1.0 + k))
     return amp[..., None] * h_los

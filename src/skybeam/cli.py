@@ -59,10 +59,10 @@ class FormatError(Exception):
 ENV_PREFIX = "SKYBEAM_"
 
 
-def _apply_env_overrides(cfg: dict) -> dict:
-    """Overlay SKYBEAM_<BLOCK>_<KEY> JSON values, then validate the result.
-    A SKYBEAM_ variable that names no config leaf is rejected, as an unknown
-    key in the config file is."""
+def _apply_env_overrides(cfg: dict, seed: int | None = None) -> dict:
+    """Overlay SKYBEAM_<BLOCK>_<KEY> JSON values, then a `--seed` value, and
+    validate the result. A SKYBEAM_ variable that names no config leaf is
+    rejected, as an unknown key in the config file is."""
     leaves = {f"{ENV_PREFIX}{block}_{key}".upper(): (block, key) for block in cfg for key in cfg[block]}
     for name in sorted(name for name in os.environ if name.startswith(ENV_PREFIX)):
         if name not in leaves:
@@ -72,6 +72,8 @@ def _apply_env_overrides(cfg: dict) -> dict:
             cfg[block][key] = json.loads(os.environ[name])
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{name} is not valid JSON: {exc}")
+    if seed is not None:
+        cfg["seeds"]["master"] = seed
     return validate_config(cfg)
 
 
@@ -204,24 +206,22 @@ def _series_rows(result: SweepResult, name: str):
 def _plan(args):
     """The steps that `run` and `sweep` share, from the config to the plans.
 
-    Loads the config with its env overrides, checks the flags, builds the
-    scenario and codebooks, designates the corridor's cells, runs the beam
-    search on snapshot 0's ground block (warning when it ends infeasible)
-    and writes the codebook (`run` only), metric, trace and plan artifacts.
+    Loads the config with its env overrides and `--seed`, checks the other
+    flags, builds the scenario and codebooks, designates the corridor's
+    cells, runs the beam search on snapshot 0's ground block (warning when
+    it ends infeasible) and writes the codebook (`run` only), metric, trace and plan artifacts.
     Returns the output directory, the manifest fields both commands record,
     the evaluation's leading arguments (scenario, plans, SSB and data
     codebooks) and a list holding snapshot 0's ground block alone. The
     caller pops the block into the evaluation, so no reference here keeps it
     past snapshot 0.
     """
-    cfg = _apply_env_overrides(load_config(args.config))
+    cfg = _apply_env_overrides(load_config(args.config), args.seed)
     if args.command == "sweep" and args.n_max < 1:
         raise ConfigError("--n-max must be >= 1")
     if args.snapshots < 1:
         raise ConfigError("--snapshots must be >= 1")
     run_dir = _RunDir(args.out, time.time())
-    if args.seed is not None:
-        cfg["seeds"]["master"] = int(args.seed)
     scenario = scenario_from_config(cfg)
     cb_params = codebook_params_from_config(cfg)
     panel = scenario.sectors[0].panel

@@ -7,9 +7,10 @@ is a single oversampled 2D-DFT grid over the full panel.
 
 Codeword layout matches `UpaGeometry.element_coords`: element m = col * m_v
 + row. Horizontal DFT index ih steers the beam to the direction cosine
-u = wrap(-ih / (O_h N d_h)) and vertical index iv to w = wrap(-iv / (O_v M_v
-d_v)), both wrapped into [-1, 1). A `Codebook` holds every codeword's (u, w)
-in `directions`, computed once when the codebook is built.
+u = wrap(-ih / (O_h N d)) and vertical index iv to w = wrap(-iv / (O_v M_v
+d)), both wrapped into [-1, 1); at the panel's half-wavelength spacing d the
+wrap keeps each (u, w) on its beam peak. A `Codebook` holds every
+codeword's (u, w) in `directions`, computed once when the codebook is built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import UpaGeometry
+from .scenario import ELEMENT_SPACING_WAVELENGTHS, UpaGeometry
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,8 @@ def _stack(panel: UpaGeometry, o_h: int, o_v: int, actives: list[int]) -> Codebo
     books = [dft_subbook(a, panel.m_h, panel.m_v, o_h, o_v) for a in actives]
     weights, beam_h, beam_v = (np.concatenate(parts) for parts in zip(*books))
     active = np.repeat(actives, [w.shape[0] for w, _, _ in books])
-    u = -beam_h / (o_h * active * panel.element_spacing_h_wavelengths)
-    w = -beam_v / (o_v * panel.m_v * panel.element_spacing_v_wavelengths)
-    # direction cosines live in [-1, 1) for half-wavelength spacing
+    u = -beam_h / (o_h * active * ELEMENT_SPACING_WAVELENGTHS)
+    w = -beam_v / (o_v * panel.m_v * ELEMENT_SPACING_WAVELENGTHS)
     directions = (np.stack([u, w], axis=1) + 1.0) % 2.0 - 1.0
     return Codebook(
         weights=weights,

@@ -13,6 +13,10 @@ checks its numeric fields by one rule (`_check_fields`) and its cross-field
 conditions itself; `validate_config` builds all seven, so every check applies
 to every config, and `block_params` builds one block's class. A rejected
 value raises `ConfigError` naming ``block.key``.
+
+``seeds.master`` is an integer in [0, 2**64), the seeds `rng.RngStream`
+tells apart. The SSB measurement noise (`RadioConfig.ssb_noise_power_dbm`)
+and the panel's half-wavelength element spacing are derived, not keys.
 """
 
 from __future__ import annotations
@@ -32,44 +36,40 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RadioConfig:
-    """Carrier, bandwidth and power constants shared by all sectors."""
+    """Carrier, data band (`n_prb_total` PRBs) and power constants shared by all sectors."""
 
     carrier_freq_hz: float = 3.5e9
-    bandwidth_hz: float = 30e6
     n_prb_total: int = 75
     prb_bandwidth_hz: float = 360e3
     noise_psd_dbm_per_hz: float = -174.0
     ue_noise_figure_db: float = 9.0
-    # SSB measurement noise: thermal over 240 subcarriers x 30 kHz + NF.
-    ssb_noise_power_dbm: float | None = None
     max_ssb_power_dbm: float = 43.0
     sector_tx_power_dbm: float = 46.0
 
     def __post_init__(self):
-        _check_fields(self, "radio", positive=("carrier_freq_hz", "bandwidth_hz", "prb_bandwidth_hz"))
-        if self.n_prb_total * self.prb_bandwidth_hz > self.bandwidth_hz + 1e-6:
-            raise ConfigError("radio.n_prb_total x radio.prb_bandwidth_hz exceeds radio.bandwidth_hz")
-        if self.ssb_noise_power_dbm is None:
-            ssb_bw_hz = 240 * 30e3
-            object.__setattr__(
-                self,
-                "ssb_noise_power_dbm",
-                self.noise_psd_dbm_per_hz + 10.0 * math.log10(ssb_bw_hz) + self.ue_noise_figure_db,
-            )
-        for name in (
-            "noise_psd_dbm_per_hz", "ue_noise_figure_db", "ssb_noise_power_dbm",
-            "max_ssb_power_dbm", "sector_tx_power_dbm",
+        _check_fields(self, "radio", positive=("carrier_freq_hz", "prb_bandwidth_hz"))
+        for name, value in (
+            ("radio.noise_psd_dbm_per_hz", self.noise_psd_dbm_per_hz),
+            ("radio.ue_noise_figure_db", self.ue_noise_figure_db),
+            ("the SSB noise of radio.noise_psd_dbm_per_hz and radio.ue_noise_figure_db", self.ssb_noise_power_dbm),
+            ("radio.max_ssb_power_dbm", self.max_ssb_power_dbm),
+            ("radio.sector_tx_power_dbm", self.sector_tx_power_dbm),
         ):
             try:
-                linear = 10.0 ** (getattr(self, name) / 10.0)
+                linear = 10.0 ** (value / 10.0)
             except OverflowError:
                 linear = math.inf
             if not 0.0 < linear < math.inf:
-                raise ConfigError(f"radio.{name} must give a positive, finite linear value")
+                raise ConfigError(f"{name} must give a positive, finite linear value")
 
     @property
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
+
+    @property
+    def ssb_noise_power_dbm(self) -> float:
+        """Thermal noise over the SSB's 240 subcarriers of 30 kHz plus the UE noise figure."""
+        return self.noise_psd_dbm_per_hz + 10.0 * math.log10(240 * 30e3) + self.ue_noise_figure_db
 
     @property
     def ssb_noise_mw(self) -> float:
@@ -89,16 +89,10 @@ class LayoutParams:
     bs_height_m: float = 25.0
     panel_columns: int = 4
     panel_rows: int = 8
-    element_spacing_h_wavelengths: float = 0.5
-    element_spacing_v_wavelengths: float = 0.5
     downtilt_deg: float = 0.0
 
     def __post_init__(self):
-        _check_fields(
-            self, "layout",
-            positive=("isd_m", "bs_height_m", "element_spacing_h_wavelengths", "element_spacing_v_wavelengths"),
-            least={"tiers": 0},
-        )
+        _check_fields(self, "layout", positive=("isd_m", "bs_height_m"), least={"tiers": 0})
         share = gue_drop_share(self.isd_m)
         if share <= GUE_MIN_DROP_SHARE:
             raise ConfigError(
@@ -356,7 +350,8 @@ def codebook_params_from_config(cfg: dict) -> CodebookParams:
 
 def validate_config(raw: dict) -> dict:
     """Merge a raw config dict with defaults, rejecting unknown keys, a
-    non-integer master seed and every value a parameter class refuses."""
+    master seed outside the integers of [0, 2**64) and every value a
+    parameter class refuses. The master seed is stored as an int."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for block in _REQUIRED_BLOCKS:
@@ -367,8 +362,10 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"unknown config block '{block}'")
     cfg = {name: _merge_block(name, raw.get(name)) for name in _DEFAULTS}
     master = cfg["seeds"]["master"]
-    if not isinstance(master, int) or isinstance(master, bool):
-        raise ConfigError("seeds.master must be an integer")
+    # compared as an int: 2**64 - 1 rounds up to 2**64 as a float
+    if not (_finite(master, "seeds.master").is_integer() and 0 <= int(master) < 2**64):
+        raise ConfigError("seeds.master must be an integer in [0, 2**64)")
+    cfg["seeds"]["master"] = int(master)
     for name in _PARAMS:
         block_params(cfg, name)
     return cfg

@@ -5,15 +5,17 @@ Azimuth angles are measured counter-clockwise from the +x axis; a panel's
 ``downtilt_deg`` is the angle of its boresight below the horizon, so a beam
 steered broadside of an untilted panel leaves horizontally.
 
-Users and UAVs are placed as plain (n, 3) position arrays, one row per
-entity; `channel.entity_block` wraps one for `channel.build_channels`.
+All sectors share one `UpaGeometry` panel; a `Sector` adds its id, mast
+position and bearing. Users and UAVs are placed as plain (n, 3) position
+arrays, one row per entity; `channel.entity_block` wraps one for
+`channel.build_channels`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +27,11 @@ from .config import (
 from .rng import RngStream
 
 
+# Element spacing of every panel, in wavelengths: the spacing at which the
+# codebooks' DFT beams have the direction cosines `codebook._stack` gives them.
+ELEMENT_SPACING_WAVELENGTHS = 0.5
+
+
 class DegenerateHighway(Exception):
     """Raised when the highway polyline has zero length."""
 
@@ -34,15 +41,12 @@ class UpaGeometry:
     """Uniform planar array: m_h columns (horizontal) x m_v rows (vertical).
 
     Element offsets live in the panel frame: x boresight, y along the panel
-    horizontally, z up the panel; they are symmetric about the panel centre.
+    horizontally, z up the panel; they are symmetric about the panel centre
+    and `ELEMENT_SPACING_WAVELENGTHS` apart along both axes.
     """
 
     m_h: int
     m_v: int
-    element_spacing_h_wavelengths: float = 0.5
-    element_spacing_v_wavelengths: float = 0.5
-    panel_height_m: float = 25.0
-    bearing_deg: float = 0.0
     downtilt_deg: float = 0.0
 
     @property
@@ -52,22 +56,16 @@ class UpaGeometry:
     def element_coords(self, wavelength_m: float) -> np.ndarray:
         """3 x M element offsets in meters, column-major (column varies slowest).
 
-        The offsets do not depend on the panel's height, bearing or tilt, so
-        all sectors of a layout share them: they are built once per distinct
-        (shape, spacing) and returned read-only.
+        The offsets do not depend on the panel's tilt, so they are built
+        once per (shape, wavelength) and returned read-only.
         """
-        return _element_offsets(
-            self.m_h,
-            self.m_v,
-            self.element_spacing_h_wavelengths * wavelength_m,
-            self.element_spacing_v_wavelengths * wavelength_m,
-        )
+        return _element_offsets(self.m_h, self.m_v, ELEMENT_SPACING_WAVELENGTHS * wavelength_m)
 
 
 @functools.lru_cache(maxsize=8)
-def _element_offsets(m_h: int, m_v: int, dy: float, dz: float) -> np.ndarray:
-    cols = (np.arange(m_h) - (m_h - 1) / 2.0) * dy
-    rows = (np.arange(m_v) - (m_v - 1) / 2.0) * dz
+def _element_offsets(m_h: int, m_v: int, spacing_m: float) -> np.ndarray:
+    cols = (np.arange(m_h) - (m_h - 1) / 2.0) * spacing_m
+    rows = (np.arange(m_v) - (m_v - 1) / 2.0) * spacing_m
     coords = np.zeros((3, m_h * m_v))
     coords[1] = np.repeat(cols, m_v)
     coords[2] = np.tile(rows, m_h)
@@ -77,10 +75,12 @@ def _element_offsets(m_h: int, m_v: int, dy: float, dz: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sector:
+    """The layout's one panel on a mast, facing `bearing_deg` (from +x, counter-clockwise)."""
+
     id: int
-    site_id: int
     panel: UpaGeometry
     position_3d_m: tuple[float, float, float]
+    bearing_deg: float
 
     @property
     def position(self) -> np.ndarray:
@@ -132,22 +132,14 @@ def hex_site_positions(tiers: int, isd_m: float) -> np.ndarray:
     return np.array([[x, y] for _, _, x, y in cells])
 
 
-def build_hex_layout(tiers: int, isd_m: float, sector_template: UpaGeometry) -> list[Sector]:
-    """Three-sector sites on a hex grid; bearings 0/120/240 degrees at each site."""
-    sites = hex_site_positions(tiers, isd_m)
-    sectors = []
-    for site_id, (x, y) in enumerate(sites):
-        for k in range(3):
-            panel = replace(sector_template, bearing_deg=120.0 * k)
-            sectors.append(
-                Sector(
-                    id=3 * site_id + k,
-                    site_id=site_id,
-                    panel=panel,
-                    position_3d_m=(float(x), float(y), sector_template.panel_height_m),
-                )
-            )
-    return sectors
+def build_hex_layout(tiers: int, isd_m: float, panel: UpaGeometry, height_m: float) -> list[Sector]:
+    """Three-sector sites on a hex grid, every sector holding `panel` on a
+    `height_m` mast; sector 3 s + k of site s faces 120 k degrees."""
+    return [
+        Sector(id=3 * site + k, panel=panel, position_3d_m=(float(x), float(y), height_m), bearing_deg=120.0 * k)
+        for site, (x, y) in enumerate(hex_site_positions(tiers, isd_m))
+        for k in range(3)
+    ]
 
 
 # Hexagonal Voronoi cell of the triangular site lattice: six half-planes with
@@ -195,7 +187,7 @@ def place_ground_users(
     radius = isd_m / math.sqrt(3.0)  # hexagon circumradius
     size = (max(8 * per_cell, 32), 2)
     rngs = streams.derive_many(("gue-pos", snapshot, sector.id) for sector in sectors)
-    bearings = np.array([sector.panel.bearing_deg for sector in sectors])
+    bearings = np.array([sector.bearing_deg for sector in sectors])
     first = np.stack([rng.uniform(-radius, radius, size=size) for rng in rngs])
     ok = _in_dominance_area(first, bearings[:, None], isd_m)
     kept = [batch[mask] for batch, mask in zip(first, ok)]
@@ -293,15 +285,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     layout = block_params(cfg, "layout")
     corridor = block_params(cfg, "highway")
 
-    template = UpaGeometry(
-        m_h=layout.panel_columns,
-        m_v=layout.panel_rows,
-        element_spacing_h_wavelengths=layout.element_spacing_h_wavelengths,
-        element_spacing_v_wavelengths=layout.element_spacing_v_wavelengths,
-        panel_height_m=layout.bs_height_m,
-        downtilt_deg=layout.downtilt_deg,
-    )
-    sectors = build_hex_layout(layout.tiers, layout.isd_m, template)
+    panel = UpaGeometry(m_h=layout.panel_columns, m_v=layout.panel_rows, downtilt_deg=layout.downtilt_deg)
+    sectors = build_hex_layout(layout.tiers, layout.isd_m, panel, layout.bs_height_m)
 
     polyline = corridor.polyline
     if polyline is None:

@@ -91,13 +91,12 @@ def metric_noise_mw(radio: RadioConfig) -> float:
 
 @dataclass(frozen=True)
 class SegmentAssignment:
-    """Chi argmax per segment, the designated-cell set and every pair's terms.
+    """The designated-cell set, each corridor point's required cell and every pair's terms.
 
     `p_gain`, `inv_cond`, `cross_corr` and `chi` are (Z, B) arrays, row z
     segment z, column b sector b.
     """
 
-    serving_cell: tuple[int, ...]  # per segment
     designated_cells: tuple[int, ...]  # sorted unique serving cells
     required_cell: np.ndarray  # per corridor point, its segment's serving cell
     p_gain: np.ndarray
@@ -123,7 +122,6 @@ def assign_segments(
     p_gain, inv_cond, cross_corr, chi = (np.array(x) for x in zip(*scores))
     serving = np.argmax(chi, axis=1)  # first occurrence: the lowest sector id
     return SegmentAssignment(
-        serving_cell=tuple(serving.tolist()),
         designated_cells=tuple(sorted(set(serving.tolist()))),
         required_cell=np.repeat(serving, [b - a for a, b in segments]),
         p_gain=p_gain,

@@ -228,7 +228,7 @@ def per_sector_channels(scenario, positions, snapshot, stream_tag):
         draws = reference_derive(scenario.master_seed, "los", stream_tag, snapshot, j).uniform(size=n)
         rng_shadow = reference_derive(scenario.master_seed, "shadow", stream_tag, snapshot, j)
         is_los[:, j] = draws < los_probability(d2d, heights)
-        rho = path_loss(d2d, d3d, heights, is_los[:, j], radio, h_bs_m=sector.panel.panel_height_m)
+        rho = path_loss(d2d, d3d, heights, is_los[:, j], radio, h_bs_m=sector.position_3d_m[2])
         sigma = np.where(is_los[:, j], sigma_los, sigma_nlos)
         tau = shadow_gain(sigma, shadow_field(factor, rng_shadow))
         beta[:, j] = rho * tau * element_gain(az, zen)
@@ -262,7 +262,7 @@ def per_sector_ground_users(sectors, per_cell, isd_m, master_seed, height_m=1.5,
         kept = np.empty((0, 2))
         while kept.shape[0] < per_cell:
             batch = rng.uniform(-radius, radius, size=(max(8 * per_cell, 32), 2))
-            ok = batch[_in_dominance_area(batch, sector.panel.bearing_deg, isd_m)]
+            ok = batch[_in_dominance_area(batch, sector.bearing_deg, isd_m)]
             kept = np.vstack([kept, ok])
         positions[k, :, :2] = sector.position[:2] + kept[:per_cell]
     return positions.reshape(-1, 3)

@@ -228,7 +228,7 @@ class TestElementGain:
 class TestLosComponent:
     def test_single_element_phase(self):
         panel = UpaGeometry(m_h=1, m_v=1)
-        sector = Sector(0, 0, panel, (0.0, 0.0, 25.0))
+        sector = Sector(0, panel, (0.0, 0.0, 25.0), 0.0)
         _, d3d, _, _, unit = sector_geometry(sector, np.array([[120.0, 0.0, 25.0]]))
         h = los_components(unit, d3d, panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)
         assert h.shape == (1, 1)
@@ -236,8 +236,8 @@ class TestLosComponent:
         assert h[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_unit_modulus_everywhere(self):
-        panel = UpaGeometry(m_h=4, m_v=8, bearing_deg=120.0, downtilt_deg=8.0)
-        sector = Sector(0, 0, panel, (10.0, -20.0, 25.0))
+        panel = UpaGeometry(m_h=4, m_v=8, downtilt_deg=8.0)
+        sector = Sector(0, panel, (10.0, -20.0, 25.0), 120.0)
         gen = np.random.default_rng(3)
         positions = np.empty((20, 3))
         for pos in positions:
@@ -251,8 +251,8 @@ class TestLosComponent:
 
     @pytest.mark.parametrize("rows", [[4], [0, 5, 19]])
     def test_rows_are_the_full_rows(self, rows):
-        panel = UpaGeometry(m_h=4, m_v=8, bearing_deg=240.0, downtilt_deg=6.0)
-        sector = Sector(0, 0, panel, (10.0, -20.0, 25.0))
+        panel = UpaGeometry(m_h=4, m_v=8, downtilt_deg=6.0)
+        sector = Sector(0, panel, (10.0, -20.0, 25.0), 240.0)
         gen = np.random.default_rng(11)
         positions = gen.uniform(-700, 700, (20, 3))
         positions[:, 2] = gen.uniform(1.5, 150.0, 20)
@@ -264,7 +264,7 @@ class TestLosComponent:
 
     def test_matched_weight_gain_is_m(self):
         panel = UpaGeometry(m_h=4, m_v=8)
-        sector = Sector(0, 0, panel, (0.0, 0.0, 25.0))
+        sector = Sector(0, panel, (0.0, 0.0, 25.0), 0.0)
         _, d3d, _, _, unit = sector_geometry(sector, np.array([[300.0, 80.0, 100.0]]))
         h = los_components(unit, d3d, panel.element_coords(RADIO.wavelength_m), RADIO.wavelength_m)[0]
         m = panel.n_elements
@@ -313,7 +313,7 @@ class TestRicianChannel:
 class TestExpectedChannel:
     def setup_method(self):
         self.panel = UpaGeometry(m_h=4, m_v=8)
-        self.sector = Sector(0, 0, self.panel, (0.0, 0.0, 25.0))
+        self.sector = Sector(0, self.panel, (0.0, 0.0, 25.0), 0.0)
         self.params = ChannelParams()
         self.point = np.array([[350.0, 144.0, 100.0]])
 
@@ -343,7 +343,7 @@ class TestExpectedChannel:
         params = small_scenario.channel_params
         _, d3d, az, zen, unit = sector_geometry(sector, self.point)
         d2d = math.hypot(self.point[0, 0], self.point[0, 1])
-        rho = path_loss(d2d, d3d[0], 100.0, True, small_scenario.radio, sector.panel.panel_height_m)
+        rho = path_loss(d2d, d3d[0], 100.0, True, small_scenario.radio, sector.position_3d_m[2])
         g = element_gain(az[0], zen[0])
         h_los = los_components(
             unit, d3d, sector.panel.element_coords(small_scenario.radio.wavelength_m),
@@ -724,7 +724,7 @@ class TestEntityAtPanel:
 
     def test_expected_channels(self):
         highway = discretize_highway(np.array([[-125.0, 0.0, 25.0], [125.0, 0.0, 25.0]]), 125.0, 3)
-        sector = Sector(7, 2, UpaGeometry(m_h=4, m_v=8), (0.0, 0.0, 25.0))
+        sector = Sector(7, UpaGeometry(m_h=4, m_v=8), (0.0, 0.0, 25.0), 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"entity row 1 .*sector 7\b"):

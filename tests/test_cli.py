@@ -128,6 +128,11 @@ class TestRun:
             # variables that name no config key, as a misspelling does
             ("SKYBEAM_OPTIMIZER_MAX_ITER", "5", "SKYBEAM_OPTIMIZER_MAX_ITER"),
             ("SKYBEAM_NOISE_DB", "5", "SKYBEAM_NOISE_DB"),
+            # keys that earlier versions had
+            ("SKYBEAM_RADIO_BANDWIDTH_HZ", "30e6", "SKYBEAM_RADIO_BANDWIDTH_HZ"),
+            ("SKYBEAM_RADIO_SSB_NOISE_POWER_DBM", "-96.4", "SKYBEAM_RADIO_SSB_NOISE_POWER_DBM"),
+            ("SKYBEAM_LAYOUT_ELEMENT_SPACING_H_WAVELENGTHS", "0.5", "SKYBEAM_LAYOUT_ELEMENT_SPACING_H_WAVELENGTHS"),
+            ("SKYBEAM_LAYOUT_ELEMENT_SPACING_V_WAVELENGTHS", "0.5", "SKYBEAM_LAYOUT_ELEMENT_SPACING_V_WAVELENGTHS"),
         ],
     )
     def test_env_override_out_of_range_exits_1(
@@ -184,6 +189,44 @@ class TestRun:
         argv = [*command, "--config", str(small_config_path), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         assert f"{block}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("radio", "bandwidth_hz", 30e6), ("radio", "ssb_noise_power_dbm", -96.4),
+         ("layout", "element_spacing_h_wavelengths", 0.5), ("layout", "element_spacing_v_wavelengths", 0.5)],
+    )
+    def test_removed_key_in_file_exits_1(self, small_config_path, tmp_path, capsys, block, key, value):
+        """Keys that earlier versions had are unknown now: a config saved
+        from an earlier `default_config()` must drop them."""
+        assert key not in default_config()[block]
+        cfg = json.loads(small_config_path.read_text())
+        cfg[block][key] = value
+        small_config_path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(small_config_path), "--out", str(tmp_path / "o"), "--snapshots", "1"])
+        assert code == 1
+        assert f"unknown config key '{block}.{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--n-max", "2"]])
+    @pytest.mark.parametrize("source", ["file", "env", "flag"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_out_of_range_exits_1(
+        self, small_config_path, tmp_path, monkeypatch, capsys, command, source, seed
+    ):
+        """A seed outside [0, 2**64) is rejected before any artifact is
+        written, wherever it comes from."""
+        argv = [*command, "--config", str(small_config_path), "--out", str(tmp_path / "o"), "--snapshots", "1"]
+        if source == "file":
+            cfg = json.loads(small_config_path.read_text())
+            cfg["seeds"]["master"] = seed
+            small_config_path.write_text(json.dumps(cfg))
+        elif source == "env":
+            monkeypatch.setenv("SKYBEAM_SEEDS_MASTER", str(seed))
+        else:
+            argv += ["--seed", str(seed)]
+        assert main(argv) == 1
+        assert "seeds.master" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
@@ -546,7 +589,7 @@ def test_report_rows_match_fstring_formatting(tmp_path):
     )
 
     grid = np.array([[0.0, 5e-324, 1.0 / 3.0], [1e300, np.nan, 2.5e-13]])
-    assignment = SegmentAssignment(serving_cell=(2, 0), designated_cells=(0, 2), required_cell=np.array([2, 0]),
+    assignment = SegmentAssignment(designated_cells=(0, 2), required_cell=np.array([2, 0]),
                                    p_gain=grid, inv_cond=grid[::-1], cross_corr=grid[:, ::-1], chi=-grid)
     metric = "".join(
         f"{z},{b},{db(p):.10g},{assignment.inv_cond[z, b]:.10g},{db(assignment.cross_corr[z, b]):.10g},"

@@ -96,21 +96,30 @@ class TestDlCodebook:
         assert np.all(np.abs(book.weights) > 0.0)
 
     def test_matched_direction_gain_is_m(self):
-        # steering vector built from the beam's own direction cosines
+        """The steering vector built from a codeword's own direction cosines
+        gets the codeword's full array gain, its active element count: for
+        12 random data codewords and for every SSB codeword of the default
+        panel, each deactivated sub-book included. This pins the
+        half-wavelength wrap of `directions` that `baseline_plan` relies on."""
         panel = UpaGeometry(m_h=4, m_v=8)
-        book = build_dl_codebook(panel, 4, 4)
-        m = panel.n_elements
         coords = panel.element_coords(RADIO.wavelength_m)
         lam = RADIO.wavelength_m
+        dl = build_dl_codebook(panel, 4, 4)
+        ssb = build_ssb_codebook(panel, 4, 1)
         gen = np.random.default_rng(0)
-        for idx in gen.integers(0, len(book), 12):
-            u, w = book.directions[idx]
-            if u**2 + w**2 >= 1.0:
-                continue  # invisible-region beam has no physical direction
-            kvec = np.array([math.sqrt(1 - u**2 - w**2), u, w])
-            h = np.exp(1j * 2 * np.pi / lam * (kvec @ coords))
-            gain = abs(h @ book.weights[idx]) ** 2
-            assert gain == pytest.approx(m, rel=1e-9)
+        checked = {"dl": 0, "ssb": 0}
+        for name, book, indices in (("dl", dl, gen.integers(0, len(dl), 12)), ("ssb", ssb, range(len(ssb)))):
+            for idx in indices:
+                u, w = book.directions[idx]
+                if u**2 + w**2 >= 1.0:
+                    continue  # invisible-region beam has no physical direction
+                kvec = np.array([math.sqrt(1 - u**2 - w**2), u, w])
+                h = np.exp(1j * 2 * np.pi / lam * (kvec @ coords))
+                gain = abs(h @ book.weights[idx]) ** 2
+                assert gain == pytest.approx(book.active_columns[idx] * panel.m_v, rel=1e-9), (name, idx)
+                checked[name] += 1
+        assert checked["ssb"] == 228  # of 320; every sub-book has visible codewords
+        assert set(ssb.active_columns[np.sum(ssb.directions**2, axis=1) < 1.0].tolist()) == {1, 2, 3, 4}
 
 
 def test_deactivation_widens_beams():

@@ -61,6 +61,7 @@ def test_unknown_block_rejected():
      ("channel", "shadow_sigma_los_ground_db", float("nan")),
      ("channel", "shadow_corr_dist_ground_m", -50), ("channel", "shadow_sigma_nlos_aerial_db", -1.0),
      ("radio", "carrier_freq_hz", float("nan")), ("radio", "carrier_freq_hz", float("inf")),
+     # radio.bandwidth_hz and radio.ssb_noise_power_dbm are unknown keys now
      ("radio", "bandwidth_hz", float("nan")), ("radio", "n_prb_total", -5),
      ("radio", "n_prb_total", 2.5), ("radio", "n_prb_total", True),
      ("radio", "prb_bandwidth_hz", 0), ("radio", "prb_bandwidth_hz", -1),
@@ -81,13 +82,27 @@ def test_unknown_block_rejected():
      ("highway", "altitude_m", 0.0), ("highway", "altitude_m", -100.0),
      ("layout", "bs_height_m", 0), ("layout", "bs_height_m", -5.0),
      ("highway", "polyline", [[0.0, 0.0, 100.0], [500.0, 0.0, 0.0]]),
-     pytest.param("layout", "bs_height_m", 10**400, id="layout-bs_height_m-int_beyond_float")],
+     pytest.param("layout", "bs_height_m", 10**400, id="layout-bs_height_m-int_beyond_float"),
+     # the master seed keys 64-bit streams: below 0 or from 2**64 on it would
+     # alias another seed's channels, or fail in the search's generator
+     ("seeds", "master", -1), ("seeds", "master", -3), ("seeds", "master", 2**64),
+     ("seeds", "master", 1.5), ("seeds", "master", -1.0), ("seeds", "master", float(2**64)),
+     ("seeds", "master", float("nan")), pytest.param("seeds", "master", 10**400, id="seeds-master-int_beyond_float")],
 )
 def test_out_of_range_value_rejected(block, key, value):
     raw = default_config()
     raw[block][key] = value
     with pytest.raises(ConfigError, match=f"{block}.{key}"):
         validate_config(raw)
+
+
+@pytest.mark.parametrize("value, seed", [(2.0, 2), (0, 0), (2**64 - 1, 2**64 - 1), (100.0, 100)])
+def test_master_seed_is_stored_as_an_int(value, seed):
+    raw = default_config()
+    raw["seeds"]["master"] = value
+    cfg = validate_config(raw)
+    assert type(cfg["seeds"]["master"]) is int and cfg["seeds"]["master"] == seed
+    assert block_params(cfg, "optimizer").seed == seed
 
 
 def test_defaults_are_the_parameter_class_defaults():
@@ -122,23 +137,25 @@ class TestRadioConfig:
         radio = RadioConfig()
         assert radio.wavelength_m == pytest.approx(299_792_458.0 / 3.5e9)
 
-    def test_prb_budget_invariant(self):
-        with pytest.raises(ConfigError, match="bandwidth"):
-            RadioConfig(bandwidth_hz=10e6, n_prb_total=100, prb_bandwidth_hz=360e3)
-
     def test_default_ssb_noise(self):
         radio = RadioConfig()
         expected = -174.0 + 10 * math.log10(240 * 30e3) + 9.0
         assert radio.ssb_noise_power_dbm == pytest.approx(expected)
 
-    def test_explicit_ssb_noise_kept(self):
-        radio = RadioConfig(ssb_noise_power_dbm=-90.0)
-        assert radio.ssb_noise_power_dbm == -90.0
+    def test_ssb_noise_follows_its_two_keys(self):
+        radio = RadioConfig(noise_psd_dbm_per_hz=-170.0, ue_noise_figure_db=5.0)
+        assert radio.ssb_noise_power_dbm == pytest.approx(-170.0 + 10 * math.log10(7.2e6) + 5.0)
+
+    def test_ssb_noise_overflow_names_both_keys(self):
+        # each key alone gives a finite linear value, their sum does not
+        with pytest.raises(ConfigError, match="radio.noise_psd_dbm_per_hz and radio.ue_noise_figure_db"):
+            RadioConfig(noise_psd_dbm_per_hz=3000.0, ue_noise_figure_db=3000.0)
 
     def test_from_config_roundtrip(self):
         cfg = validate_config(default_config())
         radio = block_params(cfg, "radio")
-        assert radio.n_prb_total * radio.prb_bandwidth_hz <= radio.bandwidth_hz
+        assert radio == RadioConfig()
+        assert radio.n_prb_total * radio.prb_bandwidth_hz == pytest.approx(27e6)  # the data band
 
 
 class TestChannelParams:

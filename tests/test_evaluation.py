@@ -180,7 +180,7 @@ def test_inter_cell_interference_sanity_bound():
 
 class TestAchievableRate:
     def test_arithmetic_36mbps(self):
-        radio = RadioConfig(bandwidth_hz=40e6, n_prb_total=100, prb_bandwidth_hz=360e3)
+        radio = RadioConfig(n_prb_total=100, prb_bandwidth_hz=360e3)
         assert achievable_rate(0.0, 1, radio) == pytest.approx(36e6)
 
     def test_sharers_halve_rate(self):

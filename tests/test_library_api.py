@@ -10,8 +10,10 @@ unused property. Dunder methods are exempt, and so is a
 method that implements an abstract method of a base class imported from
 outside the package: the outside code calls it, as Python calls a dunder.
 A class field counts as read when `src/skybeam` reads an attribute of that
-name. The few fields that only tests read are named in `TEST_ONLY_FIELDS`,
-so a new test-only field fails here until it is listed.
+name outside the class's own `__post_init__`: a field that only its own
+validation reads changes no output. The few fields that only tests read are
+named in `TEST_ONLY_FIELDS`, so a new test-only field fails here until it is
+listed.
 """
 
 import ast
@@ -45,15 +47,16 @@ def _library_uses() -> set[str]:
     return used
 
 
-def _attribute_reads(directory: Path) -> set[str]:
-    """Attribute names that the modules of `directory` read (`obj.name` in a load)."""
+def _attribute_reads(trees, skip=None) -> set[str]:
+    """Attribute names that the module `trees` read (`obj.name` in a load),
+    leaving out the reads inside `skip`, a node of one of those trees."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
     return {
         node.attr
-        for _, tree in _trees(directory)
+        for tree in trees
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in skipped
     }
-
 
 def test_every_public_definition_is_used_in_the_library():
     defined: dict[str, str] = {}
@@ -122,7 +125,7 @@ def test_every_method_is_used_in_the_library():
                             continue
                         if stmt.name not in implemented:
                             methods[f"{path.name}:{node.name}.{stmt.name}"] = stmt.name
-    used = _attribute_reads(SRC)
+    used = _attribute_reads(tree for _, tree in _trees(SRC))
     unused = sorted(key for key, name in methods.items() if name not in used)
     assert not unused, f"methods and properties no library code uses: {unused}"
 
@@ -130,23 +133,30 @@ def test_every_method_is_used_in_the_library():
 # class fields that tests read and no library code does
 TEST_ONLY_FIELDS = {
     "genetic.py:Individual.fitness",
-    "scenario.py:Sector.site_id",
-    "segment_metric.py:SegmentAssignment.serving_cell",
 }
 
 
 def test_every_class_field_is_read():
     fields: dict[str, str] = {}  # "module:Class.field" -> field name
-    for path, tree in _trees(SRC):
+    reads: dict[str, set[str]] = {}  # "module:Class.field" -> library reads outside its class's __post_init__
+    src = list(_trees(SRC))
+    trees = [tree for _, tree in src]
+    library = _attribute_reads(trees)
+    for path, tree in src:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
+                post_init = next(
+                    (stmt for stmt in node.body if isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"),
+                    None,
+                )
+                class_reads = library if post_init is None else _attribute_reads(trees, skip=post_init)
                 for stmt in node.body:
                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                        fields[f"{path.name}:{node.name}.{stmt.target.id}"] = stmt.target.id
-    library = _attribute_reads(SRC)
-    unread = sorted(key for key, name in fields.items() if name not in library and key not in TEST_ONLY_FIELDS)
+                        key = f"{path.name}:{node.name}.{stmt.target.id}"
+                        fields[key], reads[key] = stmt.target.id, class_reads
+    unread = sorted(key for key, name in fields.items() if name not in reads[key] and key not in TEST_ONLY_FIELDS)
     assert not unread, f"class fields no library code reads: {unread}"
-    test_only = _attribute_reads(TESTS) - library
+    test_only = _attribute_reads(tree for _, tree in _trees(TESTS)) - library
     stale = sorted(key for key in TEST_ONLY_FIELDS if fields.get(key) not in test_only)
     assert not stale, f"TEST_ONLY_FIELDS entries that are gone, read by the library or read by no test: {stale}"
 

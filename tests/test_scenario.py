@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from skybeam.rng import RngStream
 from skybeam.scenario import (
     AerialHighway,
     DegenerateHighway,
+    Sector,
     UpaGeometry,
     _in_dominance_area,
     build_hex_layout,
@@ -20,7 +22,7 @@ from skybeam.scenario import (
     scenario_from_config,
 )
 
-TEMPLATE = UpaGeometry(m_h=4, m_v=8, panel_height_m=25.0)
+PANEL = UpaGeometry(m_h=4, m_v=8)
 
 
 def straight_line(length, y=0.0, z=100.0):
@@ -29,14 +31,14 @@ def straight_line(length, y=0.0, z=100.0):
 
 class TestHexLayout:
     def test_two_tiers_gives_19_sites_57_sectors(self):
-        sectors = build_hex_layout(2, 500.0, TEMPLATE)
-        assert len({s.site_id for s in sectors}) == 19
+        sectors = build_hex_layout(2, 500.0, PANEL, 25.0)
+        assert len({s.position_3d_m for s in sectors}) == 19
         assert len(sectors) == 57
 
     def test_zero_tiers_center_site_only(self):
-        sectors = build_hex_layout(0, 500.0, TEMPLATE)
+        sectors = build_hex_layout(0, 500.0, PANEL, 25.0)
         assert len(sectors) == 3
-        assert all(s.site_id == 0 for s in sectors)
+        assert all(s.position_3d_m == (0.0, 0.0, 25.0) for s in sectors)
 
     def test_one_tier_min_site_distance_is_isd(self):
         # oracle: exhaustive pairwise distances over the 7 site positions
@@ -51,35 +53,48 @@ class TestHexLayout:
 
     def test_sector_count_always_triple_site_count(self):
         for tiers in (0, 1, 2, 3):
-            sectors = build_hex_layout(tiers, 500.0, TEMPLATE)
-            assert len(sectors) == 3 * len({s.site_id for s in sectors})
+            sectors = build_hex_layout(tiers, 500.0, PANEL, 25.0)
+            assert len(sectors) == 3 * len({s.position_3d_m for s in sectors})
 
     def test_bearings_and_ids(self):
-        sectors = build_hex_layout(1, 500.0, TEMPLATE)
+        sites = hex_site_positions(1, 500.0)
+        sectors = build_hex_layout(1, 500.0, PANEL, 25.0)
         for s in sectors:
-            assert s.panel.bearing_deg in (0.0, 120.0, 240.0)
-            assert s.id == 3 * s.site_id + [0.0, 120.0, 240.0].index(s.panel.bearing_deg)
+            assert s.bearing_deg in (0.0, 120.0, 240.0)
+            site = s.id // 3
+            assert s.id == 3 * site + [0.0, 120.0, 240.0].index(s.bearing_deg)
+            assert s.position_3d_m == (sites[site][0], sites[site][1], 25.0)
+            assert s.panel is PANEL
+
+
+def test_one_panel_serves_every_sector(cfg):
+    """The panel holds its shape and tilt alone; each sector adds its mast
+    position and bearing, and every sector shares the one panel object."""
+    assert [f.name for f in dataclasses.fields(UpaGeometry)] == ["m_h", "m_v", "downtilt_deg"]
+    assert [f.name for f in dataclasses.fields(Sector)] == ["id", "panel", "position_3d_m", "bearing_deg"]
+    sectors = scenario_from_config(cfg).sectors
+    assert len(sectors) == 57 and all(s.panel is sectors[0].panel for s in sectors)
 
 
 class TestGroundUsers:
     def test_four_per_cell_over_57_sectors(self):
-        sectors = build_hex_layout(2, 500.0, TEMPLATE)
+        sectors = build_hex_layout(2, 500.0, PANEL, 25.0)
         users = place_ground_users(sectors, 4, 500.0, RngStream(1), 1.5, 0)
         assert len(users) == 228
 
     def test_zero_per_cell(self):
-        sectors = build_hex_layout(1, 500.0, TEMPLATE)
+        sectors = build_hex_layout(1, 500.0, PANEL, 25.0)
         assert len(place_ground_users(sectors, 0, 500.0, RngStream(1), 1.5, 0)) == 0
 
     def test_same_seed_reproducible(self):
-        sectors = build_hex_layout(1, 500.0, TEMPLATE)
+        sectors = build_hex_layout(1, 500.0, PANEL, 25.0)
         a = place_ground_users(sectors, 4, 500.0, RngStream(7), 1.5, 0)
         b = place_ground_users(sectors, 4, 500.0, RngStream(7), 1.5, 0)
         assert np.array_equal(a, b)
 
     def test_positions_inside_dominance_area(self):
         isd = 500.0
-        sectors = build_hex_layout(1, isd, TEMPLATE)
+        sectors = build_hex_layout(1, isd, PANEL, 25.0)
         users = place_ground_users(sectors, 6, isd, RngStream(3), 1.5, 0)
         per_sector = len(users) // len(sectors)
         for k, sector in enumerate(sectors):
@@ -90,7 +105,7 @@ class TestGroundUsers:
                     n = np.array([math.cos(math.radians(ang)), math.sin(math.radians(ang))])
                     assert d @ n <= isd / 2 + 1e-6
                 # wedge membership
-                rel = (math.degrees(math.atan2(d[1], d[0])) - sector.panel.bearing_deg + 180) % 360 - 180
+                rel = (math.degrees(math.atan2(d[1], d[0])) - sector.bearing_deg + 180) % 360 - 180
                 assert abs(rel) <= 60.0 + 1e-9
                 assert u[2] == 1.5
 
@@ -102,7 +117,7 @@ def _sectors_short_after_one_batch(sectors, per_cell, isd_m, master_seed, snapsh
     for sector in sectors:
         rng = reference_derive(master_seed, "gue-pos", snapshot, sector.id)
         batch = rng.uniform(-radius, radius, size=(max(8 * per_cell, 32), 2))
-        if np.count_nonzero(_in_dominance_area(batch, sector.panel.bearing_deg, isd_m)) < per_cell:
+        if np.count_nonzero(_in_dominance_area(batch, sector.bearing_deg, isd_m)) < per_cell:
             short.append(sector.id)
     return short
 
@@ -116,7 +131,7 @@ class TestDropMatchesPerSectorOracle:
     @pytest.mark.parametrize("per_cell", [1, 4, 40])
     @pytest.mark.parametrize("snapshot", [0, 3])
     def test_default_isd(self, per_cell, snapshot):
-        sectors = build_hex_layout(2, 500.0, TEMPLATE)
+        sectors = build_hex_layout(2, 500.0, PANEL, 25.0)
         got = place_ground_users(sectors, per_cell, 500.0, RngStream(1), 1.5, snapshot)
         want = per_sector_ground_users(sectors, per_cell, 500.0, 1, snapshot=snapshot)
         assert got.tobytes() == want.tobytes()
@@ -124,7 +139,7 @@ class TestDropMatchesPerSectorOracle:
     @pytest.mark.parametrize("per_cell", [1, 4])
     def test_sectors_needing_a_second_batch(self, per_cell):
         isd_m = 20.0  # a small drop share: some sectors' first batches fall short
-        sectors = build_hex_layout(1, isd_m, TEMPLATE)
+        sectors = build_hex_layout(1, isd_m, PANEL, 25.0)
         assert _sectors_short_after_one_batch(sectors, per_cell, isd_m, 2, 0)
         got = place_ground_users(sectors, per_cell, isd_m, RngStream(2), 2.0, 0)
         want = per_sector_ground_users(sectors, per_cell, isd_m, 2, height_m=2.0)
@@ -221,10 +236,10 @@ def test_default_polyline_crosses_cell_edges():
 def test_drop_share_matches_the_sampler(isd_m):
     # Monte-Carlo oracle: the share of the sampling square that the drop keeps
     # for one sector, on both sides of the disc crossing the hexagon's edges
-    sector = build_hex_layout(0, isd_m, TEMPLATE)[0]
+    sector = build_hex_layout(0, isd_m, PANEL, 25.0)[0]
     radius = isd_m / math.sqrt(3.0)
     candidates = np.random.default_rng(5).uniform(-radius, radius, size=(400_000, 2))
-    kept = np.mean(_in_dominance_area(candidates, sector.panel.bearing_deg, isd_m))
+    kept = np.mean(_in_dominance_area(candidates, sector.bearing_deg, isd_m))
     assert kept == pytest.approx(gue_drop_share(isd_m), rel=0.1)
 
 
@@ -238,6 +253,6 @@ def test_drop_share_of_a_huge_isd_is_a_third_of_the_hexagon():
 def test_smallest_accepted_isd_drops_ground_users():
     # 17.92 m is just above the floor that config validation rejects
     assert gue_drop_share(17.91) <= GUE_MIN_DROP_SHARE < gue_drop_share(17.92)
-    sectors = build_hex_layout(0, 17.92, TEMPLATE)
+    sectors = build_hex_layout(0, 17.92, PANEL, 25.0)
     users = place_ground_users(sectors, 4, 17.92, RngStream(1), 1.5, 0)
     assert len(users) == 12
