@@ -15,6 +15,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .codebook import Codebook
+from .config import dbm_to_mw
 from .scenario import Scenario
 
 N_SSB_SLOTS = 8
@@ -43,11 +44,6 @@ class BeamPlan:
 
     def copy(self) -> "BeamPlan":
         return BeamPlan(self.x.copy(), self.power_dbm.copy(), self.codeword.copy(), self.sweep.copy())
-
-
-def dbm_to_mw(power_dbm: np.ndarray) -> np.ndarray:
-    """Powers in dBm as mW, 10^(P/10): how every RSRP reads a plan's powers."""
-    return 10.0 ** (power_dbm / 10.0)
 
 
 def unique_ints(values) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,8 @@ to every config, and `block_params` builds one block's class. A rejected
 value raises `ConfigError` naming ``block.key``.
 
 ``seeds.master`` is an integer in [0, 2**64), the seeds `rng.RngStream`
-tells apart. The SSB measurement noise (`RadioConfig.ssb_noise_power_dbm`)
-and the panel's half-wavelength element spacing are derived, not keys.
+tells apart. The panel's half-wavelength element spacing is derived, not a
+key. `RadioConfig.noise_mw` is the receiver noise of every SINR.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any
 
 SPEED_OF_LIGHT = 299_792_458.0
+SSB_BANDWIDTH_HZ = 240 * 30e3  # 240 subcarriers of 30 kHz
 
 
 class ConfigError(Exception):
@@ -48,15 +49,17 @@ class RadioConfig:
 
     def __post_init__(self):
         _check_fields(self, "radio", positive=("carrier_freq_hz", "prb_bandwidth_hz"))
-        for name, value in (
-            ("radio.noise_psd_dbm_per_hz", self.noise_psd_dbm_per_hz),
-            ("radio.ue_noise_figure_db", self.ue_noise_figure_db),
-            ("the SSB noise of radio.noise_psd_dbm_per_hz and radio.ue_noise_figure_db", self.ssb_noise_power_dbm),
-            ("radio.max_ssb_power_dbm", self.max_ssb_power_dbm),
-            ("radio.sector_tx_power_dbm", self.sector_tx_power_dbm),
+        noise = "the noise of radio.noise_psd_dbm_per_hz and radio.ue_noise_figure_db over"
+        band = "the data band, radio.n_prb_total x radio.prb_bandwidth_hz"
+        for name, to_mw, value in (
+            ("radio.max_ssb_power_dbm", dbm_to_mw, self.max_ssb_power_dbm),
+            ("radio.sector_tx_power_dbm", dbm_to_mw, self.sector_tx_power_dbm),
+            (f"{noise} the SSB", self.noise_mw, SSB_BANDWIDTH_HZ),
+            (f"{noise} one PRB, radio.prb_bandwidth_hz", self.noise_mw, self.prb_bandwidth_hz),
+            (f"{noise} {band}", self.noise_mw, self.n_prb_total * self.prb_bandwidth_hz),
         ):
             try:
-                linear = 10.0 ** (value / 10.0)
+                linear = to_mw(value)
             except OverflowError:
                 linear = math.inf
             if not 0.0 < linear < math.inf:
@@ -66,18 +69,25 @@ class RadioConfig:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq_hz
 
-    @property
-    def ssb_noise_power_dbm(self) -> float:
-        """Thermal noise over the SSB's 240 subcarriers of 30 kHz plus the UE noise figure."""
-        return self.noise_psd_dbm_per_hz + 10.0 * math.log10(240 * 30e3) + self.ue_noise_figure_db
+    def noise_mw(self, bandwidth_hz: float) -> float:
+        """A UE receiver's noise over `bandwidth_hz`: the thermal PSD times
+        the bandwidth times the noise figure, summed in dBm. The coverage
+        SINR takes it over the SSB, the segment metric over one PRB and the
+        data phase over a UE's share of the band."""
+        return dbm_to_mw(self.noise_psd_dbm_per_hz + 10.0 * math.log10(bandwidth_hz) + self.ue_noise_figure_db)
 
     @property
     def ssb_noise_mw(self) -> float:
-        return 10.0 ** (self.ssb_noise_power_dbm / 10.0)
+        return self.noise_mw(SSB_BANDWIDTH_HZ)
 
     @property
-    def noise_psd_mw_per_hz(self) -> float:
-        return 10.0 ** (self.noise_psd_dbm_per_hz / 10.0)
+    def sector_tx_power_mw(self) -> float:
+        return dbm_to_mw(self.sector_tx_power_dbm)
+
+
+def dbm_to_mw(power_dbm):
+    """Powers in dBm as mW, 10^(P/10): a float or an array of them."""
+    return 10.0 ** (power_dbm / 10.0)
 
 
 @dataclass(frozen=True)

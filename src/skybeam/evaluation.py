@@ -31,6 +31,7 @@ from .association import (
     coverage_sinr_all,
     rsrp_table,
     select_serving_all,
+    sinr_db,
     unique_ints,
 )
 from .channel import ChannelSet, build_channels, entity_block
@@ -129,7 +130,7 @@ def data_phase_ground(
     """
     g, n_sectors = ground.beta.shape
     weights = dl_codebook.weights
-    sector_power_mw = 10.0 ** (radio.sector_tx_power_dbm / 10.0)
+    sector_power_mw = radio.sector_tx_power_mw
     if previous is None:
         sectors = unique_ints(serving_sector)[0]
         per_codeword = np.zeros((n_sectors, weights.shape[0]), dtype=int)
@@ -206,7 +207,7 @@ def data_phase_uavs(
     radio = ground.radio
     weights = ground.dl_weights
     g, n_sectors = gb.beta.shape
-    sector_power_mw = 10.0 ** (radio.sector_tx_power_dbm / 10.0)
+    sector_power_mw = radio.sector_tx_power_mw
     uav_beta, uav_h = uavs.beta, uavs.h
     u = uav_beta.shape[0]
     n = g + u
@@ -250,16 +251,16 @@ def data_phase_uavs(
     signal = beta_serving * own_proj * p_dl
     # intra-cell: co-cell UEs on *other* codewords
     intra = beta_serving * (total - own_proj * n_sharers * p_dl)
-    noise = radio.n_prb_total * radio.prb_bandwidth_hz / n_sharers * radio.noise_psd_mw_per_hz
-    sinr = signal / (intra + inter + noise)
-    sinr_db = 10.0 * np.log10(sinr)
-    rate = radio.n_prb_total * radio.prb_bandwidth_hz / n_sharers * np.log2(1.0 + sinr)
+    share_hz = radio.n_prb_total * radio.prb_bandwidth_hz / n_sharers  # a codeword's sharers split the band
+    noise = np.array([radio.noise_mw(bandwidth) for bandwidth in share_hz.tolist()])
+    impairment = intra + inter + noise
+    rate = share_hz * np.log2(1.0 + signal / impairment)
     return DataPhaseReport(
         serving_sector=serving,
         precoder=precoder,
         power_mw=p_dl,
         n_codeword_sharers=n_sharers,
-        sinr_db=sinr_db,
+        sinr_db=sinr_db(signal, impairment),
         rate_bps=rate,
     )
 

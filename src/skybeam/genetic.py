@@ -46,14 +46,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import (
-    BeamPlan, baseline_plan, beam_gain, coverage_sinr_all, dbm_to_mw, rsrp_table, select_serving_all,
-)
+from .association import BeamPlan, baseline_plan, beam_gain, coverage_sinr_all, rsrp_table, select_serving_all
 from .channel import ChannelSet, build_channels, entity_block, expected_channels
 from .codebook import Codebook
-from .config import EgaParams
+from .config import EgaParams, dbm_to_mw
 from .scenario import Scenario
-from .segment_metric import SegmentAssignment, assign_segments, metric_noise_mw
+from .segment_metric import SegmentAssignment, assign_segments
 
 
 @dataclass
@@ -315,7 +313,7 @@ def corridor_problem(
     """
     radio, highway = scenario.radio, scenario.highway
     h = expected_channels(scenario.sectors, highway.points, radio, scenario.channel_params)
-    assignment = assign_segments(h, highway.segments, metric_noise_mw(radio))
+    assignment = assign_segments(h, highway.segments, radio.noise_mw(radio.prb_bandwidth_hz))
     base = baseline_plan(scenario, ssb_codebook)
 
     gue_sector, gue_slot = select_serving_all(rsrp_table(ground, base, ssb_codebook))
@@ -368,7 +366,7 @@ def run(
     if n_cells == 0:
         raise ValueError("no designated cells to optimize")
     n_cb = evaluator.n_codewords
-    p_max_mw = 10.0 ** (p_max_dbm / 10.0)
+    p_max_mw = dbm_to_mw(p_max_dbm)
     rng = np.random.default_rng(params.seed)
     pop = _init_population(rng, params.n_pop, n_cells, n_cb, p_max_mw)
 

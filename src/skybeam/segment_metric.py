@@ -8,12 +8,12 @@ segment and the rest of the corridor (self-interference the cell would leak
 onto other segments). The winning cell per segment is the chi argmax.
 
 Channel matrices are expected in linear amplitude including the sqrt(beta)
-large-scale scaling, so P is a power, comparable to the noise term N
-(thermal noise over one PRB by default). F = sum |<h_i, h_z>|^2 is not: it
-scales with the square of channel power. On the default corridor F / N is
-at most 1.46e-3 over all 342 (segment, sector) pairs, so there chi is close
-to c * log2(1 + P / N). For the same reason chi changes when every channel
-is scaled by a and the noise by a^2 (P / N stays, F / N grows by a^2).
+large-scale scaling, so P is a power, comparable to the noise term N (the
+receiver noise over one PRB, noise figure included). F = sum |<h_i, h_z>|^2
+is not: it scales with the square of channel power. On the default corridor
+F / N is at most 1.84e-4 over all 342 (segment, sector) pairs, so there chi
+is close to c * log2(1 + P / N). So chi changes when every channel is scaled
+by a and the noise by a^2 (P / N stays, F / N grows by a^2).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .config import RadioConfig
 
 
 def _entries(x: np.ndarray) -> np.ndarray:
@@ -82,11 +80,6 @@ def segment_cell_metric(
     log2 = np.array([math.log2(x) for x in ratio.flat]).reshape(ratio.shape)
     chi = np.where(c == 0.0, 0.0, c * log2)[()]
     return p, c, f, chi
-
-
-def metric_noise_mw(radio: RadioConfig) -> float:
-    """Noise term of the metric: thermal PSD integrated over one PRB."""
-    return radio.noise_psd_mw_per_hz * radio.prb_bandwidth_hz
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,7 @@ def data_sinr(
             w_i = dl_codebook.weights[c]
             inter += beta[entity, b] * abs(h_u[b] @ w_i) ** 2 * p_cell[int(b)] / cnt
     n_w = int(np.sum((serving_sector == b_hat) & (precoder == precoder[entity])))
-    noise = radio.n_prb_total * radio.prb_bandwidth_hz / n_w * radio.noise_psd_mw_per_hz
+    noise = radio.noise_mw(radio.n_prb_total * radio.prb_bandwidth_hz / n_w)
     return 10.0 * math.log10(signal / (intra + inter + noise))
 
 
@@ -428,9 +428,11 @@ def joined_data_phase(blocks, serving_sector, dl_codebook, radio) -> DataPhaseRe
     signal = beta_serving * own_proj * p_dl
     # intra-cell: co-cell UEs on *other* codewords
     intra = beta_serving * (total - own_proj * n_sharers * p_dl)
-    noise = radio.n_prb_total * radio.prb_bandwidth_hz / n_sharers * radio.noise_psd_mw_per_hz
+    # the receiver noise over each UE's share of the band
+    noise = np.array([radio.noise_mw(radio.n_prb_total * radio.prb_bandwidth_hz / k) for k in n_sharers.tolist()])
     sinr = signal / (intra + inter + noise)
-    sinr_db = 10.0 * np.log10(sinr)
+    with np.errstate(divide="ignore"):  # zero signal: -inf dB
+        sinr_db = 10.0 * np.log10(sinr)
     rate = radio.n_prb_total * radio.prb_bandwidth_hz / n_sharers * np.log2(1.0 + sinr)
     return DataPhaseReport(
         serving_sector=serving_sector.copy(),

@@ -130,7 +130,8 @@ class TestCoverageSinr:
         plan = simple_plan(1, power_dbm=0.0)
         table = rsrp_table(channels, plan, book)
         got = coverage_sinr_all(table, np.array([0]), np.array([0]), plan, RADIO.ssb_noise_mw)[0]
-        expected = 10 * math.log10(1.0 / RADIO.ssb_noise_mw)
+        # RSRP over the receiver noise across the SSB's 240 x 30 kHz
+        expected = 10 * math.log10(1.0 / RADIO.noise_mw(7.2e6))
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_equal_interferer_gives_zero_db(self):

@@ -87,7 +87,8 @@ def test_unknown_block_rejected():
      # alias another seed's channels, or fail in the search's generator
      ("seeds", "master", -1), ("seeds", "master", -3), ("seeds", "master", 2**64),
      ("seeds", "master", 1.5), ("seeds", "master", -1.0), ("seeds", "master", float(2**64)),
-     ("seeds", "master", float("nan")), pytest.param("seeds", "master", 10**400, id="seeds-master-int_beyond_float")],
+     ("seeds", "master", float("nan")), pytest.param("seeds", "master", 10**400, id="seeds-master-int_beyond_float"),
+     ("radio", "prb_bandwidth_hz", 1e307)],  # an infinite data band
 )
 def test_out_of_range_value_rejected(block, key, value):
     raw = default_config()
@@ -138,18 +139,29 @@ class TestRadioConfig:
         assert radio.wavelength_m == pytest.approx(299_792_458.0 / 3.5e9)
 
     def test_default_ssb_noise(self):
-        radio = RadioConfig()
-        expected = -174.0 + 10 * math.log10(240 * 30e3) + 9.0
-        assert radio.ssb_noise_power_dbm == pytest.approx(expected)
+        """Thermal noise over the SSB's 240 x 30 kHz plus the noise figure,
+        summed in dBm, bit for bit."""
+        expected = 10.0 ** ((-174.0 + 10.0 * math.log10(240 * 30e3) + 9.0) / 10.0)
+        assert RadioConfig().ssb_noise_mw == expected == RadioConfig().noise_mw(7.2e6)
 
     def test_ssb_noise_follows_its_two_keys(self):
         radio = RadioConfig(noise_psd_dbm_per_hz=-170.0, ue_noise_figure_db=5.0)
-        assert radio.ssb_noise_power_dbm == pytest.approx(-170.0 + 10 * math.log10(7.2e6) + 5.0)
+        assert radio.ssb_noise_mw == 10.0 ** ((-170.0 + 10.0 * math.log10(7.2e6) + 5.0) / 10.0)
+
+    def test_noise_is_psd_times_bandwidth_times_noise_figure(self):
+        radio = RadioConfig(noise_psd_dbm_per_hz=-170.0, ue_noise_figure_db=5.0)
+        for bandwidth in (360e3, 7.2e6, 27e6, 27e6 / 3):
+            assert radio.noise_mw(bandwidth) == pytest.approx(10**-17.0 * bandwidth * 10**0.5, rel=1e-12)
 
     def test_ssb_noise_overflow_names_both_keys(self):
-        # each key alone gives a finite linear value, their sum does not
-        with pytest.raises(ConfigError, match="radio.noise_psd_dbm_per_hz and radio.ue_noise_figure_db"):
-            RadioConfig(noise_psd_dbm_per_hz=3000.0, ue_noise_figure_db=3000.0)
+        """The noise is checked over every bandwidth a run asks for."""
+        for psd, nf, where in (
+            (3000.0, 3000.0, "the SSB"),  # each key alone gives a finite linear value, their sum does not
+            (3020.0, -10.0, "the data band"),  # finite over the SSB and one PRB
+            (-3200.0, -100.0, "one PRB"),  # 0 mW over one PRB, a subnormal over the SSB
+        ):
+            with pytest.raises(ConfigError, match=f"noise_psd_dbm_per_hz and radio.ue_noise_figure_db over {where}"):
+                RadioConfig(noise_psd_dbm_per_hz=psd, ue_noise_figure_db=nf)
 
     def test_from_config_roundtrip(self):
         cfg = validate_config(default_config())

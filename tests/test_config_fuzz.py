@@ -105,8 +105,9 @@ def assert_typed_params(cfg: dict) -> None:
 def assert_finite_radio_powers(cfg: dict) -> None:
     """Every accepted radio power converts to a positive, finite linear value."""
     radio = block_params(cfg, "radio")
-    linear = [radio.ssb_noise_mw, radio.noise_psd_mw_per_hz]
-    linear += [10.0 ** (p / 10.0) for p in (radio.max_ssb_power_dbm, radio.sector_tx_power_dbm)]
+    band = radio.n_prb_total * radio.prb_bandwidth_hz
+    linear = [radio.ssb_noise_mw, radio.noise_mw(radio.prb_bandwidth_hz), radio.noise_mw(band)]
+    linear += [10.0 ** (radio.max_ssb_power_dbm / 10.0), radio.sector_tx_power_mw]
     assert all(0.0 < x < math.inf for x in linear), linear
 
 

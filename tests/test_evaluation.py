@@ -17,7 +17,7 @@ from oracles import (
 )
 from skybeam import evaluation
 from skybeam.association import baseline_plan, changed_sectors, rsrp_table
-from skybeam.channel import ChannelSet, build_channels, entity_block
+from skybeam.channel import ChannelSet, build_channels, entity_block, expected_channels
 from skybeam.cli import _summaries
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
 from skybeam.config import HighwayParams, RadioConfig
@@ -33,6 +33,7 @@ from skybeam.evaluation import (
 )
 from skybeam.genetic import corridor_problem
 from skybeam.scenario import place_uavs, scenario_from_config
+from skybeam.segment_metric import assign_segments
 from test_association import make_channels, make_codebook
 
 RADIO = RadioConfig()
@@ -89,7 +90,7 @@ class TestDataSinr:
         serving = np.zeros(1, dtype=int)
         report = data_phase([channels], serving, book, RADIO)
         p_mw = 10 ** (RADIO.sector_tx_power_dbm / 10)
-        noise = RADIO.n_prb_total * RADIO.prb_bandwidth_hz * RADIO.noise_psd_mw_per_hz
+        noise = RADIO.noise_mw(RADIO.n_prb_total * RADIO.prb_bandwidth_hz)  # the whole band, noise figure included
         expected = 10 * math.log10(2.0 * m * p_mw / noise)
         assert report.sinr_db[0] == pytest.approx(expected, rel=1e-9)
         assert report.n_codeword_sharers[0] == 1
@@ -106,6 +107,25 @@ class TestDataSinr:
         assert np.all(report.n_codeword_sharers == 2)
         # SINR identical for both and unaffected by each other's stream
         assert report.sinr_db[0] == pytest.approx(report.sinr_db[1], rel=1e-12)
+        # the SNR over the noise of each UE's half of the band
+        signal = m * RADIO.sector_tx_power_mw / 2
+        expected = 10 * math.log10(signal / RADIO.noise_mw(RADIO.n_prb_total * RADIO.prb_bandwidth_hz / 2))
+        assert report.sinr_db[0] == pytest.approx(expected, rel=1e-9)
+
+    def test_zero_signal_is_minus_inf_db_and_zero_rate(self):
+        """A UE whose channel toward its serving sector is all zeros gets
+        -inf dB and no rate, without a divide-by-zero warning."""
+        m = 4
+        h = np.stack([np.ones((1, m)), np.zeros((1, m))])
+        channels = make_channels(h, np.ones((2, 1)))
+        book = make_codebook(np.ones((1, m)) / math.sqrt(m))
+        serving = np.zeros(2, dtype=int)
+        report = data_phase([channels], serving, book, RADIO)
+        assert report.sinr_db[1] == -math.inf and report.rate_bps[1] == 0.0
+        assert np.isfinite(report.sinr_db[0]) and report.rate_bps[0] > 0.0
+        ref = joined_data_phase([channels], serving, book, RADIO)
+        assert report.sinr_db.tobytes() == ref.sinr_db.tobytes()
+        assert report.rate_bps.tobytes() == ref.rate_bps.tobytes()
 
     def test_hand_construction_matches_reference(self):
         gen = np.random.default_rng(3)
@@ -143,6 +163,18 @@ class TestDataSinr:
             assert report.rate_bps[u] == pytest.approx(rate, rel=1e-9)
 
 
+def test_corridor_problem_takes_the_receiver_noise(small_scenario):
+    """The search scores coverage SINRs over the SSB noise, and the segment
+    metric's N is the receiver noise over one PRB."""
+    radio = small_scenario.radio
+    ssb, _, _ = _books_and_plan(small_scenario)
+    assignment, evaluator = corridor_problem(small_scenario, ssb, ground_channels(small_scenario, 0))
+    assert evaluator.noise_mw == radio.noise_mw(7.2e6)
+    h = expected_channels(small_scenario.sectors, small_scenario.highway.points, radio, small_scenario.channel_params)
+    want = assign_segments(h, small_scenario.highway.segments, radio.noise_mw(radio.prb_bandwidth_hz))
+    assert assignment.chi.tobytes() == want.chi.tobytes()
+
+
 def test_inter_cell_interference_sanity_bound():
     # one serving cell, one interfering cell: the interference term never
     # exceeds the interferer's total power times its best beam gain
@@ -164,7 +196,7 @@ def test_inter_cell_interference_sanity_bound():
         * abs(h[u, 0] @ book.weights[report.precoder[u]]) ** 2
         * report.power_mw[u]
     )
-    noise = RADIO.n_prb_total * RADIO.prb_bandwidth_hz / report.n_codeword_sharers[u] * RADIO.noise_psd_mw_per_hz
+    noise = RADIO.noise_mw(RADIO.n_prb_total * RADIO.prb_bandwidth_hz / report.n_codeword_sharers[u])
     total_interference = signal / sinr - noise
     best_gain = max(abs(h[u, 1] @ w) ** 2 for w in weights)
     bound = beta[u, 1] * best_gain * p_total

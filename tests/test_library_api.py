@@ -174,3 +174,16 @@ def test_channel_takes_no_entity_class():
     )
     assert not takes_kind, f"functions taking a kind: {takes_kind}"
     assert entity_block(np.zeros((2, 3))).dtype.names == ("position_3d_m",)
+
+
+def test_only_config_reads_the_noise_keys():
+    """`RadioConfig.noise_mw` is the one receiver noise: no library module
+    but `config.py` reads the thermal PSD or the UE noise figure."""
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees(SRC)
+        if path.name != "config.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("noise_psd_dbm_per_hz", "ue_noise_figure_db")
+    )
+    assert not readers, f"noise keys read outside config.py: {readers}"

@@ -15,11 +15,11 @@ from skybeam.segment_metric import (
     avg_channel_gain,
     cross_corr_frobenius,
     inv_condition_number,
-    metric_noise_mw,
     segment_cell_metric,
 )
 
-NOISE = metric_noise_mw(RadioConfig())
+RADIO = RadioConfig()
+NOISE = RADIO.noise_mw(RADIO.prb_bandwidth_hz)  # the N that `corridor_problem` gives the metric
 
 
 def cmat(gen, rows, cols, scale=1.0):
@@ -277,7 +277,7 @@ def test_assign_segments_matches_per_pair_oracle(which, cfg, small_scenario):
     segments = scenario.highway.segments
     assert (len(segments) == 1) == (which == "one segment")
     h = _expected(scenario)
-    noise = metric_noise_mw(scenario.radio)
+    noise = scenario.radio.noise_mw(scenario.radio.prb_bandwidth_hz)
     out = assign_segments(h, segments, noise)
     p, c, f, chi, serving, required = per_pair_segment_metric(h, segments, noise)
     for got, want in ((out.p_gain, p), (out.inv_cond, c), (out.cross_corr, f), (out.chi, chi)):
