@@ -1,9 +1,11 @@
 """Network beam plan, per-beam RSRP, serving-beam selection, coverage SINR.
 
-A BeamPlan holds, per sector, up to eight broadcast beams: a deployment
-indicator, a codeword index into the SSB codebook, a transmit power and the
-sweep (time-slot) index. Beams transmitted in the same sweep slot interfere
-during measurement; the serving beam is the network-wide RSRP argmax.
+A BeamPlan holds, per sector, eight broadcast beams, one per SSB slot: a
+codeword index into the SSB codebook and a transmit power. The slot index is
+the SSB index, and SSB index i of every sector takes the same time position
+of the burst, so the slot is also the beam's sweep group: beams in the same
+slot interfere during measurement. The serving beam is the network-wide
+RSRP argmax.
 """
 
 from __future__ import annotations
@@ -24,26 +26,22 @@ BASELINE_TILT_DEG = 105.0  # zenith of the ground-optimized baseline beams
 
 @dataclass
 class BeamPlan:
-    """Deployed-beam indicator, powers (dBm), codeword and sweep indices."""
+    """One codeword and one power (dBm) per (sector, SSB slot); the slot
+    index is the SSB index and the sweep group."""
 
-    x: np.ndarray  # (B, S) 0/1
-    power_dbm: np.ndarray  # (B, S), meaningful where x == 1
-    codeword: np.ndarray  # (B, S) index into the SSB codebook, -1 if unused
-    sweep: np.ndarray  # (B, S) sweep slot index of each beam
+    codeword: np.ndarray  # (B, S) index into the SSB codebook
+    power_dbm: np.ndarray  # (B, S)
 
     @property
     def n_sectors(self) -> int:
-        return self.x.shape[0]
+        return self.codeword.shape[0]
 
     @property
     def n_slots(self) -> int:
-        return self.x.shape[1]
-
-    def power_mw(self) -> np.ndarray:
-        return np.where(self.x == 1, dbm_to_mw(self.power_dbm), 0.0)
+        return self.codeword.shape[1]
 
     def copy(self) -> "BeamPlan":
-        return BeamPlan(self.x.copy(), self.power_dbm.copy(), self.codeword.copy(), self.sweep.copy())
+        return BeamPlan(self.codeword.copy(), self.power_dbm.copy())
 
 
 def unique_ints(values) -> tuple[np.ndarray, np.ndarray]:
@@ -59,9 +57,9 @@ def unique_ints(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def changed_sectors(a: BeamPlan, b: BeamPlan) -> np.ndarray:
-    """The sectors whose deployment, codeword, power or sweep row differs
-    between two plans, ascending."""
-    differs = (a.x != b.x) | (a.codeword != b.codeword) | (a.power_dbm != b.power_dbm) | (a.sweep != b.sweep)
+    """The sectors whose codeword or power row differs between two plans,
+    ascending."""
+    differs = (a.codeword != b.codeword) | (a.power_dbm != b.power_dbm)
     return np.flatnonzero(differs.any(axis=1))
 
 
@@ -69,8 +67,8 @@ def beam_gain(channels: ChannelSet, sector: int, weights: np.ndarray) -> np.ndar
     """beta * |h^T w|^2 of every entity in `sector` with each codeword row of
     `weights` (..., K, M), as (..., N, K): the one beam-gain definition, which
     `rsrp_table` and the search's gain rows both call. An entry's bits can
-    depend on the codewords its product covers, so both pass the set that a
-    plan deploys."""
+    depend on the codewords its product covers, so both pass a sector's
+    whole row of slots."""
     gain = np.abs(channels.h[:, sector, :] @ np.swapaxes(weights, -1, -2))
     np.square(gain, out=gain)
     gain *= channels.beta[:, sector, None]
@@ -82,9 +80,8 @@ def rsrp_table(
 ) -> np.ndarray:
     """Per-beam RSRP in mW for every entity: shape (N, B, S).
 
-    rsrp = beta * |h^T w|^2 * p * x, zero where the beam is not deployed:
-    each sector's `beam_gain` over its deployed codewords, times their
-    powers.
+    rsrp = beta * |h^T w|^2 * p: each sector's `beam_gain` over its
+    codewords, times their powers.
 
     Given `table`, another plan's table on the same channels, and
     `sectors`, the sectors where that plan differs from `plan`
@@ -94,16 +91,12 @@ def rsrp_table(
     """
     n, b, _ = channels.h.shape
     if table is None:
-        table = np.zeros((n, b, plan.n_slots))
+        table = np.empty((n, b, plan.n_slots))  # every slab written below
         sectors = range(b)
-    active = plan.x == 1
-    full = active.all(axis=1)  # index these sectors' slots by a slice, which is faster
-    weights = codebook.weights[plan.codeword]  # (B, S, M); rows of idle slots unused
-    power = plan.power_mw()
+    weights = codebook.weights[plan.codeword]  # (B, S, M)
+    power = dbm_to_mw(plan.power_dbm)
     for sector in sectors:
-        slots = slice(None) if full[sector] else np.flatnonzero(active[sector])
-        table[:, sector] = 0.0  # the idle slots, also of a patched slab
-        table[:, sector, slots] = beam_gain(channels, sector, weights[sector, slots]) * power[sector, slots]
+        table[:, sector] = beam_gain(channels, sector, weights[sector]) * power[sector]
     return table
 
 
@@ -119,19 +112,20 @@ def coverage_sinr_all(
     table: np.ndarray,
     serving_sector: np.ndarray,
     serving_slot: np.ndarray,
-    plan: BeamPlan,
     noise_mw: float,
 ) -> np.ndarray:
-    """Coverage SINR in dB for every entity.
+    """Coverage SINR in dB for every entity of an (N, B, S) RSRP table.
 
-    Interference sums the RSRP of every other sector's beams that share the
-    serving beam's sweep index; the serving sector never interferes with
-    itself. Zero serving RSRP gives -inf dB.
+    The slot index is the SSB index and so the sweep group: interference
+    sums the RSRP of every other sector's beam in the serving beam's slot;
+    the serving sector never interferes with itself. Zero serving RSRP gives
+    -inf dB.
     """
     rows = np.arange(table.shape[0])
     numerator = table[rows, serving_sector, serving_slot]
-    # (N, B, S): each row's RSRP in its serving beam's sweep group, else 0
-    in_group = table * (plan.sweep == plan.sweep[serving_sector, serving_slot][:, None, None])
+    # (N, B, S): each row's RSRP in its serving beam's slot, else 0; a
+    # masked product, not a slot slice, whose sums round differently
+    in_group = table * (np.arange(table.shape[2]) == serving_slot[:, None, None])
     interference = in_group.sum(axis=(1, 2)) - in_group[rows, serving_sector].sum(axis=1)
     return sinr_db(numerator, interference + noise_mw)
 
@@ -147,7 +141,7 @@ def baseline_plan(scenario: Scenario, ssb_codebook: Codebook) -> BeamPlan:
 
     Beams point at the codebook entries nearest to `BASELINE_TILT_DEG` and to
     eight azimuths evenly spanning the 120-degree sector; the sector power is
-    split equally and sweep indices run 0..7 in azimuth order.
+    split equally and the SSB slots run 0..7 in azimuth order.
     """
     panel = scenario.sectors[0].panel
     full = np.flatnonzero(ssb_codebook.active_columns == panel.m_h)
@@ -163,8 +157,5 @@ def baseline_plan(scenario: Scenario, ssb_codebook: Codebook) -> BeamPlan:
     slots_cw = full[row][np.argmin(np.abs(u[row] - u_targets[:, None]), axis=1)]
 
     b = scenario.n_sectors
-    x = np.ones((b, N_SSB_SLOTS), dtype=np.int8)
     power = np.full((b, N_SSB_SLOTS), scenario.radio.sector_tx_power_dbm - 10.0 * math.log10(N_SSB_SLOTS))
-    codeword = np.tile(slots_cw, (b, 1))
-    sweep = np.tile(np.arange(N_SSB_SLOTS, dtype=int), (b, 1))
-    return BeamPlan(x=x, power_dbm=power, codeword=codeword, sweep=sweep)
+    return BeamPlan(codeword=np.tile(slots_cw, (b, 1)), power_dbm=power)

@@ -339,9 +339,10 @@ def _large_scale(scenario: Scenario, heights: np.ndarray, links, los_draws, shad
     `links` is `link_geometry`'s (d2d, d3d, azimuth, zenith); it and the
     block's LoS uniforms `los_draws` and unit shadow draws `shadow_unit` are
     [sector, entity]. Each entity's height picks its shadow sigmas: the
-    ground ones at or below `AERIAL_MIN_HEIGHT_M`, the aerial ones above it.
-    Returns every link's `beta` = rho * tau * g and Rician K, [sector,
-    entity]; rho, tau, g and the LoS states stay local.
+    ground ones at or below `AERIAL_MIN_HEIGHT_M`, the aerial ones above it;
+    each sector's own mast height enters its path loss. Returns every link's
+    `beta` = rho * tau * g and Rician K, [sector, entity]; rho, tau, g and
+    the LoS states stay local.
     """
     params = scenario.channel_params
     d2d, d3d, az, zen = links
@@ -351,7 +352,8 @@ def _large_scale(scenario: Scenario, heights: np.ndarray, links, los_draws, shad
 
     # LoS state (held for the snapshot), path gain, shadow gain, element gain
     is_los = los_draws < los_probability(d2d, heights)
-    rho = path_loss(d2d, d3d, heights, is_los, scenario.radio, h_bs_m=scenario.layout.bs_height_m)
+    h_bs = np.array([sector.position_3d_m[2] for sector in scenario.sectors])[:, None]
+    rho = path_loss(d2d, d3d, heights, is_los, scenario.radio, h_bs_m=h_bs)
     tau = shadow_gain(np.where(is_los, sigma_los, sigma_nlos), shadow_unit)
     g = element_gain(az, zen)
     k = np.where(is_los, params.rician_k_linear(True), params.rician_k_linear(False))

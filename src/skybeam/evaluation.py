@@ -302,9 +302,9 @@ def plan_tables(channels: ChannelSet, plans: Iterable[BeamPlan], ssb_codebook: C
         yield table
 
 
-def associate(table: np.ndarray, plan: BeamPlan, noise_mw: float) -> Association:
+def associate(table: np.ndarray, noise_mw: float) -> Association:
     """Associate every row of `table`, the (N, B, S) `rsrp_table` of a
-    channel block under `plan`.
+    channel block under a plan.
 
     `rsrp_table`, `select_serving_all` and `coverage_sinr_all` treat each
     row on its own, so the rows of two blocks associate the same whether the
@@ -316,7 +316,7 @@ def associate(table: np.ndarray, plan: BeamPlan, noise_mw: float) -> Association
         serving_sector=serving_b,
         serving_slot=serving_s,
         serving_rsrp_mw=table[np.arange(table.shape[0]), serving_b, serving_s],
-        coverage_sinr_db=coverage_sinr_all(table, serving_b, serving_s, plan, noise_mw),
+        coverage_sinr_db=coverage_sinr_all(table, serving_b, serving_s, noise_mw),
     )
 
 
@@ -378,8 +378,8 @@ def evaluate_snapshot(
     noise_mw = scenario.radio.ssb_noise_mw
     gues, steps = {}, {}
     step = None
-    for (name, plan), table in zip(plans.items(), plan_tables(ground, plans.values(), ssb_codebook)):
-        gues[name] = associate(table, plan, noise_mw)
+    for name, table in zip(plans, plan_tables(ground, plans.values(), ssb_codebook)):
+        gues[name] = associate(table, noise_mw)
         step = steps[name] = data_phase_ground(ground, gues[name].serving_sector, dl_codebook, scenario.radio, step)
     results = []
     for d_iud in spacings:
@@ -387,8 +387,8 @@ def evaluate_snapshot(
         uavs = build_channels(scenario, entity_block(positions), snapshot, "uav")
         kinds = np.repeat(["ground", "aerial"], [len(ground.h), len(uavs.h)])
         cell = {}
-        for (name, plan), table in zip(plans.items(), plan_tables(uavs, plans.values(), ssb_codebook)):
-            gue, uav = gues[name], associate(table, plan, noise_mw)
+        for name, table in zip(plans, plan_tables(uavs, plans.values(), ssb_codebook)):
+            gue, uav = gues[name], associate(table, noise_mw)
             cell[name] = SnapshotResult(
                 kinds=kinds,
                 serving_sector=np.concatenate([gue.serving_sector, uav.serving_sector]),

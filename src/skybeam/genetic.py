@@ -87,10 +87,11 @@ def select_frozen_slots(
     """For each designated cell, the slot whose beam the search may replace.
 
     Picks the slot serving the fewest ground users under the baseline.
-    Designated cells avoid reusing a sweep slot already frozen by another
-    designated cell while slots remain: replacement beams all target the same
-    corridor, so co-slot picks would make them interfere with each other
-    during measurement. Ties break toward the lowest slot id.
+    The slot index is the SSB index and the sweep group, so designated cells
+    avoid reusing a slot already frozen by another designated cell while
+    slots remain: replacement beams all target the same corridor, so co-slot
+    picks would make them interfere with each other during measurement.
+    Ties break toward the lowest slot id.
     """
     frozen: dict[int, int] = {}
     taken: set[int] = set()
@@ -153,7 +154,6 @@ def apply_individual(
     plan = baseline.copy()
     plan.codeword[cells, slots] = codeword
     plan.power_dbm[cells, slots] = _genes_dbm(genome[n:])
-    plan.x[cells, slots] = 1  # sweep index inherited from the replaced slot
     return plan
 
 
@@ -170,8 +170,11 @@ class FitnessEvaluator:
     - per corridor point, the best RSRP over every other entry, with its
       flat (sector, slot) index;
     - one row table of beam gains, row j * N_CB + c holding designated cell
-      j's `beam_gain` with codeword c in its frozen slot and the plan's
-      other deployed codewords beside it, (n * N_CB, N_r).
+      j's `beam_gain` with codeword c in its frozen slot and the cell's
+      other codewords beside it, (n * N_CB, N_r).
+
+    A slot index is the SSB index and the sweep group, so a replaced beam
+    interferes with the other sectors' beams in its frozen slot.
 
     `evaluate_population` scores a (P, 2n) population through one
     (n + 1, P, N_r) candidate block: row 0 is the baseline best at every
@@ -216,19 +219,17 @@ class FitnessEvaluator:
             raise ValueError("required_cell must give one sector per highway point")
         self._n_slots = n_slots
 
-        # gain rows (n * N_CB, N_r), row j * N_CB + c: cell j's deployed
-        # codewords with c in the frozen slot, in stacks of _GAIN_BATCH; a
-        # freed larger stack would raise glibc's mmap threshold, and peak RSS
-        # with it, for the rest of the process
+        # gain rows (n * N_CB, N_r), row j * N_CB + c: cell j's codewords
+        # with c in the frozen slot, in stacks of _GAIN_BATCH; a freed larger
+        # stack would raise glibc's mmap threshold, and peak RSS with it, for
+        # the rest of the process
         rows = []
         for cell, slot in zip(cells, slots):
-            deployed = np.flatnonzero(self._plan.x[cell] == 1)
-            k = int(np.searchsorted(deployed, slot))
-            stack = np.repeat(ssb_codebook.weights[None, self._plan.codeword[cell, deployed]], _GAIN_BATCH, 0)
+            stack = np.repeat(ssb_codebook.weights[None, self._plan.codeword[cell]], _GAIN_BATCH, 0)
             for start in range(0, self.n_codewords, _GAIN_BATCH):
                 batch = ssb_codebook.weights[start : start + _GAIN_BATCH]
-                stack[: len(batch), k] = batch
-                rows.append(beam_gain(point_channels, cell, stack[: len(batch)])[:, :, k])
+                stack[: len(batch), slot] = batch
+                rows.append(beam_gain(point_channels, cell, stack[: len(batch)])[:, :, slot])
         self._gain_rows = np.concatenate(rows) if rows else np.empty((0, n_points))
         self._row_offset = (np.arange(n) * self.n_codewords)[:, None]
 
@@ -289,7 +290,7 @@ class FitnessEvaluator:
         tables = np.tile(self._table, (ok.size, 1, 1))
         tables[:, self._cells, self._slots] = replaced[:, ok].reshape(n, -1).T
         flat = serving[ok].reshape(-1)
-        sinr = coverage_sinr_all(tables, flat // self._n_slots, flat % self._n_slots, self._plan, self.noise_mw)
+        sinr = coverage_sinr_all(tables, flat // self._n_slots, flat % self._n_slots, self.noise_mw)
         scores[ok] = sinr.reshape(ok.size, -1).min(axis=1)
         return scores, violations
 

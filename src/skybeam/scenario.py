@@ -82,10 +82,6 @@ class Sector:
     position_3d_m: tuple[float, float, float]
     bearing_deg: float
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array(self.position_3d_m)
-
 
 @dataclass(frozen=True)
 class AerialHighway:
@@ -195,7 +191,7 @@ def place_ground_users(
         while kept[k].shape[0] < per_cell:
             batch = rng.uniform(-radius, radius, size=size)
             kept[k] = np.vstack([kept[k], batch[_in_dominance_area(batch, bearings[k], isd_m)]])
-    centres = np.array([sector.position[:2] for sector in sectors])
+    centres = np.array([sector.position_3d_m[:2] for sector in sectors])
     positions[:, :, :2] = centres[:, None, :] + np.stack([batch[:per_cell] for batch in kept])
     return positions.reshape(-1, 3)
 

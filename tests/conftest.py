@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from skybeam.association import BeamPlan
 from skybeam.config import default_config, validate_config
 from skybeam.scenario import Scenario, UpaGeometry, scenario_from_config
 
@@ -43,4 +44,17 @@ def rng(seed: int = 0) -> np.random.Generator:
 def random_complex_matrix(generator, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
     return scale * (
         generator.standard_normal((rows, cols)) + 1j * generator.standard_normal((rows, cols))
+    )
+
+
+DARK_DBM = -200.0  # a beam power far below every other beam's RSRP: the beam serves no one
+
+
+def beam_plan(n_sectors: int, n_slots: int = 8, power_dbm=0.0, codeword=0) -> BeamPlan:
+    """An `n_sectors` x `n_slots` plan; `power_dbm` and `codeword` are one
+    value for every beam or a (B, S) array of them."""
+    shape = (n_sectors, n_slots)
+    return BeamPlan(
+        codeword=np.array(np.broadcast_to(codeword, shape), dtype=int),
+        power_dbm=np.array(np.broadcast_to(power_dbm, shape), dtype=float),
     )

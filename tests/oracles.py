@@ -96,8 +96,6 @@ def ssb_rsrp(
     entity: int, slot: int, sector: int, plan: BeamPlan, channels: ChannelSet, codebook: Codebook
 ) -> float:
     """RSRP of one (entity, beam) pair in mW."""
-    if plan.x[sector, slot] == 0:
-        return 0.0
     w = codebook.weights[plan.codeword[sector, slot]]
     proj = abs(channels.h[entity, sector] @ w) ** 2
     return float(
@@ -111,14 +109,11 @@ def per_sector_rsrp_table(channels: ChannelSet, plan: BeamPlan, codebook: Codebo
     sector's `beam_gain` and then its powers."""
     n, b, _ = channels.h.shape
     table = np.zeros((n, b, plan.n_slots))
-    p_mw = plan.power_mw()
+    p_mw = 10.0 ** (plan.power_dbm / 10.0)
     for sector in range(b):
-        slots = np.flatnonzero(plan.x[sector] == 1)
-        if slots.size == 0:
-            continue
-        w = codebook.weights[plan.codeword[sector, slots]]  # (n_active, M)
-        proj = np.abs(channels.h[:, sector, :] @ w.T) ** 2  # (N, n_active)
-        table[:, sector, slots] = channels.beta[:, sector, None] * proj * p_mw[sector, slots]
+        w = codebook.weights[plan.codeword[sector]]  # (S, M)
+        proj = np.abs(channels.h[:, sector, :] @ w.T) ** 2  # (N, S)
+        table[:, sector] = channels.beta[:, sector, None] * proj * p_mw[sector]
     return table
 
 
@@ -264,7 +259,7 @@ def per_sector_ground_users(sectors, per_cell, isd_m, master_seed, height_m=1.5,
             batch = rng.uniform(-radius, radius, size=(max(8 * per_cell, 32), 2))
             ok = batch[_in_dominance_area(batch, sector.bearing_deg, isd_m)]
             kept = np.vstack([kept, ok])
-        positions[k, :, :2] = sector.position[:2] + kept[:per_cell]
+        positions[k, :, :2] = np.array(sector.position_3d_m[:2]) + kept[:per_cell]
     return positions.reshape(-1, 3)
 
 
@@ -352,8 +347,8 @@ def reference_evaluate_snapshot(scenario, plans, ssb_codebook, dl_codebook, snap
     kinds = np.array(["ground"] * len(ground.h) + ["aerial"] * len(uavs.h))
     results = {}
     for name, plan in plans.items():
-        gue = associate(rsrp_table(ground, plan, ssb_codebook), plan, noise_mw)
-        uav = associate(rsrp_table(uavs, plan, ssb_codebook), plan, noise_mw)
+        gue = associate(rsrp_table(ground, plan, ssb_codebook), noise_mw)
+        uav = associate(rsrp_table(uavs, plan, ssb_codebook), noise_mw)
         serving_b = np.concatenate([gue.serving_sector, uav.serving_sector])
         results[name] = SnapshotResult(
             kinds=kinds,
@@ -448,7 +443,7 @@ def brute_force_fitness(genome, channels, book, baseline, designated, frozen, re
     """Loop-based reference: apply, associate, penalize, min coverage SINR."""
     plan = apply_individual(np.asarray(genome, dtype=float), baseline, designated, frozen, len(book))
     n_points = channels.h.shape[0]
-    n_sectors, n_slots = plan.x.shape
+    n_sectors, n_slots = plan.codeword.shape
     worst = math.inf
     for z in range(n_points):
         best_val, best_b, best_s = -1.0, None, None
@@ -461,11 +456,8 @@ def brute_force_fitness(genome, channels, book, baseline, designated, frozen, re
             return -math.inf
         interf = 0.0
         for b in range(n_sectors):
-            if b == best_b:
-                continue
-            for s in range(n_slots):
-                if plan.sweep[b, s] == plan.sweep[best_b, best_s]:
-                    interf += ssb_rsrp(z, s, b, plan, channels, book)
+            if b != best_b:  # every other sector's beam in the serving beam's slot
+                interf += ssb_rsrp(z, best_s, b, plan, channels, book)
         worst = min(worst, 10 * math.log10(best_val / (interf + noise_mw)))
     return worst
 
@@ -498,12 +490,10 @@ class ReferenceEvaluator:
         self._n_slots = n_slots
         self._gain = np.empty((n, n_points, self.n_codewords))
         for j, (cell, slot) in enumerate(zip(cells, slots)):
-            deployed = np.flatnonzero(self._plan.x[cell]).tolist()
-            k = deployed.index(slot)
             for c in range(self.n_codewords):
-                weights = ssb_codebook.weights[self._plan.codeword[cell, deployed]]
-                weights[k] = ssb_codebook.weights[c]
-                self._gain[j, :, c] = beam_gain(point_channels, cell, weights)[:, k]
+                weights = ssb_codebook.weights[self._plan.codeword[cell]]
+                weights[slot] = ssb_codebook.weights[c]
+                self._gain[j, :, c] = beam_gain(point_channels, cell, weights)[:, slot]
 
         replaced_flat = cells * n_slots + slots
         others = self._table.reshape(n_points, n_sectors * n_slots).copy()
@@ -538,8 +528,7 @@ class ReferenceEvaluator:
         for g in np.flatnonzero(violations == 0):
             table = self._table.copy()
             table[:, self._cells, self._slots] = replaced[g].T
-            sinr = coverage_sinr_all(table, sector[g], serving[g] % self._n_slots, self._plan,
-                                     self.noise_mw)
+            sinr = coverage_sinr_all(table, sector[g], serving[g] % self._n_slots, self.noise_mw)
             scores[g] = sinr.min()
         return scores, violations
 
@@ -622,15 +611,14 @@ def reference_run(params, evaluator, p_max_dbm):
 
 def validate_plan(plan: BeamPlan, n_codewords: int, max_power_dbm: float | None = None) -> None:
     """Raise ValueError unless `plan` meets the beam-plan constraints."""
-    if not np.all((plan.x == 0) | (plan.x == 1)):
-        raise ValueError("x must be binary")
-    if np.any(np.sum(plan.x, axis=1) > N_SSB_SLOTS):
-        raise ValueError(f"at most {N_SSB_SLOTS} active beams per sector")
-    active = plan.x == 1
-    if np.any(plan.codeword[active] < 0) or np.any(plan.codeword[active] >= n_codewords):
-        raise ValueError("active beams must reference a valid codeword")
-    if max_power_dbm is not None and np.any(plan.power_dbm[active] > max_power_dbm + 1e-9):
-        raise ValueError("active beam power above the allowed maximum")
+    if plan.power_dbm.shape != plan.codeword.shape:
+        raise ValueError("one power per codeword")
+    if plan.n_slots > N_SSB_SLOTS:
+        raise ValueError(f"at most {N_SSB_SLOTS} beams per sector")
+    if np.any(plan.codeword < 0) or np.any(plan.codeword >= n_codewords):
+        raise ValueError("every beam must reference a valid codeword")
+    if max_power_dbm is not None and np.any(plan.power_dbm > max_power_dbm + 1e-9):
+        raise ValueError("beam power above the allowed maximum")
 
 
 def find_codeword(book: Codebook, active_columns: int, beam_index_h: int, beam_index_v: int) -> int:

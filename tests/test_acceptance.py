@@ -21,7 +21,8 @@ from oracles import (
     sector_geometry,
     ssb_rsrp,
 )
-from skybeam.association import BeamPlan, rsrp_table, select_serving_all
+from conftest import beam_plan
+from skybeam.association import rsrp_table, select_serving_all
 from skybeam.channel import los_components, shadow_factor, shadow_gain
 from skybeam.cli import main as cli_main
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
@@ -189,13 +190,7 @@ class TestCriterion5OracleEquivalence:
             weights = gen.standard_normal((4, m)) + 1j * gen.standard_normal((4, m))
             weights /= np.linalg.norm(weights, axis=1, keepdims=True)
             book = make_codebook(weights)
-            plan = BeamPlan(
-                x=(gen.random((b, s)) < 0.8).astype(np.int8),
-                power_dbm=gen.uniform(0, 10, (b, s)),
-                codeword=gen.integers(0, 4, (b, s)),
-                sweep=np.tile(np.arange(s), (b, 1)),
-            )
-            plan.x[0, 0] = 1
+            plan = beam_plan(b, s, power_dbm=gen.uniform(0, 10, (b, s)), codeword=gen.integers(0, 4, (b, s)))
             table = rsrp_table(channels, plan, book)
             got_b, got_s = select_serving_all(table)
             for u in range(n):

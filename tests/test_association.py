@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import DARK_DBM, beam_plan
 from oracles import per_sector_rsrp_table, ssb_rsrp, validate_plan
 from skybeam.association import (
-    BeamPlan,
     baseline_plan,
     changed_sectors,
     coverage_sinr_all,
@@ -40,26 +40,10 @@ def make_codebook(weights):
     )
 
 
-def simple_plan(n_sectors, n_slots=8, power_dbm=0.0, codeword=0):
-    return BeamPlan(
-        x=np.ones((n_sectors, n_slots), dtype=np.int8),
-        power_dbm=np.full((n_sectors, n_slots), power_dbm),
-        codeword=np.full((n_sectors, n_slots), codeword, dtype=int),
-        sweep=np.tile(np.arange(n_slots), (n_sectors, 1)),
-    )
-
-
 class TestSsbRsrp:
-    def test_inactive_beam_zero(self):
-        channels = make_channels(np.ones((1, 1, 1)), np.ones((1, 1)))
-        plan = simple_plan(1)
-        plan.x[0, 3] = 0
-        book = make_codebook([[1.0]])
-        assert rsrp_table(channels, plan, book)[0, 0, 3] == 0.0
-
     def test_unit_plugin_gives_1mw(self):
         channels = make_channels(np.ones((1, 1, 1)), np.ones((1, 1)))
-        plan = simple_plan(1, power_dbm=0.0)  # 1 mW
+        plan = beam_plan(1, power_dbm=0.0)  # 1 mW
         book = make_codebook([[1.0]])
         assert rsrp_table(channels, plan, book)[0, 0, 0] == pytest.approx(1.0)
 
@@ -70,7 +54,7 @@ class TestSsbRsrp:
         w = np.conj(h) / math.sqrt(m)
         channels = make_channels(h.reshape(1, 1, m), np.full((1, 1), 0.5))
         book = make_codebook(w.reshape(1, m))
-        plan = simple_plan(1, power_dbm=10.0)  # 10 mW
+        plan = beam_plan(1, power_dbm=10.0)  # 10 mW
         got = rsrp_table(channels, plan, book)[0, 0, 0]
         assert got == pytest.approx(0.5 * m * 10.0, rel=1e-12)
 
@@ -79,16 +63,15 @@ class TestSelectServing:
     def test_single_active_beam(self):
         channels = make_channels(np.ones((1, 2, 1)), np.ones((1, 2)))
         book = make_codebook([[1.0]])
-        plan = simple_plan(2)
-        plan.x[:] = 0
-        plan.x[1, 5] = 1
+        plan = beam_plan(2, power_dbm=DARK_DBM)
+        plan.power_dbm[1, 5] = 0.0
         serving_b, serving_s = select_serving_all(rsrp_table(channels, plan, book))
         assert (serving_b[0], serving_s[0]) == (1, 5)
 
     def test_tie_break_lowest_sector(self):
         channels = make_channels(np.ones((1, 3, 1)), np.ones((1, 3)))
         book = make_codebook([[1.0]])
-        plan = simple_plan(3)
+        plan = beam_plan(3)
         serving_b, serving_s = select_serving_all(rsrp_table(channels, plan, book))
         assert (serving_b[0], serving_s[0]) == (0, 0)
 
@@ -101,14 +84,7 @@ class TestSelectServing:
             weights = gen.standard_normal((6, m)) + 1j * gen.standard_normal((6, m))
             weights /= np.linalg.norm(weights, axis=1, keepdims=True)
             book = make_codebook(weights)
-            plan = BeamPlan(
-                x=(gen.random((b, s)) < 0.7).astype(np.int8),
-                power_dbm=gen.uniform(-3, 20, (b, s)),
-                codeword=gen.integers(0, 6, (b, s)),
-                sweep=np.tile(np.arange(s), (b, 1)),
-            )
-            if not np.any(plan.x == 1):
-                plan.x[0, 0] = 1
+            plan = beam_plan(b, s, power_dbm=gen.uniform(-3, 20, (b, s)), codeword=gen.integers(0, 6, (b, s)))
             channels = make_channels(h, beta)
             table = rsrp_table(channels, plan, book)
             got_b, got_s = select_serving_all(table)
@@ -127,9 +103,9 @@ class TestCoverageSinr:
     def test_no_interferer_is_rsrp_over_noise(self):
         channels = make_channels(np.ones((1, 1, 1)), np.ones((1, 1)))
         book = make_codebook([[1.0]])
-        plan = simple_plan(1, power_dbm=0.0)
+        plan = beam_plan(1, power_dbm=0.0)
         table = rsrp_table(channels, plan, book)
-        got = coverage_sinr_all(table, np.array([0]), np.array([0]), plan, RADIO.ssb_noise_mw)[0]
+        got = coverage_sinr_all(table, np.array([0]), np.array([0]), RADIO.ssb_noise_mw)[0]
         # RSRP over the receiver noise across the SSB's 240 x 30 kHz
         expected = 10 * math.log10(1.0 / RADIO.noise_mw(7.2e6))
         assert got == pytest.approx(expected, abs=1e-9)
@@ -137,9 +113,9 @@ class TestCoverageSinr:
     def test_equal_interferer_gives_zero_db(self):
         channels = make_channels(np.ones((2, 2, 1)), np.ones((2, 2)))
         book = make_codebook([[1.0]])
-        plan = simple_plan(2, power_dbm=80.0)  # swamp the noise term
+        plan = beam_plan(2, power_dbm=80.0)  # swamp the noise term
         table = rsrp_table(channels, plan, book)
-        got = coverage_sinr_all(table, np.array([0, 0]), np.array([0, 0]), plan, RADIO.ssb_noise_mw)[0]
+        got = coverage_sinr_all(table, np.array([0, 0]), np.array([0, 0]), RADIO.ssb_noise_mw)[0]
         assert got == pytest.approx(0.0, abs=1e-6)
 
     def test_three_cell_hand_oracle(self):
@@ -150,50 +126,40 @@ class TestCoverageSinr:
         weights = gen.standard_normal((5, m)) + 1j * gen.standard_normal((5, m))
         weights /= np.linalg.norm(weights, axis=1, keepdims=True)
         book = make_codebook(weights)
-        plan = BeamPlan(
-            x=np.ones((b, s), dtype=np.int8),
-            power_dbm=gen.uniform(0, 10, (b, s)),
-            codeword=gen.integers(0, 5, (b, s)),
-            sweep=np.tile(np.arange(s), (b, 1)),
-        )
+        plan = beam_plan(b, s, power_dbm=gen.uniform(0, 10, (b, s)), codeword=gen.integers(0, 5, (b, s)))
         channels = make_channels(h, beta)
         table = rsrp_table(channels, plan, book)
         sb, ss = select_serving_all(table)
-        got = coverage_sinr_all(table, sb, ss, plan, RADIO.ssb_noise_mw)
+        got = coverage_sinr_all(table, sb, ss, RADIO.ssb_noise_mw)
         for u in range(n):
             num = ssb_rsrp(u, ss[u], sb[u], plan, channels, book)
             interf = 0.0
             for bb in range(b):
                 if bb == sb[u]:
                     continue
-                for s2 in range(s):
-                    if plan.sweep[bb, s2] == plan.sweep[sb[u], ss[u]]:
-                        interf += ssb_rsrp(u, s2, bb, plan, channels, book)
+                interf += ssb_rsrp(u, ss[u], bb, plan, channels, book)  # the serving beam's slot
             expected = 10 * math.log10(num / (interf + RADIO.ssb_noise_mw))
             assert got[u] == pytest.approx(expected, rel=1e-9)
 
     def test_interference_never_includes_serving_cell(self):
-        # other slots of the serving cell share no sweep index with the serving
-        # beam here, but even under a degenerate sweep map the serving cell is
-        # excluded: give every beam of cell 0 the same sweep index
+        # the serving beam's slot holds it and cell 1's beam: the serving beam
+        # does not interfere with itself
         channels = make_channels(np.ones((1, 2, 1)), np.ones((1, 2)))
         book = make_codebook([[1.0]])
-        plan = simple_plan(2, power_dbm=60.0)
-        plan.sweep[0, :] = 0
-        plan.sweep[1, :] = np.arange(8)
+        plan = beam_plan(2, power_dbm=60.0)
         table = rsrp_table(channels, plan, book)
-        got = coverage_sinr_all(table, np.array([0]), np.array([0]), plan, RADIO.ssb_noise_mw)
-        # single interferer: cell 1 slot 0 (sweep 0); cell 0's other beams excluded
+        got = coverage_sinr_all(table, np.array([0]), np.array([0]), RADIO.ssb_noise_mw)
+        # single interferer: cell 1 slot 0
         expected = 10 * math.log10(table[0, 0, 0] / (table[0, 1, 0] + RADIO.ssb_noise_mw))
         assert got[0] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_serving_rsrp_is_minus_inf_without_warning(self):
         channels = make_channels(np.array([[[1.0]], [[0.0]]]), np.ones((2, 1)))
-        plan = simple_plan(1)
+        plan = beam_plan(1)
         table = rsrp_table(channels, plan, make_codebook([[1.0]]))
         sb, ss = select_serving_all(table)
-        got = coverage_sinr_all(table, sb, ss, plan, RADIO.ssb_noise_mw)
+        got = coverage_sinr_all(table, sb, ss, RADIO.ssb_noise_mw)
         assert math.isfinite(got[0])
         assert got[1] == -math.inf
 
@@ -202,10 +168,10 @@ class TestCoverageSinr:
         h = gen.standard_normal((3, 4, 2)) + 1j * gen.standard_normal((3, 4, 2))
         channels = make_channels(h, gen.uniform(0.1, 1.0, (3, 4)))
         book = make_codebook(np.eye(2))
-        plan = simple_plan(4, power_dbm=20.0, codeword=1)
+        plan = beam_plan(4, power_dbm=20.0, codeword=1)
         table = rsrp_table(channels, plan, book)
         sb, ss = select_serving_all(table)
-        sinr = coverage_sinr_all(table, sb, ss, plan, RADIO.ssb_noise_mw)
+        sinr = coverage_sinr_all(table, sb, ss, RADIO.ssb_noise_mw)
         rows = np.arange(3)
         snr = 10 * np.log10(table[rows, sb, ss] / RADIO.ssb_noise_mw)
         assert np.all(sinr <= snr + 1e-9)
@@ -215,7 +181,7 @@ class TestCoverageSinr:
         h = gen.standard_normal((5, 3, 2)) + 1j * gen.standard_normal((5, 3, 2))
         channels = make_channels(h, gen.uniform(0.1, 1.0, (5, 3)))
         book = make_codebook(np.eye(2))
-        plan = simple_plan(3, power_dbm=10.0)
+        plan = beam_plan(3, power_dbm=10.0)
         scaled = plan.copy()
         scaled.power_dbm += 17.0
         t1 = rsrp_table(channels, plan, book)
@@ -227,11 +193,11 @@ class TestCoverageSinr:
 
 class TestBaselinePlan:
     def test_active_beam_count_and_sweep(self, small_scenario):
+        """Eight beams per sector, one per SSB slot, the slots in azimuth order."""
         book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
         plan = baseline_plan(small_scenario, book)
-        assert plan.x.sum() == small_scenario.n_sectors * 8
-        for b in range(plan.n_sectors):
-            assert sorted(plan.sweep[b].tolist()) == list(range(8))
+        assert plan.codeword.shape == plan.power_dbm.shape == (small_scenario.n_sectors, 8)
+        assert np.all(np.diff(book.directions[plan.codeword, 0], axis=1) > 0)
 
     def test_full_default_sector_count(self, cfg):
         from skybeam.scenario import scenario_from_config
@@ -239,7 +205,7 @@ class TestBaselinePlan:
         sc = scenario_from_config(cfg)
         book = build_ssb_codebook(sc.sectors[0].panel, 4, 1)
         plan = baseline_plan(sc, book)
-        assert plan.x.sum() == 456  # 57 sectors x 8 beams
+        assert plan.codeword.shape == plan.power_dbm.shape == (57, 8)  # 57 sectors x 8 beams
 
     def test_codewords_nearest_target_tilt(self, small_scenario):
         # oracle: scan the full-panel sub-book for the vertical index whose
@@ -274,8 +240,7 @@ class TestBaselinePlan:
 @pytest.mark.parametrize("tag", ["ue", "uav"])
 def test_rsrp_table_matches_per_sector_products(small_scenario, tag):
     """The table equals the per-sector formula byte for byte, on the
-    baseline plan and on random plans with idle slots, including sectors
-    with one deployed beam and sectors with none."""
+    baseline plan and on random plans."""
     book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
     base = baseline_plan(small_scenario, book)
     if tag == "ue":
@@ -285,14 +250,8 @@ def test_rsrp_table_matches_per_sector_products(small_scenario, tag):
     gen = np.random.default_rng(5)
     plans = [base]
     for _ in range(30):
-        plan = base.copy()
-        plan.x = (gen.random(plan.x.shape) < gen.uniform(0.1, 0.9)).astype(np.int8)
-        plan.x[0] = 0
-        plan.x[1] = 0
-        plan.x[1, 3] = 1
-        plan.codeword = gen.integers(0, len(book), plan.x.shape)
-        plan.power_dbm = gen.uniform(0.0, 40.0, plan.x.shape)
-        plans.append(plan)
+        shape = base.codeword.shape
+        plans.append(beam_plan(*shape, codeword=gen.integers(0, len(book), shape), power_dbm=gen.uniform(0.0, 40.0, shape)))
     for plan in plans:
         got = rsrp_table(channels, plan, book)
         assert got.tobytes() == per_sector_rsrp_table(channels, plan, book).tobytes()
@@ -304,7 +263,7 @@ def test_dump_association_csv(small_scenario, tmp_path):
     channels = build_channels(small_scenario, entity_block(config_uavs(small_scenario)), 0, "uav")
     table = rsrp_table(channels, plan, book)
     sb, ss = select_serving_all(table)
-    sinr = coverage_sinr_all(table, sb, ss, plan, small_scenario.radio.ssb_noise_mw)
+    sinr = coverage_sinr_all(table, sb, ss, small_scenario.radio.ssb_noise_mw)
     rsrp = table[np.arange(channels.h.shape[0]), sb, ss]
     res = SnapshotResult(kinds=np.full(len(sb), "aerial"), serving_sector=sb, serving_slot=ss, serving_rsrp_mw=rsrp,
                          coverage_sinr_db=sinr, data=None)  # the association rows read no data phase
@@ -318,9 +277,9 @@ def test_dump_association_csv(small_scenario, tmp_path):
 def test_patched_rsrp_table_matches_a_fresh_table(small_scenario, block):
     """A chain of plans, each differing from the one before in a few
     sectors: patching the previous table on `changed_sectors` gives a fresh
-    table's bytes at every step. The steps turn a full sector partly or
-    wholly idle and back, so a patch that kept a sector's stale idle slots
-    would fail."""
+    table's bytes at every step. The steps darken a sector's beams, some or
+    all, with a very low power and light them again with new codewords, so
+    a patch that kept a sector's stale slots would fail."""
     book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
     base = baseline_plan(small_scenario, book)
     if block == "ue":
@@ -336,12 +295,12 @@ def test_patched_rsrp_table_matches_a_fresh_table(small_scenario, block):
         sectors = gen.choice(plan.n_sectors, size=int(gen.integers(1, 7)), replace=False)
         for b in sectors.tolist():
             change = step % 4
-            if change == 0:  # fewer beams
-                plan.x[b] = (gen.random(plan.n_slots) < 0.5).astype(np.int8)
-            elif change == 1:  # no beam at all
-                plan.x[b] = 0
-            elif change == 2:  # every beam, new codewords
-                plan.x[b] = 1
+            if change == 0:  # some beams dark
+                plan.power_dbm[b, gen.random(plan.n_slots) < 0.5] = DARK_DBM
+            elif change == 1:  # every beam dark
+                plan.power_dbm[b] = DARK_DBM
+            elif change == 2:  # every beam lit, new codewords
+                plan.power_dbm[b] = gen.uniform(0.0, 40.0, plan.n_slots)
                 plan.codeword[b] = gen.integers(0, len(book), plan.n_slots)
             else:  # new powers
                 plan.power_dbm[b] = gen.uniform(0.0, 40.0, plan.n_slots)
@@ -357,11 +316,9 @@ def test_changed_sectors_reads_every_beam_field(small_scenario):
     base = baseline_plan(small_scenario, book)
     assert changed_sectors(base, base.copy()).tolist() == []
     plan = base.copy()
-    plan.x[2, 0] = 0
     plan.codeword[5, 1] += 1
     plan.power_dbm[7, 2] += 1.0
-    plan.sweep[11, 3] = 0
-    assert changed_sectors(base, plan).tolist() == [2, 5, 7, 11]
+    assert changed_sectors(base, plan).tolist() == [5, 7]
 
 
 @pytest.mark.parametrize("values", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -27,6 +28,7 @@ from skybeam.evaluation import snapshot_uavs
 from skybeam.scenario import (
     Sector,
     UpaGeometry,
+    build_hex_layout,
     discretize_highway,
     place_uavs,
     scenario_from_config,
@@ -547,6 +549,17 @@ class TestMatchesPerSectorOracle:
         assert got.h.shape == (0, b, m)
         self.assert_same_bytes(got, per_sector_channels(scenario, empty, 1, "ue")[0])
 
+    def test_sectors_on_their_own_masts(self, small_scenario):
+        """Sectors on 35 m masts, in a layout whose `bs_height_m` still reads
+        25 m: every link's path loss takes its own sector's height."""
+        layout = small_scenario.layout
+        sectors = build_hex_layout(layout.tiers, layout.isd_m, small_scenario.sectors[0].panel, 35.0)
+        scenario = dataclasses.replace(small_scenario, sectors=tuple(sectors))
+        assert scenario.layout.bs_height_m == H_BS
+        ground = scenario.ground_users(0)
+        got = build_channels(scenario, entity_block(ground), 0, "ue")
+        self.assert_same_bytes(got, per_sector_channels(scenario, ground, 0, "ue")[0])
+
     def test_highway_point_stream(self, cfg):
         scenario = scenario_from_config(cfg)
         points = scenario.highway.points
@@ -715,7 +728,7 @@ class TestEntityAtPanel:
     the entity row and the sector id, with no NumPy RuntimeWarning first."""
 
     def test_build_channels(self, small_scenario):
-        panel_position = small_scenario.sectors[3].position
+        panel_position = np.array(small_scenario.sectors[3].position_3d_m)
         positions = np.array([[100.0, 50.0, 1.5], [-80.0, 20.0, 1.5], panel_position])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

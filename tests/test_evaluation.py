@@ -6,6 +6,7 @@ import pytest
 
 import dataclasses
 
+from conftest import DARK_DBM
 from oracles import (
     achievable_rate,
     data_phase,
@@ -460,13 +461,13 @@ class TestPlanDeltas:
         assert 0 < np.count_nonzero(moved) < g
 
     def test_sector_loses_its_last_ground_user(self, small_scenario):
-        """A sector with every beam off serves no one, so its ground users
+        """A sector with every beam dark serves no one, so its ground users
         move away and its inter-cell terms and codeword counts go to 0."""
         ssb, dl, base = _books_and_plan(small_scenario)
         g = len(small_scenario.ground_users(1))
         b = int(evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 4, [UAV_SPACING])[0]["b"].serving_sector[0])
         dark = base.copy()
-        dark.x[b] = 0
+        dark.power_dbm[b] = DARK_DBM
         want = self.assert_matches_full_evaluation(small_scenario, {"base": base, "dark": dark})
         assert np.any(want["base"].serving_sector[:g] == b)
         assert not np.any(want["dark"].serving_sector[:g] == b)
@@ -481,7 +482,7 @@ class TestPlanDeltas:
         six = self.with_new_codewords(base, range(20, 26), len(ssb), seed=3)
         louder = base.copy()
         louder.power_dbm[[9, 21]] += 6.0
-        louder.x[30] = 0
+        louder.power_dbm[30] = DARK_DBM
         dl = build_dl_codebook(scenario.sectors[0].panel, 4, 4)
         self.assert_matches_full_evaluation(scenario, {"base": base, "six": six, "louder": louder}, dl)
 
@@ -496,7 +497,7 @@ def test_data_phase_joins_blocks_by_rows(small_scenario):
         **{name: np.concatenate([getattr(ground, name), getattr(uavs, name)]) for name in CHANNEL_ARRAYS}
     )
     serving = np.concatenate(
-        [associate(rsrp_table(blk, base, ssb), base, 1e-12).serving_sector for blk in (ground, uavs)]
+        [associate(rsrp_table(blk, base, ssb), 1e-12).serving_sector for blk in (ground, uavs)]
     )
     got = data_phase((ground, uavs), serving, dl, RADIO)
     want = data_phase([joined], serving, dl, RADIO)
@@ -535,7 +536,7 @@ class TestTwoStepDataPhase:
         built = [ground_channels(scenario, snapshot)]
         built += [build_channels(scenario, entity_block(b), snapshot, "uav") for b in blocks]
         noise_mw = scenario.radio.ssb_noise_mw
-        served = [(blk, associate(rsrp_table(blk, base, ssb), base, noise_mw).serving_sector) for blk in built]
+        served = [(blk, associate(rsrp_table(blk, base, ssb), noise_mw).serving_sector) for blk in built]
         return dl, served[0], served[1:]
 
     @pytest.mark.parametrize("layout", ["small", "default"])

@@ -11,7 +11,8 @@ from oracles import (
     reference_run,
     validate_plan,
 )
-from skybeam.association import BeamPlan, changed_sectors, rsrp_table, select_serving_all
+from conftest import beam_plan
+from skybeam.association import changed_sectors, rsrp_table, select_serving_all
 from skybeam.channel import build_channels, entity_block
 from skybeam.cli import TRACE_CSV, _plan_json, _RunDir, _trace_rows
 from skybeam.codebook import build_ssb_codebook
@@ -26,7 +27,7 @@ from skybeam.genetic import (
     select_frozen_slots,
 )
 from skybeam.scenario import scenario_from_config
-from test_association import make_channels, make_codebook, simple_plan
+from test_association import make_channels, make_codebook
 
 NOISE_MW = 1e-9
 
@@ -41,11 +42,10 @@ def random_instance(gen, n_points=5, n_sectors=3, n_slots=4, m=4, n_codewords=10
     weights = gen.standard_normal((n_codewords, m)) + 1j * gen.standard_normal((n_codewords, m))
     weights /= np.linalg.norm(weights, axis=1, keepdims=True)
     book = make_codebook(weights)
-    baseline = BeamPlan(
-        x=np.ones((n_sectors, n_slots), dtype=np.int8),
+    baseline = beam_plan(
+        n_sectors, n_slots,
         power_dbm=gen.uniform(0, 6, (n_sectors, n_slots)),
         codeword=gen.integers(0, n_codewords, (n_sectors, n_slots)),
-        sweep=np.tile(np.arange(n_slots), (n_sectors, 1)),
     )
     designated = tuple(sorted(gen.choice(n_sectors, size=gen.integers(1, n_sectors), replace=False).tolist()))
     frozen = {cell: int(gen.integers(0, n_slots)) for cell in designated}
@@ -59,7 +59,6 @@ class TestApplyIndividual:
         gen = np.random.default_rng(0)
         _, _, baseline, _, _, _ = random_instance(gen)
         plan = apply_individual(np.empty(0), baseline, (), {}, 10)
-        assert np.array_equal(plan.x, baseline.x)
         assert np.array_equal(plan.power_dbm, baseline.power_dbm)
         assert np.array_equal(plan.codeword, baseline.codeword)
 
@@ -74,7 +73,6 @@ class TestApplyIndividual:
         assert changed <= {(1, 3)}
         assert plan.codeword[1, 3] == 7
         assert plan.power_dbm[1, 3] == pytest.approx(10 * math.log10(2.5))
-        assert np.array_equal(plan.sweep, baseline.sweep)
 
     def test_structural_diff_matches_designated_set(self):
         gen = np.random.default_rng(2)
@@ -148,24 +146,6 @@ class TestFitness:
                 assert got == pytest.approx(oracle, rel=1e-9)
             checked += 1
 
-    def test_general_sweep_map_path(self):
-        # a plan whose sweep indices differ from slot ids puts several slots
-        # of a sector in one interfering sweep group
-        gen = np.random.default_rng(6)
-        channels, book, baseline, designated, frozen, required = random_instance(gen)
-        baseline.sweep = np.tile(np.array([0, 0, 1, 1]), (channels.h.shape[1], 1))
-        ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
-        n = len(designated)
-        genome = np.concatenate([gen.integers(0, 10, n), gen.uniform(0.05, 4.0, n)])
-        got = evaluate_genome(ev, genome)
-        oracle = brute_force_fitness(
-            genome, channels, book, baseline, designated, frozen, required, NOISE_MW
-        )
-        if got == -math.inf or oracle == -math.inf:
-            assert got == oracle
-        else:
-            assert got == pytest.approx(oracle, rel=1e-9)
-
 
 def serving_oracle(genome, ev, channels, book):
     """Serving (sectors, slots) of a genome from its full RSRP table: the
@@ -181,14 +161,11 @@ def serving_oracle(genome, ev, channels, book):
 
 
 class TestEvaluatePopulation:
-    @pytest.mark.parametrize("sweep_map", [None, [0, 0, 1, 1]])
-    def test_matches_bruteforce_on_random_populations(self, sweep_map):
+    def test_matches_bruteforce_on_random_populations(self):
         gen = np.random.default_rng(12)
         feasible = 0
         for _ in range(30):
             channels, book, baseline, designated, frozen, required = random_instance(gen)
-            if sweep_map is not None:
-                baseline.sweep = np.tile(np.array(sweep_map), (channels.h.shape[1], 1))
             ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
             n = len(designated)
             pop = np.concatenate(
@@ -221,7 +198,7 @@ class TestEvaluatePopulation:
         # power gene equal to the baseline best ties it exactly
         channels = make_channels(np.tile([1.0, 0.0], (1, 3, 1)), np.ones((1, 3)))
         book = make_codebook([[1.0, 0.0], [0.0, 1.0]])
-        baseline = simple_plan(3, 2)
+        baseline = beam_plan(3, 2)
         baseline.power_dbm = np.array([[0.0, 1.0], [3.0, 2.0], [1.0, 0.0]])
         best = rsrp_table(channels, baseline, book)[0, 1, 0]
         genome = np.array([0.0, best])
@@ -239,7 +216,7 @@ class TestEvaluatePopulation:
         channels = make_channels(np.zeros((2, 3, 2)), np.ones((2, 3)))
         book = make_codebook([[1.0, 0.0], [0.0, 1.0]])
         ev = FitnessEvaluator(
-            channels, book, simple_plan(3, 4), (1,), {1: 2}, np.zeros(2, dtype=int), NOISE_MW
+            channels, book, beam_plan(3, 4), (1,), {1: 2}, np.zeros(2, dtype=int), NOISE_MW
         )
         scores, violations = ev.evaluate_population(np.array([[1.0, 2.0], [0.0, 0.5]]))
         assert np.all(scores == -math.inf)
@@ -312,7 +289,7 @@ def feasible_toy(seed=0):
     weights = gen.standard_normal((10, m)) + 1j * gen.standard_normal((10, m))
     weights /= np.linalg.norm(weights, axis=1, keepdims=True)
     book = make_codebook(weights)
-    baseline = simple_plan(n_sectors, n_slots, power_dbm=0.0, codeword=0)
+    baseline = beam_plan(n_sectors, n_slots, power_dbm=0.0, codeword=0)
     designated = (0,)
     frozen = {0: 1}
     required = np.zeros(n_points, dtype=int)
@@ -499,14 +476,11 @@ class TestReferenceIdentity:
     byte for byte. `run` merges adjacent `Generator.random` calls, which is
     exact only because each double takes one 64-bit word of the stream."""
 
-    @pytest.mark.parametrize("sweep_map", [None, [0, 0, 1, 1]])
-    def test_random_populations(self, sweep_map):
+    def test_random_populations(self):
         gen = np.random.default_rng(21)
         feasible = 0
         for _ in range(40):
             channels, book, baseline, designated, frozen, required = random_instance(gen)
-            if sweep_map is not None:
-                baseline.sweep = np.tile(np.array(sweep_map), (channels.h.shape[1], 1))
             ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
             ref = twin(ReferenceEvaluator, ev, channels, book)
             n = len(designated)
@@ -521,7 +495,7 @@ class TestReferenceIdentity:
     def test_exact_ties(self, cell, slot):
         channels = make_channels(np.tile([1.0, 0.0], (1, 3, 1)), np.ones((1, 3)))
         book = make_codebook([[1.0, 0.0], [0.0, 1.0]])
-        baseline = simple_plan(3, 2)
+        baseline = beam_plan(3, 2)
         baseline.power_dbm = np.array([[0.0, 1.0], [3.0, 2.0], [1.0, 0.0]])
         table = rsrp_table(channels, baseline, book)
         # every power that ties some baseline entry, with both codewords
@@ -588,7 +562,7 @@ def written_plan_scores(ev, channels, book, pop, patch=False):
             table = rsrp_table(channels, plan, book, base.copy(), changed_sectors(ev.baseline, plan))
         else:
             table = rsrp_table(channels, plan, book)
-        assoc = associate(table, plan, ev.noise_mw)
+        assoc = associate(table, ev.noise_mw)
         count = np.count_nonzero(assoc.serving_sector != ev.required_cell)
         violations.append(count)
         scores.append(assoc.coverage_sinr_db.min() if count == 0 else -math.inf)
@@ -608,14 +582,11 @@ class TestScoresWrittenPlan:
     fitness and violation count equal those of `plan_for(genome)` under
     `rsrp_table` and `associate`."""
 
-    @pytest.mark.parametrize("sweep_map", [None, [0, 0, 1, 1]])
-    def test_random_instances(self, sweep_map):
+    def test_random_instances(self):
         gen = np.random.default_rng(31)
         feasible = 0
         for _ in range(40):
             channels, book, baseline, designated, frozen, required = random_instance(gen)
-            if sweep_map is not None:
-                baseline.sweep = np.tile(np.array(sweep_map), (channels.h.shape[1], 1))
             ev = FitnessEvaluator(channels, book, baseline, designated, frozen, required, NOISE_MW)
             n = len(designated)
             pop = np.concatenate(
@@ -656,7 +627,7 @@ class TestScoresWrittenPlan:
 
 class TestFrozenSlots:
     def test_prefers_fewest_gues(self):
-        baseline = simple_plan(3, 4)
+        baseline = beam_plan(3, 4)
         sectors = np.array([0, 0, 0, 1, 1])
         slots = np.array([0, 0, 1, 2, 2])
         frozen = select_frozen_slots(baseline, (0, 1), sectors, slots)
@@ -665,14 +636,14 @@ class TestFrozenSlots:
         assert frozen[1] == 0
 
     def test_designated_cells_avoid_slot_collisions(self):
-        baseline = simple_plan(4, 4)
+        baseline = beam_plan(4, 4)
         sectors = np.array([], dtype=int)
         slots = np.array([], dtype=int)
         frozen = select_frozen_slots(baseline, (0, 1, 2, 3), sectors, slots)
         assert len(set(frozen.values())) == 4
 
     def test_collision_allowed_when_slots_exhausted(self):
-        baseline = simple_plan(5, 4)
+        baseline = beam_plan(5, 4)
         frozen = select_frozen_slots(
             baseline, (0, 1, 2, 3, 4), np.array([], dtype=int), np.array([], dtype=int)
         )

@@ -132,6 +132,7 @@ def test_every_method_is_used_in_the_library():
 
 # class fields that tests read and no library code does
 TEST_ONLY_FIELDS = {
+    "evaluation.py:DataPhaseReport.power_mw",
     "genetic.py:Individual.fitness",
 }
 
@@ -187,3 +188,17 @@ def test_only_config_reads_the_noise_keys():
         if isinstance(node, ast.Attribute) and node.attr in ("noise_psd_dbm_per_hz", "ue_noise_figure_db")
     )
     assert not readers, f"noise keys read outside config.py: {readers}"
+
+
+def test_only_scenario_reads_the_mast_height():
+    """A sector's `position_3d_m` is its mast, which `scenario.py` builds
+    from `layout.bs_height_m`: no other library module reads the key, so
+    every link model takes its sector's own height."""
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees(SRC)
+        if path.name != "scenario.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "bs_height_m"
+    )
+    assert not readers, f"bs_height_m read outside scenario.py: {readers}"

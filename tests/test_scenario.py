@@ -99,7 +99,7 @@ class TestGroundUsers:
         per_sector = len(users) // len(sectors)
         for k, sector in enumerate(sectors):
             for u in users[k * per_sector : (k + 1) * per_sector]:
-                d = u[:2] - sector.position[:2]
+                d = u[:2] - np.array(sector.position_3d_m[:2])
                 # hexagonal lattice cell membership
                 for ang in range(0, 360, 60):
                     n = np.array([math.cos(math.radians(ang)), math.sin(math.radians(ang))])
