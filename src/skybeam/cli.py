@@ -88,7 +88,7 @@ class _Csv(NamedTuple):
 
 CODEBOOK_CSV = _Csv("index,active_cols,ih,iv,weights_re_im", "%d,%d,%d,%d,%s")
 METRIC_CSV = _Csv("segment_id,sector_id,p_gain_db,inv_cond,cross_corr_db,chi", "%d,%d,%.10g,%.10g,%.10g,%.10g")
-TRACE_CSV = _Csv("iteration,best_fitness_db,evals", "%d,%.10g,%d")
+TRACE_CSV = _Csv("iteration,best_fitness_db,violations,evals", "%d,%.10g,%d,%d")
 ASSOCIATION_CSV = _Csv("ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db", "%d,%s,%d,%d,%.10g,%.10g")
 REPORT_CSV = _Csv(
     "snapshot,ue_id,kind,serving_sector,coverage_sinr_db,data_sinr_db,rate_bps", "%d,%d,%s,%d,%.10g,%.10g,%.10g"
@@ -157,7 +157,7 @@ def _metric_rows(assignment: SegmentAssignment):
 
 
 def _trace_rows(trace: FitnessTrace):
-    return zip(trace.iterations, trace.best_fitness, trace.evaluations)
+    return zip(trace.iterations, trace.best_fitness, trace.violations, trace.evaluations)
 
 
 def _plan_json(plan: BeamPlan, designated_cells: tuple[int, ...], frozen_slots: dict[int, int]) -> dict:
@@ -235,7 +235,7 @@ def _plan(args):
     grounds = [ground_channels(scenario, 0)]  # shared by the search and snapshot 0
     assignment, evaluator = corridor_problem(scenario, ssb_cb, grounds[0])
     run_dir.write_csv("segment_metric.csv", METRIC_CSV, _metric_rows(assignment))
-    best, trace = run_ega(block_params(cfg, "optimizer"), evaluator, scenario.radio.max_ssb_power_dbm)
+    best, trace = run_ega(block_params(cfg, "optimizer"), evaluator)
     if not best.feasible:
         print(
             f"warning: beam search ended infeasible after {len(trace.iterations)} iterations: "
@@ -402,7 +402,8 @@ def _describe(path: Path, text: str) -> list[str]:
         fitness = [float(row.split(",")[1]) for row in rows]
         best = max(fitness, default=-math.inf)
         if best == -math.inf:
-            return [f"trace: {len(rows)} iterations, no iteration was feasible"]
+            fewest = min(int(row.split(",")[2]) for row in rows)  # no rows: malformed
+            return [f"trace: {len(rows)} iterations, no iteration was feasible; fewest violating points {fewest}"]
         best_iter = rows[fitness.index(best)].split(",")[0]  # the first row at the maximum
         return [f"trace: {len(rows)} iterations, max fitness {best:.4g} dB, last improvement at iteration {best_iter}"]
     if header == METRIC_CSV.header:

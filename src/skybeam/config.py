@@ -44,7 +44,6 @@ class RadioConfig:
     prb_bandwidth_hz: float = 360e3
     noise_psd_dbm_per_hz: float = -174.0
     ue_noise_figure_db: float = 9.0
-    max_ssb_power_dbm: float = 43.0
     sector_tx_power_dbm: float = 46.0
 
     def __post_init__(self):
@@ -52,7 +51,6 @@ class RadioConfig:
         noise = "the noise of radio.noise_psd_dbm_per_hz and radio.ue_noise_figure_db over"
         band = "the data band, radio.n_prb_total x radio.prb_bandwidth_hz"
         for name, to_mw, value in (
-            ("radio.max_ssb_power_dbm", dbm_to_mw, self.max_ssb_power_dbm),
             ("radio.sector_tx_power_dbm", dbm_to_mw, self.sector_tx_power_dbm),
             (f"{noise} the SSB", self.noise_mw, SSB_BANDWIDTH_HZ),
             (f"{noise} one PRB, radio.prb_bandwidth_hz", self.noise_mw, self.prb_bandwidth_hz),

@@ -46,7 +46,6 @@ class DataPhaseReport:
 
     serving_sector: np.ndarray
     precoder: np.ndarray
-    power_mw: np.ndarray  # per-UE transmit power share
     n_codeword_sharers: np.ndarray
     sinr_db: np.ndarray
     rate_bps: np.ndarray
@@ -258,7 +257,6 @@ def data_phase_uavs(
     return DataPhaseReport(
         serving_sector=serving,
         precoder=precoder,
-        power_mw=p_dl,
         n_codeword_sharers=n_sharers,
         sinr_db=sinr_db(signal, impairment),
         rate_bps=rate,

@@ -3,12 +3,12 @@
 `corridor_problem` builds the search's inputs from a scenario: the segment
 designation, one frozen slot per designated cell and the evaluator.
 
-A genome concatenates one codeword index and one transmit power per
-designated cell: [idx_0 .. idx_{n-1} | p_0 .. p_{n-1}], indices in
-[0, N_CB), powers in (0, p_max] mW on a linear scale. Applying a genome to
-the baseline plan swaps exactly one pre-selected slot per designated cell and
-leaves every other cell untouched. A codeword gene that does not round to an
-index in [0, N_CB), or a power gene that is not finite and above 0 mW, is
+A genome is an integer array of one codeword index per designated cell,
+[idx_0 .. idx_{n-1}], each in [0, N_CB). Applying a genome to the baseline
+plan swaps the codeword of exactly one pre-selected slot per designated cell
+and leaves every other entry untouched. Power is not searched: every SSB
+beam of a sector, a replaced one too, keeps the baseline's equal share of
+the sector power. A codeword gene that is not an integer in [0, N_CB) is
 rejected with ValueError by both the scorer and `apply_individual`.
 
 Fitness is the minimum coverage SINR over all highway points, with a hard
@@ -25,9 +25,9 @@ arithmetic costs. Both halves are laid out for few calls:
 - the scorer puts the candidates of all genomes in one
   (n + 1, P, N_r) block and reduces over its leading axis, and only the
   feasible genomes, a few in a thousand, reach the coverage SINR;
-- the loop draws the adjacent `Generator.random` requests of an iteration
-  in one call each, crosses the parent pairs with one gather and one
-  `np.where`, mutates with two masked `np.copyto` and writes the elites
+- the loop draws the swap and mutation masks of an iteration in one
+  `Generator.random` call, crosses the parent pairs with one gather and one
+  `np.where`, mutates with one masked `np.copyto` and writes the elites
   into the offspring buffer.
 
 The search loop is a plain elite GA: rank, crossover of uniformly drawn
@@ -56,7 +56,7 @@ from .segment_metric import SegmentAssignment, assign_segments
 
 @dataclass
 class Individual:
-    genome: np.ndarray  # 2n floats; first half integer-valued codeword indices
+    genome: np.ndarray  # one codeword index per designated cell
     fitness: float = -math.inf
     violations: int = 0  # corridor points associated outside their designated cell
 
@@ -69,12 +69,14 @@ class Individual:
 class FitnessTrace:
     iterations: list[int] = field(default_factory=list)
     best_fitness: list[float] = field(default_factory=list)
+    violations: list[int] = field(default_factory=list)  # the best genome's, per iteration
     evaluations: list[int] = field(default_factory=list)
     stop_reason: str = "max_iters"  # or "stagnation": no improvement for stop_iters
 
-    def record(self, iteration: int, best: float, evals: int) -> None:
+    def record(self, iteration: int, best: float, violations: int, evals: int) -> None:
         self.iterations.append(iteration)
         self.best_fitness.append(best)
+        self.violations.append(violations)
         self.evaluations.append(evals)
 
 
@@ -108,26 +110,16 @@ def select_frozen_slots(
 _GAIN_BATCH = 16  # codewords per batched gain product: a 64 KB stack of 8 x 32 weights
 
 
-def _check_genes(codeword: np.ndarray, power: np.ndarray, n_codewords: int) -> None:
-    """Raise ValueError unless every rounded codeword gene lies in
-    [0, n_codewords) and every power gene is finite and above 0 mW.
-
-    Minimum and maximum carry a NaN through, and every comparison with NaN
-    is false, so a NaN gene fails both tests.
-    """
-    if codeword.size and not (0 <= codeword.min() and codeword.max() < n_codewords):
-        bad = codeword[~((codeword >= 0) & (codeword < n_codewords))].flat[0]
-        raise ValueError(
-            f"codeword gene rounds to {bad}; it must round to an index in [0, {n_codewords})"
-        )
-    if power.size and not (0 < power.min() and power.max() < math.inf):
-        bad = power[~((power > 0) & (power < math.inf))].flat[0]
-        raise ValueError(f"power gene {bad} mW; it must be finite and above 0 mW")
-
-
-def _genes_dbm(power: np.ndarray) -> np.ndarray:
-    """Power genes in mW as the dBm values that a written plan holds."""
-    return 10.0 * np.log10(power)
+def _codewords(genes, n_codewords: int) -> np.ndarray:
+    """Codeword genes as indices. Raises ValueError unless every gene is an
+    integer in [0, n_codewords); every comparison with NaN is false, so a
+    NaN gene fails the test."""
+    genes = np.asarray(genes)
+    ok = (genes >= 0) & (genes < n_codewords) & (np.trunc(genes) == genes)
+    if not ok.all():
+        bad = genes[~ok].flat[0]
+        raise ValueError(f"codeword gene {bad}; it must be an integer index in [0, {n_codewords})")
+    return genes.astype(np.intp, copy=False)
 
 
 def apply_individual(
@@ -137,23 +129,20 @@ def apply_individual(
     frozen_slots: dict[int, int],
     n_codewords: int,
 ) -> BeamPlan:
-    """Baseline plan with one slot per designated cell replaced by the genome.
+    """Baseline plan with the codeword of one slot per designated cell
+    replaced by the genome; every power stays the baseline's.
 
-    Raises ValueError for a genome of the wrong length, a codeword gene
-    outside [0, n_codewords) after rounding or a power gene that is not a
-    finite value above 0 mW.
+    Raises ValueError for a genome of the wrong length or a codeword gene
+    that is not an integer in [0, n_codewords).
     """
-    genome = np.asarray(genome, dtype=float)
-    n = len(designated_cells)
-    if genome.shape != (2 * n,):
-        raise ValueError("genome length must be twice the designated-cell count")
-    codeword = np.rint(genome[:n])
-    _check_genes(codeword, genome[n:], n_codewords)
+    genome = np.asarray(genome)
+    if genome.shape != (len(designated_cells),):
+        raise ValueError("a genome holds one codeword per designated cell")
+    codeword = _codewords(genome, n_codewords)
     cells = np.array(designated_cells, dtype=int)
     slots = np.array([frozen_slots[cell] for cell in designated_cells], dtype=int)
     plan = baseline.copy()
     plan.codeword[cells, slots] = codeword
-    plan.power_dbm[cells, slots] = _genes_dbm(genome[n:])
     return plan
 
 
@@ -169,17 +158,17 @@ class FitnessEvaluator:
       entries still to be written;
     - per corridor point, the best RSRP over every other entry, with its
       flat (sector, slot) index;
-    - one row table of beam gains, row j * N_CB + c holding designated cell
-      j's `beam_gain` with codeword c in its frozen slot and the cell's
-      other codewords beside it, (n * N_CB, N_r).
+    - one row table of replaced-beam RSRPs, row j * N_CB + c holding
+      designated cell j's `beam_gain` with codeword c in its frozen slot and
+      the cell's other codewords beside it, times the baseline power of that
+      slot, (n * N_CB, N_r).
 
     A slot index is the SSB index and the sweep group, so a replaced beam
     interferes with the other sectors' beams in its frozen slot.
 
-    `evaluate_population` scores a (P, 2n) population through one
+    `evaluate_population` scores a (P, n) population through one
     (n + 1, P, N_r) candidate block: row 0 is the baseline best at every
-    point, and rows 1..n are one `np.take` of the genome's gain rows times
-    its powers, read through dBm as the written plan holds them. A maximum
+    point, and rows 1..n are one `np.take` of the genome's rows. A maximum
     over the leading axis gives each point's serving RSRP, and a second
     maximum over the same axis, of a key that falls with the flat
     (sector, slot) index and is zeroed below the maximum RSRP, gives the
@@ -212,25 +201,27 @@ class FitnessEvaluator:
         self._cells = cells = np.array(self.designated_cells, dtype=int)
         self._slots = slots = np.array([self.frozen_slots[c] for c in self.designated_cells], dtype=int)
         n = cells.size
-        self._plan = self.plan_for(np.concatenate([np.zeros(n), np.ones(n)]))
+        self._plan = self.plan_for(np.zeros(n, dtype=int))
         self._table = rsrp_table(point_channels, self._plan, ssb_codebook)
         n_points, n_sectors, n_slots = self._table.shape
         if self.required_cell.shape[0] != n_points:
             raise ValueError("required_cell must give one sector per highway point")
         self._n_slots = n_slots
 
-        # gain rows (n * N_CB, N_r), row j * N_CB + c: cell j's codewords
-        # with c in the frozen slot, in stacks of _GAIN_BATCH; a freed larger
-        # stack would raise glibc's mmap threshold, and peak RSS with it, for
-        # the rest of the process
+        # RSRP rows (n * N_CB, N_r), row j * N_CB + c: cell j's codewords
+        # with c in the frozen slot, in stacks of _GAIN_BATCH, times the
+        # slot's power as `rsrp_table` multiplies it; a freed larger stack
+        # would raise glibc's mmap threshold, and peak RSS with it, for the
+        # rest of the process
         rows = []
         for cell, slot in zip(cells, slots):
             stack = np.repeat(ssb_codebook.weights[None, self._plan.codeword[cell]], _GAIN_BATCH, 0)
+            power = dbm_to_mw(self._plan.power_dbm[cell, slot])
             for start in range(0, self.n_codewords, _GAIN_BATCH):
                 batch = ssb_codebook.weights[start : start + _GAIN_BATCH]
                 stack[: len(batch), slot] = batch
-                rows.append(beam_gain(point_channels, cell, stack[: len(batch)])[:, :, slot])
-        self._gain_rows = np.concatenate(rows) if rows else np.empty((0, n_points))
+                rows.append(beam_gain(point_channels, cell, stack[: len(batch)])[:, :, slot] * power)
+        self._rsrp_rows = np.concatenate(rows) if rows else np.empty((0, n_points))
         self._row_offset = (np.arange(n) * self.n_codewords)[:, None]
 
         # serving candidates per point: the best entry no genome touches, then
@@ -250,18 +241,15 @@ class FitnessEvaluator:
 
     def evaluate_population(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(fitness in dB, association violation count) of every row of a
-        (P, 2n) population. Fitness is the min coverage SINR over the corridor
+        (P, n) population. Fitness is the min coverage SINR over the corridor
         points, -inf for a genome with any violation; the count only orders
         equally infeasible genomes during the search. Raises ValueError for a
-        codeword gene outside [0, N_CB) after rounding or a power gene that
-        is not a finite value above 0 mW."""
-        pop = np.asarray(pop, dtype=float)
+        codeword gene that is not an integer in [0, N_CB)."""
+        pop = np.asarray(pop)
         n = self._cells.size
-        if pop.ndim != 2 or pop.shape[1] != 2 * n:
-            raise ValueError("population rows must be genomes of twice the designated-cell count")
-        genes = np.ascontiguousarray(pop.T)  # (2n, P): codeword genes, then power genes
-        codeword = np.rint(genes[:n])
-        _check_genes(codeword, genes[n:], self.n_codewords)
+        if pop.ndim != 2 or pop.shape[1] != n:
+            raise ValueError("population rows must be genomes of one codeword per designated cell")
+        codeword = _codewords(pop.T, self.n_codewords)  # (n, P)
         self.evals += pop.shape[0]
 
         # candidate block (n + 1, P, N_r): the baseline best, then the RSRP of
@@ -269,9 +257,8 @@ class FitnessEvaluator:
         block = np.empty((n + 1, pop.shape[0], self._base_best.size))
         block[0] = self._base_best
         replaced = block[1:]
-        rows = codeword.astype(np.intp) + self._row_offset  # in range: checked above
-        self._gain_rows.take(rows, axis=0, out=replaced, mode="clip")
-        replaced *= dbm_to_mw(_genes_dbm(genes[n:]))[:, :, None]
+        rows = codeword + self._row_offset  # in range: checked above
+        self._rsrp_rows.take(rows, axis=0, out=replaced, mode="clip")
 
         # serving beam: the maximum over the candidates, ties to the lowest
         # flat index, which is the first-occurrence rule of select_serving_all;
@@ -328,48 +315,34 @@ def corridor_problem(
     return assignment, evaluator
 
 
-def _init_population(rng, n_pop: int, n_cells: int, n_cb: int, p_max_mw: float) -> np.ndarray:
-    pop = np.empty((n_pop, 2 * n_cells))
-    pop[:, :n_cells] = rng.integers(0, n_cb, size=(n_pop, n_cells))
-    pop[:, n_cells:] = p_max_mw * (1.0 - rng.random(size=(n_pop, n_cells)))  # (0, p_max]
-    return pop
-
-
-def run(
-    params: EgaParams,
-    evaluator: FitnessEvaluator,
-    p_max_dbm: float,
-) -> tuple[Individual, FitnessTrace]:
+def run(params: EgaParams, evaluator: FitnessEvaluator) -> tuple[Individual, FitnessTrace]:
     """Elite GA search; returns the best-ever genome and the fitness trace.
 
     Per iteration: score the offspring in one batched call, rank everyone,
     breed n_pop offspring from uniformly drawn parent pairs (gene-wise swap
-    with p_cross), mutate every gene with p_mut (indices resampled
-    uniformly, powers redrawn on (0, p_max]), then write the top n_elites,
-    which keep their scores, over the last n_elites offspring. Stops early
-    when the best has not improved for stop_iters iterations
-    (trace.stop_reason "stagnation", else "max_iters"). Fully deterministic
-    given params.seed.
+    with p_cross), mutate every gene with p_mut (the index resampled
+    uniformly), then write the top n_elites, which keep their scores, over
+    the last n_elites offspring. Stops early when the best has not improved
+    for stop_iters iterations (trace.stop_reason "stagnation", else
+    "max_iters"). Fully deterministic given params.seed.
 
     Ranking is by fitness; genomes tied at -inf are ordered by how many
     points violate the designated association, which lets recombination
     assemble per-cell captures before any fully feasible genome exists.
 
-    The draws per iteration, in order: the parent pairs (`integers`), the
-    swap mask and the codeword mutation mask (one `random` call), the new
-    codewords (`integers`), the power mutation mask and the new powers (one
-    `random` call). `Generator.random` takes one 64-bit word per double, so
-    one call of the summed size gives the same doubles as two calls in a
-    row; `tests/oracles.py::reference_run` draws them separately and the
-    tests compare the two byte for byte.
+    The draws: the initial codewords (`integers`), then per iteration the
+    parent pairs (`integers`), the swap mask and the mutation mask (one
+    `random` call) and the new codewords (`integers`). `Generator.random`
+    takes one 64-bit word per double, so one call of the summed size gives
+    the same doubles as two calls in a row; `tests/oracles.py::reference_run`
+    draws them separately and the tests compare the two byte for byte.
     """
     n_cells = len(evaluator.designated_cells)
     if n_cells == 0:
         raise ValueError("no designated cells to optimize")
     n_cb = evaluator.n_codewords
-    p_max_mw = dbm_to_mw(p_max_dbm)
     rng = np.random.default_rng(params.seed)
-    pop = _init_population(rng, params.n_pop, n_cells, n_cb, p_max_mw)
+    pop = rng.integers(0, n_cb, size=(params.n_pop, n_cells))
 
     trace = FitnessTrace()
     best_genome = pop[0].copy()
@@ -379,7 +352,7 @@ def run(
     n_pop, n_elites = params.n_pop, params.n_elites
     n_offspring = n_pop - n_elites
     n_pairs = (n_pop + 1) // 2
-    n_swap = n_pairs * 2 * n_cells  # one swap draw per gene of each pair
+    n_swap = n_pairs * n_cells  # one swap draw per gene of each pair
     scores = np.empty(n_pop)
     violations = np.empty(n_pop, dtype=int)
     n_unscored = n_pop  # leading rows of pop; the elites behind them keep their scores
@@ -401,7 +374,7 @@ def run(
             best_violations = int(ranked_violations[0])
             best_genome = ranked[0].copy()
             last_improvement = iteration
-        trace.record(iteration, best_fitness, evaluator.evals)
+        trace.record(iteration, best_fitness, best_violations, evaluator.evals)
 
         if iteration - last_improvement >= params.stop_iters:
             trace.stop_reason = "stagnation"
@@ -411,19 +384,13 @@ def run(
         # offspring rows where(swap, b, a) and where(swap, a, b)
         pairs = ranked[rng.integers(0, params.n_parents, size=(n_pairs, 2))]
         draws = rng.random(n_swap + n_pop * n_cells)
-        swap = draws[:n_swap].reshape(n_pairs, 1, 2 * n_cells) <= params.p_cross
-        pop = np.where(swap, pairs[:, ::-1], pairs).reshape(2 * n_pairs, 2 * n_cells)[:n_pop]
+        swap = draws[:n_swap].reshape(n_pairs, 1, n_cells) <= params.p_cross
+        pop = np.where(swap, pairs[:, ::-1], pairs).reshape(2 * n_pairs, n_cells)[:n_pop]
 
         # mutation of the offspring rows; the elite rows are overwritten below
         mutate = draws[n_swap:].reshape(n_pop, n_cells)[:n_offspring] <= params.p_mut
         new_codeword = rng.integers(0, n_cb, size=(n_pop, n_cells))
-        np.copyto(pop[:n_offspring, :n_cells], new_codeword[:n_offspring], where=mutate)
-        power_draws = rng.random(2 * n_pop * n_cells).reshape(2, n_pop, n_cells)[:, :n_offspring]
-        np.copyto(
-            pop[:n_offspring, n_cells:],
-            p_max_mw * (1.0 - power_draws[1]),  # (0, p_max]
-            where=power_draws[0] <= params.p_mut,
-        )
+        np.copyto(pop[:n_offspring], new_codeword[:n_offspring], where=mutate)
 
         pop[n_offspring:] = ranked[:n_elites]
         scores[n_offspring:] = ranked_scores[:n_elites]

@@ -432,7 +432,6 @@ def joined_data_phase(blocks, serving_sector, dl_codebook, radio) -> DataPhaseRe
     return DataPhaseReport(
         serving_sector=serving_sector.copy(),
         precoder=precoder,
-        power_mw=p_dl,
         n_codeword_sharers=n_sharers,
         sinr_db=sinr_db,
         rate_bps=rate,
@@ -441,7 +440,7 @@ def joined_data_phase(blocks, serving_sector, dl_codebook, radio) -> DataPhaseRe
 
 def brute_force_fitness(genome, channels, book, baseline, designated, frozen, required, noise_mw):
     """Loop-based reference: apply, associate, penalize, min coverage SINR."""
-    plan = apply_individual(np.asarray(genome, dtype=float), baseline, designated, frozen, len(book))
+    plan = apply_individual(genome, baseline, designated, frozen, len(book))
     n_points = channels.h.shape[0]
     n_sectors, n_slots = plan.codeword.shape
     worst = math.inf
@@ -465,10 +464,10 @@ def brute_force_fitness(genome, channels, book, baseline, designated, frozen, re
 class ReferenceEvaluator:
     """The population scorer before the candidate block: per genome, a row of
     n + 1 serving candidates per point, and the tie rule as a masked minimum
-    over that middle axis. Each gain row is one `beam_gain` call per
-    (cell, codeword), each feasible genome's SINR one `coverage_sinr_all`
-    call on its own table. Takes `FitnessEvaluator`'s arguments and keeps
-    its `evals` count."""
+    over that middle axis. Each RSRP row is one `beam_gain` call per
+    (cell, codeword) times the slot's baseline power, each feasible genome's
+    SINR one `coverage_sinr_all` call on its own table. Takes
+    `FitnessEvaluator`'s arguments and keeps its `evals` count."""
 
     def __init__(self, point_channels, ssb_codebook, baseline, designated_cells, frozen_slots,
                  required_cell, noise_mw):
@@ -482,18 +481,18 @@ class ReferenceEvaluator:
         slots = np.array([frozen_slots[c] for c in self.designated_cells], dtype=int)
         n = cells.size
         self._plan = apply_individual(
-            np.concatenate([np.zeros(n), np.ones(n)]), baseline, self.designated_cells,
-            frozen_slots, self.n_codewords,
+            np.zeros(n, dtype=int), baseline, self.designated_cells, frozen_slots, self.n_codewords
         )
         self._table = rsrp_table(point_channels, self._plan, ssb_codebook)
         n_points, n_sectors, n_slots = self._table.shape
         self._n_slots = n_slots
-        self._gain = np.empty((n, n_points, self.n_codewords))
+        self._rsrp = np.empty((n, n_points, self.n_codewords))
         for j, (cell, slot) in enumerate(zip(cells, slots)):
+            power = 10.0 ** (self._plan.power_dbm[cell, slot] / 10.0)
             for c in range(self.n_codewords):
                 weights = ssb_codebook.weights[self._plan.codeword[cell]]
                 weights[slot] = ssb_codebook.weights[c]
-                self._gain[j, :, c] = beam_gain(point_channels, cell, weights)[:, slot]
+                self._rsrp[j, :, c] = beam_gain(point_channels, cell, weights)[:, slot] * power
 
         replaced_flat = cells * n_slots + slots
         others = self._table.reshape(n_points, n_sectors * n_slots).copy()
@@ -508,15 +507,13 @@ class ReferenceEvaluator:
         self._cell_index = np.arange(n)
 
     def evaluate_population(self, pop):
-        pop = np.asarray(pop, dtype=float)
+        codeword = np.asarray(pop, dtype=int)
         n = self._cells.size
-        self.evals += pop.shape[0]
-        codeword = np.rint(pop[:, :n]).astype(int)
-        power = 10.0 ** (10.0 * np.log10(pop[:, n:]) / 10.0)  # through the plan's dBm
-        candidates = np.empty((pop.shape[0], n + 1, self._base_best.size))
+        self.evals += codeword.shape[0]
+        candidates = np.empty((codeword.shape[0], n + 1, self._base_best.size))
         candidates[:, 0] = self._base_best
         replaced = candidates[:, 1:]
-        np.multiply(self._gain[self._cell_index, :, codeword], power[:, :, None], out=replaced)
+        replaced[:] = self._rsrp[self._cell_index, :, codeword]
 
         best = candidates.max(axis=1)
         serving = np.where(
@@ -524,7 +521,7 @@ class ReferenceEvaluator:
         ).min(axis=1)
         sector = serving // self._n_slots
         violations = np.count_nonzero(sector != self.required_cell, axis=1)
-        scores = np.full(pop.shape[0], -math.inf)
+        scores = np.full(codeword.shape[0], -math.inf)
         for g in np.flatnonzero(violations == 0):
             table = self._table.copy()
             table[:, self._cells, self._slots] = replaced[g].T
@@ -533,17 +530,14 @@ class ReferenceEvaluator:
         return scores, violations
 
 
-def reference_run(params, evaluator, p_max_dbm):
+def reference_run(params, evaluator):
     """The elite GA loop with one generator call per draw, in the draw order
-    of `genetic.run`: parent pairs, swap mask, codeword mutation mask, new
-    codewords, power mutation mask, new powers."""
+    of `genetic.run`: initial codewords, then per iteration parent pairs,
+    swap mask, mutation mask, new codewords."""
     n_cells = len(evaluator.designated_cells)
     n_cb = evaluator.n_codewords
-    p_max_mw = 10.0 ** (p_max_dbm / 10.0)
     rng = np.random.default_rng(params.seed)
-    pop = np.empty((params.n_pop, 2 * n_cells))
-    pop[:, :n_cells] = rng.integers(0, n_cb, size=(params.n_pop, n_cells))
-    pop[:, n_cells:] = p_max_mw * (1.0 - rng.random(size=(params.n_pop, n_cells)))
+    pop = rng.integers(0, n_cb, size=(params.n_pop, n_cells))
 
     trace = FitnessTrace()
     best_genome = pop[0].copy()
@@ -571,7 +565,7 @@ def reference_run(params, evaluator, p_max_dbm):
             best_violations = int(violations[0])
             best_genome = pop[0].copy()
             last_improvement = iteration
-        trace.record(iteration, best_fitness, evaluator.evals)
+        trace.record(iteration, best_fitness, best_violations, evaluator.evals)
 
         if iteration - last_improvement >= params.stop_iters:
             trace.stop_reason = "stagnation"
@@ -589,17 +583,14 @@ def reference_run(params, evaluator, p_max_dbm):
         swap = rng.random(size=a.shape) <= params.p_cross
         a_swapped = np.where(swap, b, a)
         b_swapped = np.where(swap, a, b)
-        offspring = np.empty((2 * n_pairs, 2 * n_cells))
+        offspring = np.empty((2 * n_pairs, n_cells), dtype=pop.dtype)
         offspring[0::2] = a_swapped
         offspring[1::2] = b_swapped
         pop = offspring[: params.n_pop]
 
         mut_idx = rng.random(size=(params.n_pop, n_cells)) <= params.p_mut
         new_idx = rng.integers(0, n_cb, size=(params.n_pop, n_cells))
-        pop[:, :n_cells] = np.where(mut_idx, new_idx, pop[:, :n_cells])
-        mut_pw = rng.random(size=(params.n_pop, n_cells)) <= params.p_mut
-        new_pw = p_max_mw * (1.0 - rng.random(size=(params.n_pop, n_cells)))
-        pop[:, n_cells:] = np.where(mut_pw, new_pw, pop[:, n_cells:])
+        pop = np.where(mut_idx, new_idx, pop)
 
         pop[n_offspring:] = elites
         scores[n_offspring:] = elite_scores
@@ -609,7 +600,7 @@ def reference_run(params, evaluator, p_max_dbm):
     return Individual(best_genome, best_fitness, best_violations), trace
 
 
-def validate_plan(plan: BeamPlan, n_codewords: int, max_power_dbm: float | None = None) -> None:
+def validate_plan(plan: BeamPlan, n_codewords: int) -> None:
     """Raise ValueError unless `plan` meets the beam-plan constraints."""
     if plan.power_dbm.shape != plan.codeword.shape:
         raise ValueError("one power per codeword")
@@ -617,8 +608,6 @@ def validate_plan(plan: BeamPlan, n_codewords: int, max_power_dbm: float | None 
         raise ValueError(f"at most {N_SSB_SLOTS} beams per sector")
     if np.any(plan.codeword < 0) or np.any(plan.codeword >= n_codewords):
         raise ValueError("every beam must reference a valid codeword")
-    if max_power_dbm is not None and np.any(plan.power_dbm > max_power_dbm + 1e-9):
-        raise ValueError("beam power above the allowed maximum")
 
 
 def find_codeword(book: Codebook, active_columns: int, beam_index_h: int, beam_index_v: int) -> int:
@@ -642,5 +631,5 @@ def max_supported(result: SweepResult, plan: str, threshold_bps: float) -> int:
 def evaluate_genome(evaluator: FitnessEvaluator, genome) -> float:
     """Fitness of one genome: min coverage SINR in dB, -inf if any point
     associates outside its designated cell."""
-    scores, _ = evaluator.evaluate_population(np.asarray(genome, dtype=float)[None, :])
+    scores, _ = evaluator.evaluate_population(np.asarray(genome)[None, :])
     return float(scores[0])

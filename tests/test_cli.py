@@ -131,6 +131,7 @@ class TestRun:
             # keys that earlier versions had
             ("SKYBEAM_RADIO_BANDWIDTH_HZ", "30e6", "SKYBEAM_RADIO_BANDWIDTH_HZ"),
             ("SKYBEAM_RADIO_SSB_NOISE_POWER_DBM", "-96.4", "SKYBEAM_RADIO_SSB_NOISE_POWER_DBM"),
+            ("SKYBEAM_RADIO_MAX_SSB_POWER_DBM", "43", "SKYBEAM_RADIO_MAX_SSB_POWER_DBM"),
             ("SKYBEAM_LAYOUT_ELEMENT_SPACING_H_WAVELENGTHS", "0.5", "SKYBEAM_LAYOUT_ELEMENT_SPACING_H_WAVELENGTHS"),
             ("SKYBEAM_LAYOUT_ELEMENT_SPACING_V_WAVELENGTHS", "0.5", "SKYBEAM_LAYOUT_ELEMENT_SPACING_V_WAVELENGTHS"),
         ],
@@ -194,7 +195,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "block, key, value",
         [("radio", "bandwidth_hz", 30e6), ("radio", "ssb_noise_power_dbm", -96.4),
-         ("layout", "element_spacing_h_wavelengths", 0.5), ("layout", "element_spacing_v_wavelengths", 0.5)],
+         ("layout", "element_spacing_h_wavelengths", 0.5), ("layout", "element_spacing_v_wavelengths", 0.5),
+         ("radio", "max_ssb_power_dbm", 43.0)],
     )
     def test_removed_key_in_file_exits_1(self, small_config_path, tmp_path, capsys, block, key, value):
         """Keys that earlier versions had are unknown now: a config saved
@@ -207,6 +209,18 @@ class TestRun:
         assert code == 1
         assert f"unknown config key '{block}.{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_replaced_beams_keep_the_per_beam_power(self, small_config_path, tmp_path):
+        """Every SSB beam of a sector, a replaced one too, transmits the
+        sector power split equally over the eight beams."""
+        cfg = json.loads(small_config_path.read_text())
+        cfg["radio"]["sector_tx_power_dbm"] = 40.0
+        small_config_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(small_config_path), "--out", str(out), "--snapshots", "1"]) == 0
+        beams = json.loads((out / "optimized_plan.json").read_text())["modified_beams"]
+        assert beams
+        assert [beam["power_dbm"] for beam in beams] == [40.0 - 10.0 * math.log10(8)] * len(beams)
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--n-max", "2"]])
     @pytest.mark.parametrize("source", ["file", "env", "flag"])
@@ -284,7 +298,7 @@ def test_ground_users_drawn_once_per_snapshot(small_config_path, tmp_path, monke
 
 
 class TestInfeasibleSearch:
-    """Seed 1 of the default scenario is first feasible at GA iteration 545,
+    """Seed 1 of the default scenario is first feasible at GA iteration 438,
     so a one-iteration search ends infeasible."""
 
     @pytest.fixture()
@@ -304,6 +318,15 @@ class TestInfeasibleSearch:
         assert ega["iterations"] == 1 and ega["evals"] == 100
         assert ega["stop_reason"] == "max_iters"
         assert "infeasible" in capsys.readouterr().err
+        # the trace records the best genome's violation count, and `inspect` reports it
+        with open(out / "ega_trace.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["best_fitness_db"]) == -math.inf
+        assert int(row["violations"]) == ega["violations"]
+        assert main(["inspect", str(out / "ega_trace.csv")]) == 0
+        assert capsys.readouterr().out == (
+            f"trace: 1 iterations, no iteration was feasible; fewest violating points {ega['violations']}\n"
+        )
 
     def test_sweep_warns(self, one_iteration_config, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -406,10 +429,10 @@ class TestInspect:
 
     def test_trace_never_feasible(self, tmp_path, capsys):
         trace = tmp_path / "ega_trace.csv"
-        trace.write_text("iteration,best_fitness_db,evals\n0,-inf,100\n1,-inf,180\n2,-inf,260\n")
+        trace.write_text("iteration,best_fitness_db,violations,evals\n0,-inf,5,100\n1,-inf,3,180\n2,-inf,3,260\n")
         assert main(["inspect", str(trace)]) == 0
         printed = capsys.readouterr().out
-        assert printed == "trace: 3 iterations, no iteration was feasible\n"
+        assert printed == "trace: 3 iterations, no iteration was feasible; fewest violating points 3\n"
 
     def test_metric_summary(self, small_config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -439,11 +462,11 @@ class TestInspect:
             ("optimized_plan.json", '{"modified_beams": [{"sector": 1, "codeword": 2, "power_dbm": 3.0}]}'),
             ("optimized_plan.json", '{"modified_beams": [{"sector": 1, "slot": 0, "codeword": 2, "power_dbm": "x"}]}'),
             ("optimized_plan.json", '{"modified_beams": '),
-            ("ega_trace.csv", "iteration,best_fitness_db,evals\n0,1.5,100\n1\n"),
+            ("ega_trace.csv", "iteration,best_fitness_db,violations,evals\n0,1.5,0,100\n1\n"),
             ("segment_metric.csv", "segment_id,sector_id,p_gain_db,inv_cond,cross_corr_db,chi\n0\n"),
             ("summary.json", "[1, 2]"),
             ("summary.json", '"x"'),
-            ("ega_trace.csv", b"iteration,best_fitness_db,evals\n0,\xff,100\n"),
+            ("ega_trace.csv", b"iteration,best_fitness_db,violations,evals\n0,\xff,0,100\n"),
         ],
         ids=["beams-not-a-list", "beams-a-dict", "entry-without-slot", "power-not-a-number", "truncated-json",
              "short-trace-row", "short-metric-row", "json-array", "json-string", "not-utf8"],
@@ -579,7 +602,7 @@ def test_report_rows_match_fstring_formatting(tmp_path):
     kinds = np.array(["ground", "aerial", "aerial"])
     values = np.array([[-0.0, np.inf, 5e-324], [np.nan, -np.inf, 1e300], [1.0 / 3.0, -12.5, 123456789012.0]])
     sector = np.array([3, 0, 56])
-    data = DataPhaseReport(serving_sector=sector, precoder=sector, power_mw=values[0], n_codeword_sharers=sector,
+    data = DataPhaseReport(serving_sector=sector, precoder=sector, n_codeword_sharers=sector,
                            sinr_db=values[1], rate_bps=values[2])
     res = SnapshotResult(kinds=kinds, serving_sector=sector, serving_slot=sector, serving_rsrp_mw=values[0],
                          coverage_sinr_db=values[0], data=data)
@@ -597,9 +620,11 @@ def test_report_rows_match_fstring_formatting(tmp_path):
         for (z, b), p in np.ndenumerate(grid)
     )
 
-    trace = FitnessTrace(iterations=[0, 1, 2], best_fitness=[-math.inf, 1.0 / 3.0, 1e300], evaluations=[100, 180, 260])
+    trace = FitnessTrace(iterations=[0, 1, 2], best_fitness=[-math.inf, 1.0 / 3.0, 1e300], violations=[4, 0, 0],
+                         evaluations=[100, 180, 260])
     trace_text = "".join(
-        f"{i},{f:.10g},{e}\n" for i, f, e in zip(trace.iterations, trace.best_fitness, trace.evaluations)
+        f"{i},{f:.10g},{v},{e}\n"
+        for i, f, v, e in zip(trace.iterations, trace.best_fitness, trace.violations, trace.evaluations)
     )
 
     sweep = SweepResult(n_uavs=np.arange(1, 4), d_iud_m=1250.0 / np.arange(1, 4),
@@ -618,7 +643,7 @@ def test_report_rows_match_fstring_formatting(tmp_path):
          "snapshot,ue_id,kind,serving_sector,coverage_sinr_db,data_sinr_db,rate_bps\n" + report),
         ("metric.csv", METRIC_CSV, _metric_rows(assignment),
          "segment_id,sector_id,p_gain_db,inv_cond,cross_corr_db,chi\n" + metric),
-        ("trace.csv", TRACE_CSV, _trace_rows(trace), "iteration,best_fitness_db,evals\n" + trace_text),
+        ("trace.csv", TRACE_CSV, _trace_rows(trace), "iteration,best_fitness_db,violations,evals\n" + trace_text),
         ("sweep.csv", SWEEP_CSV, _sweep_rows(sweep),
          "n_uavs,d_iud_m,p5_uav_rate_baseline_bps,p5_uav_rate_optimized_bps,"
          "p5_gue_rate_baseline_bps,p5_gue_rate_optimized_bps\n" + sweep_text),

@@ -61,7 +61,8 @@ def test_unknown_block_rejected():
      ("channel", "shadow_sigma_los_ground_db", float("nan")),
      ("channel", "shadow_corr_dist_ground_m", -50), ("channel", "shadow_sigma_nlos_aerial_db", -1.0),
      ("radio", "carrier_freq_hz", float("nan")), ("radio", "carrier_freq_hz", float("inf")),
-     # radio.bandwidth_hz and radio.ssb_noise_power_dbm are unknown keys now
+     # radio.bandwidth_hz, radio.ssb_noise_power_dbm and radio.max_ssb_power_dbm
+     # are unknown keys now
      ("radio", "bandwidth_hz", float("nan")), ("radio", "n_prb_total", -5),
      ("radio", "n_prb_total", 2.5), ("radio", "n_prb_total", True),
      ("radio", "prb_bandwidth_hz", 0), ("radio", "prb_bandwidth_hz", -1),

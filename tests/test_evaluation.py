@@ -190,13 +190,10 @@ def test_inter_cell_interference_sanity_bound():
     serving = np.array([0, 0, 0, 1])
     report = data_phase([channels], serving, book, RADIO)
     p_total = 10 ** (RADIO.sector_tx_power_dbm / 10)
+    p_ue = p_total / np.count_nonzero(serving == 0)  # cell 0's equal share per served UE
     u = 0  # served by cell 0, interfered by cell 1
     sinr = 10 ** (report.sinr_db[u] / 10)
-    signal = (
-        beta[u, 0]
-        * abs(h[u, 0] @ book.weights[report.precoder[u]]) ** 2
-        * report.power_mw[u]
-    )
+    signal = beta[u, 0] * abs(h[u, 0] @ book.weights[report.precoder[u]]) ** 2 * p_ue
     noise = RADIO.noise_mw(RADIO.n_prb_total * RADIO.prb_bandwidth_hz / report.n_codeword_sharers[u])
     total_interference = signal / sinr - noise
     best_gain = max(abs(h[u, 1] @ w) ** 2 for w in weights)
@@ -207,7 +204,7 @@ def test_inter_cell_interference_sanity_bound():
     for other in range(n):
         if other == u or serving[other] != 0 or report.precoder[other] == report.precoder[u]:
             continue
-        intra += beta[u, 0] * abs(h[u, 0] @ book.weights[report.precoder[other]]) ** 2 * report.power_mw[other]
+        intra += beta[u, 0] * abs(h[u, 0] @ book.weights[report.precoder[other]]) ** 2 * p_ue
     assert total_interference - intra <= bound + 1e-9
 
 
@@ -501,11 +498,11 @@ def test_data_phase_joins_blocks_by_rows(small_scenario):
     )
     got = data_phase((ground, uavs), serving, dl, RADIO)
     want = data_phase([joined], serving, dl, RADIO)
-    for field in ("precoder", "power_mw", "n_codeword_sharers", "sinr_db", "rate_bps"):
+    for field in ("precoder", "n_codeword_sharers", "sinr_db", "rate_bps"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
-REPORT_FIELDS = ("serving_sector", "precoder", "power_mw", "n_codeword_sharers", "sinr_db", "rate_bps")
+REPORT_FIELDS = ("serving_sector", "precoder", "n_codeword_sharers", "sinr_db", "rate_bps")
 
 
 class TestTwoStepDataPhase:

@@ -132,7 +132,6 @@ def test_every_method_is_used_in_the_library():
 
 # class fields that tests read and no library code does
 TEST_ONLY_FIELDS = {
-    "evaluation.py:DataPhaseReport.power_mw",
     "genetic.py:Individual.fitness",
 }
 
