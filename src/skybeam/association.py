@@ -56,13 +56,6 @@ def unique_ints(values) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.searchsorted(distinct, flat)
 
 
-def changed_sectors(a: BeamPlan, b: BeamPlan) -> np.ndarray:
-    """The sectors whose codeword or power row differs between two plans,
-    ascending."""
-    differs = (a.codeword != b.codeword) | (a.power_dbm != b.power_dbm)
-    return np.flatnonzero(differs.any(axis=1))
-
-
 def beam_gain(channels: ChannelSet, sector: int, weights: np.ndarray) -> np.ndarray:
     """beta * |h^T w|^2 of every entity in `sector` with each codeword row of
     `weights` (..., K, M), as (..., N, K): the one beam-gain definition, which
@@ -75,27 +68,17 @@ def beam_gain(channels: ChannelSet, sector: int, weights: np.ndarray) -> np.ndar
     return gain
 
 
-def rsrp_table(
-    channels: ChannelSet, plan: BeamPlan, codebook: Codebook, table: np.ndarray | None = None, sectors=None
-) -> np.ndarray:
+def rsrp_table(channels: ChannelSet, plan: BeamPlan, codebook: Codebook) -> np.ndarray:
     """Per-beam RSRP in mW for every entity: shape (N, B, S).
 
     rsrp = beta * |h^T w|^2 * p: each sector's `beam_gain` over its
     codewords, times their powers.
-
-    Given `table`, another plan's table on the same channels, and
-    `sectors`, the sectors where that plan differs from `plan`
-    (`changed_sectors`), the call patches `table` in place and returns it:
-    each listed sector's slab is recomputed as a fresh table computes it,
-    and every other slab is kept.
     """
     n, b, _ = channels.h.shape
-    if table is None:
-        table = np.empty((n, b, plan.n_slots))  # every slab written below
-        sectors = range(b)
+    table = np.empty((n, b, plan.n_slots))  # every slab written below
     weights = codebook.weights[plan.codeword]  # (B, S, M)
     power = dbm_to_mw(plan.power_dbm)
-    for sector in sectors:
+    for sector in range(b):
         table[:, sector] = beam_gain(channels, sector, weights[sector]) * power[sector]
     return table
 

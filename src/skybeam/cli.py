@@ -103,7 +103,8 @@ SERIES_CSV = _Csv("n_uavs,p5_uav_rate_bps", "%d,%.10g")
 
 class _RunDir:
     """A command's output directory, made by its first write. Every artifact
-    is written through it, and it keeps the command's start time and the
+    is written through it, and it keeps the command's start time (a
+    `time.perf_counter` reading, which no wall-clock step moves) and the
     names of the files it wrote, which the manifest records."""
 
     def __init__(self, path: str, t0: float):
@@ -129,7 +130,7 @@ class _RunDir:
     def write_manifest(self, fields: dict) -> None:
         """manifest.json: the command's `fields`, the environment, the wall
         time and the files this command wrote before it."""
-        elapsed_s, outputs = round(time.time() - self.t0, 3), sorted(self.names)
+        elapsed_s, outputs = round(time.perf_counter() - self.t0, 3), sorted(self.names)
         self.write_json("manifest.json", {**fields, "env": _environment(), "elapsed_s": elapsed_s, "outputs": outputs})
 
 
@@ -161,7 +162,8 @@ def _trace_rows(trace: FitnessTrace):
 
 
 def _plan_json(plan: BeamPlan, designated_cells: tuple[int, ...], frozen_slots: dict[int, int]) -> dict:
-    """The replaced beam of each designated cell: the entries that differ from the baseline."""
+    """The replaced beam of each designated cell: its frozen slot's codeword
+    and power, listed also where the search kept the baseline's codeword."""
     beams = []
     for cell in designated_cells:
         slot = frozen_slots[cell]
@@ -221,7 +223,7 @@ def _plan(args):
         raise ConfigError("--n-max must be >= 1")
     if args.snapshots < 1:
         raise ConfigError("--snapshots must be >= 1")
-    run_dir = _RunDir(args.out, time.time())
+    run_dir = _RunDir(args.out, time.perf_counter())
     scenario = scenario_from_config(cfg)
     cb_params = codebook_params_from_config(cfg)
     panel = scenario.sectors[0].panel

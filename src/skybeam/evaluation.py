@@ -10,24 +10,19 @@ codewords interfere. Statistics are lower-order-statistic 5 percent tiles
 The data phase runs in two steps: a ground step per snapshot and plan
 (`data_phase_ground`) and a UAV step per UAV block (`data_phase_uavs`), so a
 traffic sweep pays per UAV count only for what the UAVs change. Every block,
-ground or UAV, comes from its own `channel.build_channels` call. Plans are
-evaluated in turn on shared channels, and each plan after the first pays
-only where it differs from the one before: its RSRP tables patch the
-previous plan's on the sectors whose beams differ (`plan_tables`), and its
-ground step patches the previous plan's on the sectors whose served ground
-users differ.
+ground or UAV, comes from its own `channel.build_channels` call. Plans
+share each block's channels, and each plan is evaluated on them in full.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .association import (
     BeamPlan,
-    changed_sectors,
     coverage_sinr_all,
     rsrp_table,
     select_serving_all,
@@ -63,7 +58,6 @@ class GroundDataPhase:
     channels: ChannelSet
     serving_sector: np.ndarray
     precoder: np.ndarray
-    per_codeword: np.ndarray  # (B, C) ground UEs per sector and data codeword
     served: np.ndarray  # (B,) ground UEs per sector
     # the serving sectors grouped by their count U of in-use codewords:
     # (sectors, their (U, M) in-use codeword weights, their (U,) sharer counts)
@@ -111,52 +105,24 @@ def _sector_terms(h_b, beta_b, idx, precoder, weights, sector_power_mw):
 
 
 def data_phase_ground(
-    ground: ChannelSet,
-    serving_sector: np.ndarray,
-    dl_codebook: Codebook,
-    radio: RadioConfig,
-    previous: GroundDataPhase | None = None,
+    ground: ChannelSet, serving_sector: np.ndarray, dl_codebook: Codebook, radio: RadioConfig
 ) -> GroundDataPhase:
     """The ground step: the ground rows' precoders, and every serving
     sector's in-use codewords and terms on the ground rows alone.
-
-    Given `previous`, the ground step of another plan on the same block,
-    only the sectors whose served rows differ from `previous`'s are
-    recomputed, a sector that loses its last user included; every other
-    sector keeps `previous`'s terms, which are the bytes a recomputation
-    gives. With no row moved, `previous` is the result. The precoder
-    product always covers every row (see `data_phase_uavs` on rounding).
     """
     g, n_sectors = ground.beta.shape
     weights = dl_codebook.weights
-    sector_power_mw = radio.sector_tx_power_mw
-    if previous is None:
-        sectors = unique_ints(serving_sector)[0]
-        per_codeword = np.zeros((n_sectors, weights.shape[0]), dtype=int)
-        n_sharers = np.empty(g, dtype=int)
-        own_proj = np.empty(g)
-        total = np.empty(g)
-        inter_terms = np.zeros((g, n_sectors))
-    else:
-        moved = serving_sector != previous.serving_sector
-        if not moved.any():
-            return previous
-        sectors = unique_ints(np.concatenate([previous.serving_sector[moved], serving_sector[moved]]))[0]
-        per_codeword = previous.per_codeword.copy()
-        n_sharers = previous.n_codeword_sharers.copy()
-        own_proj = previous.own_proj.copy()
-        total = previous.total.copy()
-        inter_terms = previous.inter_terms.copy()
+    per_codeword = np.zeros((n_sectors, weights.shape[0]), dtype=int)  # (B, C) ground UEs
+    n_sharers = np.empty(g, dtype=int)
+    own_proj = np.empty(g)
+    total = np.empty(g)
+    inter_terms = np.zeros((g, n_sectors))
     rows = np.arange(g)
     precoder = _precoders(ground.h[rows, serving_sector], ground.beta[rows, serving_sector], weights)
-    for b in sectors.tolist():
+    for b in unique_ints(serving_sector)[0].tolist():
         idx = np.flatnonzero(serving_sector == b)
-        if idx.size == 0:  # lost its last ground user to another sector
-            per_codeword[b] = 0
-            inter_terms[:, b] = 0.0
-            continue
         per_codeword[b], n_sharers[idx], own_proj[idx], total[idx], inter_terms[:, b] = _sector_terms(
-            ground.h[:, b, :], ground.beta[:, b], idx, precoder, weights, sector_power_mw
+            ground.h[:, b, :], ground.beta[:, b], idx, precoder, weights, radio.sector_tx_power_mw
         )
     n_used = np.count_nonzero(per_codeword, axis=1)
     groups = []
@@ -168,7 +134,6 @@ def data_phase_ground(
         channels=ground,
         serving_sector=serving_sector,
         precoder=precoder,
-        per_codeword=per_codeword,
         served=per_codeword.sum(axis=1),
         codeword_groups=tuple(groups),
         n_codeword_sharers=n_sharers,
@@ -282,24 +247,6 @@ class Association:
     coverage_sinr_db: np.ndarray
 
 
-def plan_tables(channels: ChannelSet, plans: Iterable[BeamPlan], ssb_codebook: Codebook) -> Iterator[np.ndarray]:
-    """Yield `rsrp_table(channels, plan, ssb_codebook)` for each of `plans`
-    in turn: the first in full, each later one by patching the table before
-    it in place on the sectors where the two plans differ
-    (`changed_sectors`), with the bytes of a fresh table. The table is
-    overwritten when the next one is asked for, so a caller keeps only what
-    it copies out of it.
-    """
-    table = previous = None
-    for plan in plans:
-        if previous is None:
-            table = rsrp_table(channels, plan, ssb_codebook)
-        else:
-            table = rsrp_table(channels, plan, ssb_codebook, table, changed_sectors(previous, plan))
-        previous = plan
-        yield table
-
-
 def associate(table: np.ndarray, noise_mw: float) -> Association:
     """Associate every row of `table`, the (N, B, S) `rsrp_table` of a
     channel block under a plan.
@@ -366,27 +313,23 @@ def evaluate_snapshot(
     associated and put through `data_phase_ground` once per plan. Each
     spacing builds its UAV block (`snapshot_uavs` on the "uav" streams),
     associates it, runs `data_phase_uavs` and frees it before the next is
-    built. The first plan is evaluated in full; each later plan patches the
-    previous plan's RSRP tables and ground step where the two differ
-    (`plan_tables`, `data_phase_ground`), with the bytes of evaluating it
-    alone.
+    built. Every plan is evaluated in full on each block.
     """
     if ground is None:
         ground = ground_channels(scenario, snapshot)
     noise_mw = scenario.radio.ssb_noise_mw
     gues, steps = {}, {}
-    step = None
-    for name, table in zip(plans, plan_tables(ground, plans.values(), ssb_codebook)):
-        gues[name] = associate(table, noise_mw)
-        step = steps[name] = data_phase_ground(ground, gues[name].serving_sector, dl_codebook, scenario.radio, step)
+    for name, plan in plans.items():
+        gues[name] = associate(rsrp_table(ground, plan, ssb_codebook), noise_mw)
+        steps[name] = data_phase_ground(ground, gues[name].serving_sector, dl_codebook, scenario.radio)
     results = []
     for d_iud in spacings:
         positions = snapshot_uavs(scenario, snapshot, n_snapshots, d_iud)
         uavs = build_channels(scenario, entity_block(positions), snapshot, "uav")
         kinds = np.repeat(["ground", "aerial"], [len(ground.h), len(uavs.h)])
         cell = {}
-        for name, table in zip(plans, plan_tables(uavs, plans.values(), ssb_codebook)):
-            gue, uav = gues[name], associate(table, noise_mw)
+        for name, plan in plans.items():
+            gue, uav = gues[name], associate(rsrp_table(uavs, plan, ssb_codebook), noise_mw)
             cell[name] = SnapshotResult(
                 kinds=kinds,
                 serving_sector=np.concatenate([gue.serving_sector, uav.serving_sector]),

@@ -14,11 +14,11 @@ More are bit-level references for batched library paths:
 `joined_data_phase` is the data phase in one pass over the joined ground
 and UAV rows, which `data_phase` (the ground step, then the UAV step, in
 one call) and the traffic sweep's two steps must match byte for byte;
-`reference_evaluate_snapshot` evaluates every plan of a snapshot in full,
-which `evaluation.evaluate_snapshot`, patching each later plan where it
-differs from the one before, must match; `per_sector_ground_users` draws
-and tests each sector's candidates alone, the reference for
-`scenario.place_ground_users`; `per_pair_segment_metric` scores one
+`reference_evaluate_snapshot` evaluates each plan of a snapshot at one
+spacing, with the data phase in one call, which
+`evaluation.evaluate_snapshot`, sharing each block across plans and
+spacings, must match; `per_sector_ground_users` draws and tests each
+sector's candidates alone, the reference for `scenario.place_ground_users`; `per_pair_segment_metric` scores one
 (segment, sector) pair per 2-D `segment_cell_metric` call and picks each
 segment's cell by a scan, the reference for `segment_metric.assign_segments`.
 

@@ -26,7 +26,7 @@ from skybeam.association import rsrp_table, select_serving_all
 from skybeam.channel import los_components, shadow_factor, shadow_gain
 from skybeam.cli import main as cli_main
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
-from skybeam.config import RadioConfig, default_config, validate_config
+from skybeam.config import RadioConfig, block_params, default_config, validate_config
 from skybeam.evaluation import (
     evaluate_snapshot,
     ground_channels,
@@ -51,16 +51,18 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def pipeline():
     """Default scenario optimized once, then evaluated over snapshots."""
-    cfg = validate_config(default_config())
+    raw = default_config()
+    raw["optimizer"].update(max_iters=REDUCED_MAX_ITERS, stop_iters=1000)
+    cfg = validate_config(raw)
     scenario = scenario_from_config(cfg)
     panel = scenario.sectors[0].panel
-    ssb = build_ssb_codebook(panel, 4, 1)
-    dl = build_dl_codebook(panel, 1, 1)
+    books = block_params(cfg, "codebook")
+    ssb = build_ssb_codebook(panel, books.ssb_oversampling_h, books.ssb_oversampling_v)
+    dl = build_dl_codebook(panel, books.dl_oversampling_h, books.dl_oversampling_v)
 
     assignment, evaluator = corridor_problem(scenario, ssb, ground_channels(scenario, 0))
     base = evaluator.baseline
-    params = EgaParams(max_iters=REDUCED_MAX_ITERS, stop_iters=1000, seed=scenario.master_seed)
-    best, trace = run(params, evaluator)
+    best, trace = run(block_params(cfg, "optimizer"), evaluator)
     optimized = evaluator.plan_for(best.genome)
     plans = {"baseline": base, "optimized": optimized}
 

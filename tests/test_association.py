@@ -7,7 +7,6 @@ from conftest import DARK_DBM, beam_plan
 from oracles import per_sector_rsrp_table, ssb_rsrp, validate_plan
 from skybeam.association import (
     baseline_plan,
-    changed_sectors,
     coverage_sinr_all,
     rsrp_table,
     select_serving_all,
@@ -237,16 +236,17 @@ class TestBaselinePlan:
         validate_plan(plan, len(book))
 
 
-@pytest.mark.parametrize("tag", ["ue", "uav"])
-def test_rsrp_table_matches_per_sector_products(small_scenario, tag):
+@pytest.mark.parametrize("block", ["ue", "uav", "one-uav"])
+def test_rsrp_table_matches_per_sector_products(small_scenario, block):
     """The table equals the per-sector formula byte for byte, on the
     baseline plan and on random plans."""
     book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
     base = baseline_plan(small_scenario, book)
-    if tag == "ue":
-        channels = build_channels(small_scenario, entity_block(small_scenario.ground_users(0)), 0, tag)
+    if block == "ue":
+        channels = build_channels(small_scenario, entity_block(small_scenario.ground_users(0)), 0, "ue")
     else:
-        channels = build_channels(small_scenario, entity_block(config_uavs(small_scenario)), 0, tag)
+        uavs = config_uavs(small_scenario)[: 1 if block == "one-uav" else None]
+        channels = build_channels(small_scenario, entity_block(uavs), 0, "uav")
     gen = np.random.default_rng(5)
     plans = [base]
     for _ in range(30):
@@ -271,54 +271,6 @@ def test_dump_association_csv(small_scenario, tmp_path):
     lines = (tmp_path / "assoc.csv").read_text().splitlines()
     assert lines[0] == "ue_id,kind,serving_sector,serving_slot,rsrp_dbm,sinr_db"
     assert len(lines) == 1 + channels.h.shape[0]
-
-
-@pytest.mark.parametrize("block", ["ue", "uav", "one-uav"])
-def test_patched_rsrp_table_matches_a_fresh_table(small_scenario, block):
-    """A chain of plans, each differing from the one before in a few
-    sectors: patching the previous table on `changed_sectors` gives a fresh
-    table's bytes at every step. The steps darken a sector's beams, some or
-    all, with a very low power and light them again with new codewords, so
-    a patch that kept a sector's stale slots would fail."""
-    book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
-    base = baseline_plan(small_scenario, book)
-    if block == "ue":
-        channels = build_channels(small_scenario, entity_block(small_scenario.ground_users(1)), 1, "ue")
-    else:
-        uavs = config_uavs(small_scenario)[: 1 if block == "one-uav" else None]
-        channels = build_channels(small_scenario, entity_block(uavs), 1, "uav")
-    gen = np.random.default_rng(11)
-    previous = base
-    table = rsrp_table(channels, base, book)
-    for step in range(12):
-        plan = previous.copy()
-        sectors = gen.choice(plan.n_sectors, size=int(gen.integers(1, 7)), replace=False)
-        for b in sectors.tolist():
-            change = step % 4
-            if change == 0:  # some beams dark
-                plan.power_dbm[b, gen.random(plan.n_slots) < 0.5] = DARK_DBM
-            elif change == 1:  # every beam dark
-                plan.power_dbm[b] = DARK_DBM
-            elif change == 2:  # every beam lit, new codewords
-                plan.power_dbm[b] = gen.uniform(0.0, 40.0, plan.n_slots)
-                plan.codeword[b] = gen.integers(0, len(book), plan.n_slots)
-            else:  # new powers
-                plan.power_dbm[b] = gen.uniform(0.0, 40.0, plan.n_slots)
-        assert set(changed_sectors(previous, plan).tolist()) <= set(sectors.tolist())
-        got = rsrp_table(channels, plan, book, table, changed_sectors(previous, plan))
-        assert got is table
-        assert got.tobytes() == per_sector_rsrp_table(channels, plan, book).tobytes(), step
-        previous = plan
-
-
-def test_changed_sectors_reads_every_beam_field(small_scenario):
-    book = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
-    base = baseline_plan(small_scenario, book)
-    assert changed_sectors(base, base.copy()).tolist() == []
-    plan = base.copy()
-    plan.codeword[5, 1] += 1
-    plan.power_dbm[7, 2] += 1.0
-    assert changed_sectors(base, plan).tolist() == [5, 7]
 
 
 @pytest.mark.parametrize("values", [

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -74,6 +75,15 @@ class TestRun:
         assert isinstance(env["nproc"], int) and env["nproc"] >= 1
         assert env["OPENBLAS_NUM_THREADS"] == "1"
         assert env["OMP_NUM_THREADS"] is None
+
+    def test_elapsed_time_survives_a_wall_clock_step_back(self, small_config_path, tmp_path, monkeypatch):
+        """Every `time.time` reading is an hour before the one before it, as
+        if the wall clock were set back; the manifest's duration stays >= 0."""
+        readings = iter(range(10**9, 0, -3600))
+        monkeypatch.setattr(time, "time", lambda: float(next(readings)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(small_config_path), "--out", str(out), "--snapshots", "1"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["elapsed_s"] >= 0
 
     def test_missing_radio_block_exits_1(self, tmp_path, capsys):
         cfg = default_config()

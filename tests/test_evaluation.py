@@ -17,11 +17,11 @@ from oracles import (
     reference_sweep,
 )
 from skybeam import evaluation
-from skybeam.association import baseline_plan, changed_sectors, rsrp_table
+from skybeam.association import baseline_plan, rsrp_table
 from skybeam.channel import ChannelSet, build_channels, entity_block, expected_channels
 from skybeam.cli import _summaries
 from skybeam.codebook import build_dl_codebook, build_ssb_codebook
-from skybeam.config import HighwayParams, RadioConfig
+from skybeam.config import HighwayParams, RadioConfig, block_params
 from skybeam.evaluation import (
     associate,
     data_phase_ground,
@@ -164,11 +164,11 @@ class TestDataSinr:
             assert report.rate_bps[u] == pytest.approx(rate, rel=1e-9)
 
 
-def test_corridor_problem_takes_the_receiver_noise(small_scenario):
+def test_corridor_problem_takes_the_receiver_noise(small_cfg, small_scenario):
     """The search scores coverage SINRs over the SSB noise, and the segment
     metric's N is the receiver noise over one PRB."""
     radio = small_scenario.radio
-    ssb, _, _ = _books_and_plan(small_scenario)
+    ssb, _, _ = _books_and_plan(small_scenario, small_cfg)
     assignment, evaluator = corridor_problem(small_scenario, ssb, ground_channels(small_scenario, 0))
     assert evaluator.noise_mw == radio.noise_mw(7.2e6)
     h = expected_channels(small_scenario.sectors, small_scenario.highway.points, radio, small_scenario.channel_params)
@@ -250,9 +250,13 @@ class TestSnapshotStats:
         assert summary["baseline"]["gue"]["coverage_sinr_db"]["mean"] == pytest.approx(1.5)
 
 
-def _books_and_plan(scenario):
-    ssb = build_ssb_codebook(scenario.sectors[0].panel, 4, 1)
-    dl = build_dl_codebook(scenario.sectors[0].panel, 1, 1)
+def _books_and_plan(scenario, cfg):
+    """The SSB and DL codebooks of `cfg`'s codebook block, as the CLI
+    builds them, and the baseline plan of `scenario`, the scenario of `cfg`."""
+    params = block_params(cfg, "codebook")
+    panel = scenario.sectors[0].panel
+    ssb = build_ssb_codebook(panel, params.ssb_oversampling_h, params.ssb_oversampling_v)
+    dl = build_dl_codebook(panel, params.dl_oversampling_h, params.dl_oversampling_v)
     return ssb, dl, baseline_plan(scenario, ssb)
 
 
@@ -260,8 +264,8 @@ CHANNEL_ARRAYS = ("beta", "h")
 
 
 class TestSnapshotEvaluation:
-    def test_snapshot_users_layout(self, small_scenario):
-        ssb, dl, base = _books_and_plan(small_scenario)
+    def test_snapshot_users_layout(self, small_cfg, small_scenario):
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         res = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 4, [100.0])[0]["b"]
         kinds = res.kinds.tolist()
         n_gue = kinds.count("ground")
@@ -274,18 +278,18 @@ class TestSnapshotEvaluation:
         b = snapshot_uavs(small_scenario, 1, 4, 100.0)
         assert np.allclose(b[:, 0] - a[:, 0], 25.0)  # d_iud / n_snapshots
 
-    def test_explicit_zero_uav_spacing_raises(self, small_scenario):
-        ssb, dl, base = _books_and_plan(small_scenario)
+    def test_explicit_zero_uav_spacing_raises(self, small_cfg, small_scenario):
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         with pytest.raises(ValueError, match="d_iud"):
             evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 4, [0.0])
 
-    def test_zero_snapshots_raises(self, small_scenario):
-        ssb, dl, base = _books_and_plan(small_scenario)
+    def test_zero_snapshots_raises(self, small_cfg, small_scenario):
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         with pytest.raises(ValueError, match="n_snapshots"):
             evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 0, 0, [UAV_SPACING])
 
-    def test_plans_share_channels(self, small_scenario):
-        ssb, dl, base = _books_and_plan(small_scenario)
+    def test_plans_share_channels(self, small_cfg, small_scenario):
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         louder = base.copy()
         louder.power_dbm += 3.0
         (results,) = evaluate_snapshot(small_scenario, {"a": base, "b": louder}, ssb, dl, 0, 4, [UAV_SPACING])
@@ -294,10 +298,10 @@ class TestSnapshotEvaluation:
         n_entities = len(small_scenario.ground_users(0)) + len(place_uavs(small_scenario.highway, UAV_SPACING, 0.0))
         assert len(results["a"].kinds) == n_entities
 
-    def test_ground_rows_do_not_depend_on_the_uav_count(self, small_scenario, monkeypatch):
+    def test_ground_rows_do_not_depend_on_the_uav_count(self, small_cfg, small_scenario, monkeypatch):
         """The ground block that evaluate_snapshot builds, and every plan's
         ground-user association, are the same bytes with 1 UAV and with 12."""
-        ssb, dl, base = _books_and_plan(small_scenario)
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         louder = base.copy()
         louder.power_dbm[0] += 3.0
         plans = {"a": base, "b": louder}
@@ -327,10 +331,10 @@ class TestSnapshotEvaluation:
                 a, b = getattr(one[name], field), getattr(twelve[name], field)
                 assert a[:n_gue].tobytes() == b[:n_gue].tobytes(), (name, field)
 
-    def test_given_ground_block_is_used(self, small_scenario, monkeypatch):
+    def test_given_ground_block_is_used(self, small_cfg, small_scenario, monkeypatch):
         """A ground block passed in is not rebuilt, and gives the bytes of
         building it afresh."""
-        ssb, dl, base = _books_and_plan(small_scenario)
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         ground = ground_channels(small_scenario, 1)
         fresh = evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 2, [UAV_SPACING])[0]["b"]
         built = []
@@ -346,11 +350,11 @@ class TestSnapshotEvaluation:
         for field in ("precoder", "sinr_db", "rate_bps"):
             assert getattr(reused.data, field).tobytes() == getattr(fresh.data, field).tobytes(), field
 
-    def test_corridor_problem_uses_the_snapshot_0_ground_block(self, small_scenario, monkeypatch):
+    def test_corridor_problem_uses_the_snapshot_0_ground_block(self, small_cfg, small_scenario, monkeypatch):
         """corridor_problem takes snapshot 0's ground block, the one
         `ground_channels(scenario, 0)` gives and snapshot 0 evaluates, and
         builds no ground channels of its own."""
-        ssb, _, _ = _books_and_plan(small_scenario)
+        ssb, _, _ = _books_and_plan(small_scenario, small_cfg)
         seen = []
         original = evaluation.build_channels
 
@@ -366,8 +370,6 @@ class TestSnapshotEvaluation:
 
 
 SNAPSHOT_FIELDS = ("kinds", "serving_sector", "serving_slot", "serving_rsrp_mw", "coverage_sinr_db")
-GROUND_STEP_ARRAYS = ("serving_sector", "precoder", "per_codeword", "served", "n_codeword_sharers", "own_proj",
-                      "total", "inter_terms")
 
 
 def _assert_same_arrays(got, want, names, label):
@@ -377,37 +379,21 @@ def _assert_same_arrays(got, want, names, label):
         assert a.tobytes() == b.tobytes(), (label, field)
 
 
-class TestPlanDeltas:
-    """evaluate_snapshot, which patches each later plan's RSRP tables and
-    ground step where it differs from the plan before, against the oracle
-    that evaluates every plan in full: every SnapshotResult array equal in
-    bytes. The plan sets cover each way a later plan can differ; the
-    ground step patched from the previous plan's is also checked against a
-    fresh ground step, field by field."""
+class TestSnapshotMatchesFullEvaluation:
+    """evaluate_snapshot, which shares each block's channels across plans
+    and each ground step across spacings, against the oracle that evaluates
+    each plan at one spacing with the data phase in one call: every
+    SnapshotResult array equal in bytes. The plan sets cover each way two
+    plans can differ."""
 
     @staticmethod
-    def assert_matches_full_evaluation(scenario, plans, dl=None, snapshot=1):
-        ssb = build_ssb_codebook(scenario.sectors[0].panel, 4, 1)
-        dl = dl or build_dl_codebook(scenario.sectors[0].panel, 1, 1)
+    def assert_matches_full_evaluation(scenario, plans, ssb, dl, snapshot=1):
         (got,) = evaluate_snapshot(scenario, plans, ssb, dl, snapshot, 4, [scenario.highway_params.uav_spacing_m])
         want = reference_evaluate_snapshot(scenario, plans, ssb, dl, snapshot, 4)
         assert list(got) == list(want)
         for name in plans:
             _assert_same_arrays(got[name], want[name], SNAPSHOT_FIELDS, name)
             _assert_same_arrays(got[name].data, want[name].data, REPORT_FIELDS, name)
-
-        ground = ground_channels(scenario, snapshot)
-        g = ground.h.shape[0]
-        previous = None
-        for name in plans:
-            serving = want[name].serving_sector[:g]
-            patched = data_phase_ground(ground, serving, dl, RADIO, previous)
-            fresh = data_phase_ground(ground, serving, dl, RADIO)
-            _assert_same_arrays(patched, fresh, GROUND_STEP_ARRAYS, name)
-            assert len(patched.codeword_groups) == len(fresh.codeword_groups), name
-            for a, b in zip(patched.codeword_groups, fresh.codeword_groups):
-                assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b)), name
-            previous = patched
         return want
 
     @staticmethod
@@ -418,11 +404,11 @@ class TestPlanDeltas:
             changed.codeword[b, int(gen.integers(plan.n_slots))] = int(gen.integers(n_codewords))
         return changed
 
-    def test_every_spacing_matches_full_evaluation(self, small_scenario):
+    def test_every_spacing_matches_full_evaluation(self, small_cfg, small_scenario):
         """One call at several UAV spacings, sharing the snapshot's ground
         block and ground steps, gives each spacing the bytes of evaluating
         it alone in full."""
-        ssb, dl, base = _books_and_plan(small_scenario)
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         plans = {"base": base, "other": self.with_new_codewords(base, range(3, 6), len(ssb))}
         length = small_scenario.highway.total_length_m
         spacings = [length / n for n in (1, 5, 12)]
@@ -435,59 +421,55 @@ class TestPlanDeltas:
                 _assert_same_arrays(cell[name], want[name], SNAPSHOT_FIELDS, name)
                 _assert_same_arrays(cell[name].data, want[name].data, REPORT_FIELDS, name)
 
-    def test_identical_plans(self, small_scenario):
-        _, _, base = _books_and_plan(small_scenario)
-        self.assert_matches_full_evaluation(small_scenario, {"a": base, "b": base.copy()})
+    def test_identical_plans(self, small_cfg, small_scenario):
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
+        self.assert_matches_full_evaluation(small_scenario, {"a": base, "b": base.copy()}, ssb, dl)
 
     @pytest.mark.parametrize("n_changed", [1, 6])
-    def test_plans_differing_in_some_sectors(self, small_scenario, n_changed):
-        ssb, _, base = _books_and_plan(small_scenario)
+    def test_plans_differing_in_some_sectors(self, small_cfg, small_scenario, n_changed):
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         other = self.with_new_codewords(base, range(3, 3 + n_changed), len(ssb))
-        assert changed_sectors(base, other).size == n_changed
-        self.assert_matches_full_evaluation(small_scenario, {"base": base, "other": other})
+        self.assert_matches_full_evaluation(small_scenario, {"base": base, "other": other}, ssb, dl)
 
-    def test_ground_user_changes_serving_sector(self, small_scenario):
-        """A 6 dB louder sector takes ground users from its neighbours: the
-        ground step recomputes the sectors on both ends of each move."""
-        _, _, base = _books_and_plan(small_scenario)
+    def test_ground_user_changes_serving_sector(self, small_cfg, small_scenario):
+        """A 6 dB louder sector takes ground users from its neighbours."""
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         louder = base.copy()
         louder.power_dbm[12] += 6.0
-        want = self.assert_matches_full_evaluation(small_scenario, {"base": base, "louder": louder})
+        want = self.assert_matches_full_evaluation(small_scenario, {"base": base, "louder": louder}, ssb, dl)
         g = len(small_scenario.ground_users(1))
         moved = want["base"].serving_sector[:g] != want["louder"].serving_sector[:g]
         assert 0 < np.count_nonzero(moved) < g
 
-    def test_sector_loses_its_last_ground_user(self, small_scenario):
+    def test_sector_loses_its_last_ground_user(self, small_cfg, small_scenario):
         """A sector with every beam dark serves no one, so its ground users
         move away and its inter-cell terms and codeword counts go to 0."""
-        ssb, dl, base = _books_and_plan(small_scenario)
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         g = len(small_scenario.ground_users(1))
         b = int(evaluate_snapshot(small_scenario, {"b": base}, ssb, dl, 1, 4, [UAV_SPACING])[0]["b"].serving_sector[0])
         dark = base.copy()
         dark.power_dbm[b] = DARK_DBM
-        want = self.assert_matches_full_evaluation(small_scenario, {"base": base, "dark": dark})
+        want = self.assert_matches_full_evaluation(small_scenario, {"base": base, "dark": dark}, ssb, dl)
         assert np.any(want["base"].serving_sector[:g] == b)
         assert not np.any(want["dark"].serving_sector[:g] == b)
 
     def test_three_plans_in_a_row(self, cfg):
-        """On the default layout and DL book: each plan patches the one
-        before it. The third plan differs from the first in fewer sectors
-        than from the second, so patching from the first plan's sectors
-        would leave the second plan's beams in the table."""
+        """Three plans in one call, on the default layout and a DL book
+        oversampled 4 x 4."""
         scenario = scenario_from_config(cfg)
-        ssb, _, base = _books_and_plan(scenario)
+        ssb, _, base = _books_and_plan(scenario, cfg)
         six = self.with_new_codewords(base, range(20, 26), len(ssb), seed=3)
         louder = base.copy()
         louder.power_dbm[[9, 21]] += 6.0
         louder.power_dbm[30] = DARK_DBM
         dl = build_dl_codebook(scenario.sectors[0].panel, 4, 4)
-        self.assert_matches_full_evaluation(scenario, {"base": base, "six": six, "louder": louder}, dl)
+        self.assert_matches_full_evaluation(scenario, {"base": base, "six": six, "louder": louder}, ssb, dl)
 
 
-def test_data_phase_joins_blocks_by_rows(small_scenario):
+def test_data_phase_joins_blocks_by_rows(small_cfg, small_scenario):
     """data_phase on a ground block and a UAV block equals data_phase on one
     set holding the same rows."""
-    ssb, dl, base = _books_and_plan(small_scenario)
+    ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
     ground = ground_channels(small_scenario, 0)
     uavs = build_channels(small_scenario, entity_block(place_uavs(small_scenario.highway, UAV_SPACING, 0.0)), 0, "uav")
     joined = ChannelSet(
@@ -522,12 +504,10 @@ class TestTwoStepDataPhase:
         return want
 
     @staticmethod
-    def snapshot(scenario, snapshot=0):
+    def snapshot(scenario, cfg, snapshot=0):
         """The DL book, then (block, serving sectors) for the ground block and
         for the sweep's UAV blocks of 1 to 12 rows."""
-        ssb = build_ssb_codebook(scenario.sectors[0].panel, 4, 1)
-        dl = build_dl_codebook(scenario.sectors[0].panel, 1, 1)
-        base = baseline_plan(scenario, ssb)
+        ssb, dl, base = _books_and_plan(scenario, cfg)
         length = scenario.highway.total_length_m
         blocks = [snapshot_uavs(scenario, snapshot, 2, length / n) for n in range(1, 13)]
         built = [ground_channels(scenario, snapshot)]
@@ -537,24 +517,24 @@ class TestTwoStepDataPhase:
         return dl, served[0], served[1:]
 
     @pytest.mark.parametrize("layout", ["small", "default"])
-    def test_every_uav_count(self, layout, small_scenario, cfg):
+    def test_every_uav_count(self, layout, small_cfg, cfg):
         """UAV blocks of 1 row and of 2 to 12 rows, on their own association."""
-        scenario = small_scenario if layout == "small" else scenario_from_config(cfg)
-        dl, (ground, ground_serving), uav_blocks = self.snapshot(scenario, 1)
+        layout_cfg = small_cfg if layout == "small" else cfg
+        dl, (ground, ground_serving), uav_blocks = self.snapshot(scenario_from_config(layout_cfg), layout_cfg, 1)
         assert uav_blocks[0][0].h.shape[0] == 1
         for uavs, uav_serving in uav_blocks:
             self.assert_matches_joined(ground, ground_serving, uavs, uav_serving, dl)
 
-    def test_no_uavs(self, small_scenario):
-        dl, (ground, ground_serving), _ = self.snapshot(small_scenario)
+    def test_no_uavs(self, small_cfg, small_scenario):
+        dl, (ground, ground_serving), _ = self.snapshot(small_scenario, small_cfg)
         want = joined_data_phase([ground], ground_serving, dl, RADIO)
         got = data_phase([ground], ground_serving, dl, RADIO)
         for field in REPORT_FIELDS:
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
     @pytest.mark.parametrize("n_uavs", [1, 5])
-    def test_sector_served_only_by_uavs(self, small_scenario, n_uavs):
-        dl, (ground, ground_serving), uav_blocks = self.snapshot(small_scenario)
+    def test_sector_served_only_by_uavs(self, small_cfg, small_scenario, n_uavs):
+        dl, (ground, ground_serving), uav_blocks = self.snapshot(small_scenario, small_cfg)
         uavs, uav_serving = uav_blocks[n_uavs - 1]
         # move the ground users of the first UAV's sector to the next sector
         b = int(uav_serving[0])
@@ -563,10 +543,10 @@ class TestTwoStepDataPhase:
         assert not np.any(want.serving_sector[:ground.h.shape[0]] == b)
 
     @pytest.mark.parametrize("n_uavs", [1, 4])
-    def test_uav_shares_a_codeword_with_ground_users(self, small_scenario, n_uavs):
+    def test_uav_shares_a_codeword_with_ground_users(self, small_cfg, small_scenario, n_uavs):
         """UAV 0 gets ground user 0's channel row toward that user's serving
         sector and is served there, so it takes the same codeword."""
-        dl, (ground, ground_serving), uav_blocks = self.snapshot(small_scenario)
+        dl, (ground, ground_serving), uav_blocks = self.snapshot(small_scenario, small_cfg)
         uavs, uav_serving = uav_blocks[n_uavs - 1]
         b = int(ground_serving[0])
         h, beta, uav_serving = uavs.h.copy(), uavs.beta.copy(), uav_serving.copy()
@@ -577,27 +557,25 @@ class TestTwoStepDataPhase:
         assert want.precoder[g] == want.precoder[0]
         assert want.n_codeword_sharers[g] == want.n_codeword_sharers[0] >= 2
 
-    def test_block_count_checked(self, small_scenario):
-        dl, (ground, _), uav_blocks = self.snapshot(small_scenario)
+    def test_block_count_checked(self, small_cfg, small_scenario):
+        dl, (ground, _), uav_blocks = self.snapshot(small_scenario, small_cfg)
         blocks = (ground, uav_blocks[0][0], uav_blocks[1][0])
         with pytest.raises(ValueError, match="at most one UAV block"):
             data_phase(blocks, np.zeros(ground.h.shape[0] + 3, dtype=int), dl, RADIO)
 
 
 class TestTrafficSweep:
-    def test_rows_and_spacing_invariant(self, small_scenario):
-        ssb = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
-        dl = build_dl_codebook(small_scenario.sectors[0].panel, 1, 1)
-        base = baseline_plan(small_scenario, ssb)
+    def test_rows_and_spacing_invariant(self, small_cfg, small_scenario):
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         res = traffic_sweep(small_scenario, {"baseline": base}, ssb, dl, n_max=4, n_snapshots=2)
         assert list(res.n_uavs) == [1, 2, 3, 4]
         length = small_scenario.highway.total_length_m
         assert np.allclose(res.d_iud_m * res.n_uavs, length, atol=1e-6)
 
-    def test_matches_reference_sweep(self, small_scenario):
+    def test_matches_reference_sweep(self, small_cfg, small_scenario):
         """Snapshots outside, N inside, each snapshot's ground block reused:
         the same bytes as rebuilding both blocks for every (N, snapshot)."""
-        ssb, dl, base = _books_and_plan(small_scenario)
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         louder = base.copy()
         louder.power_dbm[0] += 3.0
         plans = {"baseline": base, "louder": louder}
@@ -609,8 +587,8 @@ class TestTrafficSweep:
             assert got.p5_rate[name].tobytes() == want.p5_rate[name].tobytes(), name
             assert got.p5_gue_rate[name].tobytes() == want.p5_gue_rate[name].tobytes(), name
 
-    def test_first_ground_block_is_used_for_snapshot_0(self, small_scenario, monkeypatch):
-        ssb, dl, base = _books_and_plan(small_scenario)
+    def test_first_ground_block_is_used_for_snapshot_0(self, small_cfg, small_scenario, monkeypatch):
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         plans = {"baseline": base}
         want = traffic_sweep(small_scenario, plans, ssb, dl, n_max=2, n_snapshots=2)
         first = ground_channels(small_scenario, 0)
@@ -627,11 +605,11 @@ class TestTrafficSweep:
         assert got.p5_rate["baseline"].tobytes() == want.p5_rate["baseline"].tobytes()
         assert got.p5_gue_rate["baseline"].tobytes() == want.p5_gue_rate["baseline"].tobytes()
 
-    def test_one_block_of_each_kind_alive_at_a_time(self, small_scenario, monkeypatch):
+    def test_one_block_of_each_kind_alive_at_a_time(self, small_cfg, small_scenario, monkeypatch):
         """When a ground block is built, no earlier ground block is alive,
         the one passed as `first_ground` included; the same holds for UAV
         blocks."""
-        ssb, dl, base = _books_and_plan(small_scenario)
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         louder = base.copy()
         louder.power_dbm[0] += 3.0
         blocks = {"ue": [], "uav": []}  # weak references to every block built, per stream tag
@@ -656,15 +634,13 @@ class TestTrafficSweep:
             ("ue", 2, 0), ("uav", 2, 0), ("uav", 2, 0),
         ]
 
-    def test_zero_snapshots_raises(self, small_scenario):
-        ssb, dl, base = _books_and_plan(small_scenario)
+    def test_zero_snapshots_raises(self, small_cfg, small_scenario):
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         with pytest.raises(ValueError, match="n_snapshots"):
             traffic_sweep(small_scenario, {"baseline": base}, ssb, dl, n_max=2, n_snapshots=0)
 
-    def test_single_row(self, small_scenario):
-        ssb = build_ssb_codebook(small_scenario.sectors[0].panel, 4, 1)
-        dl = build_dl_codebook(small_scenario.sectors[0].panel, 1, 1)
-        base = baseline_plan(small_scenario, ssb)
+    def test_single_row(self, small_cfg, small_scenario):
+        ssb, dl, base = _books_and_plan(small_scenario, small_cfg)
         res = traffic_sweep(small_scenario, {"baseline": base}, ssb, dl, n_max=1, n_snapshots=2)
         assert res.n_uavs.shape == (1,)
 

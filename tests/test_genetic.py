@@ -12,7 +12,7 @@ from oracles import (
     validate_plan,
 )
 from conftest import beam_plan
-from skybeam.association import changed_sectors, rsrp_table, select_serving_all
+from skybeam.association import rsrp_table, select_serving_all
 from skybeam.channel import build_channels, entity_block
 from skybeam.cli import TRACE_CSV, _plan_json, _RunDir, _trace_rows
 from skybeam.codebook import build_ssb_codebook
@@ -514,32 +514,23 @@ class TestReferenceIdentity:
         assert_same_search(params, ev, ref)
 
 
-def written_plan_scores(ev, channels, book, pop, patch=False):
+def written_plan_scores(ev, channels, book, pop):
     """(fitness, violation count) of each genome, read from the plan that
     `plan_for` writes as `skybeam run` evaluates a plan: `rsrp_table`, then
     `associate`. Fitness is the minimum coverage SINR, -inf when a point is
-    served outside its required sector. With `patch`, each table is the
-    baseline's table patched on the sectors the plan changes, which
-    `rsrp_table` computes as a fresh table does; `evaluate_snapshot` builds
-    the optimized plan's tables so."""
-    base = rsrp_table(channels, ev.baseline, book) if patch else None
+    served outside its required sector."""
     scores, violations = [], []
     for genome in pop:
-        plan = ev.plan_for(genome)
-        if patch:
-            table = rsrp_table(channels, plan, book, base.copy(), changed_sectors(ev.baseline, plan))
-        else:
-            table = rsrp_table(channels, plan, book)
-        assoc = associate(table, ev.noise_mw)
+        assoc = associate(rsrp_table(channels, ev.plan_for(genome), book), ev.noise_mw)
         count = np.count_nonzero(assoc.serving_sector != ev.required_cell)
         violations.append(count)
         scores.append(assoc.coverage_sinr_db.min() if count == 0 else -math.inf)
     return np.array(scores), np.array(violations)
 
 
-def assert_scores_written_plan(ev, channels, book, pop, patch=False):
+def assert_scores_written_plan(ev, channels, book, pop):
     scores, violations = ev.evaluate_population(pop)
-    want_scores, want_violations = written_plan_scores(ev, channels, book, pop, patch)
+    want_scores, want_violations = written_plan_scores(ev, channels, book, pop)
     assert scores.tobytes() == want_scores.tobytes()
     assert violations.tolist() == want_violations.tolist()
     return scores
@@ -575,10 +566,9 @@ class TestScoresWrittenPlan:
         one_gene[np.arange(600), gen.integers(0, n, 600)] = gen.integers(0, ev.n_codewords, 600)
         drawn = gen.integers(0, ev.n_codewords, (100, n))
         pop = np.concatenate([best.genome[None], one_gene, drawn])
-        scores = assert_scores_written_plan(ev, channels, book, pop, patch=True)
+        scores = assert_scores_written_plan(ev, channels, book, pop)
         assert np.count_nonzero(scores > -math.inf) >= 100
         assert scores[0] == best.fitness
-        assert_scores_written_plan(ev, channels, book, pop[:20])  # fresh tables
 
 
 class TestFrozenSlots:
