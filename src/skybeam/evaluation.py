@@ -9,9 +9,11 @@ codewords interfere. Statistics are lower-order-statistic 5 percent tiles
 
 The data phase runs in two steps: a ground step per snapshot and plan
 (`data_phase_ground`) and a UAV step per UAV block (`data_phase_uavs`), so a
-traffic sweep pays per UAV count only for what the UAVs change. Every block,
-ground or UAV, comes from its own `channel.build_channels` call. Plans
-share each block's channels, and each plan is evaluated on them in full.
+traffic sweep pays per UAV count only for what the UAVs change. Both steps
+compute a sector's terms through one function, `_sector_terms`. Every
+block, ground or UAV, comes from its own `channel.build_channels` call.
+Plans share each block's channels, and each plan is evaluated on them in
+full.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .scenario import Scenario, place_uavs
 class DataPhaseReport:
     """Per-UE data-phase outcome for one snapshot and plan."""
 
-    serving_sector: np.ndarray
     precoder: np.ndarray
     n_codeword_sharers: np.ndarray
     sinr_db: np.ndarray
@@ -49,7 +50,7 @@ class DataPhaseReport:
 @dataclass(frozen=True)
 class GroundDataPhase:
     """The ground step of the data phase: one ground block under one plan's
-    association, with every term that a cell's UAVs leave alone.
+    association, with every sector's terms on the ground rows alone.
 
     Computed once per (snapshot, plan) by `data_phase_ground`; each cell's
     `data_phase_uavs` reads it. Rows are the ground block's.
@@ -58,10 +59,7 @@ class GroundDataPhase:
     channels: ChannelSet
     serving_sector: np.ndarray
     precoder: np.ndarray
-    served: np.ndarray  # (B,) ground UEs per sector
-    # the serving sectors grouped by their count U of in-use codewords:
-    # (sectors, their (U, M) in-use codeword weights, their (U,) sharer counts)
-    codeword_groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    per_codeword: np.ndarray  # (B, C) ground UEs per sector and data codeword
     n_codeword_sharers: np.ndarray
     own_proj: np.ndarray  # |h^T w|^2 toward the serving sector, own codeword
     total: np.ndarray  # per-UE-power-weighted projections on the serving sector's in-use codewords
@@ -76,140 +74,123 @@ def _precoders(h_serving: np.ndarray, beta_serving: np.ndarray, weights: np.ndar
     return np.argmax(metric, axis=1)
 
 
-def _sector_terms(h_b, beta_b, idx, precoder, weights, sector_power_mw):
-    """One serving sector's terms on the rows of `h_b`, its (N, M) channel
-    rows, of which it serves the rows `idx`.
+def _sector_terms(blocks, beta, serving, precoder, per_codeword, sectors, weights, sector_power_mw):
+    """The terms of the sectors in the (B,) mask `sectors` on N rows: the
+    rows of the channel arrays `blocks`, in order, with (N, B) gains `beta`,
+    serving sectors `serving` and data codewords `precoder`. `per_codeword`
+    counts the UEs per sector and data codeword, (B, C).
 
-    Returns its per-codeword sharer counts, then, for the rows in `idx`,
-    their sharer counts, own projections and co-cell totals, and for every
-    row its inter-cell term (0 on the rows in `idx`).
+    Returns the sharer counts, own projections and co-cell totals of the
+    rows those sectors serve (0 on other rows), and the (N, B) inter-cell
+    terms (0 on the rows a sector serves and in the other sectors' columns).
+    Each sector's product is taken on its own (N, M) channel rows; every
+    step after it runs once per group of sectors with the same count U of
+    in-use codewords.
     """
-    p = sector_power_mw / idx.size
-    # in-use codewords (ascending), their sharer counts and each UE's
-    # position among them
-    per_codeword = np.bincount(precoder[idx], minlength=weights.shape[0])
-    used = np.flatnonzero(per_codeword)
-    counts = per_codeword[used]
-    own = np.searchsorted(used, precoder[idx])
-    # projections of every row onto this cell's in-use codewords
-    proj_all = np.abs(h_b @ weights[used].T)  # (N, U)
-    np.square(proj_all, out=proj_all)
-    own_proj = proj_all[idx, own]
-    # co-cell power over all in-use codewords, own codeword included
-    total = (proj_all[idx] * counts * p).sum(axis=1)
-    # inter-cell: each in-use codeword weighted by 1/N_w at this cell's
-    # per-UE power, felt by every row served elsewhere
-    contrib = (proj_all / counts).sum(axis=1)
-    contrib[idx] = 0.0
-    return per_codeword, counts[own], own_proj, total, beta_b * contrib * p
+    n, n_sectors = beta.shape
+    n_used = np.count_nonzero(per_codeword, axis=1)
+    rank = np.cumsum(per_codeword != 0, axis=1) - 1  # a codeword's position among its sector's in-use ones
+    n_sharers, own_proj, total = np.zeros(n, dtype=int), np.zeros(n), np.zeros(n)
+    terms = np.zeros((n, n_sectors))
+    for u in unique_ints(n_used[sectors])[0].tolist():
+        in_group = sectors & (n_used == u)
+        group = np.flatnonzero(in_group)
+        used = np.nonzero(per_codeword[group])[1].reshape(-1, u)  # (G, U) in-use codewords, ascending
+        counts = per_codeword[group[:, None], used]  # their sharer counts
+        p = sector_power_mw / counts.sum(axis=1)  # each sector's per-UE power
+        w = weights[used]  # (G, U, M)
+        proj = np.empty((group.size, n, u))  # every row's projections on each sector's in-use codewords
+        for i, b in enumerate(group.tolist()):
+            h_b = blocks[0][:, b] if len(blocks) == 1 else np.concatenate([h[:, b] for h in blocks])
+            np.abs(h_b @ w[i].T, out=proj[i])
+        np.square(proj, out=proj)
+        # the rows the group serves, and their sectors' places in it
+        rows = np.flatnonzero(in_group[serving])
+        at = np.searchsorted(group, serving[rows])
+        own = rank[serving[rows], precoder[rows]]
+        n_sharers[rows] = counts[at, own]
+        own_proj[rows] = proj[at, rows, own]
+        # co-cell power over all in-use codewords, own codeword included
+        total[rows] = (proj[at, rows] * counts[at] * p[at, None]).sum(axis=1)
+        # inter-cell: each in-use codeword weighted by 1/N_w at the sector's
+        # per-UE power, felt by every row served elsewhere
+        contrib = (proj / counts[:, None, :]).sum(axis=2)  # (G, N)
+        contrib[at, rows] = 0.0
+        terms[:, group] = beta[:, group] * contrib.T * p
+    return n_sharers, own_proj, total, terms
 
 
 def data_phase_ground(
     ground: ChannelSet, serving_sector: np.ndarray, dl_codebook: Codebook, radio: RadioConfig
 ) -> GroundDataPhase:
-    """The ground step: the ground rows' precoders, and every serving
-    sector's in-use codewords and terms on the ground rows alone.
+    """The ground step: the ground rows' precoders, each sector's in-use
+    codewords, and every serving sector's terms on the ground rows alone.
     """
     g, n_sectors = ground.beta.shape
     weights = dl_codebook.weights
-    per_codeword = np.zeros((n_sectors, weights.shape[0]), dtype=int)  # (B, C) ground UEs
-    n_sharers = np.empty(g, dtype=int)
-    own_proj = np.empty(g)
-    total = np.empty(g)
-    inter_terms = np.zeros((g, n_sectors))
     rows = np.arange(g)
     precoder = _precoders(ground.h[rows, serving_sector], ground.beta[rows, serving_sector], weights)
-    for b in unique_ints(serving_sector)[0].tolist():
-        idx = np.flatnonzero(serving_sector == b)
-        per_codeword[b], n_sharers[idx], own_proj[idx], total[idx], inter_terms[:, b] = _sector_terms(
-            ground.h[:, b, :], ground.beta[:, b], idx, precoder, weights, radio.sector_tx_power_mw
-        )
-    n_used = np.count_nonzero(per_codeword, axis=1)
-    groups = []
-    for u in unique_ints(n_used[n_used > 0])[0].tolist():
-        sectors = np.flatnonzero(n_used == u)
-        used = np.nonzero(per_codeword[sectors])[1].reshape(-1, u)  # ascending per sector
-        groups.append((sectors, weights[used], per_codeword[sectors[:, None], used]))
-    return GroundDataPhase(
-        channels=ground,
-        serving_sector=serving_sector,
-        precoder=precoder,
-        served=per_codeword.sum(axis=1),
-        codeword_groups=tuple(groups),
-        n_codeword_sharers=n_sharers,
-        own_proj=own_proj,
-        total=total,
-        inter_terms=inter_terms,
-        dl_weights=weights,
-        radio=radio,
+    per_codeword = np.zeros((n_sectors, weights.shape[0]), dtype=int)
+    np.add.at(per_codeword, (serving_sector, precoder), 1)
+    terms = _sector_terms(
+        (ground.h,), ground.beta, serving_sector, precoder, per_codeword, per_codeword.any(axis=1), weights,
+        radio.sector_tx_power_mw,
     )
+    return GroundDataPhase(ground, serving_sector, precoder, per_codeword, *terms, weights, radio)
 
 
 def data_phase_uavs(
     ground: GroundDataPhase, uavs: ChannelSet, serving_sector: np.ndarray
 ) -> DataPhaseReport:
     """The UAV step: the data phase of the ground rows joined with the rows
-    of `uavs`, served by `serving_sector`.
+    of `uavs`, served by `serving_sector`; ground users first, then UAVs.
 
-    Rows are the ground users first, then the UAVs. A sector that serves a
-    UAV is recomputed in full on the joined rows. Every other sector keeps
-    its ground terms and only projects the UAV rows onto its in-use
-    codewords, in one stacked product per group of sectors with the same
-    count of in-use codewords. Inter-cell interference sums the sectors'
-    terms left to right, the order of a loop over sectors. The result is
-    the data phase of the joined rows, bit for bit.
+    `_sector_terms` gives each sector that serves a UAV its terms on the
+    joined rows, and each other serving sector, which keeps its ground
+    terms, its terms on the UAV rows. Inter-cell interference sums the
+    sectors' terms left to right, the order of a loop over sectors: the
+    data phase of the joined rows, bit for bit.
 
     A product over exactly one row takes BLAS's matrix-vector kernel and
     rounds differently from the same row inside a product of two or more,
-    so the UAV rows' products carry one ground row in front (dropped from
-    the result) whenever the ground block is not empty. A one-row ground
-    block joined with UAVs would still round apart from the joined product;
-    a scenario's ground block has at least one user in each of three
-    sectors.
+    so the UAV rows' products carry one ground row in front, if there is
+    one, dropped from the result. A one-row ground block joined with UAVs
+    would still round apart from the joined product; a scenario's ground
+    block has at least one user in each of three sectors.
     """
     gb = ground.channels
     radio = ground.radio
     weights = ground.dl_weights
     g, n_sectors = gb.beta.shape
     sector_power_mw = radio.sector_tx_power_mw
-    uav_beta, uav_h = uavs.beta, uavs.h
-    u = uav_beta.shape[0]
+    u = uavs.beta.shape[0]
     n = g + u
     serving = np.concatenate([ground.serving_sector, serving_sector])
-    beta = np.concatenate([gb.beta, uav_beta])
+    beta = np.concatenate([gb.beta, uavs.beta])
     beta_serving = beta[np.arange(n), serving]
     # equal power share per served UE of a sector
     p_dl = sector_power_mw / np.bincount(serving, minlength=n_sectors)[serving]
-    precoder = ground.precoder
-    n_sharers = np.concatenate([ground.n_codeword_sharers, np.empty(u, dtype=int)])
-    own_proj = np.concatenate([ground.own_proj, np.empty(u)])
-    total = np.concatenate([ground.total, np.empty(u)])
-    terms = np.zeros((n, n_sectors))
-    terms[:g] = ground.inter_terms
 
-    if u:
-        pad = min(g, 1)  # ground rows in front of the UAV rows' products
-        padded = np.concatenate([gb.h[:pad], uav_h])  # (pad + U, B, M)
-        padded_serving = np.concatenate([ground.serving_sector[:pad], serving_sector])
-        padded_beta = np.concatenate([gb.beta[np.arange(pad), padded_serving[:pad]], beta_serving[g:]])
-        uav_precoder = _precoders(padded[np.arange(pad + u), padded_serving], padded_beta, weights)
-        precoder = np.concatenate([precoder, uav_precoder[pad:]])
-
-        serves_uav = np.zeros(n_sectors, dtype=bool)
-        serves_uav[serving_sector] = True
-        for b in np.flatnonzero(serves_uav).tolist():
-            idx = np.flatnonzero(serving == b)
-            h_b = np.concatenate([gb.h[:, b, :], uav_h[:, b, :]])
-            _, n_sharers[idx], own_proj[idx], total[idx], terms[:, b] = _sector_terms(
-                h_b, beta[:, b], idx, precoder, weights, sector_power_mw
-            )
-        by_sector = padded.transpose(1, 0, 2)  # (B, pad + U, M) view
-        for sectors, w, counts in ground.codeword_groups:
-            keep = ~serves_uav[sectors]
-            sectors = sectors[keep]
-            proj = np.abs(np.matmul(by_sector[sectors], w[keep].transpose(0, 2, 1))) ** 2
-            contrib = (proj[:, pad:] / counts[keep][:, None, :]).sum(axis=2)  # (sectors, U)
-            terms[g:, sectors] = uav_beta[:, sectors] * contrib.T * (sector_power_mw / ground.served[sectors])
+    pad = min(g, u, 1)  # ground rows in front of the UAV rows' products
+    padded = np.concatenate([gb.h[:pad], uavs.h])  # (pad + U, B, M)
+    rows = np.concatenate([np.arange(pad), np.arange(g, n)])  # the joined rows of `padded`
+    uav_precoder = _precoders(padded[np.arange(pad + u), serving[rows]], beta_serving[rows], weights)[pad:]
+    precoder = np.concatenate([ground.precoder, uav_precoder])
+    per_codeword = ground.per_codeword.copy()
+    np.add.at(per_codeword, (serving_sector, uav_precoder), 1)
+    serves_uav = np.bincount(serving_sector, minlength=n_sectors) > 0
+    others = ground.per_codeword.any(axis=1) & ~serves_uav
+    n_sharers, own_proj, total, terms = _sector_terms(
+        (gb.h, uavs.h), beta, serving, precoder, per_codeword, serves_uav, weights, sector_power_mw
+    )
+    kept = others[ground.serving_sector]  # the ground rows of the other sectors
+    n_sharers[:g][kept] = ground.n_codeword_sharers[kept]
+    own_proj[:g][kept] = ground.own_proj[kept]
+    total[:g][kept] = ground.total[kept]
+    terms[:g, others] = ground.inter_terms[:, others]
+    terms[g:, others] = _sector_terms(
+        (padded,), beta[rows], serving[rows], precoder[rows], per_codeword, others, weights, sector_power_mw
+    )[3][pad:, others]
     inter = np.cumsum(terms, axis=1)[:, -1]
 
     signal = beta_serving * own_proj * p_dl
@@ -219,13 +200,7 @@ def data_phase_uavs(
     noise = np.array([radio.noise_mw(bandwidth) for bandwidth in share_hz.tolist()])
     impairment = intra + inter + noise
     rate = share_hz * np.log2(1.0 + signal / impairment)
-    return DataPhaseReport(
-        serving_sector=serving,
-        precoder=precoder,
-        n_codeword_sharers=n_sharers,
-        sinr_db=sinr_db(signal, impairment),
-        rate_bps=rate,
-    )
+    return DataPhaseReport(precoder, n_sharers, sinr_db(signal, impairment), rate)
 
 
 def p5(values) -> float:

@@ -430,7 +430,6 @@ def joined_data_phase(blocks, serving_sector, dl_codebook, radio) -> DataPhaseRe
         sinr_db = 10.0 * np.log10(sinr)
     rate = radio.n_prb_total * radio.prb_bandwidth_hz / n_sharers * np.log2(1.0 + sinr)
     return DataPhaseReport(
-        serving_sector=serving_sector.copy(),
         precoder=precoder,
         n_codeword_sharers=n_sharers,
         sinr_db=sinr_db,

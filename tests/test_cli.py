@@ -612,8 +612,7 @@ def test_report_rows_match_fstring_formatting(tmp_path):
     kinds = np.array(["ground", "aerial", "aerial"])
     values = np.array([[-0.0, np.inf, 5e-324], [np.nan, -np.inf, 1e300], [1.0 / 3.0, -12.5, 123456789012.0]])
     sector = np.array([3, 0, 56])
-    data = DataPhaseReport(serving_sector=sector, precoder=sector, n_codeword_sharers=sector,
-                           sinr_db=values[1], rate_bps=values[2])
+    data = DataPhaseReport(precoder=sector, n_codeword_sharers=sector, sinr_db=values[1], rate_bps=values[2])
     res = SnapshotResult(kinds=kinds, serving_sector=sector, serving_slot=sector, serving_rsrp_mw=values[0],
                          coverage_sinr_db=values[0], data=data)
     report = "".join(
